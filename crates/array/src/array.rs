@@ -206,13 +206,13 @@ impl<D: BlockDevice> DiskArray<D> {
     /// Durability barrier: block until every write the array has issued so
     /// far is on stable storage, on every disk. A no-op on [`SimDisk`]
     /// (whose writes are synchronous), so simulated runs — including every
-    /// checker and explorer schedule — are untouched; queued backends
-    /// drain their submission queues and flush here. Not billed: the
-    /// paper's cost model counts page transfers, and a barrier moves none.
+    /// checker and explorer schedule — are untouched; the file backend
+    /// fsyncs each disk here. Not billed: the paper's cost model counts
+    /// page transfers, and a barrier moves none.
     ///
     /// # Errors
-    /// [`ArrayError::Backend`] when a backend write that was already
-    /// accepted into a queue turns out to have failed.
+    /// [`ArrayError::Backend`] when a disk's flush fails, or failed at an
+    /// earlier barrier (the failure is sticky until the disk is replaced).
     pub fn write_barrier(&self) -> Result<()> {
         for d in &self.disks {
             d.barrier()?;

@@ -12,7 +12,8 @@
 //! between backends.
 //!
 //! [`BlockDevice::barrier`] is the one genuinely new operation: a
-//! durability point for backends with volatile write queues. `SimDisk`
+//! durability point for backends whose returned writes are not yet on
+//! stable storage (the file backend's sit in the page cache). `SimDisk`
 //! keeps the default no-op, which is what keeps the checker and the
 //! crashpoint explorer byte-identical on the simulated backend.
 
@@ -77,10 +78,10 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// Durability barrier: block until every write accepted so far is on
     /// stable storage. The default is a no-op, which is exact for
     /// [`SimDisk`] (its writes are synchronous) and keeps simulated runs
-    /// byte-identical; queued backends override it.
+    /// byte-identical; the file backend fsyncs here.
     ///
     /// # Errors
-    /// A backend I/O failure surfaced while draining queued writes
+    /// A backend flush failure, now or (sticky) at an earlier barrier
     /// ([`ArrayError::Backend`](crate::ArrayError::Backend)).
     fn barrier(&self) -> Result<()> {
         Ok(())

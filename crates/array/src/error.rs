@@ -49,8 +49,8 @@ pub enum ArrayError {
     /// Twin parity slot `P1` addressed on a single-parity array.
     NoTwinParity,
     /// A real storage backend failed underneath the array: a file I/O
-    /// error surfaced while serving or draining queued writes. Simulated
-    /// disks never produce this.
+    /// error from a read, a write or a flush. Simulated disks never
+    /// produce this.
     Backend {
         /// Disk whose backing store failed.
         disk: DiskId,

@@ -2,20 +2,20 @@
 //!
 //! Runs one deterministic transaction workload through the same engine
 //! over three backends and emits `BENCH_pr9.json` (the PR 7 shape plus
-//! the write-queue pressure block):
+//! the per-backend `queue` block of disk traffic counters):
 //!
 //! * `sim` — the in-memory simulated array (`Database::open`), the
 //!   baseline every earlier BENCH file measured;
 //! * `file_fsync` — the file-backed array in its default durability
-//!   mode (write queues drained and fsynced at commit barriers);
-//! * `file_dsync` — the file-backed array fsyncing every drained write
-//!   batch (the O_DSYNC-style mode).
+//!   mode (written through, fsynced at commit barriers);
+//! * `file_dsync` — the file-backed array fsyncing inside every write
+//!   (the O_DSYNC-style mode).
 //!
 //! Per backend: committed txns, wall clock, txns/s, MiB/s of page
 //! payload, and p50/p99 commit latency. The file backends additionally
-//! report their write-queue counters (depth high-water, coalesce ratio,
-//! sticky errors) and the fsync / queue-residency latency histograms
-//! that `rda-disk` feeds. Wall-clocks depend on the host,
+//! report the disk counters `rda-disk` exports (writes issued, barriers,
+//! fsyncs, sticky errors) and its fsync latency histogram. Wall-clocks
+//! depend on the host,
 //! so the report records `host_cpus`, the directory the file backends
 //! ran in, and that directory's filesystem type from `/proc/mounts`
 //! (CI runs on tmpfs; a real disk directory can be chosen with
@@ -31,8 +31,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Pages each transaction writes; spread over the whole array so the
-/// parity twin pair of many groups stays hot (exercising the file
-/// backend's write coalescing).
+/// parity twin pair of many groups stays hot.
 const PAGES_PER_TXN: u32 = 8;
 
 struct Args {
@@ -191,28 +190,20 @@ fn histogram_json(db: &FileDb, name: &str) -> String {
     )
 }
 
-/// The write-queue pressure block a file backend reports: the queue
-/// counters `rda-disk` exports as metric views, plus the fsync and
-/// enqueue-to-platter residency histograms.
+/// The disk traffic block a file backend reports: the counters `rda-disk`
+/// exports as metric views, plus the fsync latency histogram.
 fn queue_json(db: &FileDb) -> String {
     let values: std::collections::BTreeMap<String, u64> =
         db.metrics().counter_values().into_iter().collect();
     let get = |key: &str| values.get(key).copied().unwrap_or(0);
-    let enqueued = get("disk_writes_enqueued");
-    let coalesced = get("disk_writes_coalesced");
     format!(
-        "{{\"depth_hw\":{},\"enqueued\":{enqueued},\"coalesced\":{coalesced},\
-         \"coalesce_ratio\":{:.4},\"batches\":{},\"barriers\":{},\
-         \"fsyncs\":{},\"sticky_errors\":{},\
-         \"fsync\":{},\"residency\":{}}}",
-        get("disk_queue_depth_hw"),
-        coalesced as f64 / (enqueued as f64).max(1.0),
-        get("disk_write_batches"),
+        "{{\"enqueued\":{},\"barriers\":{},\"fsyncs\":{},\
+         \"sticky_errors\":{},\"fsync\":{}}}",
+        get("disk_writes_enqueued"),
         get("disk_barriers"),
         get("disk_fsyncs"),
         get("disk_sticky_errors"),
         histogram_json(db, "disk_fsync_nanos"),
-        histogram_json(db, "disk_queue_residency_nanos"),
     )
 }
 
@@ -236,7 +227,7 @@ fn run(args: &Args) -> Result<String, String> {
 
     for (name, mode) in [
         ("file_fsync", DurabilityMode::FsyncOnBarrier),
-        ("file_dsync", DurabilityMode::SyncEachBatch),
+        ("file_dsync", DurabilityMode::SyncEachWrite),
     ] {
         let dir = base.join(format!("rda-bench-backend-{name}-{}", std::process::id()));
         let db = file_backend(&dir, mode)?;

@@ -12,7 +12,7 @@
 //! * the **steal chain** — the TWIST-style page-header links
 //!   ([`MetaSink::chain_steal`] and friends);
 //! * the staged **write intent** (controller NVRAM) — journaled *before*
-//!   the platter writes of its read-modify-write are enqueued
+//!   the platter writes of its read-modify-write are issued
 //!   ([`MetaSink::intent_set`]), so a restart can replay an interrupted
 //!   sequence exactly like the simulated recovery does.
 //!

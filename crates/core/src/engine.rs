@@ -37,7 +37,7 @@ use rda_array::{BlockDevice, DataPageId, DefaultDisk, DiskArray, GroupId, Page, 
 use rda_buffer::BufferPool;
 use rda_obs::{
     monotonic_nanos, Counter, EventKind, FlightRecord, Histogram, MetricsRegistry, ObsHub,
-    StealKind,
+    StealKind, NANOS_BOUNDS,
 };
 use rda_wal::{CheckpointKind, LogManager, LogRecord, LogStore, TxnId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -175,29 +175,10 @@ pub(crate) struct EngineMetrics {
     pub lock_wait_nanos: Arc<Histogram>,
     /// Time inside `log.force()` on the commit path.
     pub log_force_nanos: Arc<Histogram>,
-    /// Time inside the commit durability barrier (queue drain + fsync on
+    /// Time inside the commit durability barrier (one fsync per disk on
     /// the file backend; effectively zero on the simulated array).
     pub barrier_nanos: Arc<Histogram>,
 }
-
-/// Bucket bounds for nanosecond-scale latency histograms: 1µs → 1s in
-/// half-decade steps (wall clocks feed these, so they are excluded from
-/// every deterministic export — see `MetricsRegistry::counters_json`).
-const NANOS_BOUNDS: [u64; 13] = [
-    1_000,
-    5_000,
-    10_000,
-    50_000,
-    100_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    10_000_000,
-    50_000_000,
-    100_000_000,
-    500_000_000,
-    1_000_000_000,
-];
 
 impl EngineMetrics {
     fn register(metrics: &MetricsRegistry) -> EngineMetrics {
@@ -550,7 +531,7 @@ impl<D: BlockDevice> Engine<D> {
             parity: staged,
         });
         if let (Some(sink), Some(intent)) = (&sink, intent_slot.as_ref()) {
-            // Durable before any platter write of this sequence enqueues.
+            // Durable before any platter write of this sequence is issued.
             sink.intent_set(&intent.to_record());
         }
         let mut result = Ok(());
@@ -1124,7 +1105,7 @@ impl<D: BlockDevice> Engine<D> {
     /// group-commit amortization: every platter write the batch depends on
     /// (FORCE write-backs, earlier steals) must be on stable storage
     /// before the commit records are. A no-op barrier on the simulated
-    /// array; on a real backend it drains the per-disk write queues.
+    /// array; on a real backend it fsyncs every disk.
     pub(crate) fn commit_force_barrier(&mut self, txns: &[TxnId]) -> Result<()> {
         self.check_ready()?;
         for txn in txns {
@@ -1148,7 +1129,7 @@ impl<D: BlockDevice> Engine<D> {
             .log_force_nanos
             .observe(monotonic_nanos() - force_start);
         // The batch's durability point: let the black box flush its
-        // snapshot while the queues are known-drained.
+        // snapshot while the disks are known-synced.
         if let Some(hook) = &self.barrier_hook {
             hook();
         }

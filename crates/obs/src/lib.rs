@@ -31,7 +31,7 @@ mod trace;
 pub use event::{EventKind, StealKind, TraceEvent};
 pub use flight::FlightRecord;
 pub use invariants::{protocol_violations, protocol_violations_windowed};
-pub use metrics::{Counter, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Histogram, MetricsRegistry, NANOS_BOUNDS};
 pub use profile::{monotonic_nanos, LockProfile};
 pub use timeline::{PhaseStat, RecoveryPhase, Timeline};
 pub use trace::{merge_shard_snapshots, ShardTaggedEvent, TraceSnapshot, Tracer};

@@ -21,6 +21,25 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+/// Bucket bounds for nanosecond-scale latency histograms: 1µs → 1s in
+/// half-decade steps (wall clocks feed these, so they are excluded from
+/// every deterministic export — see [`MetricsRegistry::counters_json`]).
+pub const NANOS_BOUNDS: [u64; 13] = [
+    1_000,
+    5_000,
+    10_000,
+    50_000,
+    100_000,
+    500_000,
+    1_000_000,
+    5_000_000,
+    10_000_000,
+    50_000_000,
+    100_000_000,
+    500_000_000,
+    1_000_000_000,
+];
+
 /// A monotonically increasing counter handle. Cheap to clone; all
 /// clones share one atomic cell.
 #[derive(Clone, Default)]

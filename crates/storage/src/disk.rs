@@ -1,66 +1,86 @@
 //! [`FileDisk`]: a real-file [`BlockDevice`] behind the same fault seam
 //! as [`SimDisk`](rda_array::SimDisk).
 //!
-//! Every read and write consults the installed [`HookState`] *in the
-//! calling thread, at submission* — before anything is queued — so a
+//! Every read and write consults the installed [`HookState`] first, so a
 //! fault schedule's "k-th physical I/O" lands on the same operation it
 //! would hit on the simulated backend. The fault-arm semantics mirror
 //! `SimDisk` one for one; the differences are purely physical:
 //!
-//! * writes are acknowledged into a per-disk [`WriteQueue`] and reach the
-//!   platter from a writer thread (reads stay read-your-writes via the
-//!   queue);
+//! * a write is a `pwrite` on the calling thread: when it returns, the
+//!   image is in the files, and a failure is returned to the call that
+//!   issued it. Stable storage is the fsync's job (see
+//!   [`DurabilityMode`]);
 //! * torn pages live on the platter as a checksum mismatch rather than in
 //!   a memory set, so they survive a process death;
 //! * injected *latent* errors remain process-local test state (a real
 //!   drive's rot is physical; an injected one dies with the injector).
+//!
+//! One disk's reads, writes, barriers and replacement each hold its state
+//! lock across their file I/O, so a write's image-then-checksum pair can
+//! never be seen half-done by a read of that block. (Above the device,
+//! every array access already happens under the engine mutex.)
 
 use crate::io::{BlockImage, DiskFiles};
-use crate::queue::{QueueStats, WriteQueue};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rda_array::{ArrayError, BlockDevice, DiskId, FaultAction, HookState, Page};
-use rda_obs::monotonic_nanos;
+use rda_obs::{monotonic_nanos, Counter, Histogram};
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 
-/// How eagerly the writer thread pushes data to stable storage.
+/// When a disk's writes are pushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
     /// Fsync only at explicit [`BlockDevice::barrier`] points (commit,
-    /// checkpoint, recovery finish). The queue drains to the files
-    /// continuously but stable storage is only guaranteed at barriers —
-    /// the default, and the cheaper mode.
+    /// checkpoint, recovery finish) — the default, and the cheaper mode.
     #[default]
     FsyncOnBarrier,
-    /// Fsync after every drained batch, approximating an O_DSYNC device.
-    /// Barriers then only need to drain the queue.
-    SyncEachBatch,
+    /// Fsync inside every write, approximating an O_DSYNC device. A
+    /// barrier then has nothing left to sync.
+    SyncEachWrite,
+}
+
+/// Per-disk traffic counters behind the `disk_*` metric views. Shared, so
+/// the views keep reading after the disk has moved into the array.
+#[derive(Default)]
+pub(crate) struct DiskCounters {
+    /// Writes issued to the files.
+    pub(crate) writes: Counter,
+    /// Durability barriers issued against this disk.
+    pub(crate) barriers: Counter,
+    /// Fsyncs performed, by a barrier or (`SyncEachWrite`) by a write.
+    pub(crate) fsyncs: Counter,
+    /// Times the disk was poisoned: a failed fsync, or a replacement
+    /// that could not be blanked.
+    pub(crate) sticky_errors: Counter,
+    /// Wall time of each fsync, installed (once, at open time) by the
+    /// metrics wiring; absent on a bare disk.
+    pub(crate) fsync_nanos: OnceLock<Arc<Histogram>>,
 }
 
 struct DiskState {
     failed: bool,
     bad_blocks: HashSet<u64>,
+    /// Why the files can no longer be trusted: an fsync failed (the
+    /// kernel may already have dropped the dirty pages, so a retry that
+    /// succeeds proves nothing), or a replacement could not be blanked.
+    /// Sticky until [`BlockDevice::replace`] succeeds.
+    poisoned: Option<String>,
 }
 
 /// One file-backed disk of the array.
 pub struct FileDisk {
     id: DiskId,
-    block_count: u64,
-    page_size: usize,
     mode: DurabilityMode,
-    files: Arc<DiskFiles>,
-    queue: Arc<WriteQueue>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    files: DiskFiles,
+    pub(crate) counters: Arc<DiskCounters>,
     state: Mutex<DiskState>,
     hook: Mutex<Option<HookState>>,
 }
 
 impl FileDisk {
-    /// Create the backing files for a fresh disk and start its writer
-    /// thread.
+    /// Create the backing files for a fresh disk.
     ///
     /// # Errors
     /// Any file-system error creating or sizing the backing files.
@@ -72,11 +92,11 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::create(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, page_size, mode))
+        Ok(FileDisk::over(files, id, mode))
     }
 
     /// Open a disk over surviving files (geometry is validated against
-    /// the file sizes) and start its writer thread.
+    /// the file sizes).
     ///
     /// # Errors
     /// The files are missing or their sizes do not match the geometry.
@@ -88,43 +108,22 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::open(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, page_size, mode))
+        Ok(FileDisk::over(files, id, mode))
     }
 
-    fn over(files: DiskFiles, id: DiskId, page_size: usize, mode: DurabilityMode) -> FileDisk {
-        let block_count = files.block_count();
-        let files = Arc::new(files);
-        let queue = WriteQueue::new(Arc::clone(&files), mode == DurabilityMode::SyncEachBatch);
-        let worker = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.run_worker())
-        };
+    fn over(files: DiskFiles, id: DiskId, mode: DurabilityMode) -> FileDisk {
         FileDisk {
             id,
-            block_count,
-            page_size,
             mode,
             files,
-            queue,
-            worker: Mutex::new(Some(worker)),
+            counters: Arc::default(),
             state: Mutex::new(DiskState {
                 failed: false,
                 bad_blocks: HashSet::new(),
+                poisoned: None,
             }),
             hook: Mutex::new(None),
         }
-    }
-
-    /// Queue traffic counters, for metric views.
-    #[must_use]
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
-    }
-
-    /// Shared handle to this disk's queue, so metric views can keep
-    /// observing it after the disk moves into the array.
-    pub(crate) fn queue_handle(&self) -> Arc<WriteQueue> {
-        Arc::clone(&self.queue)
     }
 
     fn consult_hook(&self, block: u64, is_write: bool) -> FaultAction {
@@ -139,11 +138,31 @@ impl FileDisk {
         ArrayError::Backend { disk: self.id, msg }
     }
 
+    /// Record that the files can no longer be trusted and build the error
+    /// every later read, write and barrier will repeat.
+    fn poison(&self, state: &mut DiskState, msg: String) -> ArrayError {
+        self.counters.sticky_errors.inc();
+        state.poisoned = Some(msg.clone());
+        self.backend_err(msg)
+    }
+
+    /// Fsync both files, timed. A failure poisons the disk: it must not
+    /// be retried as if clean.
+    fn sync(&self, state: &mut DiskState) -> rda_array::Result<()> {
+        let start = monotonic_nanos();
+        let synced = self.files.sync();
+        self.counters.fsyncs.inc();
+        if let Some(h) = self.counters.fsync_nanos.get() {
+            h.observe(monotonic_nanos().saturating_sub(start));
+        }
+        synced.map_err(|e| self.poison(state, format!("fsync failed: {e}")))
+    }
+
     /// The shared read-side gate: fault hook, then failure states — the
-    /// same order as `SimDisk::readable`. On success the caller may pull
-    /// the image from the queue or the files.
-    fn read_gate(&self, block: u64) -> rda_array::Result<()> {
-        debug_assert!(block < self.block_count, "block out of range");
+    /// same order as `SimDisk::readable`. On success the caller reads the
+    /// files under the returned guard.
+    fn read_gate(&self, block: u64) -> rda_array::Result<MutexGuard<'_, DiskState>> {
+        debug_assert!(block < self.files.block_count(), "block out of range");
         match self.consult_hook(block, false) {
             FaultAction::Proceed => {}
             FaultAction::Transient => {
@@ -170,27 +189,10 @@ impl FileDisk {
                 block,
             });
         }
-        Ok(())
-    }
-
-    /// Current content of a readable block: the queue's freshest image,
-    /// else the platter (which may expose a tear).
-    fn current_image(&self, block: u64) -> rda_array::Result<Page> {
-        if let Some(page) = self
-            .queue
-            .cached(block)
-            .map_err(|msg| self.backend_err(msg))?
-        {
-            return Ok(page);
+        if let Some(msg) = &state.poisoned {
+            return Err(self.backend_err(msg.clone()));
         }
-        match self.files.read_block(block) {
-            Ok(BlockImage::Intact(page)) => Ok(page),
-            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
-                disk: self.id,
-                block,
-            }),
-            Err(e) => Err(self.backend_err(format!("read of block {block} failed: {e}"))),
-        }
+        Ok(state)
     }
 }
 
@@ -200,7 +202,7 @@ impl BlockDevice for FileDisk {
     }
 
     fn block_count(&self) -> u64 {
-        self.block_count
+        self.files.block_count()
     }
 
     fn set_fault_hook(&self, state: Option<HookState>) {
@@ -208,22 +210,28 @@ impl BlockDevice for FileDisk {
     }
 
     fn read(&self, block: u64) -> rda_array::Result<Page> {
-        self.read_gate(block)?;
-        self.current_image(block)
+        let _state = self.read_gate(block)?;
+        match self.files.read_block(block) {
+            Ok(BlockImage::Intact(page)) => Ok(page),
+            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
+                disk: self.id,
+                block,
+            }),
+            Err(e) => Err(self.backend_err(format!("read of block {block} failed: {e}"))),
+        }
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
-        self.read_gate(block)?;
-        let page = self.current_image(block)?;
+        let page = self.read(block)?;
         dst.xor_in_place(&page);
         Ok(())
     }
 
     fn write(&self, block: u64, page: &Page) -> rda_array::Result<()> {
-        debug_assert!(block < self.block_count, "block out of range");
-        if page.len() != self.page_size {
+        debug_assert!(block < self.files.block_count(), "block out of range");
+        if page.len() != self.files.page_size() {
             return Err(ArrayError::PageSizeMismatch {
-                expected: self.page_size,
+                expected: self.files.page_size(),
                 got: page.len(),
             });
         }
@@ -244,12 +252,9 @@ impl BlockDevice for FileDisk {
                 if state.failed {
                     return Err(ArrayError::DiskFailed(self.id));
                 }
-                drop(state);
-                // Make the tear physical: everything acknowledged before
-                // this write reaches the platter first, then the half-new
-                // image lands without its checksum. Both are best-effort —
-                // the machine is losing power.
-                let _ = self.queue.drain();
+                // Make the tear physical: the half-new image lands
+                // without its checksum. Best-effort — the machine is
+                // losing power.
                 let _ = self.files.write_torn_half(block, Some(page.as_ref()));
                 return Err(ArrayError::Crashed);
             }
@@ -258,17 +263,24 @@ impl BlockDevice for FileDisk {
         if state.failed {
             return Err(ArrayError::DiskFailed(self.id));
         }
-        // The landing write refreshes the checksum, healing any torn
+        if let Some(msg) = &state.poisoned {
+            return Err(self.backend_err(msg.clone()));
+        }
+        self.counters.writes.inc();
+        self.files
+            .write_block(block, page)
+            .map_err(|e| self.backend_err(format!("write of block {block} failed: {e}")))?;
+        // The landed write refreshed the checksum, healing any torn
         // image; an injected latent error rots the block *after* the
         // write appears to succeed, like SimDisk.
         state.bad_blocks.remove(&block);
         if action == FaultAction::Latent {
             state.bad_blocks.insert(block);
         }
-        drop(state);
-        self.queue
-            .enqueue(block, page.clone())
-            .map_err(|msg| self.backend_err(msg))
+        if self.mode == DurabilityMode::SyncEachWrite {
+            self.sync(&mut state)?;
+        }
+        Ok(())
     }
 
     fn fail(&self) {
@@ -280,52 +292,49 @@ impl BlockDevice for FileDisk {
     }
 
     fn corrupt_block(&self, block: u64) {
-        debug_assert!(block < self.block_count);
+        debug_assert!(block < self.files.block_count());
         self.state.lock().bad_blocks.insert(block);
     }
 
     fn tear_block(&self, block: u64) {
-        debug_assert!(block < self.block_count);
-        let _ = self.queue.drain();
+        debug_assert!(block < self.files.block_count());
         let _ = self.files.write_torn_half(block, None);
     }
 
     fn replace(&self) {
-        // Flush or forget whatever the dead drive still had queued, then
-        // hand over a factory-blank platter.
-        self.queue.reset();
-        let _ = self.files.reset_zero();
         let mut state = self.state.lock();
-        state.failed = false;
-        state.bad_blocks.clear();
+        match self.files.reset_zero() {
+            Ok(()) => {
+                state.failed = false;
+                state.bad_blocks.clear();
+                state.poisoned = None;
+            }
+            // A replacement that could not be blanked still holds the dead
+            // drive's blocks: it must not be rebuilt over or served.
+            Err(e) => {
+                state.failed = true;
+                let _ = self.poison(&mut state, format!("replacement not blanked: {e}"));
+            }
+        }
     }
 
     fn barrier(&self) -> rda_array::Result<()> {
-        self.queue.note_barrier();
-        self.queue.drain().map_err(|msg| self.backend_err(msg))?;
+        self.counters.barriers.inc();
+        let mut state = self.state.lock();
+        if let Some(msg) = &state.poisoned {
+            return Err(self.backend_err(msg.clone()));
+        }
         if self.mode == DurabilityMode::FsyncOnBarrier {
-            let sync_start = monotonic_nanos();
-            let synced = self.files.sync();
-            self.queue
-                .observe_fsync(monotonic_nanos().saturating_sub(sync_start));
-            synced.map_err(|e| self.backend_err(format!("barrier sync failed: {e}")))?;
+            self.sync(&mut state)?;
         }
         Ok(())
-    }
-}
-
-impl Drop for FileDisk {
-    fn drop(&mut self) {
-        self.queue.shutdown();
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::FailOn;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -339,6 +348,13 @@ mod tests {
         FileDisk::create(dir, DiskId(0), 16, 32, DurabilityMode::FsyncOnBarrier).unwrap()
     }
 
+    fn backend_msg(err: ArrayError) -> String {
+        match err {
+            ArrayError::Backend { msg, .. } => msg,
+            other => panic!("expected a backend error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn write_read_roundtrip_and_zero_default() {
         let dir = tmpdir("roundtrip");
@@ -346,13 +362,12 @@ mod tests {
         assert!(d.read(5).unwrap().is_zeroed());
         let p = Page::from_bytes(&[7u8; 32]);
         d.write(3, &p).unwrap();
-        assert_eq!(d.read(3).unwrap(), p, "read-your-writes through the queue");
+        assert_eq!(d.read(3).unwrap(), p, "a returned write is in the files");
         BlockDevice::barrier(&d).unwrap();
-        assert_eq!(
-            d.read(3).unwrap(),
-            p,
-            "and from the platter after a barrier"
-        );
+        assert_eq!(d.read(3).unwrap(), p);
+        let mut acc = Page::from_bytes(&[7u8; 32]);
+        d.read_xor_into(3, &mut acc).unwrap();
+        assert!(acc.is_zeroed(), "read_xor_into reads the same image");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -380,7 +395,6 @@ mod tests {
         d.tear_block(1);
         assert!(matches!(d.read(1), Err(ArrayError::TornPage { .. })));
         d.write(1, &Page::from_bytes(&[3u8; 32])).unwrap();
-        BlockDevice::barrier(&d).unwrap();
         assert_eq!(d.read(1).unwrap().as_ref()[0], 3, "rewrite heals tear");
         d.fail();
         assert!(matches!(d.read(1), Err(ArrayError::DiskFailed(_))));
@@ -428,20 +442,85 @@ mod tests {
                 .unwrap();
         }
         BlockDevice::barrier(&d).unwrap();
-        let stats = d.queue.stats();
-        assert_eq!(stats.enqueued, 8);
-        assert_eq!(stats.barriers, 1);
-        assert_eq!(stats.fsyncs, 1, "eight writes, one platter sync");
+        assert_eq!(d.counters.writes.get(), 8);
+        assert_eq!(d.counters.barriers.get(), 1);
+        assert_eq!(d.counters.fsyncs.get(), 1, "eight writes, one platter sync");
+        assert_eq!(d.counters.sticky_errors.get(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn sync_each_batch_mode_works() {
+    fn sync_each_write_mode_syncs_in_the_write() {
         let dir = tmpdir("dsync");
-        let d = FileDisk::create(&dir, DiskId(0), 16, 32, DurabilityMode::SyncEachBatch).unwrap();
+        let d = FileDisk::create(&dir, DiskId(0), 16, 32, DurabilityMode::SyncEachWrite).unwrap();
         d.write(0, &Page::from_bytes(&[9u8; 32])).unwrap();
+        assert_eq!(d.counters.fsyncs.get(), 1, "the write itself synced");
         BlockDevice::barrier(&d).unwrap();
+        assert_eq!(d.counters.barriers.get(), 1);
+        assert_eq!(d.counters.fsyncs.get(), 1, "the barrier had nothing left");
         assert_eq!(d.read(0).unwrap().as_ref()[0], 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_is_returned_to_its_caller_and_spares_other_blocks() {
+        let dir = tmpdir("pwrite-fails");
+        let d = disk(&dir);
+        d.write(5, &Page::from_bytes(&[1u8; 32])).unwrap();
+        *d.files.fail_on.lock() = Some(FailOn::Write(5));
+        let msg = backend_msg(d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap_err());
+        assert!(msg.contains("write of block 5 failed"), "{msg}");
+        // Not sticky: the disk keeps serving, the refused block included.
+        d.write(6, &Page::from_bytes(&[3u8; 32])).unwrap();
+        assert_eq!(d.read(6).unwrap().as_ref()[0], 3);
+        assert_eq!(d.read(5).unwrap().as_ref()[0], 1, "old image intact");
+        BlockDevice::barrier(&d).unwrap();
+        *d.files.fail_on.lock() = None;
+        d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap();
+        assert_eq!(d.counters.sticky_errors.get(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_fsync_poisons_the_disk_until_replaced() {
+        let dir = tmpdir("fsync-fails");
+        let d = disk(&dir);
+        d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
+        *d.files.fail_on.lock() = Some(FailOn::Sync);
+        let first = backend_msg(BlockDevice::barrier(&d).unwrap_err());
+        assert!(first.contains("fsync failed"), "{first}");
+        // The device recovers; the disk must not retry as if clean.
+        *d.files.fail_on.lock() = None;
+        assert_eq!(backend_msg(BlockDevice::barrier(&d).unwrap_err()), first);
+        let page = Page::from_bytes(&[2u8; 32]);
+        assert_eq!(backend_msg(d.write(2, &page).unwrap_err()), first);
+        assert_eq!(backend_msg(d.read(1).unwrap_err()), first);
+        assert_eq!(d.counters.sticky_errors.get(), 1, "poisoned once");
+        assert_eq!(d.counters.fsyncs.get(), 1, "no fsync after the failed one");
+        d.replace();
+        d.write(2, &page).unwrap();
+        BlockDevice::barrier(&d).unwrap();
+        assert!(d.read(1).unwrap().is_zeroed(), "replacement is blank");
+        assert_eq!(d.read(2).unwrap(), page);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replacement_that_cannot_be_blanked_stays_failed() {
+        let dir = tmpdir("reset-fails");
+        let d = disk(&dir);
+        d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
+        d.fail();
+        *d.files.fail_on.lock() = Some(FailOn::Reset);
+        d.replace();
+        assert!(d.is_failed(), "stale blocks must not be served");
+        assert!(matches!(d.read(1), Err(ArrayError::DiskFailed(_))));
+        assert_eq!(d.counters.sticky_errors.get(), 1);
+        *d.files.fail_on.lock() = None;
+        d.replace();
+        assert!(!d.is_failed());
+        assert!(d.read(1).unwrap().is_zeroed());
+        BlockDevice::barrier(&d).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,8 +9,7 @@
 //! never-written block has checksum 0 and must read back all zeroes.
 //!
 //! All I/O is positioned (`read_exact_at` / `write_all_at`) on page
-//! boundaries, so concurrent readers and the writer thread never share a
-//! file cursor.
+//! boundaries, so no caller depends on a file cursor.
 
 use rda_array::Page;
 use std::fs::{File, OpenOptions};
@@ -39,12 +38,25 @@ pub(crate) enum BlockImage {
     Torn,
 }
 
+/// Which [`DiskFiles`] call a unit test wants to fail. Real `pwrite` and
+/// `fsync` failures need a full or dying device, so tests plant them here;
+/// production builds have no such seam.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FailOn {
+    Write(u64),
+    Sync,
+    Reset,
+}
+
 /// The two files backing one disk.
 pub(crate) struct DiskFiles {
     data: File,
     sums: File,
     page_size: usize,
     block_count: u64,
+    #[cfg(test)]
+    pub(crate) fail_on: parking_lot::Mutex<Option<FailOn>>,
 }
 
 impl DiskFiles {
@@ -83,6 +95,8 @@ impl DiskFiles {
             sums,
             page_size,
             block_count,
+            #[cfg(test)]
+            fail_on: parking_lot::Mutex::new(None),
         })
     }
 
@@ -110,11 +124,25 @@ impl DiskFiles {
             sums,
             page_size,
             block_count,
+            #[cfg(test)]
+            fail_on: parking_lot::Mutex::new(None),
         })
     }
 
     pub(crate) fn block_count(&self) -> u64 {
         self.block_count
+    }
+
+    pub(crate) fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    #[cfg(test)]
+    fn injected(&self, op: FailOn) -> io::Result<()> {
+        if *self.fail_on.lock() == Some(op) {
+            return Err(io::Error::other(format!("injected {op:?} failure")));
+        }
+        Ok(())
     }
 
     /// Read one block and verify it against its recorded checksum.
@@ -143,6 +171,8 @@ impl DiskFiles {
     /// two leaves a detectable tear, exactly the failure mode the checksum
     /// exists to expose.
     pub(crate) fn write_block(&self, block: u64, page: &Page) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailOn::Write(block))?;
         self.data
             .write_all_at(page.as_ref(), block * self.page_size as u64)?;
         self.sums
@@ -179,6 +209,8 @@ impl DiskFiles {
     /// Reset both files to factory-blank (all zeroes, checksum sentinel 0
     /// everywhere) — a replacement drive.
     pub(crate) fn reset_zero(&self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailOn::Reset)?;
         self.data.set_len(0)?;
         self.data
             .set_len(self.block_count * self.page_size as u64)?;
@@ -189,6 +221,8 @@ impl DiskFiles {
 
     /// Flush both files to stable storage.
     pub(crate) fn sync(&self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailOn::Sync)?;
         self.data.sync_data()?;
         self.sums.sync_data()
     }

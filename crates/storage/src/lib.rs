@@ -6,11 +6,11 @@
 //! can mean a killed process and "recovery" can mean reopening whatever
 //! the file system kept.
 //!
-//! * [`FileDisk`] — one disk = one data file + one checksum file, with a
-//!   per-disk writer thread fed by a coalescing submission queue. Torn
-//!   pages are physical (image/checksum mismatch) and survive process
-//!   death; the [`FaultHook`](rda_array::FaultHook) seam injects the
-//!   same fault schedules as on `SimDisk`.
+//! * [`FileDisk`] — one disk = one data file + one checksum file,
+//!   written through on the caller's thread and fsynced at barriers.
+//!   Torn pages are physical (image/checksum mismatch) and survive
+//!   process death; the [`FaultHook`](rda_array::FaultHook) seam injects
+//!   the same fault schedules as on `SimDisk`.
 //! * [`FileMetaStore`] / [`FileLogSink`] — append-only journals for the
 //!   state the simulator keeps in page headers, modeled NVRAM and the
 //!   in-memory log: twin parity headers, TWIST steal chains, the staged
@@ -41,7 +41,6 @@ mod flight;
 mod io;
 mod meta;
 mod open;
-mod queue;
 
 pub use disk::{DurabilityMode, FileDisk};
 pub use flight::FlightRecorder;
@@ -50,4 +49,3 @@ pub use open::{
     create_database, create_database_with, reopen_database, reopen_database_with, FileDb,
     StorageError, StorageOptions,
 };
-pub use queue::QueueStats;

@@ -13,12 +13,12 @@
 //! [`Database::recover`] before new work, exactly like the simulated
 //! crash/recover cycle.
 
-use crate::disk::{DurabilityMode, FileDisk};
+use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
 use crate::meta::{FileLogSink, FileMetaStore};
-use crate::queue::WriteQueue;
 use rda_array::{DiskId, Geometry};
 use rda_core::{BackendSetup, Database, DbConfig, RestoredState};
+use rda_obs::{Counter, NANOS_BOUNDS};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -107,66 +107,28 @@ fn manifest_contents(cfg: &DbConfig) -> String {
     )
 }
 
-/// Export the writer queues' counters through the database's metrics
-/// registry, so `metrics_json()` reports backend pressure alongside the
-/// protocol counters.
-fn register_queue_metrics(db: &FileDb, queues: Vec<Arc<WriteQueue>>) {
-    // Latency bounds from 1 µs to 1 s in half-decade steps — fsyncs and
-    // queue residency both live inside this envelope.
-    const NANOS_BOUNDS: [u64; 13] = [
-        1_000,
-        5_000,
-        10_000,
-        50_000,
-        100_000,
-        500_000,
-        1_000_000,
-        5_000_000,
-        10_000_000,
-        50_000_000,
-        100_000_000,
-        500_000_000,
-        1_000_000_000,
+/// Export the disks' counters through the database's metrics registry,
+/// so `metrics_json()` reports backend traffic alongside the protocol
+/// counters. `disk_writes_enqueued` counts writes issued to the files; the
+/// benchmark reads it under that name.
+fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {
+    type Pick = fn(&DiskCounters) -> &Counter;
+    let views: [(&str, Pick); 4] = [
+        ("disk_writes_enqueued", |c| &c.writes),
+        ("disk_barriers", |c| &c.barriers),
+        ("disk_fsyncs", |c| &c.fsyncs),
+        ("disk_sticky_errors", |c| &c.sticky_errors),
     ];
     let metrics = db.metrics();
-    let residency = metrics.histogram("disk_queue_residency_nanos", &NANOS_BOUNDS);
     let fsync = metrics.histogram("disk_fsync_nanos", &NANOS_BOUNDS);
-    for q in &queues {
-        q.set_histograms(Arc::clone(&residency), Arc::clone(&fsync));
+    for d in &disks {
+        let _ = d.fsync_nanos.set(Arc::clone(&fsync));
     }
-    let qs = Arc::new(queues);
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_queue_depth", move || {
-        q.iter().map(|q| q.stats().depth).sum()
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_queue_depth_hw", move || {
-        q.iter().map(|q| q.stats().depth_hw).max().unwrap_or(0)
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_writes_enqueued", move || {
-        q.iter().map(|q| q.stats().enqueued).sum()
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_writes_coalesced", move || {
-        q.iter().map(|q| q.stats().coalesced).sum()
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_write_batches", move || {
-        q.iter().map(|q| q.stats().batches).sum()
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_barriers", move || {
-        q.iter().map(|q| q.stats().barriers).sum()
-    });
-    let q = Arc::clone(&qs);
-    metrics.register_view("disk_fsyncs", move || {
-        q.iter().map(|q| q.stats().fsyncs).sum()
-    });
-    let q = qs;
-    metrics.register_view("disk_sticky_errors", move || {
-        q.iter().map(|q| q.stats().sticky_errors).sum()
-    });
+    let disks = Arc::new(disks);
+    for (name, pick) in views {
+        let disks = Arc::clone(&disks);
+        metrics.register_view(name, move || disks.iter().map(|d| pick(d).get()).sum());
+    }
 }
 
 /// Start the black box over `dir` and hook it into the engine's
@@ -219,7 +181,7 @@ pub fn create_database_with(
     std::fs::write(&manifest, manifest_contents(&cfg))?;
     let meta = Arc::new(FileMetaStore::create(dir)?);
     let log = Arc::new(FileLogSink::create(dir)?);
-    let (disks, queues) = make_disks(dir, &cfg, mode, FileDisk::create)?;
+    let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::create)?;
     let db = Database::open_with(
         cfg,
         BackendSetup {
@@ -229,7 +191,7 @@ pub fn create_database_with(
             restored: None,
         },
     );
-    register_queue_metrics(&db, queues);
+    register_disk_metrics(&db, counters);
     if opts.flight_recorder {
         attach_flight_recorder(&db, dir)?;
     }
@@ -275,7 +237,7 @@ pub fn reopen_database_with(
     }
     let (meta, snap) = FileMetaStore::load(dir, cfg.array.groups)?;
     let (log, log_base, log_records) = FileLogSink::load(dir)?;
-    let (disks, queues) = make_disks(dir, &cfg, mode, FileDisk::open)?;
+    let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::open)?;
     let restored = RestoredState {
         twin_metas: snap.twin_metas,
         chains: snap.chains,
@@ -292,7 +254,7 @@ pub fn reopen_database_with(
             restored: Some(restored),
         },
     );
-    register_queue_metrics(&db, queues);
+    register_disk_metrics(&db, counters);
     if opts.flight_recorder {
         // Surface what the previous incarnation was doing when it died,
         // *before* the recorder truncates obs.journal for this run.
@@ -305,16 +267,16 @@ pub fn reopen_database_with(
 }
 
 /// Build one [`FileDisk`] per configured spindle via `make` (create or
-/// open), capturing each disk's queue handle for the metric views.
+/// open), capturing each disk's counters for the metric views.
 fn make_disks(
     dir: &Path,
     cfg: &DbConfig,
     mode: DurabilityMode,
     make: fn(&Path, DiskId, u64, usize, DurabilityMode) -> io::Result<FileDisk>,
-) -> Result<(Vec<FileDisk>, Vec<Arc<WriteQueue>>), StorageError> {
+) -> Result<(Vec<FileDisk>, Vec<Arc<DiskCounters>>), StorageError> {
     let geo = Geometry::new(&cfg.array);
     let mut disks = Vec::with_capacity(usize::from(geo.disks()));
-    let mut queues = Vec::with_capacity(usize::from(geo.disks()));
+    let mut counters = Vec::with_capacity(usize::from(geo.disks()));
     for d in 0..geo.disks() {
         let disk = make(
             dir,
@@ -323,8 +285,8 @@ fn make_disks(
             cfg.array.page_size,
             mode,
         )?;
-        queues.push(disk.queue_handle());
+        counters.push(Arc::clone(&disk.counters));
         disks.push(disk);
     }
-    Ok((disks, queues))
+    Ok((disks, counters))
 }

@@ -3,8 +3,9 @@
 //! torn-write fault schedule replayed through the same `FaultHook` seam
 //! the simulated backend uses.
 
+use rda_array::{ArrayError, BlockDevice, DiskId, HookState, Page};
 use rda_core::{DbConfig, EngineKind};
-use rda_disk::{create_database, reopen_database, DurabilityMode, FileDb};
+use rda_disk::{create_database, reopen_database, DurabilityMode, FileDb, FileDisk};
 use rda_faults::{FaultInjector, FaultPlan};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -98,14 +99,14 @@ fn reopen_with_uncommitted_work_recovers() {
 }
 
 #[test]
-fn sync_each_batch_mode_end_to_end() {
+fn sync_each_write_mode_end_to_end() {
     let dir = tmpdir("dsync-mode");
-    let db = create_database(&dir, cfg(), DurabilityMode::SyncEachBatch).unwrap();
+    let db = create_database(&dir, cfg(), DurabilityMode::SyncEachWrite).unwrap();
     let mut tx = db.begin();
     tx.write(3, &stamp(7)).unwrap();
     tx.commit().unwrap();
     drop(db);
-    let db = reopen_database(&dir, cfg(), DurabilityMode::SyncEachBatch).unwrap();
+    let db = reopen_database(&dir, cfg(), DurabilityMode::SyncEachWrite).unwrap();
     db.recover().unwrap();
     assert_eq!(committed_value(&db, 3), Some(7));
     let _ = std::fs::remove_dir_all(&dir);
@@ -149,6 +150,44 @@ fn run_until_crash(db: &FileDb, txns: u64) -> (Vec<u64>, bool) {
     (acked, false)
 }
 
+/// The I/O ordinals the torn-write schedules tear at.
+const TORN_AT: [u64; 5] = [3, 7, 11, 16, 22];
+
+/// The device half of the torn-write schedules: every write acknowledged
+/// before the planted tear is in the files — readable after a reopen with
+/// no barrier in between — and the torn block reads back as torn.
+#[test]
+fn writes_acked_before_a_tear_survive_reopen_without_a_barrier() {
+    const BLOCKS: u64 = 32;
+    const PAGE: usize = 64;
+    let image = |block: u64| Page::from_bytes(&[block as u8 + 1; PAGE]);
+    for k in TORN_AT {
+        let dir = tmpdir(&format!("torn-device-{k}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mode = DurabilityMode::FsyncOnBarrier;
+        let disk = FileDisk::create(&dir, DiskId(0), BLOCKS, PAGE, mode).unwrap();
+        let injector = Arc::new(FaultInjector::new(FaultPlan::torn_write_at(k)));
+        disk.set_fault_hook(Some(HookState::new(injector)));
+        // One write per block in order, so the k-th I/O is block k - 1.
+        let torn = k - 1;
+        for block in 0..torn {
+            disk.write(block, &image(block)).unwrap();
+        }
+        assert_eq!(disk.write(torn, &image(torn)), Err(ArrayError::Crashed));
+        drop(disk);
+
+        let disk = FileDisk::open(&dir, DiskId(0), BLOCKS, PAGE, mode).unwrap();
+        for block in 0..torn {
+            assert_eq!(disk.read(block).unwrap(), image(block), "schedule {k}");
+        }
+        assert!(
+            matches!(disk.read(torn), Err(ArrayError::TornPage { .. })),
+            "schedule {k}: block {torn} must read back torn"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Satellite acceptance: a seeded torn-write schedule, injected through
 /// the same `FaultHook` seam as on `SimDisk`, crashes the workload; the
 /// database is reopened from the surviving files and must recover every
@@ -156,7 +195,7 @@ fn run_until_crash(db: &FileDb, txns: u64) -> (Vec<u64>, bool) {
 #[test]
 fn torn_write_schedule_then_restart_recovers() {
     let mut crashed_schedules = 0u32;
-    for k in [3u64, 7, 11, 16, 22] {
+    for k in TORN_AT {
         let dir = tmpdir(&format!("torn-{k}"));
         let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
         let injector = Arc::new(FaultInjector::new(FaultPlan::torn_write_at(k)));

@@ -155,7 +155,7 @@ pub fn errors_doc(files: &[SourceFile], violations: &mut Vec<String>) {
 /// `rda-disk`. Everything else goes through `DiskArray` (which owns the
 /// parity protocol and the transfer accounting the paper's cost model
 /// depends on) or through the `rda-disk` open functions (which own the
-/// manifest, journals and writer threads).
+/// manifest, journals and metric wiring).
 pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
     const CONFINED: &[(&str, &str, &str)] = &[
         (
@@ -167,8 +167,8 @@ pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
         (
             "FileDisk",
             "crates/storage/",
-            "bypasses the manifest, journals and writer-thread lifecycle — \
-             go through `create_database`/`reopen_database`",
+            "bypasses the manifest, journals and metric wiring — go \
+             through `create_database`/`reopen_database`",
         ),
     ];
     for f in files {

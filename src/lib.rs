@@ -35,8 +35,8 @@
 //!   sequential reference model, with delta-debugging shrinking and a
 //!   replayable regression corpus.
 //! * [`disk`] — the file-backed storage backend: real files behind the
-//!   same `BlockDevice` seam, per-disk writer threads with coalescing
-//!   write queues, append-only side-table journals, and a literal
+//!   same `BlockDevice` seam, written through on the caller's thread and
+//!   fsynced at barriers, append-only side-table journals, and a literal
 //!   kill-the-process crash model (`create_database`/`reopen_database`).
 //!
 //! ## Quickstart
