@@ -82,6 +82,28 @@ fn explorer_report_schema_is_pinned() {
                 "timeline phase record schema changed"
             );
         }
+        // A restart's phases, in execution order. The log scan reads the
+        // log device, not the array, so its array I/O columns are zero.
+        let names: Vec<_> = timeline
+            .iter()
+            .filter_map(|p| p.get("phase").and_then(Json::as_str))
+            .collect();
+        if !names.is_empty() {
+            assert_eq!(
+                names,
+                [
+                    "log_scan",
+                    "intent_replay",
+                    "undo_parity",
+                    "undo_log",
+                    "redo",
+                    "bitmap_scan"
+                ],
+                "restart phase list changed"
+            );
+            assert_eq!(timeline[0].get("reads").and_then(Json::as_u64), Some(0));
+            assert_eq!(timeline[0].get("writes").and_then(Json::as_u64), Some(0));
+        }
     }
 }
 

@@ -11,10 +11,11 @@
 //! dump. Contrast with `media_recover`, which touches only the failed
 //! disk's blocks.
 
+use crate::config::LogGranularity;
 use crate::engine::Engine;
 use crate::error::{DbError, Result};
 use rda_array::{BlockDevice, DataPageId, GroupId, Page, ParitySlot};
-use rda_wal::{Analysis, LogRecord, Lsn};
+use rda_wal::{Analysis, Lsn};
 use std::collections::BTreeSet;
 
 /// A point-in-time archive copy of the database.
@@ -100,59 +101,35 @@ impl<D: BlockDevice> Engine<D> {
             }
         }
 
-        // Roll forward committed work logged after the dump.
-        let records = self
-            .dur
-            .log_store
-            .read_range(archive.log_pos, Lsn(self.dur.log_store.len()));
-        let analysis = Analysis::run(&records);
+        // Roll forward committed work logged after the dump: one billed
+        // scan notes where the redo records are, then each winner's record
+        // is applied straight from the log, in log order.
+        let store = &self.dur.log_store;
+        let analysis = Analysis::run(store, archive.log_pos, Lsn(store.len()));
         let winners: BTreeSet<_> = analysis.winners().into_iter().collect();
         let mut applied = 0u64;
-        for (_, record) in &records {
-            match record {
-                LogRecord::AfterImage { txn, page, image } if winners.contains(txn) => {
-                    let new = Page::from_bytes(image);
-                    let old = self.read_disk(*page)?;
-                    if old != new {
-                        let g = self.dur.array.geometry().group_of(*page);
-                        let slots = if self.is_rda() {
-                            vec![self.dur.twins.current_slot(g)]
-                        } else {
-                            vec![ParitySlot::P0]
-                        };
-                        self.write_with_parity(*page, &new, &old, &slots)?;
-                        applied += 1;
-                    }
-                }
-                LogRecord::RecordRedo {
-                    txn,
-                    page,
-                    offset,
-                    after,
-                }
-                | LogRecord::RecordUpdate {
-                    txn,
-                    page,
-                    offset,
-                    after,
-                    ..
-                } if winners.contains(txn) => {
-                    let old = self.read_disk(*page)?;
+        for (at, txn, page) in &analysis.redo {
+            if !winners.contains(txn) {
+                continue;
+            }
+            let old = self.read_disk(*page)?;
+            let new = match self.cfg.granularity {
+                LogGranularity::Page => self.logged_image(*at)?,
+                LogGranularity::Record => {
                     let mut new = old.clone();
-                    let off = *offset as usize;
-                    new.as_mut()[off..off + after.len()].copy_from_slice(after);
-                    if new != old {
-                        let g = self.dur.array.geometry().group_of(*page);
-                        let slots = if self.is_rda() {
-                            vec![self.dur.twins.current_slot(g)]
-                        } else {
-                            vec![ParitySlot::P0]
-                        };
-                        self.write_with_parity(*page, &new, &old, &slots)?;
-                        applied += 1;
-                    }
+                    self.apply_logged_diff(*at, &mut new, false)?;
+                    new
                 }
-                _ => {}
+            };
+            if new != old {
+                let g = self.dur.array.geometry().group_of(*page);
+                let slots = if self.is_rda() {
+                    vec![self.dur.twins.current_slot(g)]
+                } else {
+                    vec![ParitySlot::P0]
+                };
+                self.write_with_parity(*page, &new, &old, &slots)?;
+                applied += 1;
             }
         }
         Ok(applied)

@@ -1401,29 +1401,29 @@ impl<D: BlockDevice> Engine<D> {
         self.log.force();
         let store = Arc::clone(&self.dur.log_store);
         let from = store.find_bot(txn).unwrap_or(rda_wal::Lsn(0));
-        let records = store.read_range(from, rda_wal::Lsn(store.len()));
         let mut undo = UndoInfo::default();
-        for (_, record) in records {
-            match record {
-                LogRecord::BeforeImage {
-                    txn: t,
-                    page,
-                    image,
-                } if t == txn => {
-                    undo.images.entry(page).or_insert(image);
-                }
-                LogRecord::RecordUpdate {
-                    txn: t,
-                    page,
-                    offset,
-                    before,
-                    ..
-                } if t == txn => {
-                    undo.diffs.entry(page).or_default().push((offset, before));
-                }
-                _ => {}
+        store.scan(from, rda_wal::Lsn(store.len()), |_, record| match record {
+            LogRecord::BeforeImage {
+                txn: t,
+                page,
+                image,
+            } if *t == txn => {
+                undo.images.entry(*page).or_insert_with(|| image.clone());
             }
-        }
+            LogRecord::RecordUpdate {
+                txn: t,
+                page,
+                offset,
+                before,
+                ..
+            } if *t == txn => {
+                undo.diffs
+                    .entry(*page)
+                    .or_default()
+                    .push((*offset, before.clone()));
+            }
+            _ => {}
+        });
         Ok(undo)
     }
 

@@ -3,10 +3,13 @@
 //! After a system failure the volatile state — buffer pool, Dirty_Set,
 //! lock table, unforced log tail — is gone. Recovery proceeds:
 //!
-//! 1. **Analysis**: scan the durable log, classifying transactions into
-//!    winners (durable Commit), already-aborted, and losers (BOT without
-//!    EOT). Steal notes tell us which pages each loser propagated *without*
-//!    UNDO logging (the paper finds these via the TWIST-style log chain).
+//! 1. **Analysis**: one billed, borrowing scan of the durable log,
+//!    classifying transactions into winners (durable Commit),
+//!    already-aborted, and losers (BOT without EOT), and noting *where*
+//!    (by LSN) the images undo and redo may need live — an image is copied
+//!    out of the log only when it is installed. Steal notes tell us which
+//!    pages each loser propagated *without* UNDO logging (the paper finds
+//!    these via the TWIST-style log chain).
 //! 2. **Undo losers** — *before* redo, so the parity difference
 //!    `P ⊕ P′` still reflects the on-disk state at crash time:
 //!    parity-riding pages are restored via `D_old = (P ⊕ P′) ⊕ D_new`
@@ -104,20 +107,6 @@ impl<D: BlockDevice> Engine<D> {
     /// Restart recovery. Idempotent: a crash in the middle of a previous
     /// recovery attempt is handled by simply running it again.
     pub(crate) fn recover(&mut self) -> Result<RecoveryReport> {
-        let store = Arc::clone(&self.dur.log_store);
-        let records = store.read_all(); // billed log reads
-        let analysis = Analysis::run(&records);
-
-        let mut report = RecoveryReport {
-            winners: analysis.winners(),
-            losers: analysis.losers(),
-            // The black box's pre-crash snapshot rides the first report
-            // after reopen (recovery is idempotent; reruns see `None`).
-            flight: self.prior_flight.take(),
-            ..RecoveryReport::default()
-        };
-        self.metrics.recoveries.inc();
-
         // Per-phase breakdown: billed array I/O from stats deltas (exact
         // and deterministic), wall-clock from `Instant` (human-facing
         // only — never part of report equality or deterministic JSON).
@@ -131,6 +120,20 @@ impl<D: BlockDevice> Engine<D> {
             phase_mark = snap;
             phase_start = Instant::now();
         };
+
+        let store = Arc::clone(&self.dur.log_store);
+        let analysis = Analysis::run(&store, Lsn(store.base()), Lsn(store.len()));
+
+        let mut report = RecoveryReport {
+            winners: analysis.winners(),
+            losers: analysis.losers(),
+            // The black box's pre-crash snapshot rides the first report
+            // after reopen (recovery is idempotent; reruns see `None`).
+            flight: self.prior_flight.take(),
+            ..RecoveryReport::default()
+        };
+        self.metrics.recoveries.inc();
+        close_phase(&mut report.timeline, RecoveryPhase::LogScan);
 
         // ---- 0. replay the staged write intent ------------------------
         // A pending intent means power failed inside a read-modify-write:
@@ -254,13 +257,8 @@ impl<D: BlockDevice> Engine<D> {
         }
         close_phase(&mut report.timeline, RecoveryPhase::UndoParity);
         for loser in &report.losers {
-            let logged: Vec<DataPageId> = analysis
-                .logged_undo
-                .get(loser)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            for page in logged {
-                self.recover_undo_logged(*loser, page, &records, &loser_dirty_groups)?;
+            for (page, undo_at) in analysis.logged_undo.get(loser).into_iter().flatten() {
+                self.recover_undo_logged(*loser, *page, undo_at, &loser_dirty_groups)?;
                 report.undone_via_log += 1;
             }
         }
@@ -268,8 +266,7 @@ impl<D: BlockDevice> Engine<D> {
 
         // ---- 3. redo winners (¬FORCE) -----------------------------------
         if self.cfg.eot == EotPolicy::NoForce {
-            report.redone =
-                self.recover_redo(&analysis, &records, &loser_dirty_groups, &regressed)?;
+            report.redone = self.recover_redo(&analysis, &loser_dirty_groups, &regressed)?;
         }
         close_phase(&mut report.timeline, RecoveryPhase::Redo);
 
@@ -342,8 +339,8 @@ impl<D: BlockDevice> Engine<D> {
         // A compensation image means a pre-crash rollback (or an earlier
         // recovery attempt) already computed the before-image; the parity
         // difference may no longer encode it, so apply the pinned image.
-        if let Some(image) = analysis.compensations.get(&(loser, page)) {
-            let restored = Page::from_bytes(image);
+        if let Some(at) = analysis.compensations.get(&(loser, page)) {
+            let restored = self.logged_image(*at)?;
             self.dur.array.write_data_unprotected(page, &restored)?;
             self.invalidate_working_twin(g)?;
         } else {
@@ -445,50 +442,72 @@ impl<D: BlockDevice> Engine<D> {
         Ok(())
     }
 
-    /// Undo one UNDO-logged page of a loser during restart.
+    /// Look at the log record at `at`, which the caller's analysis scan
+    /// passed (and billed) and noted. The store is locked only while
+    /// `look` runs — the undo/redo writes that follow append and force.
+    fn with_logged<R>(&self, at: Lsn, look: impl FnOnce(&LogRecord) -> R) -> R {
+        self.dur
+            .log_store
+            .with_record(at, look)
+            .expect("nothing truncates the log between a recovery's scan and its installs")
+    }
+
+    /// The page image carried by the record at `at`: copied out of the
+    /// log here, once, to be installed.
+    pub(crate) fn logged_image(&self, at: Lsn) -> Result<Page> {
+        self.with_logged(at, |record| match record {
+            LogRecord::BeforeImage { image, .. }
+            | LogRecord::AfterImage { image, .. }
+            | LogRecord::Compensation { image, .. } => Ok(Page::from_bytes(image)),
+            _ => Err(DbError::WrongGranularity(
+                "page logging configured, the log carries record diffs",
+            )),
+        })
+    }
+
+    /// Overlay onto `page` the before (`undo`) or after side of the
+    /// byte-range diff carried by the record at `at`, straight from the
+    /// log.
+    pub(crate) fn apply_logged_diff(&self, at: Lsn, page: &mut Page, undo: bool) -> Result<()> {
+        self.with_logged(at, |record| {
+            let (offset, bytes) = match record {
+                LogRecord::RecordUpdate { offset, before, .. } if undo => (*offset, before),
+                LogRecord::RecordUpdate { offset, after, .. }
+                | LogRecord::RecordRedo { offset, after, .. }
+                    if !undo =>
+                {
+                    (*offset, after)
+                }
+                _ => {
+                    return Err(DbError::WrongGranularity(
+                        "record logging configured, the log carries page images",
+                    ))
+                }
+            };
+            let off = offset as usize;
+            page.as_mut()[off..off + bytes.len()].copy_from_slice(bytes);
+            Ok(())
+        })
+    }
+
+    /// Undo one UNDO-logged page of a loser during restart; `undo_at` are
+    /// the LSNs of its before-image / before-diff records in log order.
     fn recover_undo_logged(
         &mut self,
         loser: TxnId,
         page: DataPageId,
-        records: &[(Lsn, LogRecord)],
+        undo_at: &[Lsn],
         loser_dirty_groups: &BTreeSet<GroupId>,
     ) -> Result<()> {
         let g = self.dur.array.geometry().group_of(page);
         let restored = match self.cfg.granularity {
-            LogGranularity::Page => {
-                // The earliest before-image is the transaction's
-                // first-touch state.
-                let image = records
-                    .iter()
-                    .find_map(|(_, r)| match r {
-                        LogRecord::BeforeImage {
-                            txn,
-                            page: p,
-                            image,
-                        } if *txn == loser && *p == page => Some(image),
-                        _ => None,
-                    })
-                    .expect("logged-undo page has a before-image");
-                Page::from_bytes(image)
-            }
+            // The earliest before-image is the transaction's first-touch
+            // state.
+            LogGranularity::Page => self.logged_image(undo_at[0])?,
             LogGranularity::Record => {
                 let mut current = self.read_disk(page)?;
-                let diffs: Vec<(u32, &Vec<u8>)> = records
-                    .iter()
-                    .filter_map(|(_, r)| match r {
-                        LogRecord::RecordUpdate {
-                            txn,
-                            page: p,
-                            offset,
-                            before,
-                            ..
-                        } if *txn == loser && *p == page => Some((*offset, before)),
-                        _ => None,
-                    })
-                    .collect();
-                for (offset, before) in diffs.iter().rev() {
-                    let off = *offset as usize;
-                    current.as_mut()[off..off + before.len()].copy_from_slice(before);
+                for at in undo_at.iter().rev() {
+                    self.apply_logged_diff(*at, &mut current, true)?;
                 }
                 current
             }
@@ -530,7 +549,6 @@ impl<D: BlockDevice> Engine<D> {
     fn recover_redo(
         &mut self,
         analysis: &Analysis,
-        records: &[(Lsn, LogRecord)],
         loser_dirty_groups: &BTreeSet<GroupId>,
         regressed: &BTreeSet<DataPageId>,
     ) -> Result<u64> {
@@ -539,73 +557,36 @@ impl<D: BlockDevice> Engine<D> {
             .last_acc_checkpoint
             .as_ref()
             .map_or(Lsn(0), |(l, _)| *l);
-        // Pages regressed by parity undo need whole-log redo.
-        let in_scope = |lsn: Lsn, page: DataPageId| lsn >= start || regressed.contains(&page);
+        // Committed redo records in log order, page by page. Pages
+        // regressed by parity undo need whole-log redo.
+        let mut redo_at: BTreeMap<DataPageId, Vec<Lsn>> = BTreeMap::new();
+        for (lsn, txn, page) in &analysis.redo {
+            if winners.contains(txn) && (*lsn >= start || regressed.contains(page)) {
+                redo_at.entry(*page).or_default().push(*lsn);
+            }
+        }
 
         let mut redone = 0;
-        match self.cfg.granularity {
-            LogGranularity::Page => {
-                // Last committed after-image per page wins.
-                let mut latest: BTreeMap<DataPageId, &Vec<u8>> = BTreeMap::new();
-                for (lsn, record) in records {
-                    if let LogRecord::AfterImage { txn, page, image } = record {
-                        if winners.contains(txn) && in_scope(*lsn, *page) {
-                            latest.insert(*page, image);
-                        }
-                    }
-                }
-                for (page, image) in latest {
-                    let image = Page::from_bytes(image);
-                    let current = self.read_disk(page)?;
-                    if current == image {
-                        continue;
-                    }
-                    let g = self.dur.array.geometry().group_of(page);
-                    let slots = self.recovery_write_slots(g, loser_dirty_groups);
-                    self.write_with_parity(page, &image, &current, &slots)?;
-                    redone += 1;
-                }
-            }
-            LogGranularity::Record => {
-                // Apply every committed after-diff in log order, page by
-                // page.
-                let mut diffs: BTreeMap<DataPageId, Vec<(u32, &Vec<u8>)>> = BTreeMap::new();
-                for (lsn, record) in records {
-                    match record {
-                        LogRecord::RecordRedo {
-                            txn,
-                            page,
-                            offset,
-                            after,
-                        }
-                        | LogRecord::RecordUpdate {
-                            txn,
-                            page,
-                            offset,
-                            after,
-                            ..
-                        } if winners.contains(txn) && in_scope(*lsn, *page) => {
-                            diffs.entry(*page).or_default().push((*offset, after));
-                        }
-                        _ => {}
-                    }
-                }
-                for (page, ops) in diffs {
-                    let current = self.read_disk(page)?;
+        for (page, at) in redo_at {
+            let current = self.read_disk(page)?;
+            let new = match self.cfg.granularity {
+                // The last committed after-image wins.
+                LogGranularity::Page => self.logged_image(at[at.len() - 1])?,
+                LogGranularity::Record => {
                     let mut new = current.clone();
-                    for (offset, after) in ops {
-                        let off = offset as usize;
-                        new.as_mut()[off..off + after.len()].copy_from_slice(after);
+                    for lsn in at {
+                        self.apply_logged_diff(lsn, &mut new, false)?;
                     }
-                    if new == current {
-                        continue;
-                    }
-                    let g = self.dur.array.geometry().group_of(page);
-                    let slots = self.recovery_write_slots(g, loser_dirty_groups);
-                    self.write_with_parity(page, &new, &current, &slots)?;
-                    redone += 1;
+                    new
                 }
+            };
+            if new == current {
+                continue;
             }
+            let g = self.dur.array.geometry().group_of(page);
+            let slots = self.recovery_write_slots(g, loser_dirty_groups);
+            self.write_with_parity(page, &new, &current, &slots)?;
+            redone += 1;
         }
         Ok(redone)
     }

@@ -1,0 +1,165 @@
+//! What one crash/recover cycle reads, writes and reports, pinned.
+//!
+//! Restart recovery scans the durable log once (billed by the log pages
+//! its bytes span) and then installs images by the LSNs that scan noted,
+//! without billing them again. The numbers below were taken from the
+//! implementation that cloned the whole log out of the store
+//! (`read_all()`) and searched the copy per page; the borrowing scan must
+//! bill exactly the same transfers and produce exactly the same report,
+//! under both EOT policies and both logging granularities.
+
+use rda_core::{
+    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, Transaction,
+};
+
+/// One scripted history on the small test geometry (8 groups of 4 pages,
+/// 8 buffer frames): winners before and after an ACC checkpoint and one
+/// right before the crash, a transaction rolled back before the crash
+/// (its parity undo leaves a compensation record), and two losers that
+/// together overflow the buffer so their pages are stolen — the first of
+/// a group riding parity, the rest UNDO-logged.
+fn crashed(eot: EotPolicy, granularity: LogGranularity) -> Database {
+    let cfg = DbConfig::small_test(EngineKind::Rda)
+        .eot(eot)
+        .granularity(granularity)
+        .checkpoint(CheckpointPolicy::Manual);
+    let db = Database::open(cfg);
+    let put = |tx: &mut Transaction, page: u32, val: u8| match granularity {
+        LogGranularity::Page => tx.write(page, &[val; 8]).unwrap(),
+        LogGranularity::Record => tx
+            .update(page, 4 * usize::from(val % 4), &[val; 8])
+            .unwrap(),
+    };
+
+    let mut t = db.begin();
+    for page in 0..6 {
+        put(&mut t, page, 1);
+    }
+    t.commit().unwrap();
+
+    let mut rolled_back = db.begin();
+    for page in 0..5 {
+        put(&mut rolled_back, 4 * page, 2);
+    }
+    rolled_back.read(21).unwrap();
+    rolled_back.read(22).unwrap();
+    rolled_back.read(23).unwrap();
+    rolled_back.read(25).unwrap();
+    rolled_back.abort().unwrap();
+
+    db.checkpoint().unwrap();
+
+    let mut t = db.begin();
+    for page in 3..9 {
+        put(&mut t, page, 3);
+    }
+    t.commit().unwrap();
+
+    let mut loser_a = db.begin();
+    let mut loser_b = db.begin();
+    for k in 0..5 {
+        put(&mut loser_a, 9 + k, 4);
+        put(&mut loser_b, 20 + k, 5);
+    }
+    put(&mut loser_a, 9, 6);
+    loser_a.read(30).unwrap();
+    loser_b.read(31).unwrap();
+
+    // Committed last: under ¬FORCE these pages are still only in the
+    // buffer when it is lost, so redo has to reinstall them.
+    let mut t = db.begin();
+    put(&mut t, 26, 7);
+    put(&mut t, 27, 7);
+    t.commit().unwrap();
+    db.crash();
+    // The handles died with the crash.
+    drop((loser_a, loser_b));
+    db
+}
+
+/// The exported `log_reads_total` counter (what the benchmark's
+/// `transfers_per_commit` sums).
+fn log_reads_total(db: &Database) -> u64 {
+    db.metrics()
+        .counter_values()
+        .into_iter()
+        .find_map(|(name, value)| (name == "log_reads_total").then_some(value))
+        .expect("log_reads_total is registered")
+}
+
+/// `[log reads, log writes, array reads, array writes, winners, losers,
+/// undone via parity, undone via log, redone, bitmap groups, pages
+/// scanned]` of the recovery that follows [`crashed`].
+fn recovery_numbers(eot: EotPolicy, granularity: LogGranularity) -> [u64; 11] {
+    let db = crashed(eot, granularity);
+    let before = db.stats();
+    let metric_before = log_reads_total(&db);
+    let report = db.recover().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(
+        log_reads_total(&db) - metric_before,
+        d.log.reads,
+        "the exported counter is the store's"
+    );
+    assert_eq!(report.intent_replays + report.torn_twins_healed, 0);
+
+    // And it recovered the right state: winners' values, losers' gone.
+    assert!(db.verify().unwrap().is_empty());
+    assert!(db.audit().is_clean());
+    let first = |page: u32| db.read_page(page).unwrap()[..16].to_vec();
+    assert!(first(4).contains(&3), "page 4: the later winner's value");
+    assert!(first(0).contains(&1) && !first(0).contains(&2));
+    assert!(first(26).contains(&7) && first(27).contains(&7));
+    for page in 9..14 {
+        assert_eq!(first(page), [0; 16], "loser page {page}");
+    }
+    for page in 20..25 {
+        assert_eq!(first(page), [0; 16], "loser page {page}");
+    }
+
+    [
+        d.log.reads,
+        d.log.writes,
+        d.array.reads,
+        d.array.writes,
+        report.winners.len() as u64,
+        report.losers.len() as u64,
+        report.undone_via_parity,
+        report.undone_via_log,
+        report.redone,
+        report.bitmap_groups,
+        report.pages_scanned,
+    ]
+}
+
+#[test]
+fn force_page_logging() {
+    assert_eq!(
+        recovery_numbers(EotPolicy::Force, LogGranularity::Page),
+        [10, 10, 43, 18, 3, 2, 3, 4, 0, 8, 32]
+    );
+}
+
+#[test]
+fn force_record_logging() {
+    assert_eq!(
+        recovery_numbers(EotPolicy::Force, LogGranularity::Record),
+        [5, 10, 47, 18, 3, 2, 3, 4, 0, 8, 32]
+    );
+}
+
+#[test]
+fn noforce_page_logging() {
+    assert_eq!(
+        recovery_numbers(EotPolicy::NoForce, LogGranularity::Page),
+        [7, 10, 54, 22, 3, 2, 3, 4, 2, 8, 32]
+    );
+}
+
+#[test]
+fn noforce_record_logging() {
+    assert_eq!(
+        recovery_numbers(EotPolicy::NoForce, LogGranularity::Record),
+        [4, 10, 58, 22, 3, 2, 3, 4, 2, 8, 32]
+    );
+}

@@ -76,7 +76,9 @@ fn exhaustive_crash_exploration_recovers_everywhere() {
     // Both JSON renderings surface the timeline; only the timed one
     // carries wall-clock.
     let json = report.to_json();
-    assert!(json.contains("\"timeline\":[{\"phase\":\"intent_replay\""));
+    assert!(json.contains(
+        "\"timeline\":[{\"phase\":\"log_scan\",\"reads\":0,\"writes\":0},{\"phase\":\"intent_replay\""
+    ));
     assert!(!json.contains("wall_us"));
     assert!(report.to_json_timed().contains("\"wall_us\":"));
 }

@@ -1,8 +1,9 @@
 //! Per-phase recovery timelines.
 //!
 //! Restart recovery (and media rebuild) decomposes into the phases the
-//! paper costs individually: NVRAM intent replay, parity vs log UNDO,
-//! REDO, the S/N-read Current_Parity bitmap scan, and media rebuild.
+//! paper costs individually: the log scan, NVRAM intent replay, parity
+//! vs log UNDO, REDO, the S/N-read Current_Parity bitmap scan, and media
+//! rebuild.
 //! A [`Timeline`] records, per phase, the wall-clock and the billed
 //! read/write counts (taken from the array's transfer stats, so they
 //! are exact and deterministic even with tracing disabled).
@@ -18,6 +19,10 @@ use std::time::Duration;
 /// The recovery phases the paper's cost model distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
+    /// The billed scan of the durable log plus its analysis (winners,
+    /// losers, where their undo/redo images live). Log-device reads are
+    /// billed to the log's own counters, so this phase moves no array I/O.
+    LogScan,
     /// Step 0: replay unfinished multi-write intents from NVRAM.
     IntentReplay,
     /// Loser UNDO via parity reconstruction (`D_old = P ⊕ P′ ⊕ D_new`).
@@ -38,6 +43,7 @@ impl RecoveryPhase {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
+            RecoveryPhase::LogScan => "log_scan",
             RecoveryPhase::IntentReplay => "intent_replay",
             RecoveryPhase::UndoParity => "undo_parity",
             RecoveryPhase::UndoLog => "undo_log",

@@ -124,6 +124,7 @@ impl FlightRecorder {
             .read_to_end(&mut buf)
             .ok()?;
         frames(&buf)
+            .collect::<Vec<_>>()
             .into_iter()
             .rev()
             .find_map(FlightRecord::decode)

@@ -9,12 +9,22 @@
 //! * `wal.journal` ([`FileLogSink`]) mirrors the write-ahead log through
 //!   the [`LogSink`] seam, reusing `rda-wal`'s record codec.
 //!
-//! Both files are append-only streams of length-prefixed frames. A
-//! process death can leave at most a partial frame at the tail; loading
-//! stops at the first incomplete or undecodable frame, which is exactly
-//!   the not-yet-durable suffix. Log truncation appends an O(1) marker
-//! frame instead of rewriting the file; the whole journal is compacted to
-//! a snapshot on every reopen.
+//! Both files are append-only streams of length-prefixed frames, each
+//! written with one `write`. A process death can leave at most a partial
+//! frame at the tail; loading stops at the first incomplete or
+//! undecodable frame, which is exactly the not-yet-durable suffix.
+//!
+//! `meta.journal` is small (one header per group, the live chains, at
+//! most one intent) and is rewritten as a snapshot on every reopen.
+//!
+//! `wal.journal` is as large as the retained log, so reopening it reads
+//! it once and copies each surviving record once ([`FileLogSink::load`]):
+//! log truncation appends an O(1) marker frame instead of rewriting the
+//! file; the records a marker killed are skipped by tag and LSN, never
+//! decoded; a torn or undecodable tail is cut off in place (`set_len`)
+//! and appends resume there; and the file is rewritten (marker + live
+//! suffix, tmp + fsync + rename) only when the dead prefix has grown to
+//! the size of what would remain, so the rewrite at least halves it.
 //!
 //! Durability policy: frames that *gate* platter writes (intent staging,
 //! chain links, twin header flips) are fsynced as they are appended;
@@ -23,13 +33,13 @@
 //! [`LogSink::sync`]. An append or fsync failure panics: a journal that
 //! cannot persist has no honest way to keep accepting mutations.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
 use rda_wal::{codec, LogRecord, LogSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const TAG_TWIN_META: u8 = 1;
@@ -42,34 +52,57 @@ const TAG_INTENT_CLEAR: u8 = 6;
 const TAG_WAL_RECORD: u8 = 16;
 const TAG_WAL_TRUNCATE: u8 = 17;
 
-/// Append one length-prefixed frame, optionally forcing it to stable
-/// storage before returning. Shared with the flight recorder's
-/// `obs.journal` (see `crate::flight`), which reuses this torn-tail
-/// framing for its black-box snapshots.
+/// Append one length-prefixed frame to a byte buffer.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Append one length-prefixed frame with a single `write`, optionally
+/// forcing it to stable storage before returning. Shared with the flight
+/// recorder's `obs.journal` (see `crate::flight`), which reuses this
+/// torn-tail framing for its black-box snapshots.
 pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
-    file.write_all(&(payload.len() as u32).to_le_bytes())?;
-    file.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut frame, payload);
+    file.write_all(&frame)?;
     if sync {
         file.sync_data()?;
     }
     Ok(())
 }
 
-/// Split a journal byte stream into complete frames, dropping the
-/// (possibly torn) tail.
-pub(crate) fn frames(buf: &[u8]) -> Vec<&[u8]> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while buf.len() - pos >= 4 {
-        let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        pos += 4;
-        if buf.len() - pos < len {
-            break;
-        }
-        out.push(&buf[pos..pos + len]);
-        pos += len;
+/// The complete frames of a journal byte stream, in order; iteration ends
+/// before the (possibly torn) tail.
+pub(crate) struct Frames<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+/// Walk the complete frames of `buf`.
+pub(crate) fn frames(buf: &[u8]) -> Frames<'_> {
+    Frames { buf, pos: 0 }
+}
+
+impl Frames<'_> {
+    /// Offset of the next frame's length prefix: the end of the last
+    /// frame yielded.
+    fn offset(&self) -> usize {
+        self.pos
     }
-    out
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.buf[self.pos..];
+        let prefix = rest.get(..4)?;
+        let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+        let payload = rest.get(4..)?.get(..len)?;
+        self.pos += 4 + len;
+        Some(payload)
+    }
 }
 
 /// Forward-only decoder over one frame; every taker returns `None` on
@@ -255,26 +288,28 @@ impl FileMetaStore {
         }
 
         // Compact: rewrite the whole history as one snapshot.
-        let tmp = path.with_extension("journal.tmp");
-        let mut out = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
+        let mut snap = Vec::new();
         for (group, meta) in twins.iter().enumerate() {
-            append_frame(&mut out, &encode_twin_meta(group as u32, *meta), false)?;
+            push_frame(&mut snap, &encode_twin_meta(group as u32, *meta));
         }
         for (txn, pages) in &chains {
             for page in pages {
                 let mut payload = vec![TAG_CHAIN_STEAL];
                 payload.extend_from_slice(&txn.to_le_bytes());
                 payload.extend_from_slice(&page.to_le_bytes());
-                append_frame(&mut out, &payload, false)?;
+                push_frame(&mut snap, &payload);
             }
         }
         if let Some(intent) = &intent {
-            append_frame(&mut out, &encode_intent(intent), false)?;
+            push_frame(&mut snap, &encode_intent(intent));
         }
+        let tmp = path.with_extension("journal.tmp");
+        let mut out = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        out.write_all(&snap)?;
         out.sync_data()?;
         std::fs::rename(&tmp, &path)?;
 
@@ -336,14 +371,116 @@ impl MetaSink for FileMetaStore {
     }
 }
 
+/// A truncate marker frame on disk: length prefix + tag + base.
+const MARKER_FRAME_LEN: usize = 4 + 1 + 8;
+
+/// Payload of a truncate marker: the store discarded every record below
+/// `base`. At the head of a rewritten journal it also declares where the
+/// surviving records' numbering starts.
+fn marker(base: u64) -> [u8; 9] {
+    let mut payload = [TAG_WAL_TRUNCATE; 9];
+    payload[1..].copy_from_slice(&base.to_le_bytes());
+    payload
+}
+
+/// The base a truncate marker frame declares; `None` for any other frame.
+fn marker_base(frame: &[u8]) -> Option<u64> {
+    let mut c = Cursor { buf: frame };
+    if c.u8()? != TAG_WAL_TRUNCATE {
+        return None;
+    }
+    c.u64()
+}
+
+/// What a `wal.journal` byte stream holds.
+struct Replayed {
+    /// LSN of the first surviving record.
+    base: u64,
+    /// The surviving records, `base` onwards.
+    records: Vec<LogRecord>,
+    /// Offset of the first surviving record's frame: everything before it
+    /// is dead (`end` when nothing survives).
+    live_from: usize,
+    /// End of the last whole frame.
+    end: usize,
+}
+
+/// Replay a `wal.journal` byte stream: `Err(at)` when the surviving
+/// record framed at offset `at` does not decode — the journal ends there,
+/// markers beyond it included, so the caller replays `buf[..at]`.
+fn replay(buf: &[u8]) -> Result<Replayed, usize> {
+    // Frame headers only: the markers fix the final base, and a frame
+    // that is neither record nor marker ends the journal.
+    let mut base = 0u64;
+    let mut walk = frames(buf);
+    let mut end = 0;
+    while let Some(frame) = walk.next() {
+        if let Some(declared) = marker_base(frame) {
+            base = base.max(declared);
+        } else if frame.first() != Some(&TAG_WAL_RECORD) {
+            break;
+        }
+        end = walk.offset();
+    }
+
+    // Number the records as the writer did and decode the survivors,
+    // each image copied once, out of `buf` into its record.
+    let mut records = Vec::new();
+    let mut live_from = end;
+    let mut next_lsn = 0u64;
+    let mut walk = frames(&buf[..end]);
+    loop {
+        let at = walk.offset();
+        let Some(frame) = walk.next() else { break };
+        if let Some(declared) = marker_base(frame) {
+            // A rewritten journal opens with its marker: the numbering of
+            // what follows starts there.
+            next_lsn = next_lsn.max(declared);
+            continue;
+        }
+        if next_lsn >= base {
+            let Ok((record, _)) = codec::decode_slice(&frame[1..]) else {
+                return Err(at);
+            };
+            if records.is_empty() {
+                live_from = at;
+            }
+            records.push(record);
+        }
+        next_lsn += 1;
+    }
+    Ok(Replayed {
+        base,
+        records,
+        live_from,
+        end,
+    })
+}
+
+/// The open `wal.journal` and the buffer a batch is framed in before its
+/// one `write`.
+struct Journal {
+    file: File,
+    batch: BytesMut,
+}
+
 /// The durable mirror of the write-ahead log.
 pub struct FileLogSink {
-    file: Mutex<File>,
+    journal: Mutex<Journal>,
 }
 
 impl FileLogSink {
     fn journal_path(dir: &Path) -> PathBuf {
         dir.join("wal.journal")
+    }
+
+    fn over(file: File) -> FileLogSink {
+        FileLogSink {
+            journal: Mutex::new(Journal {
+                file,
+                batch: BytesMut::new(),
+            }),
+        }
     }
 
     /// Create an empty WAL journal.
@@ -354,110 +491,81 @@ impl FileLogSink {
             .create(true)
             .truncate(true)
             .open(FileLogSink::journal_path(dir))?;
-        Ok(FileLogSink {
-            file: Mutex::new(file),
-        })
+        Ok(FileLogSink::over(file))
     }
 
-    /// Replay the WAL journal of a surviving database, compact it, and
-    /// return the sink plus `(base, records)` for
+    /// Replay the WAL journal of a surviving database and return the sink,
+    /// positioned to append after the last whole frame, plus
+    /// `(base, records)` for
     /// [`LogStore::restore`](rda_wal::LogStore::restore).
+    ///
+    /// The file is read once. A torn or undecodable tail is cut off in
+    /// place. The file is rewritten — one marker, then the live suffix as
+    /// it stands — only when that at least halves it, a rule on the
+    /// file's own contents: the dead bytes accumulated since the last
+    /// rewrite pay for this one.
     pub(crate) fn load(dir: &Path) -> io::Result<(FileLogSink, u64, Vec<LogRecord>)> {
         let path = FileLogSink::journal_path(dir);
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut buf = Vec::new();
-        File::open(&path)?.read_to_end(&mut buf)?;
+        file.read_to_end(&mut buf)?;
 
-        let mut base = 0u64;
-        let mut records: Vec<(u64, LogRecord)> = Vec::new();
-        let mut next_lsn = 0u64;
-        for frame in frames(&buf) {
-            let mut c = Cursor { buf: frame };
-            let Some(tag) = c.u8() else { break };
-            match tag {
-                TAG_WAL_RECORD => {
-                    let mut bytes = Bytes::from(c.buf.to_vec());
-                    let Ok(record) = codec::decode(&mut bytes) else {
-                        break;
-                    };
-                    records.push((next_lsn, record));
-                    next_lsn += 1;
-                }
-                TAG_WAL_TRUNCATE => {
-                    let Some(new_base) = c.u64() else { break };
-                    base = base.max(new_base);
-                    records.retain(|(lsn, _)| *lsn >= base);
-                    // A compacted journal opens with a marker *before* its
-                    // records: the marker also declares where the surviving
-                    // numbering starts.
-                    next_lsn = next_lsn.max(base);
-                }
-                _ => break,
-            }
-        }
-
-        // Compact: a single truncate marker, then the surviving records.
-        let tmp = path.with_extension("journal.tmp");
-        let mut out = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        let mut marker = vec![TAG_WAL_TRUNCATE];
-        marker.extend_from_slice(&base.to_le_bytes());
-        append_frame(&mut out, &marker, false)?;
-        let mut scratch = BytesMut::new();
-        for (_, record) in &records {
-            scratch.clear();
-            codec::encode(record, &mut scratch);
-            let mut payload = Vec::with_capacity(1 + scratch.len());
-            payload.push(TAG_WAL_RECORD);
-            payload.extend_from_slice(&scratch);
-            append_frame(&mut out, &payload, false)?;
-        }
-        out.sync_data()?;
-        std::fs::rename(&tmp, &path)?;
-
-        // The truncate marker resets the replay LSN numbering on the next
-        // load, so renumber from the marker: records keep arriving in LSN
-        // order and the marker declares where that order starts.
-        let records = records.into_iter().map(|(_, r)| r).collect();
-        Ok((
-            FileLogSink {
-                file: Mutex::new(out),
-            },
+        let mut upto = buf.len();
+        let Replayed {
             base,
             records,
-        ))
+            live_from,
+            end,
+        } = loop {
+            match replay(&buf[..upto]) {
+                Ok(replayed) => break replayed,
+                Err(cut) => upto = cut,
+            }
+        };
+
+        let live = end - live_from;
+        if live_from >= live + 2 * MARKER_FRAME_LEN {
+            let tmp = path.with_extension("journal.tmp");
+            file = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            append_frame(&mut file, &marker(base), false)?;
+            file.write_all(&buf[live_from..end])?;
+            file.sync_data()?;
+            std::fs::rename(&tmp, &path)?;
+        } else if end < buf.len() {
+            file.set_len(end as u64)?;
+            file.seek(SeekFrom::Start(end as u64))?;
+        }
+        Ok((FileLogSink::over(file), base, records))
     }
 }
 
 impl LogSink for FileLogSink {
     fn append_batch(&self, records: &[LogRecord]) {
-        let mut file = self.file.lock();
-        let mut scratch = BytesMut::new();
+        let mut journal = self.journal.lock();
+        let Journal { file, batch } = &mut *journal;
+        batch.clear();
         for record in records {
-            scratch.clear();
-            codec::encode(record, &mut scratch);
-            let mut payload = Vec::with_capacity(1 + scratch.len());
-            payload.push(TAG_WAL_RECORD);
-            payload.extend_from_slice(&scratch);
-            if let Err(e) = append_frame(&mut file, &payload, false) {
-                panic!("wal journal append failed, durability is lost: {e}");
-            }
+            batch.put_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
+            batch.put_u8(TAG_WAL_RECORD);
+            codec::encode(record, batch);
+        }
+        if let Err(e) = file.write_all(batch) {
+            panic!("wal journal append failed, durability is lost: {e}");
         }
     }
 
     fn sync(&self) {
-        if let Err(e) = self.file.lock().sync_data() {
+        if let Err(e) = self.journal.lock().file.sync_data() {
             panic!("wal journal sync failed, durability is lost: {e}");
         }
     }
 
     fn truncated(&self, new_base: u64) {
-        let mut payload = vec![TAG_WAL_TRUNCATE];
-        payload.extend_from_slice(&new_base.to_le_bytes());
-        let mut file = self.file.lock();
-        if let Err(e) = append_frame(&mut file, &payload, false) {
+        if let Err(e) = append_frame(&mut self.journal.lock().file, &marker(new_base), false) {
             panic!("wal journal append failed, durability is lost: {e}");
         }
     }
@@ -533,64 +641,211 @@ mod tests {
         drop(f);
         let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
         assert_eq!(snap.chains, vec![(1, vec![1])]);
-        // And the compaction healed the journal.
+        // And the snapshot rewrite healed the journal.
         let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
         assert_eq!(snap.chains, vec![(1, vec![1])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn bots(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
+        ids.map(|i| LogRecord::Bot {
+            txn: rda_wal::TxnId(i),
+        })
+        .collect()
+    }
+
+    /// A fresh `wal.journal` holding `bots(0..n)`, closed.
+    fn wal_with(tag: &str, n: u64) -> PathBuf {
+        let dir = tmpdir(tag);
+        let sink = FileLogSink::create(&dir).unwrap();
+        sink.append_batch(&bots(0..n));
+        sink.sync();
+        dir
+    }
+
+    fn wal_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(FileLogSink::journal_path(dir)).unwrap()
+    }
+
+    fn append_raw(dir: &Path, bytes: &[u8]) {
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(FileLogSink::journal_path(dir))
+            .unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    /// Length of one framed `Bot` record: prefix + tag + 9 encoded bytes.
+    const BOT_FRAME: usize = 4 + 1 + 9;
+
     #[test]
     fn wal_journal_roundtrip_with_truncation() {
-        let dir = tmpdir("wal-rt");
-        let sink = FileLogSink::create(&dir).unwrap();
-        let records: Vec<LogRecord> = (0..4)
-            .map(|i| LogRecord::Bot {
-                txn: rda_wal::TxnId(i),
-            })
-            .collect();
-        sink.append_batch(&records);
-        sink.sync();
+        let dir = wal_with("wal-rt", 4);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         sink.truncated(2);
         drop(sink);
 
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!(base, 2);
-        assert_eq!(survivors.len(), 2);
-        assert_eq!(
-            survivors[0],
-            LogRecord::Bot {
-                txn: rda_wal::TxnId(2)
-            }
-        );
+        assert_eq!(survivors, bots(2..4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wal_compaction_preserves_base_numbering() {
-        let dir = tmpdir("wal-renumber");
-        let sink = FileLogSink::create(&dir).unwrap();
-        sink.append_batch(&[
-            LogRecord::Bot {
-                txn: rda_wal::TxnId(0),
-            },
-            LogRecord::Bot {
-                txn: rda_wal::TxnId(1),
-            },
-            LogRecord::Bot {
-                txn: rda_wal::TxnId(2),
-            },
-        ]);
-        sink.truncated(1);
-        drop(sink);
+    fn batch_is_framed_record_by_record_in_one_buffer() {
+        // Same bytes on disk as one frame per record: prefix, tag, record.
+        let dir = wal_with("wal-bytes", 2);
+        let mut expect = Vec::new();
+        for record in bots(0..2) {
+            let mut enc = BytesMut::new();
+            codec::encode(&record, &mut enc);
+            let mut payload = vec![TAG_WAL_RECORD];
+            payload.extend_from_slice(&enc);
+            push_frame(&mut expect, &payload);
+        }
+        assert_eq!(wal_bytes(&dir), expect);
+        assert_eq!(expect.len(), 2 * BOT_FRAME);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clean_reopen_leaves_the_journal_byte_identical() {
+        let dir = wal_with("wal-clean", 5);
+        let before = wal_bytes(&dir);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors.len()), (1, 2));
-        // Appends after a compaction keep extending the same numbering.
-        sink.append_batch(&[LogRecord::Bot {
-            txn: rda_wal::TxnId(3),
-        }]);
+        assert_eq!((base, survivors), (0, bots(0..5)));
+        assert_eq!(wal_bytes(&dir), before);
+        assert!(!dir.join("wal.journal.tmp").exists(), "nothing to rewrite");
+        // Appends resume at the end of the untouched file.
+        sink.append_batch(&bots(5..6));
+        assert_eq!(wal_bytes(&dir)[..before.len()], before[..]);
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors.len()), (1, 3));
+        assert_eq!((base, survivors), (0, bots(0..6)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_tail_is_cut_and_appends_resume_there() {
+        let dir = wal_with("wal-torn", 3);
+        // A kill mid-append: a prefix promising more than was written.
+        append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..3)));
+        assert_eq!(wal_bytes(&dir).len(), 3 * BOT_FRAME, "tail cut in place");
+        // Without the cut this record would sit behind the torn frame
+        // and vanish on the next reopen.
+        sink.append_batch(&bots(3..4));
+        drop(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..4)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_frame_ends_the_journal_with_everything_behind_it() {
+        let dir = wal_with("wal-corrupt", 2);
+        // A whole frame that is no record, then a valid record and a
+        // marker behind it: all three are past the journal's end.
+        let mut tail = Vec::new();
+        push_frame(&mut tail, &[TAG_WAL_RECORD, 0xFF, 0xFF]);
+        tail.extend_from_slice(&wal_bytes(&dir)[..BOT_FRAME]);
+        push_frame(&mut tail, &marker(2));
+        append_raw(&dir, &tail);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..2)), "marker not honoured");
+        assert_eq!(wal_bytes(&dir).len(), 2 * BOT_FRAME);
+        sink.append_batch(&bots(2..3));
+        drop(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..3)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_records_are_skipped_not_decoded() {
+        let dir = wal_with("wal-dead", 4);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.truncated(3);
+        drop(sink);
+        // Scribble over dead record 1's payload (tag kept, framing kept):
+        // it is below the base, so nothing ever looks inside it.
+        let mut bytes = wal_bytes(&dir);
+        bytes[BOT_FRAME + 5..2 * BOT_FRAME].fill(0xFF);
+        std::fs::write(FileLogSink::journal_path(&dir), &bytes).unwrap();
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (3, bots(3..4)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interleaved_markers_keep_base_survivors_and_numbering() {
+        let dir = tmpdir("wal-markers");
+        let sink = FileLogSink::create(&dir).unwrap();
+        sink.append_batch(&bots(0..10));
+        sink.truncated(4);
+        sink.append_batch(&bots(10..14));
+        sink.truncated(9);
+        sink.append_batch(&bots(14..15));
+        // The store's base only grows; a stale marker changes nothing.
+        sink.truncated(6);
+        sink.append_batch(&bots(15..16));
+        drop(sink);
+
+        // Record i is LSN i in this history. 9 dead records (126 bytes)
+        // against 137 live: the file stays as it is, markers and all.
+        let len = wal_bytes(&dir).len();
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (9, bots(9..16)));
+        assert_eq!(wal_bytes(&dir).len(), len);
+        sink.append_batch(&bots(16..18));
+        sink.truncated(12);
+        drop(sink);
+        // Now 181 bytes precede record 12 and 123 follow: rewritten. The
+        // numbering continues through it and through a third reopen.
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (12, bots(12..18)));
+        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + 123);
+        sink.append_batch(&bots(18..19));
+        drop(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (12, bots(12..19)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_is_rewritten_only_when_that_halves_it() {
+        // Below the threshold: 2 of 10 records dead. Cut nothing, rewrite
+        // nothing; the dead prefix stays where it is.
+        let dir = wal_with("wal-keep", 10);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.truncated(2);
+        drop(sink);
+        let before = wal_bytes(&dir);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (2, bots(2..10)));
+        assert_eq!(wal_bytes(&dir), before);
+        assert!(!dir.join("wal.journal.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Above it: 8 of 10 dead. The file becomes one marker plus the
+        // live suffix exactly as it stood (records 8, 9 and the old
+        // marker), and says the same thing.
+        let dir = wal_with("wal-rewrite", 10);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.truncated(8);
+        drop(sink);
+        let before = wal_bytes(&dir);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (8, bots(8..10)));
+        let mut expect = Vec::new();
+        push_frame(&mut expect, &marker(8));
+        expect.extend_from_slice(&before[8 * BOT_FRAME..]);
+        assert_eq!(wal_bytes(&dir), expect);
+        assert!(!dir.join("wal.journal.tmp").exists(), "renamed into place");
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (8, bots(8..10)));
+        assert_eq!(wal_bytes(&dir), expect, "a rewritten journal is stable");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

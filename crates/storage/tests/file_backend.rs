@@ -307,3 +307,126 @@ fn flight_record_survives_reopen_and_torn_journal_tail() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One single-page transaction per `i`, each acknowledged.
+fn commit_stamps(db: &FileDb, ids: std::ops::Range<u64>) {
+    for i in ids {
+        let mut tx = db.begin();
+        tx.write(i as u32, &stamp(i)).unwrap();
+        tx.commit().unwrap();
+    }
+}
+
+fn reopened(dir: &std::path::Path) -> FileDb {
+    let db = reopen_database(dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    db.recover().unwrap();
+    db
+}
+
+fn wal_journal(dir: &std::path::Path) -> Vec<u8> {
+    std::fs::read(dir.join("wal.journal")).unwrap()
+}
+
+/// Reopening a log with nothing dead and nothing torn reads `wal.journal`
+/// and leaves it alone: same bytes, no temporary file.
+#[test]
+fn clean_reopen_does_not_rewrite_the_wal_journal() {
+    let dir = tmpdir("wal-untouched");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..6);
+    drop(db);
+    let before = wal_journal(&dir);
+    assert!(!before.is_empty());
+
+    let db = reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    assert_eq!(wal_journal(&dir), before, "reopen only reads the journal");
+    assert!(!dir.join("wal.journal.tmp").exists());
+    // No loser, so recovery has nothing to append either.
+    db.recover().unwrap();
+    assert_eq!(wal_journal(&dir), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit acknowledged *after* a reopen that found a damaged tail must
+/// survive the next reopen: the tail is cut off in place, so the new
+/// frames are not stranded behind it.
+#[test]
+fn commit_after_a_damaged_wal_tail_survives_the_next_reopen() {
+    use std::io::Write as _;
+    // A kill mid-append (a prefix promising more than was written), and
+    // a whole frame of garbage with a well-formed frame behind it.
+    let torn: &[u8] = &[0xFF, 0x00, 0x00, 0x00, 16, 2, 3];
+    let corrupt: &[u8] = &[
+        3, 0, 0, 0, 16, 0xEE, 0xEE, 9, 0, 0, 0, 17, 9, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    for (tag, damage) in [("wal-torn-tail", torn), ("wal-corrupt-tail", corrupt)] {
+        let dir = tmpdir(tag);
+        let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+        commit_stamps(&db, 0..3);
+        drop(db);
+        let whole = wal_journal(&dir).len();
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal.journal"))
+            .unwrap()
+            .write_all(damage)
+            .unwrap();
+
+        let db = reopened(&dir);
+        assert_eq!(wal_journal(&dir).len(), whole, "{tag}: tail cut in place");
+        commit_stamps(&db, 3..5);
+        drop(db);
+
+        let db = reopened(&dir);
+        for i in 0..5u64 {
+            assert_eq!(committed_value(&db, i as u32), Some(i), "{tag}: txn {i}");
+        }
+        assert!(db.audit().is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `truncate_log()` only appends a marker; the dead records leave the file
+/// at a later reopen, and only once they outweigh what is still live.
+#[test]
+fn wal_journal_is_rewritten_only_when_mostly_dead() {
+    // Mostly live: one commit truncated away, six retained.
+    let dir = tmpdir("wal-mostly-live");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..1);
+    assert!(db.truncate_log().unwrap() > 0);
+    commit_stamps(&db, 1..7);
+    drop(db);
+    let before = wal_journal(&dir);
+    let db = reopened(&dir);
+    assert_eq!(wal_journal(&dir), before, "dead prefix too small to pay");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Mostly dead: six commits truncated away, one retained.
+    let dir = tmpdir("wal-mostly-dead");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..6);
+    assert!(db.truncate_log().unwrap() > 0);
+    commit_stamps(&db, 6..7);
+    drop(db);
+    let before = wal_journal(&dir);
+    let db = reopened(&dir);
+    let after = wal_journal(&dir);
+    assert!(
+        2 * after.len() <= before.len(),
+        "rewritten to marker + survivors: {} -> {}",
+        before.len(),
+        after.len()
+    );
+    assert!(!dir.join("wal.journal.tmp").exists(), "renamed into place");
+    // The rewritten journal carries on: numbering, appends, reopen.
+    commit_stamps(&db, 7..9);
+    drop(db);
+    let db = reopened(&dir);
+    for i in 0..9u64 {
+        assert_eq!(committed_value(&db, i as u32), Some(i), "txn {i}");
+    }
+    assert!(db.audit().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -99,77 +99,101 @@ pub fn encode(record: &LogRecord, out: &mut BytesMut) {
     }
 }
 
-/// Encoded length of a record in bytes.
+/// Encoded length of a record in bytes: what [`encode`] would append,
+/// computed from the field widths without encoding anything.
 #[must_use]
 pub fn encoded_len(record: &LogRecord) -> usize {
-    let mut buf = BytesMut::new();
-    encode(record, &mut buf);
-    buf.len()
+    const TAG: usize = 1;
+    const TXN: usize = 8;
+    const PAGE: usize = 4;
+    const U32: usize = 4;
+    let bytes = |b: &[u8]| U32 + b.len();
+    match record {
+        LogRecord::Bot { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => TAG + TXN,
+        LogRecord::BeforeImage { image, .. }
+        | LogRecord::AfterImage { image, .. }
+        | LogRecord::Compensation { image, .. } => TAG + TXN + PAGE + bytes(image),
+        LogRecord::RecordUpdate { before, after, .. } => {
+            TAG + TXN + PAGE + U32 + bytes(before) + bytes(after)
+        }
+        LogRecord::RecordRedo { after, .. } => TAG + TXN + PAGE + U32 + bytes(after),
+        LogRecord::StealNote { .. } => TAG + TXN + PAGE,
+        LogRecord::Checkpoint { active, .. } => TAG + 1 + U32 + TXN * active.len(),
+    }
 }
 
-/// Decode one record from the front of `buf`.
+/// Decode one record from the front of `buf`, consuming it.
 ///
 /// # Errors
 /// [`WalError::Corrupt`] if the bytes do not form a valid record.
 pub fn decode(buf: &mut Bytes) -> Result<LogRecord, WalError> {
-    if buf.remaining() < 1 {
-        return Err(WalError::Corrupt("empty buffer"));
-    }
-    let tag = buf.get_u8();
-    match tag {
-        TAG_BOT => Ok(LogRecord::Bot { txn: get_txn(buf)? }),
-        TAG_COMMIT => Ok(LogRecord::Commit { txn: get_txn(buf)? }),
-        TAG_ABORT => Ok(LogRecord::Abort { txn: get_txn(buf)? }),
-        TAG_BEFORE => Ok(LogRecord::BeforeImage {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-            image: get_bytes(buf)?,
-        }),
-        TAG_AFTER => Ok(LogRecord::AfterImage {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-            image: get_bytes(buf)?,
-        }),
-        TAG_RECORD => Ok(LogRecord::RecordUpdate {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-            offset: get_u32(buf)?,
-            before: get_bytes(buf)?,
-            after: get_bytes(buf)?,
-        }),
-        TAG_RECORD_REDO => Ok(LogRecord::RecordRedo {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-            offset: get_u32(buf)?,
-            after: get_bytes(buf)?,
-        }),
-        TAG_STEAL => Ok(LogRecord::StealNote {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-        }),
-        TAG_COMP => Ok(LogRecord::Compensation {
-            txn: get_txn(buf)?,
-            page: get_page(buf)?,
-            image: get_bytes(buf)?,
-        }),
+    let (record, used) = decode_slice(buf)?;
+    // Drop the consumed prefix. `copy_to_bytes` rather than `advance`: it is
+    // in the `Buf` subset every build of this workspace links.
+    let _ = buf.copy_to_bytes(used);
+    Ok(record)
+}
+
+/// Decode one record from the front of a byte slice, returning it with the
+/// number of bytes it occupied. Page images are copied once, out of `buf`
+/// into the record.
+///
+/// # Errors
+/// [`WalError::Corrupt`] if the bytes do not form a valid record.
+pub fn decode_slice(buf: &[u8]) -> Result<(LogRecord, usize), WalError> {
+    let mut r = Reader { rest: buf };
+    let record = match r.u8().map_err(|_| WalError::Corrupt("empty buffer"))? {
+        TAG_BOT => LogRecord::Bot { txn: r.txn()? },
+        TAG_COMMIT => LogRecord::Commit { txn: r.txn()? },
+        TAG_ABORT => LogRecord::Abort { txn: r.txn()? },
+        TAG_BEFORE => LogRecord::BeforeImage {
+            txn: r.txn()?,
+            page: r.page()?,
+            image: r.bytes()?,
+        },
+        TAG_AFTER => LogRecord::AfterImage {
+            txn: r.txn()?,
+            page: r.page()?,
+            image: r.bytes()?,
+        },
+        TAG_RECORD => LogRecord::RecordUpdate {
+            txn: r.txn()?,
+            page: r.page()?,
+            offset: r.u32()?,
+            before: r.bytes()?,
+            after: r.bytes()?,
+        },
+        TAG_RECORD_REDO => LogRecord::RecordRedo {
+            txn: r.txn()?,
+            page: r.page()?,
+            offset: r.u32()?,
+            after: r.bytes()?,
+        },
+        TAG_STEAL => LogRecord::StealNote {
+            txn: r.txn()?,
+            page: r.page()?,
+        },
+        TAG_COMP => LogRecord::Compensation {
+            txn: r.txn()?,
+            page: r.page()?,
+            image: r.bytes()?,
+        },
         TAG_CKPT => {
-            if buf.remaining() < 5 {
-                return Err(WalError::Corrupt("truncated checkpoint"));
-            }
-            let kind = match buf.get_u8() {
+            let kind = match r.u8()? {
                 0 => CheckpointKind::Toc,
                 1 => CheckpointKind::Acc,
                 _ => return Err(WalError::Corrupt("bad checkpoint kind")),
             };
-            let count = buf.get_u32() as usize;
+            let count = r.u32()? as usize;
             let mut active = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                active.push(get_txn(buf)?);
+                active.push(r.txn()?);
             }
-            Ok(LogRecord::Checkpoint { kind, active })
+            LogRecord::Checkpoint { kind, active }
         }
-        _ => Err(WalError::Corrupt("unknown tag")),
-    }
+        _ => return Err(WalError::Corrupt("unknown tag")),
+    };
+    Ok((record, buf.len() - r.rest.len()))
 }
 
 fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {
@@ -177,31 +201,48 @@ fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {
     out.put_slice(bytes);
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, WalError> {
-    if buf.remaining() < 4 {
-        return Err(WalError::Corrupt("truncated u32"));
-    }
-    Ok(buf.get_u32())
+/// Forward-only reader over a record's bytes; every taker fails on
+/// underrun instead of panicking.
+struct Reader<'a> {
+    rest: &'a [u8],
 }
 
-fn get_txn(buf: &mut Bytes) -> Result<TxnId, WalError> {
-    if buf.remaining() < 8 {
-        return Err(WalError::Corrupt("truncated txn id"));
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
+        if self.rest.len() < n {
+            return Err(WalError::Corrupt("truncated record"));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
-    Ok(TxnId(buf.get_u64()))
-}
 
-fn get_page(buf: &mut Bytes) -> Result<DataPageId, WalError> {
-    Ok(DataPageId(get_u32(buf)?))
-}
-
-fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, WalError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(WalError::Corrupt("truncated byte string"));
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WalError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
-    let out = buf.copy_to_bytes(len).to_vec();
-    Ok(out)
+
+    fn u8(&mut self) -> Result<u8, WalError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, WalError> {
+        Ok(u32::from_be_bytes(self.array()?))
+    }
+
+    fn txn(&mut self) -> Result<TxnId, WalError> {
+        Ok(TxnId(u64::from_be_bytes(self.array()?)))
+    }
+
+    fn page(&mut self) -> Result<DataPageId, WalError> {
+        Ok(DataPageId(self.u32()?))
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, WalError> {
+        let len = self.u32()? as usize;
+        Ok(self.take(len)?.to_vec())
+    }
 }
 
 #[cfg(test)]
@@ -212,6 +253,12 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(record, &mut buf);
         assert_eq!(buf.len(), encoded_len(record));
+        assert_eq!(decode_slice(&buf), Ok((record.clone(), buf.len())));
+        // Every proper prefix is a torn record, to both decoders.
+        for cut in 0..buf.len() {
+            assert!(decode_slice(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&mut Bytes::from(buf[..cut].to_vec())).is_err());
+        }
         let mut bytes = buf.freeze();
         let decoded = decode(&mut bytes).unwrap();
         assert_eq!(decoded, *record);
@@ -238,6 +285,18 @@ mod tests {
             txn: TxnId(7),
             page: DataPageId(12),
             image: vec![],
+        });
+        roundtrip(&LogRecord::AfterImage {
+            txn: TxnId(7),
+            page: DataPageId(12),
+            image: vec![0x5A; 2020],
+        });
+        roundtrip(&LogRecord::RecordUpdate {
+            txn: TxnId(9),
+            page: DataPageId(3),
+            offset: 0,
+            before: vec![],
+            after: vec![],
         });
         roundtrip(&LogRecord::RecordUpdate {
             txn: TxnId(9),
@@ -297,18 +356,10 @@ mod tests {
         assert!(decode(&mut bytes).is_err());
         let mut empty = Bytes::new();
         assert!(decode(&mut empty).is_err());
-        // Truncated record.
-        let mut buf = BytesMut::new();
-        encode(
-            &LogRecord::BeforeImage {
-                txn: TxnId(1),
-                page: DataPageId(1),
-                image: vec![9; 64],
-            },
-            &mut buf,
-        );
-        let mut truncated = buf.freeze().slice(0..20);
-        assert!(decode(&mut truncated).is_err());
+        assert!(decode_slice(&[0xFF, 1, 2, 3]).is_err());
+        assert!(decode_slice(&[]).is_err());
+        // A checkpoint whose kind byte is neither TOC nor ACC.
+        assert!(decode_slice(&[TAG_CKPT, 7, 0, 0, 0, 0]).is_err());
     }
 
     #[test]

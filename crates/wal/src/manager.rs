@@ -142,9 +142,11 @@ mod tests {
         assert_eq!(log.append(LogRecord::Commit { txn: TxnId(1) }), Lsn(1));
         assert_eq!(log.append(LogRecord::Bot { txn: TxnId(2) }), Lsn(2));
         log.force();
-        let records = store.peek();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[2].0, Lsn(2));
+        assert_eq!(store.len(), 3);
+        assert_eq!(
+            store.with_record(Lsn(2), Clone::clone),
+            Some(LogRecord::Bot { txn: TxnId(2) })
+        );
     }
 
     #[test]

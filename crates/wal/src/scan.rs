@@ -5,7 +5,7 @@
 //! identify which transactions have to be backed out and which pages have
 //! been modified on disk by those transactions").
 
-use crate::{CheckpointKind, LogRecord, Lsn, TxnId};
+use crate::{CheckpointKind, LogRecord, LogStore, Lsn, TxnId};
 use rda_array::DataPageId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,6 +24,11 @@ pub enum TxnOutcome {
 }
 
 /// Result of the analysis pass over the durable log.
+///
+/// Images are never copied out of the log here: where undo or redo will
+/// need one, the analysis notes the LSN of the record that carries it and
+/// the caller fetches it with [`LogStore::with_record`] when (and only if)
+/// it installs it.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Outcome per transaction that appears in the log.
@@ -32,64 +37,91 @@ pub struct Analysis {
     /// steal-note chain). For a loser these are exactly the pages that
     /// must be undone via the parity array.
     pub parity_steals: BTreeMap<TxnId, BTreeSet<DataPageId>>,
-    /// Pages with a logged before-image, per transaction (undone from the
-    /// log).
-    pub logged_undo: BTreeMap<TxnId, BTreeSet<DataPageId>>,
+    /// Pages with logged UNDO information, per transaction, each with the
+    /// LSNs of its `BeforeImage` / `RecordUpdate` records in log order
+    /// (the first before-image is the transaction's first-touch state;
+    /// record diffs are reverse-applied last to first).
+    pub logged_undo: BTreeMap<TxnId, BTreeMap<DataPageId, Vec<Lsn>>>,
     /// LSN of the most recent ACC checkpoint, with the transactions active
     /// at that point. REDO starts here (or at the log start if none).
     pub last_acc_checkpoint: Option<(Lsn, Vec<TxnId>)>,
-    /// Compensation images written during (possibly interrupted) rollback,
-    /// keyed by (transaction, page); the latest image wins. A re-run of
-    /// undo applies these instead of recomputing from parity.
-    pub compensations: BTreeMap<(TxnId, DataPageId), Vec<u8>>,
+    /// LSN of the latest compensation record written during (possibly
+    /// interrupted) rollback, keyed by (transaction, page). A re-run of
+    /// undo applies that image instead of recomputing from parity.
+    pub compensations: BTreeMap<(TxnId, DataPageId), Lsn>,
+    /// Every REDO-bearing record (`AfterImage`, `RecordRedo`,
+    /// `RecordUpdate`) in log order. Whether its transaction won is only
+    /// known once the scan ends, so the filter is the caller's.
+    pub redo: Vec<(Lsn, TxnId, DataPageId)>,
 }
 
 impl Analysis {
-    /// Run the analysis pass over a record sequence (typically
-    /// `store.read_all()`, which bills the log reads).
+    /// Run the analysis pass over records `from..to` of `store` in one
+    /// billed, borrowing [`LogStore::scan`].
     #[must_use]
-    pub fn run(records: &[(Lsn, LogRecord)]) -> Analysis {
+    pub fn run(store: &LogStore, from: Lsn, to: Lsn) -> Analysis {
         let mut out = Analysis::default();
-        for (lsn, record) in records {
-            match record {
-                LogRecord::Bot { txn } => {
-                    out.outcomes.insert(*txn, TxnOutcome::InFlight);
-                }
-                LogRecord::Commit { txn } => {
-                    out.outcomes.insert(*txn, TxnOutcome::Committed);
-                }
-                LogRecord::Abort { txn } => {
-                    out.outcomes.insert(*txn, TxnOutcome::Aborted);
-                }
-                LogRecord::StealNote { txn, page } => {
-                    out.outcomes.entry(*txn).or_insert(TxnOutcome::InFlight);
-                    out.parity_steals.entry(*txn).or_default().insert(*page);
-                }
-                LogRecord::BeforeImage { txn, page, .. }
-                | LogRecord::RecordUpdate { txn, page, .. } => {
-                    out.outcomes.entry(*txn).or_insert(TxnOutcome::InFlight);
-                    out.logged_undo.entry(*txn).or_default().insert(*page);
-                }
-                LogRecord::AfterImage { txn, .. } | LogRecord::RecordRedo { txn, .. } => {
-                    out.outcomes.entry(*txn).or_insert(TxnOutcome::InFlight);
-                }
-                LogRecord::Compensation { txn, page, image } => {
-                    out.outcomes.entry(*txn).or_insert(TxnOutcome::InFlight);
-                    out.compensations.insert((*txn, *page), image.clone());
-                }
-                LogRecord::Checkpoint {
-                    kind: CheckpointKind::Acc,
-                    active,
-                } => {
-                    out.last_acc_checkpoint = Some((*lsn, active.clone()));
-                }
-                LogRecord::Checkpoint {
-                    kind: CheckpointKind::Toc,
-                    ..
-                } => {}
-            }
-        }
+        store.scan(from, to, |lsn, record| out.observe(lsn, record));
         out
+    }
+
+    fn observe(&mut self, lsn: Lsn, record: &LogRecord) {
+        match record {
+            LogRecord::Bot { txn } => {
+                self.outcomes.insert(*txn, TxnOutcome::InFlight);
+            }
+            LogRecord::Commit { txn } => {
+                self.outcomes.insert(*txn, TxnOutcome::Committed);
+            }
+            LogRecord::Abort { txn } => {
+                self.outcomes.insert(*txn, TxnOutcome::Aborted);
+            }
+            LogRecord::StealNote { txn, page } => {
+                self.seen(*txn);
+                self.parity_steals.entry(*txn).or_default().insert(*page);
+            }
+            LogRecord::BeforeImage { txn, page, .. } => {
+                self.seen(*txn);
+                self.note_undo(lsn, *txn, *page);
+            }
+            LogRecord::RecordUpdate { txn, page, .. } => {
+                self.seen(*txn);
+                self.note_undo(lsn, *txn, *page);
+                self.redo.push((lsn, *txn, *page));
+            }
+            LogRecord::AfterImage { txn, page, .. } | LogRecord::RecordRedo { txn, page, .. } => {
+                self.seen(*txn);
+                self.redo.push((lsn, *txn, *page));
+            }
+            LogRecord::Compensation { txn, page, .. } => {
+                self.seen(*txn);
+                self.compensations.insert((*txn, *page), lsn);
+            }
+            LogRecord::Checkpoint {
+                kind: CheckpointKind::Acc,
+                active,
+            } => {
+                self.last_acc_checkpoint = Some((lsn, active.clone()));
+            }
+            LogRecord::Checkpoint {
+                kind: CheckpointKind::Toc,
+                ..
+            } => {}
+        }
+    }
+
+    /// An update can be the first durable trace of its transaction.
+    fn seen(&mut self, txn: TxnId) {
+        self.outcomes.entry(txn).or_insert(TxnOutcome::InFlight);
+    }
+
+    fn note_undo(&mut self, lsn: Lsn, txn: TxnId, page: DataPageId) {
+        self.logged_undo
+            .entry(txn)
+            .or_default()
+            .entry(page)
+            .or_default()
+            .push(lsn);
     }
 
     /// Transactions that must be rolled back (BOT without EOT).
@@ -117,24 +149,20 @@ impl Analysis {
 mod tests {
     use super::*;
 
-    fn lsn_seq(records: Vec<LogRecord>) -> Vec<(Lsn, LogRecord)> {
-        records
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (Lsn(i as u64), r))
-            .collect()
+    fn analyze(records: Vec<LogRecord>) -> Analysis {
+        let store = LogStore::restore(crate::LogConfig::default(), 0, records, None);
+        Analysis::run(&store, Lsn(0), Lsn(store.len()))
     }
 
     #[test]
     fn classifies_winners_and_losers() {
-        let records = lsn_seq(vec![
+        let a = analyze(vec![
             LogRecord::Bot { txn: TxnId(1) },
             LogRecord::Bot { txn: TxnId(2) },
             LogRecord::Bot { txn: TxnId(3) },
             LogRecord::Commit { txn: TxnId(1) },
             LogRecord::Abort { txn: TxnId(2) },
         ]);
-        let a = Analysis::run(&records);
         assert_eq!(a.winners(), vec![TxnId(1)]);
         assert_eq!(a.losers(), vec![TxnId(3)]);
         assert_eq!(a.outcomes[&TxnId(2)], TxnOutcome::Aborted);
@@ -142,7 +170,7 @@ mod tests {
 
     #[test]
     fn collects_steal_notes_and_logged_undo() {
-        let records = lsn_seq(vec![
+        let a = analyze(vec![
             LogRecord::Bot { txn: TxnId(1) },
             LogRecord::StealNote {
                 txn: TxnId(1),
@@ -158,7 +186,6 @@ mod tests {
                 page: DataPageId(4),
             },
         ]);
-        let a = Analysis::run(&records);
         assert_eq!(
             a.parity_steals[&TxnId(1)]
                 .iter()
@@ -167,14 +194,59 @@ mod tests {
             vec![DataPageId(4)]
         );
         assert_eq!(
-            a.logged_undo[&TxnId(1)].iter().copied().collect::<Vec<_>>(),
-            vec![DataPageId(7)]
+            a.logged_undo[&TxnId(1)],
+            BTreeMap::from([(DataPageId(7), vec![Lsn(2)])])
+        );
+    }
+
+    #[test]
+    fn notes_where_undo_and_redo_images_live() {
+        let update = |offset| LogRecord::RecordUpdate {
+            txn: TxnId(1),
+            page: DataPageId(3),
+            offset,
+            before: vec![1],
+            after: vec![2],
+        };
+        let comp = |image| LogRecord::Compensation {
+            txn: TxnId(2),
+            page: DataPageId(9),
+            image,
+        };
+        let a = analyze(vec![
+            update(0),
+            LogRecord::AfterImage {
+                txn: TxnId(2),
+                page: DataPageId(5),
+                image: vec![7],
+            },
+            comp(vec![1]),
+            update(8),
+            comp(vec![2]),
+        ]);
+        assert_eq!(
+            a.logged_undo[&TxnId(1)][&DataPageId(3)],
+            vec![Lsn(0), Lsn(3)],
+            "record diffs keep log order"
+        );
+        assert_eq!(
+            a.redo,
+            vec![
+                (Lsn(0), TxnId(1), DataPageId(3)),
+                (Lsn(1), TxnId(2), DataPageId(5)),
+                (Lsn(3), TxnId(1), DataPageId(3)),
+            ]
+        );
+        assert_eq!(
+            a.compensations[&(TxnId(2), DataPageId(9))],
+            Lsn(4),
+            "the latest compensation wins"
         );
     }
 
     #[test]
     fn last_acc_checkpoint_wins() {
-        let records = lsn_seq(vec![
+        let a = analyze(vec![
             LogRecord::Checkpoint {
                 kind: CheckpointKind::Acc,
                 active: vec![TxnId(1)],
@@ -185,7 +257,6 @@ mod tests {
                 active: vec![TxnId(2)],
             },
         ]);
-        let a = Analysis::run(&records);
         let (lsn, active) = a.last_acc_checkpoint.unwrap();
         assert_eq!(lsn, Lsn(2));
         assert_eq!(active, vec![TxnId(2)]);
@@ -193,11 +264,10 @@ mod tests {
 
     #[test]
     fn toc_checkpoints_ignored_for_redo_point() {
-        let records = lsn_seq(vec![LogRecord::Checkpoint {
+        let a = analyze(vec![LogRecord::Checkpoint {
             kind: CheckpointKind::Toc,
             active: vec![],
         }]);
-        let a = Analysis::run(&records);
         assert!(a.last_acc_checkpoint.is_none());
     }
 
@@ -206,11 +276,10 @@ mod tests {
         // A steal note can be the first durable trace of a transaction if
         // the BOT batch and the note were forced together; analysis must
         // still treat the transaction as a loser.
-        let records = lsn_seq(vec![LogRecord::StealNote {
+        let a = analyze(vec![LogRecord::StealNote {
             txn: TxnId(5),
             page: DataPageId(1),
         }]);
-        let a = Analysis::run(&records);
         assert_eq!(a.losers(), vec![TxnId(5)]);
     }
 }

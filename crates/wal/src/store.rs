@@ -251,20 +251,21 @@ impl LogStore {
         first
     }
 
-    /// Read records `from..to` (LSN half-open range), billing the log-page
-    /// reads spanned by the range (one copy only — recovery reads a single
-    /// replica).
+    /// Visit records `from..to` (LSN half-open range) in log order without
+    /// copying them, billing the log-page reads spanned by the range (one
+    /// copy only — recovery reads a single replica). Out-of-range bounds
+    /// are clamped.
     ///
-    /// Out-of-range bounds are clamped.
-    #[must_use]
-    pub fn read_range(&self, from: Lsn, to: Lsn) -> Vec<(Lsn, LogRecord)> {
+    /// The store is locked for the duration: `visit` must not call back
+    /// into it.
+    pub fn scan(&self, from: Lsn, to: Lsn, mut visit: impl FnMut(Lsn, &LogRecord)) {
         let inner = self.inner.lock();
         let n = inner.records.len() as u64;
         let end = inner.base + n;
         let from_lsn = from.0.clamp(inner.base, end);
         let to_lsn = to.0.clamp(inner.base, end);
         if from_lsn >= to_lsn {
-            return Vec::new();
+            return;
         }
         let from_idx = (from_lsn - inner.base) as usize;
         let to_idx = (to_lsn - inner.base) as usize;
@@ -281,30 +282,22 @@ impl LogStore {
                 self.stats.record(IoKind::Read);
             }
         }
-        inner.records[from_idx..to_idx]
-            .iter()
-            .enumerate()
-            .map(|(i, (_, r))| (Lsn(from_lsn + i as u64), r.clone()))
-            .collect()
+        for (i, (_, record)) in inner.records[from_idx..to_idx].iter().enumerate() {
+            visit(Lsn(from_lsn + i as u64), record);
+        }
     }
 
-    /// Read the entire retained durable log, billing the reads.
-    #[must_use]
-    pub fn read_all(&self) -> Vec<(Lsn, LogRecord)> {
-        self.read_range(Lsn(self.base()), Lsn(self.len()))
-    }
-
-    /// Peek at the records without billing any I/O — for tests and
-    /// assertions only.
-    #[must_use]
-    pub fn peek(&self) -> Vec<(Lsn, LogRecord)> {
+    /// Look at one retained record without billing any I/O: for a record
+    /// a billed [`LogStore::scan`] already passed over (recovery installs
+    /// images by the LSNs its analysis noted), and for tests. `None` when
+    /// `lsn` was truncated away or is not durable yet.
+    ///
+    /// The store is locked for the duration: `look` must not call back
+    /// into it.
+    pub fn with_record<R>(&self, lsn: Lsn, look: impl FnOnce(&LogRecord) -> R) -> Option<R> {
         let inner = self.inner.lock();
-        inner
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, (_, r))| (Lsn(inner.base + i as u64), r.clone()))
-            .collect()
+        let idx = usize::try_from(lsn.0.checked_sub(inner.base)?).ok()?;
+        inner.records.get(idx).map(|(_, record)| look(record))
     }
 
     /// LSN of the most recent durable record matching `pred`, if any.
@@ -333,6 +326,13 @@ impl LogStore {
 mod tests {
     use super::*;
     use rda_array::DataPageId;
+
+    /// A billed scan of `from..to`, cloned out for assertions.
+    fn scanned(s: &LogStore, from: u64, to: u64) -> Vec<(Lsn, LogRecord)> {
+        let mut out = Vec::new();
+        s.scan(Lsn(from), Lsn(to), |lsn, r| out.push((lsn, r.clone())));
+        out
+    }
 
     fn store(page_size: usize, copies: u32) -> Arc<LogStore> {
         LogStore::new(LogConfig {
@@ -412,28 +412,54 @@ mod tests {
     }
 
     #[test]
-    fn read_range_clamps_and_bills() {
+    fn scan_clamps_and_bills() {
         let s = store(1024, 1);
         s.append_durable(vec![
             LogRecord::Bot { txn: TxnId(1) },
             LogRecord::Commit { txn: TxnId(1) },
         ]);
         let w = s.stats().writes();
-        let records = s.read_range(Lsn(0), Lsn(100));
+        let records = scanned(&s, 0, 100);
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].0, Lsn(0));
         assert_eq!(s.stats().reads(), 1, "both records in one log page");
         assert_eq!(s.stats().writes(), w, "reads must not bill writes");
-        assert!(s.read_range(Lsn(5), Lsn(2)).is_empty());
+        assert!(scanned(&s, 5, 2).is_empty());
+        assert_eq!(s.stats().reads(), 1, "an empty range reads nothing");
     }
 
     #[test]
-    fn peek_is_free() {
+    fn scan_bills_the_pages_the_range_spans() {
+        let s = store(100, 1);
+        // Three ~117-byte image records: bytes 0..351, log pages 0..=3.
+        s.append_durable(
+            (0..3)
+                .map(|p| LogRecord::AfterImage {
+                    txn: TxnId(1),
+                    page: DataPageId(p),
+                    image: vec![0; 100],
+                })
+                .collect(),
+        );
+        assert_eq!(scanned(&s, 0, 3).len(), 3);
+        assert_eq!(s.stats().reads(), 4, "whole log: pages 0..=3");
+        // The middle record alone sits in bytes 117..234: pages 1..=2.
+        assert_eq!(scanned(&s, 1, 2).len(), 1);
+        assert_eq!(s.stats().reads(), 6);
+    }
+
+    #[test]
+    fn with_record_is_free_and_bounded() {
         let s = store(1024, 1);
-        s.append_durable(vec![LogRecord::Bot { txn: TxnId(1) }]);
-        let r = s.stats().reads();
-        let _ = s.peek();
-        assert_eq!(s.stats().reads(), r);
+        s.append_durable(vec![
+            LogRecord::Bot { txn: TxnId(1) },
+            LogRecord::Commit { txn: TxnId(1) },
+        ]);
+        s.truncate_before(Lsn(1));
+        assert_eq!(s.with_record(Lsn(1), LogRecord::txn), Some(Some(TxnId(1))));
+        assert_eq!(s.with_record(Lsn(0), |_| ()), None, "truncated away");
+        assert_eq!(s.with_record(Lsn(2), |_| ()), None, "not durable yet");
+        assert_eq!(s.stats().reads(), 0);
     }
 
     #[test]
@@ -462,11 +488,11 @@ mod tests {
         assert_eq!(s.base(), 2);
         assert_eq!(s.len(), 4, "len is one-past-last-LSN, not a count");
         // Surviving records keep their LSNs.
-        let all = s.read_all();
+        let all = scanned(&s, s.base(), s.len());
         assert_eq!(all[0].0, Lsn(2));
         assert_eq!(all[0].1, LogRecord::Bot { txn: TxnId(2) });
         // Reads below the base are clamped away.
-        assert!(s.read_range(Lsn(0), Lsn(2)).is_empty());
+        assert!(scanned(&s, 0, 2).is_empty());
         // rfind returns absolute LSNs.
         assert_eq!(s.find_bot(TxnId(2)), Some(Lsn(2)));
         assert_eq!(s.find_bot(TxnId(1)), None, "truncated records are gone");

@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 use rda_array::DataPageId;
-use rda_wal::{CheckpointKind, LogRecord, TxnId};
+// Everything but the record types is used only inside the `proptest!`
+// block, which the offline dev stub expands to nothing.
+#[allow(unused_imports)]
+use rda_wal::{codec, Analysis, CheckpointKind, LogConfig, LogManager, LogRecord, LogStore, TxnId};
 
 // Only the `proptest!` block uses these, and the offline dev stub
 // expands that block to nothing.
@@ -12,7 +15,12 @@ use rda_wal::{CheckpointKind, LogRecord, TxnId};
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
     let txn = (1u64..20).prop_map(TxnId);
     let page = (0u32..64).prop_map(DataPageId);
-    let bytes = prop::collection::vec(any::<u8>(), 0..64);
+    // Empty, short and page-sized (`l_p` = 2020) byte strings.
+    let bytes = prop_oneof![
+        Just(Vec::new()),
+        prop::collection::vec(any::<u8>(), 0..64),
+        any::<u8>().prop_map(|b| vec![b; 2020]),
+    ];
     prop_oneof![
         txn.clone().prop_map(|txn| LogRecord::Bot { txn }),
         txn.clone().prop_map(|txn| LogRecord::Commit { txn }),
@@ -51,12 +59,11 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
             page,
             image
         }),
-        prop::collection::vec((1u64..20).prop_map(TxnId), 0..5).prop_map(|active| {
-            LogRecord::Checkpoint {
-                kind: CheckpointKind::Acc,
-                active,
-            }
-        }),
+        (
+            prop_oneof![Just(CheckpointKind::Acc), Just(CheckpointKind::Toc)],
+            prop::collection::vec((1u64..20).prop_map(TxnId), 0..5)
+        )
+            .prop_map(|(kind, active)| LogRecord::Checkpoint { kind, active }),
     ]
 }
 
@@ -76,6 +83,41 @@ proptest! {
             prop_assert_eq!(&decoded, r);
         }
         prop_assert_eq!(bytes.len(), 0);
+    }
+
+    /// `encoded_len` is arithmetic, and must say what `encode` writes: the
+    /// store bills log pages by it.
+    #[test]
+    fn encoded_len_is_what_encode_writes(record in record_strategy()) {
+        let mut buf = bytes::BytesMut::new();
+        codec::encode(&record, &mut buf);
+        prop_assert_eq!(codec::encoded_len(&record), buf.len());
+    }
+
+    /// The slice decoder and the `Bytes` decoder agree on the same bytes —
+    /// the record, and how much of the buffer it occupied — and both treat
+    /// every proper prefix of a record as torn.
+    #[test]
+    fn slice_decode_matches_bytes_decode(
+        record in record_strategy(),
+        trailing in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let mut buf = bytes::BytesMut::new();
+        codec::encode(&record, &mut buf);
+        let len = buf.len();
+        let mut stream = buf.to_vec();
+        stream.extend_from_slice(&trailing);
+
+        let mut bytes = bytes::Bytes::from(stream.clone());
+        prop_assert_eq!(codec::decode_slice(&stream), Ok((record.clone(), len)));
+        prop_assert_eq!(codec::decode(&mut bytes), Ok(record));
+        prop_assert_eq!(&bytes[..], &trailing[..]);
+
+        for cut in 0..len {
+            prop_assert!(codec::decode_slice(&stream[..cut]).is_err());
+            let mut torn = bytes::Bytes::from(stream[..cut].to_vec());
+            prop_assert!(codec::decode(&mut torn).is_err());
+        }
     }
 
     /// Force/crash semantics: whatever was forced survives a crash, in
@@ -102,15 +144,16 @@ proptest! {
             }
         }
         log.crash();
-        let survived: Vec<LogRecord> =
-            store.peek().into_iter().map(|(_, r)| r).collect();
+        let survived: Vec<LogRecord> = (0..store.len())
+            .filter_map(|lsn| store.with_record(rda_wal::Lsn(lsn), Clone::clone))
+            .collect();
         prop_assert_eq!(survived, expect_durable);
     }
 
-    /// Billed reads of a range return exactly the range and never fewer
-    /// page-reads than zero / more than the whole log.
+    /// A billed scan of a range visits exactly the range, in order, and
+    /// bills the log pages the range's bytes span.
     #[test]
-    fn read_range_is_exact(
+    fn scan_is_exact(
         records in prop::collection::vec(record_strategy(), 1..30),
         bounds in (0u64..40, 0u64..40),
     ) {
@@ -122,7 +165,8 @@ proptest! {
         log.force();
         let (a, b) = bounds;
         let (from, to) = (a.min(b), a.max(b));
-        let got = store.read_range(rda_wal::Lsn(from), rda_wal::Lsn(to));
+        let mut got = Vec::new();
+        store.scan(rda_wal::Lsn(from), rda_wal::Lsn(to), |lsn, r| got.push((lsn, r.clone())));
         let lo = from.min(records.len() as u64) as usize;
         let hi = to.min(records.len() as u64) as usize;
         prop_assert_eq!(got.len(), hi - lo);
@@ -130,23 +174,21 @@ proptest! {
             prop_assert_eq!(*lsn, rda_wal::Lsn(lo as u64 + i as u64));
             prop_assert_eq!(r, &records[lo + i]);
         }
+        let start: usize = records[..lo].iter().map(codec::encoded_len).sum();
+        let end: usize = start + records[lo..hi].iter().map(codec::encoded_len).sum::<usize>();
+        let pages = if end > start { (end - 1) / 128 - start / 128 + 1 } else { 0 };
+        prop_assert_eq!(store.stats().reads(), pages as u64);
     }
 
     /// Analysis classification: the last BOT/Commit/Abort of a transaction
     /// decides its outcome, and steal notes accumulate per loser.
     #[test]
     fn analysis_matches_reference(records in prop::collection::vec(record_strategy(), 0..60)) {
-        let with_lsn: Vec<(rda_wal::Lsn, LogRecord)> = records
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, r)| (rda_wal::Lsn(i as u64), r))
-            .collect();
-        let analysis = Analysis::run(&with_lsn);
+        let store = LogStore::restore(LogConfig::default(), 0, records.clone(), None);
+        let analysis = Analysis::run(&store, rda_wal::Lsn(0), rda_wal::Lsn(store.len()));
 
         // Reference: replay naively.
-        use std::collections::BTreeMap;
-        let mut outcome: BTreeMap<TxnId, &'static str> = BTreeMap::new();
+        let mut outcome = std::collections::BTreeMap::<TxnId, &'static str>::new();
         for r in &records {
             match r {
                 LogRecord::Bot { txn } => {
