@@ -1,7 +1,14 @@
 //! Property-based tests for array layout and parity algebra.
 
 use proptest::prelude::*;
-use rda_array::{ArrayConfig, Organization};
+// Everything but the two strategy types is used only inside the
+// `proptest!` block, which the offline dev stub expands to nothing.
+#[allow(unused_imports)]
+use rda_array::{
+    ArrayConfig, DataPageId, DiskArray, DiskId, GroupId, Organization, Page, ParitySlot,
+};
+#[allow(unused_imports)]
+use std::collections::HashSet;
 
 // Only the `proptest!` block uses these, and the offline dev stub
 // expands that block to nothing.

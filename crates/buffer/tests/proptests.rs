@@ -2,6 +2,14 @@
 //! legality (pins, ¬STEAL), and accounting against a reference model.
 
 use proptest::prelude::*;
+// Used only inside the `proptest!` block, which the offline dev stub
+// expands to nothing.
+#[allow(unused_imports)]
+use rda_array::{DataPageId, Page};
+#[allow(unused_imports)]
+use rda_buffer::{BufferConfig, BufferPool, ReplacePolicy};
+#[allow(unused_imports)]
+use std::collections::{HashMap, HashSet};
 
 // Only the `proptest!` block uses these, and the offline dev stub
 // expands that block to nothing.

@@ -24,8 +24,9 @@ pub struct CorpusEntry {
     pub expect_fail: bool,
     /// Protocol mutations to compile into the engine for this entry.
     pub mutations: ProtocolMutations,
-    /// Event tokens (e.g. `ParityUndo`, `Steal:logged`, `TornTwinHeal`)
-    /// the replay's trace must contain.
+    /// Event tokens the replay must exercise: engine events (e.g.
+    /// `ParityUndo`, `Steal:logged`, `TornTwinHeal`) and the runner's
+    /// synthetic `CrossShardCommit` / `IntentReplayed` / `FaultFired`.
     pub requires: Vec<String>,
 }
 

@@ -7,33 +7,32 @@
 //! 1. A **sequential reference model** ([`RefModel`]) states what
 //!    committed/visible state and lock behavior must look like, one byte
 //!    per page — deliberately too simple to share bugs with the engine.
-//! 2. A **seeded generator** ([`generate`]) produces multi-transaction
-//!    interleavings of begin/read/write/commit/abort spiked with
-//!    crash-restarts, disk deaths and media recoveries, plus planted
-//!    fault points (crash / torn write / disk death at a chosen physical
-//!    I/O) threaded through the `rda-faults` injector seam.
+//! 2. Two **seeded generators** ([`generate`], [`generate_threaded`];
+//!    one [`Stream`] each) produce multi-transaction interleavings of
+//!    begin/read/write/commit/abort spiked with crash-restarts, disk
+//!    deaths and media recoveries, plus planted fault points (crash / torn
+//!    write / disk death at a chosen physical I/O) threaded through the
+//!    `rda-faults` injector seam. The classic stream pins one shard; the
+//!    threaded stream also draws the shard count and the group-commit
+//!    gate and spreads its pages so transactions cross shards.
 //! 3. A **differential checker** ([`run_schedule`]) replays each schedule
-//!    on a real [`Database`](rda_core::Database) and the model in
-//!    lockstep, drives restart + media recovery after every machine
-//!    death, then diffs the quiesced state dump against the model and
-//!    validates the event trace against the steal/commit protocol
-//!    invariants shared with `rda-obs`.
+//!    on the sharded engine ([`rda_core::ShardedDb`]; a classic schedule
+//!    is simply `shards: 1`) and the model in lockstep, drives restart +
+//!    media recovery after every machine death, then diffs the quiesced
+//!    state dump against the model and validates each shard's event trace
+//!    against the steal/commit protocol invariants shared with `rda-obs`.
+//!    How it runs: one OS thread per transaction slot, dispatched
+//!    turn-based so the run stays deterministic while every operation
+//!    crosses a real thread boundary; cross-shard 2PC commits interrupted
+//!    by a crash are resolved through the recovery-reported intent
+//!    replays.
 //! 4. A **shrinker** ([`shrink`]) delta-debugs any counterexample down to
 //!    a minimal, deterministically-failing schedule, and the **corpus**
 //!    ([`corpus`]) stores such repros as JSON for replay in CI forever
 //!    after.
-//! 5. A **threaded runner** ([`run_threaded`]) replays the same
-//!    vocabulary against the *sharded* engine ([`rda_core::ShardedDb`])
-//!    with one OS thread per transaction slot, dispatched turn-based so
-//!    the run stays deterministic; cross-shard 2PC commits interrupted
-//!    by a crash are resolved through the recovery-reported intent
-//!    replays. Its sweep ([`threaded_sweep`]), shrinker
-//!    ([`shrink_threaded`]) and corpus (`corpus-threaded/`) mirror the
-//!    sequential ones.
 //!
 //! The checker's teeth are proved by mutation: compile a protocol
-//! mutation into the engine
-//! ([`ProtocolMutations`](rda_core::ProtocolMutations), e.g. skip the
+//! mutation into the engine ([`ProtocolMutations`], e.g. skip the
 //! commit-time twin flip) and the sweep must find and shrink a
 //! counterexample within a few dozen schedules — see the crate tests and
 //! `cargo run -p rda-check -- --smoke`.
@@ -45,23 +44,18 @@ mod model;
 mod schedule;
 mod shrink;
 mod sweep;
-mod threaded;
 
 pub mod corpus;
 
 pub use checker::{run_schedule, CheckOutcome};
-// The mutation knob rides along so checker users need no direct
-// `rda-core` import to arm it.
-pub use generate::{fault_kind_cycle, fault_variant, generate, mix, Rng};
+pub use generate::{
+    fault_kind_cycle, fault_variant, generate, generate_threaded, mix, Rng, Stream,
+};
 pub use json::{escape, Json};
 pub use model::{Expected, RefModel};
+// The mutation knob rides along so checker users need no direct
+// `rda-core` import to arm it.
 pub use rda_core::ProtocolMutations;
 pub use schedule::{DbKnobs, FaultPoint, SchedOp, Schedule, MAX_SLOTS, PAGES};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use sweep::{check_index, sweep, Failure, ScheduleResult, SweepConfig, SweepReport};
-pub use threaded::{
-    check_threaded_index, generate_threaded, load_threaded_dir, replay_threaded_dir, run_threaded,
-    shrink_threaded, threaded_corpus_dir, threaded_sweep, ShrinkThreadedOutcome,
-    ThreadedCorpusEntry, ThreadedFailure, ThreadedKnobs, ThreadedReport, ThreadedResult,
-    ThreadedSchedule, ThreadedSweepConfig,
-};

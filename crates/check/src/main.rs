@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Default run: replay the regression corpus, then sweep `--schedules`
-//! seeded schedules (each golden + `--faults` sampled fault points), then
+//! seeded schedules (each golden + `--faults` sampled fault points) of
+//! the classic one-shard stream, or with `--threaded` of the stream that
+//! also draws shard counts and the group-commit gate, then
 //! prove the checker's teeth by re-running a short sweep with the
 //! `skip_commit_twin_flip` protocol mutation compiled in — that sweep
 //! must *fail*, and its counterexample must shrink to a handful of ops.
@@ -18,14 +20,10 @@
 //! counterexample, write it to `--repro-out`, exit 0 iff found); this is
 //! how new corpus entries are born.
 
-use rda_check::{
-    corpus, replay_threaded_dir, shrink, shrink_threaded, sweep, threaded_corpus_dir,
-    threaded_sweep, ProtocolMutations, SweepConfig, ThreadedSweepConfig,
-};
+use rda_check::{corpus, shrink, sweep, ProtocolMutations, Stream, SweepConfig};
 use std::io::Write as _;
 use std::process::ExitCode;
 
-#[allow(clippy::struct_excessive_bools)] // independent CLI switches, not a state machine
 struct Args {
     schedules: u64,
     faults: u64,
@@ -33,7 +31,7 @@ struct Args {
     workers: usize,
     mutation: bool,
     corpus: bool,
-    threaded: bool,
+    stream: Stream,
     out: Option<String>,
     repro_out: Option<String>,
     replay: Option<String>,
@@ -49,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
         workers: 4,
         mutation: false,
         corpus: true,
-        threaded: false,
+        stream: Stream::Classic,
         out: None,
         repro_out: None,
         replay: None,
@@ -69,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse_u64(&value("--workers")?)? as usize,
             "--mutation" => args.mutation = true,
             "--no-corpus" => args.corpus = false,
-            "--threaded" => args.threaded = true,
+            "--threaded" => args.stream = Stream::Threaded,
             "--out" => args.out = Some(value("--out")?),
             "--repro-out" => args.repro_out = Some(value("--repro-out")?),
             "--replay" => args.replay = Some(value("--replay")?),
@@ -105,10 +103,6 @@ fn run() -> Result<(), String> {
         return replay_one(&args, path);
     }
 
-    if args.threaded {
-        return run_threaded_mode(&args);
-    }
-
     if args.corpus {
         let count = corpus::replay_dir(&corpus::default_dir())?;
         println!("corpus: {count} entries replayed, all expectations met");
@@ -122,6 +116,7 @@ fn run() -> Result<(), String> {
         ProtocolMutations::default()
     };
     let cfg = SweepConfig {
+        stream: args.stream,
         seed: args.seed,
         schedules: args.schedules,
         faults_per_schedule: args.faults,
@@ -180,6 +175,7 @@ fn run() -> Result<(), String> {
         ));
     }
     let teeth_cfg = SweepConfig {
+        stream: args.stream,
         seed: args.seed,
         schedules: 40,
         faults_per_schedule: 1,
@@ -206,78 +202,6 @@ fn run() -> Result<(), String> {
         return Err(format!(
             "mutation repro did not shrink below 12 ops (got {})",
             shrunk.schedule.ops.len()
-        ));
-    }
-    Ok(())
-}
-
-/// `--threaded`: replay the threaded corpus, then sweep seeded
-/// multi-threaded schedules against the sharded engine. In `--mutation`
-/// mode the sweep must find a counterexample and shrink it; otherwise it
-/// must be clean.
-fn run_threaded_mode(args: &Args) -> Result<(), String> {
-    if args.corpus {
-        let count = replay_threaded_dir(&threaded_corpus_dir())?;
-        println!("threaded corpus: {count} entries replayed, all expectations met");
-    }
-    let mutations = if args.mutation {
-        ProtocolMutations {
-            skip_commit_twin_flip: true,
-        }
-    } else {
-        ProtocolMutations::default()
-    };
-    let cfg = ThreadedSweepConfig {
-        seed: args.seed,
-        schedules: args.schedules,
-        faults_per_schedule: args.faults,
-        workers: args.workers,
-        mutations,
-        stop_on_failure: args.mutation,
-    };
-    let report = threaded_sweep(&cfg);
-    println!(
-        "threaded sweep: seed {:#x}, {} schedules, {} checks, clean = {}",
-        cfg.seed,
-        report.results.len(),
-        report.checks(),
-        report.is_clean()
-    );
-    if let Some(path) = &args.out {
-        write_file(path, &report.to_json())?;
-        println!("threaded sweep report written to {path}");
-    }
-    if args.mutation {
-        let failures = report.failures();
-        let Some(first) = failures.first() else {
-            return Err(format!(
-                "threaded mutation sweep found no counterexample in {} schedules",
-                report.results.len()
-            ));
-        };
-        let shrunk = shrink_threaded(&first.schedule, mutations, 400);
-        println!(
-            "threaded mutation caught at '{}' ({}); shrunk to {} ops in {} evals",
-            first.schedule.name,
-            first.variant,
-            shrunk.schedule.ops.len(),
-            shrunk.evals
-        );
-        if let Some(path) = &args.repro_out {
-            write_file(path, &shrunk.schedule.to_json().to_string())?;
-            println!("shrunk threaded repro written to {path}");
-        }
-        return Ok(());
-    }
-    if let Some(first) = report.failures().first() {
-        if let Some(path) = &args.repro_out {
-            let shrunk = shrink_threaded(&first.schedule, ProtocolMutations::default(), 400);
-            write_file(path, &shrunk.schedule.to_json().to_string())?;
-            eprintln!("shrunk threaded repro written to {path}");
-        }
-        return Err(format!(
-            "threaded sweep found a counterexample: '{}' ({}) — {:?}",
-            first.schedule.name, first.variant, first.violations
         ));
     }
     Ok(())

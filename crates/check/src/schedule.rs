@@ -4,20 +4,24 @@
 //! an interleaving of multi-transaction begin/read/write/commit/abort
 //! steps, spiked with whole-machine events (crash + restart, disk death,
 //! media recovery) and at most one *planted* fault point threaded through
-//! the `rda-faults` I/O seam. Schedules serialize to a stable JSON shape
-//! so shrunk counterexamples can be stored in the regression corpus and
-//! replayed byte-for-byte later.
+//! the `rda-faults` I/O seam. Its [`DbKnobs`] name the engine shape too
+//! (shard count, group-commit gate), so a one-shard schedule and a
+//! cross-shard one are the same type. Schedules serialize to a stable
+//! JSON shape so shrunk counterexamples can be stored in the regression
+//! corpus and replayed byte-for-byte later.
 
 use crate::json::Json;
 use rda_array::{ArrayConfig, Organization};
 use rda_core::{
-    CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
+    CheckpointPolicy, DbConfig, EngineKind, EotPolicy, GroupCommit, LogGranularity,
+    ProtocolMutations,
 };
 use rda_faults::FaultKind;
 
 /// Transaction slots a schedule may address. Slots are *roles*, not
 /// transaction ids: a slot can be re-begun after its transaction finished
-/// or died in a crash, starting a fresh transaction in the same role.
+/// or died in a crash, starting a fresh transaction in the same role. The
+/// executor gives every addressed slot its own OS thread.
 pub const MAX_SLOTS: usize = 6;
 
 /// Parity groups in the checker's database (rotated parity, `n = 4`,
@@ -113,11 +117,19 @@ pub struct DbKnobs {
     pub force: bool,
     /// Strict two-phase read locks (serializable) vs. dirty reads.
     pub strict: bool,
+    /// Engine shards (1 ≤ shards ≤ 4 on the checker's 4-group array); a
+    /// JSON `config` that omits it means 1.
+    pub shards: u32,
+    /// Commit through the group-commit gate? A JSON `config` that omits
+    /// it means no.
+    pub group_commit: bool,
 }
 
 impl DbKnobs {
     /// Materialize the full [`DbConfig`] for this knob setting, with the
-    /// given protocol mutations compiled in.
+    /// given protocol mutations compiled in. The gate window is kept tiny:
+    /// under turn-based dispatch every batch has one member, so the window
+    /// is pure leader-path latency.
     #[must_use]
     pub fn config(&self, mutations: ProtocolMutations) -> DbConfig {
         DbConfig {
@@ -142,8 +154,11 @@ impl DbKnobs {
             trace_events: 1 << 15,
             span_events: false,
             mutations,
-            shards: 1,
-            group_commit: None,
+            shards: self.shards,
+            group_commit: self.group_commit.then_some(GroupCommit {
+                window_micros: 50,
+                max_batch: 8,
+            }),
         }
     }
 }
@@ -166,7 +181,8 @@ pub struct Schedule {
     pub knobs: DbKnobs,
     /// The steps, executed in order.
     pub ops: Vec<SchedOp>,
-    /// At most one planted fault.
+    /// At most one planted fault (global I/O numbering: the injector is
+    /// shared across shards, so the billed clock is machine-wide).
     pub fault: Option<FaultPoint>,
 }
 
@@ -217,6 +233,14 @@ impl Schedule {
                         Json::Str(if self.knobs.force { "force" } else { "noforce" }.to_string()),
                     ),
                     ("strict".to_string(), Json::Bool(self.knobs.strict)),
+                    (
+                        "shards".to_string(),
+                        Json::Int(i64::from(self.knobs.shards)),
+                    ),
+                    (
+                        "group_commit".to_string(),
+                        Json::Bool(self.knobs.group_commit),
+                    ),
                 ]),
             ),
             (
@@ -261,6 +285,17 @@ impl Schedule {
             .get("strict")
             .and_then(Json::as_bool)
             .ok_or("config missing 'strict'")?;
+        let shards = match config.get("shards") {
+            None => 1,
+            Some(s) => s
+                .as_u64()
+                .filter(|s| (1..=u64::from(PAGES / 4)).contains(s))
+                .ok_or("config 'shards' must be 1..=4")? as u32,
+        };
+        let group_commit = match config.get("group_commit") {
+            None => false,
+            Some(g) => g.as_bool().ok_or("config 'group_commit' must be a bool")?,
+        };
         let ops = value
             .get("ops")
             .and_then(Json::as_arr)
@@ -290,6 +325,8 @@ impl Schedule {
                 frames,
                 force,
                 strict,
+                shards,
+                group_commit,
             },
             ops,
             fault,
@@ -297,7 +334,7 @@ impl Schedule {
     }
 }
 
-pub(crate) fn op_to_json(op: &SchedOp) -> Json {
+fn op_to_json(op: &SchedOp) -> Json {
     let mut members = Vec::with_capacity(4);
     let tag = |s: &str| Json::Str(s.to_string());
     match *op {
@@ -354,7 +391,7 @@ pub(crate) fn op_to_json(op: &SchedOp) -> Json {
     Json::Obj(members)
 }
 
-pub(crate) fn op_from_json(value: &Json) -> Result<SchedOp, String> {
+fn op_from_json(value: &Json) -> Result<SchedOp, String> {
     let slot = || {
         value
             .get("slot")

@@ -10,7 +10,7 @@
 //! count.
 
 use crate::checker::{run_schedule, CheckOutcome};
-use crate::generate::{fault_kind_cycle, generate, mix};
+use crate::generate::{fault_kind_cycle, Stream};
 use crate::json::Json;
 use crate::schedule::Schedule;
 use rda_core::ProtocolMutations;
@@ -23,34 +23,24 @@ const CHUNK: u64 = 8;
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
-    /// Master seed; schedule `i` derives from `mix(seed, i)`.
+    /// Which generator feeds the sweep.
+    pub stream: Stream,
+    /// Master seed; schedule `i` derives from
+    /// `stream.schedule_seed(seed, i)`.
     pub seed: u64,
     /// How many schedules to generate.
     pub schedules: u64,
     /// Sampled fault points per schedule (each cycles crash → torn write
     /// → disk death).
     pub faults_per_schedule: u64,
-    /// Worker threads (≥ 1). Does not affect the report.
+    /// Worker threads for the sweep itself (≥ 1; each schedule
+    /// additionally runs its own slot threads). Does not affect the
+    /// report.
     pub workers: usize,
     /// Protocol mutations compiled into the engine under test.
     pub mutations: ProtocolMutations,
     /// Stop at the first chunk that produced a failure.
     pub stop_on_failure: bool,
-}
-
-impl SweepConfig {
-    /// A small default sweep over `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> SweepConfig {
-        SweepConfig {
-            seed,
-            schedules: 100,
-            faults_per_schedule: 2,
-            workers: 1,
-            mutations: ProtocolMutations::default(),
-            stop_on_failure: false,
-        }
-    }
 }
 
 /// A failing check, with everything needed to reproduce it.
@@ -177,7 +167,7 @@ impl SweepReport {
 /// fault variant until the first failure.
 #[must_use]
 pub fn check_index(cfg: &SweepConfig, index: u64) -> ScheduleResult {
-    let base = generate(cfg.seed, index);
+    let base = cfg.stream.generate(cfg.seed, index);
     let golden = run_schedule(&base, cfg.mutations);
     let mut digest = golden.digest();
     let mut checks = 1;
@@ -190,7 +180,7 @@ pub fn check_index(cfg: &SweepConfig, index: u64) -> ScheduleResult {
             workload_ios,
             0,
             cfg.faults_per_schedule,
-            mix(cfg.seed, index) | 1,
+            cfg.stream.schedule_seed(cfg.seed, index) | 1,
         );
         for (j, &k) in points.iter().enumerate() {
             // Double failure is genuine data loss, not a recovery bug: a
@@ -256,9 +246,10 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
         } else {
             let counter = std::sync::atomic::AtomicUsize::new(0);
             let slots = std::sync::Mutex::new(&mut slot_results);
-            crossbeam::thread::scope(|scope| {
+            // A panicking worker propagates out of the scope.
+            std::thread::scope(|scope| {
                 for _ in 0..workers.min(chunk.len()) {
-                    scope.spawn(|_| loop {
+                    scope.spawn(|| loop {
                         // ordering: Relaxed — work-queue index claim;
                         // atomicity alone guarantees each slot is taken
                         // once, and results publish via the mutex.
@@ -272,8 +263,7 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
                         }
                     });
                 }
-            })
-            .unwrap_or_else(|_| unreachable!("sweep worker panicked"));
+            });
         }
         let mut tripped = false;
         for result in slot_results.into_iter().flatten() {

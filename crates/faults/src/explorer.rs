@@ -543,11 +543,11 @@ fn explore_points_parallel(
     workers: usize,
 ) -> (Vec<Crashpoint>, Vec<WorkerTiming>) {
     let next = AtomicUsize::new(0);
-    let scope_result = crossbeam::thread::scope(|s| {
+    let (slots, mut timings) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let next = &next;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let start = Instant::now();
                     let mut done: Vec<(usize, Crashpoint)> = Vec::new();
                     loop {
@@ -582,10 +582,6 @@ fn explore_points_parallel(
         }
         (slots, timings)
     });
-    let (slots, mut timings) = match scope_result {
-        Ok(pair) => pair,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
     timings.sort_by_key(|t| t.worker);
     // Every index was claimed by exactly one worker and every worker was
     // joined, so each slot is filled.

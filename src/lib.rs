@@ -31,9 +31,10 @@
 //!   exporters), and per-phase recovery timelines.
 //! * [`check`] — model-based differential checker: seeded multi-transaction
 //!   schedules (with crash, torn-write and disk-death points threaded
-//!   through the fault seam) replayed against both the real engine and a
-//!   sequential reference model, with delta-debugging shrinking and a
-//!   replayable regression corpus.
+//!   through the fault seam) replayed by one executor — the sharded
+//!   engine, one to four shards, one OS thread per transaction slot —
+//!   against a sequential reference model, with delta-debugging shrinking
+//!   and a replayable regression corpus.
 //! * [`disk`] — the file-backed storage backend: real files behind the
 //!   same `BlockDevice` seam, written through on the caller's thread and
 //!   fsynced at barriers, append-only side-table journals, and a literal
