@@ -129,7 +129,7 @@ impl Page {
     /// True if every byte is zero.
     #[must_use]
     pub fn is_zeroed(&self) -> bool {
-        self.0.iter().all(|&b| b == 0)
+        crate::xor::is_zero(&self.0)
     }
 
     /// XOR `other` into this page in place.
@@ -167,18 +167,13 @@ impl Page {
         self.0.fill(0);
     }
 
-    /// A cheap non-cryptographic checksum (FNV-1a), handy in tests and for
-    /// simulated "page contents" assertions.
+    /// The page's 64-bit non-cryptographic checksum
+    /// ([`xor::checksum`](crate::xor::checksum)): what a file-backed disk
+    /// records beside the block, and a compact name for the contents in
+    /// `Debug` output.
     #[must_use]
     pub fn checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for &b in &self.0 {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        crate::xor::checksum(&self.0)
     }
 }
 
@@ -196,7 +191,7 @@ impl AsMut<[u8]> for Page {
 
 impl fmt::Debug for Page {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Page[{}B, fnv={:016x}]", self.0.len(), self.checksum())
+        write!(f, "Page[{}B, sum={:016x}]", self.0.len(), self.checksum())
     }
 }
 
@@ -284,6 +279,10 @@ mod tests {
         let a = Page::from_bytes(&[0, 0, 0, 1]);
         let b = Page::from_bytes(&[0, 0, 1, 0]);
         assert_ne!(a.checksum(), b.checksum());
+        assert_eq!(
+            format!("{a:?}"),
+            format!("Page[4B, sum={:016x}]", a.checksum())
+        );
     }
 
     #[test]

@@ -34,6 +34,8 @@ use std::sync::{Arc, OnceLock};
 pub enum DurabilityMode {
     /// Fsync only at explicit [`BlockDevice::barrier`] points (commit,
     /// checkpoint, recovery finish) — the default, and the cheaper mode.
+    /// A barrier fsyncs a disk only if its files were modified since the
+    /// last successful fsync, so a commit pays for the disks it touched.
     #[default]
     FsyncOnBarrier,
     /// Fsync inside every write, approximating an O_DSYNC device. A
@@ -67,6 +69,13 @@ struct DiskState {
     /// succeeds proves nothing), or a replacement could not be blanked.
     /// Sticky until [`BlockDevice::replace`] succeeds.
     poisoned: Option<String>,
+    /// The files may hold bytes no fsync has covered. Set by everything
+    /// that modifies them, cleared only by a successful fsync; a barrier
+    /// on a clean disk has nothing to make durable and issues none. A
+    /// disk starts dirty: files just created, or reopened after a kill
+    /// with writes still in the page cache, have never been synced by
+    /// this process.
+    dirty: bool,
 }
 
 /// One file-backed disk of the array.
@@ -121,6 +130,7 @@ impl FileDisk {
                 failed: false,
                 bad_blocks: HashSet::new(),
                 poisoned: None,
+                dirty: true,
             }),
             hook: Mutex::new(None),
         }
@@ -155,7 +165,13 @@ impl FileDisk {
         if let Some(h) = self.counters.fsync_nanos.get() {
             h.observe(monotonic_nanos().saturating_sub(start));
         }
-        synced.map_err(|e| self.poison(state, format!("fsync failed: {e}")))
+        match synced {
+            Ok(()) => {
+                state.dirty = false;
+                Ok(())
+            }
+            Err(e) => Err(self.poison(state, format!("fsync failed: {e}"))),
+        }
     }
 
     /// The shared read-side gate: fault hook, then failure states — the
@@ -255,6 +271,7 @@ impl BlockDevice for FileDisk {
                 // Make the tear physical: the half-new image lands
                 // without its checksum. Best-effort — the machine is
                 // losing power.
+                state.dirty = true;
                 let _ = self.files.write_torn_half(block, Some(page.as_ref()));
                 return Err(ArrayError::Crashed);
             }
@@ -267,6 +284,7 @@ impl BlockDevice for FileDisk {
             return Err(self.backend_err(msg.clone()));
         }
         self.counters.writes.inc();
+        state.dirty = true;
         self.files
             .write_block(block, page)
             .map_err(|e| self.backend_err(format!("write of block {block} failed: {e}")))?;
@@ -298,11 +316,14 @@ impl BlockDevice for FileDisk {
 
     fn tear_block(&self, block: u64) {
         debug_assert!(block < self.files.block_count());
+        let mut state = self.state.lock();
+        state.dirty = true;
         let _ = self.files.write_torn_half(block, None);
     }
 
     fn replace(&self) {
         let mut state = self.state.lock();
+        state.dirty = true;
         match self.files.reset_zero() {
             Ok(()) => {
                 state.failed = false;
@@ -324,7 +345,7 @@ impl BlockDevice for FileDisk {
         if let Some(msg) = &state.poisoned {
             return Err(self.backend_err(msg.clone()));
         }
-        if self.mode == DurabilityMode::FsyncOnBarrier {
+        if self.mode == DurabilityMode::FsyncOnBarrier && state.dirty {
             self.sync(&mut state)?;
         }
         Ok(())
@@ -446,6 +467,36 @@ mod tests {
         assert_eq!(d.counters.barriers.get(), 1);
         assert_eq!(d.counters.fsyncs.get(), 1, "eight writes, one platter sync");
         assert_eq!(d.counters.sticky_errors.get(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn barrier_fsyncs_only_a_disk_modified_since_the_last_fsync() {
+        let dir = tmpdir("barrier-clean");
+        let d = disk(&dir);
+        let fsyncs_after_barrier = || {
+            BlockDevice::barrier(&d).unwrap();
+            d.counters.fsyncs.get()
+        };
+        assert_eq!(fsyncs_after_barrier(), 1, "fresh files were never synced");
+        assert_eq!(fsyncs_after_barrier(), 1, "clean: nothing to make durable");
+        assert_eq!(d.counters.barriers.get(), 2, "the barrier is still counted");
+        let page = Page::from_bytes(&[7u8; 32]);
+        d.write(3, &page).unwrap();
+        assert_eq!(fsyncs_after_barrier(), 2, "a write dirties");
+        assert_eq!(d.read(3).unwrap(), page);
+        assert_eq!(fsyncs_after_barrier(), 2, "a read does not");
+        d.tear_block(3);
+        assert_eq!(fsyncs_after_barrier(), 3, "an injected tear dirties");
+        let plan = rda_faults::FaultPlan::torn_write_at(1);
+        let injector = Arc::new(rda_faults::FaultInjector::new(plan));
+        d.set_fault_hook(Some(HookState::new(injector)));
+        assert_eq!(d.write(4, &page), Err(ArrayError::Crashed));
+        d.set_fault_hook(None);
+        assert_eq!(fsyncs_after_barrier(), 4, "a torn write dirties");
+        d.replace();
+        assert_eq!(fsyncs_after_barrier(), 5, "a blanked replacement dirties");
+        assert_eq!(fsyncs_after_barrier(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,31 +15,44 @@
 //! undecodable frame, which is exactly the not-yet-durable suffix.
 //!
 //! `meta.journal` is small (one header per group, the live chains, at
-//! most one intent) and is rewritten as a snapshot on every reopen.
+//! most one intent) and is rewritten as a snapshot on every reopen;
+//! between reopens it only grows.
 //!
-//! `wal.journal` is as large as the retained log, so reopening it reads
-//! it once and copies each surviving record once ([`FileLogSink::load`]):
-//! log truncation appends an O(1) marker frame instead of rewriting the
-//! file; the records a marker killed are skipped by tag and LSN, never
-//! decoded; a torn or undecodable tail is cut off in place (`set_len`)
-//! and appends resume there; and the file is rewritten (marker + live
-//! suffix, tmp + fsync + rename) only when the dead prefix has grown to
-//! the size of what would remain, so the rewrite at least halves it.
+//! `wal.journal` is as large as the retained log, give or take the
+//! rule below, while the process runs and when it is reopened. Log
+//! truncation appends an O(1) marker frame; the records a marker killed
+//! are skipped by tag and LSN, never decoded. The sink knows the file's
+//! length and the offset of every retained record's frame, so after each
+//! marker — and once in [`FileLogSink::load`], which reads the file once,
+//! copies each surviving record once and cuts a torn or undecodable tail
+//! off in place (`set_len`) — it applies one rule through one routine
+//! (`Journal::reclaim`): when the dead prefix has grown to the size of
+//! what would remain, so that a rewrite at least halves the file, the
+//! journal becomes one marker plus the live suffix copied byte for byte
+//! (tmp + fsync + rename + fsync of the directory). A database that
+//! truncates its log every so many commits therefore keeps a journal of
+//! at most twice the sum of what it retains and one such interval of
+//! frames, and appends into pages the file system just got back instead
+//! of ever-fresh ones.
 //!
 //! Durability policy: frames that *gate* platter writes (intent staging,
 //! chain links, twin header flips) are fsynced as they are appended;
 //! pure compaction hints (chain/intent clears, truncate markers) are
 //! not. WAL frames are fsynced when the store forces, via
 //! [`LogSink::sync`]. An append or fsync failure panics: a journal that
-//! cannot persist has no honest way to keep accepting mutations.
+//! cannot persist has no honest way to keep accepting mutations. A
+//! journal *rewrite* that fails is different: the file it meant to
+//! replace is whole and stays in service, and the next truncation tries
+//! again.
 
 use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
 use rda_wal::{codec, LogRecord, LogSink};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const TAG_TWIN_META: u8 = 1;
@@ -70,6 +83,14 @@ pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::R
         file.sync_data()?;
     }
     Ok(())
+}
+
+/// Fsync the directory holding `path`, which makes a rename of `path`
+/// durable: without it a power loss can bring the replaced file back
+/// while later, fsynced appends went to the new one.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
 /// The complete frames of a journal byte stream, in order; iteration ends
@@ -312,6 +333,7 @@ impl FileMetaStore {
         out.write_all(&snap)?;
         out.sync_data()?;
         std::fs::rename(&tmp, &path)?;
+        sync_parent_dir(&path)?;
 
         let snapshot = MetaSnapshot {
             twin_metas: twins,
@@ -383,6 +405,13 @@ fn marker(base: u64) -> [u8; 9] {
     payload
 }
 
+/// A truncate marker as it lies in the file: length prefix and payload.
+fn marker_frame(base: u64) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(MARKER_FRAME_LEN);
+    push_frame(&mut frame, &marker(base));
+    frame
+}
+
 /// The base a truncate marker frame declares; `None` for any other frame.
 fn marker_base(frame: &[u8]) -> Option<u64> {
     let mut c = Cursor { buf: frame };
@@ -398,9 +427,9 @@ struct Replayed {
     base: u64,
     /// The surviving records, `base` onwards.
     records: Vec<LogRecord>,
-    /// Offset of the first surviving record's frame: everything before it
-    /// is dead (`end` when nothing survives).
-    live_from: usize,
+    /// Offset of each surviving record's frame; everything before the
+    /// first is dead.
+    offsets: VecDeque<u64>,
     /// End of the last whole frame.
     end: usize,
 }
@@ -426,7 +455,7 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
     // Number the records as the writer did and decode the survivors,
     // each image copied once, out of `buf` into its record.
     let mut records = Vec::new();
-    let mut live_from = end;
+    let mut offsets = VecDeque::new();
     let mut next_lsn = 0u64;
     let mut walk = frames(&buf[..end]);
     loop {
@@ -442,26 +471,147 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
             let Ok((record, _)) = codec::decode_slice(&frame[1..]) else {
                 return Err(at);
             };
-            if records.is_empty() {
-                live_from = at;
-            }
             records.push(record);
+            offsets.push_back(at as u64);
         }
         next_lsn += 1;
     }
     Ok(Replayed {
         base,
         records,
-        live_from,
+        offsets,
         end,
     })
 }
 
-/// The open `wal.journal` and the buffer a batch is framed in before its
-/// one `write`.
+/// Which step of a journal rewrite a unit test wants to fail; production
+/// builds have no such seam (see `io::FailOn`).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailRewrite {
+    /// The temporary file cannot be made durable.
+    TmpSync,
+    /// The rename went through; the directory fsync after it fails.
+    DirSync,
+}
+
+/// The open `wal.journal`: where its frames are, and the buffer a batch
+/// is framed in before its one `write`. All I/O is positioned at `len`.
 struct Journal {
+    path: PathBuf,
     file: File,
     batch: BytesMut,
+    /// Length of the file: where the next frame lands.
+    len: u64,
+    /// LSN of the first retained record.
+    base: u64,
+    /// Offset of each retained record's frame, `base` onwards.
+    offsets: VecDeque<u64>,
+    /// False from a rename of `path` until the directory holding it has
+    /// been fsynced: until then a power loss could bring the replaced
+    /// file back, so [`LogSink::sync`] may not report anything stable.
+    dir_synced: bool,
+    #[cfg(test)]
+    fail_rewrite: Option<FailRewrite>,
+}
+
+impl Journal {
+    fn over(path: PathBuf, file: File, len: u64, base: u64, offsets: VecDeque<u64>) -> Journal {
+        Journal {
+            path,
+            file,
+            batch: BytesMut::new(),
+            len,
+            base,
+            offsets,
+            dir_synced: true,
+            #[cfg(test)]
+            fail_rewrite: None,
+        }
+    }
+
+    #[cfg(test)]
+    fn injected(&self, step: FailRewrite) -> io::Result<()> {
+        if self.fail_rewrite == Some(step) {
+            return Err(io::Error::other(format!("injected {step:?} failure")));
+        }
+        Ok(())
+    }
+
+    /// Append `bytes` (whole frames) at the end of the file.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.file.write_all_at(bytes, self.len)?;
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Make the rename of `path` durable.
+    fn sync_dir(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailRewrite::DirSync)?;
+        sync_parent_dir(&self.path)?;
+        self.dir_synced = true;
+        Ok(())
+    }
+
+    /// The one place the journal is rewritten, and the one rule for when:
+    /// only if dropping the dead prefix at least halves the file — the
+    /// dead bytes accumulated since the last rewrite pay for this one, and
+    /// a just-rewritten or near-empty journal (two marker lengths of
+    /// slack) is left alone. The new file is one marker declaring `base`,
+    /// then the live suffix as it stands, markers and all.
+    ///
+    /// An error before the rename leaves the old file untouched and in
+    /// service. After the rename the new file *is* the journal; if the
+    /// directory fsync then fails, `dir_synced` stays false and the next
+    /// [`LogSink::sync`] must repeat it before anything counts as stable.
+    fn reclaim(&mut self) -> io::Result<()> {
+        let live_from = self.offsets.front().copied().unwrap_or(self.len);
+        let live = self.len - live_from;
+        if live_from < live + 2 * MARKER_FRAME_LEN as u64 {
+            return Ok(());
+        }
+        let mut image = marker_frame(self.base);
+        image.resize(MARKER_FRAME_LEN + live as usize, 0);
+        self.file
+            .read_exact_at(&mut image[MARKER_FRAME_LEN..], live_from)?;
+
+        let tmp = tmp_path(&self.path);
+        let renamed = (|| {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            file.write_all_at(&image, 0)?;
+            #[cfg(test)]
+            self.injected(FailRewrite::TmpSync)?;
+            file.sync_data()?;
+            std::fs::rename(&tmp, &self.path)?;
+            Ok(file)
+        })();
+        let file = match renamed {
+            Ok(file) => file,
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
+            }
+        };
+        self.file = file;
+        self.len = image.len() as u64;
+        let shift = live_from - MARKER_FRAME_LEN as u64;
+        for at in &mut self.offsets {
+            *at -= shift;
+        }
+        self.dir_synced = false;
+        self.sync_dir()
+    }
+}
+
+/// Where a rewrite builds the next `wal.journal` before renaming it.
+fn tmp_path(journal: &Path) -> PathBuf {
+    journal.with_extension("journal.tmp")
 }
 
 /// The durable mirror of the write-ahead log.
@@ -474,24 +624,18 @@ impl FileLogSink {
         dir.join("wal.journal")
     }
 
-    fn over(file: File) -> FileLogSink {
-        FileLogSink {
-            journal: Mutex::new(Journal {
-                file,
-                batch: BytesMut::new(),
-            }),
-        }
-    }
-
     /// Create an empty WAL journal.
     pub(crate) fn create(dir: &Path) -> io::Result<FileLogSink> {
+        let path = FileLogSink::journal_path(dir);
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(FileLogSink::journal_path(dir))?;
-        Ok(FileLogSink::over(file))
+            .open(&path)?;
+        Ok(FileLogSink {
+            journal: Mutex::new(Journal::over(path, file, 0, 0, VecDeque::new())),
+        })
     }
 
     /// Replay the WAL journal of a surviving database and return the sink,
@@ -500,12 +644,17 @@ impl FileLogSink {
     /// [`LogStore::restore`](rda_wal::LogStore::restore).
     ///
     /// The file is read once. A torn or undecodable tail is cut off in
-    /// place. The file is rewritten — one marker, then the live suffix as
-    /// it stands — only when that at least halves it, a rule on the
-    /// file's own contents: the dead bytes accumulated since the last
-    /// rewrite pay for this one.
+    /// place, a temporary file a kill left behind mid-rewrite is removed,
+    /// and the file is rewritten by the rule, and the routine, every
+    /// truncation uses (`Journal::reclaim`).
     pub(crate) fn load(dir: &Path) -> io::Result<(FileLogSink, u64, Vec<LogRecord>)> {
         let path = FileLogSink::journal_path(dir);
+        // Killed between creating the temporary file and renaming it: the
+        // journal proper is whole, the leftover is not.
+        match std::fs::remove_file(tmp_path(&path)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
@@ -514,7 +663,7 @@ impl FileLogSink {
         let Replayed {
             base,
             records,
-            live_from,
+            offsets,
             end,
         } = loop {
             match replay(&buf[..upto]) {
@@ -522,52 +671,60 @@ impl FileLogSink {
                 Err(cut) => upto = cut,
             }
         };
-
-        let live = end - live_from;
-        if live_from >= live + 2 * MARKER_FRAME_LEN {
-            let tmp = path.with_extension("journal.tmp");
-            file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            append_frame(&mut file, &marker(base), false)?;
-            file.write_all(&buf[live_from..end])?;
-            file.sync_data()?;
-            std::fs::rename(&tmp, &path)?;
-        } else if end < buf.len() {
+        if end < buf.len() {
             file.set_len(end as u64)?;
-            file.seek(SeekFrom::Start(end as u64))?;
         }
-        Ok((FileLogSink::over(file), base, records))
+        drop(buf);
+        let mut journal = Journal::over(path, file, end as u64, base, offsets);
+        journal.reclaim()?;
+        let journal = Mutex::new(journal);
+        Ok((FileLogSink { journal }, base, records))
     }
 }
 
 impl LogSink for FileLogSink {
     fn append_batch(&self, records: &[LogRecord]) {
         let mut journal = self.journal.lock();
-        let Journal { file, batch } = &mut *journal;
+        let mut batch = std::mem::take(&mut journal.batch);
         batch.clear();
         for record in records {
+            let at = journal.len + batch.len() as u64;
+            journal.offsets.push_back(at);
             batch.put_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
             batch.put_u8(TAG_WAL_RECORD);
-            codec::encode(record, batch);
+            codec::encode(record, &mut batch);
         }
-        if let Err(e) = file.write_all(batch) {
+        if let Err(e) = journal.append(&batch) {
             panic!("wal journal append failed, durability is lost: {e}");
         }
+        journal.batch = batch;
     }
 
     fn sync(&self) {
-        if let Err(e) = self.journal.lock().file.sync_data() {
+        let mut journal = self.journal.lock();
+        let mut synced = journal.file.sync_data();
+        if synced.is_ok() && !journal.dir_synced {
+            synced = journal.sync_dir();
+        }
+        if let Err(e) = synced {
             panic!("wal journal sync failed, durability is lost: {e}");
         }
     }
 
     fn truncated(&self, new_base: u64) {
-        if let Err(e) = append_frame(&mut self.journal.lock().file, &marker(new_base), false) {
+        let mut journal = self.journal.lock();
+        if let Err(e) = journal.append(&marker_frame(new_base)) {
             panic!("wal journal append failed, durability is lost: {e}");
         }
+        // The store's base only grows; a stale marker kills nothing.
+        let killed = new_base.saturating_sub(journal.base);
+        let killed = journal.offsets.len().min(killed as usize);
+        journal.offsets.drain(..killed);
+        journal.base = journal.base.max(new_base);
+        // A rewrite that fails costs space, not correctness: the marker
+        // above already says what is dead, the file it meant to replace
+        // keeps taking appends, and the next truncation tries again.
+        let _ = journal.reclaim();
     }
 }
 
@@ -778,74 +935,272 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// What the sink believes about its file is what a fresh walk finds.
+    fn assert_matches_a_fresh_walk(sink: &FileLogSink, dir: &Path) {
+        let bytes = wal_bytes(dir);
+        let fresh = replay(&bytes).expect("every surviving record decodes");
+        assert_eq!(fresh.end, bytes.len(), "no torn tail left in the file");
+        let journal = sink.journal.lock();
+        assert_eq!(
+            (journal.len, journal.base, &journal.offsets),
+            (fresh.end as u64, fresh.base, &fresh.offsets)
+        );
+    }
+
+    fn tmp_exists(dir: &Path) -> bool {
+        tmp_path(&FileLogSink::journal_path(dir)).exists()
+    }
+
     #[test]
     fn interleaved_markers_keep_base_survivors_and_numbering() {
         let dir = tmpdir("wal-markers");
         let sink = FileLogSink::create(&dir).unwrap();
+        // Record i is LSN i in this history.
         sink.append_batch(&bots(0..10));
         sink.truncated(4);
+        // 56 dead bytes against 97 live: the file stays, marker and all.
+        assert_eq!(wal_bytes(&dir).len(), 10 * BOT_FRAME + MARKER_FRAME_LEN);
         sink.append_batch(&bots(10..14));
+        let before = wal_bytes(&dir);
         sink.truncated(9);
+        // 126 dead against 96 live: rewritten under the running sink to
+        // its own marker plus everything from record 9 on, old markers
+        // included.
+        let mut expect = marker_frame(9);
+        expect.extend_from_slice(&before[9 * BOT_FRAME..]);
+        expect.extend_from_slice(&marker_frame(9));
+        assert_eq!(wal_bytes(&dir), expect);
+        assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(14..15));
         // The store's base only grows; a stale marker changes nothing.
         sink.truncated(6);
         sink.append_batch(&bots(15..16));
+        assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
 
-        // Record i is LSN i in this history. 9 dead records (126 bytes)
-        // against 137 live: the file stays as it is, markers and all.
+        // The numbering continues through the rewrite and a reopen...
         let len = wal_bytes(&dir).len();
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (9, bots(9..16)));
         assert_eq!(wal_bytes(&dir).len(), len);
         sink.append_batch(&bots(16..18));
+        // ...through a truncation that leaves the file alone (68 dead
+        // bytes against 123)...
         sink.truncated(12);
+        assert_eq!(
+            wal_bytes(&dir).len(),
+            len + 2 * BOT_FRAME + MARKER_FRAME_LEN
+        );
+        assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
-        // Now 181 bytes precede record 12 and 123 follow: rewritten. The
-        // numbering continues through it and through a third reopen.
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (12, bots(12..18)));
-        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + 123);
+        // ...and through a second rewrite by the reopened sink: record 17,
+        // the marker that followed it, record 18.
         sink.append_batch(&bots(18..19));
+        let before = wal_bytes(&dir);
+        sink.truncated(17);
+        let mut expect = marker_frame(17);
+        expect.extend_from_slice(&before[before.len() - (2 * BOT_FRAME + MARKER_FRAME_LEN)..]);
+        expect.extend_from_slice(&marker_frame(17));
+        assert_eq!(wal_bytes(&dir), expect);
+        assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (12, bots(12..19)));
+        assert_eq!((base, survivors), (17, bots(17..19)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn journal_is_rewritten_only_when_that_halves_it() {
-        // Below the threshold: 2 of 10 records dead. Cut nothing, rewrite
-        // nothing; the dead prefix stays where it is.
+        // Ten records, then a truncation: 14·k dead bytes against
+        // 14·(10 − k) + 13 live ones and 26 of slack. k = 6 falls short
+        // (84 < 95): the truncation appends its marker and nothing else.
         let dir = wal_with("wal-keep", 10);
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(2);
-        drop(sink);
         let before = wal_bytes(&dir);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (2, bots(2..10)));
-        assert_eq!(wal_bytes(&dir), before);
-        assert!(!dir.join("wal.journal.tmp").exists());
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.truncated(6);
+        let mut expect = before.clone();
+        expect.extend_from_slice(&marker_frame(6));
+        assert_eq!(wal_bytes(&dir), expect);
+        assert!(!tmp_exists(&dir));
+        drop(sink);
+        // Nor does the reopen, by the same rule.
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (6, bots(6..10)));
+        assert_eq!(wal_bytes(&dir), expect);
+        assert!(!tmp_exists(&dir));
+        assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Above it: 8 of 10 dead. The file becomes one marker plus the
-        // live suffix exactly as it stood (records 8, 9 and the old
-        // marker), and says the same thing.
+        // k = 7 pays (98 ≥ 81): the file becomes one marker plus the live
+        // suffix exactly as it stood (records 7 to 9 and the marker just
+        // appended), and says the same thing.
         let dir = wal_with("wal-rewrite", 10);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(8);
-        drop(sink);
-        let before = wal_bytes(&dir);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (8, bots(8..10)));
-        let mut expect = Vec::new();
-        push_frame(&mut expect, &marker(8));
-        expect.extend_from_slice(&before[8 * BOT_FRAME..]);
+        sink.truncated(7);
+        let mut expect = marker_frame(7);
+        expect.extend_from_slice(&before[7 * BOT_FRAME..]);
+        expect.extend_from_slice(&marker_frame(7));
         assert_eq!(wal_bytes(&dir), expect);
-        assert!(!dir.join("wal.journal.tmp").exists(), "renamed into place");
+        assert!(!tmp_exists(&dir), "renamed into place");
+        assert_matches_a_fresh_walk(&sink, &dir);
+        // Appends land behind it and a reopen leaves it alone.
+        sink.append_batch(&bots(10..11));
+        sink.sync();
+        drop(sink);
+        let grown = wal_bytes(&dir);
+        assert_eq!(grown[..expect.len()], expect[..]);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (7, bots(7..11)));
+        assert_eq!(wal_bytes(&dir), grown, "a rewritten journal is stable");
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn offsets_after_load_agree_with_a_fresh_walk() {
+        // Plain: nothing dead, nothing torn.
+        let dir = wal_with("wal-offsets-plain", 5);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        assert_eq!(sink.journal.lock().offsets.len(), 5);
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Tail cut: the offsets describe the shortened file.
+        let dir = wal_with("wal-offsets-cut", 5);
+        append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        assert_eq!(sink.journal.lock().len, 5 * BOT_FRAME as u64);
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Rewritten by the load itself: the offsets describe the new file,
+        // and the next batch lands where they say.
+        let dir = wal_with("wal-offsets-rewritten", 10);
+        append_raw(&dir, &marker_frame(8));
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        assert_eq!(
+            sink.journal.lock().offsets,
+            [MARKER_FRAME_LEN, MARKER_FRAME_LEN + BOT_FRAME].map(|at| at as u64)
+        );
+        assert_matches_a_fresh_walk(&sink, &dir);
+        sink.append_batch(&bots(10..12));
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A process killed anywhere in a truncation's rewrite reopens to the
+    /// same log. The three states the directory can be left in are built
+    /// by hand here; `tests/kill_process.rs` finds them with SIGKILL.
+    #[test]
+    fn every_kill_window_of_a_rewrite_reopens_to_the_same_log() {
+        let src = wal_with("wal-window-src", 10);
+        let mut marked = wal_bytes(&src);
+        let _ = std::fs::remove_dir_all(&src);
+        marked.extend_from_slice(&marker_frame(8));
+        let mut rewritten = marker_frame(8);
+        rewritten.extend_from_slice(&marked[8 * BOT_FRAME..]);
+
+        let (marked, rewritten) = (&marked[..], &rewritten[..]);
+        let windows = [
+            ("marker appended, no tmp", marked, None),
+            ("tmp half written", marked, Some(&rewritten[..20])),
+            ("tmp complete, not renamed", marked, Some(rewritten)),
+            ("renamed", rewritten, None),
+        ];
+        for (n, (window, journal, tmp)) in windows.into_iter().enumerate() {
+            let dir = tmpdir(&format!("wal-window-{n}"));
+            let path = FileLogSink::journal_path(&dir);
+            std::fs::write(&path, journal).unwrap();
+            if let Some(tmp) = tmp {
+                std::fs::write(tmp_path(&path), tmp).unwrap();
+            }
+            let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+            assert_eq!((base, survivors), (8, bots(8..10)), "{window}");
+            assert!(!tmp_exists(&dir), "{window}: stale tmp removed");
+            assert_eq!(wal_bytes(&dir), rewritten, "{window}");
+            // And the log carries on from there.
+            sink.append_batch(&bots(10..11));
+            sink.sync();
+            drop(sink);
+            let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+            assert_eq!((base, survivors), (8, bots(8..11)), "{window}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn failed_rewrite_keeps_the_old_journal_appending_and_recovering() {
+        let dir = wal_with("wal-rewrite-fails", 10);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        let old = wal_bytes(&dir);
+        sink.journal.lock().fail_rewrite = Some(FailRewrite::TmpSync);
+        // Does not panic: the marker is in, the rewrite is not.
+        sink.truncated(8);
+        let mut expect = old.clone();
+        expect.extend_from_slice(&marker_frame(8));
+        assert_eq!(wal_bytes(&dir), expect, "old file, marker appended");
+        assert!(!tmp_exists(&dir), "the failed attempt is cleaned up");
+        assert_matches_a_fresh_walk(&sink, &dir);
+        // The old file keeps taking forced appends...
+        sink.append_batch(&bots(10..11));
+        sink.sync();
+        assert_eq!(wal_bytes(&dir).len(), expect.len() + BOT_FRAME);
+        // ...the next truncation tries again, and once the fault is gone
+        // it succeeds.
+        sink.truncated(9);
+        assert!(wal_bytes(&dir).len() > expect.len(), "still failing");
+        sink.journal.lock().fail_rewrite = None;
+        sink.truncated(10);
+        // Its own marker, record 10, and the two markers behind it.
+        assert_eq!(
+            wal_bytes(&dir).len(),
+            MARKER_FRAME_LEN + BOT_FRAME + 2 * MARKER_FRAME_LEN
+        );
+        assert_matches_a_fresh_walk(&sink, &dir);
+        drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (8, bots(8..10)));
-        assert_eq!(wal_bytes(&dir), expect, "a rewritten journal is stable");
+        assert_eq!((base, survivors), (10, bots(10..11)));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Killed while the rewrite was failing: the old file recovers.
+        let dir = wal_with("wal-rewrite-fails-kill", 10);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.journal.lock().fail_rewrite = Some(FailRewrite::TmpSync);
+        sink.truncated(8);
+        sink.append_batch(&bots(10..11));
+        sink.sync();
+        drop(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (8, bots(8..11)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsynced_rename_is_made_durable_before_the_next_ack() {
+        let dir = wal_with("wal-dirsync", 10);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.journal.lock().fail_rewrite = Some(FailRewrite::DirSync);
+        // The rename happened, so the new file is the journal; what is
+        // owed is the directory fsync.
+        sink.truncated(8);
+        assert_eq!(
+            wal_bytes(&dir).len(),
+            MARKER_FRAME_LEN + 2 * BOT_FRAME + MARKER_FRAME_LEN
+        );
+        assert!(!sink.journal.lock().dir_synced);
+        assert_matches_a_fresh_walk(&sink, &dir);
+        sink.append_batch(&bots(10..11));
+        // While it stays owed, a force fails as any journal fsync does.
+        let forced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.sync()));
+        assert!(forced.is_err(), "no ack over a rename that may not last");
+        sink.journal.lock().fail_rewrite = None;
+        sink.sync();
+        assert!(sink.journal.lock().dir_synced, "sync() paid the debt");
+        drop(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (8, bots(8..11)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

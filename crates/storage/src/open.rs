@@ -2,7 +2,8 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the formatted geometry, validated on reopen;
+//! * `manifest.txt` — the on-disk format number and the formatted
+//!   geometry, both validated on reopen;
 //! * `<n>.data` / `<n>.sum` — one page file + checksum file per disk;
 //! * `meta.journal` — twin headers, steal chain, staged intent;
 //! * `wal.journal` — the durable mirror of the write-ahead log.
@@ -84,12 +85,18 @@ impl From<io::Error> for StorageError {
 
 const MANIFEST: &str = "manifest.txt";
 
+/// First line of the manifest: what the files mean. Format 2 is format 1
+/// with `.sum` files that hold `rda_array::xor::checksum` instead of the
+/// byte-wise hash of format 1; read under the wrong one, every written
+/// block of a directory would look torn.
+const FORMAT_LINE: &str = "rda-disk-format=2";
+
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
 fn manifest_contents(cfg: &DbConfig) -> String {
     let geo = Geometry::new(&cfg.array);
     format!(
-        "rda-disk-format=1\n\
+        "{FORMAT_LINE}\n\
          organization={:?}\n\
          n={}\n\
          groups={}\n\
@@ -203,8 +210,9 @@ pub fn create_database_with(
 /// [`Database::recover`] before starting new transactions.
 ///
 /// # Errors
-/// [`StorageError::Manifest`] if the manifest is absent or disagrees
-/// with `cfg`; [`StorageError::Io`] on any file-system failure.
+/// [`StorageError::Manifest`] if the manifest is absent, was written by
+/// another on-disk format, or disagrees with `cfg`; [`StorageError::Io`]
+/// on any file-system failure.
 pub fn reopen_database(
     dir: &Path,
     cfg: DbConfig,
@@ -227,6 +235,14 @@ pub fn reopen_database_with(
     let found = std::fs::read_to_string(&manifest)
         .map_err(|e| StorageError::Manifest(format!("cannot read {}: {e}", manifest.display())))?;
     let want = manifest_contents(&cfg);
+    let format = found.lines().next().unwrap_or_default();
+    if format != FORMAT_LINE {
+        return Err(StorageError::Manifest(format!(
+            "{} was formatted as {format:?}; this build reads and writes \
+             {FORMAT_LINE} only, so the database has to be created anew",
+            dir.display(),
+        )));
+    }
     if found != want {
         return Err(StorageError::Manifest(format!(
             "{} was formatted with a different geometry (found: {} / expected: {})",

@@ -5,7 +5,7 @@
 
 use rda_array::{ArrayError, BlockDevice, DiskId, HookState, Page};
 use rda_core::{DbConfig, EngineKind};
-use rda_disk::{create_database, reopen_database, DurabilityMode, FileDb, FileDisk};
+use rda_disk::{create_database, reopen_database, DurabilityMode, FileDb, FileDisk, StorageError};
 use rda_faults::{FaultInjector, FaultPlan};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -386,11 +386,13 @@ fn commit_after_a_damaged_wal_tail_survives_the_next_reopen() {
     }
 }
 
-/// `truncate_log()` only appends a marker; the dead records leave the file
-/// at a later reopen, and only once they outweigh what is still live.
+/// `truncate_log()` appends a marker, and the sink then drops the dead
+/// prefix there and then if that at least halves the file; a reopen finds
+/// nothing left to rewrite.
 #[test]
 fn wal_journal_is_rewritten_only_when_mostly_dead() {
-    // Mostly live: one commit truncated away, six retained.
+    // Mostly live at the reopen: one commit truncated away (and gone from
+    // the file at once), six retained behind the 13-byte marker.
     let dir = tmpdir("wal-mostly-live");
     let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
     commit_stamps(&db, 0..1);
@@ -403,15 +405,13 @@ fn wal_journal_is_rewritten_only_when_mostly_dead() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Mostly dead: six commits truncated away, one retained.
+    // Mostly dead at the truncation: six commits' records die and leave
+    // the file while the database runs.
     let dir = tmpdir("wal-mostly-dead");
     let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
     commit_stamps(&db, 0..6);
-    assert!(db.truncate_log().unwrap() > 0);
-    commit_stamps(&db, 6..7);
-    drop(db);
     let before = wal_journal(&dir);
-    let db = reopened(&dir);
+    assert!(db.truncate_log().unwrap() > 0);
     let after = wal_journal(&dir);
     assert!(
         2 * after.len() <= before.len(),
@@ -421,6 +421,11 @@ fn wal_journal_is_rewritten_only_when_mostly_dead() {
     );
     assert!(!dir.join("wal.journal.tmp").exists(), "renamed into place");
     // The rewritten journal carries on: numbering, appends, reopen.
+    commit_stamps(&db, 6..7);
+    drop(db);
+    let before = wal_journal(&dir);
+    let db = reopened(&dir);
+    assert_eq!(wal_journal(&dir), before, "nothing left for the reopen");
     commit_stamps(&db, 7..9);
     drop(db);
     let db = reopened(&dir);
@@ -428,5 +433,102 @@ fn wal_journal_is_rewritten_only_when_mostly_dead() {
         assert_eq!(committed_value(&db, i as u32), Some(i), "txn {i}");
     }
     assert!(db.audit().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A database that truncates its log every 512 commits keeps a journal of
+/// at most twice (what it retains + one interval of frames), whatever the
+/// number of intervals, and recovers from it. During the second interval a
+/// transaction with stolen pages stays open, so that truncation must keep
+/// everything behind its BOT.
+#[test]
+fn wal_journal_stays_bounded_across_truncations() {
+    const INTERVAL: u64 = 512;
+    let dir = tmpdir("wal-bounded");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    let wal_len = || std::fs::metadata(dir.join("wal.journal")).unwrap().len();
+    // Committers stamp pages 0..16; the long transaction owns 16..28.
+    let commit_interval = |round: u64| {
+        for i in round * INTERVAL..(round + 1) * INTERVAL {
+            let mut tx = db.begin();
+            tx.write((i % 16) as u32, &stamp(i)).unwrap();
+            tx.commit().unwrap();
+        }
+    };
+
+    commit_interval(0);
+    let interval_bytes = wal_len();
+    // Truncate, holding the journal to the bound at that moment: twice
+    // what the previous truncation retained plus one interval of frames.
+    let mut retained = 0;
+    let mut truncate = || {
+        let peak = wal_len();
+        assert!(
+            peak <= 2 * (retained + interval_bytes),
+            "journal {peak} above twice (retained {retained} + interval {interval_bytes})"
+        );
+        db.truncate_log().unwrap();
+        assert!(!dir.join("wal.journal.tmp").exists());
+        retained = wal_len();
+        (peak, retained)
+    };
+    let (_, left) = truncate();
+    assert!(left < interval_bytes / 100, "nothing retained: {left}");
+
+    // More dirty pages than the pool has frames: some are stolen, so the
+    // BOT is in the log and the next truncation may not pass it.
+    let mut long = db.begin();
+    for page in 16..28u32 {
+        long.write(page, &stamp(u64::from(page))).unwrap();
+    }
+    commit_interval(1);
+    let (peak, left) = truncate();
+    assert!(
+        left >= interval_bytes && left <= peak + 13,
+        "the open transaction pins the interval behind its BOT: {peak} -> {left}"
+    );
+    long.commit().unwrap();
+
+    commit_interval(2);
+    let (_, left) = truncate();
+    assert!(left < interval_bytes / 100, "all of it reclaimed: {left}");
+    commit_interval(3);
+    assert!(wal_len() <= interval_bytes + interval_bytes / 100);
+    drop(db);
+
+    let db = reopened(&dir);
+    for page in 0..16u64 {
+        let last = 4 * INTERVAL - 16 + page;
+        assert_eq!(committed_value(&db, page as u32), Some(last), "page {page}");
+    }
+    for page in 16..28u32 {
+        assert_eq!(committed_value(&db, page), Some(u64::from(page)));
+    }
+    let audit = db.audit();
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory formatted by the previous on-disk format (other page
+/// checksums in its `.sum` files) is refused by name, not read back as a
+/// database full of torn blocks.
+#[test]
+fn directory_of_another_format_is_refused_by_name() {
+    let dir = tmpdir("old-format");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..2);
+    drop(db);
+    let manifest = dir.join("manifest.txt");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.starts_with("rda-disk-format=2\n"), "{text}");
+    std::fs::write(&manifest, text.replacen("format=2", "format=1", 1)).unwrap();
+    match reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier) {
+        Err(StorageError::Manifest(msg)) => {
+            assert!(msg.contains("\"rda-disk-format=1\""), "{msg}");
+            assert!(msg.contains("rda-disk-format=2 only"), "{msg}");
+        }
+        Err(other) => panic!("refused for the wrong reason: {other}"),
+        Ok(_) => panic!("a format-1 directory was opened"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

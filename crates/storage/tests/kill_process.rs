@@ -22,6 +22,11 @@ use std::time::{Duration, Instant};
 
 const CHILD_ENV: &str = "RDA_KILL_CHILD_DIR";
 const GC_CHILD_ENV: &str = "RDA_KILL_GC_DIR";
+const TRUNC_CHILD_ENV: &str = "RDA_KILL_TRUNC_DIR";
+/// The truncating child calls `truncate_log()` after every this many
+/// commits, so `wal.journal` is rewritten (tmp, rename, handle swap)
+/// every few milliseconds of its life.
+const TRUNCATE_EVERY: u64 = 64;
 /// The three pages every transaction stamps together (atomicity witness).
 const PAGES: [u32; 3] = [2, 9, 17];
 /// Concurrent-load child: writer thread `t` stamps its own page triple,
@@ -56,8 +61,9 @@ fn stamped_value(db: &FileDb, page: u32) -> Option<u64> {
 }
 
 /// Child mode: commit stamps forever, acknowledging each commit to
-/// `acks.log` only after `commit()` has returned. Killed externally.
-fn run_child(dir: &Path) -> ! {
+/// `acks.log` only after `commit()` has returned, and truncating the log
+/// after every `truncate_every` commits if given. Killed externally.
+fn run_child(dir: &Path, truncate_every: Option<u64>) -> ! {
     let db = create_database(dir, cfg(), DurabilityMode::FsyncOnBarrier).expect("child create");
     let mut acks = std::fs::File::create(dir.join("acks.log")).expect("acks file");
     let mut i: u64 = 1;
@@ -70,6 +76,9 @@ fn run_child(dir: &Path) -> ! {
         // Acknowledge only after the commit was accepted.
         writeln!(acks, "{i}").expect("ack write");
         acks.flush().expect("ack flush");
+        if truncate_every.is_some_and(|n| i.is_multiple_of(n)) {
+            db.truncate_log().expect("child truncate");
+        }
         i += 1;
     }
 }
@@ -78,8 +87,23 @@ fn run_child(dir: &Path) -> ! {
 #[test]
 fn child_workload() {
     if let Ok(dir) = std::env::var(CHILD_ENV) {
-        run_child(Path::new(&dir));
+        run_child(Path::new(&dir), None);
     }
+    if let Ok(dir) = std::env::var(TRUNC_CHILD_ENV) {
+        run_child(Path::new(&dir), Some(TRUNCATE_EVERY));
+    }
+}
+
+/// Re-execute this test binary as the child running `test` (one of the
+/// `*child_workload` entries) over `dir`, which `env` names to it.
+fn spawn_child(test: &str, env: &str, dir: &Path) -> std::process::Child {
+    Command::new(std::env::current_exe().expect("own test binary"))
+        .args([test, "--exact", "--nocapture", "--test-threads=1"])
+        .env(env, dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn child")
 }
 
 fn last_ack(dir: &Path) -> Option<u64> {
@@ -100,19 +124,7 @@ fn sigkill_mid_commit_recovers_committed_data() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("test dir");
 
-    let exe = std::env::current_exe().expect("own test binary");
-    let mut child = Command::new(exe)
-        .args([
-            "child_workload",
-            "--exact",
-            "--nocapture",
-            "--test-threads=1",
-        ])
-        .env(CHILD_ENV, &dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn child");
+    let mut child = spawn_child("child_workload", CHILD_ENV, &dir);
 
     // Wait until the child has demonstrably committed a few transactions,
     // then kill it without warning — with overwhelming likelihood it is
@@ -219,6 +231,86 @@ fn sigkill_mid_commit_recovers_committed_data() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// SIGKILL a child that truncates its log every [`TRUNCATE_EVERY`] commits,
+/// at 20 seeded delays after its first truncation, so kills land before,
+/// inside and after journal rewrites. Every reopen must succeed on
+/// whatever `wal.journal` (and `wal.journal.tmp`) the kill left, recover
+/// every acknowledged stamp, and scrub and audit clean.
+#[test]
+fn sigkill_while_truncating_recovers_every_acked_commit() {
+    let mut state = 0x7A11_5EED_u64;
+    let mut rewritten_runs = 0;
+    for run in 0..20 {
+        // xorshift64: the delays repeat from run to run of the test.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let delay = Duration::from_micros(state % 25_000);
+
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("rda-disk-kill-trunc-{}-{run}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        let mut child = spawn_child("child_workload", TRUNC_CHILD_ENV, &dir);
+        // Let it get past its first truncation, then the seeded delay.
+        let deadline = Instant::now() + Duration::from_mins(1);
+        while last_ack(&dir).unwrap_or(0) < TRUNCATE_EVERY {
+            assert!(
+                Instant::now() < deadline,
+                "run {run}: child produced no acks in time (status: {:?})",
+                child.try_wait()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(delay);
+        child.kill().expect("SIGKILL child");
+        let _ = child.wait();
+        let acked = last_ack(&dir).expect("acks survive the kill");
+
+        // A rewritten journal opens with a truncate marker: a 9-byte
+        // frame tagged 17.
+        let journal = std::fs::read(dir.join("wal.journal")).expect("wal.journal always exists");
+        if journal.starts_with(&[9, 0, 0, 0, 17]) {
+            rewritten_runs += 1;
+        }
+        let db = reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier)
+            .unwrap_or_else(|e| panic!("run {run} (delay {delay:?}, acked {acked}): reopen: {e}"));
+        assert!(!dir.join("wal.journal.tmp").exists(), "run {run}");
+        let report = db.recover().expect("restart recovery");
+        let values: Vec<Option<u64>> = PAGES.iter().map(|&p| stamped_value(&db, p)).collect();
+        let recovered = values[0].expect("commits were acknowledged");
+        assert!(
+            values.iter().all(|v| *v == Some(recovered)),
+            "run {run}: atomicity across pages: {values:?} (report: {report:?})"
+        );
+        assert!(
+            recovered >= acked && recovered <= acked + 1,
+            "run {run} (delay {delay:?}): acknowledged {acked}, recovered {recovered} \
+             (report: {report:?})"
+        );
+        assert_eq!(
+            db.verify().expect("scrub"),
+            Vec::<String>::new(),
+            "run {run}"
+        );
+        let audit = db.audit();
+        assert!(audit.is_clean(), "run {run}: {:?}", audit.violations);
+        // The recovered database accepts new work, truncation included.
+        let mut tx = db.begin();
+        for page in PAGES {
+            tx.write(page, &stamp(recovered + 1)).expect("write");
+        }
+        tx.commit().expect("post-recovery commit");
+        db.truncate_log().expect("post-recovery truncate");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        rewritten_runs >= 10,
+        "only {rewritten_runs} of 20 kills found a rewritten journal: they miss the rewrites"
+    );
+}
+
 fn gc_cfg() -> DbConfig {
     cfg().group_commit(GroupCommit {
         window_micros: 300,
@@ -286,19 +378,7 @@ fn sigkill_mid_group_commit_batch_recovers_acked_commits() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("test dir");
 
-    let exe = std::env::current_exe().expect("own test binary");
-    let mut child = Command::new(exe)
-        .args([
-            "gc_child_workload",
-            "--exact",
-            "--nocapture",
-            "--test-threads=1",
-        ])
-        .env(GC_CHILD_ENV, &dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn child");
+    let mut child = spawn_child("gc_child_workload", GC_CHILD_ENV, &dir);
 
     // Wait until every thread has demonstrably committed a few times,
     // then kill without warning — almost surely mid-batch.
