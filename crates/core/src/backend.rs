@@ -38,21 +38,48 @@ pub struct IntentRecord {
 
 /// Journal of the durable metadata that, on the simulated array, lives in
 /// page headers and modeled NVRAM. Every call happens *synchronously
-/// inside* the state transition it mirrors, so implementations decide the
-/// durability of each record themselves (the intent records are the only
-/// ones that must reach stable storage before the method returns — the
-/// engine orders platter writes after them).
+/// inside* the state transition it mirrors; the engine takes its next step
+/// only after the call returns.
+///
+/// The durability rule (the one `rda-disk`'s `FileMetaStore` implements):
+/// the records restart recovery *decides by* are on stable storage when
+/// their method returns — twin headers
+/// ([`twin_meta`](MetaSink::twin_meta),
+/// [`twin_metas`](MetaSink::twin_metas)), chain links
+/// ([`chain_steal`](MetaSink::chain_steal)) and the staged intent
+/// ([`intent_set`](MetaSink::intent_set)). A link and an intent are
+/// journaled *before* the platter writes they explain, a header *after*
+/// the parity write it describes, and in both orders a restart must never
+/// find the later step without the record. The clears
+/// ([`chain_clear_txn`](MetaSink::chain_clear_txn),
+/// [`chain_clear_page`](MetaSink::chain_clear_page),
+/// [`intent_clear`](MetaSink::intent_clear)) only retire records whose
+/// work is finished, so they may reach stable storage late or never:
+/// acting on a retired record again is idempotent.
 pub trait MetaSink: Send + Sync {
     /// A group's twin headers changed (flip, invalidation, working claim).
+    /// Durable on return.
     fn twin_meta(&self, group: u32, meta: TwinMeta);
-    /// `txn` stole `page` onto the parity (chain link written).
+    /// Several groups' twin headers changed in one step — the flips of one
+    /// committing transaction, in group order. One durable step: on return
+    /// all of them are stable, and a crash inside the call leaves a prefix
+    /// of the slice applied, never a later header without an earlier one.
+    /// The default is [`twin_meta`](MetaSink::twin_meta) once per entry;
+    /// a journal overrides it to pay for one write and one flush.
+    fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
+        for &(group, meta) in metas {
+            self.twin_meta(group, meta);
+        }
+    }
+    /// `txn` stole `page` onto the parity (chain link written). Durable
+    /// on return.
     fn chain_steal(&self, txn: u64, page: u32);
     /// `txn` reached EOT; its whole chain is dead.
     fn chain_clear_txn(&self, txn: u64);
     /// One page of `txn`'s chain was undone.
     fn chain_clear_page(&self, txn: u64, page: u32);
-    /// A read-modify-write staged its write set. Must be durable on
-    /// return; the platter writes follow it.
+    /// A read-modify-write staged its write set. Durable on return; the
+    /// platter writes follow it.
     fn intent_set(&self, intent: &IntentRecord);
     /// Recovery finished replaying the staged intent.
     fn intent_clear(&self);

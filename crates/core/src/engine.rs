@@ -1141,15 +1141,22 @@ impl<D: BlockDevice> Engine<D> {
     pub(crate) fn txn_commit_finalize(&mut self, txn: TxnId, written: &[DataPageId]) -> Result<()> {
         self.check_ready()?;
         // The twin flip: the working parity of every group this
-        // transaction dirtied becomes the committed parity. Zero I/O.
-        for (g, info) in self.dirty.take_txn(txn) {
-            if self.cfg.mutations.skip_commit_twin_flip {
-                // Mutation-sensitivity knob: leave the committed twin
-                // pointing at the pre-transaction parity. rda-check must
-                // observe the resulting durability violation.
-                continue;
-            }
-            self.dur.twins.commit_working(g, info.working);
+        // transaction dirtied becomes the committed parity, all of them in
+        // one step. Zero array I/O.
+        let mut flips: Vec<(GroupId, ParitySlot)> = self
+            .dirty
+            .take_txn(txn)
+            .into_iter()
+            .map(|(g, info)| (g, info.working))
+            .collect();
+        if self.cfg.mutations.skip_commit_twin_flip {
+            // Mutation-sensitivity knob: leave the committed twin
+            // pointing at the pre-transaction parity. rda-check must
+            // observe the resulting durability violation.
+            flips.clear();
+        }
+        self.dur.twins.commit_working_all(&flips);
+        for (g, _) in flips {
             self.obs.tracer.emit(|| EventKind::CommitTwinFlip {
                 group: g.0,
                 txn: txn.0,

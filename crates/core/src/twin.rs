@@ -163,14 +163,32 @@ impl TwinDirectory {
     /// becomes obsolete. No parity I/O happens here — that is the point of
     /// the twin scheme.
     pub fn commit_working(&self, g: GroupId, working: ParitySlot) {
+        self.commit_working_all(&[(g, working)]);
+    }
+
+    /// [`commit_working`](TwinDirectory::commit_working) for every group a
+    /// committing transaction dirtied, as one step: all the flips happen
+    /// under one hold of the directory lock and reach the backend journal
+    /// through one [`MetaSink::twin_metas`] call. An empty slice does
+    /// nothing.
+    pub fn commit_working_all(&self, flips: &[(GroupId, ParitySlot)]) {
+        if flips.is_empty() {
+            return;
+        }
         let mut metas = self.metas.lock();
-        let meta = &mut metas[g.0 as usize];
-        debug_assert_eq!(meta.state[working.index()], TwinState::Working);
-        meta.state[working.index()] = TwinState::Committed;
-        meta.state[working.other().index()] = TwinState::Obsolete;
-        let snap = *meta;
+        for &(g, working) in flips {
+            let meta = &mut metas[g.0 as usize];
+            debug_assert_eq!(meta.state[working.index()], TwinState::Working);
+            meta.state[working.index()] = TwinState::Committed;
+            meta.state[working.other().index()] = TwinState::Obsolete;
+        }
+        let Some(sink) = &self.sink else { return };
+        let snaps: Vec<(u32, TwinMeta)> = flips
+            .iter()
+            .map(|&(g, _)| (g.0, metas[g.0 as usize]))
+            .collect();
         drop(metas);
-        self.journal(g, snap);
+        sink.twin_metas(&snaps);
     }
 
     /// Invalidate the working twin after an abort: reset its timestamp so
@@ -254,6 +272,77 @@ mod tests {
             expect = w;
             assert_eq!(d.current_slot(g), expect);
         }
+    }
+
+    /// A sink that records what it is handed, call by call.
+    #[derive(Default)]
+    struct Recorder {
+        single: Mutex<Vec<(u32, TwinMeta)>>,
+        batches: Mutex<Vec<Vec<(u32, TwinMeta)>>>,
+    }
+
+    impl MetaSink for Recorder {
+        fn twin_meta(&self, group: u32, meta: TwinMeta) {
+            self.single.lock().push((group, meta));
+        }
+        fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
+            self.batches.lock().push(metas.to_vec());
+        }
+        fn chain_steal(&self, _: u64, _: u32) {}
+        fn chain_clear_txn(&self, _: u64) {}
+        fn chain_clear_page(&self, _: u64, _: u32) {}
+        fn intent_set(&self, _: &crate::backend::IntentRecord) {}
+        fn intent_clear(&self) {}
+    }
+
+    #[test]
+    fn commit_working_all_equals_per_group_commit_working() {
+        let groups = [GroupId(0), GroupId(2), GroupId(3), GroupId(5)];
+        let sink = Arc::new(Recorder::default());
+        let all = TwinDirectory::restore(vec![TwinMeta::fresh(); 6], Some(sink.clone()));
+        let each = TwinDirectory::new(6);
+        let mut flips = Vec::new();
+        for (i, g) in groups.into_iter().enumerate() {
+            // Group 3 is on its second round, so its working twin is P0.
+            if g == GroupId(3) {
+                for d in [&all, &each] {
+                    let w = d.begin_working(g, 5);
+                    d.commit_working(g, w);
+                }
+            }
+            let now = 10 + i as u64;
+            flips.push((g, all.begin_working(g, now)));
+            assert_eq!(each.begin_working(g, now), flips[i].1);
+        }
+        sink.single.lock().clear();
+        sink.batches.lock().clear();
+
+        all.commit_working_all(&flips);
+        for &(g, w) in &flips {
+            each.commit_working(g, w);
+        }
+        for g in (0..6).map(GroupId) {
+            assert_eq!(all.meta(g), each.meta(g), "{g}");
+        }
+        assert_eq!(all.current_slot(GroupId(3)), ParitySlot::P0);
+        assert_eq!(all.meta(GroupId(1)), TwinMeta::fresh(), "not in the slice");
+        // One sink call, the flipped headers in slice order.
+        let expect: Vec<_> = groups.iter().map(|&g| (g.0, each.meta(g))).collect();
+        assert_eq!(*sink.batches.lock(), vec![expect]);
+        assert!(sink.single.lock().is_empty());
+    }
+
+    #[test]
+    fn commit_working_all_of_nothing_touches_neither_state_nor_sink() {
+        let sink = Arc::new(Recorder::default());
+        let d = TwinDirectory::restore(vec![TwinMeta::fresh(); 2], Some(sink.clone()));
+        let work = d.begin_working(GroupId(1), 4);
+        let before = [d.meta(GroupId(0)), d.meta(GroupId(1))];
+        sink.single.lock().clear();
+        d.commit_working_all(&[]);
+        assert_eq!([d.meta(GroupId(0)), d.meta(GroupId(1))], before);
+        assert_eq!(d.meta(GroupId(1)).state[work.index()], TwinState::Working);
+        assert!(sink.single.lock().is_empty() && sink.batches.lock().is_empty());
     }
 
     #[test]

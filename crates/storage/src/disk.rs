@@ -6,23 +6,24 @@
 //! would hit on the simulated backend. The fault-arm semantics mirror
 //! `SimDisk` one for one; the differences are purely physical:
 //!
-//! * a write is a `pwrite` on the calling thread: when it returns, the
-//!   image is in the files, and a failure is returned to the call that
-//!   issued it. Stable storage is the fsync's job (see
-//!   [`DurabilityMode`]);
+//! * a transfer is one system call on the calling thread: a read is one
+//!   `pread` of the block's slot, a write one `pwrite` of image and
+//!   checksum together (see `crate::io`). When a write returns, the image
+//!   is in the file, and a failure is returned to the call that issued
+//!   it. Stable storage is the fsync's job (see [`DurabilityMode`]);
 //! * torn pages live on the platter as a checksum mismatch rather than in
 //!   a memory set, so they survive a process death;
 //! * injected *latent* errors remain process-local test state (a real
 //!   drive's rot is physical; an injected one dies with the injector).
 //!
-//! One disk's reads, writes, barriers and replacement each hold its state
-//! lock across their file I/O, so a write's image-then-checksum pair can
-//! never be seen half-done by a read of that block. (Above the device,
-//! every array access already happens under the engine mutex.)
+//! The file and its slot buffer live inside the disk's state lock, so one
+//! disk's reads, writes, barriers and replacement are serial and a read
+//! never sees the buffer another call is filling. (Above the device, every
+//! array access already happens under the engine mutex.)
 
 use crate::io::{BlockImage, DiskFiles};
 use parking_lot::{Mutex, MutexGuard};
-use rda_array::{ArrayError, BlockDevice, DiskId, FaultAction, HookState, Page};
+use rda_array::{xor, ArrayError, BlockDevice, DiskId, FaultAction, HookState, Page};
 use rda_obs::{monotonic_nanos, Counter, Histogram};
 use std::collections::HashSet;
 use std::io;
@@ -34,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 pub enum DurabilityMode {
     /// Fsync only at explicit [`BlockDevice::barrier`] points (commit,
     /// checkpoint, recovery finish) — the default, and the cheaper mode.
-    /// A barrier fsyncs a disk only if its files were modified since the
+    /// A barrier fsyncs a disk only if its file was modified since the
     /// last successful fsync, so a commit pays for the disks it touched.
     #[default]
     FsyncOnBarrier,
@@ -47,7 +48,7 @@ pub enum DurabilityMode {
 /// the views keep reading after the disk has moved into the array.
 #[derive(Default)]
 pub(crate) struct DiskCounters {
-    /// Writes issued to the files.
+    /// Writes issued to the file.
     pub(crate) writes: Counter,
     /// Durability barriers issued against this disk.
     pub(crate) barriers: Counter,
@@ -62,18 +63,19 @@ pub(crate) struct DiskCounters {
 }
 
 struct DiskState {
+    files: DiskFiles,
     failed: bool,
     bad_blocks: HashSet<u64>,
-    /// Why the files can no longer be trusted: an fsync failed (the
+    /// Why the file can no longer be trusted: an fsync failed (the
     /// kernel may already have dropped the dirty pages, so a retry that
     /// succeeds proves nothing), or a replacement could not be blanked.
     /// Sticky until [`BlockDevice::replace`] succeeds.
     poisoned: Option<String>,
-    /// The files may hold bytes no fsync has covered. Set by everything
-    /// that modifies them, cleared only by a successful fsync; a barrier
+    /// The file may hold bytes no fsync has covered. Set by everything
+    /// that modifies it, cleared only by a successful fsync; a barrier
     /// on a clean disk has nothing to make durable and issues none. A
-    /// disk starts dirty: files just created, or reopened after a kill
-    /// with writes still in the page cache, have never been synced by
+    /// disk starts dirty: a file just created, or reopened after a kill
+    /// with writes still in the page cache, has never been synced by
     /// this process.
     dirty: bool,
 }
@@ -82,17 +84,18 @@ struct DiskState {
 pub struct FileDisk {
     id: DiskId,
     mode: DurabilityMode,
-    files: DiskFiles,
+    block_count: u64,
+    page_size: usize,
     pub(crate) counters: Arc<DiskCounters>,
     state: Mutex<DiskState>,
     hook: Mutex<Option<HookState>>,
 }
 
 impl FileDisk {
-    /// Create the backing files for a fresh disk.
+    /// Create the backing file for a fresh disk.
     ///
     /// # Errors
-    /// Any file-system error creating or sizing the backing files.
+    /// Any file-system error creating or sizing the backing file.
     pub fn create(
         dir: &Path,
         id: DiskId,
@@ -101,14 +104,14 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::create(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, mode))
+        Ok(FileDisk::over(files, id, block_count, page_size, mode))
     }
 
-    /// Open a disk over surviving files (geometry is validated against
-    /// the file sizes).
+    /// Open a disk over a surviving file (geometry is validated against
+    /// the file size).
     ///
     /// # Errors
-    /// The files are missing or their sizes do not match the geometry.
+    /// The file is missing or its size does not match the geometry.
     pub fn open(
         dir: &Path,
         id: DiskId,
@@ -117,16 +120,24 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::open(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, mode))
+        Ok(FileDisk::over(files, id, block_count, page_size, mode))
     }
 
-    fn over(files: DiskFiles, id: DiskId, mode: DurabilityMode) -> FileDisk {
+    fn over(
+        files: DiskFiles,
+        id: DiskId,
+        block_count: u64,
+        page_size: usize,
+        mode: DurabilityMode,
+    ) -> FileDisk {
         FileDisk {
             id,
             mode,
-            files,
+            block_count,
+            page_size,
             counters: Arc::default(),
             state: Mutex::new(DiskState {
+                files,
                 failed: false,
                 bad_blocks: HashSet::new(),
                 poisoned: None,
@@ -148,7 +159,7 @@ impl FileDisk {
         ArrayError::Backend { disk: self.id, msg }
     }
 
-    /// Record that the files can no longer be trusted and build the error
+    /// Record that the file can no longer be trusted and build the error
     /// every later read, write and barrier will repeat.
     fn poison(&self, state: &mut DiskState, msg: String) -> ArrayError {
         self.counters.sticky_errors.inc();
@@ -156,11 +167,11 @@ impl FileDisk {
         self.backend_err(msg)
     }
 
-    /// Fsync both files, timed. A failure poisons the disk: it must not
+    /// Fsync the file, timed. A failure poisons the disk: it must not
     /// be retried as if clean.
     fn sync(&self, state: &mut DiskState) -> rda_array::Result<()> {
         let start = monotonic_nanos();
-        let synced = self.files.sync();
+        let synced = state.files.sync();
         self.counters.fsyncs.inc();
         if let Some(h) = self.counters.fsync_nanos.get() {
             h.observe(monotonic_nanos().saturating_sub(start));
@@ -176,9 +187,9 @@ impl FileDisk {
 
     /// The shared read-side gate: fault hook, then failure states — the
     /// same order as `SimDisk::readable`. On success the caller reads the
-    /// files under the returned guard.
+    /// file under the returned guard.
     fn read_gate(&self, block: u64) -> rda_array::Result<MutexGuard<'_, DiskState>> {
-        debug_assert!(block < self.files.block_count(), "block out of range");
+        debug_assert!(block < self.block_count, "block out of range");
         match self.consult_hook(block, false) {
             FaultAction::Proceed => {}
             FaultAction::Transient => {
@@ -210,6 +221,21 @@ impl FileDisk {
         }
         Ok(state)
     }
+
+    /// The one read path: gate, one positioned read of the block's slot,
+    /// checksum verification, then `take` sees the verified image where it
+    /// landed. `take` does not run on a torn, failed or poisoned block.
+    fn read_with<T>(&self, block: u64, take: impl FnOnce(&[u8]) -> T) -> rda_array::Result<T> {
+        let mut state = self.read_gate(block)?;
+        match state.files.read_block(block) {
+            Ok(BlockImage::Intact(image)) => Ok(take(image)),
+            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
+                disk: self.id,
+                block,
+            }),
+            Err(e) => Err(self.backend_err(format!("read of block {block} failed: {e}"))),
+        }
+    }
 }
 
 impl BlockDevice for FileDisk {
@@ -218,7 +244,7 @@ impl BlockDevice for FileDisk {
     }
 
     fn block_count(&self) -> u64 {
-        self.files.block_count()
+        self.block_count
     }
 
     fn set_fault_hook(&self, state: Option<HookState>) {
@@ -226,28 +252,18 @@ impl BlockDevice for FileDisk {
     }
 
     fn read(&self, block: u64) -> rda_array::Result<Page> {
-        let _state = self.read_gate(block)?;
-        match self.files.read_block(block) {
-            Ok(BlockImage::Intact(page)) => Ok(page),
-            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
-                disk: self.id,
-                block,
-            }),
-            Err(e) => Err(self.backend_err(format!("read of block {block} failed: {e}"))),
-        }
+        self.read_with(block, Page::from_bytes)
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
-        let page = self.read(block)?;
-        dst.xor_in_place(&page);
-        Ok(())
+        self.read_with(block, |image| xor::xor_in_place(dst.as_mut(), image))
     }
 
     fn write(&self, block: u64, page: &Page) -> rda_array::Result<()> {
-        debug_assert!(block < self.files.block_count(), "block out of range");
-        if page.len() != self.files.page_size() {
+        debug_assert!(block < self.block_count, "block out of range");
+        if page.len() != self.page_size {
             return Err(ArrayError::PageSizeMismatch {
-                expected: self.files.page_size(),
+                expected: self.page_size,
                 got: page.len(),
             });
         }
@@ -272,7 +288,7 @@ impl BlockDevice for FileDisk {
                 // without its checksum. Best-effort — the machine is
                 // losing power.
                 state.dirty = true;
-                let _ = self.files.write_torn_half(block, Some(page.as_ref()));
+                let _ = state.files.write_torn_half(block, Some(page.as_ref()));
                 return Err(ArrayError::Crashed);
             }
             FaultAction::Crash => return Err(ArrayError::Crashed),
@@ -285,8 +301,9 @@ impl BlockDevice for FileDisk {
         }
         self.counters.writes.inc();
         state.dirty = true;
-        self.files
-            .write_block(block, page)
+        state
+            .files
+            .write_block(block, page.as_ref())
             .map_err(|e| self.backend_err(format!("write of block {block} failed: {e}")))?;
         // The landed write refreshed the checksum, healing any torn
         // image; an injected latent error rots the block *after* the
@@ -310,21 +327,21 @@ impl BlockDevice for FileDisk {
     }
 
     fn corrupt_block(&self, block: u64) {
-        debug_assert!(block < self.files.block_count());
+        debug_assert!(block < self.block_count);
         self.state.lock().bad_blocks.insert(block);
     }
 
     fn tear_block(&self, block: u64) {
-        debug_assert!(block < self.files.block_count());
+        debug_assert!(block < self.block_count);
         let mut state = self.state.lock();
         state.dirty = true;
-        let _ = self.files.write_torn_half(block, None);
+        let _ = state.files.write_torn_half(block, None);
     }
 
     fn replace(&self) {
         let mut state = self.state.lock();
         state.dirty = true;
-        match self.files.reset_zero() {
+        match state.files.reset_zero() {
             Ok(()) => {
                 state.failed = false;
                 state.bad_blocks.clear();
@@ -389,6 +406,58 @@ mod tests {
         let mut acc = Page::from_bytes(&[7u8; 32]);
         d.read_xor_into(3, &mut acc).unwrap();
         assert!(acc.is_zeroed(), "read_xor_into reads the same image");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_xor_into_equals_read_then_xor() {
+        const PAGE: usize = 2020;
+        let dir = tmpdir("xor-into");
+        let d =
+            FileDisk::create(&dir, DiskId(0), 100, PAGE, DurabilityMode::FsyncOnBarrier).unwrap();
+        let mut images = crate::io::images(0xACC0, PAGE);
+        let mut image = || Page::from_bytes(&images());
+        let mut acc = image();
+        let mut expect = acc.clone();
+        for block in 0..100 {
+            d.write(block, &image()).unwrap();
+            d.read_xor_into(block, &mut acc).unwrap();
+            expect.xor_in_place(&d.read(block).unwrap());
+            assert_eq!(acc, expect, "block {block}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_xor_into_leaves_dst_untouched_on_a_refused_block() {
+        let dir = tmpdir("xor-into-torn");
+        let d = disk(&dir);
+        d.write(1, &Page::from_bytes(&[0x5A; 32])).unwrap();
+        let before = Page::from_bytes(&[0xC3; 32]);
+        let mut acc = before.clone();
+        d.tear_block(1);
+        assert!(matches!(
+            d.read_xor_into(1, &mut acc),
+            Err(ArrayError::TornPage { .. })
+        ));
+        assert_eq!(acc, before, "torn");
+        d.write(1, &Page::from_bytes(&[0x5A; 32])).unwrap();
+        d.corrupt_block(1);
+        assert!(matches!(
+            d.read_xor_into(1, &mut acc),
+            Err(ArrayError::MediaError { .. })
+        ));
+        assert_eq!(acc, before, "latent");
+        d.state.lock().files.fail_on = Some(FailOn::Sync);
+        assert!(BlockDevice::barrier(&d).is_err());
+        backend_msg(d.read_xor_into(2, &mut acc).unwrap_err());
+        assert_eq!(acc, before, "poisoned");
+        d.fail();
+        assert!(matches!(
+            d.read_xor_into(1, &mut acc),
+            Err(ArrayError::DiskFailed(_))
+        ));
+        assert_eq!(acc, before, "failed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -518,7 +587,7 @@ mod tests {
         let dir = tmpdir("pwrite-fails");
         let d = disk(&dir);
         d.write(5, &Page::from_bytes(&[1u8; 32])).unwrap();
-        *d.files.fail_on.lock() = Some(FailOn::Write(5));
+        d.state.lock().files.fail_on = Some(FailOn::Write(5));
         let msg = backend_msg(d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap_err());
         assert!(msg.contains("write of block 5 failed"), "{msg}");
         // Not sticky: the disk keeps serving, the refused block included.
@@ -526,7 +595,7 @@ mod tests {
         assert_eq!(d.read(6).unwrap().as_ref()[0], 3);
         assert_eq!(d.read(5).unwrap().as_ref()[0], 1, "old image intact");
         BlockDevice::barrier(&d).unwrap();
-        *d.files.fail_on.lock() = None;
+        d.state.lock().files.fail_on = None;
         d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap();
         assert_eq!(d.counters.sticky_errors.get(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -537,11 +606,11 @@ mod tests {
         let dir = tmpdir("fsync-fails");
         let d = disk(&dir);
         d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
-        *d.files.fail_on.lock() = Some(FailOn::Sync);
+        d.state.lock().files.fail_on = Some(FailOn::Sync);
         let first = backend_msg(BlockDevice::barrier(&d).unwrap_err());
         assert!(first.contains("fsync failed"), "{first}");
         // The device recovers; the disk must not retry as if clean.
-        *d.files.fail_on.lock() = None;
+        d.state.lock().files.fail_on = None;
         assert_eq!(backend_msg(BlockDevice::barrier(&d).unwrap_err()), first);
         let page = Page::from_bytes(&[2u8; 32]);
         assert_eq!(backend_msg(d.write(2, &page).unwrap_err()), first);
@@ -562,12 +631,12 @@ mod tests {
         let d = disk(&dir);
         d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
         d.fail();
-        *d.files.fail_on.lock() = Some(FailOn::Reset);
+        d.state.lock().files.fail_on = Some(FailOn::Reset);
         d.replace();
         assert!(d.is_failed(), "stale blocks must not be served");
         assert!(matches!(d.read(1), Err(ArrayError::DiskFailed(_))));
         assert_eq!(d.counters.sticky_errors.get(), 1);
-        *d.files.fail_on.lock() = None;
+        d.state.lock().files.fail_on = None;
         d.replace();
         assert!(!d.is_failed());
         assert!(d.read(1).unwrap().is_zeroed());

@@ -1,47 +1,79 @@
-//! The on-disk representation of one spindle: a pair of real files with
-//! positioned page-granular I/O.
+//! The on-disk representation of one spindle: one real file of
+//! sector-aligned block slots with positioned I/O, one system call per
+//! page transfer.
 //!
-//! `<n>.data` holds the raw page images back to back; `<n>.sum` holds one
-//! 8-byte checksum per block. The checksum file is what makes a torn write
-//! *detectable*, standing in for the per-sector headers real controllers
-//! stamp on each sector: a page whose image does not match its recorded
-//! checksum reads back as torn, exactly like `SimDisk`'s torn set. A
-//! never-written block has checksum 0 and must read back all zeroes.
+//! `<n>.data` holds block *b* in the slot at `b × stride`, where `stride`
+//! is `page_size + 8` rounded up to a whole number of 512-byte sectors
+//! (2048 for the paper's 2020-byte page: two slots per 4 KiB page-cache
+//! page, and no slot ever straddles one). Inside the slot:
 //!
-//! The checksum is [`Page::checksum`] — `rda_array::xor::checksum`, the
-//! word-wise four-lane multiply-mix kernel — and it is verified on every
-//! read and computed on every write. It is word-wise because it sits
-//! inside every page transfer: hashed a byte at a time, a 2020-byte page
-//! cost more than the `pread`/`pwrite` next to it. What it must tell
-//! apart is a whole image from one a dying write left partly in place,
-//! not an adversary's forgery. `manifest.txt` carries the format number
-//! that says which checksum a directory's `.sum` files hold.
+//! ```text
+//! | image (page_size bytes) | page_sum (8 bytes, LE) | zero padding |
+//! ```
 //!
-//! All I/O is positioned (`read_exact_at` / `write_all_at`) on page
+//! The checksum travels with its block, the way the paper keeps a page's
+//! timestamp in the page header, so a read is one `pread` of
+//! `page_size + 8` bytes and a write is one `pwrite` of the same; the
+//! padding is never read or written. The checksum is what makes a torn
+//! write *detectable*, standing in for the per-sector headers real
+//! controllers stamp on each sector: a block whose image does not match
+//! its recorded checksum reads back as torn, exactly like `SimDisk`'s torn
+//! set. A never-written block has checksum 0 and must read back all
+//! zeroes.
+//!
+//! The sum *trails* the image so the image starts on the slot's sector
+//! boundary and the sum lies in the slot's last written sector. A write
+//! that dies after a proper prefix of its sectors leaves the old sum over
+//! a partly new image; one that lands its last sector but not all the
+//! others leaves the new sum over a partly old image. Either is an
+//! image/checksum mismatch, which is all a tear is now — there is no
+//! second file whose write could be the one that went missing.
+//!
+//! The checksum is `rda_array::xor::checksum` — the word-wise four-lane
+//! multiply-mix kernel — and it is verified on every read and computed on
+//! every write. It is word-wise because it sits inside every page
+//! transfer: hashed a byte at a time, a 2020-byte page cost more than the
+//! `pread`/`pwrite` next to it. What it must tell apart is a whole image
+//! from one a dying write left partly in place, not an adversary's
+//! forgery. `manifest.txt` carries the format number that says which
+//! layout and checksum a directory's `.data` files hold (format 2 kept the
+//! sums in a `<n>.sum` file beside back-to-back images).
+//!
+//! All I/O is positioned (`read_exact_at` / `write_all_at`) on slot
 //! boundaries, so no caller depends on a file cursor.
 
-use rda_array::Page;
+use rda_array::xor;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Bytes of checksum stored per block in the `.sum` file.
-const SUM_BYTES: u64 = 8;
+/// Bytes of checksum stored behind each block's image.
+const SUM_BYTES: usize = 8;
 
-/// Checksum recorded alongside a page image. `0` is reserved as the
+/// Slots start on multiples of this, the sector size every drive and
+/// page cache agrees on.
+const SECTOR: usize = 512;
+
+/// Distance between the slots of consecutive blocks.
+fn stride(page_size: usize) -> u64 {
+    ((page_size + SUM_BYTES).div_ceil(SECTOR) * SECTOR) as u64
+}
+
+/// Checksum recorded behind a page image. `0` is reserved as the
 /// never-written sentinel, so a content hash that lands on 0 is remapped.
-pub(crate) fn page_sum(page: &Page) -> u64 {
-    match page.checksum() {
+fn page_sum(image: &[u8]) -> u64 {
+    match xor::checksum(image) {
         0 => 1,
         s => s,
     }
 }
 
 /// What a block read found on the platter.
-pub(crate) enum BlockImage {
-    /// The image matches its recorded checksum.
-    Intact(Page),
+pub(crate) enum BlockImage<'a> {
+    /// The image matches its recorded checksum. Borrowed from the disk's
+    /// slot buffer: good until the next call on the same [`DiskFiles`].
+    Intact(&'a [u8]),
     /// The image and checksum disagree — a write to this block was
     /// interrupted and the tear is detectable.
     Torn,
@@ -58,58 +90,55 @@ pub(crate) enum FailOn {
     Reset,
 }
 
-/// The two files backing one disk.
+/// The file backing one disk, and the buffer every transfer goes through.
 pub(crate) struct DiskFiles {
     data: File,
-    sums: File,
     page_size: usize,
     block_count: u64,
+    stride: u64,
+    /// One block's image and sum (`page_size + 8` bytes): what a read
+    /// lands in and a write is assembled in, so neither allocates.
+    slot: Box<[u8]>,
     #[cfg(test)]
-    pub(crate) fail_on: parking_lot::Mutex<Option<FailOn>>,
+    pub(crate) fail_on: Option<FailOn>,
 }
 
 impl DiskFiles {
-    fn paths(dir: &Path, disk: u16) -> (PathBuf, PathBuf) {
-        (
-            dir.join(format!("{disk}.data")),
-            dir.join(format!("{disk}.sum")),
-        )
+    fn path(dir: &Path, disk: u16) -> PathBuf {
+        dir.join(format!("{disk}.data"))
     }
 
-    /// Create (or truncate) the file pair, pre-sized to the full geometry
-    /// so every block address is valid from the start.
+    fn over(data: File, block_count: u64, page_size: usize) -> DiskFiles {
+        DiskFiles {
+            data,
+            page_size,
+            block_count,
+            stride: stride(page_size),
+            slot: vec![0u8; page_size + SUM_BYTES].into_boxed_slice(),
+            #[cfg(test)]
+            fail_on: None,
+        }
+    }
+
+    /// Create (or truncate) the file, pre-sized to the full geometry so
+    /// every block address is valid from the start.
     pub(crate) fn create(
         dir: &Path,
         disk: u16,
         block_count: u64,
         page_size: usize,
     ) -> io::Result<DiskFiles> {
-        let (data_path, sum_path) = DiskFiles::paths(dir, disk);
         let data = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(data_path)?;
-        let sums = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(sum_path)?;
-        data.set_len(block_count * page_size as u64)?;
-        sums.set_len(block_count * SUM_BYTES)?;
-        Ok(DiskFiles {
-            data,
-            sums,
-            page_size,
-            block_count,
-            #[cfg(test)]
-            fail_on: parking_lot::Mutex::new(None),
-        })
+            .open(DiskFiles::path(dir, disk))?;
+        data.set_len(block_count * stride(page_size))?;
+        Ok(DiskFiles::over(data, block_count, page_size))
     }
 
-    /// Open an existing file pair, validating that its sizes match the
+    /// Open an existing file, validating that its size matches the
     /// expected geometry.
     pub(crate) fn open(
         dir: &Path,
@@ -117,122 +146,112 @@ impl DiskFiles {
         block_count: u64,
         page_size: usize,
     ) -> io::Result<DiskFiles> {
-        let (data_path, sum_path) = DiskFiles::paths(dir, disk);
-        let data = OpenOptions::new().read(true).write(true).open(data_path)?;
-        let sums = OpenOptions::new().read(true).write(true).open(sum_path)?;
-        let want_data = block_count * page_size as u64;
-        let want_sums = block_count * SUM_BYTES;
-        if data.metadata()?.len() != want_data || sums.metadata()?.len() != want_sums {
+        let data = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(DiskFiles::path(dir, disk))?;
+        if data.metadata()?.len() != block_count * stride(page_size) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("disk {disk}: file sizes do not match the configured geometry"),
+                format!("disk {disk}: file size does not match the configured geometry"),
             ));
         }
-        Ok(DiskFiles {
-            data,
-            sums,
-            page_size,
-            block_count,
-            #[cfg(test)]
-            fail_on: parking_lot::Mutex::new(None),
-        })
-    }
-
-    pub(crate) fn block_count(&self) -> u64 {
-        self.block_count
-    }
-
-    pub(crate) fn page_size(&self) -> usize {
-        self.page_size
+        Ok(DiskFiles::over(data, block_count, page_size))
     }
 
     #[cfg(test)]
     fn injected(&self, op: FailOn) -> io::Result<()> {
-        if *self.fail_on.lock() == Some(op) {
+        if self.fail_on == Some(op) {
             return Err(io::Error::other(format!("injected {op:?} failure")));
         }
         Ok(())
     }
 
-    /// Read one block and verify it against its recorded checksum.
-    pub(crate) fn read_block(&self, block: u64) -> io::Result<BlockImage> {
-        let mut page = Page::zeroed(self.page_size);
+    /// Read one block's slot and verify the image against the checksum
+    /// behind it.
+    pub(crate) fn read_block(&mut self, block: u64) -> io::Result<BlockImage<'_>> {
         self.data
-            .read_exact_at(page.as_mut(), block * self.page_size as u64)?;
-        let mut sum_buf = [0u8; 8];
-        self.sums.read_exact_at(&mut sum_buf, block * SUM_BYTES)?;
-        let stored = u64::from_le_bytes(sum_buf);
-        let intact = if stored == 0 {
+            .read_exact_at(&mut self.slot, block * self.stride)?;
+        let (image, sum) = self.slot.split_at(self.page_size);
+        let intact = match u64::from_le_bytes(sum.try_into().expect("slot ends in the sum")) {
             // Never written: must still hold the factory zeroes.
-            page.is_zeroed()
-        } else {
-            page_sum(&page) == stored
+            0 => xor::is_zero(image),
+            stored => page_sum(image) == stored,
         };
         Ok(if intact {
-            BlockImage::Intact(page)
+            BlockImage::Intact(image)
         } else {
             BlockImage::Torn
         })
     }
 
-    /// Write one block: the image, then its checksum. A death between the
-    /// two leaves a detectable tear, exactly the failure mode the checksum
-    /// exists to expose.
-    pub(crate) fn write_block(&self, block: u64, page: &Page) -> io::Result<()> {
+    /// Write one block: image and checksum in one positioned write. A
+    /// death inside it leaves some sectors of the slot old and some new —
+    /// an image/checksum mismatch, the failure mode the checksum exists to
+    /// expose.
+    pub(crate) fn write_block(&mut self, block: u64, image: &[u8]) -> io::Result<()> {
         #[cfg(test)]
         self.injected(FailOn::Write(block))?;
-        self.data
-            .write_all_at(page.as_ref(), block * self.page_size as u64)?;
-        self.sums
-            .write_all_at(&page_sum(page).to_le_bytes(), block * SUM_BYTES)?;
-        Ok(())
+        let (slot_image, slot_sum) = self.slot.split_at_mut(self.page_size);
+        slot_image.copy_from_slice(image);
+        slot_sum.copy_from_slice(&page_sum(image).to_le_bytes());
+        self.data.write_all_at(&self.slot, block * self.stride)
     }
 
     /// Deliberately tear a block: overwrite the first half of its image
-    /// *without* touching the recorded checksum, so the block reads back
+    /// *without* touching the checksum behind it, so the block reads back
     /// torn until rewritten.
     ///
     /// `Some(new)` models a power loss halfway through writing `new` (the
     /// first half of the new image reached the platter); `None` scrambles
     /// the current first half in place (direct tear injection), mirroring
     /// `SimDisk::tear_block`'s `^ 0xA5` scramble.
-    pub(crate) fn write_torn_half(&self, block: u64, new: Option<&[u8]>) -> io::Result<()> {
-        let half = self.page_size / 2;
-        let bytes = match new {
-            Some(image) => image[..half].to_vec(),
+    pub(crate) fn write_torn_half(&mut self, block: u64, new: Option<&[u8]>) -> io::Result<()> {
+        let at = block * self.stride;
+        let half = &mut self.slot[..self.page_size / 2];
+        match new {
+            Some(image) => half.copy_from_slice(&image[..half.len()]),
             None => {
-                let mut cur = vec![0u8; half];
-                self.data
-                    .read_exact_at(&mut cur, block * self.page_size as u64)?;
-                for b in &mut cur {
+                self.data.read_exact_at(half, at)?;
+                for b in half.iter_mut() {
                     *b ^= 0xA5;
                 }
-                cur
             }
-        };
-        self.data
-            .write_all_at(&bytes, block * self.page_size as u64)
+        }
+        self.data.write_all_at(half, at)
     }
 
-    /// Reset both files to factory-blank (all zeroes, checksum sentinel 0
-    /// everywhere) — a replacement drive.
-    pub(crate) fn reset_zero(&self) -> io::Result<()> {
+    /// Reset the file to factory-blank (all zeroes, checksum sentinel 0
+    /// in every slot) — a replacement drive.
+    pub(crate) fn reset_zero(&mut self) -> io::Result<()> {
         #[cfg(test)]
         self.injected(FailOn::Reset)?;
         self.data.set_len(0)?;
-        self.data
-            .set_len(self.block_count * self.page_size as u64)?;
-        self.sums.set_len(0)?;
-        self.sums.set_len(self.block_count * SUM_BYTES)?;
-        Ok(())
+        self.data.set_len(self.block_count * self.stride)
     }
 
-    /// Flush both files to stable storage.
+    /// Flush the file to stable storage.
     pub(crate) fn sync(&self) -> io::Result<()> {
         #[cfg(test)]
         self.injected(FailOn::Sync)?;
-        self.data.sync_data()?;
-        self.sums.sync_data()
+        self.data.sync_data()
+    }
+}
+
+/// Seeded page images for this crate's tests: any non-repeating filler
+/// will do (xorshift64).
+#[cfg(test)]
+pub(crate) fn images(seed: u64, page_size: usize) -> impl FnMut() -> Vec<u8> {
+    let mut state = seed;
+    move || {
+        let mut bytes = vec![0u8; page_size];
+        for word in bytes.chunks_mut(8) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            word.copy_from_slice(&state.to_le_bytes()[..word.len()]);
+        }
+        bytes
     }
 }
 
@@ -247,32 +266,78 @@ mod tests {
         dir
     }
 
+    fn is_torn(f: &mut DiskFiles, block: u64) -> bool {
+        matches!(f.read_block(block).unwrap(), BlockImage::Torn)
+    }
+
+    /// The verified image of `block`, copied out of the slot buffer.
+    fn intact(f: &mut DiskFiles, block: u64) -> Vec<u8> {
+        match f.read_block(block).unwrap() {
+            BlockImage::Intact(image) => image.to_vec(),
+            BlockImage::Torn => panic!("block {block} reads torn"),
+        }
+    }
+
+    #[test]
+    fn stride_is_whole_sectors_and_no_slot_straddles_a_cache_page() {
+        for page_size in [32, 64, 2020, 2040, 4088, 4096] {
+            let stride = stride(page_size);
+            assert_eq!(stride % 512, 0, "page size {page_size}");
+            assert!(stride >= (page_size + 8) as u64, "page size {page_size}");
+            assert!(
+                stride < (page_size + 8 + 512) as u64,
+                "page size {page_size}"
+            );
+        }
+        assert_eq!(stride(2020), 2048);
+        assert_eq!(stride(2040), 2048, "image + sum fill the slot exactly");
+        assert_eq!(stride(4088), 4096);
+        // The paper's page: what a transfer touches lies inside one 4 KiB
+        // page-cache page, for every block.
+        for block in 0..1024u64 {
+            let first = block * stride(2020);
+            let last = first + 2020 + 8 - 1;
+            assert_eq!(first / 4096, last / 4096, "block {block}");
+        }
+    }
+
     #[test]
     fn roundtrip_and_zero_default() {
-        let dir = tmpdir("roundtrip");
-        let f = DiskFiles::create(&dir, 0, 8, 64).unwrap();
-        assert!(matches!(
-            f.read_block(3).unwrap(),
-            BlockImage::Intact(p) if p.is_zeroed()
-        ));
-        let page = Page::from_bytes(&[7u8; 64]);
-        f.write_block(3, &page).unwrap();
-        assert!(matches!(
-            f.read_block(3).unwrap(),
-            BlockImage::Intact(p) if p == page
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        const BLOCKS: u64 = 8;
+        for page_size in [64, 2020] {
+            let dir = tmpdir(&format!("roundtrip-{page_size}"));
+            let mut f = DiskFiles::create(&dir, 0, BLOCKS, page_size).unwrap();
+            let len = || std::fs::metadata(dir.join("0.data")).unwrap().len();
+            assert_eq!(len(), BLOCKS * stride(page_size));
+            let mut image = images(7, page_size);
+            for block in [0, 3, BLOCKS - 1] {
+                assert!(xor::is_zero(&intact(&mut f, block)), "block {block}");
+                let page = image();
+                f.write_block(block, &page).unwrap();
+                assert_eq!(intact(&mut f, block), page, "block {block}");
+                assert_eq!(len(), BLOCKS * stride(page_size), "block {block}");
+            }
+            // The neighbours of the written blocks are untouched.
+            for block in [1, 2, 4, 5, BLOCKS - 2] {
+                assert!(xor::is_zero(&intact(&mut f, block)), "block {block}");
+            }
+            // And a reopen sees the same file.
+            drop(f);
+            let mut f = DiskFiles::open(&dir, 0, BLOCKS, page_size).unwrap();
+            assert!(!xor::is_zero(&intact(&mut f, BLOCKS - 1)));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn torn_half_is_detected_and_heals_on_rewrite() {
         let dir = tmpdir("torn");
-        let f = DiskFiles::create(&dir, 1, 4, 32).unwrap();
-        f.write_block(2, &Page::from_bytes(&[1u8; 32])).unwrap();
+        let mut f = DiskFiles::create(&dir, 1, 4, 32).unwrap();
+        f.write_block(2, &[1u8; 32]).unwrap();
         f.write_torn_half(2, Some(&[9u8; 32])).unwrap();
-        assert!(matches!(f.read_block(2).unwrap(), BlockImage::Torn));
-        f.write_block(2, &Page::from_bytes(&[4u8; 32])).unwrap();
-        assert!(matches!(f.read_block(2).unwrap(), BlockImage::Intact(_)));
+        assert!(is_torn(&mut f, 2));
+        f.write_block(2, &[4u8; 32]).unwrap();
+        assert_eq!(intact(&mut f, 2), [4u8; 32]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -282,36 +347,58 @@ mod tests {
     #[test]
     fn half_page_tears_of_seeded_pairs_are_all_detected() {
         const PAGE: usize = 2020;
-        let mut state = 0x5EED_u64;
-        let mut image = || {
-            let mut bytes = vec![0u8; PAGE];
-            for word in bytes.chunks_mut(8) {
-                // xorshift64: any non-repeating filler will do.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                word.copy_from_slice(&state.to_le_bytes()[..word.len()]);
-            }
-            bytes
-        };
+        let mut image = images(0x5EED, PAGE);
         let dir = tmpdir("tear-pairs");
-        let f = DiskFiles::create(&dir, 0, 4, PAGE).unwrap();
+        let mut f = DiskFiles::create(&dir, 0, 4, PAGE).unwrap();
         for pair in 0..1000u64 {
             let (old, new) = (image(), image());
             let block = pair % 4;
-            f.write_block(block, &Page::from_bytes(&old)).unwrap();
+            f.write_block(block, &old).unwrap();
             f.write_torn_half(block, Some(&new)).unwrap();
-            assert!(
-                matches!(f.read_block(block).unwrap(), BlockImage::Torn),
-                "pair {pair}"
-            );
+            assert!(is_torn(&mut f, block), "pair {pair}");
             // The tear is what the test says it is.
-            let mut on_disk = vec![0u8; PAGE];
+            let mut on_disk = vec![0u8; PAGE + SUM_BYTES];
             f.data
-                .read_exact_at(&mut on_disk, block * PAGE as u64)
+                .read_exact_at(&mut on_disk, block * stride(PAGE))
                 .unwrap();
             assert_eq!(on_disk[..PAGE / 2], new[..PAGE / 2]);
-            assert_eq!(on_disk[PAGE / 2..], old[PAGE / 2..]);
+            assert_eq!(on_disk[PAGE / 2..PAGE], old[PAGE / 2..]);
+            assert_eq!(on_disk[PAGE..], page_sum(&old).to_le_bytes());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The two tears the one-slot layout adds to the half-page one, built
+    /// byte by byte: a write that landed only the slot's last sector, and
+    /// one that landed everything but the sum.
+    #[test]
+    fn last_sector_only_and_sum_only_tears_are_detected() {
+        const PAGE: usize = 2020;
+        let mut image = images(0xD15C, PAGE);
+        let dir = tmpdir("tear-sector");
+        let mut f = DiskFiles::create(&dir, 0, 4, PAGE).unwrap();
+        let last_sector = (PAGE + SUM_BYTES - 1) / SECTOR * SECTOR;
+        for pair in 0..100u64 {
+            let (old, new) = (image(), image());
+            let at = (pair % 4) * stride(PAGE);
+            let new_sum = page_sum(&new).to_le_bytes();
+
+            // Old image up to the last sector, new tail, new sum.
+            f.write_block(pair % 4, &old).unwrap();
+            f.data
+                .write_all_at(&new[last_sector..], at + last_sector as u64)
+                .unwrap();
+            f.data.write_all_at(&new_sum, at + PAGE as u64).unwrap();
+            assert!(is_torn(&mut f, pair % 4), "pair {pair}: last sector only");
+
+            // Whole new image, old sum.
+            f.write_block(pair % 4, &old).unwrap();
+            f.data.write_all_at(&new, at).unwrap();
+            assert!(is_torn(&mut f, pair % 4), "pair {pair}: sum only");
+
+            // The sum is all that was missing.
+            f.data.write_all_at(&new_sum, at + PAGE as u64).unwrap();
+            assert_eq!(intact(&mut f, pair % 4), new, "pair {pair}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -319,25 +406,28 @@ mod tests {
     #[test]
     fn scramble_tear_of_unwritten_block_is_detected() {
         let dir = tmpdir("scramble");
-        let f = DiskFiles::create(&dir, 0, 4, 32).unwrap();
+        let mut f = DiskFiles::create(&dir, 0, 4, 32).unwrap();
         f.write_torn_half(1, None).unwrap();
-        assert!(matches!(f.read_block(1).unwrap(), BlockImage::Torn));
+        assert!(is_torn(&mut f, 1));
+        assert!(xor::is_zero(&intact(&mut f, 0)));
+        assert!(xor::is_zero(&intact(&mut f, 2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reset_zero_blanks_everything() {
         let dir = tmpdir("reset");
-        let f = DiskFiles::create(&dir, 0, 4, 32).unwrap();
-        f.write_block(0, &Page::from_bytes(&[5u8; 32])).unwrap();
+        let mut f = DiskFiles::create(&dir, 0, 4, 32).unwrap();
+        f.write_block(0, &[5u8; 32]).unwrap();
         f.write_torn_half(1, None).unwrap();
         f.reset_zero().unwrap();
         for b in 0..4 {
-            assert!(matches!(
-                f.read_block(b).unwrap(),
-                BlockImage::Intact(p) if p.is_zeroed()
-            ));
+            assert!(xor::is_zero(&intact(&mut f, b)));
         }
+        assert_eq!(
+            std::fs::metadata(dir.join("0.data")).unwrap().len(),
+            4 * stride(32)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -349,6 +439,10 @@ mod tests {
         assert!(DiskFiles::open(&dir, 0, 4, 32).is_ok());
         assert!(DiskFiles::open(&dir, 0, 8, 32).is_err());
         assert!(DiskFiles::open(&dir, 1, 4, 32).is_err());
+        // Format 2 laid the images back to back: blocks × page_size bytes.
+        std::fs::write(dir.join("2.data"), vec![0u8; 4 * 32]).unwrap();
+        let err = DiskFiles::open(&dir, 2, 4, 32).err().expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,11 +35,15 @@
 //! frames, and appends into pages the file system just got back instead
 //! of ever-fresh ones.
 //!
-//! Durability policy: frames that *gate* platter writes (intent staging,
-//! chain links, twin header flips) are fsynced as they are appended;
-//! pure compaction hints (chain/intent clears, truncate markers) are
-//! not. WAL frames are fsynced when the store forces, via
-//! [`LogSink::sync`]. An append or fsync failure panics: a journal that
+//! Durability policy ([`MetaSink`]'s rule): the frames restart recovery
+//! decides by (intent staging, chain links, twin headers) are fsynced as
+//! they are appended; pure compaction hints (chain/intent clears, truncate
+//! markers) are not. A commit's twin flips arrive as one
+//! [`MetaSink::twin_metas`] batch: the same frames, back to back in one
+//! `write`, under one fsync — a crash inside it leaves a prefix of whole
+//! frames by the torn-tail rule, where eight separately synced appends
+//! could leave any prefix too. WAL frames are fsynced when the store
+//! forces, via [`LogSink::sync`]. An append or fsync failure panics: a journal that
 //! cannot persist has no honest way to keep accepting mutations. A
 //! journal *rewrite* that fails is different: the file it meant to
 //! replace is whole and stays in service, and the next truncation tries
@@ -78,7 +82,13 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
 pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
     let mut frame = Vec::with_capacity(4 + payload.len());
     push_frame(&mut frame, payload);
-    file.write_all(&frame)?;
+    append_frames(file, &frame, sync)
+}
+
+/// Append already framed bytes — one frame or several back to back — with
+/// a single `write`, optionally forcing them to stable storage.
+fn append_frames(file: &mut File, frames: &[u8], sync: bool) -> io::Result<()> {
+    file.write_all(frames)?;
     if sync {
         file.sync_data()?;
     }
@@ -88,7 +98,7 @@ pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::R
 /// Fsync the directory holding `path`, which makes a rename of `path`
 /// durable: without it a power loss can bring the replaced file back
 /// while later, fsynced appends went to the new one.
-fn sync_parent_dir(path: &Path) -> io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
     let dir = path.parent().unwrap_or(Path::new("."));
     File::open(dir)?.sync_all()
 }
@@ -351,17 +361,32 @@ impl FileMetaStore {
         ))
     }
 
-    fn append(&self, payload: &[u8], sync: bool) {
-        let mut file = self.file.lock();
-        if let Err(e) = append_frame(&mut file, payload, sync) {
+    /// Run one append against the journal file; a failure is fatal.
+    fn journal(&self, append: impl FnOnce(&mut File) -> io::Result<()>) {
+        if let Err(e) = append(&mut self.file.lock()) {
             panic!("meta journal append failed, durability is lost: {e}");
         }
+    }
+
+    fn append(&self, payload: &[u8], sync: bool) {
+        self.journal(|file| append_frame(file, payload, sync));
     }
 }
 
 impl MetaSink for FileMetaStore {
     fn twin_meta(&self, group: u32, meta: TwinMeta) {
         self.append(&encode_twin_meta(group, meta), true);
+    }
+
+    fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
+        if metas.is_empty() {
+            return;
+        }
+        let mut batch = Vec::new();
+        for &(group, meta) in metas {
+            push_frame(&mut batch, &encode_twin_meta(group, meta));
+        }
+        self.journal(|file| append_frames(file, &batch, true));
     }
 
     fn chain_steal(&self, txn: u64, page: u32) {
@@ -801,6 +826,64 @@ mod tests {
         // And the snapshot rewrite healed the journal.
         let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
         assert_eq!(snap.chains, vec![(1, vec![1])]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The headers a commit flipping groups 0..n would journal.
+    fn flips(n: u32) -> Vec<(u32, TwinMeta)> {
+        (0..n)
+            .map(|g| {
+                let meta = TwinMeta {
+                    ts: [u64::from(g) + 2, u64::from(g) + 7],
+                    state: [TwinState::Obsolete, TwinState::Committed],
+                };
+                (g, meta)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn twin_metas_writes_the_bytes_of_the_same_twin_meta_calls() {
+        let (one, all) = (tmpdir("meta-batch-one"), tmpdir("meta-batch-all"));
+        let by_one = FileMetaStore::create(&one).unwrap();
+        let at_once = FileMetaStore::create(&all).unwrap();
+        for store in [&by_one, &at_once] {
+            store.chain_steal(9, 3);
+        }
+        for (group, meta) in flips(8) {
+            by_one.twin_meta(group, meta);
+        }
+        at_once.twin_metas(&flips(8));
+        at_once.twin_metas(&[]);
+        for store in [&by_one, &at_once] {
+            store.chain_clear_txn(9);
+        }
+        let bytes = |dir: &Path| std::fs::read(FileMetaStore::journal_path(dir)).unwrap();
+        assert_eq!(bytes(&one), bytes(&all));
+        assert_eq!(frames(&bytes(&all)).count(), 1 + 8 + 1);
+        let _ = std::fs::remove_dir_all(&one);
+        let _ = std::fs::remove_dir_all(&all);
+    }
+
+    #[test]
+    fn batch_cut_mid_frame_reloads_the_whole_frames_before_the_cut() {
+        let src = tmpdir("meta-batch-cut-src");
+        FileMetaStore::create(&src).unwrap().twin_metas(&flips(8));
+        let whole = std::fs::read(FileMetaStore::journal_path(&src)).unwrap();
+        let _ = std::fs::remove_dir_all(&src);
+        let frame = whole.len() / 8;
+        assert_eq!(frame * 8, whole.len(), "eight frames of one size");
+
+        let dir = tmpdir("meta-batch-cut");
+        for cut in 0..=whole.len() {
+            std::fs::write(FileMetaStore::journal_path(&dir), &whole[..cut]).unwrap();
+            let (_store, snap) = FileMetaStore::load(&dir, 8).unwrap();
+            let mut expect = vec![TwinMeta::fresh(); 8];
+            for (group, meta) in flips((cut / frame) as u32) {
+                expect[group as usize] = meta;
+            }
+            assert_eq!(snap.twin_metas, expect, "cut at byte {cut}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,13 +2,18 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number and the formatted
-//!   geometry, both validated on reopen;
-//! * `<n>.data` / `<n>.sum` — one page file + checksum file per disk;
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=3`) and
+//!   the formatted geometry, both validated on reopen;
+//! * `<n>.data` — one file per disk, each block's image and checksum
+//!   together in a sector-aligned slot (see `crate::io`);
 //! * `meta.journal` — twin headers, steal chain, staged intent;
-//! * `wal.journal` — the durable mirror of the write-ahead log.
+//! * `wal.journal` — the durable mirror of the write-ahead log;
+//! * `obs.journal` — the flight recorder's black box, when it is on.
 //!
-//! [`create_database`] formats a fresh directory; [`reopen_database`]
+//! [`create_database`] formats a fresh directory and writes the manifest
+//! *last* (`manifest.txt.tmp`, fsync, rename, fsync of the directory), so
+//! a directory either has a manifest and every file it describes or has no
+//! manifest and is simply formatted again; [`reopen_database`]
 //! replays the journals into a [`RestoredState`] and hands the engine a
 //! database in needs-recovery state — the caller runs
 //! [`Database::recover`] before new work, exactly like the simulated
@@ -16,12 +21,13 @@
 
 use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
-use crate::meta::{FileLogSink, FileMetaStore};
+use crate::meta::{sync_parent_dir, FileLogSink, FileMetaStore};
 use rda_array::{DiskId, Geometry};
 use rda_core::{BackendSetup, Database, DbConfig, RestoredState};
 use rda_obs::{Counter, NANOS_BOUNDS};
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -85,11 +91,13 @@ impl From<io::Error> for StorageError {
 
 const MANIFEST: &str = "manifest.txt";
 
-/// First line of the manifest: what the files mean. Format 2 is format 1
-/// with `.sum` files that hold `rda_array::xor::checksum` instead of the
-/// byte-wise hash of format 1; read under the wrong one, every written
-/// block of a directory would look torn.
-const FORMAT_LINE: &str = "rda-disk-format=2";
+/// First line of the manifest: what the files mean. Format 1 kept a
+/// byte-wise hash of each block in `<n>.sum` beside back-to-back images in
+/// `<n>.data`; format 2 put `rda_array::xor::checksum` in the same two
+/// files; format 3 is one `<n>.data` of sector-aligned slots, each block's
+/// image followed by that checksum. Read as another format, a directory's
+/// files have the wrong sizes or every written block looks torn.
+const FORMAT_LINE: &str = "rda-disk-format=3";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -112,6 +120,19 @@ fn manifest_contents(cfg: &DbConfig) -> String {
         geo.disks(),
         geo.blocks_per_disk(),
     )
+}
+
+/// Make `dir` a database: write its manifest under a temporary name, then
+/// rename it into place and make the rename durable. Until the rename, a
+/// kill leaves a directory [`create_database`] formats again.
+fn write_manifest(dir: &Path, cfg: &DbConfig) -> io::Result<()> {
+    let manifest = dir.join(MANIFEST);
+    let tmp = manifest.with_extension("txt.tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(manifest_contents(cfg).as_bytes())?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, &manifest)?;
+    sync_parent_dir(&manifest)
 }
 
 /// Export the disks' counters through the database's metrics registry,
@@ -154,7 +175,9 @@ fn attach_flight_recorder(db: &FileDb, dir: &Path) -> Result<(), StorageError> {
 /// Format `dir` as a fresh file-backed database and open it.
 ///
 /// Refuses to clobber a directory that already holds a manifest — reopen
-/// that one instead, or remove it first.
+/// that one instead, or remove it first. A directory without one (a
+/// create that was killed before it finished, whatever files it left) is
+/// formatted from scratch: every file is created truncated.
 ///
 /// # Errors
 /// [`StorageError::Manifest`] if `dir` already holds a database;
@@ -185,10 +208,11 @@ pub fn create_database_with(
             dir.display()
         )));
     }
-    std::fs::write(&manifest, manifest_contents(&cfg))?;
     let meta = Arc::new(FileMetaStore::create(dir)?);
     let log = Arc::new(FileLogSink::create(dir)?);
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::create)?;
+    // Last of the files a reopen needs: from here on `dir` is a database.
+    write_manifest(dir, &cfg)?;
     let db = Database::open_with(
         cfg,
         BackendSetup {

@@ -509,9 +509,10 @@ fn wal_journal_stays_bounded_across_truncations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A directory formatted by the previous on-disk format (other page
-/// checksums in its `.sum` files) is refused by name, not read back as a
-/// database full of torn blocks.
+/// A directory formatted by an earlier on-disk format (checksums in
+/// `.sum` files beside back-to-back images: format 2, and format 1 with
+/// another hash) is refused by name, not read back as a database of
+/// wrong-sized files or torn blocks.
 #[test]
 fn directory_of_another_format_is_refused_by_name() {
     let dir = tmpdir("old-format");
@@ -520,15 +521,101 @@ fn directory_of_another_format_is_refused_by_name() {
     drop(db);
     let manifest = dir.join("manifest.txt");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text.starts_with("rda-disk-format=2\n"), "{text}");
-    std::fs::write(&manifest, text.replacen("format=2", "format=1", 1)).unwrap();
-    match reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier) {
-        Err(StorageError::Manifest(msg)) => {
-            assert!(msg.contains("\"rda-disk-format=1\""), "{msg}");
-            assert!(msg.contains("rda-disk-format=2 only"), "{msg}");
+    assert!(text.starts_with("rda-disk-format=3\n"), "{text}");
+    for old in ["format=2", "format=1"] {
+        std::fs::write(&manifest, text.replacen("format=3", old, 1)).unwrap();
+        match reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier) {
+            Err(StorageError::Manifest(msg)) => {
+                assert!(msg.contains(&format!("\"rda-disk-{old}\"")), "{msg}");
+                assert!(msg.contains("rda-disk-format=3 only"), "{msg}");
+            }
+            Err(other) => panic!("{old} refused for the wrong reason: {other}"),
+            Ok(_) => panic!("a {old} directory was opened"),
         }
-        Err(other) => panic!("refused for the wrong reason: {other}"),
-        Ok(_) => panic!("a format-1 directory was opened"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// File names in `dir`, sorted.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_database_directory_holds_one_data_file_per_disk_and_no_sidecar() {
+    let dir = tmpdir("listing");
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..4);
+    // Exactly these: no `<n>.sum` beside the data files, no `.tmp` left
+    // over from writing the manifest.
+    let disks = rda_array::Geometry::new(&cfg().array).disks();
+    let mut expect: Vec<String> = (0..disks).map(|d| format!("{d}.data")).collect();
+    expect.extend(["manifest.txt", "meta.journal", "obs.journal", "wal.journal"].map(String::from));
+    expect.sort();
+    assert_eq!(listing(&dir), expect);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `create_database` writes the manifest last, so a create killed at any
+/// point leaves a directory without one, and such a directory is formatted
+/// again — where it used to be refused by create ("already holds a
+/// database") and unopenable by reopen (a missing file).
+#[test]
+fn a_create_killed_before_its_manifest_is_simply_repeated() {
+    // Everything but the manifest: killed just before the rename, with
+    // the temporary manifest written or not.
+    for with_tmp in [false, true] {
+        let dir = tmpdir(&format!("create-killed-late-{with_tmp}"));
+        let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+        commit_stamps(&db, 0..3);
+        drop(db);
+        let manifest = dir.join("manifest.txt");
+        if with_tmp {
+            std::fs::rename(&manifest, dir.join("manifest.txt.tmp")).unwrap();
+        } else {
+            std::fs::remove_file(&manifest).unwrap();
+        }
+        assert!(reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).is_err());
+        let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+        assert_eq!(committed_value(&db, 0), None, "formatted, not reopened");
+        commit_stamps(&db, 5..7);
+        drop(db);
+        assert!(!dir.join("manifest.txt.tmp").exists());
+        let db = reopened(&dir);
+        assert_eq!(committed_value(&db, 5), Some(5));
+        assert!(db.audit().is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Only a half-written temporary manifest: killed right at the start of
+    // the manifest step of a directory whose other files were lost, or a
+    // stray file from anywhere.
+    let dir = tmpdir("create-killed-tmp-only");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("manifest.txt.tmp"), "rda-disk-form").unwrap();
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..2);
+    drop(db);
+    assert!(!dir.join("manifest.txt.tmp").exists());
+    assert_eq!(committed_value(&reopened(&dir), 1), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Journals and some of the disks, no manifest: killed mid-create.
+    let dir = tmpdir("create-killed-early");
+    drop(create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap());
+    std::fs::remove_file(dir.join("manifest.txt")).unwrap();
+    let disks = rda_array::Geometry::new(&cfg().array).disks();
+    for d in disks / 2..disks {
+        std::fs::remove_file(dir.join(format!("{d}.data"))).unwrap();
+    }
+    let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
+    commit_stamps(&db, 0..2);
+    drop(db);
+    assert_eq!(committed_value(&reopened(&dir), 0), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
