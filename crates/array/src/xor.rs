@@ -292,7 +292,8 @@ mod tests {
     #[test]
     fn checksum_values_are_pinned() {
         // Words are read little-endian whatever the host, so these hold on
-        // every target; a change here changes what `.sum` files mean.
+        // every target; a change here changes what the checksum behind
+        // each image in a `<n>.data` slot means (a new on-disk format).
         assert_eq!(checksum(&[]), 0x8BDF_0742_AC3C_8B12);
         assert_eq!(checksum(&counter(PAGE)), 0x1868_2DED_DD01_FA23);
     }

@@ -4,8 +4,10 @@
 //! cost redo at restart. We run a ¬FORCE workload with crashes injected at
 //! a fixed rate across a sweep of checkpoint intervals and report total
 //! transfers per committed transaction (workload + checkpoints + restart).
-//! The model predicts a U-shape; the engine's curve flattens instead —
-//! see the closing note for why that difference is real.
+//! The model predicts a U-shape. With page logging the engine shows it —
+//! restart reads the log from the last checkpoint, where the engine cuts
+//! it — with record logging the curve flattens instead; see the closing
+//! note.
 //!
 //! Run: `cargo run --release -p rda-bench --bin ckpt_sweep`
 
@@ -57,12 +59,14 @@ fn main() {
             crashes,
         });
     }
-    println!("\nfrequent checkpoints clearly hurt (left side of the model's U). The");
-    println!("right side never bends up here because this engine's restart redo does");
-    println!("bounded I/O per *page* (coalesced images / one read-modify-write per");
-    println!("page), not per logged action as the model charges — so once the");
-    println!("interval exceeds the crash spacing, checkpoints stop firing and the");
-    println!("cost saturates at the redo-bounded floor. The model's equation-(1)");
-    println!("interior optimum is an artifact of its per-action restart accounting.");
+    println!("\nfrequent checkpoints clearly hurt (left side of the model's U). With page");
+    println!("logging the right side bends up too: restart reads the log from the last");
+    println!("checkpoint (the engine cuts it there), so once the interval exceeds the");
+    println!("crash spacing and no checkpoint fires any more, every restart reads the");
+    println!("run's whole history — the interior optimum of the model's equation (1).");
+    println!("With record logging the log is a fraction of the size, the restart read");
+    println!("never outweighs the flushes, and since this engine's redo does bounded");
+    println!("I/O per *page* (coalesced images), not per logged action as the model");
+    println!("charges, the cost saturates at the redo-bounded floor instead.");
     write_json("ckpt_sweep", &rows);
 }

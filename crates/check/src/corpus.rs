@@ -43,10 +43,16 @@ impl CorpusEntry {
         ));
         members.push((
             "mutations".to_string(),
-            Json::Obj(vec![(
-                "skip_commit_twin_flip".to_string(),
-                Json::Bool(self.mutations.skip_commit_twin_flip),
-            )]),
+            Json::Obj(vec![
+                (
+                    "skip_commit_twin_flip".to_string(),
+                    Json::Bool(self.mutations.skip_commit_twin_flip),
+                ),
+                (
+                    "low_water_ignores_active".to_string(),
+                    Json::Bool(self.mutations.low_water_ignores_active),
+                ),
+            ]),
         ));
         members.push((
             "requires".to_string(),
@@ -69,10 +75,9 @@ impl CorpusEntry {
         };
         let mut mutations = ProtocolMutations::default();
         if let Some(m) = value.get("mutations") {
-            mutations.skip_commit_twin_flip = m
-                .get("skip_commit_twin_flip")
-                .and_then(Json::as_bool)
-                .unwrap_or(false);
+            let armed = |knob: &str| m.get(knob).and_then(Json::as_bool).unwrap_or(false);
+            mutations.skip_commit_twin_flip = armed("skip_commit_twin_flip");
+            mutations.low_water_ignores_active = armed("low_water_ignores_active");
         }
         let requires = value
             .get("requires")

@@ -32,9 +32,10 @@
 //!    after.
 //!
 //! The checker's teeth are proved by mutation: compile a protocol
-//! mutation into the engine ([`ProtocolMutations`], e.g. skip the
-//! commit-time twin flip) and the sweep must find and shrink a
-//! counterexample within a few dozen schedules — see the crate tests and
+//! mutation into the engine ([`ProtocolMutations`]: skip the commit-time
+//! twin flip, or let the log's low-water mark pass active transactions)
+//! and the sweep must find and shrink a counterexample within a few dozen
+//! schedules — see the crate tests and
 //! `cargo run -p rda-check -- --smoke`.
 
 mod checker;

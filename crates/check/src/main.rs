@@ -3,22 +3,25 @@
 //!
 //! ```text
 //! rda-check [--smoke] [--schedules N] [--faults N] [--seed S]
-//!           [--workers N] [--mutation] [--no-corpus] [--threaded]
-//!           [--out PATH] [--repro-out PATH]
+//!           [--workers N] [--mutation | --mutation-cut] [--no-corpus]
+//!           [--threaded] [--out PATH] [--repro-out PATH]
 //! ```
 //!
 //! Default run: replay the regression corpus, then sweep `--schedules`
 //! seeded schedules (each golden + `--faults` sampled fault points) of
 //! the classic one-shard stream, or with `--threaded` of the stream that
 //! also draws shard counts and the group-commit gate, then
-//! prove the checker's teeth by re-running a short sweep with the
-//! `skip_commit_twin_flip` protocol mutation compiled in — that sweep
-//! must *fail*, and its counterexample must shrink to a handful of ops.
-//! Exit status 0 means: corpus green, sweep clean, mutation caught.
+//! prove the checker's teeth by re-running a short sweep with each
+//! protocol mutation compiled in (`skip_commit_twin_flip`, then
+//! `low_water_ignores_active`) — those sweeps must *fail*, and their
+//! counterexamples must shrink to a handful of ops.
+//! Exit status 0 means: corpus green, sweep clean, mutations caught.
 //!
-//! `--mutation` flips the main sweep into mutation mode (find + shrink a
-//! counterexample, write it to `--repro-out`, exit 0 iff found); this is
-//! how new corpus entries are born.
+//! `--mutation` flips the main sweep into mutation mode with the twin
+//! flip skipped, `--mutation-cut` with the log's low-water mark ignoring
+//! active transactions (find + shrink a counterexample, write it to
+//! `--repro-out`, exit 0 iff found); this is how new corpus entries are
+//! born.
 
 use rda_check::{corpus, shrink, sweep, ProtocolMutations, Stream, SweepConfig};
 use std::io::Write as _;
@@ -29,7 +32,7 @@ struct Args {
     faults: u64,
     seed: u64,
     workers: usize,
-    mutation: bool,
+    mutations: ProtocolMutations,
     corpus: bool,
     stream: Stream,
     out: Option<String>,
@@ -45,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 0x1992, // ICDE 1992
 
         workers: 4,
-        mutation: false,
+        mutations: ProtocolMutations::default(),
         corpus: true,
         stream: Stream::Classic,
         out: None,
@@ -65,7 +68,8 @@ fn parse_args() -> Result<Args, String> {
             "--faults" => args.faults = parse_u64(&value("--faults")?)?,
             "--seed" => args.seed = parse_u64(&value("--seed")?)?,
             "--workers" => args.workers = parse_u64(&value("--workers")?)? as usize,
-            "--mutation" => args.mutation = true,
+            "--mutation" => args.mutations = TEETH[0].1,
+            "--mutation-cut" => args.mutations = TEETH[1].1,
             "--no-corpus" => args.corpus = false,
             "--threaded" => args.stream = Stream::Threaded,
             "--out" => args.out = Some(value("--out")?),
@@ -77,6 +81,34 @@ fn parse_args() -> Result<Args, String> {
     }
     Ok(args)
 }
+
+/// The protocol mutations the self-test must catch: name, knob set, and
+/// the short sweep that has to find it (schedules, planted faults per
+/// schedule). A bad cut only shows once a crash follows a commit made
+/// beside a transaction with propagated pages, which the schedules' own
+/// `crash_restart` ops stage often enough in 120 goldens; a planted crash
+/// point would pin the I/O numbering and keep the shrinker from dropping
+/// ops.
+const TEETH: [(&str, ProtocolMutations, u64, u64); 2] = [
+    (
+        "skip_commit_twin_flip",
+        ProtocolMutations {
+            skip_commit_twin_flip: true,
+            low_water_ignores_active: false,
+        },
+        40,
+        1,
+    ),
+    (
+        "low_water_ignores_active",
+        ProtocolMutations {
+            skip_commit_twin_flip: false,
+            low_water_ignores_active: true,
+        },
+        120,
+        0,
+    ),
+];
 
 fn parse_u64(text: &str) -> Result<u64, String> {
     let (text, radix) = match text.strip_prefix("0x") {
@@ -108,13 +140,7 @@ fn run() -> Result<(), String> {
         println!("corpus: {count} entries replayed, all expectations met");
     }
 
-    let mutations = if args.mutation {
-        ProtocolMutations {
-            skip_commit_twin_flip: true,
-        }
-    } else {
-        ProtocolMutations::default()
-    };
+    let mutations = args.mutations;
     let cfg = SweepConfig {
         stream: args.stream,
         seed: args.seed,
@@ -122,7 +148,7 @@ fn run() -> Result<(), String> {
         faults_per_schedule: args.faults,
         workers: args.workers,
         mutations,
-        stop_on_failure: args.mutation,
+        stop_on_failure: mutations.any(),
     };
     let report = sweep(&cfg);
     println!(
@@ -137,7 +163,7 @@ fn run() -> Result<(), String> {
         println!("sweep report written to {path}");
     }
 
-    if args.mutation {
+    if mutations.any() {
         // Mutation mode: the sweep must FIND a counterexample; shrink it.
         let failures = report.failures();
         let Some(first) = failures.first() else {
@@ -174,54 +200,48 @@ fn run() -> Result<(), String> {
             first.schedule.name, first.variant, first.violations
         ));
     }
-    let teeth_cfg = SweepConfig {
-        stream: args.stream,
-        seed: args.seed,
-        schedules: 40,
-        faults_per_schedule: 1,
-        workers: args.workers,
-        mutations: ProtocolMutations {
-            skip_commit_twin_flip: true,
-        },
-        stop_on_failure: true,
-    };
-    let teeth = sweep(&teeth_cfg);
-    let failures = teeth.failures();
-    let Some(first) = failures.first() else {
-        return Err(
-            "mutation self-test found no counterexample — the checker has no teeth".to_string(),
-        );
-    };
-    let shrunk = shrink(&first.schedule, teeth_cfg.mutations, 400);
-    println!(
-        "teeth: skip_commit_twin_flip caught ({}), shrunk to {} ops",
-        first.variant,
-        shrunk.schedule.ops.len()
-    );
-    if shrunk.schedule.ops.len() > 12 {
-        return Err(format!(
-            "mutation repro did not shrink below 12 ops (got {})",
+    for (name, mutations, schedules, faults_per_schedule) in TEETH {
+        let teeth_cfg = SweepConfig {
+            stream: args.stream,
+            seed: args.seed,
+            schedules,
+            faults_per_schedule,
+            workers: args.workers,
+            mutations,
+            stop_on_failure: true,
+        };
+        let teeth = sweep(&teeth_cfg);
+        let failures = teeth.failures();
+        let Some(first) = failures.first() else {
+            return Err(format!(
+                "{name} self-test found no counterexample — the checker has no teeth"
+            ));
+        };
+        let shrunk = shrink(&first.schedule, mutations, 400);
+        println!(
+            "teeth: {name} caught ({}), shrunk to {} ops",
+            first.variant,
             shrunk.schedule.ops.len()
-        ));
+        );
+        if shrunk.schedule.ops.len() > 12 {
+            return Err(format!(
+                "{name} repro did not shrink below 12 ops (got {})",
+                shrunk.schedule.ops.len()
+            ));
+        }
     }
     Ok(())
 }
 
 /// `--replay PATH`: run one schedule JSON file (a shrunk repro or a
 /// corpus entry's `schedule` object) and report its outcome; `--trace`
-/// dumps the full event trace, `--mutation` arms the twin-flip mutation,
-/// `--repro-out` shrinks the failure and writes it back out.
+/// dumps the full event trace, `--mutation` / `--mutation-cut` arm a
+/// mutation, `--repro-out` shrinks the failure and writes it back out.
 fn replay_one(args: &Args, path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let json = rda_check::Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let sched = rda_check::Schedule::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-    let mutations = if args.mutation {
-        ProtocolMutations {
-            skip_commit_twin_flip: true,
-        }
-    } else {
-        ProtocolMutations::default()
-    };
+    let mutations = args.mutations;
     let outcome = rda_check::run_schedule(&sched, mutations);
     if args.trace {
         print!("{}", outcome.trace);

@@ -48,24 +48,47 @@ fn sweep_is_clean_and_worker_count_independent() {
 fn corpus_replays_green() {
     let count = corpus::replay_dir(&corpus::default_dir())
         .unwrap_or_else(|e| panic!("corpus replay failed: {e}"));
-    assert!(count >= 11, "corpus has shrunk to {count} entries");
+    assert!(count >= 13, "corpus has shrunk to {count} entries");
 }
 
-/// With the commit-time twin flip compiled out, the sweep must find a
-/// counterexample quickly and the shrinker must reduce it to a handful
-/// of ops — the acceptance bound is 12, typical repros are 3–5.
+/// With the commit-time twin flip compiled out — or with the log's
+/// low-water mark allowed past the BOTs of active transactions — the
+/// sweep must find a counterexample quickly and the shrinker must reduce
+/// it to a handful of ops — the acceptance bound is 12, typical repros
+/// are 3–9.
 #[test]
 fn mutation_skip_twin_flip_is_caught_and_shrinks() {
+    caught_and_shrinks(
+        ProtocolMutations {
+            skip_commit_twin_flip: true,
+            ..ProtocolMutations::default()
+        },
+        1,
+    );
+}
+
+/// The bad cut shows on the schedules' own `crash_restart` ops; a planted
+/// crash point would pin the I/O numbering against the shrinker.
+#[test]
+fn mutation_low_water_ignores_active_is_caught_and_shrinks() {
+    caught_and_shrinks(
+        ProtocolMutations {
+            low_water_ignores_active: true,
+            ..ProtocolMutations::default()
+        },
+        0,
+    );
+}
+
+fn caught_and_shrinks(mutations: ProtocolMutations, faults_per_schedule: u64) {
     for stream in STREAMS {
         let cfg = SweepConfig {
             stream,
             seed: 0x1992,
             schedules: 200,
-            faults_per_schedule: 1,
+            faults_per_schedule,
             workers: 2,
-            mutations: ProtocolMutations {
-                skip_commit_twin_flip: true,
-            },
+            mutations,
             stop_on_failure: true,
         };
         let report = sweep(&cfg);

@@ -58,10 +58,11 @@ impl<D: BlockDevice> Engine<D> {
             pages.push(self.read_disk(DataPageId(p))?);
         }
         self.log.force();
-        Ok(Archive {
-            pages,
-            log_pos: Lsn(self.dur.log_store.len()),
-        })
+        let log_pos = Lsn(self.dur.log_store.len());
+        // Restoring this archive replays the log from here: the low-water
+        // mark waits at this position until `truncate_log` retires it.
+        self.archive_pin = Some(log_pos);
+        Ok(Archive { pages, log_pos })
     }
 
     /// Restore the database from an archive and roll it forward from the
@@ -70,12 +71,24 @@ impl<D: BlockDevice> Engine<D> {
     /// go) plus the log replay.
     ///
     /// Returns the number of redo records applied.
+    ///
+    /// An archive whose log position lies below the log's base cannot be
+    /// rolled forward — the commits in between are gone from the log — and
+    /// is refused with [`DbError::ArchiveTooOld`] before anything is
+    /// written.
     pub(crate) fn archive_restore(&mut self, archive: &Archive) -> Result<u64> {
         self.require_quiesced()?;
         if archive.pages() != self.dur.array.data_pages() {
             return Err(DbError::WrongGranularity(
                 "archive shape does not match the database",
             ));
+        }
+        let log_base = Lsn(self.dur.log_store.base());
+        if archive.log_pos < log_base {
+            return Err(DbError::ArchiveTooOld {
+                archive: archive.log_pos,
+                log_base,
+            });
         }
         self.buffer.crash(); // cached pages are about to be stale
 

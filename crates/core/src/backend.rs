@@ -56,6 +56,12 @@ pub struct IntentRecord {
 /// [`intent_clear`](MetaSink::intent_clear)) only retire records whose
 /// work is finished, so they may reach stable storage late or never:
 /// acting on a retired record again is idempotent.
+///
+/// A journal may compact itself inside any of these calls (`rda-disk`
+/// replaces `meta.journal` by a snapshot of the state it encodes once the
+/// file has outgrown that snapshot by a fixed floor). That is invisible
+/// here: the compacted journal is durable before it takes the old one's
+/// place, and whatever an earlier call reported stable still is.
 pub trait MetaSink: Send + Sync {
     /// A group's twin headers changed (flip, invalidation, working claim).
     /// Durable on return.

@@ -65,13 +65,19 @@ pub struct ProtocolMutations {
     /// transaction back — exactly the durability violation the twin-page
     /// protocol exists to prevent.
     pub skip_commit_twin_flip: bool,
+    /// Let the log's low-water mark ignore the active transactions: the
+    /// commit of one transaction then cuts away the BOT (and the
+    /// before-images behind it) of another that is still running. After a
+    /// crash restart no longer knows the second one was a loser and keeps
+    /// the pages it had propagated — an atomicity violation.
+    pub low_water_ignores_active: bool,
 }
 
 impl ProtocolMutations {
     /// Is any mutation enabled?
     #[must_use]
     pub fn any(self) -> bool {
-        self.skip_commit_twin_flip
+        self.skip_commit_twin_flip || self.low_water_ignores_active
     }
 }
 
@@ -341,9 +347,15 @@ mod tests {
         assert!(!c.mutations.any(), "mutations must default to off");
         let c = c.mutations(ProtocolMutations {
             skip_commit_twin_flip: true,
+            ..ProtocolMutations::default()
         });
         assert!(c.mutations.any());
         assert!(c.mutations.skip_commit_twin_flip);
+        let cut = ProtocolMutations {
+            low_water_ignores_active: true,
+            ..ProtocolMutations::default()
+        };
+        assert!(cut.any() && !cut.skip_commit_twin_flip);
     }
 
     #[test]

@@ -241,9 +241,19 @@ impl<D: BlockDevice> Database<D> {
         engine.recover()
     }
 
-    /// Truncate the write-ahead log to the oldest record recovery could
-    /// still need (last checkpoint / earliest active BOT). Returns the
-    /// number of records discarded. Invalidates older archives.
+    /// Move the log's low-water mark now and retire the archive pin.
+    /// Returns the number of records discarded.
+    ///
+    /// The engine moves the mark by itself — at every commit under FORCE,
+    /// at every ACC checkpoint under ¬FORCE — to the oldest record a
+    /// restart could still need (last checkpoint / earliest active BOT /
+    /// last archive dump), so on a running database this usually returns
+    /// 0. What the call is still for: after [`Database::archive_dump`]
+    /// the log is kept from the dump's position on until this call says
+    /// the archive will not be restored any more (an archive older than
+    /// the mark is refused by [`Database::archive_restore`]); and it cuts
+    /// once more without waiting for the next checkpoint, e.g. after an
+    /// abort.
     ///
     /// # Errors
     /// [`DbError::NeedsRecovery`] after an unrecovered crash.
@@ -252,7 +262,9 @@ impl<D: BlockDevice> Database<D> {
     }
 
     /// Take a transaction-consistent full archive copy (the §1 baseline's
-    /// backup pass). Requires quiescence; bills one read per page.
+    /// backup pass). Requires quiescence; bills one read per page. The log
+    /// is retained from this position on — so the archive can be rolled
+    /// forward — until the next dump or [`Database::truncate_log`].
     ///
     /// # Errors
     /// [`DbError::ActiveTransactions`] unless quiescent; array errors when
@@ -266,8 +278,11 @@ impl<D: BlockDevice> Database<D> {
     /// Returns the number of redo records applied.
     ///
     /// # Errors
-    /// [`DbError::ActiveTransactions`] unless quiescent; array errors when
-    /// writing restored pages fails.
+    /// [`DbError::ActiveTransactions`] unless quiescent;
+    /// [`DbError::ArchiveTooOld`] — before anything is written — when the
+    /// log no longer reaches back to the archive (a later dump or
+    /// [`Database::truncate_log`] retired it); array errors when writing
+    /// restored pages fails.
     pub fn archive_restore(&self, archive: &crate::Archive) -> Result<u64> {
         self.engine.lock().archive_restore(archive)
     }

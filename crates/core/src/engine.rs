@@ -39,7 +39,7 @@ use rda_obs::{
     monotonic_nanos, Counter, EventKind, FlightRecord, Histogram, MetricsRegistry, ObsHub,
     StealKind, NANOS_BOUNDS,
 };
-use rda_wal::{CheckpointKind, LogManager, LogRecord, LogStore, TxnId};
+use rda_wal::{CheckpointKind, LogManager, LogRecord, LogStore, Lsn, TxnId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -54,8 +54,19 @@ pub(crate) struct RecOp {
 /// Volatile per-transaction state.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
-    /// BOT record appended to the log?
-    pub bot_logged: bool,
+    /// LSN of the BOT record, once it is appended (lazily: when the
+    /// transaction first needs UNDO protection on disk, §4.3). Rollback
+    /// reads the log from here.
+    pub bot_lsn: Option<Lsn>,
+    /// The oldest log record a restart may need on this transaction's
+    /// account, set with `bot_lsn`: the BOT itself, or under ¬FORCE the
+    /// ACC checkpoint in effect when it was appended. Restart undoes a
+    /// parity-riding page to its *pre-steal disk version*, which may
+    /// predate committed updates that had not left the buffer; their redo
+    /// records lie after that checkpoint (it flushed everything older)
+    /// and must outlive this transaction. [`Engine::advance_low_water`]
+    /// never cuts above it.
+    pub log_pin: Option<Lsn>,
     /// First-touch before-images (for in-buffer rollback).
     pub before: HashMap<DataPageId, Page>,
     /// Pages written by this transaction.
@@ -213,6 +224,13 @@ pub struct Engine<D: BlockDevice = DefaultDisk> {
     pub(crate) next_txn: u64,
     pub(crate) clock: u64,
     pub(crate) ops_since_ckpt: u64,
+    /// Where ¬FORCE redo starts: the last ACC checkpoint record, or the
+    /// log's base while the retained log holds none.
+    pub(crate) redo_start: Lsn,
+    /// Log position of the last [`Engine::archive_dump`]: restoring that
+    /// archive replays the log from here, so the low-water mark stays at
+    /// or below it until [`Engine::truncate_log`] retires the archive.
+    pub(crate) archive_pin: Option<Lsn>,
     pub(crate) needs_recovery: bool,
     pub(crate) obs: ObsHub,
     pub(crate) metrics: EngineMetrics,
@@ -279,6 +297,13 @@ impl<D: BlockDevice> Engine<D> {
                 .register_view("log_reads_total", move || lr.reads());
             obs.metrics
                 .register_view("log_writes_total", move || log_io.writes());
+            // Is the log bounded? The low-water mark and what it retains.
+            let store = Arc::clone(&log_store);
+            obs.metrics
+                .register_view("wal_low_water_lsn", move || store.base());
+            let store = Arc::clone(&log_store);
+            obs.metrics
+                .register_view("wal_retained_bytes", move || store.retained_bytes());
             let pc = buffer.counters();
             let c = Arc::clone(&pc);
             obs.metrics
@@ -331,6 +356,8 @@ impl<D: BlockDevice> Engine<D> {
             next_txn: 1,
             clock,
             ops_since_ckpt: 0,
+            redo_start: Lsn(log_base),
+            archive_pin: None,
             needs_recovery,
             cfg,
             dur,
@@ -619,10 +646,15 @@ impl<D: BlockDevice> Engine<D> {
     // ---- logging helpers -------------------------------------------------
 
     fn ensure_bot(&mut self, txn: TxnId) -> Result<()> {
-        let st = self.txn_state(txn)?;
-        if !st.bot_logged {
-            st.bot_logged = true;
-            self.log.append(LogRecord::Bot { txn });
+        if self.txn_state(txn)?.bot_lsn.is_none() {
+            let bot = self.log.append(LogRecord::Bot { txn });
+            let pin = match self.cfg.eot {
+                EotPolicy::Force => bot,
+                EotPolicy::NoForce => bot.min(self.redo_start),
+            };
+            let st = self.txn_state(txn)?;
+            st.bot_lsn = Some(bot);
+            st.log_pin = Some(pin);
         }
         Ok(())
     }
@@ -1171,6 +1203,11 @@ impl<D: BlockDevice> Engine<D> {
             .remove(&txn)
             .map(|st| st.begin_nanos)
             .unwrap_or_default();
+        // Under FORCE every commit is a TOC checkpoint, and this one's twin
+        // flips are durable: nothing a restart needs lies below the pins.
+        if self.cfg.eot == EotPolicy::Force {
+            self.advance_low_water();
+        }
         self.obs.locks.forget_txn(txn.0);
         self.metrics.commits.inc();
         self.metrics.pages_per_commit.observe(written.len() as u64);
@@ -1229,7 +1266,7 @@ impl<D: BlockDevice> Engine<D> {
             self.rollback_buffer(txn, *page, None);
         }
 
-        if self.active.get(&txn).expect("checked").bot_logged {
+        if self.active.get(&txn).expect("checked").bot_lsn.is_some() {
             self.log.append(LogRecord::Abort { txn });
             self.log.force();
         }
@@ -1407,9 +1444,15 @@ impl<D: BlockDevice> Engine<D> {
         // Ensure everything relevant is durable before reading it back.
         self.log.force();
         let store = Arc::clone(&self.dur.log_store);
-        let from = store.find_bot(txn).unwrap_or(rda_wal::Lsn(0));
+        // A logged steal appended the BOT first, so every record read
+        // back here lies behind it.
+        let from = self
+            .active
+            .get(&txn)
+            .and_then(|st| st.bot_lsn)
+            .unwrap_or(Lsn(store.base()));
         let mut undo = UndoInfo::default();
-        store.scan(from, rda_wal::Lsn(store.len()), |_, record| match record {
+        store.scan(from, Lsn(store.len()), |_, record| match record {
             LogRecord::BeforeImage {
                 txn: t,
                 page,
@@ -1442,7 +1485,7 @@ impl<D: BlockDevice> Engine<D> {
                 let image = undo
                     .images
                     .get(&page)
-                    .expect("logged steal has before-image");
+                    .ok_or(DbError::UndoRecordMissing { txn, page })?;
                 Page::from_bytes(image)
             }
             LogGranularity::Record => {
@@ -1450,7 +1493,7 @@ impl<D: BlockDevice> Engine<D> {
                 let diffs = undo
                     .diffs
                     .get(&page)
-                    .expect("logged steal has before-diffs");
+                    .ok_or(DbError::UndoRecordMissing { txn, page })?;
                 for (offset, before) in diffs.iter().rev() {
                     let off = *offset as usize;
                     current.as_mut()[off..off + before.len()].copy_from_slice(before);
@@ -1537,11 +1580,12 @@ impl<D: BlockDevice> Engine<D> {
         // that every page propagated above is on disk — make it true on a
         // real backend before the record becomes durable.
         self.dur.array.write_barrier()?;
-        self.log.append(LogRecord::Checkpoint {
+        self.redo_start = self.log.append(LogRecord::Checkpoint {
             kind: CheckpointKind::Acc,
             active,
         });
         self.log.force();
+        self.advance_low_water();
         // A checkpoint is a durability barrier too: give the black box
         // its flush opportunity.
         if let Some(hook) = &self.barrier_hook {
@@ -1549,6 +1593,43 @@ impl<D: BlockDevice> Engine<D> {
         }
         self.ops_since_ckpt = 0;
         Ok(())
+    }
+
+    // ---- the log's low-water mark -----------------------------------------
+
+    /// Drop from the log everything no restart can need any more. The
+    /// mark moves to the lowest of
+    ///
+    /// * the last checkpoint: the durable end under FORCE (every commit is
+    ///   a TOC checkpoint), the last ACC record under ¬FORCE (redo starts
+    ///   there);
+    /// * the pin of every transaction still in `active` (undo reads back
+    ///   to its BOT — a gate-batch member that is forced but not yet
+    ///   finalized is still there);
+    /// * the position of the last archive dump (restore replays from it).
+    ///
+    /// The engine calls this at its own checkpoints — the end of
+    /// [`Engine::txn_commit_finalize`] under FORCE, the end of
+    /// [`Engine::checkpoint`] — and [`Engine::truncate_log`] is the same
+    /// cut on demand. O(active transactions) plus the records dropped;
+    /// bills nothing. Returns the number of records dropped.
+    pub(crate) fn advance_low_water(&mut self) -> u64 {
+        let store = &self.dur.log_store;
+        let mut cut = match self.cfg.eot {
+            EotPolicy::Force => Lsn(store.len()),
+            EotPolicy::NoForce => self.redo_start,
+        };
+        // Mutation-sensitivity knob: with it set a loser's BOT (and the
+        // before-images behind it) can be cut away under it.
+        if !self.cfg.mutations.low_water_ignores_active {
+            for pin in self.active.values().filter_map(|st| st.log_pin) {
+                cut = cut.min(pin);
+            }
+        }
+        if let Some(pin) = self.archive_pin {
+            cut = cut.min(pin);
+        }
+        store.truncate_before(cut)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Engine error type.
 
 use rda_array::{ArrayError, DataPageId};
-use rda_wal::TxnId;
+use rda_wal::{Lsn, TxnId};
 use std::fmt;
 
 /// Errors surfaced by the database engine.
@@ -46,6 +46,27 @@ pub enum DbError {
     /// The database crashed and must run restart recovery before serving
     /// new work.
     NeedsRecovery,
+    /// Rollback found no UNDO record in the log for a page the transaction
+    /// had propagated under before-image logging — the log was cut above
+    /// the transaction's BOT. The low-water rule makes this unreachable;
+    /// it is an error rather than a panic so that a broken rule is
+    /// something a checker can report.
+    UndoRecordMissing {
+        /// The transaction being rolled back.
+        txn: TxnId,
+        /// The page whose before-image is gone.
+        page: DataPageId,
+    },
+    /// An archive cannot be restored because the log no longer reaches
+    /// back to it: the commits between the archive's position and the
+    /// log's base were truncated away, so rolling forward would silently
+    /// skip them. Nothing was written; the database is as it was.
+    ArchiveTooOld {
+        /// Log position the archive is consistent with.
+        archive: Lsn,
+        /// Oldest record the log still holds.
+        log_base: Lsn,
+    },
     /// A cross-shard commit whose decision is durably staged but whose
     /// application was interrupted partway: the transaction **will**
     /// commit — the staged intent is replayed by
@@ -90,6 +111,14 @@ impl fmt::Display for DbError {
             DbError::NeedsRecovery => {
                 write!(f, "database crashed; run restart recovery first")
             }
+            DbError::UndoRecordMissing { txn, page } => {
+                write!(f, "no UNDO record in the log for {page} of {txn}")
+            }
+            DbError::ArchiveTooOld { archive, log_base } => write!(
+                f,
+                "archive taken at {archive} cannot be rolled forward: the log was \
+                 truncated to {log_base} since"
+            ),
             DbError::CommitInDoubt { gid, cause } => {
                 write!(
                     f,

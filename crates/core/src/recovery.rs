@@ -323,6 +323,10 @@ impl<D: BlockDevice> Engine<D> {
         self.next_txn = self.next_txn.max(max_txn + 1);
         self.clock = self.dur.twins.max_ts() + 1;
         self.ops_since_ckpt = 0;
+        self.redo_start = analysis
+            .last_acc_checkpoint
+            .as_ref()
+            .map_or(Lsn(store.base()), |(at, _)| *at);
         self.needs_recovery = false;
         Ok(report)
     }
@@ -627,41 +631,27 @@ impl<D: BlockDevice> Engine<D> {
         Ok(rebuilt)
     }
 
-    /// Truncate the write-ahead log to the earliest record still needed:
-    /// the later of the last checkpoint (¬FORCE redo starts there; under
-    /// FORCE every commit is a TOC checkpoint, so the durable end works)
-    /// bounded below by the earliest BOT of any active transaction (undo
-    /// must reach it). Returns the number of records discarded.
+    /// Move the log's low-water mark now, and retire the archive pin.
     ///
-    /// Archives taken before the truncation point can no longer be rolled
-    /// forward — take a fresh archive after truncating if archive recovery
-    /// matters.
+    /// The engine advances the mark by itself at every checkpoint it takes
+    /// ([`Engine::advance_low_water`] has the rule), so on a running
+    /// database this usually finds nothing left to drop. What the call is
+    /// still for: forcing the volatile tail first and cutting once more
+    /// (after an abort, say, which is not a checkpoint), and telling the
+    /// engine that the last [`Engine::archive_dump`] will not be restored
+    /// any more — until then the log is kept from the dump's position on,
+    /// however long that grows. Returns the number of records discarded.
+    ///
+    /// An archive taken before the mark can no longer be rolled forward
+    /// ([`Engine::archive_restore`] refuses it) — take a fresh one after
+    /// truncating if archive recovery matters.
     pub(crate) fn truncate_log(&mut self) -> Result<u64> {
         if self.needs_recovery {
             return Err(DbError::NeedsRecovery);
         }
         self.log.force();
-        let store = Arc::clone(&self.dur.log_store);
-        let mut cut = match self.cfg.eot {
-            EotPolicy::Force => Lsn(store.len()),
-            EotPolicy::NoForce => store
-                .rfind(|r| {
-                    matches!(
-                        r,
-                        LogRecord::Checkpoint {
-                            kind: rda_wal::CheckpointKind::Acc,
-                            ..
-                        }
-                    )
-                })
-                .unwrap_or(Lsn(store.base())),
-        };
-        for txn in self.active.keys() {
-            if let Some(bot) = store.find_bot(*txn) {
-                cut = cut.min(bot);
-            }
-        }
-        Ok(store.truncate_before(cut))
+        self.archive_pin = None;
+        Ok(self.advance_low_water())
     }
 
     /// Check the parity invariants of every group: the committed twin (or

@@ -44,6 +44,96 @@ fn dump_then_restore_roundtrips() {
     }
 }
 
+/// An exported counter or gauge, by name.
+fn metric(db: &Database, name: &str) -> u64 {
+    db.metrics()
+        .counter_values()
+        .into_iter()
+        .find_map(|(n, value)| (n == name).then_some(value))
+        .unwrap_or_else(|| panic!("{name} is registered"))
+}
+
+/// The engine moves the log's low-water mark at every commit; the last
+/// dump pins it, so the archive keeps rolling forward however many
+/// commits follow.
+#[test]
+fn the_last_dump_pins_the_low_water_mark() {
+    let db = loaded_db(EngineKind::Rda);
+    let archive = db.archive_dump().unwrap();
+    assert_eq!(metric(&db, "wal_low_water_lsn"), archive.log_position().0);
+    for round in 0u32..30 {
+        let mut tx = db.begin();
+        tx.write(round, &[round as u8 + 100; 16]).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(
+            metric(&db, "wal_low_water_lsn"),
+            archive.log_position().0,
+            "commit {round} moved the mark past the archive"
+        );
+    }
+    assert_eq!(db.archive_restore(&archive).unwrap(), 30);
+    for round in 0u32..30 {
+        assert_eq!(db.read_page(round).unwrap()[0], round as u8 + 100);
+    }
+    assert!(db.verify().unwrap().is_empty());
+    // A newer dump takes the pin over: the older archive is refused, the
+    // newer one restores.
+    let newer = db.archive_dump().unwrap();
+    let mut tx = db.begin();
+    tx.write(0, b"after the newer dump").unwrap();
+    tx.commit().unwrap();
+    assert!(matches!(
+        db.archive_restore(&archive),
+        Err(DbError::ArchiveTooOld { .. })
+    ));
+    db.archive_restore(&newer).unwrap();
+    assert_eq!(&db.read_page(0).unwrap()[..5], b"after");
+}
+
+/// `truncate_log()` retires the archive. Restoring it anyway used to
+/// rewrite the whole array from the dump, skip the commits that were no
+/// longer in the log, and return `Ok`.
+#[test]
+fn an_archive_older_than_the_log_is_refused_before_anything_is_written() {
+    for engine in [EngineKind::Rda, EngineKind::Wal] {
+        let db = loaded_db(engine);
+        let archive = db.archive_dump().unwrap();
+        for round in 0u32..5 {
+            let mut tx = db.begin();
+            tx.write(round, &[0xEE; 16]).unwrap();
+            tx.commit().unwrap();
+        }
+        assert!(db.truncate_log().unwrap() > 0, "{engine:?}");
+        let before = db.stats();
+        let refused = db.archive_restore(&archive).unwrap_err();
+        match &refused {
+            DbError::ArchiveTooOld {
+                archive: at,
+                log_base,
+            } => {
+                assert_eq!(*at, archive.log_position());
+                assert!(log_base > at, "{engine:?}: {refused}");
+            }
+            other => panic!("{engine:?}: refused with {other}"),
+        }
+        assert!(refused
+            .to_string()
+            .contains(&archive.log_position().to_string()));
+        let d = db.stats().delta(&before);
+        assert_eq!(d.array.transfers(), 0, "{engine:?}: the array is untouched");
+        // Pages still current, parity still right.
+        for round in 0u32..5 {
+            assert_eq!(db.read_page(round).unwrap()[0], 0xEE, "{engine:?}");
+        }
+        assert_eq!(db.read_page(7).unwrap()[0], 8, "{engine:?}");
+        assert!(db.verify().unwrap().is_empty(), "{engine:?}");
+        // A fresh archive works again.
+        let fresh = db.archive_dump().unwrap();
+        db.archive_restore(&fresh).unwrap();
+        assert_eq!(db.read_page(0).unwrap()[0], 0xEE, "{engine:?}");
+    }
+}
+
 #[test]
 fn restore_heals_a_failed_and_replaced_array() {
     let db = loaded_db(EngineKind::Rda);

@@ -14,50 +14,73 @@
 //! frame at the tail; loading stops at the first incomplete or
 //! undecodable frame, which is exactly the not-yet-durable suffix.
 //!
-//! `meta.journal` is small (one header per group, the live chains, at
-//! most one intent) and is rewritten as a snapshot on every reopen;
-//! between reopens it only grows.
+//! ## Lifecycle: both journals give space back while the process runs
 //!
-//! `wal.journal` is as large as the retained log, give or take the
-//! rule below, while the process runs and when it is reopened. Log
-//! truncation appends an O(1) marker frame; the records a marker killed
-//! are skipped by tag and LSN, never decoded. The sink knows the file's
-//! length and the offset of every retained record's frame, so after each
-//! marker — and once in [`FileLogSink::load`], which reads the file once,
-//! copies each surviving record once and cuts a torn or undecodable tail
-//! off in place (`set_len`) — it applies one rule through one routine
-//! (`Journal::reclaim`): when the dead prefix has grown to the size of
-//! what would remain, so that a rewrite at least halves the file, the
-//! journal becomes one marker plus the live suffix copied byte for byte
-//! (tmp + fsync + rename + fsync of the directory). A database that
-//! truncates its log every so many commits therefore keeps a journal of
-//! at most twice the sum of what it retains and one such interval of
-//! frames, and appends into pages the file system just got back instead
-//! of ever-fresh ones.
+//! Each journal knows its file's length and what of it is still live, and
+//! each has one routine that replaces the file by a shorter image of
+//! itself (`JournalFile::replace`: the image into `<name>.journal.tmp`,
+//! `sync_data`, rename over the journal, fsync of the directory, the open
+//! handle swapped under the journal's lock). A rewrite costs 100–200 µs,
+//! so it has to be rare: each journal rewrites itself only once the dead
+//! bytes exceed the live ones **by a floor**, a private constant chosen so
+//! that on the benchmark's `file-commit` workload a rewrite lands on
+//! fewer than one commit in 400 (at one in 64 the commit p99 rose 60 %).
 //!
-//! Durability policy ([`MetaSink`]'s rule): the frames restart recovery
-//! decides by (intent staging, chain links, twin headers) are fsynced as
-//! they are appended; pure compaction hints (chain/intent clears, truncate
-//! markers) are not. A commit's twin flips arrive as one
-//! [`MetaSink::twin_metas`] batch: the same frames, back to back in one
-//! `write`, under one fsync — a crash inside it leaves a prefix of whole
-//! frames by the torn-tail rule, where eight separately synced appends
-//! could leave any prefix too. WAL frames are fsynced when the store
-//! forces, via [`LogSink::sync`]. An append or fsync failure panics: a journal that
-//! cannot persist has no honest way to keep accepting mutations. A
-//! journal *rewrite* that fails is different: the file it meant to
-//! replace is whole and stays in service, and the next truncation tries
+//! * `wal.journal`: log truncation — which the engine now performs at
+//!   every commit under FORCE — costs no write of its own: the O(1) marker
+//!   frame that declares the new base rides at the head of the next
+//!   batch's one `write` (or goes out when the sink is dropped; a marker
+//!   that never lands only costs the next reopen some decoding). The
+//!   records a marker killed are skipped by tag and LSN, never decoded.
+//!   The sink knows the offset of every retained record's frame, and
+//!   after each truncation — and once in [`FileLogSink::load`], which
+//!   reads the file once, copies each surviving record once and cuts a
+//!   torn or undecodable tail off in place (`set_len`) —
+//!   `Journal::reclaim` applies one rule: when `dead ≥ live + FLOOR` the
+//!   journal becomes one marker plus the live suffix copied byte for
+//!   byte. The file therefore never exceeds `2 × live + FLOOR` plus one
+//!   commit's frames.
+//! * `meta.journal`: the store keeps the state the journal encodes
+//!   (`Mirror`: one header per group, the live chains, at most one
+//!   intent) current on every [`MetaSink`] call, and once the file has
+//!   grown to `snapshot + FLOOR_META` it becomes the snapshot of that
+//!   state — the same bytes [`FileMetaStore::load`] writes on every
+//!   reopen, from the same routine.
+//!
+//! Reopen thus reads two journals whose size is bounded by the live work
+//! plus a constant, whatever the uptime.
+//!
+//! ## What is durable when
+//!
+//! [`MetaSink`]'s rule: the frames restart recovery decides by (intent
+//! staging, chain links, twin headers) are fsynced as they are appended;
+//! pure compaction hints (chain/intent clears, truncate markers) are not.
+//! A commit's twin flips arrive as one [`MetaSink::twin_metas`] batch: the
+//! same frames, back to back in one `write`, under one fsync — a crash
+//! inside it leaves a prefix of whole frames by the torn-tail rule, where
+//! eight separately synced appends could leave any prefix too. WAL frames
+//! are fsynced when the store forces, via [`LogSink::sync`]. A rewritten
+//! journal is made durable (`sync_data`) before it is renamed into place,
+//! and no later fsync reports success until the rename is (directory
+//! fsync), so a run-time rewrite never weakens what an earlier call
+//! promised. An append or fsync failure panics: a journal that cannot
+//! persist has no honest way to keep accepting mutations. A journal
+//! *rewrite* that fails is different: the file it meant to replace is
+//! whole and stays in service, the failure is counted
+//! (`*_journal_rewrite_failures_total`), and the next opportunity tries
 //! again.
 
 use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
+use rda_obs::Counter;
 use rda_wal::{codec, LogRecord, LogSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const TAG_TWIN_META: u8 = 1;
 const TAG_CHAIN_STEAL: u8 = 2;
@@ -69,26 +92,39 @@ const TAG_INTENT_CLEAR: u8 = 6;
 const TAG_WAL_RECORD: u8 = 16;
 const TAG_WAL_TRUNCATE: u8 = 17;
 
+/// `wal.journal` is rewritten once its dead prefix exceeds what would
+/// remain by this much. At 16.3 KB of log per commit (the benchmark's
+/// `file-commit`) that is one rewrite per ≈ 510 commits; 4 MiB (one per
+/// ≈ 255) already showed in that workload's commit p99, 1 MiB raised it
+/// 60 %. The price is at reopen, which reads up to this much dead log.
+const FLOOR: u64 = 8 << 20;
+
+/// `meta.journal` is rewritten once it exceeds the snapshot of its state
+/// by this much. It grows ≈ 500 B per commit, so: one rewrite per ≈ 2 000
+/// commits, and at most this much history for a reopen to replay. At a
+/// quarter of it the two journals' rewrites together reached 0.4 % of
+/// `file-commit`'s commits and its p99 moved in one run of three.
+const FLOOR_META: u64 = 1 << 20;
+
 /// Append one length-prefixed frame to a byte buffer.
 fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
-/// Append one length-prefixed frame with a single `write`, optionally
-/// forcing it to stable storage before returning. Shared with the flight
-/// recorder's `obs.journal` (see `crate::flight`), which reuses this
-/// torn-tail framing for its black-box snapshots.
-pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
+/// One payload as the frame it is journaled as.
+fn framed(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(4 + payload.len());
     push_frame(&mut frame, payload);
-    append_frames(file, &frame, sync)
+    frame
 }
 
-/// Append already framed bytes — one frame or several back to back — with
-/// a single `write`, optionally forcing them to stable storage.
-fn append_frames(file: &mut File, frames: &[u8], sync: bool) -> io::Result<()> {
-    file.write_all(frames)?;
+/// Append one length-prefixed frame with a single `write`, optionally
+/// forcing it to stable storage before returning: the flight recorder's
+/// `obs.journal` (see `crate::flight`) reuses this torn-tail framing for
+/// its black-box snapshots.
+pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
+    file.write_all(&framed(payload))?;
     if sync {
         file.sync_data()?;
     }
@@ -172,6 +208,150 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Which step of a journal rewrite a unit test wants to fail; production
+/// builds have no such seam (see `io::FailOn`).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailRewrite {
+    /// The temporary file cannot be made durable.
+    TmpSync,
+    /// The rename went through; the directory fsync after it fails.
+    DirSync,
+}
+
+/// How often one journal replaced its file, and how often that failed;
+/// exported as `<wal|meta>_journal_rewrites_total` and
+/// `<wal|meta>_journal_rewrite_failures_total`.
+#[derive(Default)]
+pub(crate) struct JournalStats {
+    pub(crate) rewrites: Counter,
+    pub(crate) rewrite_failures: Counter,
+}
+
+/// Where a rewrite builds the next journal before renaming it.
+fn tmp_path(journal: &Path) -> PathBuf {
+    journal.with_extension("journal.tmp")
+}
+
+/// An open journal file: where its next frame lands, and the one routine
+/// that replaces the file by a shorter image of itself. All I/O is
+/// positioned at `len`.
+struct JournalFile {
+    path: PathBuf,
+    file: File,
+    /// Length of the file: where the next frame lands.
+    len: u64,
+    /// False from a rename of `path` until the directory holding it has
+    /// been fsynced: until then a power loss could bring the replaced
+    /// file back, so [`JournalFile::sync`] may not report anything stable.
+    dir_synced: bool,
+    stats: Arc<JournalStats>,
+    #[cfg(test)]
+    fail_rewrite: Option<FailRewrite>,
+}
+
+impl JournalFile {
+    /// The journal at `path`: created empty (`fresh`), or as it survived.
+    fn open(path: PathBuf, fresh: bool) -> io::Result<JournalFile> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(fresh)
+            .truncate(fresh)
+            .open(&path)?;
+        let len = file.metadata()?.len();
+        Ok(JournalFile {
+            path,
+            file,
+            len,
+            dir_synced: true,
+            stats: Arc::default(),
+            #[cfg(test)]
+            fail_rewrite: None,
+        })
+    }
+
+    #[cfg(test)]
+    fn injected(&self, step: FailRewrite) -> io::Result<()> {
+        if self.fail_rewrite == Some(step) {
+            return Err(io::Error::other(format!("injected {step:?} failure")));
+        }
+        Ok(())
+    }
+
+    /// Append `bytes` (whole frames) at the end of the file.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.file.write_all_at(bytes, self.len)?;
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Make everything appended so far stable — including, if a rewrite
+    /// left it owing, the rename that put this file in place.
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        if !self.dir_synced {
+            self.sync_dir()?;
+        }
+        Ok(())
+    }
+
+    /// Make the rename of `path` durable.
+    fn sync_dir(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailRewrite::DirSync)?;
+        sync_parent_dir(&self.path)?;
+        self.dir_synced = true;
+        Ok(())
+    }
+
+    /// The one place a journal is rewritten: `image` becomes the file,
+    /// durable before it is renamed into place; the caller follows up
+    /// with [`JournalFile::sync_dir`].
+    ///
+    /// An error leaves the old file untouched and in service. After `Ok`
+    /// the new file *is* the journal; until the directory fsync succeeds
+    /// `dir_synced` stays false and the next [`JournalFile::sync`] must
+    /// repeat it before anything counts as stable.
+    fn replace(&mut self, image: &[u8]) -> io::Result<()> {
+        let tmp = tmp_path(&self.path);
+        let renamed = (|| {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            file.write_all_at(image, 0)?;
+            #[cfg(test)]
+            self.injected(FailRewrite::TmpSync)?;
+            file.sync_data()?;
+            std::fs::rename(&tmp, &self.path)?;
+            Ok(file)
+        })();
+        match renamed {
+            Ok(file) => self.file = file,
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
+            }
+        }
+        self.len = image.len() as u64;
+        self.dir_synced = false;
+        self.stats.rewrites.inc();
+        Ok(())
+    }
+
+    /// A rewrite that fails costs space, not correctness: what it meant
+    /// to replace keeps taking appends and the next opportunity tries
+    /// again. It is counted, not swallowed.
+    fn note_rewrite(&self, outcome: &io::Result<()>) {
+        if outcome.is_err() {
+            self.stats.rewrite_failures.inc();
+        }
+    }
+}
+
 fn twin_state_code(s: TwinState) -> u8 {
     match s {
         TwinState::Committed => 0,
@@ -201,6 +381,24 @@ fn encode_twin_meta(group: u32, meta: TwinMeta) -> Vec<u8> {
     out
 }
 
+/// A twin-header frame on disk: prefix, tag, group, two timestamps, two
+/// states.
+const TWIN_FRAME_LEN: u64 = 4 + 1 + 4 + 8 + 8 + 1 + 1;
+
+/// A chain frame's payload: `tag`, the transaction, and (but for
+/// [`TAG_CHAIN_CLEAR_TXN`], which passes `None`) the page.
+fn encode_chain(tag: u8, txn: u64, page: Option<u32>) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.extend_from_slice(&txn.to_le_bytes());
+    if let Some(page) = page {
+        out.extend_from_slice(&page.to_le_bytes());
+    }
+    out
+}
+
+/// A chain-link frame on disk: prefix, tag, transaction, page.
+const LINK_FRAME_LEN: u64 = 4 + 1 + 8 + 4;
+
 fn encode_intent(intent: &IntentRecord) -> Vec<u8> {
     let mut out = vec![TAG_INTENT_SET];
     out.extend_from_slice(&intent.page.to_le_bytes());
@@ -216,6 +414,17 @@ fn encode_intent(intent: &IntentRecord) -> Vec<u8> {
     out
 }
 
+/// The body of an intent frame, behind its tag.
+fn decode_intent(c: &mut Cursor<'_>) -> Option<IntentRecord> {
+    let (page, data) = (c.u32()?, c.bytes()?);
+    let n = c.u32()?;
+    let mut parity = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        parity.push((c.u32()?, c.u8()?, c.bytes()?));
+    }
+    Some(IntentRecord { page, data, parity })
+}
+
 /// Everything `meta.journal` held when the database was reopened.
 pub(crate) struct MetaSnapshot {
     pub twin_metas: Vec<TwinMeta>,
@@ -223,9 +432,118 @@ pub(crate) struct MetaSnapshot {
     pub intent: Option<IntentRecord>,
 }
 
+/// The state `meta.journal` encodes, kept in memory: what a replay of the
+/// file would arrive at, and therefore what a rewrite may replace the
+/// file with. [`FileMetaStore::load`] builds it frame by frame; every
+/// [`MetaSink`] call then updates it through the same few methods.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Mirror {
+    twins: Vec<TwinMeta>,
+    chains: BTreeMap<u64, BTreeSet<u32>>,
+    /// The staged intent, as the frame it was journaled as.
+    intent: Option<Vec<u8>>,
+}
+
+impl Mirror {
+    /// A freshly formatted array of `groups` groups.
+    fn fresh(groups: u32) -> Mirror {
+        Mirror {
+            twins: vec![TwinMeta::fresh(); groups as usize],
+            chains: BTreeMap::new(),
+            intent: None,
+        }
+    }
+
+    fn set_twin(&mut self, group: u32, meta: TwinMeta) {
+        if let Some(slot) = self.twins.get_mut(group as usize) {
+            *slot = meta;
+        }
+    }
+
+    fn link(&mut self, txn: u64, page: u32) {
+        self.chains.entry(txn).or_default().insert(page);
+    }
+
+    fn clear_txn(&mut self, txn: u64) {
+        self.chains.remove(&txn);
+    }
+
+    fn clear_page(&mut self, txn: u64, page: u32) {
+        if let Some(set) = self.chains.get_mut(&txn) {
+            set.remove(&page);
+            if set.is_empty() {
+                self.chains.remove(&txn);
+            }
+        }
+    }
+
+    /// Replay one journal frame; `None` when it does not decode, which
+    /// ends the replay.
+    fn apply(&mut self, frame: &[u8]) -> Option<()> {
+        let mut c = Cursor { buf: frame };
+        match c.u8()? {
+            TAG_TWIN_META => {
+                let (group, ts) = (c.u32()?, [c.u64()?, c.u64()?]);
+                let state = [twin_state_from(c.u8()?)?, twin_state_from(c.u8()?)?];
+                self.set_twin(group, TwinMeta { ts, state });
+            }
+            TAG_CHAIN_STEAL => self.link(c.u64()?, c.u32()?),
+            TAG_CHAIN_CLEAR_TXN => self.clear_txn(c.u64()?),
+            TAG_CHAIN_CLEAR_PAGE => self.clear_page(c.u64()?, c.u32()?),
+            TAG_INTENT_SET => {
+                decode_intent(&mut c)?;
+                self.intent = Some(framed(frame));
+            }
+            TAG_INTENT_CLEAR => self.intent = None,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// The whole state as journal frames: one header per group, the live
+    /// chain links, the staged intent if there is one.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut snap = Vec::with_capacity(self.snapshot_len() as usize);
+        for (group, meta) in self.twins.iter().enumerate() {
+            push_frame(&mut snap, &encode_twin_meta(group as u32, *meta));
+        }
+        for (txn, pages) in &self.chains {
+            for page in pages {
+                push_frame(&mut snap, &encode_chain(TAG_CHAIN_STEAL, *txn, Some(*page)));
+            }
+        }
+        if let Some(intent) = &self.intent {
+            snap.extend_from_slice(intent);
+        }
+        snap
+    }
+
+    /// Length of [`Mirror::snapshot`], without building it.
+    fn snapshot_len(&self) -> u64 {
+        let links: usize = self.chains.values().map(BTreeSet::len).sum();
+        self.twins.len() as u64 * TWIN_FRAME_LEN
+            + links as u64 * LINK_FRAME_LEN
+            + self.intent.as_ref().map_or(0, Vec::len) as u64
+    }
+}
+
+/// The open `meta.journal` and the state it encodes.
+struct MetaJournal {
+    file: JournalFile,
+    mirror: Mirror,
+}
+
+impl MetaJournal {
+    /// Replace the file by the snapshot of the state it encodes.
+    fn rewrite(&mut self) -> io::Result<()> {
+        self.file.replace(&self.mirror.snapshot())?;
+        self.file.sync_dir()
+    }
+}
+
 /// The durable side of twin headers, steal chains and staged intents.
 pub struct FileMetaStore {
-    file: Mutex<File>,
+    journal: Mutex<MetaJournal>,
 }
 
 impl FileMetaStore {
@@ -233,188 +551,130 @@ impl FileMetaStore {
         dir.join("meta.journal")
     }
 
-    /// Create an empty journal for a freshly formatted database.
-    pub(crate) fn create(dir: &Path) -> io::Result<FileMetaStore> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(FileMetaStore::journal_path(dir))?;
+    /// Create an empty journal for a freshly formatted database of
+    /// `groups` parity groups.
+    pub(crate) fn create(dir: &Path, groups: u32) -> io::Result<FileMetaStore> {
+        let journal = MetaJournal {
+            file: JournalFile::open(FileMetaStore::journal_path(dir), true)?,
+            mirror: Mirror::fresh(groups),
+        };
         Ok(FileMetaStore {
-            file: Mutex::new(file),
+            journal: Mutex::new(journal),
         })
     }
 
     /// Replay the journal of a surviving database, compact it to a
-    /// snapshot, and return the store plus the state it held.
+    /// snapshot — by the routine that compacts it while the process runs
+    /// — and return the store plus the state it held.
     pub(crate) fn load(dir: &Path, groups: u32) -> io::Result<(FileMetaStore, MetaSnapshot)> {
         let path = FileMetaStore::journal_path(dir);
-        let mut buf = Vec::new();
-        File::open(&path)?.read_to_end(&mut buf)?;
-
-        let mut twins = vec![TwinMeta::fresh(); groups as usize];
-        let mut chains: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
-        let mut intent: Option<IntentRecord> = None;
-        'replay: for frame in frames(&buf) {
-            let mut c = Cursor { buf: frame };
-            let Some(tag) = c.u8() else { break };
-            match tag {
-                TAG_TWIN_META => {
-                    let (Some(group), Some(ts0), Some(ts1), Some(s0), Some(s1)) =
-                        (c.u32(), c.u64(), c.u64(), c.u8(), c.u8())
-                    else {
-                        break 'replay;
-                    };
-                    let (Some(state0), Some(state1)) = (twin_state_from(s0), twin_state_from(s1))
-                    else {
-                        break 'replay;
-                    };
-                    if let Some(slot) = twins.get_mut(group as usize) {
-                        *slot = TwinMeta {
-                            ts: [ts0, ts1],
-                            state: [state0, state1],
-                        };
-                    }
-                }
-                TAG_CHAIN_STEAL => {
-                    let (Some(txn), Some(page)) = (c.u64(), c.u32()) else {
-                        break 'replay;
-                    };
-                    chains.entry(txn).or_default().insert(page);
-                }
-                TAG_CHAIN_CLEAR_TXN => {
-                    let Some(txn) = c.u64() else { break 'replay };
-                    chains.remove(&txn);
-                }
-                TAG_CHAIN_CLEAR_PAGE => {
-                    let (Some(txn), Some(page)) = (c.u64(), c.u32()) else {
-                        break 'replay;
-                    };
-                    if let Some(set) = chains.get_mut(&txn) {
-                        set.remove(&page);
-                        if set.is_empty() {
-                            chains.remove(&txn);
-                        }
-                    }
-                }
-                TAG_INTENT_SET => {
-                    let (Some(page), Some(data)) = (c.u32(), c.bytes()) else {
-                        break 'replay;
-                    };
-                    let Some(n) = c.u32() else { break 'replay };
-                    let mut parity = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        let (Some(group), Some(slot), Some(bytes)) = (c.u32(), c.u8(), c.bytes())
-                        else {
-                            break 'replay;
-                        };
-                        parity.push((group, slot, bytes));
-                    }
-                    intent = Some(IntentRecord { page, data, parity });
-                }
-                TAG_INTENT_CLEAR => intent = None,
-                _ => break 'replay,
+        let buf = std::fs::read(&path)?;
+        let mut mirror = Mirror::fresh(groups);
+        for frame in frames(&buf) {
+            if mirror.apply(frame).is_none() {
+                break;
             }
         }
-
-        // Compact: rewrite the whole history as one snapshot.
-        let mut snap = Vec::new();
-        for (group, meta) in twins.iter().enumerate() {
-            push_frame(&mut snap, &encode_twin_meta(group as u32, *meta));
-        }
-        for (txn, pages) in &chains {
-            for page in pages {
-                let mut payload = vec![TAG_CHAIN_STEAL];
-                payload.extend_from_slice(&txn.to_le_bytes());
-                payload.extend_from_slice(&page.to_le_bytes());
-                push_frame(&mut snap, &payload);
-            }
-        }
-        if let Some(intent) = &intent {
-            push_frame(&mut snap, &encode_intent(intent));
-        }
-        let tmp = path.with_extension("journal.tmp");
-        let mut out = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        out.write_all(&snap)?;
-        out.sync_data()?;
-        std::fs::rename(&tmp, &path)?;
-        sync_parent_dir(&path)?;
-
-        let snapshot = MetaSnapshot {
-            twin_metas: twins,
-            chains: chains
-                .into_iter()
-                .map(|(txn, pages)| (txn, pages.into_iter().collect()))
-                .collect(),
-            intent,
+        drop(buf);
+        let mut journal = MetaJournal {
+            file: JournalFile::open(path, false)?,
+            mirror,
         };
-        Ok((
-            FileMetaStore {
-                file: Mutex::new(out),
-            },
-            snapshot,
-        ))
+        journal.rewrite()?;
+
+        let mirror = &journal.mirror;
+        let snapshot = MetaSnapshot {
+            twin_metas: mirror.twins.clone(),
+            chains: mirror
+                .chains
+                .iter()
+                .map(|(txn, pages)| (*txn, pages.iter().copied().collect()))
+                .collect(),
+            intent: mirror
+                .intent
+                .as_ref()
+                .and_then(|frame| decode_intent(&mut Cursor { buf: &frame[5..] })),
+        };
+        let store = FileMetaStore {
+            journal: Mutex::new(journal),
+        };
+        Ok((store, snapshot))
     }
 
-    /// Run one append against the journal file; a failure is fatal.
-    fn journal(&self, append: impl FnOnce(&mut File) -> io::Result<()>) {
-        if let Err(e) = append(&mut self.file.lock()) {
+    /// Tallies of this journal's rewrites, for the metrics registry.
+    pub(crate) fn stats(&self) -> Arc<JournalStats> {
+        Arc::clone(&self.journal.lock().file.stats)
+    }
+
+    /// Current length of `meta.journal`.
+    pub(crate) fn journal_bytes(&self) -> u64 {
+        self.journal.lock().file.len
+    }
+
+    /// Append `frames` (a failure is fatal), bring the mirror up to date
+    /// — `apply` is handed the bytes just written, to keep if it wants
+    /// them — and give space back if the file has grown past the floor.
+    fn journal(&self, frames: Vec<u8>, sync: bool, apply: impl FnOnce(&mut Mirror, Vec<u8>)) {
+        let mut journal = self.journal.lock();
+        let mut appended = journal.file.append(&frames);
+        if sync && appended.is_ok() {
+            appended = journal.file.sync();
+        }
+        if let Err(e) = appended {
             panic!("meta journal append failed, durability is lost: {e}");
         }
-    }
-
-    fn append(&self, payload: &[u8], sync: bool) {
-        self.journal(|file| append_frame(file, payload, sync));
+        apply(&mut journal.mirror, frames);
+        if journal.file.len >= journal.mirror.snapshot_len() + FLOOR_META {
+            let rewritten = journal.rewrite();
+            journal.file.note_rewrite(&rewritten);
+        }
     }
 }
 
 impl MetaSink for FileMetaStore {
     fn twin_meta(&self, group: u32, meta: TwinMeta) {
-        self.append(&encode_twin_meta(group, meta), true);
+        self.twin_metas(&[(group, meta)]);
     }
 
     fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
         if metas.is_empty() {
             return;
         }
-        let mut batch = Vec::new();
+        let mut batch = Vec::with_capacity(metas.len() * TWIN_FRAME_LEN as usize);
         for &(group, meta) in metas {
             push_frame(&mut batch, &encode_twin_meta(group, meta));
         }
-        self.journal(|file| append_frames(file, &batch, true));
+        self.journal(batch, true, |mirror, _| {
+            for &(group, meta) in metas {
+                mirror.set_twin(group, meta);
+            }
+        });
     }
 
     fn chain_steal(&self, txn: u64, page: u32) {
-        let mut payload = vec![TAG_CHAIN_STEAL];
-        payload.extend_from_slice(&txn.to_le_bytes());
-        payload.extend_from_slice(&page.to_le_bytes());
-        self.append(&payload, true);
+        let frame = framed(&encode_chain(TAG_CHAIN_STEAL, txn, Some(page)));
+        self.journal(frame, true, |mirror, _| mirror.link(txn, page));
     }
 
     fn chain_clear_txn(&self, txn: u64) {
-        let mut payload = vec![TAG_CHAIN_CLEAR_TXN];
-        payload.extend_from_slice(&txn.to_le_bytes());
-        self.append(&payload, false);
+        let frame = framed(&encode_chain(TAG_CHAIN_CLEAR_TXN, txn, None));
+        self.journal(frame, false, |mirror, _| mirror.clear_txn(txn));
     }
 
     fn chain_clear_page(&self, txn: u64, page: u32) {
-        let mut payload = vec![TAG_CHAIN_CLEAR_PAGE];
-        payload.extend_from_slice(&txn.to_le_bytes());
-        payload.extend_from_slice(&page.to_le_bytes());
-        self.append(&payload, false);
+        let frame = framed(&encode_chain(TAG_CHAIN_CLEAR_PAGE, txn, Some(page)));
+        self.journal(frame, false, |mirror, _| mirror.clear_page(txn, page));
     }
 
     fn intent_set(&self, intent: &IntentRecord) {
-        self.append(&encode_intent(intent), true);
+        // The mirror keeps the frame itself: a snapshot copies it back out.
+        let frame = framed(&encode_intent(intent));
+        self.journal(frame, true, |mirror, frame| mirror.intent = Some(frame));
     }
 
     fn intent_clear(&self) {
-        self.append(&[TAG_INTENT_CLEAR], false);
+        let frame = framed(&[TAG_INTENT_CLEAR]);
+        self.journal(frame, false, |mirror, _| mirror.intent = None);
     }
 }
 
@@ -509,134 +769,60 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
     })
 }
 
-/// Which step of a journal rewrite a unit test wants to fail; production
-/// builds have no such seam (see `io::FailOn`).
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailRewrite {
-    /// The temporary file cannot be made durable.
-    TmpSync,
-    /// The rename went through; the directory fsync after it fails.
-    DirSync,
-}
-
 /// The open `wal.journal`: where its frames are, and the buffer a batch
-/// is framed in before its one `write`. All I/O is positioned at `len`.
+/// is framed in before its one `write`.
 struct Journal {
-    path: PathBuf,
-    file: File,
+    file: JournalFile,
     batch: BytesMut,
-    /// Length of the file: where the next frame lands.
-    len: u64,
     /// LSN of the first retained record.
     base: u64,
     /// Offset of each retained record's frame, `base` onwards.
     offsets: VecDeque<u64>,
-    /// False from a rename of `path` until the directory holding it has
-    /// been fsynced: until then a power loss could bring the replaced
-    /// file back, so [`LogSink::sync`] may not report anything stable.
-    dir_synced: bool,
-    #[cfg(test)]
-    fail_rewrite: Option<FailRewrite>,
+    /// `base` has grown since the file last said so: the marker declaring
+    /// it rides at the head of the next batch's one `write` (or goes out
+    /// when the sink is dropped). A marker that never lands only costs
+    /// the next reopen some decoding.
+    marker_owed: bool,
 }
 
 impl Journal {
-    fn over(path: PathBuf, file: File, len: u64, base: u64, offsets: VecDeque<u64>) -> Journal {
+    fn over(file: JournalFile, base: u64, offsets: VecDeque<u64>) -> Journal {
         Journal {
-            path,
             file,
             batch: BytesMut::new(),
-            len,
             base,
             offsets,
-            dir_synced: true,
-            #[cfg(test)]
-            fail_rewrite: None,
+            marker_owed: false,
         }
     }
 
-    #[cfg(test)]
-    fn injected(&self, step: FailRewrite) -> io::Result<()> {
-        if self.fail_rewrite == Some(step) {
-            return Err(io::Error::other(format!("injected {step:?} failure")));
-        }
-        Ok(())
-    }
-
-    /// Append `bytes` (whole frames) at the end of the file.
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file.write_all_at(bytes, self.len)?;
-        self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Make the rename of `path` durable.
-    fn sync_dir(&mut self) -> io::Result<()> {
-        #[cfg(test)]
-        self.injected(FailRewrite::DirSync)?;
-        sync_parent_dir(&self.path)?;
-        self.dir_synced = true;
-        Ok(())
-    }
-
-    /// The one place the journal is rewritten, and the one rule for when:
-    /// only if dropping the dead prefix at least halves the file — the
-    /// dead bytes accumulated since the last rewrite pay for this one, and
-    /// a just-rewritten or near-empty journal (two marker lengths of
-    /// slack) is left alone. The new file is one marker declaring `base`,
-    /// then the live suffix as it stands, markers and all.
+    /// The one rule for when `wal.journal` is rewritten: only once the
+    /// dead prefix exceeds what would remain by [`FLOOR`] — the dead bytes
+    /// accumulated since the last rewrite pay for this one, and rewrites
+    /// stay rare however often the log is truncated. The new file is one
+    /// marker declaring `base`, then the live suffix as it stands, markers
+    /// and all.
     ///
-    /// An error before the rename leaves the old file untouched and in
-    /// service. After the rename the new file *is* the journal; if the
-    /// directory fsync then fails, `dir_synced` stays false and the next
-    /// [`LogSink::sync`] must repeat it before anything counts as stable.
+    /// Errors as [`JournalFile::replace`] and [`JournalFile::sync_dir`].
     fn reclaim(&mut self) -> io::Result<()> {
-        let live_from = self.offsets.front().copied().unwrap_or(self.len);
-        let live = self.len - live_from;
-        if live_from < live + 2 * MARKER_FRAME_LEN as u64 {
+        let live_from = self.offsets.front().copied().unwrap_or(self.file.len);
+        let live = self.file.len - live_from;
+        if live_from < live + FLOOR {
             return Ok(());
         }
         let mut image = marker_frame(self.base);
         image.resize(MARKER_FRAME_LEN + live as usize, 0);
         self.file
+            .file
             .read_exact_at(&mut image[MARKER_FRAME_LEN..], live_from)?;
-
-        let tmp = tmp_path(&self.path);
-        let renamed = (|| {
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            file.write_all_at(&image, 0)?;
-            #[cfg(test)]
-            self.injected(FailRewrite::TmpSync)?;
-            file.sync_data()?;
-            std::fs::rename(&tmp, &self.path)?;
-            Ok(file)
-        })();
-        let file = match renamed {
-            Ok(file) => file,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        self.file = file;
-        self.len = image.len() as u64;
+        self.file.replace(&image)?;
+        self.marker_owed = false;
         let shift = live_from - MARKER_FRAME_LEN as u64;
         for at in &mut self.offsets {
             *at -= shift;
         }
-        self.dir_synced = false;
-        self.sync_dir()
+        self.file.sync_dir()
     }
-}
-
-/// Where a rewrite builds the next `wal.journal` before renaming it.
-fn tmp_path(journal: &Path) -> PathBuf {
-    journal.with_extension("journal.tmp")
 }
 
 /// The durable mirror of the write-ahead log.
@@ -651,15 +837,9 @@ impl FileLogSink {
 
     /// Create an empty WAL journal.
     pub(crate) fn create(dir: &Path) -> io::Result<FileLogSink> {
-        let path = FileLogSink::journal_path(dir);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
+        let file = JournalFile::open(FileLogSink::journal_path(dir), true)?;
         Ok(FileLogSink {
-            journal: Mutex::new(Journal::over(path, file, 0, 0, VecDeque::new())),
+            journal: Mutex::new(Journal::over(file, 0, VecDeque::new())),
         })
     }
 
@@ -680,10 +860,7 @@ impl FileLogSink {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-
+        let buf = std::fs::read(&path)?;
         let mut upto = buf.len();
         let Replayed {
             base,
@@ -696,14 +873,26 @@ impl FileLogSink {
                 Err(cut) => upto = cut,
             }
         };
+        let mut file = JournalFile::open(path, false)?;
         if end < buf.len() {
-            file.set_len(end as u64)?;
+            file.file.set_len(end as u64)?;
+            file.len = end as u64;
         }
         drop(buf);
-        let mut journal = Journal::over(path, file, end as u64, base, offsets);
+        let mut journal = Journal::over(file, base, offsets);
         journal.reclaim()?;
         let journal = Mutex::new(journal);
         Ok((FileLogSink { journal }, base, records))
+    }
+
+    /// Tallies of this journal's rewrites, for the metrics registry.
+    pub(crate) fn stats(&self) -> Arc<JournalStats> {
+        Arc::clone(&self.journal.lock().file.stats)
+    }
+
+    /// Current length of `wal.journal`.
+    pub(crate) fn journal_bytes(&self) -> u64 {
+        self.journal.lock().file.len
     }
 }
 
@@ -712,50 +901,61 @@ impl LogSink for FileLogSink {
         let mut journal = self.journal.lock();
         let mut batch = std::mem::take(&mut journal.batch);
         batch.clear();
+        if std::mem::take(&mut journal.marker_owed) {
+            batch.put_slice(&marker_frame(journal.base));
+        }
         for record in records {
-            let at = journal.len + batch.len() as u64;
+            let at = journal.file.len + batch.len() as u64;
             journal.offsets.push_back(at);
             batch.put_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
             batch.put_u8(TAG_WAL_RECORD);
             codec::encode(record, &mut batch);
         }
-        if let Err(e) = journal.append(&batch) {
+        if let Err(e) = journal.file.append(&batch) {
             panic!("wal journal append failed, durability is lost: {e}");
         }
         journal.batch = batch;
     }
 
     fn sync(&self) {
-        let mut journal = self.journal.lock();
-        let mut synced = journal.file.sync_data();
-        if synced.is_ok() && !journal.dir_synced {
-            synced = journal.sync_dir();
-        }
-        if let Err(e) = synced {
+        if let Err(e) = self.journal.lock().file.sync() {
             panic!("wal journal sync failed, durability is lost: {e}");
         }
     }
 
     fn truncated(&self, new_base: u64) {
         let mut journal = self.journal.lock();
-        if let Err(e) = journal.append(&marker_frame(new_base)) {
-            panic!("wal journal append failed, durability is lost: {e}");
+        // The store's base only grows; a stale call kills nothing.
+        if new_base <= journal.base {
+            return;
         }
-        // The store's base only grows; a stale marker kills nothing.
-        let killed = new_base.saturating_sub(journal.base);
-        let killed = journal.offsets.len().min(killed as usize);
+        let killed = (new_base - journal.base) as usize;
+        let killed = journal.offsets.len().min(killed);
         journal.offsets.drain(..killed);
-        journal.base = journal.base.max(new_base);
-        // A rewrite that fails costs space, not correctness: the marker
-        // above already says what is dead, the file it meant to replace
-        // keeps taking appends, and the next truncation tries again.
-        let _ = journal.reclaim();
+        journal.base = new_base;
+        // No write of its own: the marker rides with the next batch.
+        journal.marker_owed = true;
+        let reclaimed = journal.reclaim();
+        journal.file.note_rewrite(&reclaimed);
+    }
+}
+
+impl Drop for FileLogSink {
+    /// A clean close tells the next reopen where the log starts, so that
+    /// it decodes nothing dead. Best effort: see `Journal::marker_owed`.
+    fn drop(&mut self) {
+        let journal = self.journal.get_mut();
+        if journal.marker_owed {
+            let _ = journal.file.append(&marker_frame(journal.base));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rda_array::DataPageId;
+    use rda_wal::TxnId;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rda-disk-meta-{tag}-{}", std::process::id()));
@@ -767,7 +967,7 @@ mod tests {
     #[test]
     fn meta_journal_roundtrip() {
         let dir = tmpdir("meta-rt");
-        let store = FileMetaStore::create(&dir).unwrap();
+        let store = FileMetaStore::create(&dir, 4).unwrap();
         let meta = TwinMeta {
             ts: [5, 9],
             state: [TwinState::Obsolete, TwinState::Committed],
@@ -797,7 +997,7 @@ mod tests {
     #[test]
     fn intent_clear_survives() {
         let dir = tmpdir("meta-clear");
-        let store = FileMetaStore::create(&dir).unwrap();
+        let store = FileMetaStore::create(&dir, 1).unwrap();
         store.intent_set(&IntentRecord {
             page: 1,
             data: vec![0],
@@ -813,7 +1013,7 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped() {
         let dir = tmpdir("meta-torn");
-        let store = FileMetaStore::create(&dir).unwrap();
+        let store = FileMetaStore::create(&dir, 1).unwrap();
         store.chain_steal(1, 1);
         drop(store);
         // Append half a frame: a length prefix promising more than exists.
@@ -842,11 +1042,15 @@ mod tests {
             .collect()
     }
 
+    fn meta_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(FileMetaStore::journal_path(dir)).unwrap()
+    }
+
     #[test]
     fn twin_metas_writes_the_bytes_of_the_same_twin_meta_calls() {
         let (one, all) = (tmpdir("meta-batch-one"), tmpdir("meta-batch-all"));
-        let by_one = FileMetaStore::create(&one).unwrap();
-        let at_once = FileMetaStore::create(&all).unwrap();
+        let by_one = FileMetaStore::create(&one, 8).unwrap();
+        let at_once = FileMetaStore::create(&all, 8).unwrap();
         for store in [&by_one, &at_once] {
             store.chain_steal(9, 3);
         }
@@ -858,9 +1062,13 @@ mod tests {
         for store in [&by_one, &at_once] {
             store.chain_clear_txn(9);
         }
-        let bytes = |dir: &Path| std::fs::read(FileMetaStore::journal_path(dir)).unwrap();
-        assert_eq!(bytes(&one), bytes(&all));
-        assert_eq!(frames(&bytes(&all)).count(), 1 + 8 + 1);
+        assert_eq!(meta_bytes(&one), meta_bytes(&all));
+        assert_eq!(frames(&meta_bytes(&all)).count(), 1 + 8 + 1);
+        assert_eq!(
+            by_one.journal.lock().mirror,
+            at_once.journal.lock().mirror,
+            "and leave the same state behind"
+        );
         let _ = std::fs::remove_dir_all(&one);
         let _ = std::fs::remove_dir_all(&all);
     }
@@ -868,11 +1076,14 @@ mod tests {
     #[test]
     fn batch_cut_mid_frame_reloads_the_whole_frames_before_the_cut() {
         let src = tmpdir("meta-batch-cut-src");
-        FileMetaStore::create(&src).unwrap().twin_metas(&flips(8));
-        let whole = std::fs::read(FileMetaStore::journal_path(&src)).unwrap();
+        FileMetaStore::create(&src, 8)
+            .unwrap()
+            .twin_metas(&flips(8));
+        let whole = meta_bytes(&src);
         let _ = std::fs::remove_dir_all(&src);
         let frame = whole.len() / 8;
         assert_eq!(frame * 8, whole.len(), "eight frames of one size");
+        assert_eq!(frame as u64, TWIN_FRAME_LEN);
 
         let dir = tmpdir("meta-batch-cut");
         for cut in 0..=whole.len() {
@@ -887,18 +1098,283 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Groups of the stores the lifecycle tests below drive.
+    const GROUPS: u32 = 16;
+
+    /// A seeded stream of [`MetaSink`] calls of every kind: what a
+    /// workload of steals, commits, aborts and recoveries produces, with
+    /// page-sized intents so that a few hundred calls cross [`FLOOR_META`].
+    fn drive(store: &FileMetaStore, seed: u64, calls: usize) {
+        let mut state = seed;
+        let mut next = move |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        for call in 0..calls as u64 {
+            let (txn, page, group) = (next(6), next(40) as u32, next(u64::from(GROUPS)) as u32);
+            match next(8) {
+                0 | 1 => store.chain_steal(txn, page),
+                2 => store.chain_clear_page(txn, page),
+                3 => store.chain_clear_txn(txn),
+                4 => {
+                    let meta = TwinMeta {
+                        ts: [call, call + 1],
+                        state: [TwinState::Committed, TwinState::Working],
+                    };
+                    store.twin_meta(group, meta);
+                }
+                5 => {
+                    let n = 1 + next(4) as u32;
+                    let mut metas = flips(n);
+                    for (_, meta) in &mut metas {
+                        meta.ts[0] = call;
+                    }
+                    store.twin_metas(&metas);
+                }
+                6 => store.intent_set(&IntentRecord {
+                    page,
+                    data: vec![call as u8; 2020],
+                    parity: vec![(group, 0, vec![1; 2020]), (group, 1, vec![2; 2020])],
+                }),
+                _ => store.intent_clear(),
+            }
+        }
+    }
+
+    /// What replaying `bytes` from a fresh array arrives at.
+    fn replayed(bytes: &[u8]) -> Mirror {
+        let mut mirror = Mirror::fresh(GROUPS);
+        for frame in frames(bytes) {
+            mirror.apply(frame).expect("every frame decodes");
+        }
+        mirror
+    }
+
+    fn rewrites(store: &FileMetaStore) -> (u64, u64) {
+        let stats = store.stats();
+        (stats.rewrites.get(), stats.rewrite_failures.get())
+    }
+
+    #[test]
+    fn mirror_equals_a_fresh_replay_of_the_file() {
+        let dir = tmpdir("meta-mirror");
+        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
+        for round in 0..10 {
+            drive(&store, 0x1992 + round, 400);
+            let bytes = meta_bytes(&dir);
+            assert_eq!(bytes.len() as u64, store.journal_bytes());
+            assert_eq!(
+                store.journal.lock().mirror,
+                replayed(&bytes),
+                "round {round}"
+            );
+        }
+        let (done, failed) = rewrites(&store);
+        assert!(done >= 2, "four thousand calls cross the floor: {done}");
+        assert_eq!(failed, 0);
+        // And a reopen hands the engine that same state.
+        let mirror = store.journal.lock().mirror.clone();
+        drop(store);
+        let (store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
+        assert_eq!(store.journal.lock().mirror, mirror);
+        assert_eq!(snap.twin_metas, mirror.twins);
+        assert_eq!(snap.chains.len(), mirror.chains.len());
+        assert_eq!(snap.intent.is_some(), mirror.intent.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn meta_journal_is_rewritten_only_past_the_floor() {
+        let dir = tmpdir("meta-floor");
+        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
+        // One link stays live; clears of a chain nobody has only grow the
+        // file. Snapshot: sixteen headers and the link.
+        store.chain_steal(7, 3);
+        let snapshot = u64::from(GROUPS) * TWIN_FRAME_LEN + LINK_FRAME_LEN;
+        let clear = 4 + 1 + 8;
+        let mut len = LINK_FRAME_LEN;
+        while len + clear < snapshot + FLOOR_META {
+            store.chain_clear_txn(9);
+            len += clear;
+        }
+        assert_eq!(store.journal_bytes(), len, "one frame short of the floor");
+        assert_eq!(rewrites(&store), (0, 0));
+        assert_eq!(meta_bytes(&dir).len() as u64, len);
+        // The frame that reaches it turns the file into the snapshot.
+        store.chain_clear_txn(9);
+        assert_eq!(rewrites(&store), (1, 0));
+        let mut expect = Mirror::fresh(GROUPS);
+        expect.link(7, 3);
+        assert_eq!(meta_bytes(&dir), expect.snapshot());
+        assert_eq!(store.journal_bytes(), snapshot);
+        assert!(!tmp_path(&FileMetaStore::journal_path(&dir)).exists());
+        // Appends land behind it.
+        store.chain_steal(8, 1);
+        assert_eq!(meta_bytes(&dir).len() as u64, snapshot + LINK_FRAME_LEN);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal grown past the floor whose every rewrite failed: the
+    /// whole history of `drive(seed, 1600)`, un-rewritten.
+    fn grown_history(tag: &str, seed: u64) -> (PathBuf, FileMetaStore) {
+        let dir = tmpdir(tag);
+        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
+        store.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
+        drive(&store, seed, 1600);
+        (dir, store)
+    }
+
+    #[test]
+    fn run_time_rewrite_writes_the_bytes_load_would() {
+        // The same history twice: once rewriting as it goes...
+        let live = tmpdir("meta-same-live");
+        let store = FileMetaStore::create(&live, GROUPS).unwrap();
+        drive(&store, 7, 1600);
+        assert!(rewrites(&store).0 >= 1);
+        let mirror = store.journal.lock().mirror.clone();
+        // ...(bring the file to its snapshot now, whatever came since)...
+        store.journal.lock().rewrite().unwrap();
+        drop(store);
+        // ...once with every rewrite failing, compacted by the reopen.
+        let (grown, store) = grown_history("meta-same-grown", 7);
+        let (done, failed) = rewrites(&store);
+        assert!(done == 0 && failed >= 1, "{done} rewrites, {failed} failed");
+        assert!(meta_bytes(&grown).len() as u64 > FLOOR_META);
+        drop(store);
+        let (store, _) = FileMetaStore::load(&grown, GROUPS).unwrap();
+        assert_eq!(store.journal.lock().mirror, mirror);
+        assert_eq!(meta_bytes(&grown), meta_bytes(&live));
+        assert_eq!(meta_bytes(&live), mirror.snapshot());
+        let _ = std::fs::remove_dir_all(&live);
+        let _ = std::fs::remove_dir_all(&grown);
+    }
+
+    /// A process killed anywhere in a run-time rewrite reopens to the same
+    /// state. The four states the directory can be left in, built by hand.
+    #[test]
+    fn every_kill_window_of_a_meta_rewrite_reopens_to_the_same_snapshot() {
+        let (src, store) = grown_history("meta-window-src", 11);
+        let mirror = store.journal.lock().mirror.clone();
+        drop(store);
+        let grown = meta_bytes(&src);
+        let _ = std::fs::remove_dir_all(&src);
+        let snapshot = mirror.snapshot();
+        assert!(mirror.intent.is_some() || !mirror.chains.is_empty());
+
+        let (grown, snapshot) = (&grown[..], &snapshot[..]);
+        let windows = [
+            ("grown journal only", grown, None),
+            ("tmp partial", grown, Some(&snapshot[..snapshot.len() / 2])),
+            ("tmp whole, not renamed", grown, Some(snapshot)),
+            ("renamed, directory not synced", snapshot, None),
+        ];
+        for (n, (window, journal, tmp)) in windows.into_iter().enumerate() {
+            let dir = tmpdir(&format!("meta-window-{n}"));
+            let path = FileMetaStore::journal_path(&dir);
+            std::fs::write(&path, journal).unwrap();
+            if let Some(tmp) = tmp {
+                std::fs::write(tmp_path(&path), tmp).unwrap();
+            }
+            let (store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
+            assert_eq!(store.journal.lock().mirror, mirror, "{window}");
+            assert_eq!(snap.twin_metas, mirror.twins, "{window}");
+            assert_eq!(meta_bytes(&dir), snapshot, "{window}");
+            assert!(!tmp_path(&path).exists(), "{window}: stale tmp gone");
+            // And the journal carries on from there.
+            store.chain_steal(99, 1);
+            drop(store);
+            let (_store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
+            assert_eq!(snap.chains.last(), Some(&(99, vec![1])), "{window}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn failed_meta_rewrite_keeps_the_old_file_appending_and_loading() {
+        let (dir, store) = grown_history("meta-rewrite-fails", 3);
+        let (done, failed) = rewrites(&store);
+        assert!(done == 0 && failed >= 1);
+        assert!(!tmp_path(&FileMetaStore::journal_path(&dir)).exists());
+        // The old file took every append, synced ones included...
+        let before = meta_bytes(&dir);
+        assert_eq!(store.journal.lock().mirror, replayed(&before));
+        store.chain_steal(50, 5);
+        assert_eq!(
+            meta_bytes(&dir).len() as u64,
+            before.len() as u64 + LINK_FRAME_LEN
+        );
+        assert_eq!(rewrites(&store), (0, failed + 1), "and tried again");
+        // ...and once the fault is gone the next call compacts it.
+        store.journal.lock().file.fail_rewrite = None;
+        store.chain_clear_txn(50);
+        assert_eq!(rewrites(&store).0, 1);
+        let mirror = store.journal.lock().mirror.clone();
+        assert_eq!(meta_bytes(&dir), mirror.snapshot());
+        drop(store);
+
+        // Killed while the rewrite was failing: the old file loads.
+        let (dir2, store) = grown_history("meta-rewrite-fails-kill", 3);
+        let mirror = store.journal.lock().mirror.clone();
+        drop(store);
+        let (store, _) = FileMetaStore::load(&dir2, GROUPS).unwrap();
+        assert_eq!(store.journal.lock().mirror, mirror);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn unsynced_meta_rename_is_made_durable_before_the_next_durable_frame() {
+        let (dir, store) = grown_history("meta-dirsync", 5);
+        store.journal.lock().file.fail_rewrite = Some(FailRewrite::DirSync);
+        // The rename happens, so the snapshot is the journal; what is owed
+        // is the directory fsync.
+        store.chain_clear_txn(77);
+        let (done, failed) = rewrites(&store);
+        assert_eq!(done, 1);
+        assert!(failed >= 2, "the dir sync's failure is counted too");
+        assert!(!store.journal.lock().file.dir_synced);
+        assert_eq!(meta_bytes(&dir), store.journal.lock().mirror.snapshot());
+        // A hint needs no fsync and goes through; a frame recovery decides
+        // by may not be reported durable over a rename that may not last.
+        store.chain_clear_txn(78);
+        let link = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.chain_steal(1, 1);
+        }));
+        assert!(link.is_err());
+        store.journal.lock().file.fail_rewrite = None;
+        store.chain_steal(1, 2);
+        assert!(store.journal.lock().file.dir_synced, "sync paid the debt");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn bots(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
-        ids.map(|i| LogRecord::Bot {
-            txn: rda_wal::TxnId(i),
+        ids.map(|i| LogRecord::Bot { txn: TxnId(i) }).collect()
+    }
+
+    /// Length of one framed `Bot` record: prefix + tag + 9 encoded bytes.
+    const BOT_FRAME: usize = 4 + 1 + 9;
+
+    /// Records with a 1 MiB image each: nine dead ones clear [`FLOOR`].
+    fn fats(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
+        ids.map(|i| LogRecord::AfterImage {
+            txn: TxnId(i),
+            page: DataPageId(0),
+            image: vec![i as u8; 1 << 20],
         })
         .collect()
     }
 
-    /// A fresh `wal.journal` holding `bots(0..n)`, closed.
-    fn wal_with(tag: &str, n: u64) -> PathBuf {
+    /// Length of one framed [`fats`] record: prefix + tag + 17 bytes of
+    /// record header + the image.
+    const FAT_FRAME: usize = 4 + 1 + 17 + (1 << 20);
+
+    /// A fresh `wal.journal` holding `records`, closed.
+    fn wal_with(tag: &str, records: &[LogRecord]) -> PathBuf {
         let dir = tmpdir(tag);
         let sink = FileLogSink::create(&dir).unwrap();
-        sink.append_batch(&bots(0..n));
+        sink.append_batch(records);
         sink.sync();
         dir
     }
@@ -915,12 +1391,14 @@ mod tests {
         f.write_all(bytes).unwrap();
     }
 
-    /// Length of one framed `Bot` record: prefix + tag + 9 encoded bytes.
-    const BOT_FRAME: usize = 4 + 1 + 9;
+    fn wal_rewrites(sink: &FileLogSink) -> (u64, u64) {
+        let stats = sink.stats();
+        (stats.rewrites.get(), stats.rewrite_failures.get())
+    }
 
     #[test]
     fn wal_journal_roundtrip_with_truncation() {
-        let dir = wal_with("wal-rt", 4);
+        let dir = wal_with("wal-rt", &bots(0..4));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         sink.truncated(2);
         drop(sink);
@@ -934,7 +1412,7 @@ mod tests {
     #[test]
     fn batch_is_framed_record_by_record_in_one_buffer() {
         // Same bytes on disk as one frame per record: prefix, tag, record.
-        let dir = wal_with("wal-bytes", 2);
+        let dir = wal_with("wal-bytes", &bots(0..2));
         let mut expect = Vec::new();
         for record in bots(0..2) {
             let mut enc = BytesMut::new();
@@ -946,11 +1424,14 @@ mod tests {
         assert_eq!(wal_bytes(&dir), expect);
         assert_eq!(expect.len(), 2 * BOT_FRAME);
         let _ = std::fs::remove_dir_all(&dir);
+        let dir = wal_with("wal-bytes-fat", &fats(3..4));
+        assert_eq!(wal_bytes(&dir).len(), FAT_FRAME);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn clean_reopen_leaves_the_journal_byte_identical() {
-        let dir = wal_with("wal-clean", 5);
+        let dir = wal_with("wal-clean", &bots(0..5));
         let before = wal_bytes(&dir);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (0, bots(0..5)));
@@ -967,7 +1448,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_cut_and_appends_resume_there() {
-        let dir = wal_with("wal-torn", 3);
+        let dir = wal_with("wal-torn", &bots(0..3));
         // A kill mid-append: a prefix promising more than was written.
         append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
@@ -984,7 +1465,7 @@ mod tests {
 
     #[test]
     fn corrupt_frame_ends_the_journal_with_everything_behind_it() {
-        let dir = wal_with("wal-corrupt", 2);
+        let dir = wal_with("wal-corrupt", &bots(0..2));
         // A whole frame that is no record, then a valid record and a
         // marker behind it: all three are past the journal's end.
         let mut tail = Vec::new();
@@ -1004,7 +1485,7 @@ mod tests {
 
     #[test]
     fn dead_records_are_skipped_not_decoded() {
-        let dir = wal_with("wal-dead", 4);
+        let dir = wal_with("wal-dead", &bots(0..4));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         sink.truncated(3);
         drop(sink);
@@ -1025,7 +1506,7 @@ mod tests {
         assert_eq!(fresh.end, bytes.len(), "no torn tail left in the file");
         let journal = sink.journal.lock();
         assert_eq!(
-            (journal.len, journal.base, &journal.offsets),
+            (journal.file.len, journal.base, &journal.offsets),
             (fresh.end as u64, fresh.base, &fresh.offsets)
         );
     }
@@ -1039,104 +1520,141 @@ mod tests {
         let dir = tmpdir("wal-markers");
         let sink = FileLogSink::create(&dir).unwrap();
         // Record i is LSN i in this history.
-        sink.append_batch(&bots(0..10));
+        sink.append_batch(&fats(0..10));
         sink.truncated(4);
-        // 56 dead bytes against 97 live: the file stays, marker and all.
-        assert_eq!(wal_bytes(&dir).len(), 10 * BOT_FRAME + MARKER_FRAME_LEN);
-        sink.append_batch(&bots(10..14));
+        // Four dead records against six live: the file stays as it is,
+        // and the marker waits for the next batch, whose one write it
+        // heads.
+        assert_eq!(wal_bytes(&dir).len(), 10 * FAT_FRAME);
+        sink.append_batch(&fats(10..14));
         let before = wal_bytes(&dir);
-        sink.truncated(9);
-        // 126 dead against 96 live: rewritten under the running sink to
-        // its own marker plus everything from record 9 on, old markers
-        // included.
-        let mut expect = marker_frame(9);
-        expect.extend_from_slice(&before[9 * BOT_FRAME..]);
-        expect.extend_from_slice(&marker_frame(9));
-        assert_eq!(wal_bytes(&dir), expect);
+        assert_eq!(before.len(), 14 * FAT_FRAME + MARKER_FRAME_LEN);
+        assert!(before[10 * FAT_FRAME..][..MARKER_FRAME_LEN] == marker_frame(4)[..]);
+        assert_matches_a_fresh_walk(&sink, &dir);
+        sink.truncated(13);
+        // Thirteen dead against one: rewritten under the running sink to
+        // its own marker plus everything from record 13 on.
+        let mut expect = marker_frame(13);
+        expect.extend_from_slice(&before[13 * FAT_FRAME + MARKER_FRAME_LEN..]);
+        assert!(wal_bytes(&dir) == expect);
+        assert_eq!(wal_rewrites(&sink), (1, 0));
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(14..15));
-        // The store's base only grows; a stale marker changes nothing.
+        // The store's base only grows; a stale call changes nothing.
         sink.truncated(6);
         sink.append_batch(&bots(15..16));
+        assert_eq!(wal_bytes(&dir).len(), expect.len() + 2 * BOT_FRAME);
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
 
         // The numbering continues through the rewrite and a reopen...
         let len = wal_bytes(&dir).len();
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (9, bots(9..16)));
+        let mut from_13 = fats(13..14);
+        from_13.extend(bots(14..16));
+        assert_eq!(base, 13);
+        assert!(survivors == from_13);
         assert_eq!(wal_bytes(&dir).len(), len);
         sink.append_batch(&bots(16..18));
-        // ...through a truncation that leaves the file alone (68 dead
-        // bytes against 123)...
-        sink.truncated(12);
+        // ...through a truncation that leaves the file alone (1 MiB dead,
+        // far below the floor), whose marker a clean close writes out...
+        sink.truncated(14);
+        assert_eq!(wal_bytes(&dir).len(), len + 2 * BOT_FRAME);
+        drop(sink);
         assert_eq!(
             wal_bytes(&dir).len(),
             len + 2 * BOT_FRAME + MARKER_FRAME_LEN
         );
-        assert_matches_a_fresh_walk(&sink, &dir);
-        drop(sink);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (12, bots(12..18)));
-        // ...and through a second rewrite by the reopened sink: record 17,
-        // the marker that followed it, record 18.
-        sink.append_batch(&bots(18..19));
+        assert_eq!((base, survivors), (14, bots(14..18)));
+        assert_matches_a_fresh_walk(&sink, &dir);
+        // ...and through a second rewrite by the reopened sink: record 27.
+        sink.append_batch(&fats(18..28));
         let before = wal_bytes(&dir);
-        sink.truncated(17);
-        let mut expect = marker_frame(17);
-        expect.extend_from_slice(&before[before.len() - (2 * BOT_FRAME + MARKER_FRAME_LEN)..]);
-        expect.extend_from_slice(&marker_frame(17));
-        assert_eq!(wal_bytes(&dir), expect);
+        sink.truncated(27);
+        let mut expect = marker_frame(27);
+        expect.extend_from_slice(&before[before.len() - FAT_FRAME..]);
+        assert!(wal_bytes(&dir) == expect);
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (17, bots(17..19)));
+        assert_eq!(base, 27);
+        assert!(survivors == fats(27..28));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn journal_is_rewritten_only_when_that_halves_it() {
-        // Ten records, then a truncation: 14·k dead bytes against
-        // 14·(10 − k) + 13 live ones and 26 of slack. k = 6 falls short
-        // (84 < 95): the truncation appends its marker and nothing else.
-        let dir = wal_with("wal-keep", 10);
+    fn a_killed_sink_owes_at_most_its_last_marker() {
+        let dir = wal_with("wal-owed", &bots(0..4));
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        sink.truncated(2);
+        sink.append_batch(&bots(4..5));
+        sink.truncated(4);
+        // Killed here: no destructor runs, the second marker never lands.
+        std::mem::forget(sink);
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (2, bots(2..5)), "decodes a little more");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_is_rewritten_only_past_the_floor() {
+        // Ten 1 MiB records, then some small ones, then a truncation to
+        // record 9: 9·F dead bytes against F + 14·k live ones, F = 1 MiB +
+        // 22. The rewrite needs dead ≥ live + 8 MiB, i.e. 176 ≥ 14·k.
+        // k = 13 falls six bytes short: the truncation writes nothing.
+        let mut records = fats(0..10);
+        records.extend(bots(10..23));
+        let dir = wal_with("wal-keep", &records);
         let before = wal_bytes(&dir);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(6);
-        let mut expect = before.clone();
-        expect.extend_from_slice(&marker_frame(6));
-        assert_eq!(wal_bytes(&dir), expect);
+        sink.truncated(9);
+        assert!(wal_bytes(&dir) == before);
         assert!(!tmp_exists(&dir));
+        assert_eq!(wal_rewrites(&sink), (0, 0));
+        // The close writes the marker out. Nor does the reopen rewrite,
+        // by the same rule.
         drop(sink);
-        // Nor does the reopen, by the same rule.
+        let mut expect = before.clone();
+        expect.extend_from_slice(&marker_frame(9));
+        assert!(wal_bytes(&dir) == expect);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (6, bots(6..10)));
-        assert_eq!(wal_bytes(&dir), expect);
+        assert_eq!(base, 9);
+        assert!(survivors == records[9..]);
+        assert!(wal_bytes(&dir) == expect);
         assert!(!tmp_exists(&dir));
+        assert_eq!(wal_rewrites(&sink), (0, 0));
         assert_matches_a_fresh_walk(&sink, &dir);
+        drop(sink);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // k = 7 pays (98 ≥ 81): the file becomes one marker plus the live
-        // suffix exactly as it stood (records 7 to 9 and the marker just
-        // appended), and says the same thing.
-        let dir = wal_with("wal-rewrite", 10);
+        // k = 12 pays (176 ≥ 168): the file becomes one marker plus the
+        // live suffix exactly as it stood (record 9 and the small ones),
+        // and says the same thing.
+        records.pop();
+        let dir = wal_with("wal-rewrite", &records);
+        let before = wal_bytes(&dir);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(7);
-        let mut expect = marker_frame(7);
-        expect.extend_from_slice(&before[7 * BOT_FRAME..]);
-        expect.extend_from_slice(&marker_frame(7));
-        assert_eq!(wal_bytes(&dir), expect);
+        sink.truncated(9);
+        let mut expect = marker_frame(9);
+        expect.extend_from_slice(&before[9 * FAT_FRAME..]);
+        assert!(wal_bytes(&dir) == expect);
         assert!(!tmp_exists(&dir), "renamed into place");
+        assert_eq!(wal_rewrites(&sink), (1, 0));
+        assert_eq!(sink.journal_bytes(), expect.len() as u64);
         assert_matches_a_fresh_walk(&sink, &dir);
         // Appends land behind it and a reopen leaves it alone.
-        sink.append_batch(&bots(10..11));
+        sink.append_batch(&bots(22..23));
         sink.sync();
         drop(sink);
         let grown = wal_bytes(&dir);
-        assert_eq!(grown[..expect.len()], expect[..]);
+        assert!(grown[..expect.len()] == expect[..]);
+        assert_eq!(grown.len(), expect.len() + BOT_FRAME, "no marker owed");
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (7, bots(7..11)));
-        assert_eq!(wal_bytes(&dir), grown, "a rewritten journal is stable");
+        records.extend(bots(22..23));
+        assert_eq!(base, 9);
+        assert!(survivors == records[9..]);
+        assert!(wal_bytes(&dir) == grown, "a rewritten journal is stable");
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1144,29 +1662,26 @@ mod tests {
     #[test]
     fn offsets_after_load_agree_with_a_fresh_walk() {
         // Plain: nothing dead, nothing torn.
-        let dir = wal_with("wal-offsets-plain", 5);
+        let dir = wal_with("wal-offsets-plain", &bots(0..5));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         assert_eq!(sink.journal.lock().offsets.len(), 5);
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
         // Tail cut: the offsets describe the shortened file.
-        let dir = wal_with("wal-offsets-cut", 5);
+        let dir = wal_with("wal-offsets-cut", &bots(0..5));
         append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(sink.journal.lock().len, 5 * BOT_FRAME as u64);
+        assert_eq!(sink.journal.lock().file.len, 5 * BOT_FRAME as u64);
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
         // Rewritten by the load itself: the offsets describe the new file,
         // and the next batch lands where they say.
-        let dir = wal_with("wal-offsets-rewritten", 10);
-        append_raw(&dir, &marker_frame(8));
+        let dir = wal_with("wal-offsets-rewritten", &fats(0..10));
+        append_raw(&dir, &marker_frame(9));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(
-            sink.journal.lock().offsets,
-            [MARKER_FRAME_LEN, MARKER_FRAME_LEN + BOT_FRAME].map(|at| at as u64)
-        );
+        assert_eq!(sink.journal.lock().offsets, [MARKER_FRAME_LEN as u64]);
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(10..12));
         assert_matches_a_fresh_walk(&sink, &dir);
@@ -1178,12 +1693,12 @@ mod tests {
     /// by hand here; `tests/kill_process.rs` finds them with SIGKILL.
     #[test]
     fn every_kill_window_of_a_rewrite_reopens_to_the_same_log() {
-        let src = wal_with("wal-window-src", 10);
+        let src = wal_with("wal-window-src", &fats(0..10));
         let mut marked = wal_bytes(&src);
         let _ = std::fs::remove_dir_all(&src);
-        marked.extend_from_slice(&marker_frame(8));
-        let mut rewritten = marker_frame(8);
-        rewritten.extend_from_slice(&marked[8 * BOT_FRAME..]);
+        marked.extend_from_slice(&marker_frame(9));
+        let mut rewritten = marker_frame(9);
+        rewritten.extend_from_slice(&marked[9 * FAT_FRAME..]);
 
         let (marked, rewritten) = (&marked[..], &rewritten[..]);
         let windows = [
@@ -1200,90 +1715,96 @@ mod tests {
                 std::fs::write(tmp_path(&path), tmp).unwrap();
             }
             let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-            assert_eq!((base, survivors), (8, bots(8..10)), "{window}");
+            assert_eq!(base, 9, "{window}");
+            assert!(survivors == fats(9..10), "{window}");
             assert!(!tmp_exists(&dir), "{window}: stale tmp removed");
-            assert_eq!(wal_bytes(&dir), rewritten, "{window}");
+            assert!(wal_bytes(&dir) == rewritten, "{window}");
             // And the log carries on from there.
             sink.append_batch(&bots(10..11));
             sink.sync();
             drop(sink);
             let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-            assert_eq!((base, survivors), (8, bots(8..11)), "{window}");
+            assert_eq!((base, survivors.len()), (9, 2), "{window}");
+            assert_eq!(survivors[1..], bots(10..11)[..], "{window}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn failed_rewrite_keeps_the_old_journal_appending_and_recovering() {
-        let dir = wal_with("wal-rewrite-fails", 10);
+        let dir = wal_with("wal-rewrite-fails", &fats(0..10));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         let old = wal_bytes(&dir);
-        sink.journal.lock().fail_rewrite = Some(FailRewrite::TmpSync);
-        // Does not panic: the marker is in, the rewrite is not.
-        sink.truncated(8);
-        let mut expect = old.clone();
-        expect.extend_from_slice(&marker_frame(8));
-        assert_eq!(wal_bytes(&dir), expect, "old file, marker appended");
+        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
+        // Does not panic: the base moved, the rewrite did not happen —
+        // and that is counted, not swallowed.
+        sink.truncated(9);
+        assert!(wal_bytes(&dir) == old, "old file, untouched");
         assert!(!tmp_exists(&dir), "the failed attempt is cleaned up");
-        assert_matches_a_fresh_walk(&sink, &dir);
-        // The old file keeps taking forced appends...
+        assert_eq!(wal_rewrites(&sink), (0, 1));
+        // The old file keeps taking forced appends, the owed marker
+        // heading the batch...
         sink.append_batch(&bots(10..11));
         sink.sync();
+        let mut expect = old.clone();
+        expect.extend_from_slice(&marker_frame(9));
+        assert!(wal_bytes(&dir)[..expect.len()] == expect[..]);
         assert_eq!(wal_bytes(&dir).len(), expect.len() + BOT_FRAME);
+        assert_matches_a_fresh_walk(&sink, &dir);
         // ...the next truncation tries again, and once the fault is gone
         // it succeeds.
-        sink.truncated(9);
-        assert!(wal_bytes(&dir).len() > expect.len(), "still failing");
-        sink.journal.lock().fail_rewrite = None;
         sink.truncated(10);
-        // Its own marker, record 10, and the two markers behind it.
-        assert_eq!(
-            wal_bytes(&dir).len(),
-            MARKER_FRAME_LEN + BOT_FRAME + 2 * MARKER_FRAME_LEN
-        );
+        assert_eq!(wal_bytes(&dir).len(), expect.len() + BOT_FRAME);
+        assert_eq!(wal_rewrites(&sink), (0, 2));
+        sink.journal.lock().file.fail_rewrite = None;
+        sink.append_batch(&bots(11..12));
+        sink.truncated(11);
+        // Its own marker and record 11.
+        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + BOT_FRAME);
+        assert_eq!(wal_rewrites(&sink), (1, 2));
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (10, bots(10..11)));
+        assert_eq!((base, survivors), (11, bots(11..12)));
         let _ = std::fs::remove_dir_all(&dir);
 
         // Killed while the rewrite was failing: the old file recovers.
-        let dir = wal_with("wal-rewrite-fails-kill", 10);
+        let dir = wal_with("wal-rewrite-fails-kill", &fats(0..10));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.journal.lock().fail_rewrite = Some(FailRewrite::TmpSync);
-        sink.truncated(8);
+        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
+        sink.truncated(9);
         sink.append_batch(&bots(10..11));
         sink.sync();
-        drop(sink);
+        std::mem::forget(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (8, bots(8..11)));
+        assert_eq!((base, survivors.len()), (9, 2));
+        assert_eq!(survivors[1..], bots(10..11)[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unsynced_rename_is_made_durable_before_the_next_ack() {
-        let dir = wal_with("wal-dirsync", 10);
+        let dir = wal_with("wal-dirsync", &fats(0..10));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.journal.lock().fail_rewrite = Some(FailRewrite::DirSync);
+        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::DirSync);
         // The rename happened, so the new file is the journal; what is
         // owed is the directory fsync.
-        sink.truncated(8);
-        assert_eq!(
-            wal_bytes(&dir).len(),
-            MARKER_FRAME_LEN + 2 * BOT_FRAME + MARKER_FRAME_LEN
-        );
-        assert!(!sink.journal.lock().dir_synced);
+        sink.truncated(9);
+        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + FAT_FRAME);
+        assert!(!sink.journal.lock().file.dir_synced);
+        assert_eq!(wal_rewrites(&sink), (1, 1));
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(10..11));
         // While it stays owed, a force fails as any journal fsync does.
         let forced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.sync()));
         assert!(forced.is_err(), "no ack over a rename that may not last");
-        sink.journal.lock().fail_rewrite = None;
+        sink.journal.lock().file.fail_rewrite = None;
         sink.sync();
-        assert!(sink.journal.lock().dir_synced, "sync() paid the debt");
+        assert!(sink.journal.lock().file.dir_synced, "sync() paid the debt");
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (8, bots(8..11)));
+        assert_eq!((base, survivors.len()), (9, 2));
+        assert_eq!(survivors[1..], bots(10..11)[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -159,6 +159,27 @@ fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {
     }
 }
 
+/// Export the two journals' sizes and rewrite tallies, next to the
+/// engine's `wal_low_water_lsn` / `wal_retained_bytes`: "is the log
+/// bounded, and what does keeping it bounded cost" from `/metrics`.
+fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<FileMetaStore>) {
+    let metrics = db.metrics();
+    for (journal, stats) in [("wal", log.stats()), ("meta", meta.stats())] {
+        let failures = Arc::clone(&stats);
+        metrics.register_view(&format!("{journal}_journal_rewrites_total"), move || {
+            stats.rewrites.get()
+        });
+        metrics.register_view(
+            &format!("{journal}_journal_rewrite_failures_total"),
+            move || failures.rewrite_failures.get(),
+        );
+    }
+    let log = Arc::clone(log);
+    metrics.register_view("wal_journal_bytes", move || log.journal_bytes());
+    let meta = Arc::clone(meta);
+    metrics.register_view("meta_journal_bytes", move || meta.journal_bytes());
+}
+
 /// Start the black box over `dir` and hook it into the engine's
 /// durability barriers. The engine's hook holds the only strong handle,
 /// so the recorder (and its timer thread) lives exactly as long as the
@@ -208,7 +229,7 @@ pub fn create_database_with(
             dir.display()
         )));
     }
-    let meta = Arc::new(FileMetaStore::create(dir)?);
+    let meta = Arc::new(FileMetaStore::create(dir, cfg.array.groups)?);
     let log = Arc::new(FileLogSink::create(dir)?);
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::create)?;
     // Last of the files a reopen needs: from here on `dir` is a database.
@@ -217,12 +238,13 @@ pub fn create_database_with(
         cfg,
         BackendSetup {
             disks,
-            meta_sink: Some(meta),
-            log_sink: Some(log),
+            meta_sink: Some(Arc::clone(&meta) as _),
+            log_sink: Some(Arc::clone(&log) as _),
             restored: None,
         },
     );
     register_disk_metrics(&db, counters);
+    register_journal_metrics(&db, &log, &meta);
     if opts.flight_recorder {
         attach_flight_recorder(&db, dir)?;
     }
@@ -277,6 +299,7 @@ pub fn reopen_database_with(
     }
     let (meta, snap) = FileMetaStore::load(dir, cfg.array.groups)?;
     let (log, log_base, log_records) = FileLogSink::load(dir)?;
+    let (meta, log) = (Arc::new(meta), Arc::new(log));
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::open)?;
     let restored = RestoredState {
         twin_metas: snap.twin_metas,
@@ -289,12 +312,13 @@ pub fn reopen_database_with(
         cfg,
         BackendSetup {
             disks,
-            meta_sink: Some(Arc::new(meta)),
-            log_sink: Some(Arc::new(log)),
+            meta_sink: Some(Arc::clone(&meta) as _),
+            log_sink: Some(Arc::clone(&log) as _),
             restored: Some(restored),
         },
     );
     register_disk_metrics(&db, counters);
+    register_journal_metrics(&db, &log, &meta);
     if opts.flight_recorder {
         // Surface what the previous incarnation was doing when it died,
         // *before* the recorder truncates obs.journal for this run.

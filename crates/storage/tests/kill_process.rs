@@ -23,10 +23,20 @@ use std::time::{Duration, Instant};
 const CHILD_ENV: &str = "RDA_KILL_CHILD_DIR";
 const GC_CHILD_ENV: &str = "RDA_KILL_GC_DIR";
 const TRUNC_CHILD_ENV: &str = "RDA_KILL_TRUNC_DIR";
+const FLOORS_CHILD_ENV: &str = "RDA_KILL_FLOORS_DIR";
 /// The truncating child calls `truncate_log()` after every this many
-/// commits, so `wal.journal` is rewritten (tmp, rename, handle swap)
-/// every few milliseconds of its life.
+/// commits. The engine has moved the mark at every commit already, so
+/// the call finds nothing to drop; the child keeps making it, as an
+/// application written before the engine did that would.
 const TRUNCATE_EVERY: u64 = 64;
+/// Commits after which a [`big_cfg`] child has rewritten `wal.journal`
+/// at least once (8.2 KB of log per commit against the 8 MiB floor:
+/// every ≈ 1 020 commits) and `meta.journal` several times (a 6 KB staged
+/// intent per commit against the 1 MiB floor: every ≈ 165).
+const FIRST_WAL_REWRITE: u64 = 1_200;
+/// ... and after which it has crossed the `wal.journal` floor three times
+/// and the `meta.journal` floor some twenty.
+const SEVERAL_REWRITES: u64 = 3_300;
 /// The three pages every transaction stamps together (atomicity witness).
 const PAGES: [u32; 3] = [2, 9, 17];
 /// Concurrent-load child: writer thread `t` stamps its own page triple,
@@ -42,6 +52,17 @@ fn cfg() -> DbConfig {
     // has events to persist and the parent can ask what the child was
     // doing when it died.
     DbConfig::small_test(EngineKind::Rda)
+        .trace(1024)
+        .spans(true)
+}
+
+/// The same engine with the paper's 2020-byte pages and ten pages to a
+/// group: a commit of [`PAGES`] logs three after-images and (pages 2 and
+/// 9 share group 0, so the second steal is logged) a before-image, and
+/// stages one write intent. The journals' floors, out of reach of the
+/// 64-byte pages of [`cfg`], are crossed within a second.
+fn big_cfg() -> DbConfig {
+    DbConfig::paper_like(EngineKind::Rda, 200, 32)
         .trace(1024)
         .spans(true)
 }
@@ -63,8 +84,8 @@ fn stamped_value(db: &FileDb, page: u32) -> Option<u64> {
 /// Child mode: commit stamps forever, acknowledging each commit to
 /// `acks.log` only after `commit()` has returned, and truncating the log
 /// after every `truncate_every` commits if given. Killed externally.
-fn run_child(dir: &Path, truncate_every: Option<u64>) -> ! {
-    let db = create_database(dir, cfg(), DurabilityMode::FsyncOnBarrier).expect("child create");
+fn run_child(dir: &Path, cfg: DbConfig, truncate_every: Option<u64>) -> ! {
+    let db = create_database(dir, cfg, DurabilityMode::FsyncOnBarrier).expect("child create");
     let mut acks = std::fs::File::create(dir.join("acks.log")).expect("acks file");
     let mut i: u64 = 1;
     loop {
@@ -87,10 +108,13 @@ fn run_child(dir: &Path, truncate_every: Option<u64>) -> ! {
 #[test]
 fn child_workload() {
     if let Ok(dir) = std::env::var(CHILD_ENV) {
-        run_child(Path::new(&dir), None);
+        run_child(Path::new(&dir), cfg(), None);
     }
     if let Ok(dir) = std::env::var(TRUNC_CHILD_ENV) {
-        run_child(Path::new(&dir), Some(TRUNCATE_EVERY));
+        run_child(Path::new(&dir), big_cfg(), Some(TRUNCATE_EVERY));
+    }
+    if let Ok(dir) = std::env::var(FLOORS_CHILD_ENV) {
+        run_child(Path::new(&dir), big_cfg(), None);
     }
 }
 
@@ -231,13 +255,13 @@ fn sigkill_mid_commit_recovers_committed_data() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// SIGKILL a child that truncates its log every [`TRUNCATE_EVERY`] commits,
-/// at 20 seeded delays after its first truncation, so kills land before,
-/// inside and after journal rewrites. Every reopen must succeed on
-/// whatever `wal.journal` (and `wal.journal.tmp`) the kill left, recover
-/// every acknowledged stamp, and scrub and audit clean.
-#[test]
-fn sigkill_while_truncating_recovers_every_acked_commit() {
+/// SIGKILL a [`big_cfg`] child at 20 seeded delays after it acknowledged
+/// `acks_before_kill` commits, so kills land before, inside and after the
+/// rewrites of both journals. Every reopen must succeed on whatever
+/// `wal.journal`, `meta.journal` (and their `.tmp`s) the kill left,
+/// recover every acknowledged stamp, and scrub and audit clean. Returns
+/// how many of the kills found a `wal.journal` that had been rewritten.
+fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> u32 {
     let mut state = 0x7A11_5EED_u64;
     let mut rewritten_runs = 0;
     for run in 0..20 {
@@ -247,17 +271,25 @@ fn sigkill_while_truncating_recovers_every_acked_commit() {
         state ^= state << 17;
         let delay = Duration::from_micros(state % 25_000);
 
-        let dir: PathBuf =
-            std::env::temp_dir().join(format!("rda-disk-kill-trunc-{}-{run}", std::process::id()));
+        // Thousands of commits per run: on tmpfs where there is one (a
+        // SIGKILL loses no page cache, so the medium decides nothing but
+        // how long the child takes to get there).
+        let shm = PathBuf::from("/dev/shm");
+        let root = if shm.is_dir() {
+            shm
+        } else {
+            std::env::temp_dir()
+        };
+        let dir = root.join(format!("rda-disk-kill-{tag}-{}-{run}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("test dir");
-        let mut child = spawn_child("child_workload", TRUNC_CHILD_ENV, &dir);
-        // Let it get past its first truncation, then the seeded delay.
-        let deadline = Instant::now() + Duration::from_mins(1);
-        while last_ack(&dir).unwrap_or(0) < TRUNCATE_EVERY {
+        let mut child = spawn_child("child_workload", env, &dir);
+        // Let it get past its first rewrites, then the seeded delay.
+        let deadline = Instant::now() + Duration::from_mins(2);
+        while last_ack(&dir).unwrap_or(0) < acks_before_kill {
             assert!(
                 Instant::now() < deadline,
-                "run {run}: child produced no acks in time (status: {:?})",
+                "run {run}: child produced too few acks in time (status: {:?})",
                 child.try_wait()
             );
             std::thread::sleep(Duration::from_millis(1));
@@ -273,9 +305,10 @@ fn sigkill_while_truncating_recovers_every_acked_commit() {
         if journal.starts_with(&[9, 0, 0, 0, 17]) {
             rewritten_runs += 1;
         }
-        let db = reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier)
+        let db = reopen_database(&dir, big_cfg(), DurabilityMode::FsyncOnBarrier)
             .unwrap_or_else(|e| panic!("run {run} (delay {delay:?}, acked {acked}): reopen: {e}"));
         assert!(!dir.join("wal.journal.tmp").exists(), "run {run}");
+        assert!(!dir.join("meta.journal.tmp").exists(), "run {run}");
         let report = db.recover().expect("restart recovery");
         let values: Vec<Option<u64>> = PAGES.iter().map(|&p| stamped_value(&db, p)).collect();
         let recovered = values[0].expect("commits were acknowledged");
@@ -305,9 +338,29 @@ fn sigkill_while_truncating_recovers_every_acked_commit() {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    rewritten_runs
+}
+
+/// A child that still calls `truncate_log()` every [`TRUNCATE_EVERY`]
+/// commits, killed shortly after its first `wal.journal` rewrite.
+#[test]
+fn sigkill_while_truncating_recovers_every_acked_commit() {
+    let rewritten_runs = kill_at_seeded_delays(TRUNC_CHILD_ENV, "trunc", FIRST_WAL_REWRITE);
     assert!(
         rewritten_runs >= 10,
         "only {rewritten_runs} of 20 kills found a rewritten journal: they miss the rewrites"
+    );
+}
+
+/// A child that never calls `truncate_log()`: the engine alone moves the
+/// mark and both journals give space back by themselves, several times
+/// over, before each kill.
+#[test]
+fn sigkill_with_no_explicit_truncation_recovers_every_acked_commit() {
+    let rewritten_runs = kill_at_seeded_delays(FLOORS_CHILD_ENV, "floors", SEVERAL_REWRITES);
+    assert_eq!(
+        rewritten_runs, 20,
+        "wal.journal is rewritten by the time of every kill without anybody asking"
     );
 }
 

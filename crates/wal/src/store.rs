@@ -10,6 +10,7 @@ use crate::codec;
 use crate::{LogRecord, TxnId};
 use parking_lot::Mutex;
 use rda_array::{IoKind, IoStats};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,8 +78,10 @@ pub trait LogSink: Send + Sync {
 
 struct StoreInner {
     /// Durable records with their starting byte offset in the log stream.
-    /// Index `i` holds the record with LSN `base + i`.
-    records: Vec<(u64, LogRecord)>,
+    /// Index `i` holds the record with LSN `base + i`. A deque: appends go
+    /// to the back, truncation pops the front, and neither moves the
+    /// records in between.
+    records: VecDeque<(u64, LogRecord)>,
     /// LSN of the first retained record (everything below was truncated).
     base: u64,
     /// Total durable bytes (end offset of the last record).
@@ -123,7 +126,7 @@ impl LogStore {
         assert!(cfg.page_size > 0, "log page size must be positive");
         assert!(cfg.copies > 0, "log must have at least one copy");
         let mut offset = 0u64;
-        let records: Vec<(u64, LogRecord)> = records
+        let records: VecDeque<(u64, LogRecord)> = records
             .into_iter()
             .map(|r| {
                 let at = offset;
@@ -172,7 +175,8 @@ impl LogStore {
 
     /// Discard every record with LSN below `upto` (log truncation after a
     /// checkpoint). LSNs of surviving records are unchanged. Returns the
-    /// number of records discarded.
+    /// number of records discarded, which is also what the call costs: the
+    /// records that stay are not moved. Bills nothing.
     ///
     /// Safety is the *caller's* contract: nothing below `upto` may still
     /// be needed for undo (active transactions' BOTs), redo (the last
@@ -205,6 +209,14 @@ impl LogStore {
         self.inner.lock().bytes
     }
 
+    /// Bytes of the records still retained: [`LogStore::bytes`] less
+    /// everything truncation has dropped.
+    #[must_use]
+    pub fn retained_bytes(&self) -> u64 {
+        let inner = self.inner.lock();
+        inner.bytes - inner.records.front().map_or(inner.bytes, |(at, _)| *at)
+    }
+
     /// Append a batch of records durably, billing the page writes
     /// (`pages touched × copies`). Called by
     /// [`LogManager::force`](crate::LogManager::force).
@@ -227,7 +239,7 @@ impl LogStore {
         let mut offset = start;
         for record in batch {
             let len = codec::encoded_len(&record) as u64;
-            inner.records.push((offset, record));
+            inner.records.push_back((offset, record));
             offset += len;
         }
         inner.bytes = offset;
@@ -282,7 +294,7 @@ impl LogStore {
                 self.stats.record(IoKind::Read);
             }
         }
-        for (i, (_, record)) in inner.records[from_idx..to_idx].iter().enumerate() {
+        for (i, (_, record)) in inner.records.range(from_idx..to_idx).enumerate() {
             visit(Lsn(from_lsn + i as u64), record);
         }
     }
@@ -503,6 +515,47 @@ mod tests {
         assert_eq!(s.truncate_before(Lsn(100)), 3);
         assert_eq!(s.truncate_before(Lsn(100)), 0);
         assert_eq!(s.base(), 5);
+    }
+
+    #[test]
+    fn retained_bytes_follow_the_base() {
+        let s = store(1024, 1);
+        assert_eq!(s.retained_bytes(), 0);
+        s.append_durable(vec![
+            LogRecord::Bot { txn: TxnId(1) },
+            LogRecord::AfterImage {
+                txn: TxnId(1),
+                page: DataPageId(0),
+                image: vec![0; 100],
+            },
+            LogRecord::Commit { txn: TxnId(1) },
+        ]);
+        let (bot, commit) = (9, 9);
+        assert_eq!(s.retained_bytes(), s.bytes());
+        s.truncate_before(Lsn(1));
+        assert_eq!(s.retained_bytes(), s.bytes() - bot);
+        s.truncate_before(Lsn(2));
+        assert_eq!(s.retained_bytes(), commit);
+        let writes = s.stats().writes();
+        s.truncate_before(Lsn(3));
+        assert_eq!(
+            s.retained_bytes(),
+            0,
+            "nothing retained, bytes keep counting"
+        );
+        assert_eq!(s.bytes(), bot + 117 + commit);
+        assert_eq!(
+            (s.stats().reads(), s.stats().writes()),
+            (0, writes),
+            "truncation bills nothing"
+        );
+        // The survivors of a cut in the middle scan as before.
+        s.append_durable(vec![LogRecord::Bot { txn: TxnId(2) }]);
+        assert_eq!(
+            scanned(&s, 0, 9),
+            vec![(Lsn(3), LogRecord::Bot { txn: TxnId(2) })]
+        );
+        assert_eq!(s.retained_bytes(), bot);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!
 //! iopair <file> phys=<m>[,<m>...] recv=<ident>[,<ident>...] bill=<m>[,<m>...]
 //!     In `<file>`, a fn calling any `phys` method on a receiver chain
-//!     rooted at / passing through one of `recv` performs physical I/O
-//!     and must also call every `bill` method in the same fn body.
+//!     rooted at / passing through one of `recv` — or any `phys` fn by a
+//!     path with one of `recv` among its segments (`std::fs::rename`) —
+//!     performs physical I/O and must also call every `bill` method in
+//!     the same fn body.
 //!
 //! tracepair <file> <fn> <EventKind-variant>
 //!     `fn` in `file` must reference `EventKind::<variant>` exactly

@@ -17,7 +17,7 @@ use crate::analyze::callgraph::Workspace;
 use crate::analyze::config::Config;
 use crate::analyze::findings::Finding;
 use crate::analyze::lexer::TokKind;
-use crate::analyze::parse::{FlatTok, FnItem};
+use crate::analyze::parse::{CallKind, FlatTok, FnItem};
 
 pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -39,9 +39,14 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
                 continue;
             }
             let phys_line = f.calls.iter().find_map(|c| {
-                let is_phys = pair.phys.contains(&c.method)
-                    && c.recv.iter().any(|s| pair.recv.contains(&s.name));
-                is_phys.then_some(c.line)
+                // `recv` names a receiver-chain segment of a method call,
+                // or a path segment of a path call (`fs` in
+                // `std::fs::rename(..)`).
+                let through_recv = match &c.kind {
+                    CallKind::Path(segs) => segs.iter().any(|s| pair.recv.contains(s)),
+                    _ => c.recv.iter().any(|s| pair.recv.contains(&s.name)),
+                };
+                (pair.phys.contains(&c.method) && through_recv).then_some(c.line)
             });
             let Some(line) = phys_line else { continue };
             let missing: Vec<&str> = pair

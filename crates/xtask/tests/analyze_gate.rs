@@ -310,6 +310,45 @@ impl DiskArray {
     );
 }
 
+/// `recv` also names a path segment: a rename that puts a file in place
+/// must be preceded, in the same fn, by the `sync_data` of what it puts
+/// there.
+#[test]
+fn path_call_io_is_paired_by_a_path_segment() {
+    let conf = "iopair crates/st/src/meta.rs phys=rename recv=fs bill=sync_data\n";
+    let body = |sync: &str| {
+        format!(
+            "\
+fn replace(tmp: &Path, path: &Path, file: &File) -> io::Result<()> {{
+    {sync}
+    std::fs::rename(tmp, path)
+}}
+fn unrelated(names: &mut Names) {{
+    names.rename(1, 2);
+}}
+"
+        )
+    };
+    let fx = Fixture::new("iopair-path-unsynced");
+    fx.write("crates/xtask/analyze.conf", conf);
+    fx.write("crates/st/src/meta.rs", &body(""));
+    let out = fx.analyze();
+    assert!(!out.status.success(), "unsynced rename must fail");
+    let err = stderr(&out);
+    assert!(err.contains("fn `replace` performs physical I/O"), "{err}");
+    assert!(!err.contains("unrelated"), "{err}");
+
+    let fx = Fixture::new("iopair-path-synced");
+    fx.write("crates/xtask/analyze.conf", conf);
+    fx.write("crates/st/src/meta.rs", &body("file.sync_data()?;"));
+    let out = fx.analyze();
+    assert!(
+        out.status.success(),
+        "synced rename flagged: {}",
+        stderr(&out)
+    );
+}
+
 // ---- baseline mechanics -------------------------------------------------
 
 #[test]
