@@ -36,7 +36,7 @@ pub struct DiskArray<D: BlockDevice = SimDisk> {
     disks: Vec<D>,
     stats: Arc<IoStats>,
     tracer: Arc<Tracer>,
-    fault: parking_lot::Mutex<Option<HookState>>,
+    fault: rda_obs::sync::Mutex<Option<HookState>>,
 }
 
 impl DiskArray {
@@ -93,7 +93,7 @@ impl<D: BlockDevice> DiskArray<D> {
             disks,
             stats,
             tracer,
-            fault: parking_lot::Mutex::new(None),
+            fault: rda_obs::sync::Mutex::new(None),
         }
     }
 

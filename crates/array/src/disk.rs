@@ -14,7 +14,7 @@
 
 use crate::fault::{FaultAction, HookState};
 use crate::{ArrayError, DiskId, Page};
-use parking_lot::Mutex;
+use rda_obs::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 
 struct DiskInner {
@@ -123,7 +123,7 @@ impl SimDisk {
     /// Shared read-side gate: consult the fault hook, then check the
     /// failure states that make the block unreadable. On success the
     /// caller gets the locked inner state to pull the image from.
-    fn readable(&self, block: u64) -> crate::Result<parking_lot::MutexGuard<'_, DiskInner>> {
+    fn readable(&self, block: u64) -> crate::Result<std::sync::MutexGuard<'_, DiskInner>> {
         debug_assert!(block < self.block_count, "block out of range");
         match self.consult_hook(block, false) {
             FaultAction::Proceed => {}

@@ -211,16 +211,12 @@ mod tests {
     /// The paper's page size: 63 whole rounds and a 4-byte tail.
     const PAGE: usize = 2020;
 
-    /// Seeded filler bytes (splitmix64), so failures reproduce.
+    /// Seeded filler bytes, so failures reproduce.
     fn seeded(seed: u64, len: usize) -> Vec<u8> {
-        let mut state = seed;
+        let mut rng = rda_obs::rng::Rng::new(seed);
         let mut out = Vec::with_capacity(len + 8);
         while out.len() < len {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+            out.extend_from_slice(&rng.next_u64().to_le_bytes());
         }
         out.truncate(len);
         out

@@ -1,76 +1,66 @@
 //! Property-based tests for array layout and parity algebra.
 
-use proptest::prelude::*;
-// Everything but the two strategy types is used only inside the
-// `proptest!` block, which the offline dev stub expands to nothing.
-#[allow(unused_imports)]
 use rda_array::{
     ArrayConfig, DataPageId, DiskArray, DiskId, GroupId, Organization, Page, ParitySlot,
 };
-#[allow(unused_imports)]
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 use std::collections::HashSet;
 
-// Only the `proptest!` block uses these, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
 const PAGE: usize = 48;
 
-#[allow(dead_code)]
-fn org_strategy() -> impl Strategy<Value = Organization> {
-    prop_oneof![
-        Just(Organization::RotatedParity),
-        Just(Organization::ParityStriping),
-        Just(Organization::DedicatedParity)
-    ]
+fn gen_cfg(rng: &mut Rng) -> ArrayConfig {
+    let org = [
+        Organization::RotatedParity,
+        Organization::ParityStriping,
+        Organization::DedicatedParity,
+    ][rng.below(3) as usize];
+    let (n, groups) = (1 + rng.below(7) as u32, 1 + rng.below(19) as u32);
+    ArrayConfig::new(org, n, groups)
+        .twin(rng.chance(50))
+        .page_size(PAGE)
 }
 
-#[allow(dead_code)]
-fn cfg_strategy() -> impl Strategy<Value = ArrayConfig> {
-    (org_strategy(), 1u32..8, 1u32..20, any::<bool>()).prop_map(|(org, n, groups, twin)| {
-        ArrayConfig::new(org, n, groups).twin(twin).page_size(PAGE)
-    })
+fn gen_bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every geometry keeps group members (data + parity) on pairwise
-    /// distinct disks and data_loc stays injective.
-    #[test]
-    fn geometry_coherent(cfg in cfg_strategy()) {
+/// Every geometry keeps group members (data + parity) on pairwise
+/// distinct disks and data_loc stays injective.
+#[test]
+fn geometry_coherent() {
+    prop::cases("geometry_coherent", 64, |rng| {
+        let cfg = gen_cfg(rng);
         let geo = rda_array::Geometry::new(&cfg);
         let mut all_locs = HashSet::new();
         for l in 0..geo.data_pages() {
-            prop_assert!(all_locs.insert(geo.data_loc(DataPageId(l))));
+            assert!(all_locs.insert(geo.data_loc(DataPageId(l))));
         }
         for g in 0..geo.groups() {
             let g = GroupId(g);
             let mut disks = HashSet::new();
             for m in geo.members(g) {
-                prop_assert_eq!(geo.group_of(m), g);
-                prop_assert!(disks.insert(geo.data_loc(m).disk));
+                assert_eq!(geo.group_of(m), g);
+                assert!(disks.insert(geo.data_loc(m).disk));
             }
             for slot in ParitySlot::BOTH {
                 if let Some(loc) = geo.parity_loc(g, slot) {
-                    prop_assert!(disks.insert(loc.disk));
-                    prop_assert!(all_locs.insert(loc));
+                    assert!(disks.insert(loc.disk));
+                    assert!(all_locs.insert(loc));
                 }
             }
-            prop_assert_eq!(
-                disks.len() as u32,
-                geo.n() + geo.parity_replicas()
-            );
+            assert_eq!(disks.len() as u32, geo.n() + geo.parity_replicas());
         }
-    }
+    });
+}
 
-    /// Paper Figure 6 identity: for any page contents,
-    /// `D_old = (P ⊕ P') ⊕ D_new` after a small write to one twin.
-    #[test]
-    fn undo_identity(
-        old_bytes in prop::collection::vec(any::<u8>(), PAGE),
-        new_bytes in prop::collection::vec(any::<u8>(), PAGE),
-        page_idx in 0u32..12,
-    ) {
+/// Paper Figure 6 identity: for any page contents,
+/// `D_old = (P ⊕ P') ⊕ D_new` after a small write to one twin.
+#[test]
+fn undo_identity() {
+    prop::cases("undo_identity", 64, |rng| {
+        let (old_bytes, new_bytes) = (gen_bytes(rng, PAGE), gen_bytes(rng, PAGE));
+        let page_idx = rng.below(12) as u32;
         let a = DiskArray::new(
             ArrayConfig::new(Organization::RotatedParity, 4, 3)
                 .twin(true)
@@ -89,17 +79,20 @@ proptest! {
         let p0 = a.read_parity(g, ParitySlot::P0).unwrap();
         let p1 = a.read_parity(g, ParitySlot::P1).unwrap();
         let recovered = p0.xor(&p1).xor(&new);
-        prop_assert_eq!(recovered, old);
-    }
+        assert_eq!(recovered, old);
+    });
+}
 
-    /// After an arbitrary sequence of small writes the parity invariant
-    /// holds for every group, and any single-disk failure is survivable.
-    #[test]
-    fn parity_invariant_and_single_fault_tolerance(
-        cfg in cfg_strategy(),
-        writes in prop::collection::vec((any::<u32>(), any::<u8>()), 1..40),
-        victim_seed in any::<u16>(),
-    ) {
+/// After an arbitrary sequence of small writes the parity invariant
+/// holds for every group, and any single-disk failure is survivable.
+#[test]
+fn parity_invariant_and_single_fault_tolerance() {
+    prop::cases("parity_invariant_and_single_fault_tolerance", 64, |rng| {
+        let cfg = gen_cfg(rng);
+        let writes: Vec<(u32, u8)> = (0..=rng.below(39))
+            .map(|_| (rng.next_u64() as u32, rng.next_u64() as u8))
+            .collect();
+        let victim_seed = rng.next_u64() as u16;
         let a = DiskArray::new(cfg);
         for (raw, seed) in writes {
             let d = DataPageId(raw % a.data_pages());
@@ -116,20 +109,21 @@ proptest! {
             }
         }
         for g in 0..a.groups() {
-            prop_assert!(a.group_parity_ok(GroupId(g), ParitySlot::P0).unwrap());
+            assert!(a.group_parity_ok(GroupId(g), ParitySlot::P0).unwrap());
         }
         // Record all contents, fail one disk, verify every page readable.
-        let contents: Vec<Page> =
-            (0..a.data_pages()).map(|i| a.read_data(DataPageId(i)).unwrap()).collect();
+        let contents: Vec<Page> = (0..a.data_pages())
+            .map(|i| a.read_data(DataPageId(i)).unwrap())
+            .collect();
         let victim = DiskId(victim_seed % a.geometry().disks());
         a.fail_disk(victim);
         for (i, expect) in contents.iter().enumerate() {
-            prop_assert_eq!(&a.read_data(DataPageId(i as u32)).unwrap(), expect);
+            assert_eq!(&a.read_data(DataPageId(i as u32)).unwrap(), expect);
         }
         // Rebuild restores direct readability.
         a.rebuild_disk(victim, |_| ParitySlot::P0).unwrap();
         for (i, expect) in contents.iter().enumerate() {
-            prop_assert_eq!(&a.try_read_data(DataPageId(i as u32)).unwrap(), expect);
+            assert_eq!(&a.try_read_data(DataPageId(i as u32)).unwrap(), expect);
         }
-    }
+    });
 }

@@ -13,8 +13,8 @@
 //!   workload (the paper is policy-agnostic; this shows the choice is
 //!   immaterial, justifying the default).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rda_array::{ArrayConfig, DataPageId, DiskArray, GroupId, Organization, ParitySlot};
+use rda_bench::bench;
 use rda_buffer::ReplacePolicy;
 use rda_core::{Database, DbConfig, EngineKind};
 use std::hint::black_box;
@@ -23,18 +23,18 @@ use std::hint::black_box;
 /// undo, commit must recompute the group parity from all N data pages.
 /// The twin scheme replaces this with a timestamp flip (zero I/O) — here
 /// represented by the actual RDA commit of a one-page transaction.
-fn bench_commit_parity_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("commit_parity_strategy");
-
+fn bench_commit_parity_strategies() {
     // Strawman: full-group parity recompute at commit.
     let a = DiskArray::new(ArrayConfig::new(Organization::RotatedParity, 10, 50).page_size(512));
-    group.bench_function("single_parity_recompute_n10", |b| {
-        b.iter(|| {
+    bench(
+        "commit_parity_strategy/single_parity_recompute_n10",
+        || (),
+        |()| {
             let parity = a.compute_group_parity(GroupId(7)).unwrap();
             a.write_parity(GroupId(7), ParitySlot::P0, black_box(&parity))
                 .unwrap();
-        });
-    });
+        },
+    );
 
     // The twin scheme: an actual one-page RDA transaction (begin, write,
     // steal with working-parity update, log force, commit). The commit
@@ -44,68 +44,59 @@ fn bench_commit_parity_strategies(c: &mut Criterion) {
     cfg.array.page_size = 512;
     let db = Database::open(cfg);
     let mut i = 0u32;
-    group.bench_function("twin_txn_commit_full", |b| {
-        b.iter(|| {
+    bench(
+        "commit_parity_strategy/twin_txn_commit_full",
+        || (),
+        |()| {
             i = (i + 10) % db.data_pages();
             let mut tx = db.begin();
             tx.write(i, &[1; 16]).unwrap();
             black_box(tx.commit().unwrap());
-        });
-    });
-    group.finish();
+        },
+    );
 }
 
-fn bench_replacement_policy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("replacement_policy");
+fn bench_replacement_policy() {
     for policy in [ReplacePolicy::Clock, ReplacePolicy::Lru] {
         let mut cfg = DbConfig::paper_like(EngineKind::Rda, 500, 32);
         cfg.array.page_size = 512;
         cfg.buffer.policy = policy;
         let db = Database::open(cfg);
         let mut i = 0u32;
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{policy:?}")),
-            &db,
-            |b, db| {
-                b.iter(|| {
-                    let mut tx = db.begin();
-                    for k in 0..8u32 {
-                        i = (i * 17 + k + 1) % db.data_pages();
-                        tx.write(i, &[k as u8; 16]).unwrap();
-                    }
-                    black_box(tx.commit().unwrap());
-                });
+        bench(
+            &format!("replacement_policy/{policy:?}"),
+            || (),
+            |()| {
+                let mut tx = db.begin();
+                for k in 0..8u32 {
+                    i = (i * 17 + k + 1) % db.data_pages();
+                    tx.write(i, &[k as u8; 16]).unwrap();
+                }
+                black_box(tx.commit().unwrap());
             },
         );
     }
-    group.finish();
 }
 
 /// Data-page reads through each array organization (parity striping keeps
 /// sequential pages on one disk; rotated parity spreads them).
-fn bench_read_organizations(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sequential_reads");
+fn bench_read_organizations() {
     for org in [Organization::RotatedParity, Organization::ParityStriping] {
         let a = DiskArray::new(ArrayConfig::new(org, 10, 50).page_size(512));
         let mut i = 0u32;
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{org:?}")),
-            &a,
-            |b, a| {
-                b.iter(|| {
-                    i = (i + 1) % a.data_pages();
-                    black_box(a.read_data(DataPageId(i)).unwrap())
-                });
+        bench(
+            &format!("sequential_reads/{org:?}"),
+            || (),
+            |()| {
+                i = (i + 1) % a.data_pages();
+                black_box(a.read_data(DataPageId(i)).unwrap());
             },
         );
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_commit_parity_strategies,
-    bench_replacement_policy,
-    bench_read_organizations
-);
-criterion_main!(benches);
+fn main() {
+    bench_commit_parity_strategies();
+    bench_replacement_policy();
+    bench_read_organizations();
+}

@@ -9,25 +9,26 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin ablation_diskload`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rda_array::{ArrayConfig, DataPageId, DiskArray, Organization, ParitySlot};
 use rda_bench::write_json;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     organization: String,
     per_disk: Vec<u64>,
     max_over_mean: f64,
 }
+rda_obs::json_struct!(Row {
+    organization,
+    per_disk,
+    max_over_mean
+});
 
 fn measure(org: Organization) -> Result<Row, rda_array::ArrayError> {
     let a = DiskArray::new(ArrayConfig::new(org, 10, 100).page_size(256));
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = rda_obs::rng::Rng::new(rda_obs::rng::mix(7, 0));
     let page = a.blank_page();
     for _ in 0..5_000 {
-        let p = DataPageId(rng.gen_range(0..a.data_pages()));
+        let p = DataPageId(rng.below(u64::from(a.data_pages())) as u32);
         a.small_write(p, &page, None, ParitySlot::P0)?;
     }
     let per_disk = a.stats().per_disk();

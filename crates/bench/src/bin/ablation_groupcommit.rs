@@ -14,15 +14,19 @@
 use rda_bench::write_json;
 use rda_core::{CheckpointPolicy, DbConfig, EotPolicy, LogGranularity};
 use rda_sim::{compare_engines, WorkloadSpec};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     accounting: &'static str,
     rda_ct: f64,
     wal_ct: f64,
     gain_pct: f64,
 }
+rda_obs::json_struct!(Row {
+    accounting,
+    rda_ct,
+    wal_ct,
+    gain_pct
+});
 
 fn run(amortized: bool) -> Row {
     let spec = WorkloadSpec::high_update(1000, 80).locality(0.85);

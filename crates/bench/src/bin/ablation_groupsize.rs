@@ -7,15 +7,19 @@
 
 use rda_bench::write_json;
 use rda_model::{families, ModelParams, Workload};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     n: f64,
     overhead_pct: f64,
     p_l: f64,
     gain_pct: f64,
 }
+rda_obs::json_struct!(Row {
+    n,
+    overhead_pct,
+    p_l,
+    gain_pct
+});
 
 fn main() {
     let base = ModelParams::paper_defaults(Workload::HighUpdate).communality(0.9);

@@ -12,15 +12,19 @@
 use rda_bench::write_json;
 use rda_core::DbConfig;
 use rda_sim::{compare_engines, WorkloadSpec};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     rda_ct: f64,
     wal_ct: f64,
     gain_pct: f64,
 }
+rda_obs::json_struct!(Row {
+    scenario,
+    rda_ct,
+    wal_ct,
+    gain_pct
+});
 
 fn run(scenario: &'static str, pages: u32, hot: u32) -> Row {
     let spec = WorkloadSpec::high_update(pages, hot).locality(0.85);

@@ -14,15 +14,19 @@
 use rda_bench::write_json;
 use rda_core::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_sim::{run_workload, SimConfig, WorkloadSpec};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     ckpt_every_ops: u64,
     page_mode: f64,
     record_mode: f64,
     crashes: u64,
 }
+rda_obs::json_struct!(Row {
+    ckpt_every_ops,
+    page_mode,
+    record_mode,
+    crashes
+});
 
 fn run(ops: u64, granularity: LogGranularity) -> (f64, u64) {
     let mut cfg = SimConfig::new({

@@ -7,14 +7,17 @@
 
 use rda_bench::write_json;
 use rda_model::{families, CostBreakdown, Evaluation, ModelParams, Workload};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     family: &'static str,
     rda: bool,
     breakdown: CostBreakdown,
 }
+rda_obs::json_struct!(Row {
+    family,
+    rda,
+    breakdown
+});
 
 fn print_line(name: &str, b: &CostBreakdown) {
     let interval = if b.interval.is_finite() {

@@ -6,9 +6,7 @@
 
 use rda_bench::{figure_grid, write_json};
 use rda_model::{families, ModelParams, Workload};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     c: f64,
     force_toc: f64,
@@ -16,6 +14,13 @@ struct Row {
     noforce_acc: f64,
     noforce_acc_rda: f64,
 }
+rda_obs::json_struct!(Row {
+    c,
+    force_toc,
+    force_toc_rda,
+    noforce_acc,
+    noforce_acc_rda
+});
 
 fn main() {
     println!("page logging, high update frequency — transactions per interval\n");

@@ -12,9 +12,7 @@
 use rda_bench::write_json;
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_sim::{compare_engines, WorkloadSpec};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Point {
     locality: f64,
     measured_c: f64,
@@ -22,12 +20,22 @@ struct Point {
     rda_ct: f64,
     gain_pct: f64,
 }
+rda_obs::json_struct!(Point {
+    locality,
+    measured_c,
+    wal_ct,
+    rda_ct,
+    gain_pct
+});
 
-#[derive(Serialize)]
 struct Out {
     high_update: Vec<Point>,
     high_retrieval: Vec<Point>,
 }
+rda_obs::json_struct!(Out {
+    high_update,
+    high_retrieval
+});
 
 fn sweep(spec_for: impl Fn(f64) -> WorkloadSpec, label: &str) -> Vec<Point> {
     println!("\n  [{label}]");

@@ -9,15 +9,19 @@
 
 use rda_bench::write_json;
 use rda_core::{Database, DbConfig, EngineKind};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     post_dump_txns: u32,
     rebuild_transfers: u64,
     restore_transfers: u64,
     redo_records_applied: u64,
 }
+rda_obs::json_struct!(Row {
+    post_dump_txns,
+    rebuild_transfers,
+    restore_transfers,
+    redo_records_applied
+});
 
 fn measure(post_dump_txns: u32) -> Result<Row, rda_core::DbError> {
     let mut cfg = DbConfig::paper_like(EngineKind::Rda, 500, 64);

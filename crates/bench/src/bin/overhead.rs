@@ -6,9 +6,7 @@
 
 use rda_array::{ArrayConfig, Organization};
 use rda_bench::write_json;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     n: u32,
     disks_single: u16,
@@ -16,6 +14,13 @@ struct Row {
     disks_twin: u16,
     overhead_twin_pct: f64,
 }
+rda_obs::json_struct!(Row {
+    n,
+    disks_single,
+    overhead_single_pct,
+    disks_twin,
+    overhead_twin_pct
+});
 
 fn main() {
     println!(

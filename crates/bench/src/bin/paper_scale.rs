@@ -11,11 +11,9 @@ use rda_bench::write_json;
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
 use rda_sim::{compare_engines, WorkloadSpec};
-use serde::Serialize;
 
 const T: f64 = 5.0e6;
 
-#[derive(Serialize)]
 struct Out {
     measured_c: f64,
     engine_rt_wal: f64,
@@ -25,6 +23,15 @@ struct Out {
     engine_gain_pct: f64,
     model_gain_pct: f64,
 }
+rda_obs::json_struct!(Out {
+    measured_c,
+    engine_rt_wal,
+    engine_rt_rda,
+    model_rt_wal,
+    model_rt_rda,
+    engine_gain_pct,
+    model_gain_pct
+});
 
 fn main() {
     // Locality tuned so the measured C lands near the paper's interesting

@@ -13,13 +13,11 @@
 use rda_array::{ArrayConfig, DataPageId, DiskArray, DiskId, Organization, ParitySlot};
 use rda_bench::write_json;
 use rda_model::reliability::{mttdl_array, PAPER_DISK_MTTF_HOURS};
-use serde::Serialize;
 
 /// Service time per page transfer for a 1991-class drive (seek + rotate +
 /// transfer for a random 2 KB page).
 const MS_PER_TRANSFER: f64 = 25.0;
 
-#[derive(Serialize)]
 struct Row {
     n: u32,
     disks: u16,
@@ -29,6 +27,14 @@ struct Row {
     window_at_1gb_hours: f64,
     mttdl_years: f64,
 }
+rda_obs::json_struct!(Row {
+    n,
+    disks,
+    rebuild_transfers,
+    rebuild_window_hours,
+    window_at_1gb_hours,
+    mttdl_years
+});
 
 fn measure(n: u32) -> Result<Row, rda_array::ArrayError> {
     // Keep total data constant (~2000 pages) as N varies.

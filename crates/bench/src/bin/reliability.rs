@@ -9,15 +9,19 @@ use rda_bench::write_json;
 use rda_model::reliability::{
     failures_per_year, mttdl_array, mttf_any_disk, PAPER_DISK_MTTF_HOURS,
 };
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     disks: u32,
     mttf_any_days: f64,
     failures_per_year: f64,
     mttdl_years_raid: f64,
 }
+rda_obs::json_struct!(Row {
+    disks,
+    mttf_any_days,
+    failures_per_year,
+    mttdl_years_raid
+});
 
 fn main() {
     println!("per-disk MTTF = {PAPER_DISK_MTTF_HOURS} h (the paper's footnote 1)\n");

@@ -9,15 +9,19 @@
 
 use rda_bench::write_json;
 use rda_model::{families, ModelParams, ModelVariant, Workload};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     family: &'static str,
     c: f64,
     gain_reconstructed_pct: f64,
     gain_paper_literal_pct: f64,
 }
+rda_obs::json_struct!(Row {
+    family,
+    c,
+    gain_reconstructed_pct,
+    gain_paper_literal_pct
+});
 
 fn main() {
     println!("record-logging families under both equation variants (high update)\n");

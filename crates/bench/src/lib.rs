@@ -1,4 +1,5 @@
-//! Shared output helpers for the figure-regeneration binaries.
+//! Shared output helpers for the figure-regeneration binaries and the
+//! timing loop of the two `benches/` programs.
 //!
 //! Every binary prints a paper-style table to stdout and, when the
 //! `RDA_FIGURE_DIR` environment variable is set (or `target/figures`
@@ -6,8 +7,9 @@
 //! bookkeeping.
 
 use rda_model::FigureSeries;
-use serde::Serialize;
+use rda_obs::json::ToJson;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Directory figure JSON lands in.
 #[must_use]
@@ -18,16 +20,39 @@ pub fn figure_dir() -> PathBuf {
 
 /// Serialize a figure payload to `<dir>/<id>.json` (best effort — a
 /// read-only target dir only loses the JSON copy, not the stdout table).
-pub fn write_json<T: Serialize>(id: &str, payload: &T) {
+pub fn write_json<T: ToJson + ?Sized>(id: &str, payload: &T) {
     let dir = figure_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
     let path = dir.join(format!("{id}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(payload) {
-        let _ = std::fs::write(&path, json);
+    if std::fs::write(&path, payload.to_json().to_string()).is_ok() {
         println!("\n[series written to {}]", path.display());
     }
+}
+
+/// Time `routine` for the `benches/` programs and print its median
+/// ns/iter over 15 batches. Each iteration gets a fresh `setup()` value
+/// whose construction is not timed; a warm-up batch sizes the batches to
+/// roughly 20 ms of measured work.
+pub fn bench<T>(name: &str, mut setup: impl FnMut() -> T, mut routine: impl FnMut(T)) {
+    let mut batch = |iters: u32| {
+        let mut spent = Duration::ZERO;
+        for _ in 0..iters {
+            let input = setup();
+            let start = Instant::now();
+            routine(input);
+            spent += start.elapsed();
+        }
+        spent.as_nanos() as f64 / f64::from(iters)
+    };
+    let iters = ((2e7 / batch(8).max(1.0)) as u32).clamp(1, 1_000_000);
+    let mut samples: Vec<f64> = (0..15).map(|_| batch(iters)).collect();
+    samples.sort_by(f64::total_cmp);
+    println!(
+        "{name:<44} {:>12.0} ns/iter  ({iters} iters/batch)",
+        samples[7]
+    );
 }
 
 /// Print a throughput-vs-communality figure as two side-by-side tables,
@@ -79,7 +104,7 @@ mod tests {
     fn json_roundtrip_smoke() {
         let dir = std::env::temp_dir().join("rda-fig-test");
         std::env::set_var("RDA_FIGURE_DIR", &dir);
-        write_json("smoke", &vec![1, 2, 3]);
+        write_json("smoke", &vec![1u32, 2, 3]);
         let written = std::fs::read_to_string(dir.join("smoke.json")).unwrap();
         assert!(written.contains('1'));
         std::env::remove_var("RDA_FIGURE_DIR");

@@ -1,19 +1,12 @@
 //! Property tests for the buffer pool: capacity, residency, eviction
 //! legality (pins, ¬STEAL), and accounting against a reference model.
 
-use proptest::prelude::*;
-// Used only inside the `proptest!` block, which the offline dev stub
-// expands to nothing.
-#[allow(unused_imports)]
 use rda_array::{DataPageId, Page};
-#[allow(unused_imports)]
 use rda_buffer::{BufferConfig, BufferPool, ReplacePolicy};
-#[allow(unused_imports)]
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 use std::collections::{HashMap, HashSet};
 
-// Only the `proptest!` block uses these, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
 #[derive(Debug, Clone)]
 enum Op {
     Read(u32),
@@ -25,31 +18,37 @@ enum Op {
     PopVictim,
 }
 
-#[allow(dead_code)]
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u32..24).prop_map(Op::Read),
-        4 => (0u32..24, 1u64..4).prop_map(|(p, t)| Op::Write(p, t)),
-        1 => (1u64..4).prop_map(Op::ReleaseTxn),
-        1 => (0u32..24).prop_map(Op::MarkClean),
-        1 => (0u32..24).prop_map(Op::Pin),
-        1 => (0u32..24).prop_map(Op::UnpinIfPinned),
-        2 => Just(Op::PopVictim),
-    ]
+/// Weights 4 : 4 : 1 : 1 : 1 : 1 : 2.
+fn gen_op(rng: &mut Rng) -> Op {
+    let page = rng.below(24) as u32;
+    let txn = 1 + rng.below(3);
+    match rng.below(14) {
+        0..=3 => Op::Read(page),
+        4..=7 => Op::Write(page, txn),
+        8 => Op::ReleaseTxn(txn),
+        9 => Op::MarkClean(page),
+        10 => Op::Pin(page),
+        11 => Op::UnpinIfPinned(page),
+        _ => Op::PopVictim,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn pool_invariants_hold(
-        ops in prop::collection::vec(op_strategy(), 1..120),
-        frames in 1usize..8,
-        steal in any::<bool>(),
-        lru in any::<bool>(),
-    ) {
-        let policy = if lru { ReplacePolicy::Lru } else { ReplacePolicy::Clock };
-        let mut pool = BufferPool::new(BufferConfig { frames, steal, policy });
+#[test]
+fn pool_invariants_hold() {
+    prop::cases("pool_invariants_hold", 96, |rng| {
+        let ops: Vec<Op> = (0..=rng.below(119)).map(|_| gen_op(rng)).collect();
+        let frames = 1 + rng.below(7) as usize;
+        let (steal, lru) = (rng.chance(50), rng.chance(50));
+        let policy = if lru {
+            ReplacePolicy::Lru
+        } else {
+            ReplacePolicy::Clock
+        };
+        let mut pool = BufferPool::new(BufferConfig {
+            frames,
+            steal,
+            policy,
+        });
         // Reference model of residency and contents.
         let mut resident: HashMap<u32, Page> = HashMap::new();
         let mut pinned: HashSet<u32> = HashSet::new();
@@ -62,20 +61,20 @@ proptest! {
                 Op::Read(p) => {
                     match pool.lookup(DataPageId(p)) {
                         Some(data) => {
-                            prop_assert_eq!(
+                            assert_eq!(
                                 Some(&data),
                                 resident.get(&p),
                                 "hit must return the installed contents"
                             );
                         }
                         None => {
-                            prop_assert!(!resident.contains_key(&p), "model thinks resident");
+                            assert!(!resident.contains_key(&p), "model thinks resident");
                             if !pool.has_room() {
                                 match pool.pop_victim() {
                                     Some(ev) => {
-                                        prop_assert!(!pinned.contains(&ev.page.0));
+                                        assert!(!pinned.contains(&ev.page.0));
                                         if !steal {
-                                            prop_assert!(
+                                            assert!(
                                                 !ev.dirty || ev.modifiers.is_empty(),
                                                 "¬STEAL evicted an uncommitted page"
                                             );
@@ -96,11 +95,11 @@ proptest! {
                 Op::Write(p, t) => {
                     if resident.contains_key(&p) {
                         let data = Page::from_bytes(&[t as u8; 16]);
-                        prop_assert!(pool.update_resident(DataPageId(p), data.clone(), t));
+                        assert!(pool.update_resident(DataPageId(p), data.clone(), t));
                         resident.insert(p, data);
                         modifiers.entry(p).or_default().insert(t);
                     } else {
-                        prop_assert!(!pool.update_resident(DataPageId(p), fetch(p), t));
+                        assert!(!pool.update_resident(DataPageId(p), fetch(p), t));
                     }
                 }
                 Op::ReleaseTxn(t) => {
@@ -112,7 +111,7 @@ proptest! {
                 Op::MarkClean(p) => pool.mark_clean(DataPageId(p)),
                 Op::Pin(p) => {
                     let did = pool.pin(DataPageId(p));
-                    prop_assert_eq!(did, resident.contains_key(&p));
+                    assert_eq!(did, resident.contains_key(&p));
                     if did {
                         pinned.insert(p);
                     }
@@ -124,27 +123,32 @@ proptest! {
                 }
                 Op::PopVictim => {
                     if let Some(ev) = pool.pop_victim() {
-                        prop_assert!(!pinned.contains(&ev.page.0), "evicted a pinned page");
+                        assert!(!pinned.contains(&ev.page.0), "evicted a pinned page");
                         let removed = resident.remove(&ev.page.0);
-                        prop_assert_eq!(
+                        assert_eq!(
                             removed.as_ref(),
                             Some(&ev.data),
                             "eviction must surrender the latest contents"
                         );
                         let expect_mods = modifiers.remove(&ev.page.0).unwrap_or_default();
                         let got: HashSet<u64> = ev.modifiers.iter().copied().collect();
-                        prop_assert_eq!(got, expect_mods);
+                        assert_eq!(got, expect_mods);
                     }
                 }
             }
-            prop_assert!(pool.len() <= frames, "capacity exceeded");
-            prop_assert_eq!(pool.len(), resident.len(), "residency model diverged");
+            assert!(pool.len() <= frames, "capacity exceeded");
+            assert_eq!(pool.len(), resident.len(), "residency model diverged");
         }
-    }
+    });
+}
 
-    /// Hit/miss accounting sums to the number of lookups.
-    #[test]
-    fn accounting_sums(ops in prop::collection::vec((0u32..10, any::<bool>()), 1..80)) {
+/// Hit/miss accounting sums to the number of lookups.
+#[test]
+fn accounting_sums() {
+    prop::cases("accounting_sums", 96, |rng| {
+        let ops: Vec<(u32, bool)> = (0..=rng.below(79))
+            .map(|_| (rng.below(10) as u32, rng.chance(50)))
+            .collect();
         let mut pool = BufferPool::new(BufferConfig::steal_clock(4));
         let mut lookups = 0u64;
         for (p, _) in &ops {
@@ -159,6 +163,6 @@ proptest! {
             }
         }
         let stats = pool.stats();
-        prop_assert_eq!(stats.hits + stats.misses, lookups);
-    }
+        assert_eq!(stats.hits + stats.misses, lookups);
+    });
 }

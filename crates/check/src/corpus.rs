@@ -9,9 +9,10 @@
 //! `ParityUndo` breaks the corpus test instead of quietly weakening it).
 
 use crate::checker::run_schedule;
-use crate::json::Json;
 use crate::schedule::Schedule;
 use rda_core::ProtocolMutations;
+use rda_obs::json::{Json, ToJson};
+use rda_obs::json_obj;
 use std::fs;
 use std::path::Path;
 
@@ -37,27 +38,16 @@ impl CorpusEntry {
         let Json::Obj(mut members) = self.schedule.to_json() else {
             unreachable!("Schedule::to_json always returns an object")
         };
-        members.push((
-            "expect".to_string(),
-            Json::Str(if self.expect_fail { "fail" } else { "clean" }.to_string()),
-        ));
+        let expect = if self.expect_fail { "fail" } else { "clean" };
+        members.push(("expect".to_string(), Json::Str(expect.to_string())));
         members.push((
             "mutations".to_string(),
-            Json::Obj(vec![
-                (
-                    "skip_commit_twin_flip".to_string(),
-                    Json::Bool(self.mutations.skip_commit_twin_flip),
-                ),
-                (
-                    "low_water_ignores_active".to_string(),
-                    Json::Bool(self.mutations.low_water_ignores_active),
-                ),
-            ]),
+            json_obj! {
+                "skip_commit_twin_flip": self.mutations.skip_commit_twin_flip,
+                "low_water_ignores_active": self.mutations.low_water_ignores_active,
+            },
         ));
-        members.push((
-            "requires".to_string(),
-            Json::Arr(self.requires.iter().map(|r| Json::Str(r.clone())).collect()),
-        ));
+        members.push(("requires".to_string(), self.requires.to_json()));
         Json::Obj(members)
     }
 

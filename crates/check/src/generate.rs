@@ -13,52 +13,8 @@
 
 use crate::schedule::{DbKnobs, FaultPoint, SchedOp, Schedule, MAX_SLOTS, PAGES};
 use rda_faults::FaultKind;
+use rda_obs::rng::{mix, Rng};
 use rda_sim::{Access, AccessKind, TxnScript};
-
-/// Tiny xorshift64 generator — the same family the rest of the workspace
-/// uses for seeded tests, kept local so schedule generation never depends
-/// on an external RNG's version-to-version stream stability.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeded generator (a zero seed is mapped to a fixed odd constant).
-    #[must_use]
-    pub fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// Uniform draw in `0..n` (n > 0).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
-/// Mix a master seed with a schedule index into an independent stream.
-#[must_use]
-pub fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Generate the `index`-th schedule of the stream named by `seed`.
 #[must_use]

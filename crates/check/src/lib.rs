@@ -40,7 +40,6 @@
 
 mod checker;
 mod generate;
-mod json;
 mod model;
 mod schedule;
 mod shrink;
@@ -49,11 +48,10 @@ mod sweep;
 pub mod corpus;
 
 pub use checker::{run_schedule, CheckOutcome};
-pub use generate::{
-    fault_kind_cycle, fault_variant, generate, generate_threaded, mix, Rng, Stream,
-};
-pub use json::{escape, Json};
+pub use generate::{fault_kind_cycle, fault_variant, generate, generate_threaded, Stream};
 pub use model::{Expected, RefModel};
+pub use rda_obs::json::{escape, Json};
+pub use rda_obs::rng::{mix, Rng};
 // The mutation knob rides along so checker users need no direct
 // `rda-core` import to arm it.
 pub use rda_core::ProtocolMutations;

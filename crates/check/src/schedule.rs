@@ -10,13 +10,14 @@
 //! JSON shape so shrunk counterexamples can be stored in the regression
 //! corpus and replayed byte-for-byte later.
 
-use crate::json::Json;
 use rda_array::{ArrayConfig, Organization};
 use rda_core::{
     CheckpointPolicy, DbConfig, EngineKind, EotPolicy, GroupCommit, LogGranularity,
     ProtocolMutations,
 };
 use rda_faults::FaultKind;
+use rda_obs::json::Json;
+use rda_obs::json_obj;
 
 /// Transaction slots a schedule may address. Slots are *roles*, not
 /// transaction ids: a slot can be re-begun after its transaction finished
@@ -219,46 +220,18 @@ impl Schedule {
     /// Serialize to the stable corpus JSON shape.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("name".to_string(), Json::Str(self.name.clone())),
-            (
-                "config".to_string(),
-                Json::Obj(vec![
-                    (
-                        "frames".to_string(),
-                        Json::Int(i64::try_from(self.knobs.frames).unwrap_or(i64::MAX)),
-                    ),
-                    (
-                        "eot".to_string(),
-                        Json::Str(if self.knobs.force { "force" } else { "noforce" }.to_string()),
-                    ),
-                    ("strict".to_string(), Json::Bool(self.knobs.strict)),
-                    (
-                        "shards".to_string(),
-                        Json::Int(i64::from(self.knobs.shards)),
-                    ),
-                    (
-                        "group_commit".to_string(),
-                        Json::Bool(self.knobs.group_commit),
-                    ),
-                ]),
-            ),
-            (
-                "ops".to_string(),
-                Json::Arr(self.ops.iter().map(op_to_json).collect()),
-            ),
-        ];
-        members.push((
-            "fault".to_string(),
-            match self.fault {
-                Some(f) => Json::Obj(vec![
-                    ("mode".to_string(), Json::Str(f.kind.name().to_string())),
-                    ("at_io".to_string(), Json::Int(f.at_io.cast_signed())),
-                ]),
-                None => Json::Null,
+        json_obj! {
+            "name": self.name,
+            "config": json_obj! {
+                "frames": self.knobs.frames,
+                "eot": if self.knobs.force { "force" } else { "noforce" },
+                "strict": self.knobs.strict,
+                "shards": self.knobs.shards,
+                "group_commit": self.knobs.group_commit,
             },
-        ));
-        Json::Obj(members)
+            "ops": self.ops.iter().map(op_to_json).collect::<Vec<_>>(),
+            "fault": self.fault.map(|f| json_obj! { "mode": f.kind.name(), "at_io": f.at_io }),
+        }
     }
 
     /// Deserialize from the corpus JSON shape.
@@ -335,60 +308,18 @@ impl Schedule {
 }
 
 fn op_to_json(op: &SchedOp) -> Json {
-    let mut members = Vec::with_capacity(4);
-    let tag = |s: &str| Json::Str(s.to_string());
     match *op {
-        SchedOp::Begin { slot } => {
-            members.push(("op".to_string(), tag("begin")));
-            members.push((
-                "slot".to_string(),
-                Json::Int(i64::try_from(slot).unwrap_or(i64::MAX)),
-            ));
-        }
-        SchedOp::Read { slot, page } => {
-            members.push(("op".to_string(), tag("read")));
-            members.push((
-                "slot".to_string(),
-                Json::Int(i64::try_from(slot).unwrap_or(i64::MAX)),
-            ));
-            members.push(("page".to_string(), Json::Int(i64::from(page))));
-        }
+        SchedOp::Begin { slot } => json_obj! { "op": "begin", "slot": slot },
+        SchedOp::Read { slot, page } => json_obj! { "op": "read", "slot": slot, "page": page },
         SchedOp::Write { slot, page, val } => {
-            members.push(("op".to_string(), tag("write")));
-            members.push((
-                "slot".to_string(),
-                Json::Int(i64::try_from(slot).unwrap_or(i64::MAX)),
-            ));
-            members.push(("page".to_string(), Json::Int(i64::from(page))));
-            members.push(("val".to_string(), Json::Int(i64::from(val))));
+            json_obj! { "op": "write", "slot": slot, "page": page, "val": val }
         }
-        SchedOp::Commit { slot } => {
-            members.push(("op".to_string(), tag("commit")));
-            members.push((
-                "slot".to_string(),
-                Json::Int(i64::try_from(slot).unwrap_or(i64::MAX)),
-            ));
-        }
-        SchedOp::Abort { slot } => {
-            members.push(("op".to_string(), tag("abort")));
-            members.push((
-                "slot".to_string(),
-                Json::Int(i64::try_from(slot).unwrap_or(i64::MAX)),
-            ));
-        }
-        SchedOp::CrashRestart => {
-            members.push(("op".to_string(), tag("crash_restart")));
-        }
-        SchedOp::FailDisk { disk } => {
-            members.push(("op".to_string(), tag("fail_disk")));
-            members.push(("disk".to_string(), Json::Int(i64::from(disk))));
-        }
-        SchedOp::MediaRecover { disk } => {
-            members.push(("op".to_string(), tag("media_recover")));
-            members.push(("disk".to_string(), Json::Int(i64::from(disk))));
-        }
+        SchedOp::Commit { slot } => json_obj! { "op": "commit", "slot": slot },
+        SchedOp::Abort { slot } => json_obj! { "op": "abort", "slot": slot },
+        SchedOp::CrashRestart => json_obj! { "op": "crash_restart" },
+        SchedOp::FailDisk { disk } => json_obj! { "op": "fail_disk", "disk": disk },
+        SchedOp::MediaRecover { disk } => json_obj! { "op": "media_recover", "disk": disk },
     }
-    Json::Obj(members)
 }
 
 fn op_from_json(value: &Json) -> Result<SchedOp, String> {

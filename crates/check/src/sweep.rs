@@ -11,10 +11,11 @@
 
 use crate::checker::{run_schedule, CheckOutcome};
 use crate::generate::{fault_kind_cycle, Stream};
-use crate::json::Json;
 use crate::schedule::Schedule;
 use rda_core::ProtocolMutations;
 use rda_faults::{crashpoint_schedule, FaultKind};
+use rda_obs::json::Json;
+use rda_obs::json_obj;
 
 /// Schedules per barrier chunk — fixed (never derived from `workers`) so
 /// early-stop sweeps are worker-count independent.
@@ -112,53 +113,32 @@ impl SweepReport {
     /// minus `workers` (byte-identical at any worker count).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let results = self
+        let results: Vec<Json> = self
             .results
             .iter()
             .map(|r| {
-                let mut members = vec![
-                    ("index".to_string(), Json::Int(r.index.cast_signed())),
-                    ("name".to_string(), Json::Str(r.name.clone())),
-                    (
-                        "workload_ios".to_string(),
-                        Json::Int(r.workload_ios.cast_signed()),
-                    ),
-                    ("checks".to_string(), Json::Int(r.checks.cast_signed())),
-                    (
-                        "digest".to_string(),
-                        Json::Str(format!("{:016x}", r.digest)),
-                    ),
-                ];
-                members.push((
-                    "failure".to_string(),
-                    match &r.failure {
-                        None => Json::Null,
-                        Some(f) => Json::Obj(vec![
-                            ("variant".to_string(), Json::Str(f.variant.clone())),
-                            (
-                                "violations".to_string(),
-                                Json::Arr(
-                                    f.violations.iter().map(|v| Json::Str(v.clone())).collect(),
-                                ),
-                            ),
-                            ("schedule".to_string(), f.schedule.to_json()),
-                        ]),
-                    },
-                ));
-                Json::Obj(members)
+                json_obj! {
+                    "index": r.index,
+                    "name": r.name,
+                    "workload_ios": r.workload_ios,
+                    "checks": r.checks,
+                    "digest": format!("{:016x}", r.digest),
+                    "failure": r.failure.as_ref().map(|f| json_obj! {
+                        "variant": f.variant,
+                        "violations": f.violations,
+                        "schedule": f.schedule.to_json(),
+                    }),
+                }
             })
             .collect();
-        Json::Obj(vec![
-            ("seed".to_string(), Json::Int(self.seed.cast_signed())),
-            (
-                "requested".to_string(),
-                Json::Int(self.requested.cast_signed()),
-            ),
-            ("mutated".to_string(), Json::Bool(self.mutated)),
-            ("clean".to_string(), Json::Bool(self.is_clean())),
-            ("checks".to_string(), Json::Int(self.checks().cast_signed())),
-            ("results".to_string(), Json::Arr(results)),
-        ])
+        json_obj! {
+            "seed": self.seed,
+            "requested": self.requested,
+            "mutated": self.mutated,
+            "clean": self.is_clean(),
+            "checks": self.checks(),
+            "results": results,
+        }
         .to_string()
     }
 }

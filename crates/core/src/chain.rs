@@ -19,8 +19,8 @@
 //! again a write that is already paid for).
 
 use crate::backend::MetaSink;
-use parking_lot::Mutex;
 use rda_array::DataPageId;
+use rda_obs::sync::Mutex;
 use rda_wal::TxnId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;

@@ -5,9 +5,9 @@ use crate::engine::Engine;
 use crate::error::{DbError, Result};
 use crate::recovery::RecoveryReport;
 use crate::DbConfig;
-use parking_lot::Mutex;
 use rda_array::{BlockDevice, DataPageId, DefaultDisk, DiskId, StatsSnapshot};
 use rda_buffer::BufferStats;
+use rda_obs::sync::Mutex;
 use rda_obs::{MetricsRegistry, ObsHub, TraceSnapshot, Tracer};
 use rda_wal::TxnId;
 use std::sync::Arc;
@@ -650,6 +650,15 @@ impl<D: BlockDevice> Drop for Transaction<D> {
                     | DbError::NeedsRecovery
                     | DbError::Array(rda_array::ArrayError::Crashed),
                 ) => {}
+                // Already unwinding (a failed assertion, a worker that hit
+                // an engine error on a dead disk): a second panic would
+                // abort the whole process. Count it; recovery undoes the
+                // transaction as a loser.
+                Err(_) if std::thread::panicking() => engine
+                    .obs
+                    .metrics
+                    .counter("engine_drop_abort_failures_total")
+                    .inc(),
                 Err(e) => panic!("abort on drop failed: {e}"),
             }
         }

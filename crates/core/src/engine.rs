@@ -160,7 +160,7 @@ pub(crate) struct Durable<D: BlockDevice = DefaultDisk> {
     /// log-driven redo skips pages whose contents already match. Real
     /// arrays close the hole with a battery-backed staging buffer; this
     /// slot models exactly that (one RMW's pages, no extra transfers).
-    pub intent: Arc<parking_lot::Mutex<Option<WriteIntent>>>,
+    pub intent: Arc<rda_obs::sync::Mutex<Option<WriteIntent>>>,
     /// Backend journal for the metadata above (twin headers, steal chain,
     /// staged intent). `None` on the simulated array, where process memory
     /// *is* the durable medium.
@@ -341,7 +341,7 @@ impl<D: BlockDevice> Engine<D> {
             log_store: Arc::clone(&log_store),
             twins: Arc::new(TwinDirectory::restore(twin_metas, meta_sink.clone())),
             chain: Arc::new(ChainDirectory::restore(&chains, meta_sink.clone())),
-            intent: Arc::new(parking_lot::Mutex::new(
+            intent: Arc::new(rda_obs::sync::Mutex::new(
                 intent.as_ref().map(WriteIntent::from_record),
             )),
             meta: meta_sink,

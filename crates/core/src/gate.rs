@@ -21,16 +21,16 @@
 //! nothing has been acknowledged).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use rda_array::{BlockDevice, DataPageId};
+use rda_obs::sync::Mutex;
 use rda_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::config::GroupCommit;
 use crate::engine::Engine;
-use crate::error::Result;
+use crate::error::{DbError, Result};
 use rda_wal::TxnId;
 
 /// Batch-size histogram buckets (transactions per barrier).
@@ -96,7 +96,7 @@ impl CommitGate {
                 return r;
             }
             if st.leader_active {
-                self.cv.wait(&mut st);
+                drop(self.cv.wait(st).unwrap_or_else(PoisonError::into_inner));
             } else {
                 // Nobody is driving a barrier that could cover us — take
                 // over. (Also how stragglers beyond a full batch's
@@ -130,42 +130,64 @@ impl CommitGate {
                     if left == Duration::ZERO {
                         break;
                     }
-                    self.cv.wait_for(&mut st, left);
+                    st = self
+                        .cv
+                        .wait_timeout(st, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
             }
             let take = st.queue.len().min(self.cfg.max_batch);
             st.queue.drain(..take).collect()
         };
-        let mut results: Vec<(TxnId, Result<()>)> = Vec::with_capacity(batch.len());
-        if !batch.is_empty() {
-            let ids: Vec<TxnId> = batch.iter().map(|(t, _)| *t).collect();
+        let mut done = StepDown {
+            gate: self,
+            batch,
+            results: Vec::new(),
+        };
+        if !done.batch.is_empty() {
+            let ids: Vec<TxnId> = done.batch.iter().map(|(t, _)| *t).collect();
             let mut eng = engine.lock();
             match eng.commit_force_barrier(&ids) {
                 Ok(()) => {
-                    for (t, written) in &batch {
-                        results.push((*t, eng.txn_commit_finalize(*t, written)));
+                    for (t, written) in &done.batch {
+                        done.results.push(eng.txn_commit_finalize(*t, written));
                     }
                 }
                 // A failed barrier (crash, dead disk) fails the whole
                 // batch: no member was acknowledged, all stay unforced
                 // losers for recovery.
-                Err(e) => {
-                    for (t, _) in &batch {
-                        results.push((*t, Err(e.clone())));
-                    }
-                }
+                Err(e) => done.results.resize(done.batch.len(), Err(e)),
             }
             drop(eng);
             self.batches.inc();
-            self.batched_txns.add(batch.len() as u64);
-            self.batch_size.observe(batch.len() as u64);
+            self.batched_txns.add(done.batch.len() as u64);
+            self.batch_size.observe(done.batch.len() as u64);
         }
-        let mut st = self.state.lock();
+    }
+}
+
+/// Publishes a batch's results and steps the leader down when dropped —
+/// also when the leader unwinds mid-batch (a panicking fault hook, a
+/// broken internal condition). Members it never reached are told
+/// `NeedsRecovery` instead of waiting forever on a leader that is gone.
+struct StepDown<'a> {
+    gate: &'a CommitGate,
+    batch: Vec<Prepared>,
+    /// Outcomes in `batch` order; shorter than `batch` only on unwind.
+    results: Vec<Result<()>>,
+}
+
+impl Drop for StepDown<'_> {
+    fn drop(&mut self) {
+        let mut st = self.gate.state.lock();
         st.leader_active = false;
-        for (t, r) in results {
+        let mut results = std::mem::take(&mut self.results).into_iter();
+        for (t, _) in &self.batch {
+            let r = results.next().unwrap_or(Err(DbError::NeedsRecovery));
             st.results.insert(t.0, r);
         }
-        self.cv.notify_all();
+        self.gate.cv.notify_all();
     }
 }
 
@@ -256,5 +278,59 @@ mod tests {
         );
         db.crash_and_recover().unwrap();
         assert_eq!(&db.read_page(7).unwrap()[..4], &10u32.to_le_bytes());
+    }
+
+    /// A leader that unwinds mid-batch (here: a barrier hook that panics)
+    /// must not strand its followers: the engine lock does not poison,
+    /// the gate steps the dead leader down, and every member it never
+    /// finalized is told to run recovery.
+    #[test]
+    fn followers_wake_when_the_leader_panics() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+
+        // A window far longer than the test: the leader closes the batch
+        // as soon as both in-flight committers are queued.
+        let db = Database::open(gated(5_000_000));
+        let armed = Arc::new(AtomicBool::new(true));
+        let trip = Arc::clone(&armed);
+        db.set_barrier_hook(Arc::new(move || {
+            assert!(
+                !trip.swap(false, Ordering::SeqCst),
+                "leader dies at the barrier"
+            );
+        }));
+        let both_written = Barrier::new(2);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let committers: Vec<_> = (0..2u32)
+                .map(|page| {
+                    let (db, both_written) = (&db, &both_written);
+                    scope.spawn(move || {
+                        let mut tx = db.begin();
+                        tx.write(page, &[7]).unwrap();
+                        both_written.wait();
+                        tx.commit().map(|_| ())
+                    })
+                })
+                .collect();
+            committers
+                .into_iter()
+                .map(std::thread::ScopedJoinHandle::join)
+                .collect()
+        });
+        // One thread panicked as leader; the other came back with an error.
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, Ok(Err(crate::DbError::NeedsRecovery)))));
+        // The batch was forced before the hook ran: recovery commits both.
+        db.crash_and_recover().unwrap();
+        assert!(db.audit().is_clean());
+        for page in 0..2 {
+            assert_eq!(db.read_page(page).unwrap()[0], 7);
+        }
+        let mut tx = db.begin();
+        tx.write(2, &[9]).unwrap();
+        tx.commit().unwrap();
     }
 }

@@ -91,8 +91,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rda_array::DataPageId;
+use rda_obs::sync::Mutex;
 use rda_obs::{merge_shard_snapshots, ShardTaggedEvent};
 use rda_wal::TxnId;
 

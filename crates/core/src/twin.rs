@@ -22,8 +22,8 @@
 //! ```
 
 use crate::backend::MetaSink;
-use parking_lot::Mutex;
 use rda_array::{GroupId, ParitySlot};
+use rda_obs::sync::Mutex;
 use std::sync::Arc;
 
 /// State of one twin parity page (paper Figure 8).

@@ -96,6 +96,53 @@ fn drop_without_commit_aborts() {
     assert_eq!(db.active_transactions(), 0);
 }
 
+/// A worker that panics holding a transaction whose abort cannot do its
+/// I/O must die alone: the drop counts the failed abort instead of
+/// panicking a second time (which would abort the whole process), and
+/// restart recovery undoes the transaction as a loser.
+#[test]
+fn panicking_thread_with_unabortable_transaction_spares_the_process() {
+    struct RefuseAll(std::sync::atomic::AtomicBool);
+    impl rda_array::FaultHook for RefuseAll {
+        fn on_io(&self, _: &rda_array::IoEvent) -> rda_array::FaultAction {
+            if self.0.load(std::sync::atomic::Ordering::SeqCst) {
+                rda_array::FaultAction::Transient
+            } else {
+                rda_array::FaultAction::Proceed
+            }
+        }
+    }
+
+    // Two frames: the writes below are stolen to disk, so abort needs I/O.
+    let db = Database::open(cfg(EngineKind::Rda, 2));
+    let mut tx = db.begin();
+    tx.write(0, b"kept").unwrap();
+    tx.commit().unwrap();
+    let hook = std::sync::Arc::new(RefuseAll(false.into()));
+    db.install_fault_hook(hook.clone());
+
+    let worker = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut tx = db.begin();
+            for page in [0, 4, 8, 12] {
+                tx.write(page, b"doomed").unwrap();
+            }
+            hook.0.store(true, std::sync::atomic::Ordering::SeqCst);
+            panic!("worker dies with its transaction open");
+        })
+        .join()
+    });
+    assert!(worker.is_err());
+    let failures = db.metrics().counter("engine_drop_abort_failures_total");
+    assert_eq!(failures.get(), 1);
+
+    db.clear_fault_hook();
+    db.crash_and_recover().unwrap();
+    assert!(db.audit().is_clean());
+    assert_page(&db, 0, b"kept");
+    assert_page(&db, 4, b"");
+}
+
 #[test]
 fn steal_under_buffer_pressure_then_abort() {
     // A 2-frame buffer forces steals of uncommitted pages; the RDA engine

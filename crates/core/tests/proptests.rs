@@ -3,26 +3,18 @@
 //! in-memory oracle must agree on the visible database state, and the
 //! array's parity invariants must hold at every quiescent point.
 
-use proptest::prelude::*;
 use rda_array::{ArrayConfig, Organization};
 use rda_buffer::{BufferConfig, ReplacePolicy};
-use rda_core::{
-    CheckpointPolicy, Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity,
-    ProtocolMutations, Transaction,
-};
+use rda_core::{Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity, Transaction};
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 use rda_wal::LogConfig;
 use std::collections::HashMap;
 
-// Only the `proptest!` block uses these, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
 const PAGE: usize = 32;
-#[allow(dead_code)]
 const PAGES: u32 = 24; // 6 groups of 4
-#[allow(dead_code)]
 const TXN_SLOTS: usize = 3;
 
-#[allow(dead_code)]
 #[derive(Debug, Clone)]
 enum Op {
     Write { slot: usize, page: u32, val: u8 },
@@ -32,19 +24,28 @@ enum Op {
     Checkpoint,
 }
 
-#[allow(dead_code)]
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        6 => (0..TXN_SLOTS, 0..PAGES, any::<u8>())
-            .prop_map(|(slot, page, val)| Op::Write { slot, page, val }),
-        2 => (0..TXN_SLOTS).prop_map(|slot| Op::Commit { slot }),
-        2 => (0..TXN_SLOTS).prop_map(|slot| Op::Abort { slot }),
-        1 => Just(Op::CrashRecover),
-        1 => Just(Op::Checkpoint),
-    ]
+/// Weights 6 : 2 : 2 : 1 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    let slot = rng.below(TXN_SLOTS as u64) as usize;
+    match rng.below(12) {
+        0..=5 => Op::Write {
+            slot,
+            page: rng.below(u64::from(PAGES)) as u32,
+            val: rng.next_u64() as u8,
+        },
+        6 | 7 => Op::Commit { slot },
+        8 | 9 => Op::Abort { slot },
+        10 => Op::CrashRecover,
+        _ => Op::Checkpoint,
+    }
 }
 
-#[allow(dead_code)]
+/// 1..60 ops and 2..10 frames, as every engine/policy property draws.
+fn gen_history(rng: &mut Rng) -> (Vec<Op>, usize) {
+    let ops = (0..=rng.below(59)).map(|_| gen_op(rng)).collect();
+    (ops, 2 + rng.below(8) as usize)
+}
+
 fn config(engine: EngineKind, eot: EotPolicy, frames: usize) -> DbConfig {
     DbConfig {
         engine,
@@ -63,13 +64,7 @@ fn config(engine: EngineKind, eot: EotPolicy, frames: usize) -> DbConfig {
         },
         granularity: LogGranularity::Page,
         eot,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(engine)
     }
 }
 
@@ -80,8 +75,8 @@ struct Oracle {
     overlays: Vec<HashMap<u32, u8>>,
 }
 
-#[allow(dead_code)]
-fn run_history(db: &Database, ops: &[Op]) {
+fn run_history(engine: EngineKind, eot: EotPolicy, frames: usize, ops: &[Op]) {
+    let db = &Database::open(config(engine, eot, frames));
     let mut oracle = Oracle {
         committed: HashMap::new(),
         overlays: vec![HashMap::new(); TXN_SLOTS],
@@ -154,100 +149,212 @@ fn run_history(db: &Database, ops: &[Op]) {
     assert!(db.verify().unwrap().is_empty(), "parity invariant violated");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const ENGINES: [(EngineKind, EotPolicy); 4] = [
+    (EngineKind::Rda, EotPolicy::Force),
+    (EngineKind::Rda, EotPolicy::NoForce),
+    (EngineKind::Wal, EotPolicy::Force),
+    (EngineKind::Wal, EotPolicy::NoForce),
+];
 
-    #[test]
-    fn rda_force_agrees_with_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        frames in 2usize..10,
-    ) {
-        let db = Database::open(config(EngineKind::Rda, EotPolicy::Force, frames));
-        run_history(&db, &ops);
+fn agrees_with_oracle(name: &str, engine: EngineKind, eot: EotPolicy) {
+    prop::cases(name, 48, |rng| {
+        let (ops, frames) = gen_history(rng);
+        run_history(engine, eot, frames, &ops);
+    });
+}
+
+#[test]
+fn rda_force_agrees_with_oracle() {
+    agrees_with_oracle("rda_force", EngineKind::Rda, EotPolicy::Force);
+}
+
+#[test]
+fn rda_noforce_agrees_with_oracle() {
+    agrees_with_oracle("rda_noforce", EngineKind::Rda, EotPolicy::NoForce);
+}
+
+#[test]
+fn wal_force_agrees_with_oracle() {
+    agrees_with_oracle("wal_force", EngineKind::Wal, EotPolicy::Force);
+}
+
+#[test]
+fn wal_noforce_agrees_with_oracle() {
+    agrees_with_oracle("wal_noforce", EngineKind::Wal, EotPolicy::NoForce);
+}
+
+/// Inputs a shrinking property-test run once reduced a failure to; each runs on all four
+/// engine/policy pairs, as the regression file replayed them.
+#[test]
+fn pinned_overwrite_then_checkpoint_then_crash() {
+    let ops = [
+        Op::Write {
+            slot: 2,
+            page: 23,
+            val: 1,
+        },
+        Op::Commit { slot: 2 },
+        Op::Write {
+            slot: 0,
+            page: 23,
+            val: 0,
+        },
+        Op::Checkpoint,
+        Op::CrashRecover,
+    ];
+    for (engine, eot) in ENGINES {
+        run_history(engine, eot, 2, &ops);
     }
+}
 
-    #[test]
-    fn rda_noforce_agrees_with_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        frames in 2usize..10,
-    ) {
-        let db = Database::open(config(EngineKind::Rda, EotPolicy::NoForce, frames));
-        run_history(&db, &ops);
+#[test]
+fn pinned_long_transaction_reuses_a_committed_page() {
+    let w = |slot, page, val| Op::Write { slot, page, val };
+    let ops = [
+        w(0, 2, 0),
+        w(2, 14, 1),
+        w(0, 3, 0),
+        w(0, 4, 0),
+        Op::Commit { slot: 2 },
+        w(0, 14, 0),
+        w(0, 5, 0),
+        w(0, 0, 0),
+        w(0, 6, 0),
+    ];
+    for (engine, eot) in ENGINES {
+        run_history(engine, eot, 3, &ops);
     }
+}
 
-    #[test]
-    fn wal_force_agrees_with_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        frames in 2usize..10,
-    ) {
-        let db = Database::open(config(EngineKind::Wal, EotPolicy::Force, frames));
-        run_history(&db, &ops);
-    }
+/// One record-mode step: `(slot, page, val, end_commit, do_end)`.
+type RecordOp = (usize, u32, u8, bool, bool);
 
-    #[test]
-    fn wal_noforce_agrees_with_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        frames in 2usize..10,
-    ) {
-        let db = Database::open(config(EngineKind::Wal, EotPolicy::NoForce, frames));
-        run_history(&db, &ops);
-    }
-
-    /// Record-granularity histories: single-writer-per-slot byte ranges.
-    #[test]
-    fn rda_record_mode_agrees_with_oracle(
-        ops in prop::collection::vec(
-            (0..TXN_SLOTS, 0..PAGES, 0..4u32, any::<u8>(), any::<bool>(), any::<bool>()),
-            1..50,
-        ),
-        frames in 2usize..8,
-    ) {
-        // Each slot owns a distinct byte-range quarter of any page, so lock
-        // conflicts cannot occur and the oracle stays simple.
-        let db = Database::open(
-            config(EngineKind::Rda, EotPolicy::Force, frames)
-                .granularity(LogGranularity::Record),
-        );
-        let mut committed: HashMap<(u32, usize), u8> = HashMap::new();
-        let mut overlays: Vec<HashMap<(u32, usize), u8>> =
-            vec![HashMap::new(); TXN_SLOTS];
-        let mut handles: Vec<Option<Transaction>> = (0..TXN_SLOTS).map(|_| None).collect();
-        for (slot, page, _quarter, val, end_commit, do_end) in ops {
-            let offset = slot * 8; // slot-owned range
-            if handles[slot].is_none() {
-                handles[slot] = Some(db.begin());
-            }
-            let tx = handles[slot].as_mut().unwrap();
-            match tx.update(page, offset, &[val]) {
-                Ok(()) => {
-                    overlays[slot].insert((page, offset), val);
-                }
-                // A page that rode the parity is escalated to an exclusive
-                // page lock, so even disjoint ranges can conflict.
-                Err(DbError::LockConflict { .. }) => {}
-                Err(e) => panic!("unexpected update error: {e}"),
-            }
-            if do_end {
-                let tx = handles[slot].take().unwrap();
-                if end_commit {
-                    tx.commit().unwrap();
-                    committed.extend(std::mem::take(&mut overlays[slot]));
-                } else {
-                    tx.abort().unwrap();
-                    overlays[slot].clear();
-                }
-            }
+/// Record-granularity histories: single-writer-per-slot byte ranges.
+fn run_record_history(ops: &[RecordOp], frames: usize) {
+    // Each slot owns a distinct byte range of any page, so lock
+    // conflicts cannot occur and the oracle stays simple.
+    let db = Database::open(
+        config(EngineKind::Rda, EotPolicy::Force, frames).granularity(LogGranularity::Record),
+    );
+    let mut committed: HashMap<(u32, usize), u8> = HashMap::new();
+    let mut overlays: Vec<HashMap<(u32, usize), u8>> = vec![HashMap::new(); TXN_SLOTS];
+    let mut handles: Vec<Option<Transaction>> = (0..TXN_SLOTS).map(|_| None).collect();
+    for &(slot, page, val, end_commit, do_end) in ops {
+        let offset = slot * 8; // slot-owned range
+        if handles[slot].is_none() {
+            handles[slot] = Some(db.begin());
         }
-        for (slot, h) in handles.iter_mut().enumerate() {
-            if let Some(tx) = h.take() {
+        let tx = handles[slot].as_mut().unwrap();
+        match tx.update(page, offset, &[val]) {
+            Ok(()) => {
+                overlays[slot].insert((page, offset), val);
+            }
+            // A page that rode the parity is escalated to an exclusive
+            // page lock, so even disjoint ranges can conflict.
+            Err(DbError::LockConflict { .. }) => {}
+            Err(e) => panic!("unexpected update error: {e}"),
+        }
+        if do_end {
+            let tx = handles[slot].take().unwrap();
+            if end_commit {
+                tx.commit().unwrap();
+                committed.extend(std::mem::take(&mut overlays[slot]));
+            } else {
                 tx.abort().unwrap();
                 overlays[slot].clear();
             }
         }
-        for ((page, offset), val) in &committed {
-            let got = db.read_page(*page).unwrap();
-            prop_assert_eq!(got[*offset], *val, "page {} offset {}", page, offset);
-        }
-        prop_assert!(db.verify().unwrap().is_empty());
     }
+    for (slot, h) in handles.iter_mut().enumerate() {
+        if let Some(tx) = h.take() {
+            tx.abort().unwrap();
+            overlays[slot].clear();
+        }
+    }
+    for ((page, offset), val) in &committed {
+        let got = db.read_page(*page).unwrap();
+        assert_eq!(got[*offset], *val, "page {page} offset {offset}");
+    }
+    assert!(db.verify().unwrap().is_empty());
+}
+
+#[test]
+fn rda_record_mode_agrees_with_oracle() {
+    prop::cases("rda_record_mode", 48, |rng| {
+        let ops: Vec<RecordOp> = (0..=rng.below(48))
+            .map(|_| {
+                (
+                    rng.below(TXN_SLOTS as u64) as usize,
+                    rng.below(u64::from(PAGES)) as u32,
+                    rng.next_u64() as u8,
+                    rng.chance(50),
+                    rng.chance(50),
+                )
+            })
+            .collect();
+        run_record_history(&ops, 2 + rng.below(6) as usize);
+    });
+}
+
+/// The three record-mode inputs the regression file held (its unused
+/// `quarter` column dropped).
+const T: bool = true;
+const F: bool = false;
+
+#[test]
+fn pinned_record_abort_after_shared_pages() {
+    run_record_history(
+        &[
+            (1, 16, 1, F, F),
+            (0, 16, 0, F, F),
+            (1, 0, 0, F, F),
+            (0, 0, 0, F, F),
+            (1, 1, 0, F, T),
+            (1, 2, 0, F, F),
+            (0, 3, 0, F, F),
+            (0, 4, 0, F, F),
+        ],
+        3,
+    );
+}
+
+#[test]
+fn pinned_record_three_slots_on_page_17() {
+    run_record_history(
+        &[
+            (1, 17, 0, T, T),
+            (0, 2, 0, F, F),
+            (0, 0, 0, F, F),
+            (0, 5, 0, F, F),
+            (0, 1, 0, F, F),
+            (0, 3, 0, F, F),
+            (0, 6, 0, F, F),
+            (1, 17, 1, F, F),
+            (2, 17, 0, F, F),
+            (0, 7, 43, F, F),
+            (1, 4, 43, T, F),
+            (2, 23, 231, T, T),
+            (2, 15, 201, T, F),
+            (0, 22, 239, T, F),
+            (2, 1, 105, F, F),
+        ],
+        6,
+    );
+}
+
+#[test]
+fn pinned_record_commit_after_two_slot_overlap() {
+    run_record_history(
+        &[
+            (0, 4, 0, F, F),
+            (0, 7, 0, F, F),
+            (0, 0, 0, F, F),
+            (0, 1, 0, F, F),
+            (1, 5, 0, F, F),
+            (1, 8, 0, F, F),
+            (1, 7, 0, F, F),
+            (0, 0, 0, T, T),
+        ],
+        2,
+    );
 }

@@ -42,27 +42,20 @@ fn cfg(frames: usize) -> DbConfig {
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
 /// Deterministic single-threaded mix of commits and aborts over a tiny
 /// buffer, so plenty of uncommitted pages are stolen to the array.
 fn run_seeded_workload(db: &Database, seed: u64, txns: usize) {
-    let mut state = seed | 1;
+    let mut rng = rda_obs::rng::Rng::new(seed | 1);
     let pages = u64::from(db.data_pages());
     for _ in 0..txns {
         let mut tx = db.begin();
-        let writes = xorshift(&mut state) % 3 + 1;
+        let writes = rng.below(3) + 1;
         for _ in 0..writes {
-            let page = (xorshift(&mut state) % pages) as u32;
-            let value = (xorshift(&mut state) & 0xFF) as u8 | 1;
+            let page = rng.below(pages) as u32;
+            let value = rng.next_u64() as u8 | 1;
             tx.write(page, &[value; 8]).unwrap();
         }
-        if xorshift(&mut state).is_multiple_of(4) {
+        if rng.below(4) == 0 {
             tx.abort().unwrap();
         } else {
             tx.commit().unwrap();

@@ -29,6 +29,7 @@
 use crate::injector::FaultInjector;
 use crate::plan::{FaultKind, FaultPlan};
 use rda_core::{Database, DbConfig, DbError, LogGranularity, RecoveryPhase, Timeline};
+use rda_obs::rng::Rng;
 use rda_sim::{AccessKind, TxnScript};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -347,14 +348,11 @@ pub fn crashpoint_schedule(
     if total <= exhaustive_limit {
         return ((1..=total).collect(), true);
     }
-    let mut state = seed | 1;
+    let mut rng = Rng::new(seed | 1);
     let mut picked = BTreeSet::new();
     let want = (samples.min(total)) as usize;
     while picked.len() < want {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        picked.insert(state % total + 1);
+        picked.insert(rng.below(total) + 1);
     }
     (picked.into_iter().collect(), false)
 }

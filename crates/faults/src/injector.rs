@@ -20,8 +20,8 @@
 //! for replay no matter how many times a dying operation is retried.
 
 use crate::plan::{FaultKind, FaultPlan};
-use parking_lot::Mutex;
 use rda_array::{FaultAction, FaultHook, IoEvent};
+use rda_obs::sync::Mutex;
 use rda_obs::{EventKind, Tracer};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

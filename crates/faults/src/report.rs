@@ -1,6 +1,6 @@
 //! JSON rendering of a [`CrashpointReport`].
 //!
-//! Hand-rolled (no serde dependency): the report is the CI artifact the
+//! Hand-rolled `format!` emitter: the report is the CI artifact the
 //! crashpoint smoke job archives, so its shape is part of this crate's
 //! contract and kept deliberately flat — one summary object plus one
 //! compact record per explored crashpoint.

@@ -2,22 +2,18 @@
 //! the B+-tree agree with a `BTreeMap` oracle — including iteration order
 //! and range semantics.
 //!
-//! The checked body lives in [`check_history`], shared by the `proptest!`
-//! property (random histories + shrinking, under real proptest) and a
-//! deterministic seeded driver that always runs. The driver includes a
-//! split-then-crash history: enough uncommitted inserts to split leaves
-//! and grow an internal level, then a crash, so restart recovery has to
-//! roll back *index pages* (node splits, parent updates), not just leaf
-//! bytes.
+//! The checked body lives in [`check_history`], shared by the seeded
+//! property, the pinned regression inputs and a split-then-crash history:
+//! enough uncommitted inserts to split leaves and grow an internal level,
+//! then a crash, so restart recovery has to roll back *index pages* (node
+//! splits, parent updates), not just leaf bytes.
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use rda_array::{ArrayConfig, Organization};
 use rda_buffer::{BufferConfig, ReplacePolicy};
-use rda_core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
+use rda_core::{Database, DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_kv::BTree;
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 use rda_wal::LogConfig;
 use std::collections::BTreeMap;
 
@@ -30,17 +26,16 @@ enum Op {
     CrashRecover,
 }
 
-// Only the `proptest!` block calls this, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        6 => (0u8..40, any::<u8>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => (0u8..40).prop_map(Op::Delete),
-        2 => Just(Op::Commit),
-        1 => Just(Op::Abort),
-        1 => Just(Op::CrashRecover),
-    ]
+/// Weights 6 : 2 : 2 : 1 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    let key = rng.below(40) as u8;
+    match rng.below(12) {
+        0..=5 => Op::Insert(key, rng.next_u64() as u8),
+        6 | 7 => Op::Delete(key),
+        8 | 9 => Op::Commit,
+        10 => Op::Abort,
+        _ => Op::CrashRecover,
+    }
 }
 
 fn cfg() -> DbConfig {
@@ -61,13 +56,7 @@ fn cfg() -> DbConfig {
         },
         granularity: LogGranularity::Record,
         eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(EngineKind::Rda)
     }
 }
 
@@ -76,8 +65,8 @@ fn key(k: u8) -> Vec<u8> {
 }
 
 /// Replay one history against the tree and the oracle; every divergence
-/// is a test-case failure.
-fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
+/// is a test failure.
+fn check_history(ops: &[Op]) {
     let tree = BTree::create(Database::open(cfg())).unwrap();
     let mut committed: BTreeMap<u8, u8> = BTreeMap::new();
     let mut working: BTreeMap<u8, u8> = BTreeMap::new();
@@ -93,7 +82,7 @@ fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Delete(k) => {
                 let t = tx.get_or_insert_with(|| tree.db().begin());
                 let existed = tree.delete(t, &key(k)).unwrap();
-                prop_assert_eq!(existed, working.remove(&k).is_some(), "delete {}", k);
+                assert_eq!(existed, working.remove(&k).is_some(), "delete {k}");
             }
             Op::Commit => {
                 if let Some(t) = tx.take() {
@@ -127,50 +116,51 @@ fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
     let scan = tree.scan_all(&mut t).unwrap();
     let expect: Vec<(Vec<u8>, Vec<u8>)> =
         committed.iter().map(|(k, v)| (key(*k), vec![*v])).collect();
-    prop_assert_eq!(scan, expect);
+    assert_eq!(scan, expect);
     // Spot-check point lookups and a range.
     for k8 in [0u8, 13, 27, 39] {
         let got = tree.get(&mut t, &key(k8)).unwrap();
-        prop_assert_eq!(got, committed.get(&k8).map(|v| vec![*v]), "key {}", k8);
+        assert_eq!(got, committed.get(&k8).map(|v| vec![*v]), "key {k8}");
     }
     let range = tree.range(&mut t, &key(10), &key(30)).unwrap();
     let expect_range: Vec<_> = committed
         .range(10..30)
         .map(|(k, v)| (key(*k), vec![*v]))
         .collect();
-    prop_assert_eq!(range, expect_range);
+    assert_eq!(range, expect_range);
     t.abort().unwrap();
-    prop_assert!(tree.db().verify().unwrap().is_empty());
-    Ok(())
-}
-
-/// Seeded histories for the always-on driver.
-fn seeded_history(mut seed: u64, len: usize) -> Vec<Op> {
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    (0..len)
-        .map(|_| match next() % 12 {
-            0..=5 => Op::Insert((next() % 40) as u8, (next() % 256) as u8),
-            6 | 7 => Op::Delete((next() % 40) as u8),
-            8 | 9 => Op::Commit,
-            10 => Op::Abort,
-            _ => Op::CrashRecover,
-        })
-        .collect()
+    assert!(tree.db().verify().unwrap().is_empty());
 }
 
 #[test]
-fn seeded_histories_agree_with_oracle() {
-    for case in 0u64..12 {
-        let ops = seeded_history(0xB7E1_5163 ^ (case + 1), 36);
-        if let Err(e) = check_history(&ops) {
-            panic!("seeded case {case} diverged: {e}\nops: {ops:?}");
-        }
-    }
+fn btree_agrees_with_oracle() {
+    prop::cases("btree_agrees_with_oracle", 24, |rng| {
+        let ops: Vec<Op> = (0..=rng.below(49)).map(|_| gen_op(rng)).collect();
+        check_history(&ops);
+    });
+}
+
+/// The two inputs a shrinking property-test run once reduced a failure to.
+#[test]
+fn pinned_crash_after_four_uncommitted_inserts() {
+    check_history(&[
+        Op::Insert(0, 1),
+        Op::Insert(4, 1),
+        Op::Insert(8, 1),
+        Op::Insert(12, 1),
+        Op::CrashRecover,
+    ]);
+}
+
+#[test]
+fn pinned_delete_after_crashed_overwrite() {
+    check_history(&[
+        Op::Insert(17, 2),
+        Op::Commit,
+        Op::Insert(17, 3),
+        Op::CrashRecover,
+        Op::Delete(17),
+    ]);
 }
 
 /// Index-page recovery: commit a base tree, then split leaves (and grow
@@ -197,16 +187,5 @@ fn uncommitted_splits_roll_back_across_crash() {
     }
     ops.push(Op::Commit);
     ops.push(Op::CrashRecover);
-    if let Err(e) = check_history(&ops) {
-        panic!("split/crash history diverged: {e}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn btree_agrees_with_oracle(ops in prop::collection::vec(op_strategy(), 1..50)) {
-        check_history(&ops)?;
-    }
+    check_history(&ops);
 }

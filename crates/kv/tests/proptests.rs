@@ -1,20 +1,15 @@
 //! Property test: arbitrary put/delete/commit/abort/crash histories on the
 //! KV store agree with a `HashMap` oracle.
 //!
-//! The checked body lives in [`check_history`], shared by two drivers:
-//! the `proptest!` property (random histories + shrinking, under real
-//! proptest) and a deterministic seeded driver that always runs, so the
-//! oracle comparison is exercised even where the proptest dev stub
-//! compiles the property block away.
+//! The checked body lives in [`check_history`], shared by the seeded
+//! property and the pinned regression inputs.
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use rda_array::{ArrayConfig, Organization};
 use rda_buffer::{BufferConfig, ReplacePolicy};
-use rda_core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
+use rda_core::{Database, DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_kv::KvStore;
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 use rda_wal::LogConfig;
 use std::collections::HashMap;
 
@@ -27,17 +22,16 @@ enum Op {
     CrashRecover,
 }
 
-// Only the `proptest!` block calls this, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0u8..24, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
-        2 => (0u8..24).prop_map(Op::Delete),
-        2 => Just(Op::Commit),
-        1 => Just(Op::Abort),
-        1 => Just(Op::CrashRecover),
-    ]
+/// Weights 5 : 2 : 2 : 1 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    let key = rng.below(24) as u8;
+    match rng.below(11) {
+        0..=4 => Op::Put(key, rng.next_u64() as u8),
+        5 | 6 => Op::Delete(key),
+        7 | 8 => Op::Commit,
+        9 => Op::Abort,
+        _ => Op::CrashRecover,
+    }
 }
 
 fn cfg() -> DbConfig {
@@ -58,19 +52,13 @@ fn cfg() -> DbConfig {
         },
         granularity: LogGranularity::Record,
         eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(EngineKind::Rda)
     }
 }
 
 /// Replay one history against the store and the oracle; every divergence
-/// is a test-case failure.
-fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
+/// is a test failure.
+fn check_history(ops: &[Op]) {
     let store = KvStore::create(Database::open(cfg()), 4).unwrap();
     let mut committed: HashMap<u8, u8> = HashMap::new();
     let mut pending: HashMap<u8, Option<u8>> = HashMap::new(); // None = delete
@@ -91,7 +79,7 @@ fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
                     Some(None) => false,
                     None => committed.contains_key(&k),
                 };
-                prop_assert_eq!(existed, oracle_existed, "delete({})", k);
+                assert_eq!(existed, oracle_existed, "delete({k})");
                 pending.insert(k, None);
             }
             Op::Commit => {
@@ -134,50 +122,35 @@ fn check_history(ops: &[Op]) -> Result<(), TestCaseError> {
     for k in 0u8..24 {
         let got = store.get(&mut t, &[k]).unwrap();
         let expect = committed.get(&k).map(|v| vec![*v]);
-        prop_assert_eq!(got, expect, "key {}", k);
+        assert_eq!(got, expect, "key {k}");
     }
     let scan = store.scan(&mut t).unwrap();
-    prop_assert_eq!(scan.len(), committed.len(), "scan cardinality");
+    assert_eq!(scan.len(), committed.len(), "scan cardinality");
     t.abort().unwrap();
-    prop_assert!(store.db().verify().unwrap().is_empty());
-    Ok(())
-}
-
-/// Seeded histories for the always-on driver: a cheap xorshift over the
-/// same op mix as [`op_strategy`].
-fn seeded_history(mut seed: u64, len: usize) -> Vec<Op> {
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    (0..len)
-        .map(|_| match next() % 11 {
-            0..=4 => Op::Put((next() % 24) as u8, (next() % 256) as u8),
-            5 | 6 => Op::Delete((next() % 24) as u8),
-            7 | 8 => Op::Commit,
-            9 => Op::Abort,
-            _ => Op::CrashRecover,
-        })
-        .collect()
+    assert!(store.db().verify().unwrap().is_empty());
 }
 
 #[test]
-fn seeded_histories_agree_with_oracle() {
-    for case in 0u64..16 {
-        let ops = seeded_history(0x9E37_79B9 ^ (case + 1), 40);
-        if let Err(e) = check_history(&ops) {
-            panic!("seeded case {case} diverged: {e}\nops: {ops:?}");
-        }
-    }
+fn kv_agrees_with_oracle() {
+    prop::cases("kv_agrees_with_oracle", 32, |rng| {
+        let ops: Vec<Op> = (0..=rng.below(59)).map(|_| gen_op(rng)).collect();
+        check_history(&ops);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// The two inputs a shrinking property-test run once reduced a failure to.
+#[test]
+fn pinned_delete_after_commit_and_crash() {
+    check_history(&[Op::Put(0, 1), Op::Commit, Op::CrashRecover, Op::Delete(0)]);
+}
 
-    #[test]
-    fn kv_agrees_with_oracle(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        check_history(&ops)?;
-    }
+#[test]
+fn pinned_put_again_after_abort() {
+    check_history(&[
+        Op::Put(3, 255),
+        Op::Put(11, 4),
+        Op::Abort,
+        Op::Put(3, 9),
+        Op::Commit,
+    ]);
 }

@@ -1,10 +1,9 @@
 //! Series generators for every figure in the paper's evaluation.
 
 use crate::{families, Evaluation, ModelParams, Workload};
-use serde::Serialize;
 
 /// One point of a throughput-vs-communality curve.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FigurePoint {
     /// Communality `C`.
     pub c: f64,
@@ -17,7 +16,7 @@ pub struct FigurePoint {
 }
 
 /// A full figure: one curve pair per workload environment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureSeries {
     /// Which figure this reproduces ("fig9" … "fig12").
     pub id: &'static str,
@@ -30,7 +29,7 @@ pub struct FigureSeries {
 }
 
 /// One point of the Figure-13 gain-vs-s curve.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GainPoint {
     /// Pages accessed per transaction.
     pub s: f64,
@@ -39,7 +38,7 @@ pub struct GainPoint {
 }
 
 /// Figure 13: percent gain versus transaction size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GainSeries {
     /// Figure id ("fig13").
     pub id: &'static str,
@@ -48,6 +47,21 @@ pub struct GainSeries {
     /// Points for s = 5 … 45.
     pub points: Vec<GainPoint>,
 }
+
+rda_obs::json_struct!(FigurePoint {
+    c,
+    non_rda,
+    rda,
+    gain
+});
+rda_obs::json_struct!(FigureSeries {
+    id,
+    family,
+    high_update,
+    high_retrieval
+});
+rda_obs::json_struct!(GainPoint { s, percent_gain });
+rda_obs::json_struct!(GainSeries { id, family, points });
 
 fn sweep(
     id: &'static str,
@@ -189,10 +203,12 @@ mod tests {
 
     #[test]
     fn figures_serialize_to_json() {
-        let f = fig9(&[0.5]);
-        let json = serde_json::to_string(&f).unwrap();
+        use rda_obs::json::ToJson;
+        let json = fig9(&[0.5]).to_json().to_string();
         assert!(json.contains("\"fig9\""));
-        let g = fig13(&[10.0]);
-        assert!(serde_json::to_string(&g).unwrap().contains("percent_gain"));
+        assert!(fig13(&[10.0])
+            .to_json()
+            .to_string()
+            .contains("percent_gain"));
     }
 }

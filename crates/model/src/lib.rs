@@ -48,7 +48,7 @@ pub use params::{ModelParams, ModelVariant, RecordParams, Workload};
 pub use primitives::{avg_log_entry, p_l, p_m, p_s, s_u};
 
 /// Costs of one configuration (all in page transfers).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Cost of logging per update transaction (`c_l`).
     pub logging: f64,
@@ -71,8 +71,20 @@ pub struct CostBreakdown {
     pub throughput: f64,
 }
 
+rda_obs::json_struct!(CostBreakdown {
+    logging,
+    backout,
+    restart,
+    checkpoint,
+    retrieval,
+    update,
+    per_txn,
+    interval,
+    throughput
+});
+
 /// RDA-vs-baseline evaluation of one family at one parameter point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluation {
     /// The traditional (¬RDA) algorithm.
     pub non_rda: CostBreakdown,

@@ -1,10 +1,8 @@
 //! Model parameters (§5, values from Reuter TODS 1984 as cited by the
 //! paper).
 
-use serde::Serialize;
-
 /// Which of the paper's two workload environments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// High update frequency: `s = 10`, `f_u = 0.8`, `p_u = 0.9`, `d = 3`.
     HighUpdate,
@@ -15,7 +13,7 @@ pub enum Workload {
 
 /// Variant switches for equations where the OCR'd paper text conflicts
 /// with its own derivation (DESIGN.md §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelVariant {
     /// Use the internally consistent re-derived forms (default): e.g.
     /// `s_u = (B/C)(1 − (1 − C·s·p_u/B)^{P·f_u})`, which satisfies the
@@ -28,7 +26,7 @@ pub enum ModelVariant {
 }
 
 /// Record-logging parameters (§5.3; lengths in bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordParams {
     /// Update statements per transaction (`d`): 3 for high-update, 8 for
     /// high-retrieval environments.
@@ -46,7 +44,7 @@ pub struct RecordParams {
 }
 
 /// Full parameter set for one model evaluation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Buffer frames (`B` = 300).
     pub b: f64,

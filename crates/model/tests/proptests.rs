@@ -2,182 +2,164 @@
 //! hold across the whole parameter space, not just the paper's two
 //! operating points.
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use rda_model::{families, p_l, p_m, p_s, s_u, Evaluation, ModelParams, Workload};
+use rda_obs::prop;
+use rda_obs::rng::Rng;
 
-// Only the `proptest!` block calls this, and the offline dev stub
-// expands that block to nothing.
-#[allow(dead_code)]
-fn params_strategy() -> impl Strategy<Value = ModelParams> {
-    (
-        prop_oneof![Just(Workload::HighUpdate), Just(Workload::HighRetrieval)],
-        0.0..0.95f64,
-        2.0..60.0f64,
-        2.0..40.0f64,
-    )
-        .prop_map(|(wl, c, s, n)| {
-            ModelParams::paper_defaults(wl)
-                .communality(c)
-                .pages_per_txn(s)
-                .group_size(n)
-        })
+/// Uniform draw in `lo..hi`.
+fn uniform(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
 }
 
-fn check_sane(e: &Evaluation) -> Result<(), TestCaseError> {
+fn gen_workload(rng: &mut Rng) -> Workload {
+    if rng.chance(50) {
+        Workload::HighUpdate
+    } else {
+        Workload::HighRetrieval
+    }
+}
+
+fn gen_params(rng: &mut Rng) -> ModelParams {
+    ModelParams::paper_defaults(gen_workload(rng))
+        .communality(uniform(rng, 0.0, 0.95))
+        .pages_per_txn(uniform(rng, 2.0, 60.0))
+        .group_size(uniform(rng, 2.0, 40.0))
+}
+
+fn all_families(p: &ModelParams) -> [Evaluation; 4] {
+    [
+        families::a1::evaluate(p),
+        families::a2::evaluate(p),
+        families::a3::evaluate(p),
+        families::a4::evaluate(p),
+    ]
+}
+
+fn check_sane(e: &Evaluation) {
     for b in [&e.non_rda, &e.rda] {
-        prop_assert!(b.logging >= 0.0, "c_l {b:?}");
-        prop_assert!(b.backout >= 0.0);
-        prop_assert!(b.restart >= 0.0);
-        prop_assert!(b.retrieval >= 0.0);
-        prop_assert!(b.update >= b.retrieval, "updates do strictly more work");
-        prop_assert!(b.per_txn > 0.0);
-        prop_assert!(b.throughput >= 0.0);
-        prop_assert!(b.throughput.is_finite());
+        assert!(b.logging >= 0.0, "c_l {b:?}");
+        assert!(b.backout >= 0.0);
+        assert!(b.restart >= 0.0);
+        assert!(b.retrieval >= 0.0);
+        assert!(b.update >= b.retrieval, "updates do strictly more work");
+        assert!(b.per_txn > 0.0);
+        assert!(b.throughput >= 0.0);
+        assert!(b.throughput.is_finite());
     }
-    prop_assert!((0.0..=1.0).contains(&e.p_l), "p_l = {}", e.p_l);
-    Ok(())
+    assert!((0.0..=1.0).contains(&e.p_l), "p_l = {}", e.p_l);
 }
 
-/// Always-on driver over a fixed parameter grid: the proptest dev stub
-/// compiles the property block away, so the sanity invariants are
-/// exercised here regardless.
+/// RDA never *hurts* by more than rounding wherever parity rides are
+/// actually available (low p_l). At extreme contention — huge
+/// transactions over large groups — the dirty-group surcharges can
+/// genuinely invert the gain, which `ablation_groupsize` shows as the
+/// downward trend with N; there we only require boundedness.
+fn check_gain(p: &ModelParams) {
+    for eval in all_families(p) {
+        if eval.p_l < 0.1 {
+            assert!(
+                eval.gain() > -0.05,
+                "gain {} with p_l {} at {p:?}",
+                eval.gain(),
+                eval.p_l
+            );
+        } else {
+            assert!(eval.gain() > -1.0, "gain bounded: {}", eval.gain());
+        }
+    }
+}
+
 #[test]
-fn fixed_grid_sane_across_families() {
-    for wl in [Workload::HighUpdate, Workload::HighRetrieval] {
-        for c in [0.0, 0.3, 0.6, 0.9] {
-            for s in [3.0, 12.0, 40.0] {
-                let p = ModelParams::paper_defaults(wl)
-                    .communality(c)
-                    .pages_per_txn(s);
-                for eval in [
-                    families::a1::evaluate(&p),
-                    families::a2::evaluate(&p),
-                    families::a3::evaluate(&p),
-                    families::a4::evaluate(&p),
-                ] {
-                    if let Err(e) = check_sane(&eval) {
-                        panic!("{wl:?} C={c} s={s}: {e}");
-                    }
-                }
-            }
-        }
-    }
+fn all_families_sane_everywhere() {
+    prop::cases("all_families_sane_everywhere", 64, |rng| {
+        all_families(&gen_params(rng)).iter().for_each(check_sane);
+    });
 }
 
-/// Always-on driver for the primitive probability bounds.
 #[test]
-fn fixed_grid_primitives_bounded() {
-    for k in [0.5, 4.0, 60.0, 400.0] {
-        for n in [2.0, 10.0, 40.0] {
-            let v = p_l(k, n, 5000.0);
-            assert!((0.0..=1.0).contains(&v), "p_l({k},{n}) = {v}");
-        }
-    }
-    for c in [0.0, 0.4, 0.9] {
-        let pm = p_m(0.8, 0.64, c);
-        assert!((0.0..=1.0).contains(&pm), "p_m at C={c} = {pm}");
-        let ps = p_s(300.0, c.max(0.01), 10.0, 6.0);
-        assert!((0.0..=1.0).contains(&ps), "p_s at C={c} = {ps}");
-        let p = ModelParams::paper_defaults(Workload::HighUpdate).communality(c.max(0.01));
-        let v = s_u(&p, 8.0);
-        assert!(
-            v >= 0.0 && v <= 8.0 * p.s * p.p_u + 1e-9,
-            "s_u at C={c} = {v}"
-        );
-    }
+fn rda_gain_negative_only_under_heavy_contention() {
+    prop::cases("rda_gain_negative_only_under_heavy_contention", 64, |rng| {
+        check_gain(&gen_params(rng));
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn all_families_sane_everywhere(p in params_strategy()) {
-        check_sane(&families::a1::evaluate(&p))?;
-        check_sane(&families::a2::evaluate(&p))?;
-        check_sane(&families::a3::evaluate(&p))?;
-        check_sane(&families::a4::evaluate(&p))?;
-    }
-
-    /// RDA never *hurts* by more than rounding wherever parity rides are
-    /// actually available (low p_l). At extreme contention — huge
-    /// transactions over large groups — the dirty-group surcharges can
-    /// genuinely invert the gain, which `ablation_groupsize` shows as the
-    /// downward trend with N; there we only require boundedness.
-    #[test]
-    fn rda_gain_negative_only_under_heavy_contention(p in params_strategy()) {
-        for eval in [
-            families::a1::evaluate(&p),
-            families::a2::evaluate(&p),
-            families::a3::evaluate(&p),
-            families::a4::evaluate(&p),
-        ] {
-            if eval.p_l < 0.1 {
-                prop_assert!(
-                    eval.gain() > -0.05,
-                    "gain {} with p_l {} at {p:?}",
-                    eval.gain(),
-                    eval.p_l
-                );
-            } else {
-                prop_assert!(eval.gain() > -1.0, "gain bounded: {}", eval.gain());
-            }
-        }
-    }
-
-    /// Primitive probability functions stay in [0, 1] and respond in the
-    /// right direction.
-    #[test]
-    fn primitives_bounded(
-        k in 0.0..500.0f64,
-        n in 1.0..50.0f64,
-        s_total in 100.0..100_000.0f64,
-        c in 0.0..1.0f64,
-        f_u in 0.0..1.0f64,
-        p_u in 0.0..1.0f64,
-    ) {
+/// Primitive probability functions stay in [0, 1] and respond in the
+/// right direction.
+#[test]
+fn primitives_bounded() {
+    prop::cases("primitives_bounded", 64, |rng| {
+        let (k, n) = (uniform(rng, 0.0, 500.0), uniform(rng, 1.0, 50.0));
+        let s_total = uniform(rng, 100.0, 100_000.0);
+        let c = uniform(rng, 0.0, 1.0);
+        let (f_u, p_u) = (uniform(rng, 0.0, 1.0), uniform(rng, 0.0, 1.0));
         let pl = p_l(k, n, s_total);
-        prop_assert!((0.0..=1.0).contains(&pl));
+        assert!((0.0..=1.0).contains(&pl));
         let pm = p_m(f_u, p_u, c);
-        prop_assert!((0.0..=1.0).contains(&pm));
+        assert!((0.0..=1.0).contains(&pm));
         let ps = p_s(300.0, c, 10.0, 6.0);
-        prop_assert!((0.0..=1.0).contains(&ps));
-    }
+        assert!((0.0..=1.0).contains(&ps));
+    });
+}
 
-    /// p_l grows (weakly) with group size N at fixed contention: bigger
-    /// groups collide more.
-    #[test]
-    fn p_l_monotone_in_group_size(k in 2.0..200.0f64) {
+/// p_l grows (weakly) with group size N at fixed contention: bigger
+/// groups collide more.
+#[test]
+fn p_l_monotone_in_group_size() {
+    prop::cases("p_l_monotone_in_group_size", 64, |rng| {
+        let k = uniform(rng, 2.0, 200.0);
         let mut prev = -1.0;
         for n in [2.0, 5.0, 10.0, 20.0, 40.0] {
             let v = p_l(k, n, 5000.0);
-            prop_assert!(v >= prev - 1e-12, "p_l must grow with N: {v} after {prev}");
+            assert!(v >= prev - 1e-12, "p_l must grow with N: {v} after {prev}");
             prev = v;
         }
-    }
+    });
+}
 
-    /// Throughput grows (weakly) with communality for the TOC families
-    /// (fewer misses, same logging).
-    #[test]
-    fn toc_throughput_monotone_in_c(
-        wl in prop_oneof![Just(Workload::HighUpdate), Just(Workload::HighRetrieval)],
-    ) {
+/// Throughput grows (weakly) with communality for the TOC families
+/// (fewer misses, same logging).
+#[test]
+fn toc_throughput_monotone_in_c() {
+    prop::cases("toc_throughput_monotone_in_c", 64, |rng| {
+        let wl = gen_workload(rng);
         let mut prev = 0.0;
         for c in [0.0, 0.2, 0.4, 0.6, 0.8, 0.95] {
             let p = ModelParams::paper_defaults(wl).communality(c);
             let rt = families::a1::evaluate(&p).rda.throughput;
-            prop_assert!(rt >= prev, "{wl:?}: rt {rt} after {prev} at C={c}");
+            assert!(rt >= prev, "{wl:?}: rt {rt} after {prev} at C={c}");
             prev = rt;
         }
-    }
+    });
+}
 
-    /// s_u is bounded by both the total distinct work and the buffer.
-    #[test]
-    fn s_u_bounds(c in 0.01..0.99f64, k in 1.0..20.0f64) {
+/// s_u is bounded by both the total distinct work and the buffer.
+#[test]
+fn s_u_bounds() {
+    prop::cases("s_u_bounds", 64, |rng| {
+        let (c, k) = (uniform(rng, 0.01, 0.99), uniform(rng, 1.0, 20.0));
         let p = ModelParams::paper_defaults(Workload::HighUpdate).communality(c);
         let v = s_u(&p, k);
-        prop_assert!(v >= 0.0);
-        prop_assert!(v <= k * p.s * p.p_u + 1e-9, "cannot exceed total touches");
-        prop_assert!(v <= p.b / c + 1e-9, "cannot exceed the fixed point B/C");
-    }
+        assert!(v >= 0.0);
+        assert!(v <= k * p.s * p.p_u + 1e-9, "cannot exceed total touches");
+        assert!(v <= p.b / c + 1e-9, "cannot exceed the fixed point B/C");
+    });
+}
+
+/// The two parameter points a shrinking property-test run once reduced a failure to.
+#[test]
+fn pinned_minimal_retrieval_point() {
+    let p = ModelParams::paper_defaults(Workload::HighRetrieval)
+        .pages_per_txn(2.0)
+        .group_size(2.0);
+    all_families(&p).iter().for_each(check_sane);
+    check_gain(&p);
+}
+
+#[test]
+fn pinned_large_transactions_over_large_groups() {
+    let p = ModelParams::paper_defaults(Workload::HighUpdate)
+        .pages_per_txn(44.782_484_559_618_31)
+        .group_size(28.749_950_979_778_71);
+    all_families(&p).iter().for_each(check_sane);
+    check_gain(&p);
 }

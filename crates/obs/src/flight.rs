@@ -100,7 +100,7 @@ impl FlightRecord {
         })
     }
 
-    /// Hand-rolled JSON rendering (the workspace ships no real serde):
+    /// Hand-rolled JSON rendering:
     /// events as their human `Display` lines, counters as an object.
     #[must_use]
     pub fn to_json(&self) -> String {

@@ -1,26 +1,28 @@
-//! Minimal hand-rolled JSON: a value tree, a recursive-descent parser and
+//! The workspace's one JSON: a value tree, a recursive-descent parser and
 //! a deterministic compact writer.
 //!
-//! The workspace deliberately carries no serde machinery for its reports
-//! (see `rda-faults::report`); the checker needs the *reverse* direction
-//! too — corpus entries are JSON files read back at replay time — so this
-//! module adds the small parser the rest of the stack never needed.
-//! Integers only: the corpus never stores floats, and refusing them keeps
-//! round-trips byte-exact.
+//! Reports, figure series and sim traces are built as [`Json`] values and
+//! written with `Display`; checker corpus entries and traces are read back
+//! with [`Json::parse`]. A number with a fraction or exponent is a
+//! [`Json::Float`], anything else a [`Json::Int`], so integer documents
+//! (the corpus) round-trip byte-exact.
 
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep their file order, so a
 /// parse → write round trip is byte-identical for the writer's own
 /// output.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (the corpus format never stores floats).
+    /// An integer.
     Int(i64),
+    /// A number written with a fraction or exponent. Non-finite values
+    /// are written as `null`.
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -34,7 +36,7 @@ impl Json {
     ///
     /// # Errors
     /// Returns a human-readable message (with byte offset) on malformed
-    /// input, floats, or trailing garbage.
+    /// input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -64,20 +66,21 @@ impl Json {
         }
     }
 
-    /// This value as an integer.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// This value as a non-negative integer.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(n) if *n >= 0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// This value as a float (integers widen).
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Float(x) => Some(*x),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -113,9 +116,12 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(n) => write!(f, "{n}"),
+            // `{:?}` is the shortest text that parses back to the same
+            // bits, and always carries a `.` or an exponent.
+            Json::Float(x) if x.is_finite() => write!(f, "{x:?}"),
+            Json::Null | Json::Float(_) => write!(f, "null"),
             Json::Str(s) => write!(f, "\"{}\"", escape(s)),
             Json::Arr(items) => {
                 write!(f, "[")?;
@@ -139,6 +145,79 @@ impl fmt::Display for Json {
             }
         }
     }
+}
+
+/// Plain data that can render itself as a [`Json`] value. Structs get
+/// their impl from [`json_struct!`](crate::json_struct).
+pub trait ToJson {
+    /// This value as JSON.
+    fn to_json(&self) -> Json;
+}
+
+macro_rules! to_json {
+    ($($t:ty => |$v:ident| $e:expr;)*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                let $v = self;
+                $e
+            }
+        }
+    )*};
+}
+to_json! {
+    Json => |v| v.clone();
+    bool => |v| Json::Bool(*v);
+    f64 => |v| Json::Float(*v);
+    str => |v| Json::Str(v.to_string());
+    String => |v| Json::Str(v.clone());
+    u8 => |v| Json::Int(i64::from(*v));
+    u16 => |v| Json::Int(i64::from(*v));
+    u32 => |v| Json::Int(i64::from(*v));
+    u64 => |v| Json::Int(i64::try_from(*v).unwrap_or(i64::MAX));
+    usize => |v| Json::Int(i64::try_from(*v).unwrap_or(i64::MAX));
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+/// `json_obj! { "a": x, "b": y }` is the object `{"a": …, "b": …}`, each
+/// value through [`ToJson`], members in the order written.
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:tt: $value:expr),+ $(,)?) => {
+        $crate::json::Json::Obj(vec![$((
+            $key.to_string(),
+            $crate::json::ToJson::to_json(&$value),
+        )),+])
+    };
+}
+
+/// `json_struct!(Row { a, b })` implements [`ToJson`] for `Row` as the
+/// object `{"a": …, "b": …}`, fields in the order listed.
+#[macro_export]
+macro_rules! json_struct {
+    ($t:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $t {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json_obj! { $((stringify!($field)): self.$field),+ }
+            }
+        }
+    };
 }
 
 /// Escape a string for embedding in a JSON document.
@@ -186,7 +265,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b'-' | b'0'..=b'9') => parse_int(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
         Some(other) => Err(format!("unexpected byte 0x{other:02x} at offset {}", *pos)),
     }
 }
@@ -200,21 +279,21 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
-fn parse_int(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    while matches!(
+        bytes.get(*pos),
+        Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+    ) {
         *pos += 1;
-    }
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
-        return Err(format!("floats are not supported (byte {})", *pos));
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<i64>()
-        .map(Json::Int)
-        .map_err(|e| format!("bad integer '{text}' at byte {start}: {e}"))
+    let parsed = if text.contains(['.', 'e', 'E']) {
+        text.parse().map(Json::Float).ok()
+    } else {
+        text.parse().map(Json::Int).ok()
+    };
+    parsed.ok_or_else(|| format!("bad number '{text}' at byte {start}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {

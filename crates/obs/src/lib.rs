@@ -18,13 +18,23 @@
 //!
 //! The [`ObsHub`] bundles one tracer and one registry per database
 //! instance and is what `rda-core` hands out.
+//!
+//! Being the crate everything links, it also holds the four small pieces
+//! that keep the workspace's dependency closure at `std`: [`sync::Mutex`]
+//! (the one lock type), [`rng::Rng`] (the one seeded generator),
+//! [`json::Json`] (the one JSON value, parser and writer) and
+//! [`prop::cases`] (seeded property tests).
 
 mod event;
 mod flight;
 mod invariants;
+pub mod json;
 mod metrics;
 mod pack;
 mod profile;
+pub mod prop;
+pub mod rng;
+pub mod sync;
 mod timeline;
 mod trace;
 

@@ -8,18 +8,17 @@
 //! plus one bucket `fetch_add`. The registry's own map is only locked
 //! on registration and export.
 //!
-//! Exports come in two flavors: Prometheus text and hand-rolled JSON
-//! (the workspace ships no real serde). [`MetricsRegistry::counters_json`]
-//! deliberately excludes histogram `sum`/`count`-derived means and any
-//! wall-clock-touched series so determinism tests can compare it
-//! byte-for-byte across runs.
+//! Exports come in two flavors: Prometheus text and hand-rolled JSON.
+//! [`MetricsRegistry::counters_json`] deliberately excludes histogram
+//! `sum`/`count`-derived means and any wall-clock-touched series so
+//! determinism tests can compare it byte-for-byte across runs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 /// Bucket bounds for nanosecond-scale latency histograms: 1µs → 1s in
 /// half-decade steps (wall clocks feed these, so they are excluded from

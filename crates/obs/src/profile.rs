@@ -13,7 +13,7 @@
 //! paths, which are already failure paths or lock-table operations, so
 //! the cost is noise next to the work they annotate.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};

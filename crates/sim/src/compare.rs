@@ -4,10 +4,9 @@
 use crate::{run_workload, SimConfig, SimResult, WorkloadSpec};
 use rda_core::{DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
-use serde::Serialize;
 
 /// Side-by-side engine measurement on an identical workload.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Comparison {
     /// The RDA engine's measurements.
     pub rda: SimResult,
@@ -72,7 +71,7 @@ pub fn compare_engines_under_crashes(
 /// A model-vs-measurement checkpoint: the model's predicted per-transaction
 /// cost `c_t` evaluated at the *measured* communality, against the
 /// simulator's empirical transfers per committed transaction.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelCheck {
     /// Measured communality the model was evaluated at.
     pub measured_c: f64,
@@ -89,6 +88,16 @@ pub struct ModelCheck {
     /// Measured gain.
     pub sim_gain: f64,
 }
+
+rda_obs::json_struct!(ModelCheck {
+    measured_c,
+    model_ct_wal,
+    model_ct_rda,
+    sim_ct_wal,
+    sim_ct_rda,
+    model_gain,
+    sim_gain
+});
 
 /// Experiment SIM-V: drive both engines with a paper-style workload and
 /// compare the measured per-transaction transfer cost against the A1

@@ -18,9 +18,9 @@
 //! complement of the engine's `engine_commit_nanos` /
 //! `group_commit_batch_size` histograms on the rda-obs registry.
 
-use crossbeam::channel;
 use rda_core::{DbConfig, DbError, ShardedDb};
-use serde::Serialize;
+use rda_obs::rng::Rng;
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// How worker threads pick the pages a transaction touches.
@@ -47,7 +47,7 @@ impl ShardedKeyMode {
 }
 
 /// Result of one sharded threaded run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedRunResult {
     /// Committed transactions (sums `per_thread_commits`).
     pub committed: u64,
@@ -110,14 +110,6 @@ impl ShardedRunResult {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Run `txns_per_thread` update transactions on each of `threads` OS
 /// threads sharing one sharded database. Every transaction writes
 /// `pages_per_txn` distinct pages chosen per `mode`, retrying the whole
@@ -137,14 +129,14 @@ pub fn run_sharded_threaded(
     let db = ShardedDb::open(cfg.clone());
     let map = db.map();
     let threads = threads.max(1);
-    let (tx_out, rx_out) = channel::unbounded::<Tally>();
+    let (tx_out, rx_out) = mpsc::channel::<Tally>();
     let started = Instant::now();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
-            let db = db.clone();
+            let db = &db;
             let tx_out = tx_out.clone();
-            scope.spawn(move |_| {
-                let mut rng = seed ^ (t as u64).wrapping_mul(0xA5A5_A5A5_A5A5_A5A5) | 1;
+            scope.spawn(move || {
+                let mut rng = Rng::new(rda_obs::rng::mix(seed, t as u64));
                 let (mut committed, mut retries, mut failures) = (0u64, 0u64, 0u64);
                 let mut first_failure = None;
                 let mut latencies: Vec<u64> = Vec::with_capacity(txns_per_thread);
@@ -153,7 +145,7 @@ pub fn run_sharded_threaded(
                     // Pick the page set once; retries replay the same set.
                     pages.clear();
                     while pages.len() < pages_per_txn {
-                        let r = splitmix(&mut rng);
+                        let r = rng.next_u64();
                         let page = match mode {
                             ShardedKeyMode::Overlapping => (r % u64::from(map.data_pages())) as u32,
                             ShardedKeyMode::Disjoint => {
@@ -174,7 +166,7 @@ pub fn run_sharded_threaded(
                     'attempt: for _attempt in 0..64 {
                         let mut tx = db.begin();
                         for &page in &pages {
-                            let value = (splitmix(&mut rng) as u8) | 1;
+                            let value = (rng.next_u64() as u8) | 1;
                             match tx.write(page, &[value]) {
                                 Ok(()) => {}
                                 Err(DbError::LockConflict { .. }) => {
@@ -219,8 +211,7 @@ pub fn run_sharded_threaded(
             });
         }
         drop(tx_out);
-    })
-    .expect("sharded worker panicked");
+    });
     let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let mut per_thread_commits = vec![0u64; threads];

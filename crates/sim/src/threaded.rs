@@ -9,12 +9,12 @@
 //! workloads.
 
 use crate::workload::{AccessKind, TxnScript, WorkloadSpec};
-use crossbeam::channel;
 use rda_core::{Database, DbConfig, DbError};
-use serde::Serialize;
+use rda_obs::sync::Mutex;
+use std::sync::mpsc;
 
 /// Result of a threaded run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadedResult {
     /// Committed transactions.
     pub committed: u64,
@@ -59,25 +59,24 @@ pub fn run_threaded(db_cfg: &DbConfig, scripts: Vec<TxnScript>, threads: usize) 
 
     let db = Database::open(db_cfg.clone());
     let page_mode = db_cfg.granularity == rda_core::LogGranularity::Page;
-    let (tx_scripts, rx_scripts) = channel::unbounded::<(usize, TxnScript)>();
-    for entry in scripts.into_iter().enumerate() {
-        tx_scripts.send(entry).expect("queue open");
-    }
-    drop(tx_scripts);
+    // The work queue: each worker takes the next script under the lock.
+    let queue = Mutex::new(scripts.into_iter().enumerate());
 
     let workers = threads.max(1);
-    let (tx_out, rx_out) = channel::unbounded::<WorkerTally>();
-    crossbeam::scope(|scope| {
+    let (tx_out, rx_out) = mpsc::channel::<WorkerTally>();
+    std::thread::scope(|scope| {
         for w in 0..workers {
-            let db = db.clone();
-            let rx_scripts = rx_scripts.clone();
+            let (db, queue) = (&db, &queue);
             let tx_out = tx_out.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let (mut committed, mut aborted, mut conflicts, mut failures) =
                     (0u64, 0u64, 0u64, 0u64);
                 let mut first_failure = None;
-                while let Ok((idx, script)) = rx_scripts.recv() {
-                    match run_one(&db, idx, &script, page_mode) {
+                loop {
+                    let Some((idx, script)) = queue.lock().next() else {
+                        break;
+                    };
+                    match run_one(db, idx, &script, page_mode) {
                         Outcome::Committed => committed += 1,
                         Outcome::Aborted => aborted += 1,
                         Outcome::GaveUp => conflicts += 1,
@@ -93,8 +92,7 @@ pub fn run_threaded(db_cfg: &DbConfig, scripts: Vec<TxnScript>, threads: usize) 
             });
         }
         drop(tx_out);
-    })
-    .expect("worker panicked");
+    });
 
     let (mut committed, mut aborted, mut conflict_aborts, mut failures) = (0, 0, 0, 0);
     let mut first_failure = None;

@@ -2,11 +2,11 @@
 //! *identical* history can be replayed across engines, configurations, or
 //! machines — the determinism backbone of the ± RDA comparisons.
 
-use crate::{run_scripts, SimConfig, SimResult, TxnScript, WorkloadSpec};
-use serde::{Deserialize, Serialize};
+use crate::{run_scripts, Access, AccessKind, SimConfig, SimResult, TxnScript, WorkloadSpec};
+use rda_obs::json::{Json, ToJson};
 
 /// A reproducible, self-describing workload trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// The generator parameters the trace came from.
     pub spec: WorkloadSpec,
@@ -40,20 +40,49 @@ impl Trace {
     }
 
     /// Serialize to JSON.
-    ///
-    /// # Panics
-    /// Never — the trace types are plain data.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serializes")
+        ToJson::to_json(self).to_string()
     }
 
     /// Parse a JSON trace.
     ///
     /// # Errors
-    /// Returns the serde error for malformed input.
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
+    /// A message naming the first malformed or missing member.
+    pub fn from_json(json: &str) -> Result<Trace, String> {
+        let doc = Json::parse(json)?;
+        let spec = member(&doc, "spec")?;
+        let spec = WorkloadSpec {
+            pages: int(spec, "pages")?,
+            s: int(spec, "s")?,
+            f_u: real(spec, "f_u")?,
+            p_u: real(spec, "p_u")?,
+            p_b: real(spec, "p_b")?,
+            hot_access_fraction: real(spec, "hot_access_fraction")?,
+            hot_pages: int(spec, "hot_pages")?,
+        };
+        let mut scripts = Vec::new();
+        for script in array(&doc, "scripts")? {
+            let mut accesses = Vec::new();
+            for access in array(script, "accesses")? {
+                let kind = match member(access, "kind")?.as_str() {
+                    Some("Read") => AccessKind::Read,
+                    Some("Update") => AccessKind::Update,
+                    _ => return Err("`kind` is neither \"Read\" nor \"Update\"".to_string()),
+                };
+                let page = int(access, "page")?;
+                accesses.push(Access { page, kind });
+            }
+            let aborts = member(script, "aborts")?
+                .as_bool()
+                .ok_or("`aborts` is not a bool")?;
+            scripts.push(TxnScript { accesses, aborts });
+        }
+        Ok(Trace {
+            spec,
+            seed: int(&doc, "seed")?,
+            scripts,
+        })
     }
 
     /// Replay the trace against an engine configuration. `cfg.warmup`
@@ -63,6 +92,55 @@ impl Trace {
         run_scripts(cfg, self.scripts.clone())
     }
 }
+
+fn member<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing `{key}`"))
+}
+
+fn array<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    member(obj, key)?
+        .as_arr()
+        .ok_or_else(|| format!("`{key}` is not an array"))
+}
+
+fn int<T: TryFrom<u64>>(obj: &Json, key: &str) -> Result<T, String> {
+    member(obj, key)?
+        .as_u64()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("`{key}` is not an integer in range"))
+}
+
+fn real(obj: &Json, key: &str) -> Result<f64, String> {
+    member(obj, key)?
+        .as_f64()
+        .ok_or_else(|| format!("`{key}` is not a number"))
+}
+
+impl ToJson for AccessKind {
+    fn to_json(&self) -> Json {
+        match self {
+            AccessKind::Read => "Read",
+            AccessKind::Update => "Update",
+        }
+        .to_json()
+    }
+}
+rda_obs::json_struct!(Access { page, kind });
+rda_obs::json_struct!(TxnScript { accesses, aborts });
+rda_obs::json_struct!(WorkloadSpec {
+    pages,
+    s,
+    f_u,
+    p_u,
+    p_b,
+    hot_access_fraction,
+    hot_pages
+});
+rda_obs::json_struct!(Trace {
+    spec,
+    seed,
+    scripts
+});
 
 #[cfg(test)]
 mod tests {

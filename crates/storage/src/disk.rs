@@ -22,12 +22,13 @@
 //! array access already happens under the engine mutex.)
 
 use crate::io::{BlockImage, DiskFiles};
-use parking_lot::{Mutex, MutexGuard};
 use rda_array::{xor, ArrayError, BlockDevice, DiskId, FaultAction, HookState, Page};
+use rda_obs::sync::Mutex;
 use rda_obs::{monotonic_nanos, Counter, Histogram};
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
+use std::sync::MutexGuard;
 use std::sync::{Arc, OnceLock};
 
 /// When a disk's writes are pushed to stable storage.

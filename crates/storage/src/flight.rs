@@ -23,11 +23,13 @@
 //! snapshot via the same tmp-write + rename dance `meta.rs` uses.
 
 use crate::meta::{append_frame, frames};
+use rda_obs::sync::Mutex;
 use rda_obs::{FlightRecord, ObsHub};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
 const JOURNAL: &str = "obs.journal";
@@ -54,15 +56,17 @@ pub struct FlightRecorder {
     hub: ObsHub,
     path: PathBuf,
     state: Mutex<RecorderState>,
-    /// Wakes the timer thread early on shutdown.
-    tick: Condvar,
+    /// The timer thread, to wake it early on shutdown and on drop.
+    timer: OnceLock<Thread>,
 }
 
 impl FlightRecorder {
     /// Create (or truncate) `dir/obs.journal` and start the periodic
-    /// flusher thread. The thread holds only a [`Weak`] reference: when
-    /// the last strong handle (the engine's barrier hook) drops, the
-    /// thread exits on its next tick.
+    /// flusher thread. Between ticks the thread holds only a [`Weak`]
+    /// reference, and dropping the last strong handle (the engine's
+    /// barrier hook) wakes it to exit: the recorder, its file and whatever
+    /// its hub keeps alive end with the database, not a period later on
+    /// another thread.
     ///
     /// # Errors
     /// I/O errors creating the journal file.
@@ -83,32 +87,26 @@ impl FlightRecorder {
                 flushes: 0,
                 shutdown: false,
             }),
-            tick: Condvar::new(),
+            timer: OnceLock::new(),
         });
         let weak: Weak<FlightRecorder> = Arc::downgrade(&rec);
-        std::thread::Builder::new()
+        let timer = std::thread::Builder::new()
             .name("rda-flight".into())
             .spawn(move || loop {
+                // A wake-up before the period is out (shutdown, drop, or
+                // spurious) costs at most one early snapshot.
+                std::thread::park_timeout(PERIOD);
                 let Some(rec) = weak.upgrade() else {
                     return;
                 };
-                {
-                    let state = rec.lock();
-                    if state.shutdown {
-                        return;
-                    }
-                    let (state, _timeout) = rec
-                        .tick
-                        .wait_timeout(state, PERIOD)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if state.shutdown {
-                        return;
-                    }
+                if rec.state.lock().shutdown {
+                    return;
                 }
                 // Timer flushes are best-effort; the sticky failure
                 // channel for real I/O trouble is the write queue.
                 let _ = rec.flush();
             })?;
+        let _ = rec.timer.set(timer.thread().clone());
         Ok(rec)
     }
 
@@ -130,12 +128,6 @@ impl FlightRecorder {
             .find_map(FlightRecord::decode)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RecorderState> {
-        // A panicking flusher must not wedge the commit path; the state
-        // it guards is diagnostic only.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Append one snapshot now (no-op if nothing changed since the last
     /// one). Called from the engine's durability-barrier hook and from
     /// the timer thread.
@@ -143,7 +135,7 @@ impl FlightRecorder {
     /// # Errors
     /// I/O errors appending to or compacting the journal.
     pub fn flush(&self) -> io::Result<()> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.shutdown {
             return Ok(());
         }
@@ -190,14 +182,26 @@ impl FlightRecorder {
     /// Snapshots written so far.
     #[must_use]
     pub fn flushes(&self) -> u64 {
-        self.lock().flushes
+        self.state.lock().flushes
     }
 
     /// Stop the timer thread and refuse further flushes (used by tests;
-    /// dropping every strong handle achieves the same lazily).
+    /// dropping every strong handle stops the thread too).
     pub fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.tick.notify_all();
+        self.state.lock().shutdown = true;
+        self.wake_timer();
+    }
+
+    fn wake_timer(&self) {
+        if let Some(timer) = self.timer.get() {
+            timer.unpark();
+        }
+    }
+}
+
+impl Drop for FlightRecorder {
+    fn drop(&mut self) {
+        self.wake_timer();
     }
 }
 
@@ -271,6 +275,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// The timer thread sleeps without a strong handle: the recorder is
+    /// gone the moment its owner drops it, not up to a period later.
+    #[test]
+    fn recorder_ends_with_its_last_handle() {
+        let d = dir("ends");
+        let rec = FlightRecorder::create(&d, ObsHub::new()).unwrap();
+        // Let the timer thread reach its first sleep.
+        std::thread::sleep(Duration::from_millis(20));
+        let weak = Arc::downgrade(&rec);
+        drop(rec);
+        assert!(weak.upgrade().is_none(), "the sleeping timer kept it alive");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
     #[test]
     fn missing_journal_loads_none() {
         let d = dir("missing");
@@ -286,7 +304,7 @@ mod tests {
         let c = hub.metrics.counter("spin");
         // Force the appended-bytes bound with many distinct snapshots.
         {
-            let mut state = rec.lock();
+            let mut state = rec.state.lock();
             state.appended = COMPACT_BYTES; // next flush must compact
         }
         c.inc();

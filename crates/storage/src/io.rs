@@ -239,17 +239,14 @@ impl DiskFiles {
 }
 
 /// Seeded page images for this crate's tests: any non-repeating filler
-/// will do (xorshift64).
+/// will do.
 #[cfg(test)]
 pub(crate) fn images(seed: u64, page_size: usize) -> impl FnMut() -> Vec<u8> {
-    let mut state = seed;
+    let mut rng = rda_obs::rng::Rng::new(seed);
     move || {
         let mut bytes = vec![0u8; page_size];
         for word in bytes.chunks_mut(8) {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            word.copy_from_slice(&state.to_le_bytes()[..word.len()]);
+            word.copy_from_slice(&rng.next_u64().to_le_bytes()[..word.len()]);
         }
         bytes
     }

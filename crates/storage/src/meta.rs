@@ -70,9 +70,8 @@
 //! (`*_journal_rewrite_failures_total`), and the next opportunity tries
 //! again.
 
-use bytes::{BufMut, BytesMut};
-use parking_lot::Mutex;
 use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
+use rda_obs::sync::Mutex;
 use rda_obs::Counter;
 use rda_wal::{codec, LogRecord, LogSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -773,7 +772,7 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
 /// is framed in before its one `write`.
 struct Journal {
     file: JournalFile,
-    batch: BytesMut,
+    batch: Vec<u8>,
     /// LSN of the first retained record.
     base: u64,
     /// Offset of each retained record's frame, `base` onwards.
@@ -789,7 +788,7 @@ impl Journal {
     fn over(file: JournalFile, base: u64, offsets: VecDeque<u64>) -> Journal {
         Journal {
             file,
-            batch: BytesMut::new(),
+            batch: Vec::new(),
             base,
             offsets,
             marker_owed: false,
@@ -902,13 +901,13 @@ impl LogSink for FileLogSink {
         let mut batch = std::mem::take(&mut journal.batch);
         batch.clear();
         if std::mem::take(&mut journal.marker_owed) {
-            batch.put_slice(&marker_frame(journal.base));
+            batch.extend_from_slice(&marker_frame(journal.base));
         }
         for record in records {
             let at = journal.file.len + batch.len() as u64;
             journal.offsets.push_back(at);
-            batch.put_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
-            batch.put_u8(TAG_WAL_RECORD);
+            batch.extend_from_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
+            batch.push(TAG_WAL_RECORD);
             codec::encode(record, &mut batch);
         }
         if let Err(e) = journal.file.append(&batch) {
@@ -1415,7 +1414,7 @@ mod tests {
         let dir = wal_with("wal-bytes", &bots(0..2));
         let mut expect = Vec::new();
         for record in bots(0..2) {
-            let mut enc = BytesMut::new();
+            let mut enc = Vec::new();
             codec::encode(&record, &mut enc);
             let mut payload = vec![TAG_WAL_RECORD];
             payload.extend_from_slice(&enc);

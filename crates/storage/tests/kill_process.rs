@@ -262,14 +262,11 @@ fn sigkill_mid_commit_recovers_committed_data() {
 /// recover every acknowledged stamp, and scrub and audit clean. Returns
 /// how many of the kills found a `wal.journal` that had been rewritten.
 fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> u32 {
-    let mut state = 0x7A11_5EED_u64;
+    // Seeded: the delays repeat from run to run of the test.
+    let mut rng = rda_obs::rng::Rng::new(0x7A11_5EED);
     let mut rewritten_runs = 0;
     for run in 0..20 {
-        // xorshift64: the delays repeat from run to run of the test.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let delay = Duration::from_micros(state % 25_000);
+        let delay = Duration::from_micros(rng.below(25_000));
 
         // Thousands of commits per run: on tmpfs where there is one (a
         // SIGKILL loses no page cache, so the medium decides nothing but

@@ -7,7 +7,6 @@
 //! economics (`l_bc`-sized BOT/EOT records vs. page-sized images).
 
 use crate::{CheckpointKind, LogRecord, TxnId, WalError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rda_array::DataPageId;
 
 const TAG_BOT: u8 = 1;
@@ -22,30 +21,30 @@ const TAG_CKPT: u8 = 9;
 const TAG_COMP: u8 = 10;
 
 /// Encode a record, appending to `out`.
-pub fn encode(record: &LogRecord, out: &mut BytesMut) {
+pub fn encode(record: &LogRecord, out: &mut Vec<u8>) {
     match record {
         LogRecord::Bot { txn } => {
-            out.put_u8(TAG_BOT);
-            out.put_u64(txn.0);
+            out.push(TAG_BOT);
+            out.extend_from_slice(&txn.0.to_be_bytes());
         }
         LogRecord::Commit { txn } => {
-            out.put_u8(TAG_COMMIT);
-            out.put_u64(txn.0);
+            out.push(TAG_COMMIT);
+            out.extend_from_slice(&txn.0.to_be_bytes());
         }
         LogRecord::Abort { txn } => {
-            out.put_u8(TAG_ABORT);
-            out.put_u64(txn.0);
+            out.push(TAG_ABORT);
+            out.extend_from_slice(&txn.0.to_be_bytes());
         }
         LogRecord::BeforeImage { txn, page, image } => {
-            out.put_u8(TAG_BEFORE);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
+            out.push(TAG_BEFORE);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
             put_bytes(out, image);
         }
         LogRecord::AfterImage { txn, page, image } => {
-            out.put_u8(TAG_AFTER);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
+            out.push(TAG_AFTER);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
             put_bytes(out, image);
         }
         LogRecord::RecordUpdate {
@@ -55,10 +54,10 @@ pub fn encode(record: &LogRecord, out: &mut BytesMut) {
             before,
             after,
         } => {
-            out.put_u8(TAG_RECORD);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
-            out.put_u32(*offset);
+            out.push(TAG_RECORD);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
+            out.extend_from_slice(&offset.to_be_bytes());
             put_bytes(out, before);
             put_bytes(out, after);
         }
@@ -68,32 +67,32 @@ pub fn encode(record: &LogRecord, out: &mut BytesMut) {
             offset,
             after,
         } => {
-            out.put_u8(TAG_RECORD_REDO);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
-            out.put_u32(*offset);
+            out.push(TAG_RECORD_REDO);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
+            out.extend_from_slice(&offset.to_be_bytes());
             put_bytes(out, after);
         }
         LogRecord::StealNote { txn, page } => {
-            out.put_u8(TAG_STEAL);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
+            out.push(TAG_STEAL);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
         }
         LogRecord::Compensation { txn, page, image } => {
-            out.put_u8(TAG_COMP);
-            out.put_u64(txn.0);
-            out.put_u32(page.0);
+            out.push(TAG_COMP);
+            out.extend_from_slice(&txn.0.to_be_bytes());
+            out.extend_from_slice(&page.0.to_be_bytes());
             put_bytes(out, image);
         }
         LogRecord::Checkpoint { kind, active } => {
-            out.put_u8(TAG_CKPT);
-            out.put_u8(match kind {
+            out.push(TAG_CKPT);
+            out.push(match kind {
                 CheckpointKind::Toc => 0,
                 CheckpointKind::Acc => 1,
             });
-            out.put_u32(active.len() as u32);
+            out.extend_from_slice(&(active.len() as u32).to_be_bytes());
             for t in active {
-                out.put_u64(t.0);
+                out.extend_from_slice(&t.0.to_be_bytes());
             }
         }
     }
@@ -120,18 +119,6 @@ pub fn encoded_len(record: &LogRecord) -> usize {
         LogRecord::StealNote { .. } => TAG + TXN + PAGE,
         LogRecord::Checkpoint { active, .. } => TAG + 1 + U32 + TXN * active.len(),
     }
-}
-
-/// Decode one record from the front of `buf`, consuming it.
-///
-/// # Errors
-/// [`WalError::Corrupt`] if the bytes do not form a valid record.
-pub fn decode(buf: &mut Bytes) -> Result<LogRecord, WalError> {
-    let (record, used) = decode_slice(buf)?;
-    // Drop the consumed prefix. `copy_to_bytes` rather than `advance`: it is
-    // in the `Buf` subset every build of this workspace links.
-    let _ = buf.copy_to_bytes(used);
-    Ok(record)
 }
 
 /// Decode one record from the front of a byte slice, returning it with the
@@ -196,9 +183,9 @@ pub fn decode_slice(buf: &[u8]) -> Result<(LogRecord, usize), WalError> {
     Ok((record, buf.len() - r.rest.len()))
 }
 
-fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {
-    out.put_u32(bytes.len() as u32);
-    out.put_slice(bytes);
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// Forward-only reader over a record's bytes; every taker fails on
@@ -250,23 +237,44 @@ mod tests {
     use super::*;
 
     fn roundtrip(record: &LogRecord) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode(record, &mut buf);
         assert_eq!(buf.len(), encoded_len(record));
         assert_eq!(decode_slice(&buf), Ok((record.clone(), buf.len())));
-        // Every proper prefix is a torn record, to both decoders.
+        // Every proper prefix is a torn record.
         for cut in 0..buf.len() {
             assert!(decode_slice(&buf[..cut]).is_err(), "cut at {cut}");
-            assert!(decode(&mut Bytes::from(buf[..cut].to_vec())).is_err());
         }
-        let mut bytes = buf.freeze();
-        let decoded = decode(&mut bytes).unwrap();
-        assert_eq!(decoded, *record);
-        assert_eq!(
-            bytes.remaining(),
-            0,
-            "decode must consume exactly one record"
-        );
+    }
+
+    /// One record per tag, as the `bytes`-crate encoder this one replaced
+    /// wrote it: decoding names the record, re-encoding must give the
+    /// same bytes back — the journal format did not move.
+    #[test]
+    fn encoding_matches_the_hex_goldens() {
+        let golden = [
+            "01000000000000002a",
+            "02ffffffffffffffff",
+            "030000000000000000",
+            "0400000000000000070000000c000000050102030405",
+            "0500000000000000070000000c00000002abcd",
+            "06000000000000000900000003000003e800000002aaaa0000000155",
+            "07000000000000000900000003000000040000000101",
+            "08000000000000000b00000002",
+            "09010000000200000000000000010000000000000005",
+            "0a000000000000000d0000000800000003030303",
+        ];
+        for (tag, hex) in (1u8..).zip(golden) {
+            let want: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(want[0], tag, "one golden per tag, in tag order");
+            let (record, used) = decode_slice(&want).unwrap();
+            let mut got = Vec::new();
+            encode(&record, &mut got);
+            assert_eq!((got, used), (want.clone(), want.len()), "{record:?}");
+        }
     }
 
     #[test]
@@ -340,22 +348,21 @@ mod tests {
             },
             LogRecord::Commit { txn: TxnId(1) },
         ];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             encode(r, &mut buf);
         }
-        let mut bytes = buf.freeze();
+        let mut rest = &buf[..];
         for r in &records {
-            assert_eq!(&decode(&mut bytes).unwrap(), r);
+            let (decoded, used) = decode_slice(rest).unwrap();
+            assert_eq!(&decoded, r);
+            rest = &rest[used..];
         }
+        assert!(rest.is_empty());
     }
 
     #[test]
     fn garbage_is_rejected() {
-        let mut bytes = Bytes::from_static(&[0xFF, 1, 2, 3]);
-        assert!(decode(&mut bytes).is_err());
-        let mut empty = Bytes::new();
-        assert!(decode(&mut empty).is_err());
         assert!(decode_slice(&[0xFF, 1, 2, 3]).is_err());
         assert!(decode_slice(&[]).is_err());
         // A checkpoint whose kind byte is neither TOC nor ACC.

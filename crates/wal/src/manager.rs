@@ -1,7 +1,7 @@
 //! The volatile log writer.
 
 use crate::{LogRecord, LogStore, Lsn};
-use parking_lot::Mutex;
+use rda_obs::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -8,8 +8,8 @@
 
 use crate::codec;
 use crate::{LogRecord, TxnId};
-use parking_lot::Mutex;
 use rda_array::{IoKind, IoStats};
+use rda_obs::sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;

@@ -15,22 +15,8 @@ use super::parse::{CallKind, CallSite, FieldDecl, FileIndex, FnItem, Seg};
 
 /// Wrapper type heads that receiver typing sees through.
 const WRAPPERS: &[&str] = &[
-    "Arc",
-    "Rc",
-    "Box",
-    "Option",
-    "RefCell",
-    "Cell",
-    "Vec",
-    "Mutex",
-    "RwLock",
-    "parking_lot",
-    "std",
-    "sync",
-    "alloc",
-    "core",
-    "crate",
-    "self",
+    "Arc", "Rc", "Box", "Option", "RefCell", "Cell", "Vec", "Mutex", "RwLock", "rda_obs", "std",
+    "sync", "alloc", "core", "crate", "self",
 ];
 
 /// Chain methods that return a guard or handle to the same logical

@@ -534,7 +534,7 @@ fn parse_fields(children: &[Tree]) -> Vec<FieldDecl> {
                 Tree::Leaf(t) if t.is_punct('>') => depth -= 1,
                 Tree::Leaf(t) if t.kind == TokKind::Ident => {
                     // Record path heads, not every segment: for
-                    // `parking_lot::Mutex<T>`, `Mutex` (the segment
+                    // `rda_obs::sync::Mutex<T>`, `Mutex` (the segment
                     // before `<` or the last of the path) is the head.
                     ty_path.push(t.text.clone());
                     let _ = prev_was_path_sep;
@@ -544,7 +544,7 @@ fn parse_fields(children: &[Tree]) -> Vec<FieldDecl> {
             }
             i += 1;
         }
-        // Path segments stay flat (`parking_lot::Mutex<T>` records both
+        // Path segments stay flat (`rda_obs::sync::Mutex<T>` records both
         // idents): the resolvers look for known heads (`Mutex`,
         // `RwLock`, `Arc`) anywhere in `ty_path`.
         fields.push(FieldDecl { name, ty_path });
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn indexes_impl_methods_and_fields() {
         let src = "
-            struct DiskArray { fault: parking_lot::Mutex<Option<u32>>, disks: Vec<SimDisk> }
+            struct DiskArray { fault: rda_obs::sync::Mutex<Option<u32>>, disks: Vec<SimDisk> }
             impl DiskArray {
                 fn poke(&self) { self.fault.lock(); }
             }

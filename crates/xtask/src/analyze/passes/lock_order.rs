@@ -2,7 +2,7 @@
 //! detection.
 //!
 //! A *lock class* is `Type.field` for any field whose type mentions
-//! `Mutex`/`RwLock` (parking_lot in this tree), plus the classes
+//! `Mutex`/`RwLock` (`rda_obs::sync::Mutex` in this tree), plus the classes
 //! declared by `lockentry` (lock managers like `LockTable` whose
 //! acquire API is `lock_page`/`lock_shared`/`lock_range`) and
 //! `lockalias` (guards taken through a rebound `Arc` local, e.g. the
@@ -15,7 +15,7 @@
 //! class graph; a cycle that two threads can enter from different ends
 //! is a deadlock, so every cycle must be fixed or baselined with a
 //! justification. Re-acquiring a held class (self-cycle) is reported
-//! too — parking_lot locks are not reentrant.
+//! too — `std` locks are not reentrant.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -135,7 +135,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         }
     }
 
-    // 4. Self-cycles: a held class re-acquired (parking_lot locks are
+    // 4. Self-cycles: a held class re-acquired (`std` locks are
     //    not reentrant, so this deadlocks a single thread).
     for (from, tos) in &edges {
         if tos.contains(from) {

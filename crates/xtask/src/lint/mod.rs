@@ -1,6 +1,6 @@
 //! The workspace lint gate: `cargo xtask lint`.
 //!
-//! Four source-level rules that `rustc`/`clippy` cannot (or cannot
+//! Five source-level rules that `rustc`/`clippy` cannot (or cannot
 //! cheaply) express:
 //!
 //! 1. **unwrap ratchet** — `.unwrap()` / `.expect(` in the non-test
@@ -15,7 +15,11 @@
 //! 4. **lint-config** — `unsafe` is banned workspace-wide and every
 //!    member manifest opts into the shared `[workspace.lints]` table.
 //!
-//! (The old rule 5, trace-pairing, moved to `cargo xtask analyze`: it is
+//! 5. **closed-closure** — no manifest names a dependency that is not a
+//!    workspace path: the dependency closure is `std` plus the `rda-*`
+//!    crates, so the workspace builds and tests with an empty registry.
+//!
+//! (The former trace-pairing rule moved to `cargo xtask analyze`: it is
 //! declared per transition as `tracepair` lines in `analyze.conf` and
 //! enforced by the io-pairing pass, which counts emission sites on the
 //! real token tree instead of substring-matching.)
@@ -87,10 +91,15 @@ pub fn run(update_baseline: bool) -> Result<(), String> {
         )),
     }
 
-    // Rules 2-4.
+    // Rules 2-5.
     rules::errors_doc(&files, &mut violations);
     rules::array_discipline(&files, &mut violations);
     rules::unsafe_and_lint_config(&files, &manifests, &root_manifest, &mut violations);
+    rules::closed_closure(&manifests, &mut violations);
+    rules::closed_closure(
+        &[("Cargo.toml".to_string(), root_manifest)],
+        &mut violations,
+    );
 
     if violations.is_empty() {
         let total: usize = counts.values().sum();

@@ -192,6 +192,53 @@ pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
 /// No `unsafe` anywhere (the whole stack is a simulation; nothing
 /// justifies it), and every workspace manifest must opt into the shared
 /// `[workspace.lints]` table so `unsafe_code = "deny"` actually applies.
+/// Rule 5: every dependency any manifest names is a `path` dependency or
+/// `workspace = true` (whose `[workspace.dependencies]` entry is itself
+/// checked to be a path), in every `*dependencies` table and both
+/// spellings (`name = …` lines and `[dependencies.name]` tables).
+pub fn closed_closure(manifests: &[(String, String)], violations: &mut Vec<String>) {
+    for (path, body) in manifests {
+        let mut report = |line: usize, name: &str| {
+            violations.push(format!(
+                "[closed-closure] {path}:{line}: dependency `{name}` is not a workspace path — \
+                 the workspace builds from `std` and its own crates only"
+            ));
+        };
+        let mut in_deps = false;
+        // A `[dependencies.NAME]` table not yet seen to be local.
+        let mut open: Option<(usize, String)> = None;
+        for (i, raw) in body.lines().enumerate() {
+            let line: String = raw
+                .split('#')
+                .next()
+                .unwrap_or("")
+                .split_whitespace()
+                .collect();
+            if let Some(header) = line.strip_prefix('[') {
+                if let Some((at, name)) = open.take() {
+                    report(at, &name);
+                }
+                let mut segments = header.trim_end_matches(']').rsplit('.');
+                let last = segments.next().unwrap_or("");
+                in_deps = last.ends_with("dependencies");
+                if segments.next().is_some_and(|s| s.ends_with("dependencies")) {
+                    open = Some((i + 1, last.to_string()));
+                }
+                continue;
+            }
+            let local = line.contains("path=") || line.contains("workspace=true");
+            if local {
+                open = None;
+            } else if in_deps && !line.is_empty() {
+                report(i + 1, line.split(['=', '.']).next().unwrap_or(&line));
+            }
+        }
+        if let Some((at, name)) = open {
+            report(at, &name);
+        }
+    }
+}
+
 pub fn unsafe_and_lint_config(
     files: &[SourceFile],
     manifests: &[(String, String)],

@@ -191,6 +191,57 @@ fn sim_disk_outside_array_is_caught() {
 }
 
 #[test]
+fn registry_dependency_in_any_table_is_caught() {
+    const PACKAGE: &str =
+        "[package]\nname = \"rda-core\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n";
+    const LINTS: &str = "\n[lints]\nworkspace = true\n";
+    let fx = Fixture::new("closure");
+    fx.write("crates/core/src/lib.rs", "pub fn fine() {}\n");
+    let lint_with = |deps: &str| {
+        fx.write("crates/core/Cargo.toml", &format!("{PACKAGE}{deps}{LINTS}"));
+        fx.lint()
+    };
+
+    let local = "[dependencies]\nrda-obs.workspace = true\nrda-wal = { path = \"../wal\" }\n\
+                 [dev-dependencies.rda-array]\npath = \"../array\"\n";
+    let out = lint_with(local);
+    assert!(out.status.success(), "path deps flagged: {}", stderr(&out));
+
+    for (deps, name) in [
+        ("[dependencies]\nregex = \"1\"\n", "regex"),
+        (
+            "[dev-dependencies]\ntempfile = { version = \"3\" }\n",
+            "tempfile",
+        ),
+        (
+            "[target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n",
+            "libc",
+        ),
+        ("[build-dependencies.cc]\nversion = \"1\"\n", "cc"),
+    ] {
+        let out = lint_with(deps);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{name} must fail the gate");
+        assert!(err.contains("[closed-closure]"), "wrong failure: {err}");
+        assert!(
+            err.contains(&format!("`{name}`")),
+            "must name {name}: {err}"
+        );
+    }
+
+    // The root's [workspace.dependencies] must hold paths only.
+    lint_with(local);
+    fx.write(
+        "Cargo.toml",
+        "[workspace]\nmembers = [\"crates/core\"]\n\n[workspace.dependencies]\nrand = \"0.8\"\n\n\
+         [workspace.lints.rust]\nunsafe_code = \"deny\"\n",
+    );
+    let out = fx.lint();
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("Cargo.toml:5"), "{}", stderr(&out));
+}
+
+#[test]
 fn this_repository_passes_its_own_gate() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_lint_in(&repo_root);

@@ -10,13 +10,12 @@
 //!
 //! Run with: `cargo run --example bank_oltp`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rda::array::{ArrayConfig, Organization};
 use rda::buffer::{BufferConfig, ReplacePolicy};
 use rda::core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
+use rda::obs::rng::Rng;
 use rda::wal::LogConfig;
 
 const ACCOUNTS: u32 = 64;
@@ -71,20 +70,20 @@ fn main() {
     let expected_total = u64::from(ACCOUNTS) * INITIAL_BALANCE;
     assert_eq!(total(&db), expected_total);
 
-    let mut rng = StdRng::seed_from_u64(2026);
+    let mut rng = Rng::new(2026);
     let mut committed = 0u32;
     let mut aborted = 0u32;
 
     for round in 0..400 {
-        let from = rng.gen_range(0..ACCOUNTS);
+        let from = rng.below(u64::from(ACCOUNTS)) as u32;
         let to = {
-            let mut t = rng.gen_range(0..ACCOUNTS);
+            let mut t = rng.below(u64::from(ACCOUNTS)) as u32;
             while t == from {
-                t = rng.gen_range(0..ACCOUNTS);
+                t = rng.below(u64::from(ACCOUNTS)) as u32;
             }
             t
         };
-        let amount = rng.gen_range(1..50u64);
+        let amount = 1 + rng.below(49);
 
         let mut tx = db.begin();
         let from_balance = decode(&tx.read(from).expect("read"));
@@ -100,7 +99,7 @@ fn main() {
 
         // A few transfers fail after doing their writes (client timeout,
         // constraint violation, ...) — classic mid-flight aborts.
-        if rng.gen_bool(0.07) {
+        if rng.chance(7) {
             tx.abort().expect("rollback");
             aborted += 1;
         } else {
