@@ -18,23 +18,26 @@
 //! diagnostic artifact, not part of the recovery protocol, so that
 //! trade is taken deliberately.
 //!
-//! The journal is bounded: once the appended bytes since the last
-//! rewrite exceed a few MiB, the file is compacted down to its newest
-//! snapshot via the same tmp-write + rename dance `meta.rs` uses.
+//! The journal is bounded: once it is half way to 256 KiB, the timer
+//! thread compacts it down to a fresh snapshot via the same tmp-write +
+//! rename dance `meta.rs` uses, off the commit path. The bound is what a
+//! reopen reads to find the last snapshot.
 
 use crate::meta::{append_frame, frames};
 use rda_obs::sync::Mutex;
 use rda_obs::{FlightRecord, ObsHub};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::Duration;
 
 const JOURNAL: &str = "obs.journal";
-/// Appended-bytes threshold that triggers a compaction rewrite.
-const COMPACT_BYTES: u64 = 8 * 1024 * 1024;
+/// Size the journal never exceeds, and so what a reopen reads at most.
+/// The timer thread compacts it at half this: with ≈ 1 KB snapshots, once
+/// per ≈ 125 barriers.
+const COMPACT_BYTES: u64 = 256 << 10;
 /// Cadence of the background flusher thread.
 const PERIOD: Duration = Duration::from_millis(200);
 
@@ -104,6 +107,7 @@ impl FlightRecorder {
                 }
                 // Timer flushes are best-effort; the sticky failure
                 // channel for real I/O trouble is the write queue.
+                let _ = rec.compact();
                 let _ = rec.flush();
             })?;
         let _ = rec.timer.set(timer.thread().clone());
@@ -116,16 +120,22 @@ impl FlightRecorder {
     /// meta journal's.
     #[must_use]
     pub fn load(dir: &Path) -> Option<FlightRecord> {
+        FlightRecorder::load_counted(dir).0
+    }
+
+    /// [`FlightRecorder::load`], plus how many bytes of the journal it
+    /// read.
+    pub(crate) fn load_counted(dir: &Path) -> (Option<FlightRecord>, u64) {
         let mut buf = Vec::new();
-        File::open(dir.join(JOURNAL))
-            .ok()?
-            .read_to_end(&mut buf)
-            .ok()?;
-        frames(&buf)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .find_map(FlightRecord::decode)
+        let read = File::open(dir.join(JOURNAL)).and_then(|mut f| f.read_to_end(&mut buf));
+        let record = read.ok().and_then(|_| {
+            frames(&buf)
+                .collect::<Vec<_>>()
+                .into_iter()
+                .rev()
+                .find_map(FlightRecord::decode)
+        });
+        (record, buf.len() as u64)
     }
 
     /// Append one snapshot now (no-op if nothing changed since the last
@@ -149,34 +159,60 @@ impl FlightRecorder {
             return Ok(());
         }
         let payload = record.encode();
-        if state.appended + payload.len() as u64 > COMPACT_BYTES {
-            self.compact(&mut state, &payload)?;
-        } else {
-            append_frame(&mut state.file, &payload, false)?;
-            state.appended += 4 + payload.len() as u64;
+        let framed = 4 + payload.len() as u64;
+        if state.appended + framed > COMPACT_BYTES {
+            // The timer thread is behind with the compaction: the bound
+            // holds, and a later snapshot replaces this one.
+            self.wake_timer();
+            return Ok(());
         }
+        append_frame(&mut state.file, &payload, false)?;
+        state.appended += framed;
         state.flushes += 1;
         state.last_sig = Some(sig);
+        if state.appended > COMPACT_BYTES / 2 {
+            self.wake_timer();
+        }
         Ok(())
     }
 
-    /// Rewrite the journal as a single frame holding `payload` — the
-    /// same tmp + rename pattern the meta journal compacts with, so a
-    /// crash mid-compaction leaves either the old or the new file.
-    fn compact(&self, state: &mut RecorderState, payload: &[u8]) -> io::Result<()> {
+    /// On the timer thread, once the journal is half way to its bound:
+    /// replace it by one frame holding a fresh snapshot, with the same
+    /// tmp + rename pattern the meta journal compacts with, so a crash
+    /// mid-compaction leaves either the old or the new file. Only the
+    /// rename and the swap of handles hold the lock: a barrier's flush
+    /// never waits for the new file to be written or the old one's pages
+    /// to be freed. Snapshots appended to the old file meanwhile are lost
+    /// with it; clearing the signature makes the next flush write one
+    /// newer than them.
+    fn compact(&self) -> io::Result<()> {
+        let Some(seq) = self.compaction_due() else {
+            return Ok(());
+        };
+        let payload = self.hub.flight_record(seq).encode();
         let tmp = self.path.with_extension("tmp");
         let mut f = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(&u32::try_from(payload.len()).unwrap_or(0).to_le_bytes())?;
-        f.write_all(payload)?;
-        f.sync_data()?;
-        std::fs::rename(&tmp, &self.path)?;
-        state.file = OpenOptions::new().append(true).open(&self.path)?;
-        state.appended = 4 + payload.len() as u64;
+        append_frame(&mut f, &payload, true)?;
+        let _replaced = {
+            let mut state = self.state.lock();
+            std::fs::rename(&tmp, &self.path)?;
+            let file = OpenOptions::new().append(true).open(&self.path)?;
+            state.appended = 4 + payload.len() as u64;
+            state.last_sig = None;
+            std::mem::replace(&mut state.file, file)
+        };
         Ok(())
+    }
+
+    /// The sequence number of the last snapshot, when the journal is past
+    /// half its bound and the recorder is running.
+    fn compaction_due(&self) -> Option<u64> {
+        let state = self.state.lock();
+        (!state.shutdown && state.appended > COMPACT_BYTES / 2).then_some(state.flushes)
     }
 
     /// Snapshots written so far.
@@ -209,6 +245,7 @@ impl Drop for FlightRecorder {
 mod tests {
     use super::*;
     use rda_obs::EventKind;
+    use std::io::Write as _;
 
     fn dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rda-flight-{tag}-{}", std::process::id()));
@@ -296,19 +333,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// Flush after flush, with a distinct snapshot each time: the timer
+    /// thread keeps compacting, the file never holds more than the bound,
+    /// and a reopen reads no more than that to find the newest snapshot.
+    #[test]
+    fn journal_never_exceeds_its_bound() {
+        let d = dir("bound");
+        let hub = hub_with_events();
+        let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
+        let c = hub.metrics.counter("spin");
+        let (mut peak, mut compactions) = (0, 0);
+        while compactions < 2 {
+            c.inc();
+            rec.flush().unwrap();
+            let len = std::fs::metadata(d.join(JOURNAL)).unwrap().len();
+            assert!(len <= COMPACT_BYTES, "{len} bytes");
+            if len < peak {
+                compactions += 1;
+            }
+            peak = len;
+        }
+        rec.shutdown();
+        let (loaded, read) = FlightRecorder::load_counted(&d);
+        assert!(loaded.is_some(), "a snapshot survives the compactions");
+        assert!(read <= COMPACT_BYTES);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A journal at its bound: the next snapshot is skipped rather than
+    /// grow it, and the timer thread that snapshot wakes replaces the
+    /// journal by a fresh one.
     #[test]
     fn compaction_bounds_the_journal() {
         let d = dir("compact");
         let hub = ObsHub::new();
         let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
-        let c = hub.metrics.counter("spin");
-        // Force the appended-bytes bound with many distinct snapshots.
-        {
-            let mut state = rec.state.lock();
-            state.appended = COMPACT_BYTES; // next flush must compact
-        }
-        c.inc();
+        hub.metrics.counter("spin").inc();
+        rec.state.lock().appended = COMPACT_BYTES;
         rec.flush().unwrap();
+        assert_eq!(rec.flushes(), 0, "skipped at the bound");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while rec.state.lock().appended == COMPACT_BYTES {
+            assert!(std::time::Instant::now() < deadline, "never compacted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         rec.shutdown();
         let len = std::fs::metadata(d.join(JOURNAL)).unwrap().len();
         assert!(len < 4096, "compacted journal stays small ({len} bytes)");

@@ -13,6 +13,8 @@
 //! written with one `write`. A process death can leave at most a partial
 //! frame at the tail; loading stops at the first incomplete or
 //! undecodable frame, which is exactly the not-yet-durable suffix.
+//! `wal.journal`'s frames follow a fixed `HEAD_LEN`-byte head slot that
+//! says where its live log starts (see `Head`).
 //!
 //! ## Lifecycle: both journals give space back while the process runs
 //!
@@ -37,9 +39,12 @@
 //!   reads the file once, copies each surviving record once and cuts a
 //!   torn or undecodable tail off in place (`set_len`) —
 //!   `Journal::reclaim` applies one rule: when `dead ≥ live + FLOOR` the
-//!   journal becomes one marker plus the live suffix copied byte for
-//!   byte. The file therefore never exceeds `2 × live + FLOOR` plus one
-//!   commit's frames.
+//!   journal becomes a head slot, one marker and the live suffix copied
+//!   byte for byte. The file therefore never exceeds `2 × live + FLOOR`
+//!   plus one commit's frames. Between rewrites the head slot follows the
+//!   live log in steps of `HEAD_STEP` (`Journal::advance_head`), so a
+//!   reopen reads the slot and the bytes from where it points: at most
+//!   `HEAD_STEP` of dead log, not up to `FLOOR` of it.
 //! * `meta.journal`: the store keeps the state the journal encodes
 //!   (`Mirror`: one header per group, the live chains, at most one
 //!   intent) current on every [`MetaSink`] call, and once the file has
@@ -59,7 +64,9 @@
 //! same frames, back to back in one `write`, under one fsync — a crash
 //! inside it leaves a prefix of whole frames by the torn-tail rule, where
 //! eight separately synced appends could leave any prefix too. WAL frames
-//! are fsynced when the store forces, via [`LogSink::sync`]. A rewritten
+//! are fsynced when the store forces, via [`LogSink::sync`]; that fsync
+//! also carries the last head-slot write, which only ever names a frame
+//! already synced. A rewritten
 //! journal is made durable (`sync_data`) before it is renamed into place,
 //! and no later fsync reports success until the rename is (directory
 //! fsync), so a run-time rewrite never weakens what an earlier call
@@ -70,6 +77,7 @@
 //! (`*_journal_rewrite_failures_total`), and the next opportunity tries
 //! again.
 
+use rda_array::xor::checksum;
 use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
 use rda_obs::sync::Mutex;
 use rda_obs::Counter;
@@ -95,8 +103,20 @@ const TAG_WAL_TRUNCATE: u8 = 17;
 /// remain by this much. At 16.3 KB of log per commit (the benchmark's
 /// `file-commit`) that is one rewrite per ≈ 510 commits; 4 MiB (one per
 /// ≈ 255) already showed in that workload's commit p99, 1 MiB raised it
-/// 60 %. The price is at reopen, which reads up to this much dead log.
+/// 60 %. A reopen does not pay for it: it starts at the head slot.
 const FLOOR: u64 = 8 << 20;
+
+/// Bytes of `wal.journal`'s head slot, before its first frame.
+const HEAD_LEN: u64 = 32;
+
+/// The head slot moves once the first live frame is this far past where
+/// it points: one 32-byte `pwrite` per this much dead log (one per ≈ 16
+/// commits of `file-commit`), and at most this much dead log for a
+/// reopen to read.
+const HEAD_STEP: u64 = 256 << 10;
+
+/// First bytes of a head slot.
+const HEAD_TAG: &[u8; 8] = b"rdawal\x00\x04";
 
 /// `meta.journal` is rewritten once it exceeds the snapshot of its state
 /// by this much. It grows ≈ 500 B per commit, so: one rewrite per ≈ 2 000
@@ -240,6 +260,9 @@ struct JournalFile {
     file: File,
     /// Length of the file: where the next frame lands.
     len: u64,
+    /// How much of the file the last successful [`JournalFile::sync`] (or
+    /// rewrite) made durable; 0 until then.
+    synced: u64,
     /// False from a rename of `path` until the directory holding it has
     /// been fsynced: until then a power loss could bring the replaced
     /// file back, so [`JournalFile::sync`] may not report anything stable.
@@ -263,6 +286,7 @@ impl JournalFile {
             path,
             file,
             len,
+            synced: 0,
             dir_synced: true,
             stats: Arc::default(),
             #[cfg(test)]
@@ -292,6 +316,7 @@ impl JournalFile {
         if !self.dir_synced {
             self.sync_dir()?;
         }
+        self.synced = self.len;
         Ok(())
     }
 
@@ -336,6 +361,7 @@ impl JournalFile {
             }
         }
         self.len = image.len() as u64;
+        self.synced = self.len;
         self.dir_synced = false;
         self.stats.rewrites.inc();
         Ok(())
@@ -681,8 +707,8 @@ impl MetaSink for FileMetaStore {
 const MARKER_FRAME_LEN: usize = 4 + 1 + 8;
 
 /// Payload of a truncate marker: the store discarded every record below
-/// `base`. At the head of a rewritten journal it also declares where the
-/// surviving records' numbering starts.
+/// `base`. At the head of a rewritten journal's frames it also declares
+/// where the surviving records' numbering starts.
 fn marker(base: u64) -> [u8; 9] {
     let mut payload = [TAG_WAL_TRUNCATE; 9];
     payload[1..].copy_from_slice(&base.to_le_bytes());
@@ -705,27 +731,77 @@ fn marker_base(frame: &[u8]) -> Option<u64> {
     c.u64()
 }
 
+/// `wal.journal`'s head slot: where a reopen starts reading. It names the
+/// frame at offset `from` and the LSN of the first record from there on;
+/// every record before `from` is dead. On disk: [`HEAD_TAG`], `from`,
+/// `lsn`, then the checksum of those 24 bytes.
+///
+/// The slot only ever names a frame that was already durable when the
+/// slot was written, so a power loss can cost it its write (or tear it)
+/// but never leave it pointing past the durable log. A slot that does not
+/// decode, or points past the end of the file, is [`Head::START`]: a walk
+/// of the whole file, which a rewritten journal's leading marker keeps
+/// numbered correctly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    from: u64,
+    lsn: u64,
+}
+
+impl Head {
+    /// The first frame, numbered from LSN 0: the whole journal.
+    const START: Head = Head {
+        from: HEAD_LEN,
+        lsn: 0,
+    };
+
+    /// The slot as it lies in the file.
+    fn encode(self) -> [u8; HEAD_LEN as usize] {
+        let mut slot = [0; HEAD_LEN as usize];
+        slot[..8].copy_from_slice(HEAD_TAG);
+        slot[8..16].copy_from_slice(&self.from.to_le_bytes());
+        slot[16..24].copy_from_slice(&self.lsn.to_le_bytes());
+        let sum = checksum(&slot[..24]);
+        slot[24..].copy_from_slice(&sum.to_le_bytes());
+        slot
+    }
+
+    /// The slot `bytes` hold; `None` when it is torn or foreign.
+    fn decode(slot: &[u8; HEAD_LEN as usize]) -> Option<Head> {
+        let mut c = Cursor { buf: slot };
+        if c.take(8)? != HEAD_TAG {
+            return None;
+        }
+        let head = Head {
+            from: c.u64()?,
+            lsn: c.u64()?,
+        };
+        (c.u64()? == checksum(&slot[..24]) && head.from >= HEAD_LEN).then_some(head)
+    }
+}
+
 /// What a `wal.journal` byte stream holds.
 struct Replayed {
     /// LSN of the first surviving record.
     base: u64,
     /// The surviving records, `base` onwards.
     records: Vec<LogRecord>,
-    /// Offset of each surviving record's frame; everything before the
-    /// first is dead.
+    /// File offset of each surviving record's frame; everything before
+    /// the first is dead.
     offsets: VecDeque<u64>,
-    /// End of the last whole frame.
-    end: usize,
+    /// File offset of the end of the last whole frame.
+    end: u64,
 }
 
-/// Replay a `wal.journal` byte stream: `Err(at)` when the surviving
-/// record framed at offset `at` does not decode — the journal ends there,
-/// markers beyond it included, so the caller replays `buf[..at]`.
-fn replay(buf: &[u8]) -> Result<Replayed, usize> {
+/// Replay the frames of `wal.journal` from `head` on, `body` being the
+/// file's bytes from `head.from`: `Err(at)` when the surviving record
+/// framed at file offset `at` does not decode — the journal ends there,
+/// markers beyond it included, so the caller replays up to `at`.
+fn replay(body: &[u8], head: Head) -> Result<Replayed, u64> {
     // Frame headers only: the markers fix the final base, and a frame
     // that is neither record nor marker ends the journal.
-    let mut base = 0u64;
-    let mut walk = frames(buf);
+    let mut base = head.lsn;
+    let mut walk = frames(body);
     let mut end = 0;
     while let Some(frame) = walk.next() {
         if let Some(declared) = marker_base(frame) {
@@ -737,17 +813,17 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
     }
 
     // Number the records as the writer did and decode the survivors,
-    // each image copied once, out of `buf` into its record.
+    // each image copied once, out of `body` into its record.
     let mut records = Vec::new();
     let mut offsets = VecDeque::new();
-    let mut next_lsn = 0u64;
-    let mut walk = frames(&buf[..end]);
+    let mut next_lsn = head.lsn;
+    let mut walk = frames(&body[..end]);
     loop {
-        let at = walk.offset();
+        let at = head.from + walk.offset() as u64;
         let Some(frame) = walk.next() else { break };
         if let Some(declared) = marker_base(frame) {
-            // A rewritten journal opens with its marker: the numbering of
-            // what follows starts there.
+            // A rewritten journal's frames open with its marker: the
+            // numbering of what follows starts there.
             next_lsn = next_lsn.max(declared);
             continue;
         }
@@ -756,7 +832,7 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
                 return Err(at);
             };
             records.push(record);
-            offsets.push_back(at as u64);
+            offsets.push_back(at);
         }
         next_lsn += 1;
     }
@@ -764,7 +840,7 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
         base,
         records,
         offsets,
-        end,
+        end: head.from + end as u64,
     })
 }
 
@@ -773,6 +849,9 @@ fn replay(buf: &[u8]) -> Result<Replayed, usize> {
 struct Journal {
     file: JournalFile,
     batch: Vec<u8>,
+    /// What the head slot says, as far as this process wrote it or
+    /// trusted it at load.
+    head: Head,
     /// LSN of the first retained record.
     base: u64,
     /// Offset of each retained record's frame, `base` onwards.
@@ -785,48 +864,82 @@ struct Journal {
 }
 
 impl Journal {
-    fn over(file: JournalFile, base: u64, offsets: VecDeque<u64>) -> Journal {
+    fn over(file: JournalFile, head: Head, base: u64, offsets: VecDeque<u64>) -> Journal {
         Journal {
             file,
             batch: Vec::new(),
+            head,
             base,
             offsets,
             marker_owed: false,
         }
     }
 
+    /// Offset of the first retained frame: where the next frame lands
+    /// when nothing is retained.
+    fn live_from(&self) -> u64 {
+        self.offsets.front().copied().unwrap_or(self.file.len)
+    }
+
     /// The one rule for when `wal.journal` is rewritten: only once the
-    /// dead prefix exceeds what would remain by [`FLOOR`] — the dead bytes
+    /// dead frames exceed what would remain by [`FLOOR`] — the dead bytes
     /// accumulated since the last rewrite pay for this one, and rewrites
-    /// stay rare however often the log is truncated. The new file is one
-    /// marker declaring `base`, then the live suffix as it stands, markers
-    /// and all.
+    /// stay rare however often the log is truncated. The new file is a
+    /// head slot naming its first frame, one marker declaring `base`
+    /// (which numbers the frames for a walk that cannot trust the slot),
+    /// then the live suffix as it stands, markers and all.
     ///
     /// Errors as [`JournalFile::replace`] and [`JournalFile::sync_dir`].
     fn reclaim(&mut self) -> io::Result<()> {
-        let live_from = self.offsets.front().copied().unwrap_or(self.file.len);
+        let live_from = self.live_from();
         let live = self.file.len - live_from;
-        if live_from < live + FLOOR {
+        if live_from < HEAD_LEN + live + FLOOR {
             return Ok(());
         }
-        let mut image = marker_frame(self.base);
-        image.resize(MARKER_FRAME_LEN + live as usize, 0);
+        let head = Head {
+            from: HEAD_LEN,
+            lsn: self.base,
+        };
+        let mut image = head.encode().to_vec();
+        image.extend_from_slice(&marker_frame(self.base));
+        let kept = image.len();
+        image.resize(kept + live as usize, 0);
         self.file
             .file
-            .read_exact_at(&mut image[MARKER_FRAME_LEN..], live_from)?;
+            .read_exact_at(&mut image[kept..], live_from)?;
         self.file.replace(&image)?;
+        self.head = head;
         self.marker_owed = false;
-        let shift = live_from - MARKER_FRAME_LEN as u64;
+        let shift = live_from - kept as u64;
         for at in &mut self.offsets {
             *at -= shift;
         }
         self.file.sync_dir()
+    }
+
+    /// Point the head slot at the first retained frame, once that has
+    /// moved [`HEAD_STEP`] past it and is durable: one positioned write,
+    /// no fsync of its own (the next [`JournalFile::sync`] carries it).
+    fn advance_head(&mut self) -> io::Result<()> {
+        let from = self.live_from();
+        if from < self.head.from + HEAD_STEP || from > self.file.synced {
+            return Ok(());
+        }
+        let head = Head {
+            from,
+            lsn: self.base,
+        };
+        self.file.file.write_all_at(&head.encode(), 0)?;
+        self.head = head;
+        Ok(())
     }
 }
 
 /// The durable mirror of the write-ahead log.
 pub struct FileLogSink {
     journal: Mutex<Journal>,
+    /// Bytes of `wal.journal` the load that opened this sink read.
+    read_at_load: u64,
 }
 
 impl FileLogSink {
@@ -834,11 +947,16 @@ impl FileLogSink {
         dir.join("wal.journal")
     }
 
-    /// Create an empty WAL journal.
+    /// Create an empty WAL journal: a head slot naming the frames that
+    /// will follow it, durable before the manifest that makes the
+    /// directory a database is written.
     pub(crate) fn create(dir: &Path) -> io::Result<FileLogSink> {
-        let file = JournalFile::open(FileLogSink::journal_path(dir), true)?;
+        let mut file = JournalFile::open(FileLogSink::journal_path(dir), true)?;
+        file.append(&Head::START.encode())?;
+        file.sync()?;
         Ok(FileLogSink {
-            journal: Mutex::new(Journal::over(file, 0, VecDeque::new())),
+            journal: Mutex::new(Journal::over(file, Head::START, 0, VecDeque::new())),
+            read_at_load: 0,
         })
     }
 
@@ -847,10 +965,11 @@ impl FileLogSink {
     /// `(base, records)` for
     /// [`LogStore::restore`](rda_wal::LogStore::restore).
     ///
-    /// The file is read once. A torn or undecodable tail is cut off in
-    /// place, a temporary file a kill left behind mid-rewrite is removed,
-    /// and the file is rewritten by the rule, and the routine, every
-    /// truncation uses (`Journal::reclaim`).
+    /// Two reads: the head slot, then the file from where it points (from
+    /// the first frame, if it does not decode). A torn or undecodable tail
+    /// is cut off in place, a temporary file a kill left behind
+    /// mid-rewrite is removed, and the file is rewritten by the rule, and
+    /// the routine, every truncation uses (`Journal::reclaim`).
     pub(crate) fn load(dir: &Path) -> io::Result<(FileLogSink, u64, Vec<LogRecord>)> {
         let path = FileLogSink::journal_path(dir);
         // Killed between creating the temporary file and renaming it: the
@@ -859,29 +978,43 @@ impl FileLogSink {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
-        let buf = std::fs::read(&path)?;
-        let mut upto = buf.len();
+        let mut file = JournalFile::open(path, false)?;
+        let mut slot = [0; HEAD_LEN as usize];
+        file.file.read_exact_at(&mut slot, 0)?;
+        let head = Head::decode(&slot)
+            .filter(|head| head.from <= file.len)
+            .unwrap_or(Head::START);
+        let mut body = vec![0; (file.len - head.from) as usize];
+        file.file.read_exact_at(&mut body, head.from)?;
+        let mut upto = body.len();
         let Replayed {
             base,
             records,
             offsets,
             end,
         } = loop {
-            match replay(&buf[..upto]) {
+            match replay(&body[..upto], head) {
                 Ok(replayed) => break replayed,
-                Err(cut) => upto = cut,
+                Err(cut) => upto = (cut - head.from) as usize,
             }
         };
-        let mut file = JournalFile::open(path, false)?;
-        if end < buf.len() {
-            file.file.set_len(end as u64)?;
-            file.len = end as u64;
+        if end < file.len {
+            file.file.set_len(end)?;
+            file.len = end;
         }
-        drop(buf);
-        let mut journal = Journal::over(file, base, offsets);
+        let read_at_load = HEAD_LEN + body.len() as u64;
+        drop(body);
+        let mut journal = Journal::over(file, head, base, offsets);
         journal.reclaim()?;
         let journal = Mutex::new(journal);
-        Ok((FileLogSink { journal }, base, records))
+        Ok((
+            FileLogSink {
+                journal,
+                read_at_load,
+            },
+            base,
+            records,
+        ))
     }
 
     /// Tallies of this journal's rewrites, for the metrics registry.
@@ -892,6 +1025,12 @@ impl FileLogSink {
     /// Current length of `wal.journal`.
     pub(crate) fn journal_bytes(&self) -> u64 {
         self.journal.lock().file.len
+    }
+
+    /// Bytes of `wal.journal` the reopen read: its head slot and the log
+    /// from where that points; 0 for a created journal.
+    pub(crate) fn read_at_load(&self) -> u64 {
+        self.read_at_load
     }
 }
 
@@ -934,7 +1073,9 @@ impl LogSink for FileLogSink {
         journal.base = new_base;
         // No write of its own: the marker rides with the next batch.
         journal.marker_owed = true;
-        let reclaimed = journal.reclaim();
+        // Failing either costs the next reopen time, never a record: the
+        // slot keeps naming a frame at or before the live log.
+        let reclaimed = journal.reclaim().and_then(|()| journal.advance_head());
         journal.file.note_rewrite(&reclaimed);
     }
 }
@@ -1395,6 +1536,27 @@ mod tests {
         (stats.rewrites.get(), stats.rewrite_failures.get())
     }
 
+    /// Bytes before a journal's first frame.
+    const H: usize = HEAD_LEN as usize;
+
+    /// What a rewrite to `base` makes of the live bytes `suffix`: a slot
+    /// naming the first frame, the marker numbering it, the suffix.
+    fn rewritten(base: u64, suffix: &[u8]) -> Vec<u8> {
+        let head = Head {
+            from: HEAD_LEN,
+            lsn: base,
+        };
+        let mut image = head.encode().to_vec();
+        image.extend_from_slice(&marker_frame(base));
+        image.extend_from_slice(suffix);
+        image
+    }
+
+    /// The head slot a journal's bytes open with, if it decodes.
+    fn slot_of(bytes: &[u8]) -> Option<Head> {
+        Head::decode(bytes[..H].try_into().unwrap())
+    }
+
     #[test]
     fn wal_journal_roundtrip_with_truncation() {
         let dir = wal_with("wal-rt", &bots(0..4));
@@ -1412,7 +1574,7 @@ mod tests {
     fn batch_is_framed_record_by_record_in_one_buffer() {
         // Same bytes on disk as one frame per record: prefix, tag, record.
         let dir = wal_with("wal-bytes", &bots(0..2));
-        let mut expect = Vec::new();
+        let mut expect = Head::START.encode().to_vec();
         for record in bots(0..2) {
             let mut enc = Vec::new();
             codec::encode(&record, &mut enc);
@@ -1421,10 +1583,10 @@ mod tests {
             push_frame(&mut expect, &payload);
         }
         assert_eq!(wal_bytes(&dir), expect);
-        assert_eq!(expect.len(), 2 * BOT_FRAME);
+        assert_eq!(expect.len(), H + 2 * BOT_FRAME);
         let _ = std::fs::remove_dir_all(&dir);
         let dir = wal_with("wal-bytes-fat", &fats(3..4));
-        assert_eq!(wal_bytes(&dir).len(), FAT_FRAME);
+        assert_eq!(wal_bytes(&dir).len(), H + FAT_FRAME);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1452,7 +1614,11 @@ mod tests {
         append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (0, bots(0..3)));
-        assert_eq!(wal_bytes(&dir).len(), 3 * BOT_FRAME, "tail cut in place");
+        assert_eq!(
+            wal_bytes(&dir).len(),
+            H + 3 * BOT_FRAME,
+            "tail cut in place"
+        );
         // Without the cut this record would sit behind the torn frame
         // and vanish on the next reopen.
         sink.append_batch(&bots(3..4));
@@ -1469,12 +1635,12 @@ mod tests {
         // marker behind it: all three are past the journal's end.
         let mut tail = Vec::new();
         push_frame(&mut tail, &[TAG_WAL_RECORD, 0xFF, 0xFF]);
-        tail.extend_from_slice(&wal_bytes(&dir)[..BOT_FRAME]);
+        tail.extend_from_slice(&wal_bytes(&dir)[H..H + BOT_FRAME]);
         push_frame(&mut tail, &marker(2));
         append_raw(&dir, &tail);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (0, bots(0..2)), "marker not honoured");
-        assert_eq!(wal_bytes(&dir).len(), 2 * BOT_FRAME);
+        assert_eq!(wal_bytes(&dir).len(), H + 2 * BOT_FRAME);
         sink.append_batch(&bots(2..3));
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
@@ -1491,22 +1657,29 @@ mod tests {
         // Scribble over dead record 1's payload (tag kept, framing kept):
         // it is below the base, so nothing ever looks inside it.
         let mut bytes = wal_bytes(&dir);
-        bytes[BOT_FRAME + 5..2 * BOT_FRAME].fill(0xFF);
+        bytes[H + BOT_FRAME + 5..H + 2 * BOT_FRAME].fill(0xFF);
         std::fs::write(FileLogSink::journal_path(&dir), &bytes).unwrap();
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (3, bots(3..4)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// What the sink believes about its file is what a fresh walk finds.
+    /// What the sink believes about its file is what the slot says and
+    /// a fresh walk from there finds.
     fn assert_matches_a_fresh_walk(sink: &FileLogSink, dir: &Path) {
         let bytes = wal_bytes(dir);
-        let fresh = replay(&bytes).expect("every surviving record decodes");
-        assert_eq!(fresh.end, bytes.len(), "no torn tail left in the file");
         let journal = sink.journal.lock();
+        assert_eq!(slot_of(&bytes), Some(journal.head));
+        let fresh = replay(&bytes[journal.head.from as usize..], journal.head)
+            .expect("every surviving record decodes");
+        assert_eq!(
+            fresh.end,
+            bytes.len() as u64,
+            "no torn tail left in the file"
+        );
         assert_eq!(
             (journal.file.len, journal.base, &journal.offsets),
-            (fresh.end as u64, fresh.base, &fresh.offsets)
+            (fresh.end, fresh.base, &fresh.offsets)
         );
     }
 
@@ -1524,17 +1697,16 @@ mod tests {
         // Four dead records against six live: the file stays as it is,
         // and the marker waits for the next batch, whose one write it
         // heads.
-        assert_eq!(wal_bytes(&dir).len(), 10 * FAT_FRAME);
+        assert_eq!(wal_bytes(&dir).len(), H + 10 * FAT_FRAME);
         sink.append_batch(&fats(10..14));
         let before = wal_bytes(&dir);
-        assert_eq!(before.len(), 14 * FAT_FRAME + MARKER_FRAME_LEN);
-        assert!(before[10 * FAT_FRAME..][..MARKER_FRAME_LEN] == marker_frame(4)[..]);
+        assert_eq!(before.len(), H + 14 * FAT_FRAME + MARKER_FRAME_LEN);
+        assert!(before[H + 10 * FAT_FRAME..][..MARKER_FRAME_LEN] == marker_frame(4)[..]);
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.truncated(13);
         // Thirteen dead against one: rewritten under the running sink to
-        // its own marker plus everything from record 13 on.
-        let mut expect = marker_frame(13);
-        expect.extend_from_slice(&before[13 * FAT_FRAME + MARKER_FRAME_LEN..]);
+        // its own slot and marker plus everything from record 13 on.
+        let expect = rewritten(13, &before[H + 13 * FAT_FRAME + MARKER_FRAME_LEN..]);
         assert!(wal_bytes(&dir) == expect);
         assert_eq!(wal_rewrites(&sink), (1, 0));
         assert_matches_a_fresh_walk(&sink, &dir);
@@ -1571,8 +1743,7 @@ mod tests {
         sink.append_batch(&fats(18..28));
         let before = wal_bytes(&dir);
         sink.truncated(27);
-        let mut expect = marker_frame(27);
-        expect.extend_from_slice(&before[before.len() - FAT_FRAME..]);
+        let expect = rewritten(27, &before[before.len() - FAT_FRAME..]);
         assert!(wal_bytes(&dir) == expect);
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
@@ -1627,16 +1798,15 @@ mod tests {
         drop(sink);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // k = 12 pays (176 ≥ 168): the file becomes one marker plus the
-        // live suffix exactly as it stood (record 9 and the small ones),
-        // and says the same thing.
+        // k = 12 pays (176 ≥ 168): the file becomes a slot and one marker
+        // plus the live suffix exactly as it stood (record 9 and the small
+        // ones), and says the same thing.
         records.pop();
         let dir = wal_with("wal-rewrite", &records);
         let before = wal_bytes(&dir);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
         sink.truncated(9);
-        let mut expect = marker_frame(9);
-        expect.extend_from_slice(&before[9 * FAT_FRAME..]);
+        let expect = rewritten(9, &before[H + 9 * FAT_FRAME..]);
         assert!(wal_bytes(&dir) == expect);
         assert!(!tmp_exists(&dir), "renamed into place");
         assert_eq!(wal_rewrites(&sink), (1, 0));
@@ -1671,7 +1841,7 @@ mod tests {
         let dir = wal_with("wal-offsets-cut", &bots(0..5));
         append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(sink.journal.lock().file.len, 5 * BOT_FRAME as u64);
+        assert_eq!(sink.journal.lock().file.len, (H + 5 * BOT_FRAME) as u64);
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -1680,7 +1850,7 @@ mod tests {
         let dir = wal_with("wal-offsets-rewritten", &fats(0..10));
         append_raw(&dir, &marker_frame(9));
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(sink.journal.lock().offsets, [MARKER_FRAME_LEN as u64]);
+        assert_eq!(sink.journal.lock().offsets, [(H + MARKER_FRAME_LEN) as u64]);
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(10..12));
         assert_matches_a_fresh_walk(&sink, &dir);
@@ -1696,8 +1866,7 @@ mod tests {
         let mut marked = wal_bytes(&src);
         let _ = std::fs::remove_dir_all(&src);
         marked.extend_from_slice(&marker_frame(9));
-        let mut rewritten = marker_frame(9);
-        rewritten.extend_from_slice(&marked[9 * FAT_FRAME..]);
+        let rewritten = rewritten(9, &marked[H + 9 * FAT_FRAME..]);
 
         let (marked, rewritten) = (&marked[..], &rewritten[..]);
         let windows = [
@@ -1758,8 +1927,8 @@ mod tests {
         sink.journal.lock().file.fail_rewrite = None;
         sink.append_batch(&bots(11..12));
         sink.truncated(11);
-        // Its own marker and record 11.
-        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + BOT_FRAME);
+        // Its own slot, marker and record 11.
+        assert_eq!(wal_bytes(&dir).len(), H + MARKER_FRAME_LEN + BOT_FRAME);
         assert_eq!(wal_rewrites(&sink), (1, 2));
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
@@ -1789,7 +1958,7 @@ mod tests {
         // The rename happened, so the new file is the journal; what is
         // owed is the directory fsync.
         sink.truncated(9);
-        assert_eq!(wal_bytes(&dir).len(), MARKER_FRAME_LEN + FAT_FRAME);
+        assert_eq!(wal_bytes(&dir).len(), H + MARKER_FRAME_LEN + FAT_FRAME);
         assert!(!sink.journal.lock().file.dir_synced);
         assert_eq!(wal_rewrites(&sink), (1, 1));
         assert_matches_a_fresh_walk(&sink, &dir);
@@ -1804,6 +1973,207 @@ mod tests {
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors.len()), (9, 2));
         assert_eq!(survivors[1..], bots(10..11)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records with a 4 000-byte image each: a transaction's after-images.
+    fn pages(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
+        ids.map(|i| LogRecord::AfterImage {
+            txn: TxnId(i),
+            page: DataPageId(0),
+            image: vec![i as u8; 4000],
+        })
+        .collect()
+    }
+
+    /// Length of one framed [`pages`] record.
+    const PAGE_FRAME: usize = 4 + 1 + 17 + 4000;
+
+    /// Commit `c` as the engine does it under FORCE: its four records
+    /// (LSNs `4c..4c + 4`) appended and forced, then truncated away.
+    fn commit(sink: &FileLogSink, c: u64) {
+        sink.append_batch(&pages(4 * c..4 * c + 4));
+        sink.sync();
+        sink.truncated(4 * c + 4);
+    }
+
+    /// `(base, records)` of a walk of the whole journal that trusts no
+    /// slot.
+    fn full_walk(bytes: &[u8]) -> (u64, Vec<LogRecord>) {
+        let walked = replay(&bytes[H..], Head::START).expect("every surviving record decodes");
+        (walked.base, walked.records)
+    }
+
+    /// A closed journal of `commits` commits, then one transaction of two
+    /// records in flight (whose batch carries the last marker).
+    fn history(tag: &str, commits: u64) -> PathBuf {
+        let dir = tmpdir(tag);
+        let sink = FileLogSink::create(&dir).unwrap();
+        for c in 0..commits {
+            commit(&sink, c);
+        }
+        sink.append_batch(&pages(4 * commits..4 * commits + 2));
+        sink.sync();
+        dir
+    }
+
+    #[test]
+    fn head_slot_follows_the_durable_live_log_in_steps() {
+        let dir = tmpdir("wal-head-steps");
+        let sink = FileLogSink::create(&dir).unwrap();
+        assert_eq!(slot_of(&wal_bytes(&dir)), Some(Head::START));
+        // Truncated but never forced: the slot may not name those frames.
+        for c in 0..40 {
+            sink.append_batch(&pages(4 * c..4 * c + 4));
+            sink.truncated(4 * c + 4);
+        }
+        assert_eq!(slot_of(&wal_bytes(&dir)), Some(Head::START));
+        // Forced: the next truncation moves it to the first live frame,
+        // which is where the next batch lands.
+        commit(&sink, 40);
+        let mut head = slot_of(&wal_bytes(&dir)).unwrap();
+        assert_eq!(head, sink.journal.lock().head);
+        assert_eq!((head.from, head.lsn), (sink.journal_bytes(), 164));
+        // Then once per HEAD_STEP of dead log, never in between.
+        let mut moves = 0;
+        for c in 41..200 {
+            commit(&sink, c);
+            let now = slot_of(&wal_bytes(&dir)).unwrap();
+            if now != head {
+                assert!(now.from >= head.from + HEAD_STEP, "commit {c}: {now:?}");
+                assert_eq!(now.lsn, 4 * c + 4);
+                moves += 1;
+            }
+            head = now;
+        }
+        let per_commit = (4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64;
+        assert_eq!(
+            moves,
+            159 / HEAD_STEP.div_ceil(per_commit),
+            "one write per step"
+        );
+        assert_eq!(wal_rewrites(&sink), (0, 0));
+        // The next batch carries the owed marker.
+        sink.append_batch(&bots(800..801));
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every state the head slot can be found in reopens to the
+    /// `(base, records)` a walk of the whole journal finds, and carries on.
+    #[test]
+    fn every_head_slot_state_reopens_to_what_a_full_walk_finds() {
+        let src = history("wal-slot-src", 40);
+        let moved = wal_bytes(&src);
+        let _ = std::fs::remove_dir_all(&src);
+        let head = slot_of(&moved).unwrap();
+        assert!(
+            head.from > HEAD_LEN + HEAD_STEP,
+            "the slot has moved: {head:?}"
+        );
+
+        let mut torn = moved.clone();
+        torn[12] ^= 0x40;
+        // Commit 1's first record: a slot written one step earlier.
+        let older = Head {
+            from: (H + 4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64,
+            lsn: 4,
+        };
+        let mut stale = moved.clone();
+        stale[..H].copy_from_slice(&older.encode());
+        // The in-flight transaction's second record cut off in place,
+        // with the slot naming a frame beyond the cut.
+        let mut cut = moved[..moved.len() - PAGE_FRAME].to_vec();
+        let beyond = Head {
+            from: moved.len() as u64,
+            lsn: 162,
+        };
+        cut[..H].copy_from_slice(&beyond.encode());
+
+        let src = wal_with("wal-slot-rewritten-src", &fats(0..10));
+        let (sink, _, _) = FileLogSink::load(&src).unwrap();
+        sink.truncated(9);
+        drop(sink);
+        let rewritten = wal_bytes(&src);
+        let _ = std::fs::remove_dir_all(&src);
+        assert_eq!(
+            slot_of(&rewritten).map(|h| (h.from, h.lsn)),
+            Some((HEAD_LEN, 9))
+        );
+        let mut rewritten_torn = rewritten.clone();
+        rewritten_torn[20] ^= 1;
+
+        let src = wal_with("wal-slot-created-src", &bots(0..5));
+        let created = wal_bytes(&src);
+        let _ = std::fs::remove_dir_all(&src);
+
+        let states: [(&str, &[u8], usize); 7] = [
+            ("moved slot", &moved, head.from as usize),
+            ("torn slot", &torn, H),
+            ("stale slot", &stale, older.from as usize),
+            ("slot beyond a tail cut in place", &cut, H),
+            ("rewritten journal", &rewritten, H),
+            ("rewritten journal, torn slot", &rewritten_torn, H),
+            ("created, never truncated", &created, H),
+        ];
+        for (n, (state, bytes, reads_from)) in states.into_iter().enumerate() {
+            let dir = tmpdir(&format!("wal-slot-{n}"));
+            std::fs::write(FileLogSink::journal_path(&dir), bytes).unwrap();
+            let walked = full_walk(bytes);
+            let (sink, base, records) = FileLogSink::load(&dir).unwrap();
+            assert!((base, &records) == (walked.0, &walked.1), "{state}");
+            let read = (H + bytes.len() - reads_from) as u64;
+            assert_eq!(sink.read_at_load(), read, "{state}");
+            assert!(wal_bytes(&dir) == bytes, "{state}: the load wrote nothing");
+            // And the log carries on from there.
+            let next = base + records.len() as u64;
+            sink.append_batch(&bots(next..next + 1));
+            sink.sync();
+            drop(sink);
+            let (_sink, again, survivors) = FileLogSink::load(&dir).unwrap();
+            assert_eq!(again, base, "{state}");
+            assert!(survivors[..records.len()] == records[..], "{state}");
+            assert_eq!(
+                survivors[records.len()..],
+                bots(next..next + 1)[..],
+                "{state}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Four MiB of dead log below the floor and a kill with a marker
+    /// owed: the reopen reads the slot, at most one step of dead log, and
+    /// the live log behind it.
+    #[test]
+    fn reopen_reads_at_most_a_head_step_of_dead_log() {
+        let dir = tmpdir("wal-bounded-read");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let mut c = 0;
+        while sink.journal_bytes() < HEAD_LEN + (4 << 20) {
+            commit(&sink, c);
+            c += 1;
+        }
+        sink.append_batch(&pages(4 * c..4 * c + 2));
+        sink.sync();
+        commit(&sink, c + 1);
+        assert_eq!(wal_rewrites(&sink), (0, 0), "still below the floor");
+        let (len, live_from) = (sink.journal_bytes(), sink.journal.lock().live_from());
+        // Killed: no destructor, the last marker never lands.
+        std::mem::forget(sink);
+
+        let (sink, base, records) = FileLogSink::load(&dir).unwrap();
+        let read = sink.read_at_load();
+        let one_commit = (4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64;
+        assert!(
+            read <= HEAD_LEN + HEAD_STEP + (len - live_from) + one_commit,
+            "{read} of {len} bytes read"
+        );
+        assert!(read < len / 8, "{read} of {len} bytes read");
+        // Only dead records lie between the slot and the live log.
+        let (walked_base, walked) = full_walk(&wal_bytes(&dir));
+        assert!(base >= walked_base);
+        assert!(records[..] == walked[(base - walked_base) as usize..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number (`rda-disk-format=3`) and
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=4`) and
 //!   the formatted geometry, both validated on reopen;
 //! * `<n>.data` — one file per disk, each block's image and checksum
 //!   together in a sector-aligned slot (see `crate::io`);
 //! * `meta.journal` — twin headers, steal chain, staged intent;
-//! * `wal.journal` — the durable mirror of the write-ahead log;
+//! * `wal.journal` — the durable mirror of the write-ahead log, behind a
+//!   head slot that says where its live records start;
 //! * `obs.journal` — the flight recorder's black box, when it is on.
 //!
 //! [`create_database`] formats a fresh directory and writes the manifest
@@ -17,7 +18,12 @@
 //! replays the journals into a [`RestoredState`] and hands the engine a
 //! database in needs-recovery state — the caller runs
 //! [`Database::recover`] before new work, exactly like the simulated
-//! crash/recover cycle.
+//! crash/recover cycle. A reopen reads only live bytes: `wal.journal`
+//! from its head slot on, and an `obs.journal` kept under 256 KiB. What
+//! it read, and how long each step took, are gauges in the database's
+//! metrics: `wal_reopen_read_bytes`, `obs_reopen_read_bytes`,
+//! `reopen_meta_ns`, `reopen_wal_ns`, `reopen_disks_ns` and
+//! `reopen_flight_ns`.
 
 use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
@@ -30,6 +36,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Tunables for opening a file-backed database beyond the durability
 /// mode. `..Default::default()` keeps everything on.
@@ -96,8 +103,10 @@ const MANIFEST: &str = "manifest.txt";
 /// `<n>.data`; format 2 put `rda_array::xor::checksum` in the same two
 /// files; format 3 is one `<n>.data` of sector-aligned slots, each block's
 /// image followed by that checksum. Read as another format, a directory's
-/// files have the wrong sizes or every written block looks torn.
-const FORMAT_LINE: &str = "rda-disk-format=3";
+/// files have the wrong sizes or every written block looks torn. Format 4
+/// opens `wal.journal` with a head slot; format 3's journal began with
+/// its first frame.
+const FORMAT_LINE: &str = "rda-disk-format=4";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -297,10 +306,16 @@ pub fn reopen_database_with(
             want.replace('\n', " "),
         )));
     }
+    let t = Instant::now();
     let (meta, snap) = FileMetaStore::load(dir, cfg.array.groups)?;
+    let meta_ns = elapsed_ns(t);
+    let t = Instant::now();
     let (log, log_base, log_records) = FileLogSink::load(dir)?;
+    let wal_ns = elapsed_ns(t);
     let (meta, log) = (Arc::new(meta), Arc::new(log));
+    let t = Instant::now();
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::open)?;
+    let disks_ns = elapsed_ns(t);
     let restored = RestoredState {
         twin_metas: snap.twin_metas,
         chains: snap.chains,
@@ -319,15 +334,36 @@ pub fn reopen_database_with(
     );
     register_disk_metrics(&db, counters);
     register_journal_metrics(&db, &log, &meta);
+    let t = Instant::now();
+    let mut obs_read = 0;
     if opts.flight_recorder {
         // Surface what the previous incarnation was doing when it died,
         // *before* the recorder truncates obs.journal for this run.
-        if let Some(prior) = FlightRecorder::load(dir) {
+        let (prior, read) = FlightRecorder::load_counted(dir);
+        obs_read = read;
+        if let Some(prior) = prior {
             db.set_prior_flight(prior);
         }
         attach_flight_recorder(&db, dir)?;
     }
+    let flight_ns = elapsed_ns(t);
+    let metrics = db.metrics();
+    for (name, value) in [
+        ("wal_reopen_read_bytes", log.read_at_load()),
+        ("obs_reopen_read_bytes", obs_read),
+        ("reopen_meta_ns", meta_ns),
+        ("reopen_wal_ns", wal_ns),
+        ("reopen_disks_ns", disks_ns),
+        ("reopen_flight_ns", flight_ns),
+    ] {
+        metrics.register_view(name, move || value);
+    }
     Ok(db)
+}
+
+/// Wall time since `t`, for the reopen gauges.
+fn elapsed_ns(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Build one [`FileDisk`] per configured spindle via `make` (create or

@@ -397,6 +397,12 @@ fn big_cfg() -> DbConfig {
 /// by `FLOOR`, `meta.journal` once it exceeds its snapshot by `FLOOR_META`.
 const FLOOR: u64 = 8 << 20;
 const FLOOR_META: u64 = 1 << 20;
+/// `wal.journal`'s head slot, and how far the live log runs ahead of it
+/// before it moves (private constants of `meta.rs`, restated).
+const HEAD_LEN: u64 = 32;
+const HEAD_STEP: u64 = 256 << 10;
+/// What a rewrite leaves of an idle log: the head slot and one marker.
+const REWRITTEN_IDLE: u64 = HEAD_LEN + 13;
 
 /// A directory for the tests that commit tens of thousands of times: on
 /// tmpfs where there is one (as the benchmark does), so that their time
@@ -441,7 +447,8 @@ fn commit_quad(db: &FileDb, i: u64) {
 fn wal_journal_is_rewritten_only_past_the_floor() {
     let dir = long_run_dir("wal-floor");
     let db = create_database(&dir, big_cfg(), DurabilityMode::FsyncOnBarrier).unwrap();
-    // Below the floor: everything but the last marker is dead, and stays.
+    // Below the floor: everything but the slot and the last marker is
+    // dead, and stays.
     let mut i = 0;
     let mut peak = 0;
     while metric(&db, "wal_journal_rewrites_total") == 0 {
@@ -455,10 +462,10 @@ fn wal_journal_is_rewritten_only_past_the_floor() {
         i += 1;
         assert_eq!(metric(&db, "wal_retained_bytes"), 0, "idle FORCE log");
     }
-    // The commit that crossed it left one marker behind.
+    // The commit that crossed it left its slot and one marker behind.
     assert!(peak + (64 << 10) >= FLOOR, "rewritten early, at {peak}");
-    assert_eq!(file_len(&dir, "wal.journal"), 13);
-    assert_eq!(metric(&db, "wal_journal_bytes"), 13);
+    assert_eq!(file_len(&dir, "wal.journal"), REWRITTEN_IDLE);
+    assert_eq!(metric(&db, "wal_journal_bytes"), REWRITTEN_IDLE);
     assert_eq!(metric(&db, "wal_journal_rewrite_failures_total"), 0);
     assert!(!dir.join("wal.journal.tmp").exists(), "renamed into place");
     // The rewritten journal carries on: numbering, appends, reopen.
@@ -573,10 +580,11 @@ fn journals_stay_bounded_and_reopen_is_independent_of_run_length() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A directory formatted by an earlier on-disk format (checksums in
-/// `.sum` files beside back-to-back images: format 2, and format 1 with
-/// another hash) is refused by name, not read back as a database of
-/// wrong-sized files or torn blocks.
+/// A directory formatted by an earlier on-disk format (a `wal.journal`
+/// without a head slot: format 3; checksums in `.sum` files beside
+/// back-to-back images: format 2, and format 1 with another hash) is
+/// refused by name, not read back as a database of wrong-sized files,
+/// torn blocks or a misread log.
 #[test]
 fn directory_of_another_format_is_refused_by_name() {
     let dir = tmpdir("old-format");
@@ -585,18 +593,75 @@ fn directory_of_another_format_is_refused_by_name() {
     drop(db);
     let manifest = dir.join("manifest.txt");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text.starts_with("rda-disk-format=3\n"), "{text}");
-    for old in ["format=2", "format=1"] {
-        std::fs::write(&manifest, text.replacen("format=3", old, 1)).unwrap();
+    assert!(text.starts_with("rda-disk-format=4\n"), "{text}");
+    for old in ["format=3", "format=2", "format=1"] {
+        std::fs::write(&manifest, text.replacen("format=4", old, 1)).unwrap();
         match reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier) {
             Err(StorageError::Manifest(msg)) => {
                 assert!(msg.contains(&format!("\"rda-disk-{old}\"")), "{msg}");
-                assert!(msg.contains("rda-disk-format=3 only"), "{msg}");
+                assert!(msg.contains("rda-disk-format=4 only"), "{msg}");
             }
             Err(other) => panic!("{old} refused for the wrong reason: {other}"),
             Ok(_) => panic!("a {old} directory was opened"),
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reopen says what it read and where its time went: every gauge is
+/// set, the steps fit inside the call, and after thousands of commits of
+/// dead log below the floor the reopen reads one head step of it, not the
+/// journal.
+#[test]
+fn reopen_gauges_account_for_what_reopen_read_and_spent() {
+    let dir = long_run_dir("reopen-gauges");
+    let cfg = big_cfg().trace(256).spans(true);
+    let db = create_database(&dir, cfg.clone(), DurabilityMode::FsyncOnBarrier).unwrap();
+    let mut i = 0;
+    while file_len(&dir, "wal.journal") < 4 << 20 {
+        commit_quad(&db, i);
+        i += 1;
+    }
+    assert_eq!(
+        metric(&db, "wal_journal_rewrites_total"),
+        0,
+        "below the floor"
+    );
+    drop(db);
+    let journal = file_len(&dir, "wal.journal");
+
+    let t = std::time::Instant::now();
+    let db = reopen_database(&dir, cfg, DurabilityMode::FsyncOnBarrier).unwrap();
+    let wall = u64::try_from(t.elapsed().as_nanos()).unwrap();
+    let steps = [
+        "reopen_meta_ns",
+        "reopen_wal_ns",
+        "reopen_disks_ns",
+        "reopen_flight_ns",
+    ];
+    let mut spent = 0;
+    for gauge in steps
+        .into_iter()
+        .chain(["wal_reopen_read_bytes", "obs_reopen_read_bytes"])
+    {
+        assert!(metric(&db, gauge) > 0, "{gauge} is set");
+    }
+    for step in steps {
+        spent += metric(&db, step);
+    }
+    assert!(spent <= wall, "steps {spent} ns inside a {wall} ns reopen");
+    let read = metric(&db, "wal_reopen_read_bytes");
+    // One commit's frames in the journal, generously.
+    let slack = 64 << 10;
+    assert!(
+        read <= HEAD_LEN + HEAD_STEP + slack,
+        "read {read} of a {journal}-byte wal.journal"
+    );
+    assert!(metric(&db, "obs_reopen_read_bytes") <= 256 << 10);
+    db.recover().unwrap();
+    commit_quad(&db, i);
+    assert!(db.audit().is_clean());
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -37,6 +37,16 @@ const FIRST_WAL_REWRITE: u64 = 1_200;
 /// ... and after which it has crossed the `wal.journal` floor three times
 /// and the `meta.journal` floor some twenty.
 const SEVERAL_REWRITES: u64 = 3_300;
+/// Commits after which a [`big_cfg`] child has left ≈ 4.9 MB of dead log
+/// in `wal.journal`, about half-way to its first rewrite.
+const BELOW_FLOOR: u64 = 600;
+/// `wal.journal`'s head slot, and the dead log a reopen may read behind it
+/// (private constants of `rda-disk`, restated).
+const HEAD_LEN: u64 = 32;
+const HEAD_STEP: u64 = 256 << 10;
+/// One commit's frames in `wal.journal`, generously: what a reopen may
+/// read beyond the last truncation.
+const ONE_COMMIT: u64 = 64 << 10;
 /// The three pages every transaction stamps together (atomicity witness).
 const PAGES: [u32; 3] = [2, 9, 17];
 /// Concurrent-load child: writer thread `t` stamps its own page triple,
@@ -255,16 +265,28 @@ fn sigkill_mid_commit_recovers_committed_data() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What the kills of [`kill_at_seeded_delays`] found.
+struct Kills {
+    /// Kills that found a `wal.journal` that had been rewritten.
+    rewritten: u32,
+    /// The shortest `wal.journal` a kill left.
+    shortest_journal: u64,
+}
+
 /// SIGKILL a [`big_cfg`] child at 20 seeded delays after it acknowledged
 /// `acks_before_kill` commits, so kills land before, inside and after the
 /// rewrites of both journals. Every reopen must succeed on whatever
-/// `wal.journal`, `meta.journal` (and their `.tmp`s) the kill left,
-/// recover every acknowledged stamp, and scrub and audit clean. Returns
-/// how many of the kills found a `wal.journal` that had been rewritten.
-fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> u32 {
+/// `wal.journal`, `meta.journal` (and their `.tmp`s) the kill left, read
+/// no more of `wal.journal` than its head slot, one head step of dead log
+/// and one commit, recover every acknowledged stamp, and scrub and audit
+/// clean.
+fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
     // Seeded: the delays repeat from run to run of the test.
     let mut rng = rda_obs::rng::Rng::new(0x7A11_5EED);
-    let mut rewritten_runs = 0;
+    let mut kills = Kills {
+        rewritten: 0,
+        shortest_journal: u64::MAX,
+    };
     for run in 0..20 {
         let delay = Duration::from_micros(rng.below(25_000));
 
@@ -296,14 +318,24 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> u32 {
         let _ = child.wait();
         let acked = last_ack(&dir).expect("acks survive the kill");
 
-        // A rewritten journal opens with a truncate marker: a 9-byte
-        // frame tagged 17.
         let journal = std::fs::read(dir.join("wal.journal")).expect("wal.journal always exists");
-        if journal.starts_with(&[9, 0, 0, 0, 17]) {
-            rewritten_runs += 1;
-        }
+        // A rewritten journal's frames open with a truncate marker: a
+        // 9-byte frame tagged 17, behind the head slot.
+        kills.rewritten += u32::from(journal[HEAD_LEN as usize..].starts_with(&[9, 0, 0, 0, 17]));
+        kills.shortest_journal = kills.shortest_journal.min(journal.len() as u64);
         let db = reopen_database(&dir, big_cfg(), DurabilityMode::FsyncOnBarrier)
             .unwrap_or_else(|e| panic!("run {run} (delay {delay:?}, acked {acked}): reopen: {e}"));
+        let read = db
+            .metrics()
+            .counter_values()
+            .into_iter()
+            .find_map(|(name, v)| (name == "wal_reopen_read_bytes").then_some(v))
+            .expect("the reopen gauge is registered");
+        assert!(
+            read <= HEAD_LEN + HEAD_STEP + ONE_COMMIT,
+            "run {run}: reopen read {read} of a {}-byte wal.journal",
+            journal.len()
+        );
         assert!(!dir.join("wal.journal.tmp").exists(), "run {run}");
         assert!(!dir.join("meta.journal.tmp").exists(), "run {run}");
         let report = db.recover().expect("restart recovery");
@@ -335,14 +367,15 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> u32 {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    rewritten_runs
+    kills
 }
 
 /// A child that still calls `truncate_log()` every [`TRUNCATE_EVERY`]
 /// commits, killed shortly after its first `wal.journal` rewrite.
 #[test]
 fn sigkill_while_truncating_recovers_every_acked_commit() {
-    let rewritten_runs = kill_at_seeded_delays(TRUNC_CHILD_ENV, "trunc", FIRST_WAL_REWRITE);
+    let rewritten_runs =
+        kill_at_seeded_delays(TRUNC_CHILD_ENV, "trunc", FIRST_WAL_REWRITE).rewritten;
     assert!(
         rewritten_runs >= 10,
         "only {rewritten_runs} of 20 kills found a rewritten journal: they miss the rewrites"
@@ -354,10 +387,28 @@ fn sigkill_while_truncating_recovers_every_acked_commit() {
 /// over, before each kill.
 #[test]
 fn sigkill_with_no_explicit_truncation_recovers_every_acked_commit() {
-    let rewritten_runs = kill_at_seeded_delays(FLOORS_CHILD_ENV, "floors", SEVERAL_REWRITES);
+    let rewritten_runs =
+        kill_at_seeded_delays(FLOORS_CHILD_ENV, "floors", SEVERAL_REWRITES).rewritten;
     assert_eq!(
         rewritten_runs, 20,
         "wal.journal is rewritten by the time of every kill without anybody asking"
+    );
+}
+
+/// Killed with megabytes of dead log in `wal.journal` and no rewrite yet:
+/// the window in which only the head slot keeps a reopen from reading
+/// the journal's whole history.
+#[test]
+fn sigkill_with_dead_log_below_the_floor_reopens_from_the_head_slot() {
+    let kills = kill_at_seeded_delays(FLOORS_CHILD_ENV, "below-floor", BELOW_FLOOR);
+    assert_eq!(
+        kills.rewritten, 0,
+        "every kill lands before the first rewrite"
+    );
+    assert!(
+        kills.shortest_journal >= HEAD_LEN + (4 << 20),
+        "every kill leaves ≥ 4 MiB of dead log: {}",
+        kills.shortest_journal
     );
 }
 
