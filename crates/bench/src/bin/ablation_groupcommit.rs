@@ -11,9 +11,9 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin ablation_groupcommit`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_core::{CheckpointPolicy, DbConfig, EotPolicy, LogGranularity};
-use rda_sim::{compare_engines, WorkloadSpec};
+use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Row {
     accounting: &'static str,
@@ -41,8 +41,9 @@ fn run(amortized: bool) -> Row {
         },
         &spec,
         300,
-        6,
+        &RunConfig::default(),
     );
+    exit_on_failure(cmp.check());
     Row {
         accounting: if amortized {
             "amortized (group commit)"

@@ -9,9 +9,9 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin ablation_hotspread`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_core::DbConfig;
-use rda_sim::{compare_engines, WorkloadSpec};
+use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Row {
     scenario: &'static str,
@@ -32,8 +32,9 @@ fn run(scenario: &'static str, pages: u32, hot: u32) -> Row {
         |engine| DbConfig::paper_like(engine, pages, 100),
         &spec,
         300,
-        6,
+        &RunConfig::default(),
     );
+    exit_on_failure(cmp.check());
     Row {
         scenario,
         rda_ct: cmp.rda.transfers_per_committed,

@@ -11,9 +11,9 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin ckpt_sweep`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_core::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
-use rda_sim::{run_workload, SimConfig, WorkloadSpec};
+use rda_sim::{run_spec, RunConfig, WorkloadSpec};
 
 struct Row {
     ckpt_every_ops: u64,
@@ -28,20 +28,18 @@ rda_obs::json_struct!(Row {
     crashes
 });
 
-fn run(ops: u64, granularity: LogGranularity) -> (f64, u64) {
-    let mut cfg = SimConfig::new({
-        let mut db = DbConfig::paper_like(EngineKind::Rda, 1000, 100);
-        db.eot = EotPolicy::NoForce;
-        db.granularity = granularity;
-        db.checkpoint = CheckpointPolicy::AccEvery { ops };
-        db
-    });
-    cfg.warmup = 50;
-    cfg.concurrency = 6;
-    cfg.verify = granularity == LogGranularity::Page;
-    cfg.crash_every = Some(60); // a crash every ~60 commits
+fn measure(ops: u64, granularity: LogGranularity) -> (f64, u64) {
+    let mut db = DbConfig::paper_like(EngineKind::Rda, 1000, 100);
+    db.eot = EotPolicy::NoForce;
+    db.granularity = granularity;
+    db.checkpoint = CheckpointPolicy::AccEvery { ops };
+    let cfg = RunConfig {
+        crash_every: Some(60), // a crash every ~60 commits
+        ..RunConfig::default()
+    };
     let spec = WorkloadSpec::high_update(1000, 80).locality(0.85);
-    let result = run_workload(&cfg, &spec, 600);
+    let result = run_spec(db, &cfg, &spec, 600);
+    exit_on_failure(result.check());
     (result.transfers_per_committed, result.crashes_injected)
 }
 
@@ -53,8 +51,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for ops in [25u64, 75, 200, 600, 2000, 8000] {
-        let (page_mode, crashes) = run(ops, LogGranularity::Page);
-        let (record_mode, _) = run(ops, LogGranularity::Record);
+        let (page_mode, crashes) = measure(ops, LogGranularity::Page);
+        let (record_mode, _) = measure(ops, LogGranularity::Record);
         println!("{ops:>16} {page_mode:>20.1} {record_mode:>20.1} {crashes:>9}");
         rows.push(Row {
             ckpt_every_ops: ops,

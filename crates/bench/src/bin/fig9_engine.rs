@@ -9,9 +9,9 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin fig9_engine`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
-use rda_sim::{compare_engines, WorkloadSpec};
+use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Point {
     locality: f64,
@@ -56,8 +56,9 @@ fn sweep(spec_for: impl Fn(f64) -> WorkloadSpec, label: &str) -> Vec<Point> {
             },
             &spec,
             250,
-            6,
+            &RunConfig::default(),
         );
+        exit_on_failure(cmp.check());
         let p = Point {
             locality,
             measured_c: f64::midpoint(cmp.rda.measured_c, cmp.wal.measured_c),

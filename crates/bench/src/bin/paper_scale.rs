@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin paper_scale`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
-use rda_sim::{compare_engines, WorkloadSpec};
+use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 const T: f64 = 5.0e6;
 
@@ -47,8 +47,9 @@ fn main() {
         },
         &spec,
         600,
-        6,
+        &RunConfig::default(),
     );
+    exit_on_failure(cmp.check());
     let measured_c = f64::midpoint(cmp.rda.measured_c, cmp.wal.measured_c).min(0.99);
 
     let eval = families::a1::evaluate(

@@ -4,10 +4,10 @@
 //! (`BENCH_pr3.json` by default) that future PRs append comparable
 //! numbers to:
 //!
-//! 1. **Single-thread txn throughput** — the round-robin driver on the
-//!    paper-like RDA configuration.
+//! 1. **Single-thread txn throughput** — `rda_sim::run` with one thread
+//!    and six round-robin slots on the paper-like RDA configuration.
 //! 2. **Multi-thread txn throughput** — the same script set on 2 and 4
-//!    OS threads sharing one database.
+//!    OS threads (one slot each) sharing one database.
 //! 3. **Scrub bandwidth** — repeated patrol passes over a populated
 //!    array, reported as pages and MiB per second.
 //! 4. **Explorer sweep** — the exhaustive crashpoint sweep at 1, 2 and
@@ -27,7 +27,8 @@
 use rda_core::{Database, DbConfig, EngineKind};
 use rda_disk::{create_database_with, DurabilityMode, StorageOptions};
 use rda_faults::{explore, ExploreMode, ExplorerConfig};
-use rda_sim::{run_threaded, run_workload, SimConfig, WorkloadSpec};
+use rda_obs::json_obj;
+use rda_sim::{run_spec, RunConfig, RunResult, WorkloadSpec};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -80,55 +81,56 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// `{"wall_ms":…,"txns_per_sec":…,…}` for one throughput run.
-fn throughput_json(committed: u64, wall: Duration, extra: &str) -> String {
-    format!(
-        "{{\"committed\":{committed},\"wall_ms\":{:.3},\"txns_per_sec\":{:.1}{extra}}}",
-        ms(wall),
-        committed as f64 / wall.as_secs_f64().max(1e-9),
-    )
-}
-
-/// Sections 1 and 2: the same workload through the round-robin driver
-/// and through 2- and 4-thread shared-database runs.
-fn bench_throughput(smoke: bool, trace: bool, json: &mut String) {
+/// Sections 1 and 2: the same workload on one thread with six
+/// round-robin slots, and on 2 and 4 threads sharing one database.
+/// `wall_ms` spans the run's threads, not opening the database or the
+/// checks after the run.
+fn bench_throughput(smoke: bool, trace: bool, json: &mut String) -> Result<(), String> {
     let txns = if smoke { 80 } else { 400 };
     let db_cfg = DbConfig::paper_like(EngineKind::Rda, 200, 32)
         .trace(if trace { TRACE_RING } else { 0 })
         .spans(trace);
     let spec = WorkloadSpec::high_update(200, 24);
+    let wall_ms = |r: &RunResult| r.elapsed_ns as f64 / 1e6;
 
-    let mut sim = SimConfig::new(db_cfg.clone());
-    sim.warmup = if smoke { 10 } else { 40 };
-    let start = Instant::now();
-    let single = run_workload(&sim, &spec, txns);
-    let single_wall = start.elapsed();
-    let extra = format!(
-        ",\"transfers_per_committed\":{:.3},\"measured_c\":{:.4}",
-        single.transfers_per_committed, single.measured_c
-    );
+    let cfg = RunConfig {
+        warmup: if smoke { 10 } else { 40 },
+        ..RunConfig::default()
+    };
+    let single = run_spec(db_cfg.clone(), &cfg, &spec, txns);
+    single.check()?;
+    let single = json_obj! {
+        "committed": single.committed,
+        "wall_ms": wall_ms(&single),
+        "txns_per_sec": single.txns_per_sec(),
+        "transfers_per_committed": single.transfers_per_committed,
+        "measured_c": single.measured_c,
+    };
     let _ = write!(
         json,
-        "\"txn_throughput\":{{\"txns\":{txns},\"single_thread\":{}",
-        throughput_json(single.committed, single_wall, &extra)
+        "\"txn_throughput\":{{\"txns\":{txns},\"single_thread\":{single}"
     );
 
     for threads in [2usize, 4] {
-        let scripts = spec.generate(txns, sim.seed);
-        let start = Instant::now();
-        let result = run_threaded(&db_cfg, scripts, threads);
-        let wall = start.elapsed();
-        let extra = format!(
-            ",\"conflict_aborts\":{},\"failures\":{}",
-            result.conflict_aborts, result.failures
-        );
-        let _ = write!(
-            json,
-            ",\"threads_{threads}\":{}",
-            throughput_json(result.committed, wall, &extra)
-        );
+        let cfg = RunConfig {
+            threads,
+            slots: 1,
+            warmup: 0,
+            ..cfg
+        };
+        let r = run_spec(db_cfg.clone(), &cfg, &spec, txns);
+        r.check()?;
+        let section = json_obj! {
+            "committed": r.committed,
+            "wall_ms": wall_ms(&r),
+            "txns_per_sec": r.txns_per_sec(),
+            "conflict_aborts": r.conflict_aborts,
+            "failures": r.failures,
+        };
+        let _ = write!(json, ",\"threads_{threads}\":{section}");
     }
     json.push_str("},");
+    Ok(())
 }
 
 /// Section 3: patrol-scrub bandwidth over a populated array.
@@ -279,7 +281,7 @@ fn flight_wall(smoke: bool, instrumented: bool) -> Result<Duration, String> {
 fn suite_wall(smoke: bool, trace: bool) -> Result<Duration, String> {
     let mut scratch = String::new();
     let start = Instant::now();
-    bench_throughput(smoke, trace, &mut scratch);
+    bench_throughput(smoke, trace, &mut scratch)?;
     bench_scrub(smoke, trace, &mut scratch)?;
     bench_explorer(smoke, trace, &mut scratch)?;
     flight_wall(smoke, trace)?;
@@ -339,7 +341,7 @@ fn run(args: &Args) -> Result<String, String> {
         "{{\"bench\":\"pr3-perf\",\"smoke\":{},\"trace\":{},\"host_cpus\":{host_cpus},",
         args.smoke, args.trace
     );
-    bench_throughput(args.smoke, args.trace, &mut json);
+    bench_throughput(args.smoke, args.trace, &mut json)?;
     bench_scrub(args.smoke, args.trace, &mut json)?;
     bench_explorer(args.smoke, args.trace, &mut json)?;
     if args.overhead_check {

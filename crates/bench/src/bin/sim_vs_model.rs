@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin sim_vs_model`
 
-use rda_bench::write_json;
+use rda_bench::{exit_on_failure, write_json};
 use rda_sim::model_vs_sim;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     );
     let mut checks = Vec::new();
     for locality in [0.3, 0.5, 0.7, 0.85, 0.95] {
-        let check = model_vs_sim(500, 50, 200, locality);
+        let check = exit_on_failure(model_vs_sim(500, 50, 200, locality));
         println!(
             "{:>9.2} {:>10.2} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>10.1}% {:>9.1}%",
             locality,

@@ -5,10 +5,11 @@
 //!
 //! Run: `cargo run --release -p rda-bench --bin summary`
 
+use rda_bench::exit_on_failure;
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_model::reliability::{mttf_any_disk, PAPER_DISK_MTTF_HOURS};
 use rda_model::{families, fig13, ModelParams, Workload};
-use rda_sim::{compare_engines, WorkloadSpec};
+use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Check {
     id: &'static str,
@@ -110,8 +111,9 @@ fn main() {
         },
         &spec,
         150,
-        6,
+        &RunConfig::default(),
     );
+    exit_on_failure(cmp.check());
     checks.push(Check {
         id: "SIM-V",
         claim: "real engine shows the A1 gain (direction + size)",

@@ -31,6 +31,16 @@ pub fn write_json<T: ToJson + ?Sized>(id: &str, payload: &T) {
     }
 }
 
+/// The value of a simulator result, or exit with status 1 naming the
+/// failure on stderr (`RunResult::check`, `Comparison::check`,
+/// `model_vs_sim`).
+pub fn exit_on_failure<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("simulator run failed: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Time `routine` for the `benches/` programs and print its median
 /// ns/iter over 15 batches. Each iteration gets a fresh `setup()` value
 /// whose construction is not timed; a warm-up batch sizes the batches to

@@ -99,7 +99,7 @@ use rda_wal::TxnId;
 use crate::db::{Database, DbStats, Transaction};
 use crate::error::{DbError, Result};
 use crate::recovery::RecoveryReport;
-use crate::{AuditReport, DbConfig};
+use crate::{AuditReport, DbConfig, LogGranularity};
 
 /// The page/group ↔ shard arithmetic. Copyable, pure, and test-covered:
 /// every global page maps to exactly one (shard, local page) and back.
@@ -262,6 +262,7 @@ impl ShardedStats {
 struct ShardedInner {
     shards: Vec<Database>,
     map: ShardMap,
+    granularity: LogGranularity,
     coord: Coordinator,
 }
 
@@ -328,6 +329,7 @@ impl ShardedDb {
             inner: Arc::new(ShardedInner {
                 shards,
                 map,
+                granularity: cfg.granularity,
                 coord: Coordinator {
                     next_txn: AtomicU64::new(0),
                     intents: Mutex::new(Vec::new()),
@@ -342,6 +344,13 @@ impl ShardedDb {
     #[must_use]
     pub fn map(&self) -> ShardMap {
         self.inner.map
+    }
+
+    /// The logging granularity every shard runs: page databases take
+    /// [`ShardedTxn::write`], record databases [`ShardedTxn::update`].
+    #[must_use]
+    pub fn granularity(&self) -> LogGranularity {
+        self.inner.granularity
     }
 
     /// Number of shards.

@@ -1,17 +1,17 @@
 //! Model-versus-simulation and engine-versus-engine comparisons
 //! (experiment SIM-V in DESIGN.md).
 
-use crate::{run_workload, SimConfig, SimResult, WorkloadSpec};
+use crate::{run_spec, RunConfig, RunResult, WorkloadSpec};
 use rda_core::{DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
 
 /// Side-by-side engine measurement on an identical workload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// The RDA engine's measurements.
-    pub rda: SimResult,
+    pub rda: RunResult,
     /// The WAL baseline's measurements.
-    pub wal: SimResult,
+    pub wal: RunResult,
 }
 
 impl Comparison {
@@ -22,49 +22,36 @@ impl Comparison {
         self.wal.transfers_per_committed / self.rda.transfers_per_committed - 1.0
     }
 
-    /// Were crashes injected during either run? Crash-mode measurements
-    /// bill restart-recovery I/O into the transfer counts and must not
-    /// be read as steady-state costs — check this before quoting
-    /// [`Comparison::gain`] against the model.
+    /// Were crashes injected in either run? Their restart I/O is in the
+    /// transfers: not a steady-state [`Comparison::gain`] to quote.
     #[must_use]
     pub fn crash_mode(&self) -> bool {
         self.rda.crashes_injected > 0 || self.wal.crashes_injected > 0
     }
+
+    /// `Ok` when neither run had a failure.
+    ///
+    /// # Errors
+    /// The first failing run's [`RunResult::check`] message.
+    pub fn check(&self) -> Result<(), String> {
+        self.rda.check().map_err(|e| format!("RDA run: {e}"))?;
+        self.wal.check().map_err(|e| format!("WAL run: {e}"))
+    }
 }
 
-/// Run the same workload through both engines.
+/// [`run_spec`] the same scripts through both engines, each on a fresh
+/// database. With `cfg.crash_every` set, [`Comparison::crash_mode`]
+/// marks the result.
 #[must_use]
 pub fn compare_engines(
     make_db: impl Fn(EngineKind) -> DbConfig,
     spec: &WorkloadSpec,
     txns: usize,
-    concurrency: usize,
+    cfg: &RunConfig,
 ) -> Comparison {
-    compare_engines_under_crashes(make_db, spec, txns, concurrency, None)
-}
-
-/// [`compare_engines`], optionally injecting `crash_and_recover` into
-/// both runs every `crash_every` commits. The returned
-/// [`Comparison::crash_mode`] (and the nonzero
-/// [`SimResult::crashes_injected`] counters in serialized output) mark
-/// the measurements as crash-mode.
-#[must_use]
-pub fn compare_engines_under_crashes(
-    make_db: impl Fn(EngineKind) -> DbConfig,
-    spec: &WorkloadSpec,
-    txns: usize,
-    concurrency: usize,
-    crash_every: Option<usize>,
-) -> Comparison {
-    let run = |engine: EngineKind| {
-        let mut cfg = SimConfig::new(make_db(engine));
-        cfg.concurrency = concurrency;
-        cfg.crash_every = crash_every;
-        run_workload(&cfg, spec, txns)
-    };
     Comparison {
-        rda: run(EngineKind::Rda),
-        wal: run(EngineKind::Wal),
+        rda: run_spec(make_db(EngineKind::Rda), cfg, spec, txns),
+        wal: run_spec(make_db(EngineKind::Wal), cfg, spec, txns),
     }
 }
 
@@ -106,20 +93,27 @@ rda_obs::json_struct!(ModelCheck {
 /// The absolute costs are not expected to coincide (the model idealizes —
 /// e.g. it ignores partial log-page force rewrites and charges a fixed
 /// `a`); the *direction and rough size* of the RDA gain should agree.
-#[must_use]
-pub fn model_vs_sim(pages: u32, frames: usize, txns: usize, locality: f64) -> ModelCheck {
+///
+/// # Errors
+/// [`Comparison::check`]'s message when either engine run failed.
+pub fn model_vs_sim(
+    pages: u32,
+    frames: usize,
+    txns: usize,
+    locality: f64,
+) -> Result<ModelCheck, String> {
     let spec = WorkloadSpec::high_update(pages, (frames as u32) / 2).locality(locality);
     let make_db = |engine: EngineKind| {
         let mut db = DbConfig::paper_like(engine, pages, frames);
         db.eot = EotPolicy::Force;
         db.granularity = LogGranularity::Page;
-        // The model charges log I/O as bytes/l_p (implicit group commit);
-        // grant the same accounting to the engine for a like-for-like
-        // comparison.
+        // The model charges log I/O as bytes/l_p (implicit group commit):
+        // grant the engine the same accounting, like for like.
         db.log.amortized = true;
         db
     };
-    let comparison = compare_engines(make_db, &spec, txns, 6);
+    let comparison = compare_engines(make_db, &spec, txns, &RunConfig::default());
+    comparison.check()?;
     let measured_c = f64::midpoint(comparison.rda.measured_c, comparison.wal.measured_c).min(0.99);
 
     let mut params = ModelParams::paper_defaults(Workload::HighUpdate).communality(measured_c);
@@ -127,7 +121,7 @@ pub fn model_vs_sim(pages: u32, frames: usize, txns: usize, locality: f64) -> Mo
     params.b = frames as f64;
     let eval = families::a1::evaluate(&params);
 
-    ModelCheck {
+    Ok(ModelCheck {
         measured_c,
         model_ct_wal: eval.non_rda.per_txn,
         model_ct_rda: eval.rda.per_txn,
@@ -135,31 +129,34 @@ pub fn model_vs_sim(pages: u32, frames: usize, txns: usize, locality: f64) -> Mo
         sim_ct_rda: comparison.rda.transfers_per_committed,
         model_gain: eval.gain(),
         sim_gain: comparison.gain(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn engines_comparable_on_same_workload() {
-        let spec = WorkloadSpec::high_update(200, 16);
-        let cmp = compare_engines(|engine| DbConfig::paper_like(engine, 200, 32), &spec, 80, 4);
-        assert!(cmp.rda.committed > 0 && cmp.wal.committed > 0);
-        // Identical scripts → identical commit counts.
-        assert_eq!(cmp.rda.committed, cmp.wal.committed);
+    fn slots(slots: usize) -> RunConfig {
+        RunConfig {
+            slots,
+            ..RunConfig::default()
+        }
     }
 
     #[test]
     fn crash_mode_comparisons_are_marked() {
         let spec = WorkloadSpec::high_update(200, 16);
         let make = |engine| DbConfig::paper_like(engine, 200, 32);
-        let clean = compare_engines(make, &spec, 40, 4);
+        let clean = compare_engines(make, &spec, 40, &slots(4));
         assert!(!clean.crash_mode());
         assert_eq!(clean.rda.crashes_injected, 0);
 
-        let crashy = compare_engines_under_crashes(make, &spec, 40, 4, Some(8));
+        let crashy = RunConfig {
+            crash_every: Some(8),
+            ..slots(4)
+        };
+        let crashy = compare_engines(make, &spec, 40, &crashy);
+        assert_eq!(crashy.check(), Ok(()));
         assert!(crashy.crash_mode(), "{crashy:?}");
         assert!(crashy.rda.crashes_injected > 0);
         assert!(crashy.wal.crashes_injected > 0);
@@ -167,9 +164,26 @@ mod tests {
         assert_eq!(crashy.rda.committed, crashy.wal.committed);
     }
 
+    /// Exact counts of one small run, so a runner change that would move
+    /// the EXPERIMENTS.md figures fails here first. Identical scripts
+    /// commit identically on both engines.
+    #[test]
+    fn small_comparison_is_pinned() {
+        let cmp = compare_engines(
+            |engine| DbConfig::paper_like(engine, 200, 32),
+            &WorkloadSpec::high_update(200, 24),
+            120,
+            &slots(6),
+        );
+        assert_eq!(cmp.check(), Ok(()));
+        let pin = |r: &RunResult| (r.committed, r.array_transfers, r.log_transfers, r.log_bytes);
+        assert_eq!(pin(&cmp.rda), (69, 1369, 808, 555_168));
+        assert_eq!(pin(&cmp.wal), (69, 1305, 1623, 978_864));
+    }
+
     #[test]
     fn model_and_sim_agree_on_direction() {
-        let check = model_vs_sim(500, 40, 150, 0.7);
+        let check = model_vs_sim(500, 40, 150, 0.7).unwrap();
         assert!(check.model_gain > 0.0, "model: RDA wins: {check:?}");
         assert!(
             check.sim_gain > -0.05,

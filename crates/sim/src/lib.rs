@@ -9,23 +9,21 @@
 //! transfers, which can then be compared against the model's `c_t`
 //! prediction at the *measured* communality.
 //!
+//! [`run`] drives every measurement against a `ShardedDb` (one shard for
+//! an unsharded run); [`compare_engines`] runs one script set through
+//! both engines and [`Trace`] replays a saved one.
+//!
 //! Locality (and therefore communality `C`) is induced with a hot-set
 //! reference model: a fraction of accesses go to a buffer-sized hot set.
 //! The empirical hit ratio is reported alongside the transfer counts so
 //! model and simulation are compared at the same operating point.
 
 mod compare;
-mod driver;
-mod sharded;
-mod threaded;
+mod runner;
 mod trace;
 mod workload;
 
-pub use compare::{
-    compare_engines, compare_engines_under_crashes, model_vs_sim, Comparison, ModelCheck,
-};
-pub use driver::{run_scripts, run_workload, SimConfig, SimResult};
-pub use sharded::{run_sharded_threaded, ShardedKeyMode, ShardedRunResult};
-pub use threaded::{run_threaded, run_workload_threaded, ThreadedResult};
+pub use compare::{compare_engines, model_vs_sim, Comparison, ModelCheck};
+pub use runner::{run, run_spec, RunConfig, RunResult};
 pub use trace::Trace;
 pub use workload::{Access, AccessKind, TxnScript, WorkloadSpec};

@@ -2,7 +2,8 @@
 //! *identical* history can be replayed across engines, configurations, or
 //! machines — the determinism backbone of the ± RDA comparisons.
 
-use crate::{run_scripts, Access, AccessKind, SimConfig, SimResult, TxnScript, WorkloadSpec};
+use crate::{run, Access, AccessKind, RunConfig, RunResult, TxnScript, WorkloadSpec};
+use rda_core::ShardedDb;
 use rda_obs::json::{Json, ToJson};
 
 /// A reproducible, self-describing workload trace.
@@ -25,18 +26,6 @@ impl Trace {
             seed,
             scripts: spec.generate(count, seed),
         }
-    }
-
-    /// Number of scripts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.scripts.len()
-    }
-
-    /// Is the trace empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.scripts.is_empty()
     }
 
     /// Serialize to JSON.
@@ -85,11 +74,11 @@ impl Trace {
         })
     }
 
-    /// Replay the trace against an engine configuration. `cfg.warmup`
-    /// scripts are unmeasured, matching [`crate::run_workload`].
+    /// Replay the trace against `db` through [`crate::run`]; the first
+    /// `cfg.warmup` scripts are unmeasured.
     #[must_use]
-    pub fn replay(&self, cfg: &SimConfig) -> SimResult {
-        run_scripts(cfg, self.scripts.clone())
+    pub fn replay(&self, db: &ShardedDb, cfg: &RunConfig) -> RunResult {
+        run(db, cfg, self.scripts.clone())
     }
 }
 
@@ -155,7 +144,7 @@ mod tests {
     fn json_roundtrip_preserves_scripts() {
         let t = Trace::generate(spec(), 25, 99);
         let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.len(), 25);
+        assert_eq!(back.scripts.len(), 25);
         assert_eq!(back.seed, 99);
         for (a, b) in t.scripts.iter().zip(&back.scripts) {
             assert_eq!(a.aborts, b.aborts);
@@ -166,32 +155,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_is_deterministic() {
-        let t = Trace::generate(spec(), 60, 7);
-        let mut cfg = SimConfig::new(DbConfig::paper_like(EngineKind::Rda, 200, 32));
-        cfg.warmup = 10;
-        cfg.concurrency = 4;
-        let a = t.replay(&cfg);
-        let b = t.replay(&cfg);
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.array_transfers, b.array_transfers);
-        assert_eq!(a.log_transfers, b.log_transfers);
+    fn replay(trace: &Trace, engine: EngineKind) -> RunResult {
+        let cfg = RunConfig {
+            warmup: 10,
+            slots: 4,
+            ..RunConfig::default()
+        };
+        let db = ShardedDb::open(DbConfig::paper_like(engine, 200, 32));
+        let result = trace.replay(&db, &cfg);
+        assert_eq!(result.check(), Ok(()));
+        result
     }
 
     #[test]
-    fn same_trace_same_commits_across_engines() {
-        let t = Trace::generate(spec(), 60, 13);
-        let mk = |engine| {
-            let mut cfg = SimConfig::new(DbConfig::paper_like(engine, 200, 32));
-            cfg.warmup = 10;
-            cfg.concurrency = 4;
-            cfg
-        };
-        let rda = t.replay(&mk(EngineKind::Rda));
-        let wal = t.replay(&mk(EngineKind::Wal));
-        assert_eq!(rda.committed, wal.committed, "identical histories");
-        assert_eq!(rda.aborted, wal.aborted);
+    fn replay_is_deterministic_across_runs_and_engines() {
+        let t = Trace::generate(spec(), 60, 7);
+        let (a, b) = (replay(&t, EngineKind::Rda), replay(&t, EngineKind::Rda));
+        assert_eq!(a.committed, b.committed);
+        assert_eq!(a.array_transfers, b.array_transfers);
+        assert_eq!(a.log_transfers, b.log_transfers);
+        // Identical histories commit and abort identically on WAL too.
+        let wal = replay(&t, EngineKind::Wal);
+        assert_eq!((a.committed, a.aborted), (wal.committed, wal.aborted));
     }
 
     #[test]

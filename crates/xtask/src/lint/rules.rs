@@ -11,7 +11,8 @@ use super::SourceFile;
 /// "database" mid-protocol, plus the fault-injection layer (whose whole
 /// point is exercising those protocols, so it must not panic first), plus
 /// the bench/figure binaries (a panicking bench aborts the whole sweep
-/// instead of reporting which configuration failed).
+/// instead of reporting which configuration failed) and the simulator's
+/// runner (an engine error is a counted failure of the run, not a panic).
 pub const RATCHET_CRATES: &[&str] = &[
     "crates/core",
     "crates/array",
@@ -22,6 +23,7 @@ pub const RATCHET_CRATES: &[&str] = &[
     "crates/obs",
     "crates/check",
     "crates/storage",
+    "crates/sim",
 ];
 
 /// Count `.unwrap()` / `.expect(` call sites per ratcheted file.
@@ -115,7 +117,7 @@ pub fn errors_doc(files: &[SourceFile], violations: &mut Vec<String>) {
             let Some(ret) = sig.split_once("->").map(|(_, r)| r) else {
                 continue;
             };
-            // Token match so `SimResult` / `ThreadedResult` don't count.
+            // Token match so `RunResult` / `ScheduleResult` don't count.
             if count_token(ret, "Result") == 0 {
                 continue;
             }

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example policy_tour`
 
 use rda::core::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
-use rda::sim::{run_workload, SimConfig, WorkloadSpec};
+use rda::sim::{compare_engines, RunConfig, WorkloadSpec};
 
 fn family_cfg(engine: EngineKind, granularity: LogGranularity, eot: EotPolicy) -> DbConfig {
     let mut cfg = DbConfig::paper_like(engine, 1000, 100);
@@ -50,24 +50,27 @@ fn main() {
         "family", "¬RDA c_t", "RDA c_t", "gain", "meas. C"
     );
     for (name, granularity, eot) in families {
-        let run = |engine| {
-            let mut sim = SimConfig::new(family_cfg(engine, granularity, eot));
-            sim.concurrency = 6;
-            sim.warmup = 60;
-            // The oracle is page-granularity; skip content verification for
-            // record mode (the parity scrub still runs in the engine tests).
-            sim.verify = granularity == LogGranularity::Page;
-            run_workload(&sim, &spec, 300)
+        let cfg = RunConfig {
+            warmup: 60,
+            ..RunConfig::default()
         };
-        let wal = run(EngineKind::Wal);
-        let rda = run(EngineKind::Rda);
-        let gain = wal.transfers_per_committed / rda.transfers_per_committed - 1.0;
+        let cmp = compare_engines(
+            |engine| family_cfg(engine, granularity, eot),
+            &spec,
+            300,
+            &cfg,
+        );
+        if let Err(e) = cmp.check() {
+            eprintln!("{name}: {e}");
+            std::process::exit(1);
+        }
+        let (rda, wal) = (&cmp.rda, &cmp.wal);
         println!(
             "{:<24} {:>12.1} {:>12.1} {:>9.1}% {:>9.2}",
             name,
             wal.transfers_per_committed,
             rda.transfers_per_committed,
-            gain * 100.0,
+            cmp.gain() * 100.0,
             rda.measured_c
         );
     }

@@ -8,7 +8,7 @@ use rda::core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
 use rda::model::{families, ModelParams, Workload};
-use rda::sim::{run_workload, SimConfig, WorkloadSpec};
+use rda::sim::{run_spec, RunConfig, WorkloadSpec};
 use rda::wal::LogConfig;
 
 fn engine_cfg(engine: EngineKind) -> DbConfig {
@@ -113,12 +113,15 @@ fn crash_plus_disk_loss_composed() {
 /// the facade.
 #[test]
 fn simulated_workload_with_crashes_end_to_end() {
-    let mut sim = SimConfig::new(DbConfig::paper_like(EngineKind::Rda, 300, 40));
-    sim.crash_every = Some(25);
-    sim.warmup = 20;
-    sim.concurrency = 4;
-    let spec = WorkloadSpec::high_update(300, 60);
-    let result = run_workload(&sim, &spec, 120);
+    let cfg = RunConfig {
+        slots: 4,
+        warmup: 20,
+        crash_every: Some(25),
+        ..RunConfig::default()
+    };
+    let db = DbConfig::paper_like(EngineKind::Rda, 300, 40);
+    let result = run_spec(db, &cfg, &WorkloadSpec::high_update(300, 60), 120);
+    assert_eq!(result.check(), Ok(()));
     assert!(result.crashes_injected >= 2, "{result:?}");
     // Lock-conflict aborts are expected on the hot set; most work commits.
     assert!(result.committed >= 70, "{result:?}");
@@ -128,7 +131,7 @@ fn simulated_workload_with_crashes_end_to_end() {
 /// operating point (experiment SIM-V).
 #[test]
 fn model_direction_confirmed_by_engine() {
-    let check = rda::sim::model_vs_sim(500, 50, 200, 0.8);
+    let check = rda::sim::model_vs_sim(500, 50, 200, 0.8).unwrap();
     assert!(check.model_gain > 0.05, "{check:?}");
     assert!(check.sim_gain > 0.0, "{check:?}");
 }
