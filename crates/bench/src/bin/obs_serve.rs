@@ -21,6 +21,8 @@
 
 use rda_core::{DbConfig, EngineKind};
 use rda_disk::{create_database, DurabilityMode, FileDb, FlightRecorder};
+use rda_obs::json::{Json, ToJson};
+use rda_obs::json_obj;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -109,36 +111,28 @@ fn serve(stream: &mut TcpStream, db: &FileDb, dir: &std::path::Path) {
         header.clear();
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
+    let json = |stream: &mut TcpStream, status: &str, body: Json| {
+        respond(stream, status, "application/json", &body.to_string());
+    };
     match path {
         "/metrics" => respond(
             stream,
             "200 OK",
             "text/plain; version=0.0.4",
-            &db.metrics_prometheus(),
+            &db.metrics().to_prometheus(),
         ),
-        "/trace" => {
-            // The live ring, rendered through the same JSON shape the
-            // black box persists (flush_seq 0 marks it as unpersisted).
-            let live = db.obs().flight_record(0);
-            respond(stream, "200 OK", "application/json", &live.to_json());
-        }
+        // The live ring, rendered through the same JSON shape the black
+        // box persists (flush_seq 0 marks it as unpersisted).
+        "/trace" => json(stream, "200 OK", db.obs().flight_record(0).to_json()),
         "/flightrecord" => match FlightRecorder::load(dir) {
-            Some(record) => {
-                respond(stream, "200 OK", "application/json", &record.to_json());
-            }
-            None => respond(
+            Some(record) => json(stream, "200 OK", record.to_json()),
+            None => json(
                 stream,
                 "404 Not Found",
-                "application/json",
-                "{\"error\":\"no flight record persisted yet\"}",
+                json_obj! { "error": "no flight record persisted yet" },
             ),
         },
-        "/locks" => respond(
-            stream,
-            "200 OK",
-            "application/json",
-            &db.top_contended_json(10),
-        ),
+        "/locks" => json(stream, "200 OK", db.obs().locks.top_contended_json(10)),
         "/" => respond(
             stream,
             "200 OK",

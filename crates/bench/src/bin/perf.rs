@@ -1,6 +1,6 @@
 //! PR 3 perf harness: standardized workloads with honest wall-clocks.
 //!
-//! Runs four measurements and emits a hand-rolled JSON report
+//! Runs four measurements and emits a JSON report
 //! (`BENCH_pr3.json` by default) that future PRs append comparable
 //! numbers to:
 //!
@@ -27,9 +27,9 @@
 use rda_core::{Database, DbConfig, EngineKind};
 use rda_disk::{create_database_with, DurabilityMode, StorageOptions};
 use rda_faults::{explore, ExploreMode, ExplorerConfig};
+use rda_obs::json::{Json, ToJson};
 use rda_obs::json_obj;
 use rda_sim::{run_spec, RunConfig, RunResult, WorkloadSpec};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Ring capacity used by `--trace` / the overhead check. 1Ki events
@@ -85,7 +85,7 @@ fn ms(d: Duration) -> f64 {
 /// round-robin slots, and on 2 and 4 threads sharing one database.
 /// `wall_ms` spans the run's threads, not opening the database or the
 /// checks after the run.
-fn bench_throughput(smoke: bool, trace: bool, json: &mut String) -> Result<(), String> {
+fn bench_throughput(smoke: bool, trace: bool) -> Result<Json, String> {
     let txns = if smoke { 80 } else { 400 };
     let db_cfg = DbConfig::paper_like(EngineKind::Rda, 200, 32)
         .trace(if trace { TRACE_RING } else { 0 })
@@ -99,17 +99,16 @@ fn bench_throughput(smoke: bool, trace: bool, json: &mut String) -> Result<(), S
     };
     let single = run_spec(db_cfg.clone(), &cfg, &spec, txns);
     single.check()?;
-    let single = json_obj! {
-        "committed": single.committed,
-        "wall_ms": wall_ms(&single),
-        "txns_per_sec": single.txns_per_sec(),
-        "transfers_per_committed": single.transfers_per_committed,
-        "measured_c": single.measured_c,
+    let mut section = json_obj! {
+        "txns": txns,
+        "single_thread": json_obj! {
+            "committed": single.committed,
+            "wall_ms": wall_ms(&single),
+            "txns_per_sec": single.txns_per_sec(),
+            "transfers_per_committed": single.transfers_per_committed,
+            "measured_c": single.measured_c,
+        },
     };
-    let _ = write!(
-        json,
-        "\"txn_throughput\":{{\"txns\":{txns},\"single_thread\":{single}"
-    );
 
     for threads in [2usize, 4] {
         let cfg = RunConfig {
@@ -120,21 +119,22 @@ fn bench_throughput(smoke: bool, trace: bool, json: &mut String) -> Result<(), S
         };
         let r = run_spec(db_cfg.clone(), &cfg, &spec, txns);
         r.check()?;
-        let section = json_obj! {
-            "committed": r.committed,
-            "wall_ms": wall_ms(&r),
-            "txns_per_sec": r.txns_per_sec(),
-            "conflict_aborts": r.conflict_aborts,
-            "failures": r.failures,
-        };
-        let _ = write!(json, ",\"threads_{threads}\":{section}");
+        section.push(
+            &format!("threads_{threads}"),
+            json_obj! {
+                "committed": r.committed,
+                "wall_ms": wall_ms(&r),
+                "txns_per_sec": r.txns_per_sec(),
+                "conflict_aborts": r.conflict_aborts,
+                "failures": r.failures,
+            },
+        );
     }
-    json.push_str("},");
-    Ok(())
+    Ok(section)
 }
 
 /// Section 3: patrol-scrub bandwidth over a populated array.
-fn bench_scrub(smoke: bool, trace: bool, json: &mut String) -> Result<(), String> {
+fn bench_scrub(smoke: bool, trace: bool) -> Result<Json, String> {
     let db_cfg = DbConfig::paper_like(EngineKind::Rda, 200, 32)
         .trace(if trace { TRACE_RING } else { 0 })
         .spans(trace);
@@ -160,22 +160,20 @@ fn bench_scrub(smoke: bool, trace: bool, json: &mut String) -> Result<(), String
     }
     let wall = start.elapsed();
     let secs = wall.as_secs_f64().max(1e-9);
-    let _ = write!(
-        json,
-        "\"scrub\":{{\"passes\":{passes},\"pages_scanned\":{pages_scanned},\
-         \"page_size\":{page_size},\"wall_ms\":{:.3},\"pages_per_sec\":{:.1},\
-         \"mib_per_sec\":{:.3}}},",
-        ms(wall),
-        pages_scanned as f64 / secs,
-        (pages_scanned * page_size) as f64 / (1024.0 * 1024.0) / secs,
-    );
-    Ok(())
+    Ok(json_obj! {
+        "passes": passes,
+        "pages_scanned": pages_scanned,
+        "page_size": page_size,
+        "wall_ms": ms(wall),
+        "pages_per_sec": pages_scanned as f64 / secs,
+        "mib_per_sec": (pages_scanned * page_size) as f64 / (1024.0 * 1024.0) / secs,
+    })
 }
 
 /// Section 4: the exhaustive crashpoint sweep at 1, 2 and 4 workers.
 /// The three JSON reports must be byte-identical — the wall-clocks are
 /// the only thing allowed to differ.
-fn bench_explorer(smoke: bool, trace: bool, json: &mut String) -> Result<(), String> {
+fn bench_explorer(smoke: bool, trace: bool) -> Result<Json, String> {
     let mut spec = WorkloadSpec::high_update(32, 8);
     spec.s = 4;
     spec.f_u = 1.0;
@@ -198,8 +196,8 @@ fn bench_explorer(smoke: bool, trace: bool, json: &mut String) -> Result<(), Str
         ..ExplorerConfig::new(ExploreMode::Crash)
     };
 
-    let mut baseline: Option<(String, u64, usize)> = None;
-    let mut sweeps = String::new();
+    let mut baseline: Option<Json> = None;
+    let mut section = Json::Obj(Vec::new());
     for workers in [1usize, 2, 4] {
         let cfg = ExplorerConfig { workers, ..base };
         let start = Instant::now();
@@ -213,28 +211,27 @@ fn bench_explorer(smoke: bool, trace: bool, json: &mut String) -> Result<(), Str
         }
         let rendered = report.to_json();
         match &baseline {
-            None => baseline = Some((rendered, report.total_ios, report.points.len())),
-            Some((expect, _, _)) if *expect == rendered => {}
+            None => {
+                section = json_obj! {
+                    "total_ios": report.total_ios,
+                    "points": report.points.len(),
+                    "byte_identical": true,
+                };
+                baseline = Some(rendered);
+            }
+            Some(expect) if *expect == rendered => {}
             Some(_) => {
                 return Err(format!(
                     "explorer report at {workers} workers diverged from the 1-worker sweep"
                 ));
             }
         }
-        let _ = write!(
-            sweeps,
-            "{}\"workers_{workers}\":{{\"wall_ms\":{:.3}}}",
-            if sweeps.is_empty() { "" } else { "," },
-            ms(wall),
+        section.push(
+            &format!("workers_{workers}"),
+            json_obj! { "wall_ms": ms(wall) },
         );
     }
-    let (_, total_ios, points) = baseline.unwrap_or((String::new(), 0, 0));
-    let _ = write!(
-        json,
-        "\"explorer\":{{\"total_ios\":{total_ios},\"points\":{points},\
-         \"byte_identical\":true,{sweeps}}}",
-    );
-    Ok(())
+    Ok(section)
 }
 
 /// A file-backed workload, so the overhead check prices the black box
@@ -279,11 +276,10 @@ fn flight_wall(smoke: bool, instrumented: bool) -> Result<Duration, String> {
 /// One full pass over the suite's workload sections (the JSON they
 /// render is discarded), returning the end-to-end wall-clock.
 fn suite_wall(smoke: bool, trace: bool) -> Result<Duration, String> {
-    let mut scratch = String::new();
     let start = Instant::now();
-    bench_throughput(smoke, trace, &mut scratch)?;
-    bench_scrub(smoke, trace, &mut scratch)?;
-    bench_explorer(smoke, trace, &mut scratch)?;
+    bench_throughput(smoke, trace)?;
+    bench_scrub(smoke, trace)?;
+    bench_explorer(smoke, trace)?;
     flight_wall(smoke, trace)?;
     Ok(start.elapsed())
 }
@@ -298,7 +294,7 @@ fn suite_wall(smoke: bool, trace: bool) -> Result<Duration, String> {
 /// consistent estimator of each side's true floor, so extra rounds
 /// only sharpen the estimate — they cannot manufacture a pass the
 /// floors don't support.
-fn bench_overhead(smoke: bool, json: &mut String) -> Result<(), String> {
+fn bench_overhead(smoke: bool) -> Result<Json, String> {
     let mut best = [f64::INFINITY; 2]; // seconds: [tracing off, tracing on]
     let mut overhead_pct = f64::INFINITY;
     for round in 0..12 {
@@ -317,13 +313,6 @@ fn bench_overhead(smoke: bool, json: &mut String) -> Result<(), String> {
             break;
         }
     }
-    let _ = write!(
-        json,
-        ",\"obs_overhead\":{{\"ring\":{TRACE_RING},\"spans\":true,\"flight_recorder\":true,\
-         \"off_ms\":{:.3},\"on_ms\":{:.3},\"overhead_pct\":{overhead_pct:.2}}}",
-        best[0] * 1e3,
-        best[1] * 1e3,
-    );
     if overhead_pct > 5.0 {
         return Err(format!(
             "tracing overhead {overhead_pct:.2}% exceeds the 5% budget \
@@ -332,24 +321,31 @@ fn bench_overhead(smoke: bool, json: &mut String) -> Result<(), String> {
             best[1] * 1e3
         ));
     }
-    Ok(())
+    Ok(json_obj! {
+        "ring": TRACE_RING,
+        "spans": true,
+        "flight_recorder": true,
+        "off_ms": best[0] * 1e3,
+        "on_ms": best[1] * 1e3,
+        "overhead_pct": overhead_pct,
+    })
 }
 
 fn run(args: &Args) -> Result<String, String> {
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut json = format!(
-        "{{\"bench\":\"pr3-perf\",\"smoke\":{},\"trace\":{},\"host_cpus\":{host_cpus},",
-        args.smoke, args.trace
-    );
-    bench_throughput(args.smoke, args.trace, &mut json)?;
-    bench_scrub(args.smoke, args.trace, &mut json)?;
-    bench_explorer(args.smoke, args.trace, &mut json)?;
+    let mut report = json_obj! {
+        "bench": "pr3-perf",
+        "smoke": args.smoke,
+        "trace": args.trace,
+        "host_cpus": host_cpus,
+        "txn_throughput": bench_throughput(args.smoke, args.trace)?,
+        "scrub": bench_scrub(args.smoke, args.trace)?,
+        "explorer": bench_explorer(args.smoke, args.trace)?,
+    };
     if args.overhead_check {
-        bench_overhead(args.smoke, &mut json)?;
+        report.push("obs_overhead", bench_overhead(args.smoke)?);
     }
-    json.push('}');
-    json.push('\n');
-    Ok(json)
+    Ok(format!("{report}\n"))
 }
 
 fn main() {

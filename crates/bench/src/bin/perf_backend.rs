@@ -26,7 +26,8 @@
 
 use rda_core::{Database, DbConfig, EngineKind};
 use rda_disk::{create_database, DurabilityMode, FileDb};
-use std::fmt::Write as _;
+use rda_obs::json::Json;
+use rda_obs::json_obj;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -127,7 +128,7 @@ fn run_workload<D: rda_array::BlockDevice>(
 }
 
 /// `{"committed":…,"txns_per_sec":…,"p99_commit_us":…}` for one backend.
-fn stats_json(stats: &RunStats) -> String {
+fn stats_json(stats: &RunStats) -> Json {
     let secs = stats.wall.as_secs_f64().max(1e-9);
     let mut sorted = stats.latencies.clone();
     sorted.sort();
@@ -138,16 +139,14 @@ fn stats_json(stats: &RunStats) -> String {
         let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
         sorted[idx].as_secs_f64() * 1e6
     };
-    format!(
-        "{{\"committed\":{},\"wall_ms\":{:.3},\"txns_per_sec\":{:.1},\
-         \"mib_per_sec\":{:.3},\"p50_commit_us\":{:.1},\"p99_commit_us\":{:.1}}}",
-        stats.committed,
-        ms(stats.wall),
-        stats.committed as f64 / secs,
-        stats.bytes as f64 / (1024.0 * 1024.0) / secs,
-        pct(0.50),
-        pct(0.99),
-    )
+    json_obj! {
+        "committed": stats.committed,
+        "wall_ms": ms(stats.wall),
+        "txns_per_sec": stats.committed as f64 / secs,
+        "mib_per_sec": stats.bytes as f64 / (1024.0 * 1024.0) / secs,
+        "p50_commit_us": pct(0.50),
+        "p99_commit_us": pct(0.99),
+    }
 }
 
 /// The filesystem type holding `dir`, from `/proc/mounts` (longest
@@ -178,33 +177,30 @@ fn file_backend(dir: &Path, mode: DurabilityMode) -> Result<FileDb, String> {
 
 /// `{"p50_us":…,"p99_us":…,"count":…}` for one registered latency
 /// histogram (values observed in nanoseconds).
-fn histogram_json(db: &FileDb, name: &str) -> String {
+fn histogram_json(db: &FileDb, name: &str) -> Json {
     // The histogram was registered by `create_database`; looking it up
     // with the same name returns that instance, bounds ignored.
     let h = db.metrics().histogram(name, &[1]);
-    format!(
-        "{{\"p50_us\":{:.1},\"p99_us\":{:.1},\"count\":{}}}",
-        h.quantile(0.50) / 1e3,
-        h.quantile(0.99) / 1e3,
-        h.count(),
-    )
+    json_obj! {
+        "p50_us": h.quantile(0.50) / 1e3,
+        "p99_us": h.quantile(0.99) / 1e3,
+        "count": h.count(),
+    }
 }
 
 /// The disk traffic block a file backend reports: the counters `rda-disk`
 /// exports as metric views, plus the fsync latency histogram.
-fn queue_json(db: &FileDb) -> String {
+fn queue_json(db: &FileDb) -> Json {
     let values: std::collections::BTreeMap<String, u64> =
         db.metrics().counter_values().into_iter().collect();
     let get = |key: &str| values.get(key).copied().unwrap_or(0);
-    format!(
-        "{{\"enqueued\":{},\"barriers\":{},\"fsyncs\":{},\
-         \"sticky_errors\":{},\"fsync\":{}}}",
-        get("disk_writes_enqueued"),
-        get("disk_barriers"),
-        get("disk_fsyncs"),
-        get("disk_sticky_errors"),
-        histogram_json(db, "disk_fsync_nanos"),
-    )
+    json_obj! {
+        "enqueued": get("disk_writes_enqueued"),
+        "barriers": get("disk_barriers"),
+        "fsyncs": get("disk_fsyncs"),
+        "sticky_errors": get("disk_sticky_errors"),
+        "fsync": histogram_json(db, "disk_fsync_nanos"),
+    }
 }
 
 fn run(args: &Args) -> Result<String, String> {
@@ -214,16 +210,18 @@ fn run(args: &Args) -> Result<String, String> {
         std::env::var_os("RDA_BENCH_DIR").map_or_else(std::env::temp_dir, Into::into);
     let fs_type = fs_type_of(&base);
 
-    let mut json = format!(
-        "{{\"bench\":\"pr9-backend\",\"smoke\":{},\"txns\":{txns},\
-         \"pages_per_txn\":{PAGES_PER_TXN},\
-         \"host\":{{\"cpus\":{host_cpus},\"dir\":{:?},\"fs_type\":\"{fs_type}\"}},",
-        args.smoke,
-        base.display().to_string(),
-    );
-
-    let sim = run_workload(&Database::open(cfg()), txns)?;
-    let _ = write!(json, "\"sim\":{}", stats_json(&sim));
+    let mut report = json_obj! {
+        "bench": "pr9-backend",
+        "smoke": args.smoke,
+        "txns": txns,
+        "pages_per_txn": PAGES_PER_TXN,
+        "host": json_obj! {
+            "cpus": host_cpus,
+            "dir": base.display().to_string(),
+            "fs_type": fs_type,
+        },
+        "sim": stats_json(&run_workload(&Database::open(cfg()), txns)?),
+    };
 
     for (name, mode) in [
         ("file_fsync", DurabilityMode::FsyncOnBarrier),
@@ -236,13 +234,10 @@ fn run(args: &Args) -> Result<String, String> {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
         let mut section = stats_json(&stats);
-        section.truncate(section.len() - 1); // reopen the object…
-        let _ = write!(json, ",\"{name}\":{section},\"queue\":{queue}}}");
+        section.push("queue", queue);
+        report.push(name, section);
     }
-
-    json.push('}');
-    json.push('\n');
-    Ok(json)
+    Ok(format!("{report}\n"))
 }
 
 fn main() {

@@ -26,7 +26,7 @@
 //! Run with: `cargo run --release -p rda-bench --bin perf_sharded`
 
 use rda_core::{DbConfig, EngineKind, GroupCommit, ShardMap, ShardedDb};
-use rda_obs::json::{Json, ToJson};
+use rda_obs::json::Json;
 use rda_obs::json_obj;
 use rda_obs::rng::{mix, Rng};
 use rda_sim::{run, Access, AccessKind, RunConfig, RunResult, TxnScript};
@@ -174,22 +174,18 @@ fn section(threads: usize, txns_per_thread: usize, mode: KeyMode) -> (RunResult,
     (r, json)
 }
 
-fn member(key: impl Into<String>, value: &impl ToJson) -> (String, Json) {
-    (key.into(), value.to_json())
-}
-
 fn main() {
     let args = parse_args();
     let txns_per_thread = if args.smoke { 400 } else { 3000 };
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    let mut report = vec![
-        member("bench", &"pr10-sharded"),
-        member("smoke", &args.smoke),
-        member("host_cpus", &host_cpus),
-        member("txns_per_thread", &txns_per_thread),
-        member("pages_per_txn", &PAGES_PER_TXN),
-    ];
+    let mut report = json_obj! {
+        "bench": "pr10-sharded",
+        "smoke": args.smoke,
+        "host_cpus": host_cpus,
+        "txns_per_thread": txns_per_thread,
+        "pages_per_txn": PAGES_PER_TXN,
+    };
     let mut disjoint_tps: Vec<(usize, f64)> = Vec::new();
     let mut failed: Option<String> = None;
     for threads in [1usize, 2, 4, 8] {
@@ -210,7 +206,7 @@ fn main() {
             if mode == KeyMode::Disjoint {
                 disjoint_tps.push((threads, r.txns_per_sec()));
             }
-            report.push(member(format!("threads_{threads}_{}", mode.name()), &json));
+            report.push(&format!("threads_{threads}_{}", mode.name()), json);
         }
     }
 
@@ -223,18 +219,18 @@ fn main() {
     let ratio_4 = if tps(1) > 0.0 { tps(4) / tps(1) } else { 0.0 };
     let ratio_2 = if tps(1) > 0.0 { tps(2) / tps(1) } else { 0.0 };
     let met = ratio_4 >= 2.5;
-    report.push(member(
+    report.push(
         "scaling",
-        &json_obj! {
+        json_obj! {
             "mode": "disjoint",
             "threads_2_vs_1": ratio_2,
             "threads_4_vs_1": ratio_4,
             "target_4_vs_1": 2.5,
             "met": met,
         },
-    ));
+    );
 
-    if let Err(e) = std::fs::write(&args.out, Json::Obj(report).to_string()) {
+    if let Err(e) = std::fs::write(&args.out, report.to_string()) {
         eprintln!("failed to write {}: {e}", args.out);
         std::process::exit(1);
     }

@@ -50,7 +50,7 @@ pub mod corpus;
 pub use checker::{run_schedule, CheckOutcome};
 pub use generate::{fault_kind_cycle, fault_variant, generate, generate_threaded, Stream};
 pub use model::{Expected, RefModel};
-pub use rda_obs::json::{escape, Json};
+pub use rda_obs::json::Json;
 pub use rda_obs::rng::{mix, Rng};
 // The mutation knob rides along so checker users need no direct
 // `rda-core` import to arm it.

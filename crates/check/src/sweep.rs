@@ -208,8 +208,9 @@ fn fail_of(sched: &Schedule, variant: &str, outcome: &CheckOutcome) -> Option<Fa
     })
 }
 
-/// Run the sweep. Worker threads split each fixed-size chunk of schedule
-/// indices; results land in index order regardless of scheduling.
+/// Run the sweep. Worker threads (one worker is a pool of one) split each
+/// fixed-size chunk of schedule indices; results land in index order
+/// regardless of scheduling.
 #[must_use]
 pub fn sweep(cfg: &SweepConfig) -> SweepReport {
     let mut results: Vec<ScheduleResult> = Vec::with_capacity(cfg.schedules as usize);
@@ -219,32 +220,26 @@ pub fn sweep(cfg: &SweepConfig) -> SweepReport {
         let chunk: Vec<u64> = (next..(next + CHUNK).min(cfg.schedules)).collect();
         next += CHUNK;
         let mut slot_results: Vec<Option<ScheduleResult>> = vec![None; chunk.len()];
-        if workers == 1 {
-            for (slot, &index) in chunk.iter().enumerate() {
-                slot_results[slot] = Some(check_index(cfg, index));
+        let counter = std::sync::atomic::AtomicUsize::new(0);
+        let slots = std::sync::Mutex::new(&mut slot_results);
+        // A panicking worker propagates out of the scope.
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(chunk.len()) {
+                scope.spawn(|| loop {
+                    // ordering: Relaxed — work-queue index claim;
+                    // atomicity alone guarantees each slot is taken
+                    // once, and results publish via the mutex.
+                    let slot = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if slot >= chunk.len() {
+                        break;
+                    }
+                    let result = check_index(cfg, chunk[slot]);
+                    if let Ok(mut guard) = slots.lock() {
+                        guard[slot] = Some(result);
+                    }
+                });
             }
-        } else {
-            let counter = std::sync::atomic::AtomicUsize::new(0);
-            let slots = std::sync::Mutex::new(&mut slot_results);
-            // A panicking worker propagates out of the scope.
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(chunk.len()) {
-                    scope.spawn(|| loop {
-                        // ordering: Relaxed — work-queue index claim;
-                        // atomicity alone guarantees each slot is taken
-                        // once, and results publish via the mutex.
-                        let slot = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if slot >= chunk.len() {
-                            break;
-                        }
-                        let result = check_index(cfg, chunk[slot]);
-                        if let Ok(mut guard) = slots.lock() {
-                            guard[slot] = Some(result);
-                        }
-                    });
-                }
-            });
-        }
+        });
         let mut tripped = false;
         for result in slot_results.into_iter().flatten() {
             tripped |= result.failure.is_some();

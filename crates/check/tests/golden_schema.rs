@@ -9,6 +9,7 @@
 use rda_check::Json;
 use rda_core::{DbConfig, EngineKind, RecoveryPhase, Timeline};
 use rda_faults::{explore, ExploreMode, ExplorerConfig};
+use rda_obs::json::ToJson;
 use rda_sim::WorkloadSpec;
 use std::time::Duration;
 
@@ -24,7 +25,9 @@ fn tiny_report_json() -> String {
         samples: 4,
         ..ExplorerConfig::new(ExploreMode::Crash)
     };
-    explore(&DbConfig::small_test(EngineKind::Rda), &scripts, &cfg).to_json()
+    explore(&DbConfig::small_test(EngineKind::Rda), &scripts, &cfg)
+        .to_json()
+        .to_string()
 }
 
 #[test]
@@ -117,14 +120,15 @@ fn deterministic_report_carries_no_wall_clock() {
     );
 }
 
-/// `Timeline::json_ios` renders phases in push order with stable names.
+/// The untimed `Timeline::to_json` renders phases in push order with
+/// stable names.
 #[test]
-fn timeline_json_ios_shape() {
+fn untimed_timeline_json_shape() {
     let mut t = Timeline::default();
     t.push(RecoveryPhase::IntentReplay, Duration::ZERO, 1, 2);
     t.push(RecoveryPhase::UndoParity, Duration::ZERO, 3, 4);
-    let json = t.json_ios();
-    let parsed = Json::parse(&json).expect("json_ios must be valid JSON");
+    let json = t.to_json(false).to_string();
+    let parsed = Json::parse(&json).expect("the timeline must be valid JSON");
     let arr = parsed.as_arr().expect("array");
     assert_eq!(arr.len(), 2);
     assert_eq!(

@@ -480,41 +480,6 @@ impl<D: BlockDevice> Database<D> {
         self.engine.lock().obs.tracer.snapshot()
     }
 
-    /// Deterministic JSON of every counter and view in the metrics
-    /// registry (histograms excluded) — byte-comparable across replays
-    /// of the same seed.
-    #[must_use]
-    pub fn metrics_counters_json(&self) -> String {
-        self.engine.lock().obs.metrics.counters_json()
-    }
-
-    /// Full JSON export of the metrics registry, histograms included.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.engine.lock().obs.metrics.to_json()
-    }
-
-    /// Prometheus text exposition of the metrics registry.
-    #[must_use]
-    pub fn metrics_prometheus(&self) -> String {
-        self.engine.lock().obs.metrics.to_prometheus()
-    }
-
-    /// Non-deterministic JSON summary of every latency histogram
-    /// (interpolated p50/p99/p999 + mean) — the timing complement of
-    /// [`Database::metrics_counters_json`].
-    #[must_use]
-    pub fn metrics_histograms_json(&self) -> String {
-        self.engine.lock().obs.metrics.histograms_json()
-    }
-
-    /// The `n` most lock-contended pages as
-    /// `[{"page":P,"conflicts":C},...]`, most contended first.
-    #[must_use]
-    pub fn top_contended_json(&self, n: usize) -> String {
-        self.engine.lock().obs.locks.top_contended_json(n)
-    }
-
     /// Install `hook` to run after every commit/checkpoint durability
     /// barrier — the seam the file backend's flight recorder flushes
     /// through. Replaces any previous hook. The hook runs with the

@@ -110,7 +110,7 @@ fn metrics_counters_are_deterministic_for_a_fixed_seed() {
     let run = || {
         let db = Database::open(cfg(2).trace(1 << 12));
         run_seeded_workload(&db, 0xDECA_FBAD, 40);
-        db.metrics_counters_json()
+        db.metrics().counters_json()
     };
     let a = run();
     let b = run();

@@ -24,11 +24,22 @@
 //!
 //! Replay is sequential (one transaction at a time), which makes the
 //! physical I/O sequence — and therefore "the k-th I/O" — a pure
-//! function of (config, trace, seed).
+//! function of (config, trace, seed). Crashpoints fan out over a pool of
+//! [`ExplorerConfig::workers`] threads, one worker included, and land in
+//! I/O order.
+//!
+//! The report renders through [`ToJson`]: one summary object plus one
+//! flat record per explored crashpoint. It is the artifact the CI
+//! crashpoint job archives, so its shape is part of this crate's
+//! contract, and it is byte-identical for a given (config, trace, seed)
+//! at any worker count. [`CrashpointReport::to_json_timed`] adds each
+//! phase's wall-clock for people to read.
 
 use crate::injector::FaultInjector;
 use crate::plan::{FaultKind, FaultPlan};
-use rda_core::{Database, DbConfig, DbError, LogGranularity, RecoveryPhase, Timeline};
+use rda_core::{Database, DbConfig, DbError, LogGranularity, RecoveryPhase, Timeline, Transaction};
+use rda_obs::json::{Json, ToJson};
+use rda_obs::json_obj;
 use rda_obs::rng::Rng;
 use rda_sim::{AccessKind, TxnScript};
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,11 +159,25 @@ impl Crashpoint {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    fn render(&self, timed: bool) -> Json {
+        json_obj! {
+            "io_index": self.io_index,
+            "fired": self.fired.map(FaultKind::name),
+            "clean": self.is_clean(),
+            "committed_before": self.committed_before,
+            "losers": self.losers,
+            "intent_replays": self.intent_replays,
+            "torn_twins_healed": self.torn_twins_healed,
+            "timeline": self.timeline.to_json(timed),
+            "violations": self.violations,
+        }
+    }
 }
 
 /// How much work one explorer worker did. Deliberately *not* part of
-/// [`CrashpointReport::to_json`]: wall-clock depends on the host, and the
-/// JSON report must stay byte-identical across worker counts.
+/// the report's JSON: wall-clock depends on the host, and the JSON
+/// report must stay byte-identical across worker counts.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerTiming {
     /// Worker index (0-based).
@@ -180,7 +205,7 @@ pub struct CrashpointReport {
     /// One entry per explored crashpoint, in increasing I/O order.
     pub points: Vec<Crashpoint>,
     /// Per-worker replay timing (one entry per pool worker, sorted by
-    /// worker index). Excluded from [`CrashpointReport::to_json`].
+    /// worker index). Excluded from the report's JSON.
     pub worker_timings: Vec<WorkerTiming>,
 }
 
@@ -195,6 +220,38 @@ impl CrashpointReport {
     #[must_use]
     pub fn failures(&self) -> Vec<&Crashpoint> {
         self.points.iter().filter(|p| !p.is_clean()).collect()
+    }
+
+    /// Like the [`ToJson`] rendering, but each timeline phase also
+    /// carries `wall_us`. Host-dependent — for people to read, never for
+    /// byte comparison.
+    #[must_use]
+    pub fn to_json_timed(&self) -> Json {
+        self.render(true)
+    }
+
+    fn render(&self, timed: bool) -> Json {
+        let points: Vec<Json> = self.points.iter().map(|p| p.render(timed)).collect();
+        json_obj! {
+            "mode": self.mode.name(),
+            "total_ios": self.total_ios,
+            "exhaustive": self.exhaustive,
+            "explored": self.points.len(),
+            "clean": self.is_clean(),
+            "failures": self.failures().len(),
+            "golden_committed": self.golden_committed,
+            "golden_violations": self.golden_violations,
+            "points": points,
+        }
+    }
+}
+
+/// The whole report as one JSON object. Byte-identical for a given
+/// (config, trace, seed) regardless of worker count: per-phase timelines
+/// carry billed I/O counts, never wall-clock.
+impl ToJson for CrashpointReport {
+    fn to_json(&self) -> Json {
+        self.render(false)
     }
 }
 
@@ -220,6 +277,10 @@ struct ReplayRun {
     stopped: bool,
     /// An error that the fault model does not explain.
     violation: Option<String>,
+    /// The transaction a stop interrupted mid-access, as a client holds
+    /// it when the machine dies. Drop it only after `Database::crash`,
+    /// where its abort is refused with `NeedsRecovery`.
+    open: Option<Transaction>,
 }
 
 /// Replay `scripts` sequentially against `db`. `stop_on_array_error`
@@ -238,6 +299,7 @@ fn replay(
         committed: 0,
         stopped: false,
         violation: None,
+        open: None,
     };
     'scripts: for (idx, script) in scripts.iter().enumerate() {
         let mut pending: BTreeMap<u32, u8> = BTreeMap::new();
@@ -259,10 +321,14 @@ fn replay(
                 }
             };
             if let Err(e) = result {
-                // The handle must not run its Drop-abort against a dead
-                // engine — exactly what a real client loses in a crash.
-                std::mem::forget(tx);
                 classify_stop(e, stop_on_array_error, &mut run);
+                if run.stopped {
+                    run.open = Some(tx);
+                } else {
+                    // Nothing crashed: end it here, where a failed abort
+                    // is ignored instead of panicking in `Drop`.
+                    let _ = tx.abort();
+                }
                 break 'scripts;
             }
         }
@@ -386,13 +452,19 @@ fn explore_point(
     db.install_fault_hook(injector.clone());
 
     let page_mode = db_cfg.granularity == LogGranularity::Page;
-    let run = replay(
+    let mut run = replay(
         &db,
         scripts,
         cfg.seed,
         page_mode,
         cfg.mode == ExploreMode::FailDisk,
     );
+    if run.stopped {
+        // The machine stopped: power it off, then drop the handle the
+        // client lost with it.
+        db.crash();
+        run.open = None;
+    }
     let mut point = Crashpoint {
         io_index: k,
         fired: None,
@@ -423,7 +495,6 @@ fn explore_point(
                 ));
                 return point;
             }
-            db.crash();
             match db.recover() {
                 Ok(report) => {
                     point.losers = report.losers.len() as u64;
@@ -443,9 +514,9 @@ fn explore_point(
             let dead = fired[0].disk;
             if run.stopped {
                 // A dying disk surfaced as an operation error: treat it
-                // as the documented disk-death-plus-crash flow — crash,
-                // rebuild the disk, then run restart recovery.
-                db.crash();
+                // as the documented disk-death-plus-crash flow — crash
+                // (done above), rebuild the disk, then run restart
+                // recovery.
                 if let Err(e) = rebuild_timed(&db, dead, &mut point.timeline) {
                     point.violations.push(format!("media recovery failed: {e}"));
                     return point;
@@ -501,21 +572,7 @@ pub fn explore(db_cfg: &DbConfig, scripts: &[TxnScript], cfg: &ExplorerConfig) -
 
     let (ks, exhaustive) = choose_crashpoints(total, cfg);
     let workers = cfg.effective_workers().min(ks.len()).max(1);
-    let (points, worker_timings) = if workers <= 1 {
-        let start = Instant::now();
-        let points: Vec<Crashpoint> = ks
-            .into_iter()
-            .map(|k| explore_point(db_cfg, scripts, cfg, k))
-            .collect();
-        let timing = WorkerTiming {
-            worker: 0,
-            points: points.len() as u64,
-            elapsed: start.elapsed(),
-        };
-        (points, vec![timing])
-    } else {
-        explore_points_parallel(db_cfg, scripts, cfg, &ks, workers)
-    };
+    let (points, worker_timings) = explore_points(db_cfg, scripts, cfg, &ks, workers);
 
     CrashpointReport {
         mode: cfg.mode,
@@ -531,9 +588,9 @@ pub fn explore(db_cfg: &DbConfig, scripts: &[TxnScript], cfg: &ExplorerConfig) -
 /// Fan `ks` out over `workers` scoped threads. Workers claim crashpoint
 /// *indices* from a shared dispenser; each replay opens its own fresh
 /// [`Database`], so replays share nothing, and results are slotted back
-/// by index — the output is the same in-order `Vec` the sequential path
-/// produces, regardless of scheduling.
-fn explore_points_parallel(
+/// by index — the output is the same in-order `Vec` at any worker
+/// count, regardless of scheduling.
+fn explore_points(
     db_cfg: &DbConfig,
     scripts: &[TxnScript],
     cfg: &ExplorerConfig,
@@ -586,4 +643,54 @@ fn explore_points_parallel(
     let points: Vec<Crashpoint> = slots.into_iter().flatten().collect();
     debug_assert_eq!(points.len(), ks.len());
     (points, timings)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rda_core::EngineKind;
+    use rda_sim::Access;
+
+    #[test]
+    fn empty_report_renders() {
+        let report = CrashpointReport {
+            mode: ExploreMode::Crash,
+            total_ios: 0,
+            exhaustive: true,
+            golden_committed: 0,
+            golden_violations: Vec::new(),
+            points: Vec::new(),
+            worker_timings: Vec::new(),
+        };
+        assert_eq!(
+            report.to_json().to_string(),
+            "{\"mode\":\"crash\",\"total_ios\":0,\"exhaustive\":true,\"explored\":0,\
+             \"clean\":true,\"failures\":0,\"golden_committed\":0,\
+             \"golden_violations\":[],\"points\":[]}"
+        );
+    }
+
+    /// A replay the planted crash stops mid-access must not keep that
+    /// crashpoint's engine alive once the database is dropped.
+    #[test]
+    fn a_replay_stopped_by_a_crash_frees_its_database() {
+        let db = Database::open(DbConfig::small_test(EngineKind::Rda));
+        let metrics = Arc::downgrade(&db.metrics());
+        db.install_fault_hook(Arc::new(FaultInjector::new(FaultPlan::crash_at(1))));
+        let reads = (0..8)
+            .map(|page| Access {
+                page,
+                kind: AccessKind::Read,
+            })
+            .collect();
+        let run = replay(&db, &[TxnScript::committing(reads)], 1, true, false);
+        assert!(run.stopped && run.violation.is_none());
+        db.crash();
+        drop(run);
+        drop(db);
+        assert!(
+            metrics.upgrade().is_none(),
+            "the engine outlived its database"
+        );
+    }
 }

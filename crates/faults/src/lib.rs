@@ -20,7 +20,8 @@
 //!   (exhaustively under a bound, seeded-sampled above it), crashes,
 //!   recovers, and verifies each survivor against the invariant auditor,
 //!   the parity scrub, and an exact durability oracle;
-//! * [`CrashpointReport::to_json`] — a flat JSON artifact for CI.
+//! * [`CrashpointReport`]'s [`ToJson`](rda_obs::json::ToJson) rendering —
+//!   a flat JSON artifact for CI.
 //!
 //! Everything here is deterministic by construction: same config, same
 //! trace, same seed ⇒ same I/O sequence, same crashpoints, same verdict.
@@ -28,7 +29,6 @@
 mod explorer;
 mod injector;
 mod plan;
-mod report;
 
 pub use explorer::{
     crashpoint_schedule, explore, value_byte, Crashpoint, CrashpointReport, ExploreMode,

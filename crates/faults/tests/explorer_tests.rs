@@ -4,6 +4,7 @@
 
 use rda_core::{DbConfig, EngineKind};
 use rda_faults::{explore, CrashpointReport, ExploreMode, ExplorerConfig};
+use rda_obs::json::{Json, ToJson};
 use rda_sim::{TxnScript, WorkloadSpec};
 
 /// A small all-update workload with a scripted abort mixed in, sized so
@@ -75,12 +76,12 @@ fn exhaustive_crash_exploration_recovers_everywhere() {
         .any(|p| p.is_clean() && p.timeline.total_ios() > 0));
     // Both JSON renderings surface the timeline; only the timed one
     // carries wall-clock.
-    let json = report.to_json();
+    let json = report.to_json().to_string();
     assert!(json.contains(
         "\"timeline\":[{\"phase\":\"log_scan\",\"reads\":0,\"writes\":0},{\"phase\":\"intent_replay\""
     ));
     assert!(!json.contains("wall_us"));
-    assert!(report.to_json_timed().contains("\"wall_us\":"));
+    assert!(report.to_json_timed().to_string().contains("\"wall_us\":"));
 }
 
 #[test]
@@ -126,7 +127,10 @@ fn exhaustive_disk_failure_exploration_rebuilds_everywhere() {
         .all(|p| p.timeline.phases.first().is_some_and(|ph| {
             ph.phase == rda_core::RecoveryPhase::MediaRebuild && ph.reads + ph.writes > 0
         })));
-    assert!(report.to_json().contains("\"phase\":\"media_rebuild\""));
+    assert!(report
+        .to_json()
+        .to_string()
+        .contains("\"phase\":\"media_rebuild\""));
 }
 
 #[test]
@@ -191,9 +195,12 @@ fn report_serializes_to_json() {
         ..ExplorerConfig::new(ExploreMode::Crash)
     };
     let report = explore(&DbConfig::small_test(EngineKind::Rda), &scripts, &cfg);
-    let json = report.to_json();
+    let json = report.to_json().to_string();
     assert!(json.contains("\"mode\":\"crash\""));
     assert!(json.contains("\"total_ios\":"));
     assert!(json.contains("\"points\":["));
     assert!(json.contains("\"clean\":"));
+    for text in [json, report.to_json_timed().to_string()] {
+        assert_eq!(Json::parse(&text).map(|j| j.to_string()), Ok(text));
+    }
 }

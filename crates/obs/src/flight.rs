@@ -15,8 +15,9 @@
 //! recovery, the one place that must never trip over diagnostics.
 
 use crate::event::TraceEvent;
+use crate::json::{Json, ToJson};
+use crate::json_obj;
 use crate::pack::{pack, unpack};
-use std::fmt::Write as _;
 
 /// One persisted black-box snapshot: what the engine was doing at (or
 /// shortly before) the moment the journal stopped.
@@ -99,48 +100,20 @@ impl FlightRecord {
             counters,
         })
     }
-
-    /// Hand-rolled JSON rendering:
-    /// events as their human `Display` lines, counters as an object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"flush_seq\":{},\"io_clock\":{},\"dropped\":{},\"events\":[",
-            self.flush_seq, self.io_clock, self.dropped
-        );
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", json_escape(&ev.to_string()));
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{value}", json_escape(name));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Events as their human `Display` lines, counters as an object.
+impl ToJson for FlightRecord {
+    fn to_json(&self) -> Json {
+        let events: Vec<String> = self.events.iter().map(ToString::to_string).collect();
+        json_obj! {
+            "flush_seq": self.flush_seq,
+            "io_clock": self.io_clock,
+            "dropped": self.dropped,
+            "events": events,
+            "counters": self.counters.iter().cloned().collect::<Json>(),
         }
     }
-    out
 }
 
 /// Minimal little-endian byte reader; every method is `None` on
@@ -216,7 +189,8 @@ mod tests {
 
     #[test]
     fn json_contains_events_and_counters() {
-        let json = sample().to_json();
+        let json = sample().to_json().to_string();
+        assert_eq!(Json::parse(&json).map(|j| j.to_string()), Ok(json.clone()));
         assert!(json.contains("\"flush_seq\":9"), "{json}");
         assert!(json.contains("TxnBegin"), "{json}");
         assert!(json.contains("\"rda_commits\":41"), "{json}");

@@ -1,8 +1,11 @@
 //! The workspace's one JSON: a value tree, a recursive-descent parser and
 //! a deterministic compact writer.
 //!
-//! Reports, figure series and sim traces are built as [`Json`] values and
-//! written with `Display`; checker corpus entries and traces are read back
+//! Every JSON document the workspace writes (checker and crashpoint
+//! reports, metrics exports, flight records, figure series, sim traces
+//! and bench rows) is built as a [`Json`] value and written with
+//! `Display`, so `escape` here is the one escape function and the writer
+//! the one float format. Checker corpus entries and traces are read back
 //! with [`Json::parse`]. A number with a fraction or exponent is a
 //! [`Json::Float`], anything else a [`Json::Int`], so integer documents
 //! (the corpus) round-trip byte-exact.
@@ -110,6 +113,22 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// Append the member `key: value` to this object. Any other value is
+    /// left unchanged.
+    pub fn push(&mut self, key: &str, value: impl ToJson) {
+        if let Json::Obj(members) = self {
+            members.push((key.to_string(), value.to_json()));
+        }
+    }
+}
+
+/// `(name, value)` pairs collect into an object, members in iteration
+/// order.
+impl<V: ToJson> FromIterator<(String, V)> for Json {
+    fn from_iter<I: IntoIterator<Item = (String, V)>>(members: I) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k, v.to_json())).collect())
     }
 }
 
@@ -221,8 +240,7 @@ macro_rules! json_struct {
 }
 
 /// Escape a string for embedding in a JSON document.
-#[must_use]
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -391,5 +409,38 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn escape_handles_quotes_and_controls() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn written_documents_parse_back_to_the_same_bytes() {
+        let mut doc = json_obj! {
+            "name \"quoted\"\n": "tab\there",
+            "n": 7u64,
+            "x": 0.1,
+            "none": Option::<u8>::None,
+            "list": vec![true, false],
+        };
+        doc.push(
+            "tail",
+            [("k".to_string(), 1u8)].into_iter().collect::<Json>(),
+        );
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            "{\"name \\\"quoted\\\"\\n\":\"tab\\there\",\"n\":7,\"x\":0.1,\
+             \"none\":null,\"list\":[true,false],\"tail\":{\"k\":1}}"
+        );
+        assert_eq!(Json::parse(&text), Ok(doc));
     }
 }

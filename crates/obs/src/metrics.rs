@@ -8,7 +8,7 @@
 //! plus one bucket `fetch_add`. The registry's own map is only locked
 //! on registration and export.
 //!
-//! Exports come in two flavors: Prometheus text and hand-rolled JSON.
+//! Exports come in two flavors: Prometheus text and [`Json`] documents.
 //! [`MetricsRegistry::counters_json`] deliberately excludes histogram
 //! `sum`/`count`-derived means and any wall-clock-touched series so
 //! determinism tests can compare it byte-for-byte across runs.
@@ -18,6 +18,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::json::Json;
+use crate::json_obj;
 use crate::sync::Mutex;
 
 /// Bucket bounds for nanosecond-scale latency histograms: 1µs → 1s in
@@ -236,23 +238,10 @@ impl MetricsRegistry {
     /// comparisons): `{"name":value,...}` in sorted name order.
     #[must_use]
     pub fn counters_json(&self) -> String {
-        let map = self.metrics.lock();
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, metric) in map.iter() {
-            let value = match metric {
-                Metric::Counter(c) => c.get(),
-                Metric::View(f) => f(),
-                Metric::Histogram(_) => continue,
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push('}');
-        out
+        self.counter_values()
+            .into_iter()
+            .collect::<Json>()
+            .to_string()
     }
 
     /// Snapshot of every counter and view as `(name, value)` pairs in
@@ -280,77 +269,29 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histograms_json(&self) -> String {
         let map = self.metrics.lock();
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, metric) in map.iter() {
-            let Metric::Histogram(h) = metric else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let count = h.count();
-            #[allow(clippy::cast_precision_loss)] // summary stats, not ids
-            let mean = if count == 0 {
-                0.0
-            } else {
-                h.sum() as f64 / count as f64
-            };
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"p50\":{:.1},\"p99\":{:.1},\"p999\":{:.1},\
-                 \"mean\":{mean:.1},\"count\":{count}}}",
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            );
-        }
-        out.push('}');
-        out
-    }
-
-    /// Full JSON export: counters/views as numbers, histograms as
-    /// `{"buckets":[[bound,cumulative],...],"sum":S,"count":N}` with
-    /// the `+Inf` bound rendered as `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let map = self.metrics.lock();
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, metric) in map.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = write!(out, "\"{name}\":{}", c.get());
-                }
-                Metric::View(f) => {
-                    let _ = write!(out, "\"{name}\":{}", f());
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(out, "\"{name}\":{{\"buckets\":[");
-                    for (i, (bound, cum)) in h.cumulative().iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        match bound {
-                            Some(b) => {
-                                let _ = write!(out, "[{b},{cum}]");
-                            }
-                            None => {
-                                let _ = write!(out, "[null,{cum}]");
-                            }
-                        }
-                    }
-                    let _ = write!(out, "],\"sum\":{},\"count\":{}}}", h.sum(), h.count());
-                }
-            }
-        }
-        out.push('}');
-        out
+        map.iter()
+            .filter_map(|(name, metric)| {
+                let Metric::Histogram(h) = metric else {
+                    return None;
+                };
+                let count = h.count();
+                #[allow(clippy::cast_precision_loss)] // summary stats, not ids
+                let mean = if count == 0 {
+                    0.0
+                } else {
+                    h.sum() as f64 / count as f64
+                };
+                let summary = json_obj! {
+                    "p50": h.quantile(0.50),
+                    "p99": h.quantile(0.99),
+                    "p999": h.quantile(0.999),
+                    "mean": mean,
+                    "count": count,
+                };
+                Some((name.clone(), summary))
+            })
+            .collect::<Json>()
+            .to_string()
     }
 
     /// Prometheus text exposition: counters and views as `counter`
@@ -392,6 +333,14 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// `text` parses, and writing the parse gives `text` back.
+    fn assert_round_trips(text: &str) {
+        assert_eq!(
+            Json::parse(text).map(|j| j.to_string()).as_deref(),
+            Ok(text)
+        );
+    }
+
     #[test]
     fn counters_and_views_export_sorted() {
         let reg = MetricsRegistry::new();
@@ -402,6 +351,9 @@ mod tests {
             reg.counters_json(),
             "{\"a_first\":1,\"b_second\":2,\"c_view\":7}"
         );
+        // A name is escaped like any other JSON string.
+        reg.counter("d_\"odd\"").inc();
+        assert_round_trips(&reg.counters_json());
         let prom = reg.to_prometheus();
         assert!(prom.contains("a_first 1"));
         assert!(prom.contains("c_view 7"));
@@ -482,6 +434,7 @@ mod tests {
             h.observe(v);
         }
         let json = reg.histograms_json();
+        assert_round_trips(&json);
         assert!(json.contains("\"lat_ns\":{\"p50\""), "{json}");
         assert!(json.contains("\"count\":3"), "{json}");
         assert!(!json.contains("ops"), "counters must not leak: {json}");
@@ -508,8 +461,7 @@ mod tests {
             let reg = Arc::clone(&reg);
             std::thread::spawn(move || {
                 for _ in 0..100 {
-                    let json = reg.histograms_json();
-                    assert!(json.starts_with('{') && json.ends_with('}'));
+                    assert_round_trips(&reg.histograms_json());
                     let _ = reg.to_prometheus();
                 }
             })

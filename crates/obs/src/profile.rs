@@ -13,9 +13,10 @@
 //! paths, which are already failure paths or lock-table operations, so
 //! the cost is noise next to the work they annotate.
 
+use crate::json::Json;
+use crate::json_obj;
 use crate::sync::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -112,19 +113,15 @@ impl LockProfile {
         all
     }
 
-    /// JSON rendering of [`LockProfile::top_contended`]:
-    /// `[{"page":P,"conflicts":C},...]`.
+    /// [`LockProfile::top_contended`] as `[{"page":P,"conflicts":C},...]`.
     #[must_use]
-    pub fn top_contended_json(&self, n: usize) -> String {
-        let mut out = String::from("[");
-        for (i, (page, conflicts)) in self.top_contended(n).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"page\":{page},\"conflicts\":{conflicts}}}");
-        }
-        out.push(']');
-        out
+    pub fn top_contended_json(&self, n: usize) -> Json {
+        let pages = self.top_contended(n).into_iter();
+        Json::Arr(
+            pages
+                .map(|(page, conflicts)| json_obj! { "page": page, "conflicts": conflicts })
+                .collect(),
+        )
     }
 }
 
@@ -168,11 +165,13 @@ mod tests {
         }
         p.note_conflict(5, 1, 0);
         assert_eq!(p.top_contended(2), vec![(2, 3), (9, 3)]);
+        let json = p.top_contended_json(8).to_string();
         assert_eq!(
-            p.top_contended_json(8),
+            json,
             "[{\"page\":2,\"conflicts\":3},{\"page\":9,\"conflicts\":3},\
              {\"page\":5,\"conflicts\":1}]"
         );
+        assert_eq!(Json::parse(&json).map(|j| j.to_string()), Ok(json));
     }
 
     #[test]

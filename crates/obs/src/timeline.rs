@@ -8,12 +8,13 @@
 //! read/write counts (taken from the array's transfer stats, so they
 //! are exact and deterministic even with tracing disabled).
 //!
-//! Two JSON renderings exist on purpose: [`Timeline::json_ios`] is
+//! [`Timeline::to_json`] renders it two ways on purpose: untimed it is
 //! fully deterministic (I/O counts only) and safe to embed in reports
-//! that are compared byte-for-byte across runs or worker counts;
-//! [`Timeline::json_timed`] adds `wall_us` for human consumption.
+//! that are compared byte-for-byte across runs or worker counts; timed
+//! it adds `wall_us` for human consumption.
 
-use std::fmt::Write as _;
+use crate::json::Json;
+use crate::json_obj;
 use std::time::Duration;
 
 /// The recovery phases the paper's cost model distinguishes.
@@ -91,45 +92,22 @@ impl Timeline {
         self.phases.iter().map(|p| p.reads + p.writes).sum()
     }
 
-    /// Deterministic rendering: `[{"phase":"...","reads":R,"writes":W},...]`.
+    /// `[{"phase":"...","reads":R,"writes":W},...]`, deterministic; with
+    /// `timed`, each phase also carries its `wall_us`.
     #[must_use]
-    pub fn json_ios(&self) -> String {
-        let mut out = String::from("[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    pub fn to_json(&self, timed: bool) -> Json {
+        let phases = self.phases.iter().map(|p| {
+            let mut phase = json_obj! {
+                "phase": p.phase.name(),
+                "reads": p.reads,
+                "writes": p.writes,
+            };
+            if timed {
+                phase.push("wall_us", p.wall.as_micros() as u64);
             }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"reads\":{},\"writes\":{}}}",
-                p.phase.name(),
-                p.reads,
-                p.writes
-            );
-        }
-        out.push(']');
-        out
-    }
-
-    /// Human rendering: the deterministic fields plus `wall_us`.
-    #[must_use]
-    pub fn json_timed(&self) -> String {
-        let mut out = String::from("[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"reads\":{},\"writes\":{},\"wall_us\":{}}}",
-                p.phase.name(),
-                p.reads,
-                p.writes,
-                p.wall.as_micros()
-            );
-        }
-        out.push(']');
-        out
+            phase
+        });
+        Json::Arr(phases.collect())
     }
 }
 
@@ -144,10 +122,14 @@ mod tests {
         t.push(RecoveryPhase::BitmapScan, Duration::from_micros(7), 4, 0);
         assert_eq!(t.total_ios(), 7);
         assert_eq!(
-            t.json_ios(),
+            t.to_json(false).to_string(),
             "[{\"phase\":\"intent_replay\",\"reads\":1,\"writes\":2},\
              {\"phase\":\"bitmap_scan\",\"reads\":4,\"writes\":0}]"
         );
-        assert!(t.json_timed().contains("\"wall_us\":7"));
+        let timed = t.to_json(true).to_string();
+        assert!(timed.contains("\"wall_us\":7"), "{timed}");
+        for text in [t.to_json(false).to_string(), timed] {
+            assert_eq!(Json::parse(&text).map(|j| j.to_string()), Ok(text));
+        }
     }
 }

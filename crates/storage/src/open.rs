@@ -145,7 +145,7 @@ fn write_manifest(dir: &Path, cfg: &DbConfig) -> io::Result<()> {
 }
 
 /// Export the disks' counters through the database's metrics registry,
-/// so `metrics_json()` reports backend traffic alongside the protocol
+/// so `db.metrics()` reports backend traffic alongside the protocol
 /// counters. `disk_writes_enqueued` counts writes issued to the files; the
 /// benchmark reads it under that name.
 fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {

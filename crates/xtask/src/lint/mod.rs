@@ -1,6 +1,6 @@
 //! The workspace lint gate: `cargo xtask lint`.
 //!
-//! Five source-level rules that `rustc`/`clippy` cannot (or cannot
+//! Six source-level rules that `rustc`/`clippy` cannot (or cannot
 //! cheaply) express:
 //!
 //! 1. **unwrap ratchet** — `.unwrap()` / `.expect(` in the non-test
@@ -18,6 +18,9 @@
 //! 5. **closed-closure** — no manifest names a dependency that is not a
 //!    workspace path: the dependency closure is `std` plus the `rda-*`
 //!    crates, so the workspace builds and tests with an empty registry.
+//! 6. **one-json** — no string literal outside test items,
+//!    `crates/obs/src/json.rs` and `xtask` holds `\":`: JSON is built as
+//!    an `rda_obs::json::Json` value, never spliced from strings.
 //!
 //! (The former trace-pairing rule moved to `cargo xtask analyze`: it is
 //! declared per transition as `tracepair` lines in `analyze.conf` and
@@ -91,7 +94,7 @@ pub fn run(update_baseline: bool) -> Result<(), String> {
         )),
     }
 
-    // Rules 2-5.
+    // Rules 2-6.
     rules::errors_doc(&files, &mut violations);
     rules::array_discipline(&files, &mut violations);
     rules::unsafe_and_lint_config(&files, &manifests, &root_manifest, &mut violations);
@@ -100,6 +103,7 @@ pub fn run(update_baseline: bool) -> Result<(), String> {
         &[("Cargo.toml".to_string(), root_manifest)],
         &mut violations,
     );
+    rules::one_json(&files, &mut violations);
 
     if violations.is_empty() {
         let total: usize = counts.values().sum();

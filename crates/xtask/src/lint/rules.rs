@@ -3,8 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use super::source::{count_token, line_of, token_positions};
+use super::source::{count_token, line_of, strip, test_item_spans, token_positions};
 use super::SourceFile;
+use crate::analyze::lexer::{lex, TokKind};
 
 /// Crates whose library code is subject to the unwrap/expect ratchet —
 /// the recovery-critical layers where a stray panic can take down the
@@ -185,6 +186,33 @@ pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
                     f.rel_path,
                     line_of(&f.code, pos),
                     home.trim_end_matches('/'),
+                ));
+            }
+        }
+    }
+}
+
+/// Rule 6, one-json: a string literal holding `\":` is a JSON member
+/// written by hand. Every JSON document is a `rda_obs::json::Json` value
+/// written with `Display`, so escaping, float format and key order are
+/// decided in `crates/obs/src/json.rs` alone. Test items are exempt, and
+/// so is `xtask`, which depends on nothing.
+pub fn one_json(files: &[SourceFile], violations: &mut Vec<String>) {
+    for f in files {
+        if f.rel_path == "crates/obs/src/json.rs" || f.rel_path.starts_with("crates/xtask/") {
+            continue;
+        }
+        let tests = test_item_spans(&strip(&f.text));
+        for t in lex(&f.text) {
+            let in_test = tests
+                .iter()
+                .any(|&(start, end)| (start..end).contains(&t.start));
+            if t.kind == TokKind::Str && t.text.contains("\\\":") && !in_test {
+                violations.push(format!(
+                    "[one-json] {}:{}: string literal builds a JSON member by hand — \
+                     build an `rda_obs::json::Json` (`json_obj!`, `ToJson`) and write it \
+                     with `Display`",
+                    f.rel_path, t.line
                 ));
             }
         }

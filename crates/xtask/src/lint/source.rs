@@ -33,13 +33,29 @@ pub fn strip(text: &str) -> String {
 }
 
 /// Blank every item annotated `#[cfg(test)]` (module, fn, impl, use, …)
-/// in already-stripped source. Brace matching is reliable because
-/// comments and strings are gone.
+/// in already-stripped source.
 pub fn blank_test_items(code: &str) -> String {
     let mut out = code.as_bytes().to_vec();
+    for (start, end) in test_item_spans(code) {
+        for slot in &mut out[start..end] {
+            if *slot != b'\n' {
+                *slot = b' ';
+            }
+        }
+    }
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// The byte spans `[start, end)` of every item annotated `#[cfg(test)]`
+/// in already-stripped source. Brace matching is reliable because
+/// comments and strings are gone; [`strip`] keeps every offset, so the
+/// spans hold in the original text too.
+pub fn test_item_spans(code: &str) -> Vec<(usize, usize)> {
+    let out = code.as_bytes();
     let needle = b"#[cfg(test)]";
+    let mut spans = Vec::new();
     let mut search_from = 0;
-    while let Some(pos) = find(&out, needle, search_from) {
+    while let Some(pos) = find(out, needle, search_from) {
         let mut i = pos + needle.len();
         // Walk to the end of the item: either a `;` (use/static) or the
         // matching `}` of its first brace block.
@@ -66,14 +82,10 @@ pub fn blank_test_items(code: &str) -> String {
             }
             i += 1;
         }
-        for slot in &mut out[pos..i] {
-            if *slot != b'\n' {
-                *slot = b' ';
-            }
-        }
+        spans.push((pos, i));
         search_from = i;
     }
-    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    spans
 }
 
 fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {

@@ -242,6 +242,37 @@ fn registry_dependency_in_any_table_is_caught() {
 }
 
 #[test]
+fn hand_built_json_is_caught_and_its_json_obj_twin_passes() {
+    let fx = Fixture::new("one-json");
+    fx.write(
+        "crates/core/src/lib.rs",
+        "pub fn row(v: u64) -> String {\n    format!(\"{{\\\"k\\\":{v}}}\")\n}\n",
+    );
+    let out = fx.lint();
+    let err = stderr(&out);
+    assert!(!out.status.success(), "hand-built JSON must fail the gate");
+    assert!(err.contains("[one-json]"), "wrong failure: {err}");
+    assert!(
+        err.contains("crates/core/src/lib.rs:2"),
+        "must name file:line: {err}"
+    );
+
+    // The same row as a value passes; a test item may still spell JSON out.
+    fx.write(
+        "crates/core/src/lib.rs",
+        "pub fn row(v: u64) -> String {\n    rda_obs::json_obj! { \"k\": v }.to_string()\n}\n\
+         #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+         assert_eq!(super::row(1), \"{\\\"k\\\":1}\");\n    }\n}\n",
+    );
+    let out = fx.lint();
+    assert!(
+        out.status.success(),
+        "json_obj! twin flagged: {}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn this_repository_passes_its_own_gate() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = run_lint_in(&repo_root);

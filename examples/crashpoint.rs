@@ -15,6 +15,7 @@
 
 use rda::core::{DbConfig, EngineKind};
 use rda::faults::{explore, ExploreMode, ExplorerConfig};
+use rda::obs::json::ToJson;
 use rda::sim::{Trace, WorkloadSpec};
 use std::time::Instant;
 

@@ -73,7 +73,7 @@ fn main() {
 
     println!();
     println!("=== metrics ===");
-    print!("{}", db.metrics_prometheus());
+    print!("{}", db.metrics().to_prometheus());
 
     // The committed transaction survived; the loser is gone.
     assert_eq!(&db.read_page(0).unwrap()[..9], b"durable-a");
