@@ -25,8 +25,8 @@ use std::sync::Arc;
 /// on the same parity group.
 ///
 /// The array is generic over its [`BlockDevice`] backend. The default —
-/// the deterministic in-memory [`SimDisk`] — is what the checker, the
-/// crashpoint explorer, and all simulation-grade tests run on; a
+/// the deterministic in-memory [`SimDisk`] — is what the checker and all
+/// simulation-grade tests run on; a
 /// file-backed device (the `rda-disk` crate) slots in through
 /// [`DiskArray::with_disks`] without touching the parity protocol or the
 /// transfer accounting, both of which live here.
@@ -206,7 +206,7 @@ impl<D: BlockDevice> DiskArray<D> {
     /// Durability barrier: block until every write the array has issued so
     /// far is on stable storage, on every disk. A no-op on [`SimDisk`]
     /// (whose writes are synchronous), so simulated runs — including every
-    /// checker and explorer schedule — are untouched; the file backend
+    /// checker schedule and exploration — are untouched; the file backend
     /// fsyncs each disk here. Not billed: the paper's cost model counts
     /// page transfers, and a barrier moves none.
     ///

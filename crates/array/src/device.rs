@@ -14,8 +14,8 @@
 //! [`BlockDevice::barrier`] is the one genuinely new operation: a
 //! durability point for backends whose returned writes are not yet on
 //! stable storage (the file backend's sit in the page cache). `SimDisk`
-//! keeps the default no-op, which is what keeps the checker and the
-//! crashpoint explorer byte-identical on the simulated backend.
+//! keeps the default no-op, which is what keeps the checker's sweeps and
+//! explorations byte-identical on the simulated backend.
 
 use crate::fault::HookState;
 use crate::{DiskId, Page, Result, SimDisk};

@@ -10,23 +10,25 @@
 //!    OS threads (one slot each) sharing one database.
 //! 3. **Scrub bandwidth** — repeated patrol passes over a populated
 //!    array, reported as pages and MiB per second.
-//! 4. **Explorer sweep** — the exhaustive crashpoint sweep at 1, 2 and
-//!    4 workers, asserting the three reports are byte-identical.
+//! 4. **Explorer sweep** — `rda-check`'s exhaustive crash exploration of
+//!    one small schedule at 1, 2 and 4 workers, asserting the three
+//!    reports are byte-identical (the section keeps its `explorer` keys).
 //!
 //! `--smoke` shrinks every workload for CI; `--out PATH` redirects the
-//! report; `--trace` runs every workload with the structured event
-//! trace enabled (a 1Ki-event ring) *plus* the commit-path span events;
-//! `--overhead-check` additionally runs the whole suite — including a
-//! file-backed workload with the crash-persistent flight recorder — with
-//! all observability off vs on (interleaved, adaptive best-of-5..12) and
+//! report; `--trace` runs sections 1–3 with the structured event trace
+//! enabled (a 1Ki-event ring) *plus* the commit-path span events (a
+//! checker run always traces, so section 4 ignores it);
+//! `--overhead-check` additionally runs sections 1–3 plus a file-backed
+//! workload with the crash-persistent flight recorder with all
+//! observability off vs on (interleaved, adaptive best-of-5..12) and
 //! fails when the instrumented side costs more than 5%. Wall-clocks
 //! depend on the host, so `host_cpus` is recorded alongside every run.
 //!
 //! Run with: `cargo run --release -p rda-bench --bin perf`
 
+use rda_check::{explore, sequential, DbKnobs, FaultKind, PAGES};
 use rda_core::{Database, DbConfig, EngineKind};
 use rda_disk::{create_database_with, DurabilityMode, StorageOptions};
-use rda_faults::{explore, ExploreMode, ExplorerConfig};
 use rda_obs::json::{Json, ToJson};
 use rda_obs::json_obj;
 use rda_sim::{run_spec, RunConfig, RunResult, WorkloadSpec};
@@ -170,38 +172,32 @@ fn bench_scrub(smoke: bool, trace: bool) -> Result<Json, String> {
     })
 }
 
-/// Section 4: the exhaustive crashpoint sweep at 1, 2 and 4 workers.
-/// The three JSON reports must be byte-identical — the wall-clocks are
-/// the only thing allowed to differ.
-fn bench_explorer(smoke: bool, trace: bool) -> Result<Json, String> {
-    let mut spec = WorkloadSpec::high_update(32, 8);
+/// Section 4: `rda-check`'s exhaustive crash exploration of one small
+/// mixed commit/abort schedule at 1, 2 and 4 workers. The three JSON
+/// reports must be byte-identical — the wall-clocks are the only thing
+/// allowed to differ.
+fn bench_explorer(smoke: bool) -> Result<Json, String> {
+    let mut spec = WorkloadSpec::high_update(PAGES, 8);
     spec.s = 4;
     spec.f_u = 1.0;
     spec.p_u = 1.0;
     spec.p_b = 0.0;
     let mut scripts = spec.generate(if smoke { 3 } else { 6 }, 0x00C0_FFEE);
-    if let Some(s) = scripts.get_mut(1) {
-        s.aborts = true;
-    }
-    // The explorer opens one short-lived database per crashpoint, each
-    // seeing only tens of billed I/Os — a right-sized ring keeps the
-    // per-open slot allocation from dwarfing the runs it observes. Span
-    // payloads carry no wall clocks, so the byte-identity assertion must
-    // hold with them recorded too.
-    let db_cfg = DbConfig::small_test(EngineKind::Rda)
-        .trace(if trace { 64 } else { 0 })
-        .spans(trace);
-    let base = ExplorerConfig {
-        exhaustive_limit: 4096,
-        ..ExplorerConfig::new(ExploreMode::Crash)
+    scripts[1].aborts = true;
+    let knobs = DbKnobs {
+        frames: 3,
+        force: true,
+        strict: false,
+        shards: 1,
+        group_commit: false,
     };
+    let sched = sequential("perf-explorer", knobs, &scripts);
 
     let mut baseline: Option<Json> = None;
     let mut section = Json::Obj(Vec::new());
     for workers in [1usize, 2, 4] {
-        let cfg = ExplorerConfig { workers, ..base };
         let start = Instant::now();
-        let report = explore(&db_cfg, &scripts, &cfg);
+        let report = explore(&sched, FaultKind::Crash, workers);
         let wall = start.elapsed();
         if !report.is_clean() {
             return Err(format!(
@@ -213,7 +209,7 @@ fn bench_explorer(smoke: bool, trace: bool) -> Result<Json, String> {
         match &baseline {
             None => {
                 section = json_obj! {
-                    "total_ios": report.total_ios,
+                    "total_ios": report.total_ios(),
                     "points": report.points.len(),
                     "byte_identical": true,
                 };
@@ -273,19 +269,19 @@ fn flight_wall(smoke: bool, instrumented: bool) -> Result<Duration, String> {
     Ok(wall)
 }
 
-/// One full pass over the suite's workload sections (the JSON they
-/// render is discarded), returning the end-to-end wall-clock.
+/// One full pass over the suite's workload sections whose observability
+/// can be switched off (the JSON they render is discarded), returning the
+/// end-to-end wall-clock.
 fn suite_wall(smoke: bool, trace: bool) -> Result<Duration, String> {
     let start = Instant::now();
     bench_throughput(smoke, trace)?;
     bench_scrub(smoke, trace)?;
-    bench_explorer(smoke, trace)?;
     flight_wall(smoke, trace)?;
     Ok(start.elapsed())
 }
 
-/// `--overhead-check`: the whole smoke suite — sim workloads plus the
-/// file-backed flight-recorder workload — with all observability off vs
+/// `--overhead-check`: the smoke suite's sim workloads plus the
+/// file-backed flight-recorder workload, with all observability off vs
 /// on (event ring, commit-path spans, black-box flushing), interleaved
 /// best-of-N so ambient host noise hits both sides evenly. Errors when
 /// the instrumented side costs more than 5% end to end.
@@ -340,7 +336,7 @@ fn run(args: &Args) -> Result<String, String> {
         "host_cpus": host_cpus,
         "txn_throughput": bench_throughput(args.smoke, args.trace)?,
         "scrub": bench_scrub(args.smoke, args.trace)?,
-        "explorer": bench_explorer(args.smoke, args.trace)?,
+        "explorer": bench_explorer(args.smoke)?,
     };
     if args.overhead_check {
         report.push("obs_overhead", bench_overhead(args.smoke)?);

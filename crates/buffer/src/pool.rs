@@ -508,6 +508,16 @@ impl BufferPool {
         })
     }
 
+    /// Put back a frame [`BufferPool::pop_victim`] handed out whose
+    /// write-back failed: same page, contents, dirty bit and modifiers, so
+    /// updates no disk holds yet are not lost with the error.
+    pub fn restore(&mut self, ev: Evicted) {
+        self.insert(ev.page, ev.data, ev.dirty, None);
+        if let Some(frame) = self.map.get(&ev.page).and_then(|&i| self.slots[i].as_mut()) {
+            frame.modifiers = ev.modifiers;
+        }
+    }
+
     /// Insert a page into a free frame without hit/miss accounting (the
     /// preceding [`BufferPool::lookup`] already counted the access).
     ///

@@ -25,12 +25,18 @@
 //! write, so the first engine call to notice returns
 //! `ArrayError::Crashed`. The coordinator then treats the machine as dead
 //! — drops every live handle on its thread, power-cycles via
-//! [`ShardedDb::crash`], and drives restart recovery to convergence. A
-//! planted fault can fire *during* recovery too (the I/O counter keeps
-//! running), in which case recovery itself crashes and is retried; the
-//! fault is spent after one firing, so the loop terminates. Disk death
-//! discovered during recovery is repaired by media recovery mid-loop,
-//! exactly as an operator would.
+//! [`ShardedDb::crash`], and drives restart recovery to convergence. Once
+//! a planted disk death has fired, any array error from an operation
+//! stops the machine the same way: crash, recover, then rebuild the dead
+//! disk. A planted fault can fire *during* recovery too (the I/O counter
+//! keeps running), in which case recovery itself crashes and is retried;
+//! the fault is spent after one firing, so the loop terminates. Disk
+//! death discovered during recovery is repaired by media recovery
+//! mid-loop, exactly as an operator would, and the final checks rebuild
+//! any disk still dead, whoever killed it.
+//!
+//! A command that panics on its slot thread is a violation naming the op,
+//! and ends the run: nothing after it can be trusted.
 //!
 //! The one genuinely interleaving-dependent verdict — a cross-shard commit
 //! interrupted by a crash — is resolved through the engine's own 2PC
@@ -41,13 +47,17 @@
 
 use crate::model::{Expected, RefModel};
 use crate::schedule::{SchedOp, Schedule, MAX_SLOTS, PAGES};
-use rda_array::ArrayError;
-use rda_core::{DbError, ProtocolMutations, ShardedDb, ShardedTxn};
-use rda_faults::{FaultInjector, FaultPlan, FaultSpec};
+use rda_array::{ArrayError, FaultHook};
+use rda_core::{
+    DbError, ProtocolMutations, RecoveryPhase, ShardedDb, ShardedRecovery, ShardedTxn, Timeline,
+};
+use rda_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything one differential run produced.
 #[derive(Debug, Clone)]
@@ -69,6 +79,36 @@ pub struct CheckOutcome {
     /// runner's synthetic `CrossShardCommit` / `IntentReplayed` /
     /// `FaultFired` tokens, for corpus `requires` assertions.
     pub events: Vec<String>,
+    /// What restart and media recovery did over the run.
+    pub recovery: RecoverySummary,
+}
+
+/// What recovery did over one run, summed over every restart and rebuild.
+#[derive(Debug, Clone, Default)]
+pub struct RecoverySummary {
+    /// Loser transactions rolled back by restart recovery.
+    pub losers: u64,
+    /// Staged write intents replayed (interrupted read-modify-writes).
+    pub intent_replays: u64,
+    /// Torn parity twins healed by the bitmap scan.
+    pub torn_twins_healed: u64,
+    /// Every successful restart's phases (shard by shard) and every media
+    /// rebuild, in execution order. The billed array I/O counts are
+    /// deterministic; the wall-clock inside is not.
+    pub timeline: Timeline,
+}
+
+impl RecoverySummary {
+    fn add_restart(&mut self, rec: &ShardedRecovery) {
+        for report in &rec.reports {
+            self.losers += report.losers.len() as u64;
+            self.intent_replays += report.intent_replays;
+            self.torn_twins_healed += report.torn_twins_healed;
+            self.timeline
+                .phases
+                .extend(report.timeline.phases.iter().copied());
+        }
+    }
 }
 
 impl CheckOutcome {
@@ -126,18 +166,38 @@ enum Reply {
     /// The machine died under this op.
     Crashed,
     /// Any other error.
-    Error(String),
+    Error(DbError),
+    /// The command panicked (or its thread is gone); the payload's text.
+    Panicked(String),
 }
 
-/// One slot's worker loop: owns the slot's [`ShardedTxn`] and executes
-/// commands against the shared database. All waiting happens in the
-/// coordinator; the worker only ever has one command in flight.
+/// One slot's worker: [`serve`] until the coordinator hangs up. A panic
+/// ends the worker — unwinding drops its transaction, whose abort then
+/// tolerates failure — and is reported as the command's reply, so the
+/// coordinator never waits for a reply that cannot come.
 fn worker(
     db: &ShardedDb,
     rx: &mpsc::Receiver<Cmd>,
     tx: &mpsc::Sender<(usize, Reply)>,
     slot: usize,
 ) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| serve(db, rx, tx, slot))) {
+        let text = match (
+            payload.downcast_ref::<&str>(),
+            payload.downcast_ref::<String>(),
+        ) {
+            (Some(s), _) => (*s).to_string(),
+            (None, Some(s)) => s.clone(),
+            (None, None) => "a non-text panic payload".to_string(),
+        };
+        let _ = tx.send((slot, Reply::Panicked(text)));
+    }
+}
+
+/// A slot's command loop: owns the slot's [`ShardedTxn`] and executes
+/// commands against the shared database. All waiting happens in the
+/// coordinator; the worker only ever has one command in flight.
+fn serve(db: &ShardedDb, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Reply)>, slot: usize) {
     let mut txn: Option<ShardedTxn> = None;
     let reply_of = |e: DbError| match e {
         DbError::LockConflict { .. } => Reply::Conflict,
@@ -151,7 +211,7 @@ fn worker(
         {
             Reply::Crashed
         }
-        other => Reply::Error(other.to_string()),
+        other => Reply::Error(other),
     };
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
@@ -218,6 +278,7 @@ struct Run {
     extra_events: Vec<String>,
     violations: Vec<String>,
     crashes: u64,
+    recovery: RecoverySummary,
     wedged: bool,
 }
 
@@ -232,18 +293,19 @@ impl Fabric {
     /// Dispatch `cmd` to `slot`'s thread and wait for its reply — the
     /// turn-based token pass that makes the run deterministic.
     fn call(&self, slot: usize, cmd: Cmd) -> Reply {
+        let gone = || Reply::Panicked("worker thread gone".to_string());
         let Some(tx) = self.cmd[slot].as_ref() else {
             return Reply::Done;
         };
         if tx.send(cmd).is_err() {
-            return Reply::Error("worker thread gone".to_string());
+            return gone();
         }
         match self.reply.recv() {
             Ok((from, reply)) => {
                 debug_assert_eq!(from, slot, "turn-based: replies arrive in dispatch order");
                 reply
             }
-            Err(_) => Reply::Error("worker thread gone".to_string()),
+            Err(_) => gone(),
         }
     }
 }
@@ -259,9 +321,27 @@ impl Run {
     }
 
     /// Any error while the injector's crash latch is down is the machine
-    /// dying (lower layers sometimes wrap the refusal).
+    /// dying (lower layers sometimes wrap the refusal). So is an array
+    /// error once the planted disk death has fired: the machine lost a
+    /// disk under the operation, and stops.
     fn is_crash_reply(&self, reply: &Reply) -> bool {
-        matches!(reply, Reply::Crashed) || self.injector.is_latched()
+        let array_error = |e: &DbError| match e {
+            DbError::CommitInDoubt { cause, .. } => matches!(**cause, DbError::Array(_)),
+            e => matches!(e, DbError::Array(_)),
+        };
+        match reply {
+            Reply::Crashed => true,
+            Reply::Error(e) if array_error(e) => {
+                self.injector.is_latched()
+                    || self
+                        .injector
+                        .fired()
+                        .iter()
+                        .any(|f| f.kind == FaultKind::FailDisk)
+            }
+            Reply::Panicked(_) => false,
+            _ => self.injector.is_latched(),
+        }
     }
 
     /// Mark every disk the array itself reports failed (a planted
@@ -282,7 +362,7 @@ impl Run {
     /// the machine died mid-rebuild (already power-cycled); Err = wedged.
     fn rebuild_owed(&mut self) -> Result<bool, ()> {
         for disk in self.failed_disks.clone() {
-            match self.db.media_recover(disk) {
+            match self.media_recover(disk) {
                 Ok(_) => {
                     self.failed_disks.remove(&disk);
                 }
@@ -300,6 +380,22 @@ impl Run {
             }
         }
         Ok(true)
+    }
+
+    /// Rebuild `disk`, appending a `media_rebuild` phase (billed array
+    /// I/O and wall-clock) to the run's recovery timeline.
+    fn media_recover(&mut self, disk: u16) -> Result<u64, DbError> {
+        let before = self.db.stats().merged().array;
+        let start = Instant::now();
+        let rebuilt = self.db.media_recover(disk)?;
+        let billed = self.db.stats().merged().array.delta(&before);
+        self.recovery.timeline.push(
+            RecoveryPhase::MediaRebuild,
+            start.elapsed(),
+            billed.reads,
+            billed.writes,
+        );
+        Ok(rebuilt)
     }
 
     fn is_crash_err(&self, e: &DbError) -> bool {
@@ -321,7 +417,8 @@ impl Run {
     /// every disk whose rebuild is still owed: a crash mid-rebuild leaves
     /// a half-blank replacement the array no longer reports as failed, so
     /// the disk stays in the set until one `media_recover` runs to
-    /// completion.
+    /// completion, and a disk the planted fault killed joins the set once
+    /// recovery succeeds.
     fn crash_and_recover(&mut self, fabric: &Fabric) {
         self.crashes += 1;
         let starts: Vec<u64> = (0..self.db.shard_count())
@@ -350,7 +447,10 @@ impl Run {
             }
             match self.db.recover_sequential() {
                 Ok(rec) => {
+                    self.recovery.add_restart(&rec);
                     replayed.extend(rec.replayed);
+                    // A disk the planted fault killed is owed a rebuild too.
+                    self.scan_failed_disks();
                     match self.rebuild_owed() {
                         Ok(true) => break,
                         Ok(false) => {}
@@ -404,6 +504,16 @@ impl Run {
 /// docs for the turn-based and crash disciplines.
 #[must_use]
 pub fn run_schedule(sched: &Schedule, mutations: ProtocolMutations) -> CheckOutcome {
+    run_hooked(sched, mutations, |injector| injector)
+}
+
+/// [`run_schedule`], with the hook the array consults wrapped around the
+/// schedule's injector by `hook` (tests plant misbehaving hooks here).
+fn run_hooked(
+    sched: &Schedule,
+    mutations: ProtocolMutations,
+    hook: impl FnOnce(Arc<FaultInjector>) -> Arc<dyn FaultHook>,
+) -> CheckOutcome {
     let cfg = sched.knobs.config(mutations);
     let db = ShardedDb::open(cfg);
     let plan = match sched.fault {
@@ -411,7 +521,7 @@ pub fn run_schedule(sched: &Schedule, mutations: ProtocolMutations) -> CheckOutc
         None => FaultPlan::empty(),
     };
     let injector = Arc::new(FaultInjector::new(plan));
-    db.install_fault_hook(Arc::clone(&injector) as Arc<dyn rda_array::FaultHook>);
+    db.install_fault_hook(hook(Arc::clone(&injector)));
 
     let shard_count = db.shard_count();
     let mut run = Run {
@@ -424,6 +534,7 @@ pub fn run_schedule(sched: &Schedule, mutations: ProtocolMutations) -> CheckOutc
         extra_events: Vec::new(),
         violations: Vec::new(),
         crashes: 0,
+        recovery: RecoverySummary::default(),
         wedged: false,
     };
 
@@ -438,6 +549,9 @@ pub fn run_schedule(sched: &Schedule, mutations: ProtocolMutations) -> CheckOutc
             let reply = reply_tx.clone();
             scope.spawn(move || worker(&db, &rx, &reply, slot));
         }
+        // Only the workers hold reply senders now: should every one of
+        // them be gone, a wait for a reply ends instead of hanging.
+        drop(reply_tx);
         let fabric = Fabric {
             cmd: cmd_txs,
             reply: reply_rx,
@@ -495,6 +609,7 @@ pub fn run_schedule(sched: &Schedule, mutations: ProtocolMutations) -> CheckOutc
         fault_fired,
         trace,
         events,
+        recovery: run.recovery,
     }
 }
 
@@ -607,7 +722,7 @@ fn step(run: &mut Run, fabric: &Fabric, index: usize, op: SchedOp) {
             if !run.failed_disks.contains(&disk) || run.db.active_transactions() > 0 {
                 return; // requires quiescence; the final cleanup rebuilds
             }
-            match run.db.media_recover(disk) {
+            match run.media_recover(disk) {
                 Ok(_) => {
                     run.failed_disks.remove(&disk);
                 }
@@ -620,9 +735,17 @@ fn step(run: &mut Run, fabric: &Fabric, index: usize, op: SchedOp) {
     }
 }
 
+/// Record an op's reply the model did not predict. A panic also ends
+/// the run.
 fn unexpected(run: &mut Run, index: usize, slot: usize, what: &str, reply: &Reply) {
     let desc = match reply {
-        Reply::Error(e) => e.clone(),
+        Reply::Panicked(text) => {
+            run.violations
+                .push(format!("op {index}: thread {slot} {what} panicked: {text}"));
+            run.wedged = true;
+            return;
+        }
+        Reply::Error(e) => e.to_string(),
         Reply::Begun(_) => "unexpected begin ack".to_string(),
         Reply::Value(_) => "unexpected read value".to_string(),
         Reply::Done => "unexpected plain ack".to_string(),
@@ -655,6 +778,11 @@ fn finalize(run: &mut Run, fabric: &Fabric) {
             Reply::Error(e) => run
                 .violations
                 .push(format!("final abort of thread {slot} failed: {e}")),
+            Reply::Panicked(text) => {
+                run.violations
+                    .push(format!("final abort of thread {slot} panicked: {text}"));
+                run.wedged = true;
+            }
             _ => {}
         }
     }
@@ -663,7 +791,8 @@ fn finalize(run: &mut Run, fabric: &Fabric) {
         run.crash_and_recover(fabric);
     }
     // 3. Rebuild any disk still dead so the durability oracle reads a
-    //    healthy array.
+    //    healthy array — a disk the planted fault killed included.
+    run.scan_failed_disks();
     let mut guard = 0;
     while !run.failed_disks.is_empty() && !run.wedged {
         guard += 1;
@@ -673,7 +802,7 @@ fn finalize(run: &mut Run, fabric: &Fabric) {
             return;
         }
         for disk in run.failed_disks.clone() {
-            match run.db.media_recover(disk) {
+            match run.media_recover(disk) {
                 Ok(_) => {
                     run.failed_disks.remove(&disk);
                 }
@@ -730,5 +859,81 @@ fn finalize(run: &mut Run, fabric: &Fabric) {
         run.violations.push(format!(
             "{staged} cross-shard intent(s) still staged after quiescence"
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedule::DbKnobs;
+    use rda_array::{FaultAction, IoEvent};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Panics on the `k`-th I/O offered to it; defers to the schedule's
+    /// injector otherwise.
+    struct PanicAt {
+        k: u64,
+        seen: AtomicU64,
+        inner: Arc<FaultInjector>,
+    }
+
+    impl FaultHook for PanicAt {
+        fn on_io(&self, ev: &IoEvent) -> FaultAction {
+            // ordering: Relaxed — turn-based dispatch: one slot thread
+            // issues I/O at a time, so the count needs atomicity only.
+            let n = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(n != self.k, "planted panic at I/O {n}");
+            self.inner.on_io(ev)
+        }
+
+        fn power_cycled(&self) {
+            self.inner.power_cycled();
+        }
+    }
+
+    /// A command that panics on its slot thread comes back as a
+    /// violation naming the op, and the run returns instead of waiting
+    /// for a reply that will never come.
+    #[test]
+    fn a_panicking_command_is_a_violation_and_the_run_returns() {
+        let sched = Schedule {
+            name: "panics-in-commit".to_string(),
+            knobs: DbKnobs {
+                frames: 3,
+                force: true,
+                strict: false,
+                shards: 1,
+                group_commit: false,
+            },
+            ops: vec![
+                SchedOp::Begin { slot: 0 },
+                SchedOp::Write {
+                    slot: 0,
+                    page: 1,
+                    val: 3,
+                },
+                SchedOp::Commit { slot: 0 },
+                SchedOp::Begin { slot: 1 },
+                SchedOp::Read { slot: 1, page: 1 },
+                SchedOp::Commit { slot: 1 },
+            ],
+            fault: None,
+        };
+        // I/O 1 reads page 1 for the write; I/O 2 is the commit's
+        // FORCE write-back reading the committed parity twin.
+        let outcome = run_hooked(&sched, ProtocolMutations::default(), |inner| {
+            Arc::new(PanicAt {
+                k: 2,
+                seen: AtomicU64::new(0),
+                inner,
+            })
+        });
+        assert_eq!(
+            outcome.violations.first().map(String::as_str),
+            Some("op 2: thread 0 commit panicked: planted panic at I/O 2"),
+            "{:?}",
+            outcome.violations
+        );
+        assert_eq!(outcome.crashes, 0);
     }
 }

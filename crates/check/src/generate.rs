@@ -125,6 +125,42 @@ pub fn generate(seed: u64, index: u64) -> Schedule {
     }
 }
 
+/// One transaction at a time, in slot 0: each script's accesses, then its
+/// commit or abort. Write `pos` of script `t` stores the odd byte
+/// `37·(16t + pos) | 1`, so a recovered page names the write it holds.
+/// Pages must lie below [`PAGES`].
+#[must_use]
+pub fn sequential(name: &str, knobs: DbKnobs, scripts: &[TxnScript]) -> Schedule {
+    let slot = 0;
+    let mut ops = Vec::new();
+    for (t, script) in scripts.iter().enumerate() {
+        ops.push(SchedOp::Begin { slot });
+        for (pos, access) in script.accesses.iter().enumerate() {
+            debug_assert!(access.page < PAGES);
+            let page = access.page;
+            ops.push(match access.kind {
+                AccessKind::Read => SchedOp::Read { slot, page },
+                AccessKind::Update => SchedOp::Write {
+                    slot,
+                    page,
+                    val: (37 * (16 * t + pos)) as u8 | 1,
+                },
+            });
+        }
+        ops.push(if script.aborts {
+            SchedOp::Abort { slot }
+        } else {
+            SchedOp::Commit { slot }
+        });
+    }
+    Schedule {
+        name: name.to_string(),
+        knobs,
+        ops,
+        fault: None,
+    }
+}
+
 /// Salt folded into the master seed so the threaded stream is
 /// independent of the classic generator's at the same seed.
 const THREADED_SALT: u64 = 0x7468_7264_7363_6864; // "thrdschd"

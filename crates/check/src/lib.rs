@@ -26,7 +26,11 @@
 //!    crosses a real thread boundary; cross-shard 2PC commits interrupted
 //!    by a crash are resolved through the recovery-reported intent
 //!    replays.
-//! 4. A **shrinker** ([`shrink`]) delta-debugs any counterexample down to
+//! 4. **Exhaustive exploration** ([`explore`]) runs one schedule — e.g. a
+//!    [`sequential`] one built from workload scripts — once per physical
+//!    I/O of its fault-free run, with a crash, torn write or disk death
+//!    planted there. It is the only crashpoint judge in the workspace.
+//! 5. A **shrinker** ([`shrink`]) delta-debugs any counterexample down to
 //!    a minimal, deterministically-failing schedule, and the **corpus**
 //!    ([`corpus`]) stores such repros as JSON for replay in CI forever
 //!    after.
@@ -39,6 +43,7 @@
 //! `cargo run -p rda-check -- --smoke`.
 
 mod checker;
+mod explore;
 mod generate;
 mod model;
 mod schedule;
@@ -47,9 +52,13 @@ mod sweep;
 
 pub mod corpus;
 
-pub use checker::{run_schedule, CheckOutcome};
-pub use generate::{fault_kind_cycle, fault_variant, generate, generate_threaded, Stream};
+pub use checker::{run_schedule, CheckOutcome, RecoverySummary};
+pub use explore::{explore, Exploration};
+pub use generate::{
+    fault_kind_cycle, fault_variant, generate, generate_threaded, sequential, Stream,
+};
 pub use model::{Expected, RefModel};
+pub use rda_faults::FaultKind;
 pub use rda_obs::json::Json;
 pub use rda_obs::rng::{mix, Rng};
 // The mutation knob rides along so checker users need no direct

@@ -7,15 +7,18 @@
 //! slotted by index, and nothing wall-clock-dependent enters the report.
 //! The early-stop decision is taken only at chunk boundaries, so even
 //! `stop_on_failure` sweeps run the same schedule set at any worker
-//! count.
+//! count. [`explore`](crate::explore) runs on the same pool.
 
 use crate::checker::{run_schedule, CheckOutcome};
 use crate::generate::{fault_kind_cycle, Stream};
 use crate::schedule::Schedule;
 use rda_core::ProtocolMutations;
-use rda_faults::{crashpoint_schedule, FaultKind};
+use rda_faults::FaultKind;
 use rda_obs::json::Json;
 use rda_obs::json_obj;
+use rda_obs::rng::Rng;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Schedules per barrier chunk — fixed (never derived from `workers`) so
 /// early-stop sweeps are worker-count independent.
@@ -155,12 +158,10 @@ pub fn check_index(cfg: &SweepConfig, index: u64) -> ScheduleResult {
     let mut failure = fail_of(&base, "golden", &golden);
 
     if failure.is_none() && workload_ios > 0 && cfg.faults_per_schedule > 0 {
-        // exhaustive_limit 0: always sample, never enumerate.
-        let (points, _) = crashpoint_schedule(
+        let points = sample_points(
             workload_ios,
-            0,
             cfg.faults_per_schedule,
-            cfg.stream.schedule_seed(cfg.seed, index) | 1,
+            cfg.stream.schedule_seed(cfg.seed, index),
         );
         for (j, &k) in points.iter().enumerate() {
             // Double failure is genuine data loss, not a recovery bug: a
@@ -197,6 +198,17 @@ pub fn check_index(cfg: &SweepConfig, index: u64) -> ScheduleResult {
     }
 }
 
+/// `samples` distinct fault points in `1..=total`, ascending, drawn with
+/// a seeded xorshift64: a pure function of its arguments.
+fn sample_points(total: u64, samples: u64, seed: u64) -> Vec<u64> {
+    let mut rng = Rng::new(seed | 1);
+    let mut picked = BTreeSet::new();
+    while (picked.len() as u64) < samples.min(total) {
+        picked.insert(rng.below(total) + 1);
+    }
+    picked.into_iter().collect()
+}
+
 fn fail_of(sched: &Schedule, variant: &str, outcome: &CheckOutcome) -> Option<Failure> {
     if outcome.ok() {
         return None;
@@ -208,43 +220,58 @@ fn fail_of(sched: &Schedule, variant: &str, outcome: &CheckOutcome) -> Option<Fa
     })
 }
 
-/// Run the sweep. Worker threads (one worker is a pool of one) split each
-/// fixed-size chunk of schedule indices; results land in index order
-/// regardless of scheduling.
+/// `job(0)`, …, `job(n - 1)` on a pool of `workers` threads (one worker
+/// is a pool of one), returned in index order whatever the scheduling. A
+/// panicking job propagates out of the pool.
+pub(crate) fn in_index_order<T: Send>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..workers.clamp(1, n.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // ordering: Relaxed — work-queue index claim;
+                        // results publish via the scope join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return mine;
+                        }
+                        mine.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        pool.into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Run the sweep. The pool splits each fixed-size chunk of schedule
+/// indices; results land in index order regardless of scheduling.
 #[must_use]
 pub fn sweep(cfg: &SweepConfig) -> SweepReport {
     let mut results: Vec<ScheduleResult> = Vec::with_capacity(cfg.schedules as usize);
-    let workers = cfg.workers.max(1);
     let mut next = 0;
     while next < cfg.schedules {
         let chunk: Vec<u64> = (next..(next + CHUNK).min(cfg.schedules)).collect();
         next += CHUNK;
-        let mut slot_results: Vec<Option<ScheduleResult>> = vec![None; chunk.len()];
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        let slots = std::sync::Mutex::new(&mut slot_results);
-        // A panicking worker propagates out of the scope.
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(chunk.len()) {
-                scope.spawn(|| loop {
-                    // ordering: Relaxed — work-queue index claim;
-                    // atomicity alone guarantees each slot is taken
-                    // once, and results publish via the mutex.
-                    let slot = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if slot >= chunk.len() {
-                        break;
-                    }
-                    let result = check_index(cfg, chunk[slot]);
-                    if let Ok(mut guard) = slots.lock() {
-                        guard[slot] = Some(result);
-                    }
-                });
-            }
+        let chunk_results = in_index_order(chunk.len(), cfg.workers, |slot| {
+            check_index(cfg, chunk[slot])
         });
-        let mut tripped = false;
-        for result in slot_results.into_iter().flatten() {
-            tripped |= result.failure.is_some();
-            results.push(result);
-        }
+        let tripped = chunk_results.iter().any(|r| r.failure.is_some());
+        results.extend(chunk_results);
         if cfg.stop_on_failure && tripped {
             break;
         }

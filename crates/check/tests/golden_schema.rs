@@ -1,4 +1,4 @@
-//! Golden-schema snapshot of the crashpoint explorer's JSON report.
+//! Golden-schema snapshot of the exploration report.
 //!
 //! The report is the artifact CI archives and downstream tooling parses,
 //! so its *shape* — key names, key order, the per-point record, the
@@ -6,58 +6,56 @@
 //! checker's own JSON parser (which preserves member order); a field
 //! rename or reorder fails here instead of silently breaking consumers.
 
-use rda_check::Json;
-use rda_core::{DbConfig, EngineKind, RecoveryPhase, Timeline};
-use rda_faults::{explore, ExploreMode, ExplorerConfig};
+use rda_check::{explore, sequential, DbKnobs, FaultKind, Json, PAGES};
+use rda_core::{RecoveryPhase, Timeline};
 use rda_obs::json::ToJson;
 use rda_sim::WorkloadSpec;
 use std::time::Duration;
 
 fn tiny_report_json() -> String {
-    let mut spec = WorkloadSpec::high_update(16, 4);
+    let mut spec = WorkloadSpec::high_update(PAGES, 4);
     spec.s = 2;
     spec.f_u = 1.0;
     spec.p_u = 1.0;
     spec.p_b = 0.0;
-    let scripts = spec.generate(3, 0xBEEF);
-    let cfg = ExplorerConfig {
-        exhaustive_limit: 0,
-        samples: 4,
-        ..ExplorerConfig::new(ExploreMode::Crash)
+    let knobs = DbKnobs {
+        frames: 2,
+        force: true,
+        strict: false,
+        shards: 1,
+        group_commit: false,
     };
-    explore(&DbConfig::small_test(EngineKind::Rda), &scripts, &cfg)
-        .to_json()
-        .to_string()
+    let sched = sequential("tiny", knobs, &spec.generate(2, 0xBEEF));
+    explore(&sched, FaultKind::Crash, 2).to_json().to_string()
 }
 
 #[test]
-fn explorer_report_schema_is_pinned() {
+fn exploration_report_schema_is_pinned() {
     let text = tiny_report_json();
-    let json = Json::parse(&text).expect("explorer report must be valid JSON");
+    let json = Json::parse(&text).expect("exploration report must be valid JSON");
 
     assert_eq!(
         json.keys(),
         vec![
-            "mode",
+            "schedule",
+            "fault",
             "total_ios",
-            "exhaustive",
-            "explored",
             "clean",
             "failures",
-            "golden_committed",
             "golden_violations",
             "points",
         ],
         "top-level report schema changed"
     );
-    assert_eq!(json.get("mode").and_then(Json::as_str), Some("crash"));
-    assert!(json.get("total_ios").and_then(Json::as_u64).unwrap_or(0) > 0);
+    assert_eq!(json.get("fault").and_then(Json::as_str), Some("crash"));
+    let total = json.get("total_ios").and_then(Json::as_u64).unwrap_or(0);
+    assert!(total > 0);
 
     let points = json
         .get("points")
         .and_then(Json::as_arr)
         .expect("'points' must be an array");
-    assert!(!points.is_empty(), "explorer sampled no crashpoints");
+    assert_eq!(points.len() as u64, total, "one point per I/O");
     for point in points {
         assert_eq!(
             point.keys(),
@@ -65,7 +63,7 @@ fn explorer_report_schema_is_pinned() {
                 "io_index",
                 "fired",
                 "clean",
-                "committed_before",
+                "crashes",
                 "losers",
                 "intent_replays",
                 "torn_twins_healed",
@@ -91,43 +89,36 @@ fn explorer_report_schema_is_pinned() {
             .iter()
             .filter_map(|p| p.get("phase").and_then(Json::as_str))
             .collect();
-        if !names.is_empty() {
-            assert_eq!(
-                names,
-                [
-                    "log_scan",
-                    "intent_replay",
-                    "undo_parity",
-                    "undo_log",
-                    "redo",
-                    "bitmap_scan"
-                ],
-                "restart phase list changed"
-            );
-            assert_eq!(timeline[0].get("reads").and_then(Json::as_u64), Some(0));
-            assert_eq!(timeline[0].get("writes").and_then(Json::as_u64), Some(0));
-        }
+        assert_eq!(
+            names,
+            [
+                "log_scan",
+                "intent_replay",
+                "undo_parity",
+                "undo_log",
+                "redo",
+                "bitmap_scan"
+            ],
+            "restart phase list changed"
+        );
+        assert_eq!(timeline[0].get("reads").and_then(Json::as_u64), Some(0));
+        assert_eq!(timeline[0].get("writes").and_then(Json::as_u64), Some(0));
     }
 }
 
-/// The deterministic rendering must never leak wall-clock fields.
+/// The report must never leak wall-clock fields.
 #[test]
-fn deterministic_report_carries_no_wall_clock() {
-    let text = tiny_report_json();
-    assert!(
-        !text.contains("wall_us"),
-        "to_json() leaked wall-clock timing; that belongs to to_json_timed()"
-    );
+fn report_carries_no_wall_clock() {
+    assert!(!tiny_report_json().contains("wall"));
 }
 
-/// The untimed `Timeline::to_json` renders phases in push order with
-/// stable names.
+/// `Timeline::to_json` renders phases in push order with stable names.
 #[test]
-fn untimed_timeline_json_shape() {
+fn timeline_json_shape() {
     let mut t = Timeline::default();
     t.push(RecoveryPhase::IntentReplay, Duration::ZERO, 1, 2);
     t.push(RecoveryPhase::UndoParity, Duration::ZERO, 3, 4);
-    let json = t.to_json(false).to_string();
+    let json = t.to_json().to_string();
     let parsed = Json::parse(&json).expect("the timeline must be valid JSON");
     let arr = parsed.as_arr().expect("array");
     assert_eq!(arr.len(), 2);

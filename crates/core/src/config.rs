@@ -138,8 +138,8 @@ pub struct DbConfig {
     /// Event-trace ring capacity. `0` (the default) leaves the tracer
     /// disabled; any positive value makes `Database::open` enable the
     /// shared tracer with a ring of that many events. Because the sim
-    /// drivers and the crashpoint explorer open their databases from a
-    /// cloned `DbConfig`, this is how tracing reaches every replay.
+    /// runner and the checker open their databases from a cloned
+    /// `DbConfig`, this is how tracing reaches every replay.
     pub trace_events: usize,
     /// Record commit-path span events (`TxnBegin`, `LogForce`,
     /// `CommitBarrier`, `CommitAck`) into the trace ring. Off by default

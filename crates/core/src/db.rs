@@ -573,11 +573,15 @@ impl<D: BlockDevice> Transaction<D> {
             .txn_update(self.id, DataPageId(page), offset, data)
     }
 
-    /// Commit. Consumes the handle.
+    /// Commit. Consumes the handle. A commit that fails before its commit
+    /// record is written (a FORCE write-back on a dying disk, say) aborts
+    /// the transaction and releases its locks, gated or not; after a crash
+    /// restart recovery does that instead.
     ///
     /// # Errors
     /// [`DbError::UnknownTxn`] if a crash wiped the transaction; array
-    /// errors when the commit-time parity flip or log force fails.
+    /// errors when a write-back, the durability barrier or the log force
+    /// fails.
     pub fn commit(mut self) -> Result<TxnId> {
         self.finished = true;
         match &self.gate {

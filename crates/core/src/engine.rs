@@ -818,7 +818,15 @@ impl<D: BlockDevice> Engine<D> {
                     Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
                     Err(e) => return Err(e.into()),
                 }
-                self.dur.array.write_parity(g, work, &parity)?;
+                if let Err(e) = self.dur.array.write_parity(g, work, &parity) {
+                    // The working twin's disk died under the write: put
+                    // the old image back, so the committed twin still
+                    // covers the group and the caller keeps the update.
+                    if matches!(e, rda_array::ArrayError::DiskFailed(_)) {
+                        let _ = self.dur.array.write_data_unprotected(page, &old);
+                    }
+                    return Err(e.into());
+                }
                 // The twin header (timestamp + Working state) travels
                 // inside the parity page, so the directory flips only
                 // once the write has actually reached the platter.
@@ -871,11 +879,17 @@ impl<D: BlockDevice> Engine<D> {
         let ev = self.buffer.pop_victim().ok_or(DbError::BufferWedged)?;
         if ev.dirty {
             let modifiers: BTreeSet<TxnId> = ev.modifiers.iter().map(|&t| TxnId(t)).collect();
-            if modifiers.is_empty() {
-                self.write_back_committed(ev.page, &ev.data)?;
+            let written = if modifiers.is_empty() {
+                self.write_back_committed(ev.page, &ev.data)
             } else {
-                self.steal_uncommitted(ev.page, &ev.data, &modifiers)?;
+                self.steal_uncommitted(ev.page, &ev.data, &modifiers)
+            };
+            if written.is_err() {
+                // The frame holds the only copy of its updates: commit
+                // needs it for REDO, abort for the in-buffer rollback.
+                self.buffer.restore(ev);
             }
+            written?;
         }
         Ok(())
     }
@@ -1042,11 +1056,27 @@ impl<D: BlockDevice> Engine<D> {
     /// are still held, and no twin has flipped — the transaction is
     /// durable iff a later log force reaches stable storage, which is
     /// exactly the state a group-commit batch accumulates.
+    ///
+    /// A prepare that fails is aborted here, before its commit record
+    /// exists: nothing was decided, and the transaction must not keep its
+    /// locks. A crash is the exception — the machine is gone, and restart
+    /// recovery rolls the transaction back as a loser.
     pub(crate) fn txn_commit_prepare(&mut self, txn: TxnId) -> Result<Vec<DataPageId>> {
         self.check_ready()?;
         if !self.active.contains_key(&txn) {
             return Err(DbError::UnknownTxn(txn));
         }
+        let prepared = self.prepare_writes(txn);
+        if let Err(e) = &prepared {
+            if !matches!(e, DbError::Array(rda_array::ArrayError::Crashed)) {
+                let _ = self.txn_abort(txn);
+            }
+        }
+        prepared
+    }
+
+    /// The body of [`Engine::txn_commit_prepare`].
+    fn prepare_writes(&mut self, txn: TxnId) -> Result<Vec<DataPageId>> {
         let written: Vec<DataPageId> = self.txn_state(txn)?.written.iter().copied().collect();
 
         if self.cfg.eot == EotPolicy::Force {

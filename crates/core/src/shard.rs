@@ -936,8 +936,7 @@ impl Drop for ShardedTxn {
 mod tests {
     use super::*;
     use crate::EngineKind;
-    use rda_array::{FaultAction, FaultHook, IoEvent};
-    use std::sync::atomic::AtomicBool;
+    use rda_faults::{FaultInjector, FaultPlan};
 
     fn cfg(shards: u32) -> DbConfig {
         DbConfig::small_test(EngineKind::Rda).shards(shards)
@@ -1031,47 +1030,6 @@ mod tests {
         assert!(db.audit().is_clean());
     }
 
-    /// Latched crash after the k-th global I/O — the in-test stand-in for
-    /// the rda-faults injector (which lives downstream of this crate).
-    struct CrashAt {
-        k: u64,
-        // ordering: AcqRel/Acquire — the latch and the I/O count are
-        // consulted from whichever shard thread performs the k-th I/O and
-        // must present a single global order; fetch_add's RMW atomicity
-        // plus Acquire loads give the deciding thread a consistent view.
-        seen: AtomicU64,
-        latched: AtomicBool,
-        /// One-shot: once the planted crash has fired and the machine was
-        /// power-cycled, let all further I/O proceed.
-        fired: AtomicBool,
-    }
-
-    impl FaultHook for CrashAt {
-        fn on_io(&self, _ev: &IoEvent) -> FaultAction {
-            // ordering: Acquire — see struct comment.
-            if self.latched.load(Ordering::Acquire) {
-                return FaultAction::Crash;
-            }
-            // ordering: Acquire — see struct comment.
-            if self.fired.load(Ordering::Acquire) {
-                return FaultAction::Proceed;
-            }
-            // ordering: AcqRel — see struct comment.
-            if self.seen.fetch_add(1, Ordering::AcqRel) + 1 >= self.k {
-                // ordering: Release — pairs with the Acquire loads above.
-                self.latched.store(true, Ordering::Release);
-                self.fired.store(true, Ordering::Release);
-                return FaultAction::Crash;
-            }
-            FaultAction::Proceed
-        }
-
-        fn power_cycled(&self) {
-            // ordering: Release — recovery-time reset, pairs with Acquire.
-            self.latched.store(false, Ordering::Release);
-        }
-    }
-
     #[test]
     fn decided_intent_replays_after_crash_mid_apply() {
         let db = ShardedDb::open(cfg(2));
@@ -1082,26 +1040,14 @@ mod tests {
         let mut tx = warm.begin();
         tx.write(0, b"warm").unwrap();
         tx.write(4, b"warm").unwrap();
-        let hook = Arc::new(CrashAt {
-            k: u64::MAX,
-            seen: AtomicU64::new(0),
-            latched: AtomicBool::new(false),
-            fired: AtomicBool::new(false),
-        });
+        let hook = Arc::new(FaultInjector::observer());
         warm.install_fault_hook(hook.clone());
         tx.commit().unwrap();
-        // ordering: Acquire — read after quiesce.
-        let total = hook.seen.load(Ordering::Acquire);
+        let total = hook.ios_seen();
         assert!(total > 2, "cross-shard commit performs physical I/O");
 
         // Now the real run: crash one I/O before the commit completes.
-        let hook = Arc::new(CrashAt {
-            k: total,
-            seen: AtomicU64::new(0),
-            latched: AtomicBool::new(false),
-            fired: AtomicBool::new(false),
-        });
-        db.install_fault_hook(hook);
+        db.install_fault_hook(Arc::new(FaultInjector::new(FaultPlan::crash_at(total))));
         let mut tx = db.begin();
         let gid = tx.id();
         tx.write(0, b"decided").unwrap();
@@ -1134,29 +1080,18 @@ mod tests {
         // shard-0 page. Crash + recover must replay T1's intent onto
         // shard 1 only: shard 0 keeps T2's later acknowledged commit.
         let warm = ShardedDb::open(cfg(2));
-        let hook = Arc::new(CrashAt {
-            k: u64::MAX,
-            seen: AtomicU64::new(0),
-            latched: AtomicBool::new(false),
-            fired: AtomicBool::new(false),
-        });
+        let hook = Arc::new(FaultInjector::observer());
         warm.shard(1).install_fault_hook(hook.clone());
         let mut tx = warm.begin();
         tx.write(0, b"warm-img").unwrap();
         tx.write(4, b"warm-img").unwrap();
         tx.commit().unwrap();
-        // ordering: Acquire — read after quiesce.
-        let shard1_ios = hook.seen.load(Ordering::Acquire);
+        let shard1_ios = hook.ios_seen();
         assert!(shard1_ios > 0, "shard 1's sub-commit performs I/O");
 
         let db = ShardedDb::open(cfg(2));
-        let hook = Arc::new(CrashAt {
-            k: shard1_ios,
-            seen: AtomicU64::new(0),
-            latched: AtomicBool::new(false),
-            fired: AtomicBool::new(false),
-        });
-        db.shard(1).install_fault_hook(hook);
+        let crash = FaultInjector::new(FaultPlan::crash_at(shard1_ios));
+        db.shard(1).install_fault_hook(Arc::new(crash));
         let mut t1 = db.begin();
         let gid = t1.id();
         t1.write(0, b"t1-image").unwrap();

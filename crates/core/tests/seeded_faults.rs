@@ -1,8 +1,9 @@
 //! Seeded single-fault scenarios: the acceptance cases that are easier
 //! to read (and debug) as straight-line stories than as exploration
-//! sweeps.
+//! sweeps. The last two pin the engine against a disk that dies in the
+//! middle of a steal.
 
-use rda_core::{Database, DbConfig, DbError, EngineKind};
+use rda_core::{Database, DbConfig, DbError, EngineKind, GroupCommit};
 use rda_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use std::sync::Arc;
 
@@ -173,4 +174,101 @@ fn transient_error_surfaces_once_then_retry_succeeds() {
     );
     // One-shot: the retry proceeds and sees the committed value.
     assert_eq!(page_value(&db, 9), 0x42);
+}
+
+/// Open `cfg` with a disk death planted on the `offset`-th write-side I/O
+/// after `setup`; a fault-free dry run of `setup` counts its I/Os first.
+fn with_disk_death_after<T>(
+    cfg: &DbConfig,
+    setup: impl Fn(&Database) -> T,
+    offset: u64,
+) -> (Database, Arc<FaultInjector>, T) {
+    let dry = Database::open(cfg.clone());
+    let counter = Arc::new(FaultInjector::observer());
+    dry.install_fault_hook(counter.clone());
+    let dry_state = setup(&dry);
+    let plan = FaultPlan::single(
+        FaultSpec::at_io(FaultKind::FailDisk, counter.ios_seen() + offset).writes_only(),
+    );
+    drop(dry_state);
+    let db = Database::open(cfg.clone());
+    let injector = Arc::new(FaultInjector::new(plan));
+    db.install_fault_hook(injector.clone());
+    let state = setup(&db);
+    (db, injector, state)
+}
+
+fn is_disk_failed(err: &DbError) -> bool {
+    matches!(err, DbError::Array(rda_array::ArrayError::DiskFailed(_)))
+}
+
+/// Rebuild the disk the injector killed, then the array must audit clean
+/// and hold exactly `expect` (page, first byte).
+fn rebuilt_and_clean(db: &Database, injector: &FaultInjector, expect: &[(u32, u8)]) {
+    let fired = injector.fired();
+    assert_eq!(fired.len(), 1, "the planted disk death never fired");
+    db.media_recover(fired[0].disk).expect("media recovery");
+    let audit = db.audit();
+    assert!(audit.is_clean(), "{:?}", audit.violations());
+    assert!(db.verify().expect("verify").is_empty());
+    for &(page, value) in expect {
+        assert_eq!(page_value(db, page), value, "page {page}");
+    }
+}
+
+/// An eviction steal whose working twin dies under the parity write keeps
+/// its buffer frame: the write that needed the room fails, and the
+/// transaction still commits, degraded, from the frame it kept.
+#[test]
+fn a_steal_on_a_dying_disk_keeps_its_frame() {
+    let cfg = DbConfig::small_test(EngineKind::Rda);
+    // Eight pages in eight groups fill the eight frames.
+    let fill = |db: &Database| {
+        let mut tx = db.begin();
+        for g in 0..8u32 {
+            tx.write(g * 4, &[0x40 + g as u8]).expect("fill");
+        }
+        tx
+    };
+    // The next write evicts page 0, whose steal dirties group 0: a parity
+    // read, the data write, then the working twin's write.
+    let (db, injector, mut tx) = with_disk_death_after(&cfg, fill, 3);
+    let err = tx.write(1, &[0x77]).expect_err("the steal's disk died");
+    assert!(is_disk_failed(&err), "got {err:?}");
+    assert!(injector.fired()[0].is_write);
+    tx.commit().expect("commit from the kept frame");
+    let expect: Vec<(u32, u8)> = (0..8u32).map(|g| (g * 4, 0x40 + g as u8)).collect();
+    rebuilt_and_clean(&db, &injector, &expect);
+    assert_eq!(page_value(&db, 1), 0);
+}
+
+/// A commit whose FORCE write-back loses its disk fails before its commit
+/// record, so it aborts: no transaction stays active holding locks (media
+/// recovery needs quiescence), the half-done steal leaves nothing on disk,
+/// and the page can be written again — with and without the group-commit
+/// gate.
+#[test]
+fn a_commit_that_fails_before_its_commit_record_aborts() {
+    let gate = GroupCommit {
+        window_micros: 50,
+        max_batch: 8,
+    };
+    let plain = DbConfig::small_test(EngineKind::Rda);
+    for cfg in [plain.clone(), plain.group_commit(gate)] {
+        let write = |db: &Database| {
+            let mut tx = db.begin();
+            tx.write(0, &[0x11]).expect("write");
+            tx
+        };
+        // The write-back dirties group 0: parity read, data write, then
+        // the working twin's write.
+        let (db, injector, tx) = with_disk_death_after(&cfg, write, 3);
+        let err = tx.commit().expect_err("the write-back's disk died");
+        assert!(is_disk_failed(&err), "got {err:?}");
+        assert_eq!(db.active_transactions(), 0, "the failed commit leaked");
+        rebuilt_and_clean(&db, &injector, &[(0, 0)]);
+        commit_value(&db, 0, 0x22);
+        assert_eq!(page_value(&db, 0), 0x22);
+        assert!(db.audit().is_clean());
+    }
 }

@@ -12,7 +12,7 @@
 //!   subsequent I/O is refused until the array announces a power cycle
 //!   (the restart boundary), exactly like a machine that lost power;
 //! * a **fired-fault record** — which specs fired, at which index, on
-//!   which physical block; the explorer reads this back to know what
+//!   which physical block; the checker reads this back to know what
 //!   actually happened.
 //!
 //! Latched refusals do *not* advance the I/O counter: the counter numbers
@@ -22,10 +22,7 @@
 use crate::plan::{FaultKind, FaultPlan};
 use rda_array::{FaultAction, FaultHook, IoEvent};
 use rda_obs::sync::Mutex;
-use rda_obs::{EventKind, Tracer};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One fault that actually fired, as recorded by the injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,35 +41,15 @@ pub struct FiredFault {
 
 /// Deterministic fault hook driven by a [`FaultPlan`].
 ///
-/// Install it array-wide through
-/// [`Database::install_fault_hook`](rda_core::Database::install_fault_hook)
-/// (or `DiskArray::install_fault_hook` when testing the array alone). With
-/// an empty plan it acts as a pure I/O counter — the explorer's "golden
-/// run" uses that to measure a workload before crashing it.
-#[derive(Default)]
+/// Install it array-wide through `Database::install_fault_hook` (or
+/// `DiskArray::install_fault_hook` when testing the array alone). With an
+/// empty plan it acts as a pure I/O counter.
+#[derive(Debug, Default)]
 pub struct FaultInjector {
     plan: FaultPlan,
     ios: AtomicU64,
     latched: AtomicBool,
     state: Mutex<InjectorState>,
-    /// Shared event tracer; faults that fire are announced on it as
-    /// [`EventKind::FaultFired`] so a trace interleaves the injected
-    /// failure with the engine events around it. Disabled by default.
-    tracer: Arc<Tracer>,
-}
-
-// Manual impl because `Tracer` (a ring buffer of events) has no useful
-// `Debug` form; everything diagnostic about the injector is its plan and
-// counters.
-impl fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field("plan", &self.plan)
-            .field("ios", &self.ios)
-            .field("latched", &self.latched)
-            .field("state", &self.state)
-            .finish_non_exhaustive()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -95,18 +72,7 @@ impl FaultInjector {
                 spent,
                 fired: Vec::new(),
             }),
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Builder: announce fired faults on `tracer` (normally the
-    /// database's own, via `Database::tracer()`), so injected failures
-    /// appear inline in the event trace. Call before wrapping the
-    /// injector in an [`Arc`].
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> FaultInjector {
-        self.tracer = tracer;
-        self
     }
 
     /// An injector with an empty plan: never faults, just counts I/Os.
@@ -170,7 +136,6 @@ impl FaultHook for FaultInjector {
                 // above to Acquire readers of the latch.
                 self.latched.store(true, Ordering::Release);
             }
-            self.tracer.emit(|| EventKind::FaultFired { io_index: k });
             return spec.kind.action();
         }
         FaultAction::Proceed

@@ -1,5 +1,4 @@
-//! `rda-faults`: deterministic fault injection and crashpoint
-//! exploration for the recovery stack.
+//! `rda-faults`: the deterministic fault model of the recovery stack.
 //!
 //! The paper's central claim (§4.3) is that twin-copy parity recovery
 //! restores a transaction-consistent database from an arbitrary system
@@ -14,25 +13,17 @@
 //! * [`FaultInjector`] — a deterministic
 //!   [`FaultHook`](rda_array::FaultHook) that evaluates a plan against
 //!   the array's physical I/O stream and latches after a crash until the
-//!   restart boundary;
-//! * [`explore`] — the crashpoint explorer: measures a workload trace's
-//!   I/O count with a golden run, then replays it once per crashpoint
-//!   (exhaustively under a bound, seeded-sampled above it), crashes,
-//!   recovers, and verifies each survivor against the invariant auditor,
-//!   the parity scrub, and an exact durability oracle;
-//! * [`CrashpointReport`]'s [`ToJson`](rda_obs::json::ToJson) rendering —
-//!   a flat JSON artifact for CI.
+//!   restart boundary.
 //!
-//! Everything here is deterministic by construction: same config, same
-//! trace, same seed ⇒ same I/O sequence, same crashpoints, same verdict.
+//! The one judge of what a fault did is `rda-check`: its `run_schedule`
+//! plants one of these faults in a schedule, and its `explore` plants it
+//! at every I/O in turn.
+//!
+//! Everything here is deterministic by construction: same workload, same
+//! plan ⇒ same I/O sequence, same faults, same firing record.
 
-mod explorer;
 mod injector;
 mod plan;
 
-pub use explorer::{
-    crashpoint_schedule, explore, value_byte, Crashpoint, CrashpointReport, ExploreMode,
-    ExplorerConfig, WorkerTiming,
-};
 pub use injector::{FaultInjector, FiredFault};
 pub use plan::{FaultKind, FaultPlan, FaultSpec};

@@ -113,11 +113,6 @@ pub enum EventKind {
         /// Block index on that disk.
         block: u64,
     },
-    /// The fault injector fired a planned fault at this I/O index.
-    FaultFired {
-        /// Global 1-based billed-I/O index the fault latched onto.
-        io_index: u64,
-    },
     /// Commit-path span: a transaction entered the system.
     TxnBegin {
         /// The new transaction.
@@ -159,7 +154,6 @@ impl EventKind {
             EventKind::LockWait { .. } => "LockWait",
             EventKind::DiskRead { .. } => "DiskRead",
             EventKind::DiskWrite { .. } => "DiskWrite",
-            EventKind::FaultFired { .. } => "FaultFired",
             EventKind::TxnBegin { .. } => "TxnBegin",
             EventKind::LogForce { .. } => "LogForce",
             EventKind::CommitBarrier { .. } => "CommitBarrier",
@@ -226,7 +220,6 @@ impl fmt::Display for TraceEvent {
             EventKind::DiskWrite { disk, block } => {
                 write!(f, "DiskWrite      disk {disk} block {block}")
             }
-            EventKind::FaultFired { io_index } => write!(f, "FaultFired     io {io_index}"),
             EventKind::TxnBegin { txn } => write!(f, "TxnBegin       txn {txn}"),
             EventKind::LogForce { txn } => write!(f, "LogForce       txn {txn}"),
             EventKind::CommitBarrier { txn } => write!(f, "CommitBarrier  txn {txn}"),

@@ -1,12 +1,12 @@
 //! The workspace's one JSON: a value tree, a recursive-descent parser and
 //! a deterministic compact writer.
 //!
-//! Every JSON document the workspace writes (checker and crashpoint
-//! reports, metrics exports, flight records, figure series, sim traces
+//! Every JSON document the workspace writes (checker sweep and
+//! exploration reports, metrics exports, flight records, figure series
 //! and bench rows) is built as a [`Json`] value and written with
 //! `Display`, so `escape` here is the one escape function and the writer
-//! the one float format. Checker corpus entries and traces are read back
-//! with [`Json::parse`]. A number with a fraction or exponent is a
+//! the one float format. Checker corpus entries and schedules are read
+//! back with [`Json::parse`]. A number with a fraction or exponent is a
 //! [`Json::Float`], anything else a [`Json::Int`], so integer documents
 //! (the corpus) round-trip byte-exact.
 

@@ -7,14 +7,14 @@
 //! * [`Tracer`] — a zero-alloc-when-disabled structured event trace
 //!   (ring buffer of [`TraceEvent`]s) clocked by the billed physical
 //!   I/O counter. The array advances the clock; engine, recovery,
-//!   scrub, buffer pool and fault injector emit protocol events.
+//!   scrub and buffer pool emit protocol events.
 //! * [`MetricsRegistry`] — lock-free named counters and fixed-bucket
 //!   histograms plus read-only views over atomics that already exist
 //!   (I/O stats, pool counters), with Prometheus-text and JSON
 //!   exporters.
 //! * [`Timeline`] — per-phase recovery breakdowns (wall-clock + exact
-//!   billed I/O counts) attached to `RecoveryReport` and the
-//!   crashpoint explorer JSON.
+//!   billed I/O counts) attached to `RecoveryReport` and the checker's
+//!   exploration report.
 //!
 //! The [`ObsHub`] bundles one tracer and one registry per database
 //! instance and is what `rda-core` hands out.

@@ -9,8 +9,7 @@
 //!   (steal kind, evict flags) in bits 8..16, and the group id (when
 //!   the variant has one) in bits 32..64.
 //! - `w1`: the page id or disk index.
-//! - `w2`: the 64-bit payload — transaction id, block index, or fault
-//!   I/O index.
+//! - `w2`: the 64-bit payload — transaction id or block index.
 
 use crate::event::{EventKind, StealKind};
 
@@ -24,7 +23,6 @@ const TAG_EVICT: u64 = 7;
 const TAG_LOCK_WAIT: u64 = 8;
 const TAG_DISK_READ: u64 = 9;
 const TAG_DISK_WRITE: u64 = 10;
-const TAG_FAULT_FIRED: u64 = 11;
 const TAG_TXN_BEGIN: u64 = 12;
 const TAG_LOG_FORCE: u64 = 13;
 const TAG_COMMIT_BARRIER: u64 = 14;
@@ -68,7 +66,6 @@ pub(crate) fn pack(kind: EventKind) -> (u64, u64, u64) {
         EventKind::LockWait { page, txn } => (TAG_LOCK_WAIT, u64::from(page), txn),
         EventKind::DiskRead { disk, block } => (TAG_DISK_READ, u64::from(disk), block),
         EventKind::DiskWrite { disk, block } => (TAG_DISK_WRITE, u64::from(disk), block),
-        EventKind::FaultFired { io_index } => (TAG_FAULT_FIRED, 0, io_index),
         EventKind::TxnBegin { txn } => (TAG_TXN_BEGIN, 0, txn),
         EventKind::LogForce { txn } => (TAG_LOG_FORCE, 0, txn),
         EventKind::CommitBarrier { txn } => (TAG_COMMIT_BARRIER, 0, txn),
@@ -116,7 +113,6 @@ pub(crate) fn unpack((w0, w1, w2): (u64, u64, u64)) -> Option<EventKind> {
             disk: w1 as u16,
             block: w2,
         },
-        TAG_FAULT_FIRED => EventKind::FaultFired { io_index: w2 },
         TAG_TXN_BEGIN => EventKind::TxnBegin { txn: w2 },
         TAG_LOG_FORCE => EventKind::LogForce { txn: w2 },
         TAG_COMMIT_BARRIER => EventKind::CommitBarrier { txn: w2 },
@@ -172,7 +168,6 @@ mod tests {
                 block: u64::MAX,
             },
             EventKind::DiskWrite { disk: 0, block: 1 },
-            EventKind::FaultFired { io_index: 123 },
             EventKind::TxnBegin { txn: 91 },
             EventKind::LogForce { txn: u64::MAX },
             EventKind::CommitBarrier { txn: 92 },

@@ -1,7 +1,7 @@
 //! The workspace's one seeded generator.
 //!
 //! Everything that draws pseudo-random input — checker schedules,
-//! crashpoint sampling, sim workloads, property tests — draws from this
+//! fault-point sampling, sim workloads, property tests — draws from this
 //! xorshift64, so a seed names the same input on every machine and no
 //! external crate's stream stability is part of a test's meaning.
 
@@ -58,8 +58,8 @@ pub fn mix(seed: u64, index: u64) -> u64 {
 mod tests {
     use super::{mix, Rng};
 
-    /// The checker's and the explorer's streams are part of what their
-    /// reports mean; these values must never move.
+    /// The checker's streams are part of what its reports mean; these
+    /// values must never move.
     #[test]
     fn golden_first_four_outputs() {
         let first4 = |seed| {

@@ -8,10 +8,9 @@
 //! read/write counts (taken from the array's transfer stats, so they
 //! are exact and deterministic even with tracing disabled).
 //!
-//! [`Timeline::to_json`] renders it two ways on purpose: untimed it is
-//! fully deterministic (I/O counts only) and safe to embed in reports
-//! that are compared byte-for-byte across runs or worker counts; timed
-//! it adds `wall_us` for human consumption.
+//! [`Timeline::to_json`] renders the I/O counts only, so it is fully
+//! deterministic and safe to embed in reports that are compared
+//! byte-for-byte across runs or worker counts.
 
 use crate::json::Json;
 use crate::json_obj;
@@ -92,20 +91,15 @@ impl Timeline {
         self.phases.iter().map(|p| p.reads + p.writes).sum()
     }
 
-    /// `[{"phase":"...","reads":R,"writes":W},...]`, deterministic; with
-    /// `timed`, each phase also carries its `wall_us`.
+    /// `[{"phase":"...","reads":R,"writes":W},...]`, deterministic.
     #[must_use]
-    pub fn to_json(&self, timed: bool) -> Json {
+    pub fn to_json(&self) -> Json {
         let phases = self.phases.iter().map(|p| {
-            let mut phase = json_obj! {
+            json_obj! {
                 "phase": p.phase.name(),
                 "reads": p.reads,
                 "writes": p.writes,
-            };
-            if timed {
-                phase.push("wall_us", p.wall.as_micros() as u64);
             }
-            phase
         });
         Json::Arr(phases.collect())
     }
@@ -116,20 +110,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_renderings() {
+    fn json_rendering() {
         let mut t = Timeline::default();
         t.push(RecoveryPhase::IntentReplay, Duration::from_micros(5), 1, 2);
         t.push(RecoveryPhase::BitmapScan, Duration::from_micros(7), 4, 0);
         assert_eq!(t.total_ios(), 7);
+        let text = t.to_json().to_string();
         assert_eq!(
-            t.to_json(false).to_string(),
+            text,
             "[{\"phase\":\"intent_replay\",\"reads\":1,\"writes\":2},\
              {\"phase\":\"bitmap_scan\",\"reads\":4,\"writes\":0}]"
         );
-        let timed = t.to_json(true).to_string();
-        assert!(timed.contains("\"wall_us\":7"), "{timed}");
-        for text in [t.to_json(false).to_string(), timed] {
-            assert_eq!(Json::parse(&text).map(|j| j.to_string()), Ok(text));
-        }
+        assert_eq!(Json::parse(&text).map(|j| j.to_string()), Ok(text));
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! [`run`] drives every measurement against a `ShardedDb` (one shard for
 //! an unsharded run); [`compare_engines`] runs one script set through
-//! both engines and [`Trace`] replays a saved one.
+//! both engines.
 //!
 //! Locality (and therefore communality `C`) is induced with a hot-set
 //! reference model: a fraction of accesses go to a buffer-sized hot set.
@@ -20,10 +20,8 @@
 
 mod compare;
 mod runner;
-mod trace;
 mod workload;
 
 pub use compare::{compare_engines, model_vs_sim, Comparison, ModelCheck};
 pub use runner::{run, run_spec, RunConfig, RunResult};
-pub use trace::Trace;
 pub use workload::{Access, AccessKind, TxnScript, WorkloadSpec};

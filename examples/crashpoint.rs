@@ -1,40 +1,32 @@
-//! Bounded crashpoint exploration, end to end: take a small mixed
-//! commit/abort workload, crash it at *every* physical I/O, run restart
-//! recovery from each crashpoint, and verify each survivor against the
-//! invariant auditor, the parity scrub, and an exact durability oracle.
+//! Exhaustive crashpoint exploration, end to end: take a small mixed
+//! commit/abort schedule and plant a crash, a torn write and a disk death
+//! at *every* physical I/O of it in turn. Each run is judged by the
+//! model-based checker: the reference model, `audit()`, parity verify and
+//! the protocol scan.
 //!
-//! Prints the JSON report on stdout and exits non-zero if any crashpoint
-//! fails verification — CI runs this as the crashpoint smoke job.
+//! Prints the three reports as one JSON array on stdout and exits 1 if
+//! any point fails — CI runs this as the crashpoint job, at one worker
+//! and at four, and compares the two outputs byte for byte.
 //!
 //! Run with: `cargo run --release --example crashpoint [-- --workers N]`
-//!
-//! `--workers N` fans the replays over an N-thread pool; the tool always
-//! runs the sequential sweep first and prints both wall-clocks (and
-//! asserts the two reports are byte-identical) so the speedup — and the
-//! determinism claim backing it — is visible from the quickstart.
 
-use rda::core::{DbConfig, EngineKind};
-use rda::faults::{explore, ExploreMode, ExplorerConfig};
-use rda::obs::json::ToJson;
-use rda::sim::{Trace, WorkloadSpec};
+use rda::check::{explore, sequential, DbKnobs, FaultKind, PAGES};
+use rda::obs::json::{Json, ToJson};
+use rda::sim::WorkloadSpec;
 use std::time::Instant;
 
-/// CI bound: the workload must stay exhaustive under this many I/Os so
-/// every single crashpoint is actually visited.
-const IO_BOUND: u64 = 200;
-
-/// Parse `--workers N` (or `--workers=N`) from the command line.
-/// Returns `None` when absent; exits with usage on malformed input.
-fn workers_arg() -> Option<usize> {
+/// Parse `--workers N` (or `--workers=N`); 1 when absent, exit 2 on
+/// malformed input.
+fn workers_arg() -> usize {
     let mut args = std::env::args().skip(1);
-    let arg = args.next()?;
+    let Some(arg) = args.next() else { return 1 };
     let value = if arg == "--workers" {
         args.next()
     } else {
         arg.strip_prefix("--workers=").map(str::to_string)
     };
     match (value.as_deref().map(str::parse::<usize>), args.next()) {
-        (Some(Ok(n)), None) if n > 0 => Some(n),
+        (Some(Ok(n)), None) if n > 0 => n,
         _ => {
             eprintln!("usage: crashpoint [--workers N]");
             std::process::exit(2);
@@ -44,73 +36,48 @@ fn workers_arg() -> Option<usize> {
 
 fn main() {
     let workers = workers_arg();
-    // Stderr only: the stdout report JSON must stay byte-identical
-    // whatever backend banner we print.
-    eprintln!("backend: simulated array (in-memory)");
-
-    // A handful of short update transactions over a 32-page database,
-    // with one scripted abort in the mix.
-    let mut spec = WorkloadSpec::high_update(32, 8);
+    // Four short update transactions over the checker's 16 pages, the
+    // second one aborting; three frames force steals mid-transaction.
+    let mut spec = WorkloadSpec::high_update(PAGES, 8);
     spec.s = 3;
     spec.f_u = 1.0;
     spec.p_u = 1.0;
     spec.p_b = 0.0;
-    let mut trace = Trace::generate(spec, 4, 0x00C0_FFEE);
-    trace.scripts[1].aborts = true;
-
-    let cfg = ExplorerConfig {
-        exhaustive_limit: IO_BOUND,
-        workers: 1,
-        ..ExplorerConfig::new(ExploreMode::Crash)
+    let mut scripts = spec.generate(4, 0x00C0_FFEE);
+    scripts[1].aborts = true;
+    let knobs = DbKnobs {
+        frames: 3,
+        force: true,
+        strict: false,
+        shards: 1,
+        group_commit: false,
     };
-    let db_cfg = DbConfig::small_test(EngineKind::Rda);
-    let seq_start = Instant::now();
-    let report = explore(&db_cfg, &trace.scripts, &cfg);
-    let seq_wall = seq_start.elapsed();
+    let sched = sequential("crashpoint", knobs, &scripts);
 
-    if let Some(workers) = workers {
-        let par_start = Instant::now();
-        let parallel = explore(&db_cfg, &trace.scripts, &ExplorerConfig { workers, ..cfg });
-        let par_wall = par_start.elapsed();
-        assert_eq!(
-            report.to_json(),
-            parallel.to_json(),
-            "parallel report diverged from the sequential sweep"
-        );
+    let mut reports = Vec::new();
+    let mut clean = true;
+    for kind in [FaultKind::Crash, FaultKind::TornWrite, FaultKind::FailDisk] {
+        let start = Instant::now();
+        let report = explore(&sched, kind, workers);
+        // Stderr only: stdout must stay byte-identical at any --workers.
         eprintln!(
-            "sequential sweep: {:.1?}; {workers}-worker sweep: {:.1?} ({:.2}x); reports byte-identical",
-            seq_wall,
-            par_wall,
-            seq_wall.as_secs_f64() / par_wall.as_secs_f64().max(1e-9),
+            "{}: {} I/Os explored in {:.1?} on {workers} worker(s), {} failure(s)",
+            kind.name(),
+            report.total_ios(),
+            start.elapsed(),
+            report.failures().len(),
         );
+        for v in &report.golden.violations {
+            eprintln!("  golden run: {v}");
+        }
+        for k in report.failures() {
+            eprintln!("  I/O {k}: {:?}", report.points[k as usize - 1].violations);
+        }
+        clean &= report.is_clean();
+        reports.push(report.to_json());
     }
-
-    println!("{}", report.to_json());
-    eprintln!(
-        "explored {} crashpoint(s) over {} I/Os ({}), {} committed in the golden run, {} failure(s)",
-        report.points.len(),
-        report.total_ios,
-        if report.exhaustive {
-            "exhaustive"
-        } else {
-            "sampled"
-        },
-        report.golden_committed,
-        report.failures().len(),
-    );
-
-    assert!(
-        report.exhaustive,
-        "workload outgrew the {IO_BOUND}-I/O smoke bound ({} I/Os) — shrink it",
-        report.total_ios
-    );
-    for v in &report.golden_violations {
-        eprintln!("golden run violation: {v}");
-    }
-    for p in report.failures() {
-        eprintln!("crashpoint {} FAILED: {:?}", p.io_index, p.violations);
-    }
-    if !report.is_clean() {
+    println!("{}", Json::Arr(reports));
+    if !clean {
         std::process::exit(1);
     }
 }

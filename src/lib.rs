@@ -22,19 +22,19 @@
 //! * [`model`] — the paper's §5 analytical performance model (Figures 9–13).
 //! * [`sim`] — synthetic OLTP workload generation and trace-driven
 //!   measurement against the real engine.
-//! * [`faults`] — deterministic fault injection (torn writes, transient
-//!   and latent sector errors, disk death, power loss) and the
-//!   crashpoint explorer that crashes a workload at every physical I/O
-//!   and verifies recovery from each point.
+//! * [`faults`] — the fault model: deterministic fault plans (torn writes,
+//!   transient and latent sector errors, disk death, power loss) and the
+//!   injector that fires them on the array's I/O stream.
 //! * [`obs`] — observability: the zero-overhead-when-disabled structured
 //!   event trace, the lock-free metrics registry (Prometheus/JSON
 //!   exporters), and per-phase recovery timelines.
-//! * [`check`] — model-based differential checker: seeded multi-transaction
-//!   schedules (with crash, torn-write and disk-death points threaded
-//!   through the fault seam) replayed by one executor — the sharded
-//!   engine, one to four shards, one OS thread per transaction slot —
-//!   against a sequential reference model, with delta-debugging shrinking
-//!   and a replayable regression corpus.
+//! * [`check`] — the one judge of what a fault did: seeded
+//!   multi-transaction schedules (with crash, torn-write and disk-death
+//!   points threaded through the fault seam) replayed by one executor —
+//!   the sharded engine, one to four shards, one OS thread per
+//!   transaction slot — against a sequential reference model, with
+//!   exhaustive exploration (the fault at every I/O of one schedule),
+//!   delta-debugging shrinking and a replayable regression corpus.
 //! * [`disk`] — the file-backed storage backend: real files behind the
 //!   same `BlockDevice` seam, written through on the caller's thread and
 //!   fsynced at barriers, append-only side-table journals, and a literal
