@@ -362,8 +362,9 @@ impl<D: BlockDevice> DiskArray<D> {
 
     // ---- unbilled diagnostic reads ----------------------------------------
 
-    /// Read a data page **without billing a transfer** — for invariant
-    /// auditors and test oracles only. A real system's scrubber pays for
+    /// Read a data page **without billing a transfer** and without
+    /// consulting the fault hook — for invariant auditors and test oracles
+    /// only. A real system's scrubber pays for
     /// its reads; an auditor that perturbed the transfer counters would
     /// invalidate the very cost model it is checking.
     ///
@@ -374,7 +375,7 @@ impl<D: BlockDevice> DiskArray<D> {
     pub fn peek_data(&self, page: DataPageId) -> Result<Page> {
         self.check_data(page)?;
         let loc = self.geo.data_loc(page);
-        self.disk(loc.disk).read(loc.block)
+        self.disk(loc.disk).peek(loc.block)
     }
 
     /// Read a parity page **without billing a transfer** — the parity-side
@@ -391,7 +392,7 @@ impl<D: BlockDevice> DiskArray<D> {
             .geo
             .parity_loc(g, slot)
             .ok_or(ArrayError::NoTwinParity)?;
-        self.disk(loc.disk).read(loc.block)
+        self.disk(loc.disk).peek(loc.block)
     }
 
     // ---- composite operations ---------------------------------------------

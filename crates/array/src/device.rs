@@ -46,6 +46,18 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// [`ArrayError::Crashed`](crate::ArrayError::Crashed)).
     fn read(&self, block: u64) -> Result<Page>;
 
+    /// Read a block without consulting the fault hook — the unbilled,
+    /// unhooked view invariant auditors read through, so that auditing
+    /// never moves a planted fault. Failure states still refuse it. The
+    /// default is [`BlockDevice::read`]: right for a device that consults
+    /// no hook (a wrapper, say), while one that does overrides it.
+    ///
+    /// # Errors
+    /// As [`BlockDevice::read`], minus the hook's verdicts.
+    fn peek(&self, block: u64) -> Result<Page> {
+        self.read(block)
+    }
+
     /// Read a block and XOR it into `dst` without allocating.
     ///
     /// # Errors
@@ -120,6 +132,10 @@ impl BlockDevice for SimDisk {
 
     fn read(&self, block: u64) -> Result<Page> {
         SimDisk::read(self, block)
+    }
+
+    fn peek(&self, block: u64) -> Result<Page> {
+        SimDisk::peek(self, block)
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> Result<()> {

@@ -94,7 +94,21 @@ impl SimDisk {
     /// [`ArrayError::Transient`] / [`ArrayError::Crashed`] when ordered by
     /// the fault hook.
     pub fn read(&self, block: u64) -> crate::Result<Page> {
-        let inner = self.readable(block)?;
+        self.read_image(block, true)
+    }
+
+    /// Read a block without offering it to the fault hook: the auditor's
+    /// unbilled peek, which must not advance a planted fault's I/O clock.
+    /// The disk's own failure states still refuse it.
+    ///
+    /// # Errors
+    /// As [`SimDisk::read`], minus the hook's verdicts.
+    pub fn peek(&self, block: u64) -> crate::Result<Page> {
+        self.read_image(block, false)
+    }
+
+    fn read_image(&self, block: u64, hooked: bool) -> crate::Result<Page> {
+        let inner = self.readable(block, hooked)?;
         Ok(inner
             .blocks
             .get(&block)
@@ -113,19 +127,28 @@ impl SimDisk {
     /// # Errors
     /// Same as [`SimDisk::read`].
     pub fn read_xor_into(&self, block: u64, dst: &mut Page) -> crate::Result<()> {
-        let inner = self.readable(block)?;
+        let inner = self.readable(block, true)?;
         if let Some(page) = inner.blocks.get(&block) {
             dst.xor_in_place(page);
         }
         Ok(())
     }
 
-    /// Shared read-side gate: consult the fault hook, then check the
-    /// failure states that make the block unreadable. On success the
-    /// caller gets the locked inner state to pull the image from.
-    fn readable(&self, block: u64) -> crate::Result<std::sync::MutexGuard<'_, DiskInner>> {
+    /// Shared read-side gate: consult the fault hook (when `hooked`), then
+    /// check the failure states that make the block unreadable. On success
+    /// the caller gets the locked inner state to pull the image from.
+    fn readable(
+        &self,
+        block: u64,
+        hooked: bool,
+    ) -> crate::Result<std::sync::MutexGuard<'_, DiskInner>> {
         debug_assert!(block < self.block_count, "block out of range");
-        match self.consult_hook(block, false) {
+        let action = if hooked {
+            self.consult_hook(block, false)
+        } else {
+            FaultAction::Proceed
+        };
+        match action {
             FaultAction::Proceed => {}
             FaultAction::Transient => {
                 return Err(ArrayError::Transient {

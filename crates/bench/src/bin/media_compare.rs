@@ -34,7 +34,7 @@ fn measure(post_dump_txns: u32) -> Result<Row, rda_core::DbError> {
     }
     tx.commit()?;
 
-    let archive = db.archive_dump()?;
+    let archive = db.shard(0).archive_dump()?;
     for round in 0..post_dump_txns {
         let mut tx = db.begin();
         for k in 0..10u32 {
@@ -53,7 +53,7 @@ fn measure(post_dump_txns: u32) -> Result<Row, rda_core::DbError> {
     let rebuild_transfers = d.array.transfers() + d.log.transfers();
 
     let before = db.stats();
-    let redo_records_applied = db.archive_restore(&archive)?;
+    let redo_records_applied = db.shard(0).archive_restore(&archive)?;
     let d = db.stats().delta(&before);
     let restore_transfers = d.array.transfers() + d.log.transfers();
 

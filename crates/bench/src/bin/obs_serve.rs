@@ -123,7 +123,11 @@ fn serve(stream: &mut TcpStream, db: &FileDb, dir: &std::path::Path) {
         ),
         // The live ring, rendered through the same JSON shape the black
         // box persists (flush_seq 0 marks it as unpersisted).
-        "/trace" => json(stream, "200 OK", db.obs().flight_record(0).to_json()),
+        "/trace" => json(
+            stream,
+            "200 OK",
+            db.shard(0).obs().flight_record(0).to_json(),
+        ),
         "/flightrecord" => match FlightRecorder::load(dir) {
             Some(record) => json(stream, "200 OK", record.to_json()),
             None => json(
@@ -132,7 +136,11 @@ fn serve(stream: &mut TcpStream, db: &FileDb, dir: &std::path::Path) {
                 json_obj! { "error": "no flight record persisted yet" },
             ),
         },
-        "/locks" => json(stream, "200 OK", db.obs().locks.top_contended_json(10)),
+        "/locks" => json(
+            stream,
+            "200 OK",
+            db.shard(0).obs().locks.top_contended_json(10),
+        ),
         "/" => respond(
             stream,
             "200 OK",

@@ -25,7 +25,7 @@
 //!
 //! Run with: `cargo run --release -p rda-bench --bin perf_sharded`
 
-use rda_core::{DbConfig, EngineKind, GroupCommit, ShardMap, ShardedDb};
+use rda_core::{Database, DbConfig, EngineKind, GroupCommit, ShardMap};
 use rda_obs::json::Json;
 use rda_obs::json_obj;
 use rda_obs::rng::{mix, Rng};
@@ -132,7 +132,7 @@ fn scripts(map: ShardMap, threads: usize, txns_per_thread: usize, mode: KeyMode)
 /// opportunistic batching — batches form under committer concurrency, a
 /// lone committer never waits). Returns the run and its report entry.
 fn section(threads: usize, txns_per_thread: usize, mode: KeyMode) -> (RunResult, Json) {
-    let db = ShardedDb::open(
+    let db = Database::open(
         DbConfig::paper_like(EngineKind::Rda, 320, 64)
             .shards(u32::try_from(threads).unwrap_or(1))
             .group_commit(GroupCommit {

@@ -1,7 +1,7 @@
 //! Differential execution: one schedule, real engine vs. reference model.
 //!
-//! [`run_schedule`] replays a [`Schedule`] on the sharded engine
-//! ([`ShardedDb`], one shard for the classic stream) with the planted
+//! [`run_schedule`] replays a [`Schedule`] on a [`Database`] with the
+//! schedule's shard count (one for the classic stream) and the planted
 //! fault (if any) armed through the `rda-faults` injector, while stepping
 //! the [`RefModel`] in lockstep. Divergence anywhere — a read returning
 //! the wrong byte, a lock conflict neither or only one side predicts,
@@ -25,7 +25,7 @@
 //! write, so the first engine call to notice returns
 //! `ArrayError::Crashed`. The coordinator then treats the machine as dead
 //! — drops every live handle on its thread, power-cycles via
-//! [`ShardedDb::crash`], and drives restart recovery to convergence. Once
+//! [`Database::crash`], and drives restart recovery to convergence. Once
 //! a planted disk death has fired, any array error from an operation
 //! stops the machine the same way: crash, recover, then rebuild the dead
 //! disk. A planted fault can fire *during* recovery too (the I/O counter
@@ -40,7 +40,7 @@
 //!
 //! The one genuinely interleaving-dependent verdict — a cross-shard commit
 //! interrupted by a crash — is resolved through the engine's own 2PC
-//! decision record: [`ShardedDb::recover_sequential`] reports the global
+//! decision record: [`Database::recover_sequential`] reports the global
 //! ids whose staged intents it replayed, and the coordinator commits
 //! exactly those transactions model-side before declaring the crash
 //! (everything else in flight is a loser).
@@ -49,7 +49,7 @@ use crate::model::{Expected, RefModel};
 use crate::schedule::{SchedOp, Schedule, MAX_SLOTS, PAGES};
 use rda_array::{ArrayError, FaultHook};
 use rda_core::{
-    DbError, ProtocolMutations, RecoveryPhase, ShardedDb, ShardedRecovery, ShardedTxn, Timeline,
+    Database, DbError, ProtocolMutations, RecoveryPhase, RecoveryReport, Timeline, Transaction,
 };
 use rda_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use std::collections::BTreeSet;
@@ -99,15 +99,13 @@ pub struct RecoverySummary {
 }
 
 impl RecoverySummary {
-    fn add_restart(&mut self, rec: &ShardedRecovery) {
-        for report in &rec.reports {
-            self.losers += report.losers.len() as u64;
-            self.intent_replays += report.intent_replays;
-            self.torn_twins_healed += report.torn_twins_healed;
-            self.timeline
-                .phases
-                .extend(report.timeline.phases.iter().copied());
-        }
+    fn add_restart(&mut self, report: &RecoveryReport) {
+        self.losers += report.losers.len() as u64;
+        self.intent_replays += report.intent_replays;
+        self.torn_twins_healed += report.torn_twins_healed;
+        self.timeline
+            .phases
+            .extend(report.timeline.phases.iter().copied());
     }
 }
 
@@ -175,12 +173,7 @@ enum Reply {
 /// ends the worker — unwinding drops its transaction, whose abort then
 /// tolerates failure — and is reported as the command's reply, so the
 /// coordinator never waits for a reply that cannot come.
-fn worker(
-    db: &ShardedDb,
-    rx: &mpsc::Receiver<Cmd>,
-    tx: &mpsc::Sender<(usize, Reply)>,
-    slot: usize,
-) {
+fn worker(db: &Database, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Reply)>, slot: usize) {
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| serve(db, rx, tx, slot))) {
         let text = match (
             payload.downcast_ref::<&str>(),
@@ -194,11 +187,11 @@ fn worker(
     }
 }
 
-/// A slot's command loop: owns the slot's [`ShardedTxn`] and executes
+/// A slot's command loop: owns the slot's [`Transaction`] and executes
 /// commands against the shared database. All waiting happens in the
 /// coordinator; the worker only ever has one command in flight.
-fn serve(db: &ShardedDb, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Reply)>, slot: usize) {
-    let mut txn: Option<ShardedTxn> = None;
+fn serve(db: &Database, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Reply)>, slot: usize) {
+    let mut txn: Option<Transaction> = None;
     let reply_of = |e: DbError| match e {
         DbError::LockConflict { .. } => Reply::Conflict,
         DbError::Array(ArrayError::Crashed) => Reply::Crashed,
@@ -217,7 +210,7 @@ fn serve(db: &ShardedDb, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Rep
         let reply = match cmd {
             Cmd::Begin => {
                 let t = db.begin();
-                let gid = t.id();
+                let gid = t.id().0;
                 txn = Some(t);
                 Reply::Begun(gid)
             }
@@ -265,7 +258,7 @@ fn serve(db: &ShardedDb, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<(usize, Rep
 
 /// Coordinator-side state of one replay.
 struct Run {
-    db: ShardedDb,
+    db: Database,
     injector: Arc<FaultInjector>,
     model: RefModel,
     /// Per-slot global transaction ids (None = slot idle).
@@ -348,12 +341,9 @@ impl Run {
     /// disk-death fault kills a disk without telling the coordinator
     /// which one).
     fn scan_failed_disks(&mut self) {
-        let per = self.db.disks_per_shard();
-        for s in 0..self.db.shard_count() {
-            for local in 0..per {
-                if self.db.shard(s).disk_failed(local) {
-                    self.failed_disks.insert(s as u16 * per + local);
-                }
+        for disk in 0..self.db.disks() {
+            if self.db.disk_failed(disk) {
+                self.failed_disks.insert(disk);
             }
         }
     }
@@ -385,10 +375,10 @@ impl Run {
     /// Rebuild `disk`, appending a `media_rebuild` phase (billed array
     /// I/O and wall-clock) to the run's recovery timeline.
     fn media_recover(&mut self, disk: u16) -> Result<u64, DbError> {
-        let before = self.db.stats().merged().array;
+        let before = self.db.stats().array;
         let start = Instant::now();
         let rebuilt = self.db.media_recover(disk)?;
-        let billed = self.db.stats().merged().array.delta(&before);
+        let billed = self.db.stats().array.delta(&before);
         self.recovery.timeline.push(
             RecoveryPhase::MediaRebuild,
             start.elapsed(),
@@ -515,7 +505,7 @@ fn run_hooked(
     hook: impl FnOnce(Arc<FaultInjector>) -> Arc<dyn FaultHook>,
 ) -> CheckOutcome {
     let cfg = sched.knobs.config(mutations);
-    let db = ShardedDb::open(cfg);
+    let db = Database::open(cfg);
     let plan = match sched.fault {
         Some(f) => FaultPlan::single(FaultSpec::at_io(f.kind, f.at_io)),
         None => FaultPlan::empty(),

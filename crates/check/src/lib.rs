@@ -16,8 +16,8 @@
 //!    threaded stream also draws the shard count and the group-commit
 //!    gate and spreads its pages so transactions cross shards.
 //! 3. A **differential checker** ([`run_schedule`]) replays each schedule
-//!    on the sharded engine ([`rda_core::ShardedDb`]; a classic schedule
-//!    is simply `shards: 1`) and the model in lockstep, drives restart +
+//!    on a [`rda_core::Database`] with the schedule's shard count (a
+//!    classic schedule is simply `shards: 1`) and the model in lockstep, drives restart +
 //!    media recovery after every machine death, then diffs the quiesced
 //!    state dump against the model and validates each shard's event trace
 //!    against the steal/commit protocol invariants shared with `rda-obs`.

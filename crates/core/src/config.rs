@@ -92,8 +92,8 @@ pub struct GroupCommit {
     /// untouched while still exercising the gated code path. The linger
     /// is also skipped whenever the leader's transaction is the only one
     /// in flight, so an uncontended commit never pays the window as ack
-    /// latency. Cross-shard note: a `ShardedDb` transaction commits its
-    /// sub-transactions sequentially, each through its shard's own gate,
+    /// latency. Cross-shard note: a transaction that spans shards commits
+    /// its engine transactions sequentially, each through its shard's own gate,
     /// so a gated cross-shard commit's worst-case ack latency is the sum
     /// of the per-shard lingers (`touched_shards × window_micros`); the
     /// uncontended-leader skip makes the common case far cheaper.
@@ -151,11 +151,13 @@ pub struct DbConfig {
     /// Deliberate protocol breakages for mutation-sensitivity testing.
     /// All off by default; see [`ProtocolMutations`].
     pub mutations: ProtocolMutations,
-    /// Engine shards for [`crate::ShardedDb`]: parity groups are striped
+    /// Engine shards of a [`crate::Database`]: parity groups are striped
     /// round-robin over this many independent engines (own lock table,
     /// Dirty_Set, steal chains, buffer partition, WAL). `1` (the default)
-    /// is the classic single-engine database; `Database::open` ignores the
-    /// field, `ShardedDb::open` requires `1 ≤ shards ≤ groups`.
+    /// is the classic single-engine database. `Database::open` requires
+    /// `1 ≤ shards ≤ groups`; a database over supplied devices
+    /// (`Database::open_with`, the file backend) has exactly one shard
+    /// until each shard gets its own logs.
     pub shards: u32,
     /// Group commit: `Some` routes `Transaction::commit` through the
     /// commit gate, batching concurrent committers' durability barriers.
@@ -270,7 +272,7 @@ impl DbConfig {
     }
 
     /// Builder-style: stripe parity groups over `n` engine shards (see
-    /// [`crate::ShardedDb`]).
+    /// [`DbConfig::shards`](field@DbConfig::shards)).
     #[must_use]
     pub fn shards(mut self, n: u32) -> DbConfig {
         self.shards = n;

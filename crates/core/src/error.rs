@@ -70,10 +70,10 @@ pub enum DbError {
     /// A cross-shard commit whose decision is durably staged but whose
     /// application was interrupted partway: the transaction **will**
     /// commit — the staged intent is replayed by
-    /// `ShardedDb::recover` / `ShardedDb::resolve_in_doubt` — so this is
+    /// `Database::recover` / `Database::resolve_in_doubt` — so this is
     /// *not* a presumed-abort failure and the caller must **not** retry
     /// the transaction (the retry and the replay would both apply).
-    /// Query `ShardedDb::in_doubt(gid)` to watch for resolution.
+    /// Query `Database::in_doubt(gid)` to watch for resolution.
     CommitInDoubt {
         /// The cross-shard transaction's global id.
         gid: u64,

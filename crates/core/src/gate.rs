@@ -294,7 +294,7 @@ mod tests {
         let db = Database::open(gated(5_000_000));
         let armed = Arc::new(AtomicBool::new(true));
         let trip = Arc::clone(&armed);
-        db.set_barrier_hook(Arc::new(move || {
+        db.shard(0).set_barrier_hook(Arc::new(move || {
             assert!(
                 !trip.swap(false, Ordering::SeqCst),
                 "leader dies at the barrier"

@@ -60,14 +60,14 @@ pub use config::{
     CheckpointPolicy, DbConfig, EngineKind, EotPolicy, GroupCommit, LogGranularity,
     ProtocolMutations,
 };
-pub use db::{Database, DbStats, Transaction};
+pub use db::{Database, DbStats, Shard, Transaction};
 pub use error::{DbError, Result};
 pub use gate::CommitGate;
 pub use group::{DirtyInfo, DirtySet, StealClass};
 pub use locks::LockTable;
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;
-pub use shard::{ShardMap, ShardedDb, ShardedRecovery, ShardedStats, ShardedTxn};
+pub use shard::{ShardMap, ShardedDb, ShardedTxn};
 pub use twin::{TwinDirectory, TwinMeta, TwinState};
 
 // Re-export the identifiers users see in APIs.

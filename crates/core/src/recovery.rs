@@ -65,6 +65,28 @@ pub struct RecoveryReport {
     /// recovered from `obs.journal`, when one survived. `None` on the
     /// simulated array and on backends without a flight recorder.
     pub flight: Option<FlightRecord>,
+    /// Global ids of the decided cross-shard transactions whose staged
+    /// intents the recovery replayed (now visible on every shard).
+    pub replayed: Vec<u64>,
+}
+
+impl RecoveryReport {
+    /// Fold the next shard's report into this one: lists and phases are
+    /// appended in shard order, counts summed.
+    pub(crate) fn absorb(&mut self, other: RecoveryReport) {
+        self.winners.extend(other.winners);
+        self.losers.extend(other.losers);
+        self.undone_via_parity += other.undone_via_parity;
+        self.undone_via_log += other.undone_via_log;
+        self.redone += other.redone;
+        self.bitmap_groups += other.bitmap_groups;
+        self.pages_scanned += other.pages_scanned;
+        self.intent_replays += other.intent_replays;
+        self.torn_twins_healed += other.torn_twins_healed;
+        self.timeline.phases.extend(other.timeline.phases);
+        self.flight = self.flight.take().or(other.flight);
+        self.replayed.extend(other.replayed);
+    }
 }
 
 /// Equality deliberately ignores [`RecoveryReport::timeline`] and
@@ -82,6 +104,7 @@ impl PartialEq for RecoveryReport {
             && self.pages_scanned == other.pages_scanned
             && self.intent_replays == other.intent_replays
             && self.torn_twins_healed == other.torn_twins_healed
+            && self.replayed == other.replayed
     }
 }
 

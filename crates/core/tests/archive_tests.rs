@@ -19,7 +19,7 @@ fn loaded_db(engine: EngineKind) -> Database {
 fn dump_then_restore_roundtrips() {
     for engine in [EngineKind::Rda, EngineKind::Wal] {
         let db = loaded_db(engine);
-        let archive = db.archive_dump().unwrap();
+        let archive = db.shard(0).archive_dump().unwrap();
         assert_eq!(archive.pages(), db.data_pages());
 
         // Work after the dump: one commit, one abort.
@@ -31,7 +31,7 @@ fn dump_then_restore_roundtrips() {
         tx.abort().unwrap();
 
         // Total media loss: every disk replaced; restore from the archive.
-        let applied = db.archive_restore(&archive).unwrap();
+        let applied = db.shard(0).archive_restore(&archive).unwrap();
         assert!(
             applied >= 1,
             "{engine:?}: post-dump commit must be replayed"
@@ -59,7 +59,7 @@ fn metric(db: &Database, name: &str) -> u64 {
 #[test]
 fn the_last_dump_pins_the_low_water_mark() {
     let db = loaded_db(EngineKind::Rda);
-    let archive = db.archive_dump().unwrap();
+    let archive = db.shard(0).archive_dump().unwrap();
     assert_eq!(metric(&db, "wal_low_water_lsn"), archive.log_position().0);
     for round in 0u32..30 {
         let mut tx = db.begin();
@@ -71,22 +71,22 @@ fn the_last_dump_pins_the_low_water_mark() {
             "commit {round} moved the mark past the archive"
         );
     }
-    assert_eq!(db.archive_restore(&archive).unwrap(), 30);
+    assert_eq!(db.shard(0).archive_restore(&archive).unwrap(), 30);
     for round in 0u32..30 {
         assert_eq!(db.read_page(round).unwrap()[0], round as u8 + 100);
     }
     assert!(db.verify().unwrap().is_empty());
     // A newer dump takes the pin over: the older archive is refused, the
     // newer one restores.
-    let newer = db.archive_dump().unwrap();
+    let newer = db.shard(0).archive_dump().unwrap();
     let mut tx = db.begin();
     tx.write(0, b"after the newer dump").unwrap();
     tx.commit().unwrap();
     assert!(matches!(
-        db.archive_restore(&archive),
+        db.shard(0).archive_restore(&archive),
         Err(DbError::ArchiveTooOld { .. })
     ));
-    db.archive_restore(&newer).unwrap();
+    db.shard(0).archive_restore(&newer).unwrap();
     assert_eq!(&db.read_page(0).unwrap()[..5], b"after");
 }
 
@@ -97,7 +97,7 @@ fn the_last_dump_pins_the_low_water_mark() {
 fn an_archive_older_than_the_log_is_refused_before_anything_is_written() {
     for engine in [EngineKind::Rda, EngineKind::Wal] {
         let db = loaded_db(engine);
-        let archive = db.archive_dump().unwrap();
+        let archive = db.shard(0).archive_dump().unwrap();
         for round in 0u32..5 {
             let mut tx = db.begin();
             tx.write(round, &[0xEE; 16]).unwrap();
@@ -105,7 +105,7 @@ fn an_archive_older_than_the_log_is_refused_before_anything_is_written() {
         }
         assert!(db.truncate_log().unwrap() > 0, "{engine:?}");
         let before = db.stats();
-        let refused = db.archive_restore(&archive).unwrap_err();
+        let refused = db.shard(0).archive_restore(&archive).unwrap_err();
         match &refused {
             DbError::ArchiveTooOld {
                 archive: at,
@@ -128,8 +128,8 @@ fn an_archive_older_than_the_log_is_refused_before_anything_is_written() {
         assert_eq!(db.read_page(7).unwrap()[0], 8, "{engine:?}");
         assert!(db.verify().unwrap().is_empty(), "{engine:?}");
         // A fresh archive works again.
-        let fresh = db.archive_dump().unwrap();
-        db.archive_restore(&fresh).unwrap();
+        let fresh = db.shard(0).archive_dump().unwrap();
+        db.shard(0).archive_restore(&fresh).unwrap();
         assert_eq!(db.read_page(0).unwrap()[0], 0xEE, "{engine:?}");
     }
 }
@@ -137,7 +137,7 @@ fn an_archive_older_than_the_log_is_refused_before_anything_is_written() {
 #[test]
 fn restore_heals_a_failed_and_replaced_array() {
     let db = loaded_db(EngineKind::Rda);
-    let archive = db.archive_dump().unwrap();
+    let archive = db.shard(0).archive_dump().unwrap();
     // The full-stripe restore rewrites everything, so it also serves as
     // disaster recovery after multiple disk replacements.
     db.fail_disk(0);
@@ -149,7 +149,7 @@ fn restore_heals_a_failed_and_replaced_array() {
                                       // Simulate field service replacing both drives with blanks.
     db.replace_disk_blank(0);
     db.replace_disk_blank(1);
-    db.archive_restore(&archive).unwrap();
+    db.shard(0).archive_restore(&archive).unwrap();
     for p in 0..db.data_pages() {
         assert_eq!(db.read_page(p).unwrap()[0], (p % 250) as u8 + 1);
     }
@@ -162,11 +162,11 @@ fn archive_requires_quiescence() {
     let mut tx = db.begin();
     tx.write(0, b"busy").unwrap();
     assert!(matches!(
-        db.archive_dump(),
+        db.shard(0).archive_dump(),
         Err(DbError::ActiveTransactions(1))
     ));
     tx.abort().unwrap();
-    db.archive_dump().unwrap();
+    db.shard(0).archive_dump().unwrap();
 }
 
 #[test]
@@ -177,11 +177,11 @@ fn record_mode_replay() {
     let mut tx = db.begin();
     tx.update(0, 0, b"base").unwrap();
     tx.commit().unwrap();
-    let archive = db.archive_dump().unwrap();
+    let archive = db.shard(0).archive_dump().unwrap();
     let mut tx = db.begin();
     tx.update(0, 8, b"after-dump").unwrap();
     tx.commit().unwrap();
-    db.archive_restore(&archive).unwrap();
+    db.shard(0).archive_restore(&archive).unwrap();
     let got = db.read_page(0).unwrap();
     assert_eq!(&got[0..4], b"base");
     assert_eq!(&got[8..18], b"after-dump");
@@ -194,7 +194,7 @@ fn rebuild_cost_is_flat_while_restore_grows_with_the_log() {
     // time since the last archive; parity rebuild touches only the failed
     // disk's groups regardless of history.
     let db = loaded_db(EngineKind::Rda);
-    let archive = db.archive_dump().unwrap();
+    let archive = db.shard(0).archive_dump().unwrap();
 
     // A long stretch of post-dump work (the redo tail).
     for round in 0u32..40 {
@@ -213,7 +213,7 @@ fn rebuild_cost_is_flat_while_restore_grows_with_the_log() {
     let rebuild_cost = rebuild.array.transfers() + rebuild.log.transfers();
 
     let before = db.stats();
-    db.archive_restore(&archive).unwrap();
+    db.shard(0).archive_restore(&archive).unwrap();
     let restore = db.stats().delta(&before);
     let restore_cost = restore.array.transfers() + restore.log.transfers();
 

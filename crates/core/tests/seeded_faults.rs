@@ -135,7 +135,7 @@ fn planned_latent_error_is_scrub_repaired() {
     let fired = injector.fired();
     assert_eq!(fired.len(), 1);
     assert_eq!(fired[0].kind, FaultKind::Latent);
-    let stats = db.fault_stats().expect("stats");
+    let stats = db.shard(0).fault_stats().expect("stats");
     assert_eq!(stats.latent_errors(), 1);
 
     let scrub = db.scrub().expect("scrub");
@@ -186,11 +186,10 @@ fn with_disk_death_after<T>(
     let dry = Database::open(cfg.clone());
     let counter = Arc::new(FaultInjector::observer());
     dry.install_fault_hook(counter.clone());
-    let dry_state = setup(&dry);
+    drop(setup(&dry));
     let plan = FaultPlan::single(
         FaultSpec::at_io(FaultKind::FailDisk, counter.ios_seen() + offset).writes_only(),
     );
-    drop(dry_state);
     let db = Database::open(cfg.clone());
     let injector = Arc::new(FaultInjector::new(plan));
     db.install_fault_hook(injector.clone());

@@ -68,7 +68,7 @@ fn trace_witnesses_dirty_set_discipline() {
     let db = Database::open(cfg(2).trace(1 << 16));
     run_seeded_workload(&db, 0x0B5E_55ED, 60);
 
-    let snap = db.trace_snapshot();
+    let snap = db.shard(0).trace_snapshot();
     assert_eq!(snap.dropped, 0, "ring too small for the workload");
     assert!(
         snap.events
@@ -124,7 +124,7 @@ fn metrics_counters_are_deterministic_for_a_fixed_seed() {
 fn tracing_disabled_records_nothing() {
     let db = Database::open(cfg(2));
     run_seeded_workload(&db, 7, 10);
-    let snap = db.trace_snapshot();
+    let snap = db.shard(0).trace_snapshot();
     assert!(snap.events.is_empty());
     assert_eq!(snap.dropped, 0);
 }

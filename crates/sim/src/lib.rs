@@ -9,8 +9,8 @@
 //! transfers, which can then be compared against the model's `c_t`
 //! prediction at the *measured* communality.
 //!
-//! [`run`] drives every measurement against a `ShardedDb` (one shard for
-//! an unsharded run); [`compare_engines`] runs one script set through
+//! [`run`] drives every measurement against one `Database` at any shard
+//! count; [`compare_engines`] runs one script set through
 //! both engines.
 //!
 //! Locality (and therefore communality `C`) is induced with a hot-set

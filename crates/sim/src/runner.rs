@@ -1,4 +1,4 @@
-//! The transaction runner: scripts driven against a [`ShardedDb`].
+//! The transaction runner: scripts driven against a [`Database`].
 //!
 //! [`run`] starts `cfg.threads` OS threads sharing one database; thread
 //! `t` drives scripts `i ≡ t (mod threads)` through `cfg.slots`
@@ -16,7 +16,7 @@
 //! the run lands in [`RunResult::failures`].
 
 use crate::workload::{AccessKind, TxnScript, WorkloadSpec};
-use rda_core::{DbConfig, DbError, DbStats, LogGranularity, ShardedDb, ShardedTxn};
+use rda_core::{Database, DbConfig, DbError, DbStats, LogGranularity, Transaction};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -123,7 +123,7 @@ impl RunResult {
 #[must_use]
 pub fn run_spec(db: DbConfig, cfg: &RunConfig, spec: &WorkloadSpec, txns: usize) -> RunResult {
     let scripts = spec.generate(cfg.warmup + txns, cfg.seed);
-    run(&ShardedDb::open(db), cfg, scripts)
+    run(&Database::open(db), cfg, scripts)
 }
 
 /// Run `scripts` against `db` as `cfg` says and report the measured
@@ -132,13 +132,13 @@ pub fn run_spec(db: DbConfig, cfg: &RunConfig, spec: &WorkloadSpec, txns: usize)
 /// # Panics
 /// If `cfg` asks for a warm-up or for crashes on more than one thread.
 #[must_use]
-pub fn run(db: &ShardedDb, cfg: &RunConfig, scripts: Vec<TxnScript>) -> RunResult {
+pub fn run(db: &Database, cfg: &RunConfig, scripts: Vec<TxnScript>) -> RunResult {
     let threads = cfg.threads.max(1);
     assert!(
         threads == 1 || (cfg.warmup == 0 && cfg.crash_every.is_none()),
         "warm-up and crash injection need a one-thread run"
     );
-    let start = (db.stats(), log_bytes(db));
+    let start = (db.stats(), db.log_bytes());
     let mut queues: Vec<Vec<(usize, TxnScript)>> = (0..threads).map(|_| Vec::new()).collect();
     for (i, script) in scripts.into_iter().enumerate() {
         queues[i % threads].push((i, script));
@@ -162,17 +162,13 @@ pub fn run(db: &ShardedDb, cfg: &RunConfig, scripts: Vec<TxnScript>) -> RunResul
     let elapsed_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let end = db.stats();
-    let (base, base_bytes) = tallies
-        .first()
-        .and_then(|t| t.baseline)
-        .unwrap_or_else(|| (start.0.merged(), start.1));
-    let merged = end.merged();
-    let delta = merged.delta(&base);
+    let (base, base_bytes) = tallies.first().and_then(|t| t.baseline).unwrap_or(start);
+    let delta = end.delta(&base);
     let mut out = RunResult {
         array_transfers: delta.array.transfers(),
         log_transfers: delta.log.transfers(),
-        measured_c: merged.buffer.hit_ratio(),
-        log_bytes: log_bytes(db) - base_bytes,
+        measured_c: end.buffer.hit_ratio(),
+        log_bytes: db.log_bytes() - base_bytes,
         elapsed_ns,
         cross_shard_commits: end.cross_shard_commits - start.0.cross_shard_commits,
         ..RunResult::default()
@@ -230,10 +226,6 @@ pub fn run(db: &ShardedDb, cfg: &RunConfig, scripts: Vec<TxnScript>) -> RunResul
     out
 }
 
-fn log_bytes(db: &ShardedDb) -> u64 {
-    (0..db.shard_count()).map(|s| db.shard(s).log_bytes()).sum()
-}
-
 /// The value the access at `pos` writes; `key` is one more than the
 /// index of the script its thread started last. Never zero, so a
 /// written page is told apart from a fresh one.
@@ -247,7 +239,7 @@ fn value_byte(seed: u64, key: usize, pos: usize) -> u8 {
 }
 
 struct Slot {
-    tx: ShardedTxn,
+    tx: Transaction,
     script: TxnScript,
     pos: usize,
     /// Conflicts in a row; in a one-slot thread, restarts so far.
@@ -272,7 +264,7 @@ struct Tally {
 /// Drive one thread's scripts through `cfg.slots` round-robin slots.
 /// `seq` numbers writes: a page's later writer held its lock, so draws more.
 fn drive(
-    db: &ShardedDb,
+    db: &Database,
     cfg: &RunConfig,
     seq: &AtomicU64,
     scripts: Vec<(usize, TxnScript)>,
@@ -411,7 +403,7 @@ fn drive(
             }
 
             if cfg.warmup > 0 && t.baseline.is_none() && finished >= cfg.warmup {
-                t.baseline = Some((db.stats().merged(), log_bytes(db)));
+                t.baseline = Some((db.stats(), db.log_bytes()));
             }
         }
     }
@@ -497,7 +489,7 @@ mod tests {
                 kind: AccessKind::Update,
             };
             let scripts = (0..50).map(|p| TxnScript::committing(vec![write(p)]));
-            let db = ShardedDb::open(DbConfig::paper_like(EngineKind::Rda, 200, 32));
+            let db = Database::open(DbConfig::paper_like(EngineKind::Rda, 200, 32));
             let result = run(&db, cfg, scripts.collect());
             assert_eq!(result.check(), Ok(()));
             assert_eq!(result.committed, 50, "{result:?}");

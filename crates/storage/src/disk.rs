@@ -186,12 +186,17 @@ impl FileDisk {
         }
     }
 
-    /// The shared read-side gate: fault hook, then failure states — the
-    /// same order as `SimDisk::readable`. On success the caller reads the
+    /// The shared read-side gate: fault hook (unless a peek), then failure
+    /// states — the same order as `SimDisk::readable`. On success the caller reads the
     /// file under the returned guard.
-    fn read_gate(&self, block: u64) -> rda_array::Result<MutexGuard<'_, DiskState>> {
+    fn read_gate(&self, block: u64, hooked: bool) -> rda_array::Result<MutexGuard<'_, DiskState>> {
         debug_assert!(block < self.block_count, "block out of range");
-        match self.consult_hook(block, false) {
+        let action = if hooked {
+            self.consult_hook(block, false)
+        } else {
+            FaultAction::Proceed
+        };
+        match action {
             FaultAction::Proceed => {}
             FaultAction::Transient => {
                 return Err(ArrayError::Transient {
@@ -226,8 +231,13 @@ impl FileDisk {
     /// The one read path: gate, one positioned read of the block's slot,
     /// checksum verification, then `take` sees the verified image where it
     /// landed. `take` does not run on a torn, failed or poisoned block.
-    fn read_with<T>(&self, block: u64, take: impl FnOnce(&[u8]) -> T) -> rda_array::Result<T> {
-        let mut state = self.read_gate(block)?;
+    fn read_with<T>(
+        &self,
+        block: u64,
+        hooked: bool,
+        take: impl FnOnce(&[u8]) -> T,
+    ) -> rda_array::Result<T> {
+        let mut state = self.read_gate(block, hooked)?;
         match state.files.read_block(block) {
             Ok(BlockImage::Intact(image)) => Ok(take(image)),
             Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
@@ -253,11 +263,15 @@ impl BlockDevice for FileDisk {
     }
 
     fn read(&self, block: u64) -> rda_array::Result<Page> {
-        self.read_with(block, Page::from_bytes)
+        self.read_with(block, true, Page::from_bytes)
+    }
+
+    fn peek(&self, block: u64) -> rda_array::Result<Page> {
+        self.read_with(block, false, Page::from_bytes)
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
-        self.read_with(block, |image| xor::xor_in_place(dst.as_mut(), image))
+        self.read_with(block, true, |image| xor::xor_in_place(dst.as_mut(), image))
     }
 
     fn write(&self, block: u64, page: &Page) -> rda_array::Result<()> {

@@ -70,6 +70,10 @@ pub enum StorageError {
     /// The directory's manifest is missing, malformed, or describes a
     /// different geometry than the supplied configuration.
     Manifest(String),
+    /// The configuration asks for this many engine shards. A directory
+    /// holds one `wal.journal` and one `meta.journal`, so a file-backed
+    /// database has one shard until each shard gets its own logs.
+    Shards(u32),
 }
 
 impl fmt::Display for StorageError {
@@ -77,6 +81,11 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::Manifest(msg) => write!(f, "manifest error: {msg}"),
+            StorageError::Shards(n) => write!(
+                f,
+                "{n} shards need per-shard logs (a wal.journal and a meta.journal \
+                 each); a file-backed database has one shard"
+            ),
         }
     }
 }
@@ -85,7 +94,7 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io(e) => Some(e),
-            StorageError::Manifest(_) => None,
+            StorageError::Manifest(_) | StorageError::Shards(_) => None,
         }
     }
 }
@@ -129,6 +138,14 @@ fn manifest_contents(cfg: &DbConfig) -> String {
         geo.disks(),
         geo.blocks_per_disk(),
     )
+}
+
+/// Refuse a shard count the directory layout cannot honour.
+fn one_shard(cfg: &DbConfig) -> Result<(), StorageError> {
+    match cfg.shards {
+        1 => Ok(()),
+        n => Err(StorageError::Shards(n)),
+    }
 }
 
 /// Make `dir` a database: write its manifest under a temporary name, then
@@ -194,8 +211,8 @@ fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<File
 /// so the recorder (and its timer thread) lives exactly as long as the
 /// database.
 fn attach_flight_recorder(db: &FileDb, dir: &Path) -> Result<(), StorageError> {
-    let rec = FlightRecorder::create(dir, db.obs())?;
-    db.set_barrier_hook(Arc::new(move || {
+    let rec = FlightRecorder::create(dir, db.shard(0).obs())?;
+    db.shard(0).set_barrier_hook(Arc::new(move || {
         // Best-effort: the black box must never fail a commit.
         let _ = rec.flush();
     }));
@@ -210,6 +227,7 @@ fn attach_flight_recorder(db: &FileDb, dir: &Path) -> Result<(), StorageError> {
 /// formatted from scratch: every file is created truncated.
 ///
 /// # Errors
+/// [`StorageError::Shards`] unless `cfg.shards` is 1;
 /// [`StorageError::Manifest`] if `dir` already holds a database;
 /// [`StorageError::Io`] on any file-system failure.
 pub fn create_database(
@@ -230,6 +248,7 @@ pub fn create_database_with(
     mode: DurabilityMode,
     opts: StorageOptions,
 ) -> Result<FileDb, StorageError> {
+    one_shard(&cfg)?;
     std::fs::create_dir_all(dir)?;
     let manifest = dir.join(MANIFEST);
     if manifest.exists() {
@@ -265,6 +284,7 @@ pub fn create_database_with(
 /// [`Database::recover`] before starting new transactions.
 ///
 /// # Errors
+/// [`StorageError::Shards`] unless `cfg.shards` is 1;
 /// [`StorageError::Manifest`] if the manifest is absent, was written by
 /// another on-disk format, or disagrees with `cfg`; [`StorageError::Io`]
 /// on any file-system failure.
@@ -286,6 +306,7 @@ pub fn reopen_database_with(
     mode: DurabilityMode,
     opts: StorageOptions,
 ) -> Result<FileDb, StorageError> {
+    one_shard(&cfg)?;
     let manifest = dir.join(MANIFEST);
     let found = std::fs::read_to_string(&manifest)
         .map_err(|e| StorageError::Manifest(format!("cannot read {}: {e}", manifest.display())))?;
@@ -342,7 +363,7 @@ pub fn reopen_database_with(
         let (prior, read) = FlightRecorder::load_counted(dir);
         obs_read = read;
         if let Some(prior) = prior {
-            db.set_prior_flight(prior);
+            db.shard(0).set_prior_flight(prior);
         }
         attach_flight_recorder(&db, dir)?;
     }

@@ -131,6 +131,27 @@ fn manifest_guards_geometry_and_clobbering() {
     let _ = std::fs::remove_dir_all(&empty);
 }
 
+/// A directory holds one engine's logs, so neither entry point builds a
+/// database of more shards — not silently one engine over every group.
+#[test]
+fn create_refuses_more_than_one_shard() {
+    let dir = tmpdir("two-shards-create");
+    let refused = create_database(&dir, cfg().shards(2), DurabilityMode::FsyncOnBarrier);
+    assert!(matches!(refused, Err(StorageError::Shards(2))));
+    assert!(!dir.join("manifest.txt").exists(), "nothing was formatted");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reopen_refuses_more_than_one_shard() {
+    let dir = tmpdir("two-shards-reopen");
+    drop(create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap());
+    let refused = reopen_database(&dir, cfg().shards(2), DurabilityMode::FsyncOnBarrier);
+    let err = refused.err().expect("two shards refused").to_string();
+    assert!(err.contains("per-shard logs"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The deterministic workload the torn-write schedule interrupts: one
 /// transaction per page, each writing its own page. Returns the set of
 /// acknowledged commits, and stops at the first crash error.
@@ -202,6 +223,7 @@ fn torn_write_schedule_then_restart_recovers() {
         db.install_fault_hook(injector);
         let (acked, crashed) = run_until_crash(&db, 8);
         let torn_applied = db
+            .shard(0)
             .fault_stats()
             .map(|s| s.torn_writes())
             .unwrap_or_default();

@@ -38,7 +38,7 @@ const TRANSPARENT: &[&str] = &[
 
 /// Method names so common on std containers that an untyped receiver
 /// must never fall back to a same-named inherent method by uniqueness.
-const STD_METHODS: &[&str] = &[
+pub const STD_METHODS: &[&str] = &[
     "len",
     "is_empty",
     "push",
@@ -61,6 +61,7 @@ const STD_METHODS: &[&str] = &[
     "clone",
     "to_vec",
     "to_string",
+    "flush",
     "into",
     "from",
     "new",

@@ -15,9 +15,11 @@
 //!   * an unresolved receiver is flagged only when the method name
 //!     exists exclusively on the confined type in the whole workspace —
 //!     a name shared with other types would otherwise drown the report
-//!     in false positives.
+//!     in false positives — and is not a ubiquitous std container name
+//!     (`remove` on a `Vec` or `HashMap` local is not `DirtySet::remove`,
+//!     however few workspace types define one).
 
-use crate::analyze::callgraph::Workspace;
+use crate::analyze::callgraph::{Workspace, STD_METHODS};
 use crate::analyze::config::Config;
 use crate::analyze::findings::Finding;
 use crate::analyze::parse::CallKind;
@@ -42,7 +44,10 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
                     let hit = match &call.kind {
                         CallKind::Method => match ws.receiver_type(f, &call.recv) {
                             Some(ty) => ty == rule.ty,
-                            None => exclusive_to(ws, &call.method, &rule.ty),
+                            None => {
+                                !STD_METHODS.contains(&call.method.as_str())
+                                    && exclusive_to(ws, &call.method, &rule.ty)
+                            }
                         },
                         CallKind::Path(segs) => segs.len() >= 2 && segs[segs.len() - 2] == rule.ty,
                         CallKind::Bare => false,

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example sharded`
 
-use rda::core::{DbConfig, EngineKind, GroupCommit, ShardedDb};
+use rda::core::{Database, DbConfig, EngineKind, GroupCommit};
 
 fn main() {
     // Four shards; commits batched through a 100µs group-commit window.
@@ -16,7 +16,7 @@ fn main() {
             window_micros: 100,
             max_batch: 8,
         });
-    let db = ShardedDb::open(cfg);
+    let db = Database::open(cfg);
     println!(
         "{} shards, {} data pages",
         db.shard_count(),
@@ -44,8 +44,9 @@ fn main() {
     // but unapplied cross-shard intents are replayed.
     let report = db.crash_and_recover().expect("restart recovery");
     println!(
-        "recovered {} shards, {} intents replayed",
-        report.reports.len(),
+        "recovered {} shards ({} groups scanned), {} intents replayed",
+        db.shard_count(),
+        report.bitmap_groups,
         report.replayed.len()
     );
     assert_eq!(&db.read_page(0).unwrap()[..7], b"shard 0");

@@ -39,7 +39,7 @@ fn main() {
     let report = db.recover().expect("restart recovery");
 
     println!("=== event trace (commit, crash, restart) ===");
-    let snap = db.trace_snapshot();
+    let snap = db.shard(0).trace_snapshot();
     for ev in &snap.events {
         let tag = match ev.kind {
             EventKind::DiskRead { .. } | EventKind::DiskWrite { .. } => "  ",

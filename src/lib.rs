@@ -17,8 +17,6 @@
 //! * [`core`] — the paper's contribution: parity-group dirty tracking, twin
 //!   parity management with `Current_Parity`, a transaction manager with
 //!   parity-based UNDO, crash and media recovery, plus a pure-WAL baseline.
-//! * [`kv`] — a transactional key-value record manager (slotted pages,
-//!   hash buckets, overflow chains) built on the engine.
 //! * [`model`] — the paper's §5 analytical performance model (Figures 9–13).
 //! * [`sim`] — synthetic OLTP workload generation and trace-driven
 //!   measurement against the real engine.
@@ -31,7 +29,7 @@
 //! * [`check`] — the one judge of what a fault did: seeded
 //!   multi-transaction schedules (with crash, torn-write and disk-death
 //!   points threaded through the fault seam) replayed by one executor —
-//!   the sharded engine, one to four shards, one OS thread per
+//!   one `Database` of one to four shards, one OS thread per
 //!   transaction slot — against a sequential reference model, with
 //!   exhaustive exploration (the fault at every I/O of one schedule),
 //!   delta-debugging shrinking and a replayable regression corpus.
@@ -58,7 +56,6 @@ pub use rda_check as check;
 pub use rda_core as core;
 pub use rda_disk as disk;
 pub use rda_faults as faults;
-pub use rda_kv as kv;
 pub use rda_model as model;
 pub use rda_obs as obs;
 pub use rda_sim as sim;
