@@ -1,8 +1,8 @@
-//! Open findings, shrunk and pinned. Each schedule came out of
+//! Findings, shrunk and pinned. Each schedule came out of
 //! `rda-check --seed 0x1992 --schedules 200 --faults 6`; each test
 //! expects a clean run and stays ignored until the engine is fixed
-//! (ROADMAP item 1). Run them with `cargo test -p rda-check --test
-//! open_findings -- --ignored`.
+//! (ROADMAP item 1), then runs with the rest. Run the open ones with
+//! `cargo test -p rda-check --test open_findings -- --ignored`.
 
 use rda_check::{run_schedule, Json, ProtocolMutations, Schedule};
 
@@ -23,9 +23,9 @@ fn assert_clean(text: &str) {
 /// restoring data write. Restart replays the logged compensation image
 /// (slot 1's committed, never-flushed 247), but the committed twin still
 /// covers the pre-steal disk version, so "parity twin P0 (committed) does
-/// not equal the XOR of the group's data pages".
+/// not equal the XOR of the group's data pages". Fixed: restart now
+/// recomputes the committed twin after applying the compensation image.
 #[test]
-#[ignore = "open finding, ROADMAP item 1"]
 fn finding_a_torn_rollback_write_leaves_the_committed_twin_stale() {
     assert_clean(
         r#"{"name":"g0000000000001992-70+torn_write@14","config":{"frames":6,"eot":"noforce","strict":true,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":1},{"op":"write","slot":1,"page":12,"val":247},{"op":"write","slot":1,"page":1,"val":161},{"op":"read","slot":1,"page":6},{"op":"read","slot":1,"page":2},{"op":"commit","slot":1},{"op":"begin","slot":0},{"op":"read","slot":0,"page":13},{"op":"write","slot":0,"page":12,"val":219},{"op":"write","slot":0,"page":5,"val":251},{"op":"write","slot":0,"page":4,"val":131},{"op":"abort","slot":0}],"fault":{"mode":"torn_write","at_io":14}}"#,

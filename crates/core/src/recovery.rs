@@ -366,9 +366,18 @@ impl<D: BlockDevice> Engine<D> {
         // A compensation image means a pre-crash rollback (or an earlier
         // recovery attempt) already computed the before-image; the parity
         // difference may no longer encode it, so apply the pinned image.
+        // That image need not be the version the committed twin covers:
+        // under ¬FORCE it can be a committed, never-flushed image the
+        // loser first touched. So the committed twin is recomputed from
+        // the members before the working twin is reset from it.
         if let Some(at) = analysis.compensations.get(&(loser, page)) {
             let restored = self.logged_image(*at)?;
             self.dur.array.write_data_unprotected(page, &restored)?;
+            let committed = self
+                .working_twin(g)
+                .map_or_else(|| self.dur.twins.current_slot(g), ParitySlot::other);
+            let parity = self.dur.array.compute_group_parity(g)?;
+            self.dur.array.write_parity(g, committed, &parity)?;
             self.invalidate_working_twin(g)?;
         } else {
             self.recover_undo_parity_via_twin(loser, page, g)?;
@@ -396,12 +405,7 @@ impl<D: BlockDevice> Engine<D> {
         // landed (the chain note rides the data write, so it can exist a
         // beat earlier) — the data page may hold the new image, a torn
         // image, or still the old one.
-        let meta = self.dur.twins.meta(g);
-        let work = match meta.state {
-            [crate::twin::TwinState::Working, _] => Some(ParitySlot::P0),
-            [_, crate::twin::TwinState::Working] => Some(ParitySlot::P1),
-            _ => None,
-        };
+        let work = self.working_twin(g);
         let committed = match work {
             Some(w) => w.other(),
             None => self.dur.twins.current_slot(g),
@@ -454,14 +458,20 @@ impl<D: BlockDevice> Engine<D> {
         Ok(())
     }
 
+    /// The twin a group's durable Figure-8 state names Working, if any.
+    fn working_twin(&self, g: GroupId) -> Option<ParitySlot> {
+        match self.dur.twins.meta(g).state {
+            [crate::twin::TwinState::Working, _] => Some(ParitySlot::P0),
+            [_, crate::twin::TwinState::Working] => Some(ParitySlot::P1),
+            _ => None,
+        }
+    }
+
     /// Reset a group's working twin (content := committed parity, header
     /// invalidated). Idempotent.
     fn invalidate_working_twin(&mut self, g: GroupId) -> Result<()> {
-        let meta = self.dur.twins.meta(g);
-        let work = match meta.state {
-            [crate::twin::TwinState::Working, _] => ParitySlot::P0,
-            [_, crate::twin::TwinState::Working] => ParitySlot::P1,
-            _ => return Ok(()),
+        let Some(work) = self.working_twin(g) else {
+            return Ok(());
         };
         let p_comm = self.dur.array.read_parity(g, work.other())?;
         self.dur.array.write_parity(g, work, &p_comm)?;
