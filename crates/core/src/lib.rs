@@ -77,7 +77,7 @@ pub use rda_wal::{LogRecord, LogSink, TxnId};
 // Re-export the observability surface so downstream crates (sim, faults,
 // bench, examples) need no direct `rda-obs` dependency to consume it.
 pub use rda_obs::{
-    merge_shard_snapshots, monotonic_nanos, protocol_violations, protocol_violations_windowed,
-    Counter, EventKind, FlightRecord, Histogram, LockProfile, MetricsRegistry, ObsHub, PhaseStat,
-    RecoveryPhase, ShardTaggedEvent, StealKind, Timeline, TraceEvent, TraceSnapshot, Tracer,
+    monotonic_nanos, protocol_violations, protocol_violations_windowed, Counter, EventKind,
+    FlightRecord, Histogram, LockProfile, MetricsRegistry, ObsHub, PhaseStat, RecoveryPhase,
+    StealKind, Timeline, TraceEvent, TraceSnapshot, Tracer,
 };

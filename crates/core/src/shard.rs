@@ -398,7 +398,7 @@ impl<D: BlockDevice> Database<D> {
     }
 }
 
-/// The name the benchmark's driver gives a simulated multi-shard
+/// The name `benchmark/src/drive.rs` gives a simulated multi-shard
 /// [`Database`]: it implements its engine traits once for `Database<D>`
 /// and once for this type, so this must stay a distinct type (not an
 /// alias) while the benchmark names it. Nothing else uses it.

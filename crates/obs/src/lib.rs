@@ -44,7 +44,7 @@ pub use invariants::{protocol_violations, protocol_violations_windowed};
 pub use metrics::{Counter, Histogram, MetricsRegistry, NANOS_BOUNDS};
 pub use profile::{monotonic_nanos, LockProfile};
 pub use timeline::{PhaseStat, RecoveryPhase, Timeline};
-pub use trace::{merge_shard_snapshots, ShardTaggedEvent, TraceSnapshot, Tracer};
+pub use trace::{TraceSnapshot, Tracer};
 
 use std::sync::Arc;
 

@@ -43,35 +43,6 @@ pub struct TraceSnapshot {
     pub dropped: u64,
 }
 
-/// One trace event tagged with the engine shard it came from, for
-/// merged views over a sharded database's per-shard tracers.
-#[derive(Debug, Clone)]
-pub struct ShardTaggedEvent {
-    /// Which shard's tracer recorded the event.
-    pub shard: u32,
-    /// The event itself (its `at`/`seq` clocks are shard-local).
-    pub event: TraceEvent,
-}
-
-/// Merge per-shard trace snapshots (index = shard id) into one
-/// shard-tagged stream, ordered by the billed-I/O clock with
-/// (shard, seq) as the tiebreak. Each shard's tracer has its own clock,
-/// so cross-shard order is a best-effort interleaving; within one shard
-/// the order is exact. The result is a pure function of the snapshots —
-/// deterministic for a deterministic schedule.
-#[must_use]
-pub fn merge_shard_snapshots(snaps: &[TraceSnapshot]) -> Vec<ShardTaggedEvent> {
-    let mut out: Vec<ShardTaggedEvent> = Vec::new();
-    for (shard, snap) in snaps.iter().enumerate() {
-        out.extend(snap.events.iter().map(|event| ShardTaggedEvent {
-            shard: shard as u32,
-            event: *event,
-        }));
-    }
-    out.sort_by_key(|t| (t.event.at, t.shard, t.event.seq));
-    out
-}
-
 /// `seq` value of a slot that has never been written, or is being
 /// written right now. Real sequence numbers cannot reach it.
 const SLOT_EMPTY: u64 = u64::MAX;
