@@ -16,7 +16,7 @@ use rda_buffer::BufferStats;
 use rda_obs::sync::Mutex;
 use rda_obs::{MetricsRegistry, ObsHub, TraceSnapshot, Tracer};
 use rda_wal::TxnId;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Aggregate physical-I/O statistics, summed over every shard.
@@ -82,9 +82,10 @@ pub struct Shard<D: BlockDevice = DefaultDisk> {
 }
 
 impl<D: BlockDevice> Shard<D> {
-    fn new(engine: Engine<D>) -> Shard<D> {
+    fn new(engine: Engine<D>, unopened: &Arc<AtomicUsize>) -> Shard<D> {
+        let gate = |gc| CommitGate::new(gc, &engine.obs.metrics, Arc::clone(unopened));
         Shard {
-            gate: (engine.cfg.group_commit).map(|gc| CommitGate::new(gc, &engine.obs.metrics)),
+            gate: engine.cfg.group_commit.map(gate),
             engine: Mutex::new(engine),
         }
     }
@@ -216,6 +217,9 @@ pub(crate) struct Inner<D: BlockDevice> {
     pub(crate) shards: Vec<Shard<D>>,
     pub(crate) map: ShardMap,
     pub(crate) coord: Coordinator,
+    /// Transactions begun that have not opened an engine transaction
+    /// yet; the commit gates count them as in flight.
+    pub(crate) unopened: Arc<AtomicUsize>,
     granularity: LogGranularity,
     disks_per_shard: u16,
 }
@@ -297,11 +301,16 @@ impl<D: BlockDevice> Database<D> {
     fn assemble(map: ShardMap, engines: Vec<Engine<D>>) -> Database<D> {
         let disks_per_shard = engines[0].dur.array.geometry().disks();
         let granularity = engines[0].cfg.granularity;
+        let unopened = Arc::new(AtomicUsize::new(0));
         Database {
             inner: Arc::new(Inner {
-                shards: engines.into_iter().map(Shard::new).collect(),
+                shards: engines
+                    .into_iter()
+                    .map(|e| Shard::new(e, &unopened))
+                    .collect(),
                 map,
                 coord: Coordinator::default(),
+                unopened,
                 granularity,
                 disks_per_shard,
             }),
@@ -314,6 +323,8 @@ impl<D: BlockDevice> Database<D> {
     /// [`DbError::NeedsRecovery`].
     #[must_use]
     pub fn begin(&self) -> Transaction<D> {
+        // ordering: Relaxed — a linger heuristic for the commit gates.
+        self.inner.unopened.fetch_add(1, Ordering::Relaxed);
         Transaction {
             db: Arc::clone(&self.inner),
             gid: self.inner.coord.next_gid(),
@@ -764,7 +775,8 @@ impl<D: BlockDevice> Database<D> {
 pub struct Transaction<D: BlockDevice = DefaultDisk> {
     pub(crate) db: Arc<Inner<D>>,
     pub(crate) gid: u64,
-    /// The first shard touched and its engine transaction.
+    /// The first shard touched and its engine transaction; kept after
+    /// the transaction ends, so `None` at drop means it never touched one.
     pub(crate) first: Option<(u32, TxnId)>,
     /// Every further shard touched (cross-shard transactions only).
     pub(crate) more: Vec<(u32, TxnId)>,
@@ -816,7 +828,11 @@ impl<D: BlockDevice> Transaction<D> {
             None => {
                 let txn = engine.begin()?;
                 match self.first {
-                    None => self.first = Some((s, txn)),
+                    None => {
+                        self.first = Some((s, txn));
+                        // ordering: Relaxed — see `Database::begin`.
+                        self.db.unopened.fetch_sub(1, Ordering::Relaxed);
+                    }
                     Some(_) => self.more.push((s, txn)),
                 }
                 txn
@@ -919,7 +935,7 @@ impl<D: BlockDevice> Transaction<D> {
     /// counting a cross-shard abort. Allocates nothing for a transaction
     /// that stayed on one shard.
     fn drain_subs(&mut self, mut f: impl FnMut(&Inner<D>, u32, TxnId)) {
-        let first = self.first.take();
+        let first = self.first;
         let mut more = std::mem::take(&mut self.more);
         if more.is_empty() {
             if let Some((s, txn)) = first {
@@ -939,6 +955,11 @@ impl<D: BlockDevice> Transaction<D> {
 
 impl<D: BlockDevice> Drop for Transaction<D> {
     fn drop(&mut self) {
+        if self.first.is_none() {
+            // Never reached an engine, so `on_page` never uncounted it.
+            // ordering: Relaxed — see `Database::begin`.
+            self.db.unopened.fetch_sub(1, Ordering::Relaxed);
+        }
         if self.finished {
             return;
         }

@@ -21,6 +21,7 @@
 //! nothing has been acknowledged).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -52,6 +53,10 @@ struct GateState {
 /// The gate itself: one per `Database`, shared by all its transactions.
 pub struct CommitGate {
     cfg: GroupCommit,
+    /// Transactions begun on the database that have not opened an engine
+    /// transaction yet (begin is lazy): not in any engine's `active`, but
+    /// about to be, so a leader lingers for them too.
+    unopened: Arc<AtomicUsize>,
     state: Mutex<GateState>,
     cv: Condvar,
     batches: Counter,
@@ -62,11 +67,17 @@ pub struct CommitGate {
 impl CommitGate {
     /// Build a gate and register its metrics
     /// (`group_commit_batches_total`, `group_commit_txns_total`,
-    /// `group_commit_batch_size`).
+    /// `group_commit_batch_size`). `unopened` counts the database's
+    /// transactions that have begun but touched no shard yet.
     #[must_use]
-    pub fn new(cfg: GroupCommit, metrics: &MetricsRegistry) -> CommitGate {
+    pub fn new(
+        cfg: GroupCommit,
+        metrics: &MetricsRegistry,
+        unopened: Arc<AtomicUsize>,
+    ) -> CommitGate {
         CommitGate {
             cfg,
+            unopened,
             state: Mutex::new(GateState::default()),
             cv: Condvar::new(),
             batches: metrics.counter("group_commit_batches_total"),
@@ -118,8 +129,11 @@ impl CommitGate {
         // in `active` — prepare does not retire it — so once the queue
         // holds every active transaction there is nobody left to linger
         // for: an uncontended leader forces immediately instead of
-        // paying the whole window as pure ack latency.
-        let in_flight = engine.lock().active.len();
+        // paying the whole window as pure ack latency. A transaction that
+        // has begun but not yet reached any engine counts as in flight.
+        // ordering: Relaxed — a linger heuristic; no data is published.
+        let unopened = self.unopened.load(Ordering::Relaxed);
+        let in_flight = engine.lock().active.len() + unopened;
         let batch: Vec<Prepared> = {
             let mut st = self.state.lock();
             let target = self.cfg.max_batch.min(in_flight);

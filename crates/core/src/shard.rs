@@ -291,7 +291,7 @@ impl<D: BlockDevice> Transaction<D> {
             done: Vec::new(),
         });
         let mut subs = std::mem::take(&mut self.more);
-        subs.extend(self.first.take());
+        subs.extend(self.first);
         subs.sort_unstable();
         let mut first_err: Option<DbError> = None;
         for (s, txn) in subs {
@@ -791,6 +791,12 @@ mod tests {
             tx.write(5, b"x").unwrap();
             tx.commit().unwrap();
             assert_eq!(db.read_page(5).unwrap()[0], b'x');
+            // Every handle leaves the gates' in-flight count exactly once,
+            // touched or not, however it ends.
+            db.begin().commit().unwrap();
+            db.begin().abort().unwrap();
+            drop(db.begin());
+            assert_eq!(db.inner.unopened.load(Ordering::Relaxed), 0);
         }
     }
 
