@@ -14,7 +14,7 @@ use crate::{AuditReport, DbConfig, LogGranularity, ScrubReport};
 use rda_array::{BlockDevice, DataPageId, DefaultDisk, DiskId, GroupId, StatsSnapshot};
 use rda_buffer::BufferStats;
 use rda_obs::sync::Mutex;
-use rda_obs::{MetricsRegistry, ObsHub, TraceSnapshot, Tracer};
+use rda_obs::{MetricsRegistry, ObsHub, TraceSnapshot};
 use rda_wal::TxnId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,15 +39,6 @@ impl DbStats {
     #[must_use]
     pub fn total_transfers(&self) -> u64 {
         self.array.transfers() + self.log.transfers()
-    }
-
-    /// Add another shard's (or database's) counters into this one.
-    pub fn accumulate(&mut self, other: &DbStats) {
-        self.array.accumulate(&other.array);
-        self.log.accumulate(&other.log);
-        self.buffer.accumulate(&other.buffer);
-        self.cross_shard_commits += other.cross_shard_commits;
-        self.cross_shard_aborts += other.cross_shard_aborts;
     }
 
     /// Counters between `earlier` and `self`.
@@ -114,14 +105,6 @@ impl<D: BlockDevice> Shard<D> {
         Arc::clone(&self.engine.lock().obs.metrics)
     }
 
-    /// The shard's event tracer. Enabled at open time when
-    /// [`DbConfig::trace_events`] is positive, or at any point via
-    /// [`rda_obs::Tracer::enable`].
-    #[must_use]
-    pub fn tracer(&self) -> Arc<Tracer> {
-        Arc::clone(&self.engine.lock().obs.tracer)
-    }
-
     /// Snapshot of the retained trace events (oldest first) plus the
     /// ring's overwrite count.
     #[must_use]
@@ -171,18 +154,6 @@ impl<D: BlockDevice> Shard<D> {
     #[must_use]
     pub fn log_bytes(&self) -> u64 {
         self.engine.lock().dur.log_store.bytes()
-    }
-
-    /// This shard's I/O statistics (no cross-shard counters).
-    #[must_use]
-    pub fn stats(&self) -> DbStats {
-        let engine = self.engine.lock();
-        DbStats {
-            array: engine.dur.array.stats().snapshot(),
-            log: engine.dur.log_store.stats().snapshot(),
-            buffer: engine.buffer.stats(),
-            ..DbStats::default()
-        }
     }
 
     /// Take a transaction-consistent full archive copy of this shard (the
@@ -683,7 +654,12 @@ impl<D: BlockDevice> Database<D> {
             ..DbStats::default()
         };
         for shard in &self.inner.shards {
-            total.accumulate(&shard.stats());
+            let engine = shard.engine.lock();
+            total.array.accumulate(&engine.dur.array.stats().snapshot());
+            total
+                .log
+                .accumulate(&engine.dur.log_store.stats().snapshot());
+            total.buffer.accumulate(&engine.buffer.stats());
         }
         total
     }

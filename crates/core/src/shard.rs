@@ -405,23 +405,19 @@ impl<D: BlockDevice> Database<D> {
 #[derive(Clone)]
 pub struct ShardedDb(Database);
 
+// Each method forwards to the `Database` method of the same name.
+#[allow(clippy::missing_errors_doc, missing_docs)]
 impl ShardedDb {
-    /// [`Database::open`].
     #[must_use]
     pub fn open(cfg: DbConfig) -> ShardedDb {
         ShardedDb(Database::open(cfg))
     }
 
-    /// [`Database::begin`].
     #[must_use]
     pub fn begin(&self) -> ShardedTxn {
         ShardedTxn(self.0.begin())
     }
 
-    /// [`Database::state_dump`].
-    ///
-    /// # Errors
-    /// As [`Database::state_dump`].
     pub fn state_dump(&self) -> Result<Vec<Vec<u8>>> {
         self.0.state_dump()
     }
@@ -437,35 +433,21 @@ impl Deref for ShardedDb {
 /// The benchmark's name for a [`Transaction`] of a `ShardedDb`.
 pub struct ShardedTxn(Transaction);
 
+// Each method forwards to the `Transaction` method of the same name.
+#[allow(clippy::missing_errors_doc, missing_docs)]
 impl ShardedTxn {
-    /// [`Transaction::read`].
-    ///
-    /// # Errors
-    /// As [`Transaction::read`].
     pub fn read(&mut self, page: u32) -> Result<Vec<u8>> {
         self.0.read(page)
     }
 
-    /// [`Transaction::write`].
-    ///
-    /// # Errors
-    /// As [`Transaction::write`].
     pub fn write(&mut self, page: u32, data: &[u8]) -> Result<()> {
         self.0.write(page, data)
     }
 
-    /// [`Transaction::commit`].
-    ///
-    /// # Errors
-    /// As [`Transaction::commit`].
     pub fn commit(self) -> Result<TxnId> {
         self.0.commit()
     }
 
-    /// [`Transaction::abort`].
-    ///
-    /// # Errors
-    /// As [`Transaction::abort`].
     pub fn abort(self) -> Result<()> {
         self.0.abort()
     }
