@@ -406,7 +406,7 @@ impl<D: BlockDevice> Database<D> {
 pub struct ShardedDb(Database);
 
 // Each method forwards to the `Database` method of the same name.
-#[allow(clippy::missing_errors_doc, missing_docs)]
+#[allow(missing_docs)]
 impl ShardedDb {
     #[must_use]
     pub fn open(cfg: DbConfig) -> ShardedDb {
@@ -418,6 +418,8 @@ impl ShardedDb {
         ShardedTxn(self.0.begin())
     }
 
+    /// # Errors
+    /// As [`Database::state_dump`].
     pub fn state_dump(&self) -> Result<Vec<Vec<u8>>> {
         self.0.state_dump()
     }
@@ -434,20 +436,27 @@ impl Deref for ShardedDb {
 pub struct ShardedTxn(Transaction);
 
 // Each method forwards to the `Transaction` method of the same name.
-#[allow(clippy::missing_errors_doc, missing_docs)]
 impl ShardedTxn {
+    /// # Errors
+    /// As [`Transaction::read`].
     pub fn read(&mut self, page: u32) -> Result<Vec<u8>> {
         self.0.read(page)
     }
 
+    /// # Errors
+    /// As [`Transaction::write`].
     pub fn write(&mut self, page: u32, data: &[u8]) -> Result<()> {
         self.0.write(page, data)
     }
 
+    /// # Errors
+    /// As [`Transaction::commit`].
     pub fn commit(self) -> Result<TxnId> {
         self.0.commit()
     }
 
+    /// # Errors
+    /// As [`Transaction::abort`].
     pub fn abort(self) -> Result<()> {
         self.0.abort()
     }
