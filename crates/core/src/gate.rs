@@ -50,7 +50,7 @@ struct GateState {
     results: HashMap<u64, Result<()>>,
 }
 
-/// The gate itself: one per `Database`, shared by all its transactions.
+/// The gate itself: one per shard, shared by all its transactions.
 pub struct CommitGate {
     cfg: GroupCommit,
     /// Transactions begun on the database that have not opened an engine
