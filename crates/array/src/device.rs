@@ -49,8 +49,10 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// Read a block without consulting the fault hook — the unbilled,
     /// unhooked view invariant auditors read through, so that auditing
     /// never moves a planted fault. Failure states still refuse it. The
-    /// default is [`BlockDevice::read`]: right for a device that consults
-    /// no hook (a wrapper, say), while one that does overrides it.
+    /// default is [`BlockDevice::read`], which is right only for a device
+    /// that consults no hook: one that does overrides it, and a wrapper
+    /// must forward `peek` to the device it wraps (its `read` would reach
+    /// that device's hook, and be timed or billed as a real read).
     ///
     /// # Errors
     /// As [`BlockDevice::read`], minus the hook's verdicts.

@@ -379,7 +379,9 @@ impl<D: BlockDevice> Database<D> {
             return Err(DbError::BadPage(DataPageId(page)));
         }
         self.on_page(page, |engine, local| {
-            let txn = engine.begin()?;
+            // Global id 0: begun and ended under one engine lock, this
+            // transaction is never a holder another one can meet.
+            let txn = engine.begin(0)?;
             let out = engine.txn_read(txn, local);
             let _ = engine.txn_abort(txn);
             out
@@ -403,15 +405,12 @@ impl<D: BlockDevice> Database<D> {
         let mut dumps = Vec::with_capacity(self.inner.shards.len());
         for shard in &self.inner.shards {
             let mut engine = shard.engine.lock();
-            let txn = engine.begin()?;
+            let txn = engine.begin(0)?; // as in `read_page`
             let dump = (0..engine.dur.array.data_pages())
                 .map(|page| engine.txn_read(txn, DataPageId(page)))
                 .collect::<Result<Vec<_>>>();
             let _ = engine.txn_abort(txn);
             dumps.push(dump?);
-        }
-        if dumps.len() == 1 {
-            return Ok(dumps.remove(0));
         }
         let map = self.inner.map;
         Ok((0..map.data_pages())
@@ -444,8 +443,8 @@ impl<D: BlockDevice> Database<D> {
         }
     }
 
-    /// Run restart recovery after a crash — one thread per shard when
-    /// there are several — then replay decided cross-shard intents. The
+    /// Run restart recovery after a crash — the shards in parallel, shard
+    /// 0 on the calling thread — then replay decided cross-shard intents. The
     /// report is the shards' reports merged in shard order, plus the
     /// replayed global ids.
     ///
@@ -456,22 +455,18 @@ impl<D: BlockDevice> Database<D> {
     /// intents survive an errored replay and are retried by the next
     /// `recover`.
     pub fn recover(&self) -> Result<RecoveryReport> {
-        if self.inner.shards.len() == 1 {
-            return self.recover_sequential();
-        }
-        let reports: Result<Vec<RecoveryReport>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .inner
-                .shards
-                .iter()
+        let (first, others) = self.inner.shards.split_at(1);
+        let reports: Vec<Result<RecoveryReport>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (others.iter())
                 .map(|shard| scope.spawn(|| shard.engine.lock().recover()))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+            // The calling thread recovers shard 0 itself.
+            let mine = first[0].engine.lock().recover();
+            let theirs = (handles.into_iter())
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            std::iter::once(mine).chain(theirs).collect()
         });
-        self.finish_recovery(reports?)
+        self.finish_recovery(reports.into_iter().collect::<Result<_>>()?)
     }
 
     /// [`Database::recover`] one shard at a time in shard order, so that
@@ -764,8 +759,10 @@ pub struct Transaction<D: BlockDevice = DefaultDisk> {
 }
 
 impl<D: BlockDevice> Transaction<D> {
-    /// This transaction's global id (the engine transaction ids of its
-    /// shards are an engine detail).
+    /// This transaction's global id, the one [`Transaction::commit`]
+    /// returns and a [`DbError::LockConflict`] names its holder by. The
+    /// ids of its per-shard engine transactions are engine numbers: trace
+    /// events and [`RecoveryReport`]'s winners and losers carry those.
     #[must_use]
     pub fn id(&self) -> TxnId {
         TxnId(self.gid)
@@ -802,7 +799,7 @@ impl<D: BlockDevice> Transaction<D> {
         let txn = match known {
             Some(txn) => txn,
             None => {
-                let txn = engine.begin()?;
+                let txn = engine.begin(self.gid)?;
                 match self.first {
                     None => {
                         self.first = Some((s, txn));

@@ -54,6 +54,9 @@ pub(crate) struct RecOp {
 /// Volatile per-transaction state.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
+    /// The router's global id of the transaction this engine transaction
+    /// belongs to; lock conflicts name their holder by it.
+    pub gid: u64,
     /// LSN of the BOT record, once it is appended (lazily: when the
     /// transaction first needs UNDO protection on disk, §4.3). Rollback
     /// reads the log from here.
@@ -397,8 +400,9 @@ impl<D: BlockDevice> Engine<D> {
     }
 
     /// Note a denied lock request (the requester sees the conflict error;
-    /// this model has no blocking waits) in the trace and metrics.
-    fn note_lock_conflict(&self, page: DataPageId, txn: TxnId) {
+    /// this model has no blocking waits) in the trace and metrics, and
+    /// return the lock table's error with its holder named by global id.
+    fn lock_conflict(&self, page: DataPageId, txn: TxnId, e: DbError) -> DbError {
         self.metrics.lock_conflicts.inc();
         self.obs
             .locks
@@ -407,6 +411,13 @@ impl<D: BlockDevice> Engine<D> {
             page: page.0,
             txn: txn.0,
         });
+        match e {
+            DbError::LockConflict { page, holder } => DbError::LockConflict {
+                page,
+                holder: self.active.get(&holder).map_or(holder, |t| TxnId(t.gid)),
+            },
+            other => other,
+        }
     }
 
     /// Note a successful page-lock acquisition: if this `(txn, page)`
@@ -907,15 +918,17 @@ impl<D: BlockDevice> Engine<D> {
 
     // ---- transaction operations -------------------------------------------
 
-    /// Start a transaction. The BOT record is written lazily — only when
-    /// the transaction first needs UNDO protection on disk (§4.3).
-    pub(crate) fn begin(&mut self) -> Result<TxnId> {
+    /// Start the engine transaction of global transaction `gid`. The BOT
+    /// record is written lazily — only when the transaction first needs
+    /// UNDO protection on disk (§4.3).
+    pub(crate) fn begin(&mut self, gid: u64) -> Result<TxnId> {
         self.check_ready()?;
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
         self.active.insert(
             txn,
             TxnState {
+                gid,
                 begin_nanos: monotonic_nanos(),
                 ..TxnState::default()
             },
@@ -934,8 +947,7 @@ impl<D: BlockDevice> Engine<D> {
         self.txn_state(txn)?;
         if self.cfg.strict_read_locks {
             if let Err(e) = self.locks.lock_shared(page, txn) {
-                self.note_lock_conflict(page, txn);
-                return Err(e);
+                return Err(self.lock_conflict(page, txn, e));
             }
             self.note_lock_acquired(page, txn);
         }
@@ -962,8 +974,7 @@ impl<D: BlockDevice> Engine<D> {
         }
         self.txn_state(txn)?;
         if let Err(e) = self.locks.lock_page(page, txn) {
-            self.note_lock_conflict(page, txn);
-            return Err(e);
+            return Err(self.lock_conflict(page, txn, e));
         }
         self.note_lock_acquired(page, txn);
         // An update access reads the page first (the paper's model: every
@@ -1007,8 +1018,7 @@ impl<D: BlockDevice> Engine<D> {
             .locks
             .lock_range(page, offset as u32, bytes.len() as u32, txn)
         {
-            self.note_lock_conflict(page, txn);
-            return Err(e);
+            return Err(self.lock_conflict(page, txn, e));
         }
         self.note_lock_acquired(page, txn);
         let current = self.buffered_read(page)?;

@@ -15,7 +15,8 @@ pub enum DbError {
     LockConflict {
         /// The page being locked.
         page: DataPageId,
-        /// The current holder.
+        /// The current holder, by global transaction id
+        /// ([`Transaction::id`](crate::Transaction::id)).
         holder: TxnId,
     },
     /// Operation on a transaction the engine no longer knows (e.g. a handle

@@ -362,7 +362,7 @@ impl<D: BlockDevice> Database<D> {
                 if ops.is_empty() || intent.done.contains(&s) {
                     continue;
                 }
-                self.replay_on(s, &ops)?;
+                self.replay_on(s, intent.txn, &ops)?;
                 // Replay is re-entrant: once this shard's replay is
                 // durable, a crash before the intent clears must not
                 // rewrite the shard a second time.
@@ -374,10 +374,11 @@ impl<D: BlockDevice> Database<D> {
         Ok(replayed)
     }
 
-    /// Apply `ops` (all on shard `s`) as one fresh engine transaction.
-    fn replay_on(&self, s: u32, ops: &[&IntentOp]) -> Result<()> {
+    /// Apply `ops` (all on shard `s`) of global transaction `gid` as one
+    /// fresh engine transaction.
+    fn replay_on(&self, s: u32, gid: u64, ops: &[&IntentOp]) -> Result<()> {
         let shard = self.shard(s);
-        let txn = shard.engine.lock().begin()?;
+        let txn = shard.engine.lock().begin(gid)?;
         let applied = ops.iter().try_for_each(|op| {
             let (_, local) = self.inner.map.to_local(op.page());
             let mut engine = shard.engine.lock();
@@ -788,6 +789,31 @@ mod tests {
             db.begin().abort().unwrap();
             drop(db.begin());
             assert_eq!(db.inner.unopened.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    /// A conflict names its holder by the id the blocking handle reports,
+    /// though engine ids run apart from global ones (handles that never
+    /// touched a page, the router's own reads).
+    #[test]
+    fn a_conflict_names_the_blocking_handle() {
+        for shards in [1, 3] {
+            let db = Database::open(cfg(shards));
+            drop(db.begin());
+            db.begin().abort().unwrap();
+            let _ = db.read_page(5).unwrap();
+            let mut blocker = db.begin();
+            blocker.write(5, b"mine").unwrap();
+            let mut tx = db.begin();
+            let err = tx.write(5, b"theirs").expect_err("page 5 is locked");
+            assert_eq!(
+                err,
+                DbError::LockConflict {
+                    page: DataPageId(5),
+                    holder: blocker.id(),
+                }
+            );
+            assert_eq!(blocker.commit().unwrap(), TxnId(3));
         }
     }
 
