@@ -768,7 +768,9 @@ mod tests {
     }
 
     /// Begin never panics: on a crashed database the transaction's first
-    /// operation reports that recovery is owed, and its drop is quiet.
+    /// operation reports that recovery is owed, and its drop is quiet. A
+    /// later conflict names its holder by the blocking handle's id, though
+    /// the untouched handle left global and engine ids apart.
     #[test]
     fn begin_on_a_crashed_database_defers_to_its_first_operation() {
         for shards in [1, 3] {
@@ -781,6 +783,9 @@ mod tests {
             db.recover().unwrap();
             let mut tx = db.begin();
             tx.write(5, b"x").unwrap();
+            let (page, holder) = (DataPageId(5), tx.id());
+            let conflict = db.begin().write(5, b"y");
+            assert_eq!(conflict, Err(DbError::LockConflict { page, holder }));
             tx.commit().unwrap();
             assert_eq!(db.read_page(5).unwrap()[0], b'x');
             // Every handle leaves the gates' in-flight count exactly once,
@@ -789,31 +794,6 @@ mod tests {
             db.begin().abort().unwrap();
             drop(db.begin());
             assert_eq!(db.inner.unopened.load(Ordering::Relaxed), 0);
-        }
-    }
-
-    /// A conflict names its holder by the id the blocking handle reports,
-    /// though engine ids run apart from global ones (handles that never
-    /// touched a page, the router's own reads).
-    #[test]
-    fn a_conflict_names_the_blocking_handle() {
-        for shards in [1, 3] {
-            let db = Database::open(cfg(shards));
-            drop(db.begin());
-            db.begin().abort().unwrap();
-            let _ = db.read_page(5).unwrap();
-            let mut blocker = db.begin();
-            blocker.write(5, b"mine").unwrap();
-            let mut tx = db.begin();
-            let err = tx.write(5, b"theirs").expect_err("page 5 is locked");
-            assert_eq!(
-                err,
-                DbError::LockConflict {
-                    page: DataPageId(5),
-                    holder: blocker.id(),
-                }
-            );
-            assert_eq!(blocker.commit().unwrap(), TxnId(3));
         }
     }
 

@@ -189,13 +189,6 @@ impl FaultPlan {
     pub fn torn_write_at(k: u64) -> FaultPlan {
         FaultPlan::single(FaultSpec::at_io(FaultKind::TornWrite, k))
     }
-
-    /// Convenience: whole-disk failure at the k-th global I/O (the disk
-    /// that I/O happens to address).
-    #[must_use]
-    pub fn fail_disk_at(k: u64) -> FaultPlan {
-        FaultPlan::single(FaultSpec::at_io(FaultKind::FailDisk, k))
-    }
 }
 
 #[cfg(test)]

@@ -78,16 +78,6 @@ impl Json {
         }
     }
 
-    /// This value as a float (integers widen).
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Float(x) => Some(*x),
-            Json::Int(n) => Some(*n as f64),
-            _ => None,
-        }
-    }
-
     /// This value as a string slice.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

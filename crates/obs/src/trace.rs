@@ -152,13 +152,6 @@ impl Tracer {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Is the tracer currently recording?
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        // ordering: Relaxed — advisory flag, no data is guarded by it.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Opt in (or out of) commit-path span events. Spans only reach the
     /// ring while the tracer itself is enabled.
     pub fn set_spans(&self, on: bool) {

@@ -105,12 +105,6 @@ impl LogStore {
         LogStore::restore(cfg, 0, Vec::new(), None)
     }
 
-    /// Create an empty store mirrored to `sink` (a real log device).
-    #[must_use]
-    pub fn with_sink(cfg: LogConfig, sink: Arc<dyn LogSink>) -> Arc<LogStore> {
-        LogStore::restore(cfg, 0, Vec::new(), Some(sink))
-    }
-
     /// Rebuild a store from records recovered off a real medium after a
     /// restart: `records` are the surviving records starting at LSN
     /// `base`. They are *not* re-appended to `sink` (it already holds
