@@ -9,9 +9,9 @@
 //! Dirty_Set, steal-chain directory, buffer partition, WAL and parity
 //! sub-array, so transactions touching a single shard never contend with
 //! other shards' locks, and restart recovery (bitmap scan + undo/redo per
-//! group) runs shard-parallel. One shard is the classic single engine,
-//! and pays nothing for the rest of this module: its transactions record
-//! no intent payload and never consult the coordinator.
+//! group) runs shard-parallel. One shard is the classic single engine
+//! and skips the rest of this module: its transactions record no intent
+//! payload and never consult the coordinator.
 //!
 //! ## Shard mapping
 //!
