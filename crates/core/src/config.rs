@@ -153,7 +153,7 @@ pub struct DbConfig {
     pub mutations: ProtocolMutations,
     /// Engine shards of a [`crate::Database`]: parity groups are striped
     /// round-robin over this many independent engines (own lock table,
-    /// Dirty_Set, steal chains, buffer partition, WAL). `1` (the default)
+    /// Dirty_Set, twin headers, buffer partition, WAL). `1` (the default)
     /// is the classic single-engine database. `Database::open` requires
     /// `1 ≤ shards ≤ groups`; a database over supplied devices
     /// (`Database::open_with`, the file backend) has exactly one shard

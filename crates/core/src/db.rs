@@ -61,7 +61,7 @@ impl DbStats {
     }
 }
 
-/// One engine shard: its own lock table, Dirty_Set, steal chains, buffer
+/// One engine shard: its own lock table, Dirty_Set, twin headers, buffer
 /// partition, WAL and parity sub-array, behind one mutex, plus the commit
 /// gate when group commit is on. Reached through [`Database::shard`] for
 /// what belongs to one engine (metrics, trace, log, archive); everything
@@ -718,7 +718,7 @@ impl<D: BlockDevice> Database<D> {
     }
 
     /// Run the cross-layer invariant auditor (parity-vs-twins XOR
-    /// recompute, `Dirty_Set` cross-checks, lock/chain leak detection) on
+    /// recompute, `Dirty_Set` cross-checks, lock and Working-header leak detection) on
     /// every shard, merged into one report with violations prefixed by
     /// their shard. Reads the array through the unbilled peek interface,
     /// so neither the transfer counters nor a fault hook see it. With the

@@ -39,7 +39,6 @@
 mod archive;
 mod audit;
 mod backend;
-mod chain;
 mod config;
 mod db;
 mod engine;
@@ -55,7 +54,6 @@ mod twin;
 pub use archive::Archive;
 pub use audit::AuditReport;
 pub use backend::{BackendSetup, IntentRecord, MetaSink, RestoredState};
-pub use chain::ChainDirectory;
 pub use config::{
     CheckpointPolicy, DbConfig, EngineKind, EotPolicy, GroupCommit, LogGranularity,
     ProtocolMutations,

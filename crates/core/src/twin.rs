@@ -12,6 +12,12 @@
 //! corresponding parity-page write, so it costs no additional transfers —
 //! exactly like a header travelling inside the page.
 //!
+//! A working twin's header also names its *rider*: the transaction that
+//! claimed it and the member index (the paper's log₂N bits) of the one
+//! page riding the group's parity. That is the paper's in-memory
+//! Dirty_Set entry made durable, so restart recovery finds every loser's
+//! parity-riding pages in the headers alone — no separate steal chain.
+//!
 //! Figure 8's four states are tracked explicitly:
 //!
 //! ```text
@@ -40,13 +46,20 @@ pub enum TwinState {
     Invalid,
 }
 
-/// Durable per-group twin metadata (the parity page headers).
+/// Durable per-group twin metadata (the parity page headers). One twin's
+/// header is `(ts, txn, rider, state)`: 19 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwinMeta {
     /// Timestamp in each twin's header. Higher = more recent update.
     pub ts: [u64; 2],
     /// Figure-8 state of each twin.
     pub state: [TwinState; 2],
+    /// The transaction a `Working` twin belongs to; `0` (no transaction
+    /// has that id) in every other state.
+    pub txn: [u64; 2],
+    /// Member index within the group of the page riding a `Working`
+    /// twin; `0` in every other state.
+    pub rider: [u16; 2],
 }
 
 impl TwinMeta {
@@ -58,6 +71,28 @@ impl TwinMeta {
         TwinMeta {
             ts: [1, 0],
             state: [TwinState::Committed, TwinState::Obsolete],
+            txn: [0; 2],
+            rider: [0; 2],
+        }
+    }
+
+    /// The twin in state `Working`, if any. Only a restored header pair
+    /// that restart has not resolved yet can have two; P0 comes first.
+    #[must_use]
+    pub fn working(&self) -> Option<ParitySlot> {
+        ParitySlot::BOTH
+            .into_iter()
+            .find(|s| self.state[s.index()] == TwinState::Working)
+    }
+
+    /// Set one twin's Figure-8 state; every state but `Working` drops the
+    /// rider.
+    fn set(&mut self, slot: ParitySlot, state: TwinState) {
+        let i = slot.index();
+        self.state[i] = state;
+        if state != TwinState::Working {
+            self.txn[i] = 0;
+            self.rider[i] = 0;
         }
     }
 
@@ -137,11 +172,15 @@ impl TwinDirectory {
 
     /// Begin working on a group: the non-current twin becomes the working
     /// parity with timestamp `now` (which must exceed every timestamp
-    /// previously issued). Returns the working slot.
+    /// previously issued), claimed by `txn` for the page at member index
+    /// `rider`. Returns the working slot.
     ///
     /// This is the header side of "when a data page is modified in a parity
     /// group, the obsolete parity page ... is updated with the new parity".
-    pub fn begin_working(&self, g: GroupId, now: u64) -> ParitySlot {
+    /// The claim is durable on return, so the steal makes it before its
+    /// first platter write: a restart that finds any of the steal's writes
+    /// also finds the header naming the page to undo.
+    pub fn begin_working(&self, g: GroupId, now: u64, txn: u64, rider: u16) -> ParitySlot {
         let mut metas = self.metas.lock();
         let meta = &mut metas[g.0 as usize];
         let cur = meta.current();
@@ -151,7 +190,9 @@ impl TwinDirectory {
             "working timestamp must exceed the committed one"
         );
         meta.ts[work.index()] = now;
-        meta.state[work.index()] = TwinState::Working;
+        meta.set(work, TwinState::Working);
+        meta.txn[work.index()] = txn;
+        meta.rider[work.index()] = rider;
         let snap = *meta;
         drop(metas);
         self.journal(g, snap);
@@ -159,9 +200,9 @@ impl TwinDirectory {
     }
 
     /// Commit the working twin of a group: it becomes the committed parity
-    /// (its timestamp is already the larger one); the old committed twin
-    /// becomes obsolete. No parity I/O happens here — that is the point of
-    /// the twin scheme.
+    /// (its timestamp is already the larger one) and drops its rider; the
+    /// old committed twin becomes obsolete. No parity I/O happens here —
+    /// that is the point of the twin scheme.
     pub fn commit_working(&self, g: GroupId, working: ParitySlot) {
         self.commit_working_all(&[(g, working)]);
     }
@@ -170,7 +211,9 @@ impl TwinDirectory {
     /// committing transaction dirtied, as one step: all the flips happen
     /// under one hold of the directory lock and reach the backend journal
     /// through one [`MetaSink::twin_metas`] call. An empty slice does
-    /// nothing.
+    /// nothing. A restored header pair can name two working twins (a
+    /// winner whose flip never landed, then a later claim on the other
+    /// twin); flipping one leaves the other's claim for restart to undo.
     pub fn commit_working_all(&self, flips: &[(GroupId, ParitySlot)]) {
         if flips.is_empty() {
             return;
@@ -179,8 +222,10 @@ impl TwinDirectory {
         for &(g, working) in flips {
             let meta = &mut metas[g.0 as usize];
             debug_assert_eq!(meta.state[working.index()], TwinState::Working);
-            meta.state[working.index()] = TwinState::Committed;
-            meta.state[working.other().index()] = TwinState::Obsolete;
+            meta.set(working, TwinState::Committed);
+            if meta.state[working.other().index()] != TwinState::Working {
+                meta.set(working.other(), TwinState::Obsolete);
+            }
         }
         let Some(sink) = &self.sink else { return };
         let snaps: Vec<(u32, TwinMeta)> = flips
@@ -191,13 +236,14 @@ impl TwinDirectory {
         sink.twin_metas(&snaps);
     }
 
-    /// Invalidate the working twin after an abort: reset its timestamp so
-    /// Current_Parity again selects the surviving committed twin.
+    /// Invalidate the working twin after an abort (or a steal whose
+    /// writes failed after its claim): reset its timestamp and drop its
+    /// rider, so Current_Parity again selects the surviving committed twin.
     pub fn invalidate(&self, g: GroupId, working: ParitySlot) {
         let mut metas = self.metas.lock();
         let meta = &mut metas[g.0 as usize];
         meta.ts[working.index()] = 0;
-        meta.state[working.index()] = TwinState::Invalid;
+        meta.set(working, TwinState::Invalid);
         let snap = *meta;
         drop(metas);
         self.journal(g, snap);
@@ -209,9 +255,9 @@ impl TwinDirectory {
         let mut metas = self.metas.lock();
         let meta = &mut metas[g.0 as usize];
         meta.ts[slot.index()] = now;
-        meta.state[slot.index()] = TwinState::Committed;
+        meta.set(slot, TwinState::Committed);
         meta.ts[slot.other().index()] = 0;
-        meta.state[slot.other().index()] = TwinState::Obsolete;
+        meta.set(slot.other(), TwinState::Obsolete);
         let snap = *meta;
         drop(metas);
         self.journal(g, snap);
@@ -235,7 +281,7 @@ mod tests {
     fn working_then_commit_flips_current() {
         let d = TwinDirectory::new(2);
         let g = GroupId(1);
-        let work = d.begin_working(g, 10);
+        let work = d.begin_working(g, 10, 1, 0);
         assert_eq!(work, ParitySlot::P1);
         // Timestamp already larger, so Current_Parity (raw timestamp
         // comparison) would already pick the working twin — which is why
@@ -248,10 +294,44 @@ mod tests {
     }
 
     #[test]
+    fn claim_names_its_rider_until_the_flip_or_invalidation() {
+        let d = TwinDirectory::new(2);
+        let g = GroupId(1);
+        let work = d.begin_working(g, 10, 42, 3);
+        let meta = d.meta(g);
+        assert_eq!(meta.working(), Some(work));
+        assert_eq!((meta.txn[work.index()], meta.rider[work.index()]), (42, 3));
+        assert_eq!(
+            (
+                meta.txn[work.other().index()],
+                meta.rider[work.other().index()]
+            ),
+            (0, 0)
+        );
+        d.commit_working(g, work);
+        assert_eq!(
+            (d.meta(g).txn, d.meta(g).rider),
+            ([0; 2], [0; 2]),
+            "flip clears it"
+        );
+        assert_eq!(d.meta(g).working(), None);
+
+        let work = d.begin_working(g, 11, 43, 1);
+        assert_eq!(d.meta(g).txn[work.index()], 43);
+        d.invalidate(g, work);
+        assert_eq!(
+            (d.meta(g).txn, d.meta(g).rider),
+            ([0; 2], [0; 2]),
+            "invalidate clears it"
+        );
+        assert_eq!(d.meta(g).state[work.index()], TwinState::Invalid);
+    }
+
+    #[test]
     fn working_then_invalidate_keeps_old_committed() {
         let d = TwinDirectory::new(1);
         let g = GroupId(0);
-        let work = d.begin_working(g, 7);
+        let work = d.begin_working(g, 7, 1, 0);
         d.invalidate(g, work);
         assert_eq!(d.current_slot(g), ParitySlot::P0);
         assert_eq!(d.meta(g).state, [TwinState::Committed, TwinState::Invalid]);
@@ -266,7 +346,7 @@ mod tests {
         let mut expect = ParitySlot::P0;
         for _ in 0..5 {
             now += 1;
-            let w = d.begin_working(g, now);
+            let w = d.begin_working(g, now, 1, 0);
             assert_eq!(w, expect.other());
             d.commit_working(g, w);
             expect = w;
@@ -288,9 +368,6 @@ mod tests {
         fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
             self.batches.lock().push(metas.to_vec());
         }
-        fn chain_steal(&self, _: u64, _: u32) {}
-        fn chain_clear_txn(&self, _: u64) {}
-        fn chain_clear_page(&self, _: u64, _: u32) {}
         fn intent_set(&self, _: &crate::backend::IntentRecord) {}
         fn intent_clear(&self) {}
     }
@@ -306,13 +383,13 @@ mod tests {
             // Group 3 is on its second round, so its working twin is P0.
             if g == GroupId(3) {
                 for d in [&all, &each] {
-                    let w = d.begin_working(g, 5);
+                    let w = d.begin_working(g, 5, 1, 0);
                     d.commit_working(g, w);
                 }
             }
             let now = 10 + i as u64;
-            flips.push((g, all.begin_working(g, now)));
-            assert_eq!(each.begin_working(g, now), flips[i].1);
+            flips.push((g, all.begin_working(g, now, 1, 0)));
+            assert_eq!(each.begin_working(g, now, 1, 0), flips[i].1);
         }
         sink.single.lock().clear();
         sink.batches.lock().clear();
@@ -336,7 +413,7 @@ mod tests {
     fn commit_working_all_of_nothing_touches_neither_state_nor_sink() {
         let sink = Arc::new(Recorder::default());
         let d = TwinDirectory::restore(vec![TwinMeta::fresh(); 2], Some(sink.clone()));
-        let work = d.begin_working(GroupId(1), 4);
+        let work = d.begin_working(GroupId(1), 4, 1, 0);
         let before = [d.meta(GroupId(0)), d.meta(GroupId(1))];
         sink.single.lock().clear();
         d.commit_working_all(&[]);
@@ -349,7 +426,7 @@ mod tests {
     fn max_ts_tracks_all_groups() {
         let d = TwinDirectory::new(3);
         assert_eq!(d.max_ts(), 1);
-        d.begin_working(GroupId(2), 99);
+        d.begin_working(GroupId(2), 99, 1, 0);
         assert_eq!(d.max_ts(), 99);
     }
 
@@ -357,7 +434,7 @@ mod tests {
     fn set_committed_overrides() {
         let d = TwinDirectory::new(1);
         let g = GroupId(0);
-        d.begin_working(g, 5);
+        d.begin_working(g, 5, 1, 0);
         d.set_committed(g, ParitySlot::P1, 6);
         assert_eq!(d.current_slot(g), ParitySlot::P1);
         assert_eq!(d.meta(g).ts[0], 0);
@@ -369,11 +446,13 @@ mod tests {
         let meta = TwinMeta {
             ts: [3, 8],
             state: [TwinState::Obsolete, TwinState::Committed],
+            ..TwinMeta::fresh()
         };
         assert_eq!(meta.current(), ParitySlot::P1);
         let meta = TwinMeta {
             ts: [9, 8],
             state: [TwinState::Committed, TwinState::Obsolete],
+            ..TwinMeta::fresh()
         };
         assert_eq!(meta.current(), ParitySlot::P0);
     }

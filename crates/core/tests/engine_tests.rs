@@ -790,3 +790,104 @@ fn default_mode_reads_do_not_lock() {
     reader.abort().unwrap();
     writer.commit().unwrap();
 }
+
+/// Restart resolves a winner's Working header. T1 dirtied group 0 and
+/// committed, but its twin flip never became durable, so P0 still reads
+/// Working for T1; a later steal by T2 then claimed P1. Both twins read
+/// Working, and P0 — the first — is the stale one. Restart must flip
+/// T1's twin to Committed and undo T2 through it, not through T2's own
+/// working parity. Group 1's P1 names T9, which the log no longer holds:
+/// an ended transaction, flipped too, and new ids start above it.
+#[test]
+fn restart_flips_a_winners_working_header_before_undoing_a_loser() {
+    use rda_array::{sim_disks_for, GroupId, Page, ParitySlot::*};
+    use rda_core::{BackendSetup, EventKind, LogRecord, RestoredState, TwinMeta, TwinState::*};
+    use rda_wal::TxnId;
+
+    let mut cfg = cfg(EngineKind::Rda, 8);
+    cfg.trace_events = 256;
+    let geo = rda_array::Geometry::new(&cfg.array);
+    let members = geo.members(GroupId(0));
+    let (a, b) = (members[0], members[1]);
+    let (a_img, b_img) = (
+        Page::from_bytes(&[0x11; PAGE]),
+        Page::from_bytes(&[0x22; PAGE]),
+    );
+    // T1's page a is committed under P0; T2's page b (old image zeros)
+    // rides P1 = P0 ⊕ old ⊕ new.
+    let mut p_work = a_img.clone();
+    p_work.xor_in_place(&b_img);
+    let disks = sim_disks_for(&cfg.array);
+    for (loc, page) in [
+        (geo.data_loc(a), &a_img),
+        (geo.data_loc(b), &b_img),
+        (geo.parity_loc(GroupId(0), P0).unwrap(), &a_img),
+        (geo.parity_loc(GroupId(0), P1).unwrap(), &p_work),
+    ] {
+        disks[usize::from(loc.disk.0)]
+            .write(loc.block, page)
+            .unwrap();
+    }
+    let mut twin_metas = vec![TwinMeta::fresh(); geo.groups() as usize];
+    twin_metas[0] = TwinMeta {
+        ts: [5, 7],
+        state: [Working, Working],
+        txn: [1, 2],
+        rider: [0, 1],
+    };
+    twin_metas[1] = TwinMeta {
+        ts: [1, 3],
+        state: [Committed, Working],
+        txn: [0, 9],
+        rider: [0, 0],
+    };
+    let log_records = vec![
+        LogRecord::Bot { txn: TxnId(1) },
+        LogRecord::Commit { txn: TxnId(1) },
+        LogRecord::Bot { txn: TxnId(2) },
+    ];
+    let restored = RestoredState {
+        twin_metas,
+        log_records,
+        ..RestoredState::default()
+    };
+    let setup = BackendSetup {
+        restored: Some(restored),
+        ..BackendSetup::fresh(disks)
+    };
+    let db = Database::open_with(cfg, setup);
+    let report = db.recover().unwrap();
+    assert_eq!(
+        (report.winners, report.losers),
+        (vec![TxnId(1)], vec![TxnId(2)])
+    );
+    assert_eq!(report.undone_via_parity, 1);
+    assert_eq!(
+        db.read_page(a.0).unwrap(),
+        vec![0x11; PAGE],
+        "the winner's page"
+    );
+    assert_eq!(
+        db.read_page(b.0).unwrap(),
+        vec![0; PAGE],
+        "the loser's page undone"
+    );
+    assert!(db.verify().unwrap().is_empty());
+    assert!(db.audit().is_clean(), "{:?}", db.audit().violations());
+
+    let mut tx = db.begin();
+    tx.write(b.0, &[0x33; PAGE]).unwrap();
+    tx.commit().unwrap();
+    let events = db.shard(0).trace_snapshot().events;
+    let flips: Vec<u64> = events
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            EventKind::CommitTwinFlip { txn, .. } => Some(txn),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        flips.len() == 1 && flips[0] > 9,
+        "an id above T9: {flips:?}"
+    );
+}

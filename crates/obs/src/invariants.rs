@@ -9,9 +9,10 @@
 //! shared by the core trace tests and the `rda-check` differential
 //! checker, so both enforce the same protocol reading.
 //!
-//! Crashes complicate the replay: a machine stop between a steal's chain
-//! note (durable, rides the data write) and its `Steal` event emission
-//! (volatile, emitted after the steal completes) produces a restart
+//! Crashes complicate the replay: a machine stop between a steal's claim
+//! (the working twin's header naming the rider, durable before the
+//! steal's first write) and its `Steal` event emission (volatile,
+//! emitted after the steal completes) produces a restart
 //! `ParityUndo` with no matching `Steal` in the trace. That is the
 //! protocol working exactly as designed, not a violation — but *only*
 //! while restart recovery runs. [`protocol_violations_windowed`] takes
@@ -43,7 +44,7 @@ pub fn protocol_violations(events: &[TraceEvent]) -> Vec<String> {
 ///   sound if the working parity was built by that transaction's steals);
 /// - a `ParityUndo` must consume a matching rider, except inside a
 ///   recovery window where the rider's `Steal` event may predate the
-///   trace (crash between chain note and event emission);
+///   trace (crash between the claim and the event emission);
 /// - at the end of the stream, no rider may remain in flight.
 #[must_use]
 pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64)]) -> Vec<String> {
@@ -85,7 +86,7 @@ pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64
                         in_flight.remove(&group);
                     }
                     // Restart compensation for a steal interrupted between
-                    // its durable chain note and its volatile event.
+                    // its durable claim and its volatile event.
                     _ if in_recovery => {}
                     other => {
                         violations.push(format!(

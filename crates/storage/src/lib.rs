@@ -13,8 +13,8 @@
 //!   the same fault schedules as on `SimDisk`.
 //! * [`FileMetaStore`] / [`FileLogSink`] — append-only journals for the
 //!   state the simulator keeps in page headers, modeled NVRAM and the
-//!   in-memory log: twin parity headers, TWIST steal chains, the staged
-//!   write intent, and the WAL itself.
+//!   in-memory log: twin parity headers (the working twin's naming its
+//!   rider), the staged write intent, and the WAL itself.
 //! * [`create_database`] / [`reopen_database`] — format a directory, or
 //!   replay its journals into a [`Database`](rda_core::Database) that
 //!   recovers exactly like the simulated crash/recover cycle.

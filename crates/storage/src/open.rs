@@ -2,11 +2,12 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number (`rda-disk-format=4`) and
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=5`) and
 //!   the formatted geometry, both validated on reopen;
 //! * `<n>.data` — one file per disk, each block's image and checksum
 //!   together in a sector-aligned slot (see `crate::io`);
-//! * `meta.journal` — twin headers, steal chain, staged intent;
+//! * `meta.journal` — twin headers (a working twin's names its rider),
+//!   staged intent;
 //! * `wal.journal` — the durable mirror of the write-ahead log, behind a
 //!   head slot that says where its live records start;
 //! * `obs.journal` — the flight recorder's black box, when it is on.
@@ -27,7 +28,7 @@
 
 use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
-use crate::meta::{sync_parent_dir, FileLogSink, FileMetaStore};
+use crate::meta::{sync_parent_dir, FileLogSink, FileMetaStore, JournalStats};
 use rda_array::{DiskId, Geometry};
 use rda_core::{BackendSetup, Database, DbConfig, RestoredState};
 use rda_obs::{Counter, NANOS_BOUNDS};
@@ -114,8 +115,10 @@ const MANIFEST: &str = "manifest.txt";
 /// image followed by that checksum. Read as another format, a directory's
 /// files have the wrong sizes or every written block looks torn. Format 4
 /// opens `wal.journal` with a head slot; format 3's journal began with
-/// its first frame.
-const FORMAT_LINE: &str = "rda-disk-format=4";
+/// its first frame. Format 5's `meta.journal` twin headers carry each
+/// working twin's rider (transaction and member index), and its steal
+/// chain frames are gone.
+const FORMAT_LINE: &str = "rda-disk-format=5";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -185,20 +188,26 @@ fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {
     }
 }
 
-/// Export the two journals' sizes and rewrite tallies, next to the
-/// engine's `wal_low_water_lsn` / `wal_retained_bytes`: "is the log
-/// bounded, and what does keeping it bounded cost" from `/metrics`.
+/// Export the two journals' sizes, append/fsync and rewrite tallies,
+/// next to the engine's `wal_low_water_lsn` / `wal_retained_bytes`: "is
+/// the log bounded, what does keeping it bounded cost, and how many
+/// journal writes and fsyncs does a commit pay" from `/metrics`.
 fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<FileMetaStore>) {
+    type Pick = fn(&JournalStats) -> &Counter;
+    let tallies: [(&str, Pick); 4] = [
+        ("appends", |s| &s.appends),
+        ("fsyncs", |s| &s.fsyncs),
+        ("rewrites", |s| &s.rewrites),
+        ("rewrite_failures", |s| &s.rewrite_failures),
+    ];
     let metrics = db.metrics();
     for (journal, stats) in [("wal", log.stats()), ("meta", meta.stats())] {
-        let failures = Arc::clone(&stats);
-        metrics.register_view(&format!("{journal}_journal_rewrites_total"), move || {
-            stats.rewrites.get()
-        });
-        metrics.register_view(
-            &format!("{journal}_journal_rewrite_failures_total"),
-            move || failures.rewrite_failures.get(),
-        );
+        for (tally, pick) in tallies {
+            let stats = Arc::clone(&stats);
+            metrics.register_view(&format!("{journal}_journal_{tally}_total"), move || {
+                pick(&stats).get()
+            });
+        }
     }
     let log = Arc::clone(log);
     metrics.register_view("wal_journal_bytes", move || log.journal_bytes());
@@ -339,7 +348,6 @@ pub fn reopen_database_with(
     let disks_ns = elapsed_ns(t);
     let restored = RestoredState {
         twin_metas: snap.twin_metas,
-        chains: snap.chains,
         intent: snap.intent,
         log_base,
         log_records,

@@ -16,7 +16,6 @@ const TAG_BEFORE: u8 = 4;
 const TAG_AFTER: u8 = 5;
 const TAG_RECORD: u8 = 6;
 const TAG_RECORD_REDO: u8 = 7;
-const TAG_STEAL: u8 = 8;
 const TAG_CKPT: u8 = 9;
 const TAG_COMP: u8 = 10;
 
@@ -73,11 +72,6 @@ pub fn encode(record: &LogRecord, out: &mut Vec<u8>) {
             out.extend_from_slice(&offset.to_be_bytes());
             put_bytes(out, after);
         }
-        LogRecord::StealNote { txn, page } => {
-            out.push(TAG_STEAL);
-            out.extend_from_slice(&txn.0.to_be_bytes());
-            out.extend_from_slice(&page.0.to_be_bytes());
-        }
         LogRecord::Compensation { txn, page, image } => {
             out.push(TAG_COMP);
             out.extend_from_slice(&txn.0.to_be_bytes());
@@ -116,7 +110,6 @@ pub fn encoded_len(record: &LogRecord) -> usize {
             TAG + TXN + PAGE + U32 + bytes(before) + bytes(after)
         }
         LogRecord::RecordRedo { after, .. } => TAG + TXN + PAGE + U32 + bytes(after),
-        LogRecord::StealNote { .. } => TAG + TXN + PAGE,
         LogRecord::Checkpoint { active, .. } => TAG + 1 + U32 + TXN * active.len(),
     }
 }
@@ -155,10 +148,6 @@ pub fn decode_slice(buf: &[u8]) -> Result<(LogRecord, usize), WalError> {
             page: r.page()?,
             offset: r.u32()?,
             after: r.bytes()?,
-        },
-        TAG_STEAL => LogRecord::StealNote {
-            txn: r.txn()?,
-            page: r.page()?,
         },
         TAG_COMP => LogRecord::Compensation {
             txn: r.txn()?,
@@ -260,11 +249,11 @@ mod tests {
             "0500000000000000070000000c00000002abcd",
             "06000000000000000900000003000003e800000002aaaa0000000155",
             "07000000000000000900000003000000040000000101",
-            "08000000000000000b00000002",
             "09010000000200000000000000010000000000000005",
             "0a000000000000000d0000000800000003030303",
         ];
-        for (tag, hex) in (1u8..).zip(golden) {
+        // Tag 8 is retired: it named a page stolen onto the parity.
+        for (tag, hex) in [1u8, 2, 3, 4, 5, 6, 7, 9, 10].into_iter().zip(golden) {
             let want: Vec<u8> = (0..hex.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
@@ -319,10 +308,6 @@ mod tests {
             offset: 4,
             after: vec![1],
         });
-        roundtrip(&LogRecord::StealNote {
-            txn: TxnId(11),
-            page: DataPageId(2),
-        });
         roundtrip(&LogRecord::Compensation {
             txn: TxnId(13),
             page: DataPageId(8),
@@ -342,9 +327,10 @@ mod tests {
     fn back_to_back_records_decode_in_order() {
         let records = vec![
             LogRecord::Bot { txn: TxnId(1) },
-            LogRecord::StealNote {
+            LogRecord::BeforeImage {
                 txn: TxnId(1),
                 page: DataPageId(4),
+                image: vec![7; 3],
             },
             LogRecord::Commit { txn: TxnId(1) },
         ];

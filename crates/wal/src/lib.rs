@@ -9,12 +9,6 @@
 //! * **BOT / EOT records**: a Begin-Of-Transaction record is written before
 //!   any page of the transaction is stolen; commit and abort records end a
 //!   transaction (§4.3).
-//! * **Steal notes** (`LogRecord::StealNote`) — a legacy/optional record
-//!   kind naming a page stolen without UNDO logging. The engine's primary
-//!   mechanism for this is the page-header chain
-//!   (`rda-core::ChainDirectory`, modelling the paper's TWIST-style chain
-//!   at zero log cost); analysis still honors steal notes so logs written
-//!   by either mechanism recover identically.
 //! * **Checkpoints**: transaction-oriented (TOC — implied by FORCE at EOT)
 //!   and action-consistent (ACC) checkpoint records (§2, §5.2.2).
 //! * **Duplexed log files**: the paper stores the log on more than one

@@ -7,7 +7,7 @@
 
 use crate::{CheckpointKind, LogRecord, LogStore, Lsn, TxnId};
 use rda_array::DataPageId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Final state of a transaction as recorded in the durable log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,10 +33,6 @@ pub enum TxnOutcome {
 pub struct Analysis {
     /// Outcome per transaction that appears in the log.
     pub outcomes: BTreeMap<TxnId, TxnOutcome>,
-    /// Pages stolen *without* UNDO logging, per transaction (from the
-    /// steal-note chain). For a loser these are exactly the pages that
-    /// must be undone via the parity array.
-    pub parity_steals: BTreeMap<TxnId, BTreeSet<DataPageId>>,
     /// Pages with logged UNDO information, per transaction, each with the
     /// LSNs of its `BeforeImage` / `RecordUpdate` records in log order
     /// (the first before-image is the transaction's first-touch state;
@@ -75,10 +71,6 @@ impl Analysis {
             }
             LogRecord::Abort { txn } => {
                 self.outcomes.insert(*txn, TxnOutcome::Aborted);
-            }
-            LogRecord::StealNote { txn, page } => {
-                self.seen(*txn);
-                self.parity_steals.entry(*txn).or_default().insert(*page);
             }
             LogRecord::BeforeImage { txn, page, .. } => {
                 self.seen(*txn);
@@ -169,30 +161,16 @@ mod tests {
     }
 
     #[test]
-    fn collects_steal_notes_and_logged_undo() {
+    fn collects_logged_undo() {
         let a = analyze(vec![
             LogRecord::Bot { txn: TxnId(1) },
-            LogRecord::StealNote {
-                txn: TxnId(1),
-                page: DataPageId(4),
-            },
+            LogRecord::Commit { txn: TxnId(2) },
             LogRecord::BeforeImage {
                 txn: TxnId(1),
                 page: DataPageId(7),
                 image: vec![],
             },
-            LogRecord::StealNote {
-                txn: TxnId(1),
-                page: DataPageId(4),
-            },
         ]);
-        assert_eq!(
-            a.parity_steals[&TxnId(1)]
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![DataPageId(4)]
-        );
         assert_eq!(
             a.logged_undo[&TxnId(1)],
             BTreeMap::from([(DataPageId(7), vec![Lsn(2)])])
@@ -273,12 +251,12 @@ mod tests {
 
     #[test]
     fn update_without_bot_still_counts_as_in_flight() {
-        // A steal note can be the first durable trace of a transaction if
-        // the BOT batch and the note were forced together; analysis must
-        // still treat the transaction as a loser.
-        let a = analyze(vec![LogRecord::StealNote {
+        // A log that starts mid-transaction: an update with no BOT before
+        // it still names a loser.
+        let a = analyze(vec![LogRecord::BeforeImage {
             txn: TxnId(5),
             page: DataPageId(1),
+            image: vec![],
         }]);
         assert_eq!(a.losers(), vec![TxnId(5)]);
     }

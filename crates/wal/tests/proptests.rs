@@ -20,7 +20,7 @@ fn gen_record(rng: &mut Rng) -> LogRecord {
     let txn = TxnId(1 + rng.below(19));
     let page = DataPageId(rng.below(64) as u32);
     let offset = rng.below(2020) as u32;
-    match rng.below(10) {
+    match rng.below(9) {
         0 => LogRecord::Bot { txn },
         1 => LogRecord::Commit { txn },
         2 => LogRecord::Abort { txn },
@@ -47,8 +47,7 @@ fn gen_record(rng: &mut Rng) -> LogRecord {
             offset,
             after: gen_bytes(rng),
         },
-        7 => LogRecord::StealNote { txn, page },
-        8 => LogRecord::Compensation {
+        7 => LogRecord::Compensation {
             txn,
             page,
             image: gen_bytes(rng),
@@ -207,7 +206,7 @@ fn scan_is_exact() {
 }
 
 /// Analysis classification: the last BOT/Commit/Abort of a transaction
-/// decides its outcome, and steal notes accumulate per loser.
+/// decides its outcome, and any other record of it names it in flight.
 #[test]
 fn analysis_matches_reference() {
     prop::cases("analysis_matches_reference", 128, |rng| {

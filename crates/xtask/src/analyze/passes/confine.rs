@@ -1,7 +1,7 @@
 //! State-confinement pass.
 //!
 //! `analyze.conf` declares, per recovery-critical type (`DirtySet`,
-//! `TwinDirectory`, `ChainDirectory`, …), the mutating methods and the
+//! `TwinDirectory`, `FlightRecorder`, …), the mutating methods and the
 //! files allowed to call them. The recovery algorithms are only correct
 //! when all mutation of that state flows through the engine's
 //! protocols, so a mutating call from an undeclared file is a finding.
