@@ -63,7 +63,7 @@ impl<D: BlockDevice> Engine<D> {
                 match self.dur.array.try_read_data_into(member, &mut probe) {
                     Err(ArrayError::MediaError { .. } | ArrayError::TornPage { .. }) => {
                         let repaired = self.dur.array.reconstruct_data(member, committed)?;
-                        self.dur.array.write_data_unprotected(member, &repaired)?;
+                        self.unstaged()?.write_data_unprotected(member, &repaired)?;
                         report.data_repaired += 1;
                     }
                     // A readable page needs nothing; a whole failed disk is
@@ -80,7 +80,7 @@ impl<D: BlockDevice> Engine<D> {
                 Ok(parity) => match self.dur.array.compute_group_parity_into(g, &mut expect) {
                     Ok(()) => {
                         if parity != expect {
-                            self.dur.array.write_parity(g, committed, &expect)?;
+                            self.unstaged()?.write_parity(g, committed, &expect)?;
                             report.parity_corrected += 1;
                         }
                     }
@@ -90,7 +90,7 @@ impl<D: BlockDevice> Engine<D> {
                 Err(e @ (ArrayError::MediaError { .. } | ArrayError::TornPage { .. })) => {
                     match self.dur.array.compute_group_parity_into(g, &mut expect) {
                         Ok(()) => {
-                            self.dur.array.write_parity(g, committed, &expect)?;
+                            self.unstaged()?.write_parity(g, committed, &expect)?;
                             report.parity_repaired += 1;
                             if matches!(e, ArrayError::TornPage { .. }) {
                                 self.obs
