@@ -427,10 +427,12 @@ impl<D: BlockDevice> Database<D> {
     /// [`DbError::NeedsRecovery`] after an unrecovered crash; array errors
     /// when flushing dirty pages fails.
     pub fn checkpoint(&self) -> Result<()> {
-        self.inner
-            .shards
-            .iter()
-            .try_for_each(|s| s.engine.lock().checkpoint())
+        self.inner.shards.iter().try_for_each(|s| {
+            let mut engine = s.engine.lock();
+            let done = engine.checkpoint();
+            engine.settle_disk_deaths();
+            done
+        })
     }
 
     /// Simulate a whole-machine failure: every shard loses its volatile
@@ -525,7 +527,10 @@ impl<D: BlockDevice> Database<D> {
 
     /// Fail a disk (media failure injection; global disk number).
     pub fn fail_disk(&self, disk: u16) {
-        self.on_disk(disk, |e, d| e.dur.array.fail_disk(d));
+        self.on_disk(disk, |e, d| {
+            e.dur.array.fail_disk(d);
+            e.settle_disk_deaths();
+        });
     }
 
     /// Is the disk (global number) currently failed (media recovery owed)?
@@ -811,7 +816,9 @@ impl<D: BlockDevice> Transaction<D> {
                 txn
             }
         };
-        op(&mut engine, txn, DataPageId(local)).map_err(|e| map.globalize(s, e))
+        let done = op(&mut engine, txn, DataPageId(local));
+        engine.settle_disk_deaths();
+        done.map_err(|e| map.globalize(s, e))
     }
 
     /// Read a page.

@@ -20,6 +20,10 @@ pub enum StealKind {
     /// The one-page-per-group rule (or the WAL engine) forced a log
     /// record before the in-place write.
     Logged,
+    /// A disk death took one of the twins an earlier parity ride of
+    /// this page needs, so its before-image was logged after the fact:
+    /// the ride ends, and the page undoes from the log.
+    Relogged,
 }
 
 impl StealKind {
@@ -30,6 +34,7 @@ impl StealKind {
             StealKind::DirtiesGroup => "dirties-group",
             StealKind::RidesExisting => "rides-existing",
             StealKind::Logged => "logged",
+            StealKind::Relogged => "relogged",
         }
     }
 }

@@ -41,7 +41,8 @@ pub fn protocol_violations(events: &[TraceEvent]) -> Vec<String> {
 /// - a `DirtiesGroup` steal must find its group rider-free;
 /// - a `RidesExisting` steal must match the group's in-flight rider;
 /// - a `CommitTwinFlip` must consume a matching rider (the flip is only
-///   sound if the working parity was built by that transaction's steals);
+///   sound if the working parity was built by that transaction's steals),
+///   and so must a `Relogged` steal (a disk death ended the ride);
 /// - a `ParityUndo` must consume a matching rider, except inside a
 ///   recovery window where the rider's `Steal` event may predate the
 ///   trace (crash between the claim and the event emission);
@@ -74,6 +75,11 @@ pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64
                     }
                 }
                 StealKind::Logged => {}
+                StealKind::Relogged => {
+                    if in_flight.remove(&group) != Some(txn) {
+                        violations.push(format!("relogged steal without a matching rider: {ev}"));
+                    }
+                }
             },
             EventKind::CommitTwinFlip { group, txn } if in_flight.remove(&group) != Some(txn) => {
                 violations.push(format!(

@@ -45,6 +45,7 @@ pub(crate) fn pack(kind: EventKind) -> (u64, u64, u64) {
                 StealKind::DirtiesGroup => 0,
                 StealKind::RidesExisting => 1,
                 StealKind::Logged => 2,
+                StealKind::Relogged => 3,
             };
             (w0(TAG_STEAL, k, group), u64::from(page), txn)
         }
@@ -87,7 +88,8 @@ pub(crate) fn unpack((w0, w1, w2): (u64, u64, u64)) -> Option<EventKind> {
             kind: match extra {
                 0 => StealKind::DirtiesGroup,
                 1 => StealKind::RidesExisting,
-                _ => StealKind::Logged,
+                2 => StealKind::Logged,
+                _ => StealKind::Relogged,
             },
         },
         TAG_COMMIT_TWIN_FLIP => EventKind::CommitTwinFlip { group, txn: w2 },
@@ -142,6 +144,12 @@ mod tests {
                 page: 0,
                 txn: u64::MAX,
                 kind: StealKind::Logged,
+            },
+            EventKind::Steal {
+                group: 4,
+                page: 17,
+                txn: 3,
+                kind: StealKind::Relogged,
             },
             EventKind::CommitTwinFlip { group: 3, txn: 42 },
             EventKind::ParityUndo {
