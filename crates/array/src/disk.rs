@@ -10,7 +10,10 @@
 //!   the array into its degraded (reconstruct-by-XOR) read path.
 //!
 //! Blocks are allocated lazily: untouched blocks read back as zeroes, like
-//! a freshly formatted device.
+//! a freshly formatted device. A block holds its image and its
+//! [`Header`](crate::Header) together, as one [`Page`]; a torn write
+//! tears both (the block reads back as [`ArrayError::TornPage`] until
+//! rewritten).
 
 use crate::fault::{FaultAction, HookState};
 use crate::{ArrayError, DiskId, Page};
@@ -128,8 +131,9 @@ impl SimDisk {
     /// Same as [`SimDisk::read`].
     pub fn read_xor_into(&self, block: u64, dst: &mut Page) -> crate::Result<()> {
         let inner = self.readable(block, true)?;
-        if let Some(page) = inner.blocks.get(&block) {
-            dst.xor_in_place(page);
+        match inner.blocks.get(&block) {
+            Some(page) => dst.xor_in_place(page),
+            None => dst.set_header(crate::Header::default()),
         }
         Ok(())
     }

@@ -64,7 +64,7 @@ pub use disk::SimDisk;
 pub use error::ArrayError;
 pub use fault::{FaultAction, FaultHook, FaultStats, HookState, IoEvent};
 pub use geometry::{BlockContent, Geometry, PhysLoc};
-pub use page::{DataPageId, DiskId, GroupId, Page, ParitySlot};
+pub use page::{DataPageId, DiskId, GroupId, Header, Page, ParitySlot, TwinState};
 pub use stats::{IoKind, IoStats, StatsSnapshot};
 
 /// Convenient result alias for array operations.

@@ -121,7 +121,12 @@ fn parity_invariant_and_single_fault_tolerance() {
             assert_eq!(&a.read_data(DataPageId(i as u32)).unwrap(), expect);
         }
         // Rebuild restores direct readability.
-        a.rebuild_disk(victim, |_| ParitySlot::P0).unwrap();
+        a.rebuild_disk(
+            victim,
+            |_| ParitySlot::P0,
+            |_, _| rda_array::Header::default(),
+        )
+        .unwrap();
         for (i, expect) in contents.iter().enumerate() {
             assert_eq!(&a.try_read_data(DataPageId(i as u32)).unwrap(), expect);
         }

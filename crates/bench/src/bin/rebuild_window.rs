@@ -52,7 +52,11 @@ fn measure(n: u32) -> Result<Row, rda_array::ArrayError> {
     let before = a.stats().snapshot();
     let before_disks = a.stats().per_disk();
     a.fail_disk(DiskId(1));
-    a.rebuild_disk(DiskId(1), |_| ParitySlot::P0)?;
+    a.rebuild_disk(
+        DiskId(1),
+        |_| ParitySlot::P0,
+        |_, _| rda_array::Header::default(),
+    )?;
     let transfers = a.stats().snapshot().delta(&before).transfers();
     // The window is bounded by the busiest disk during the rebuild.
     let after_disks = a.stats().per_disk();

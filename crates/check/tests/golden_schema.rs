@@ -94,10 +94,10 @@ fn exploration_report_schema_is_pinned() {
             [
                 "log_scan",
                 "intent_replay",
+                "bitmap_scan",
                 "undo_parity",
                 "undo_log",
-                "redo",
-                "bitmap_scan"
+                "redo"
             ],
             "restart phase list changed"
         );

@@ -108,10 +108,14 @@ impl<D: BlockDevice> Engine<D> {
                 .iter()
                 .map(|m| archive.pages[m.0 as usize].clone())
                 .collect();
-            self.unstaged()?.full_group_write(g, &images, &slots)?;
             if self.is_rda() {
-                self.dur.twins.set_committed(g, ParitySlot::P0, now);
+                self.twins.set_committed(g, ParitySlot::P0, now);
             }
+            let parities: Vec<_> = slots
+                .iter()
+                .map(|&s| (s, self.twins.header(g, s)))
+                .collect();
+            self.unstaged()?.full_group_write(g, &images, &parities)?;
         }
 
         // Roll forward committed work logged after the dump: one billed
@@ -137,7 +141,7 @@ impl<D: BlockDevice> Engine<D> {
             if new != old {
                 let g = self.dur.array.geometry().group_of(*page);
                 let slots = if self.is_rda() {
-                    vec![self.dur.twins.current_slot(g)]
+                    vec![self.twins.current_slot(g)]
                 } else {
                     vec![ParitySlot::P0]
                 };

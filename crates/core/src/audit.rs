@@ -10,13 +10,14 @@
 //! * **Dirty_Set** — exactly one riding page per dirty group, belonging to
 //!   that group; the owning transaction is alive and lists the page in its
 //!   `stolen_parity` set; the per-group map and per-txn index agree; the
-//!   twin headers name the working slot as `Working`, its header names
-//!   exactly the entry's (transaction, page), and `Current_Parity`
-//!   (Figure 7) resolves to it while the group is dirty.
+//!   working twin's header *on the platter* is a claim naming exactly
+//!   the entry's (transaction, page).
 //! * **No leaks** — every lock holder (exclusive, range, *and* shared)
-//!   belongs to a live transaction; no `Working` twin header exists
-//!   without a live Dirty_Set entry; once the system is quiescent, the
-//!   lock table and dirty set are empty.
+//!   belongs to a live transaction; no twin header on the platter claims
+//!   a twin for a live transaction without its Dirty_Set entry (a claim
+//!   of a transaction that ended is allowed: commits flip their twins in
+//!   memory, and the header follows with the twin's next write); once the
+//!   system is quiescent, the lock table and dirty set are empty.
 //!
 //! The auditor reads the array through the **unbilled**
 //! [`peek_data`](rda_array::DiskArray::peek_data) /
@@ -113,34 +114,19 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
                 ));
             }
 
-            // Twin headers: Figure 8 state, the rider, and Figure 7
-            // resolution. While a group is dirty its working twin carries
-            // the larger timestamp, so Current_Parity resolves to it —
-            // which is why crash recovery must fix loser groups before
-            // trusting timestamps.
-            let meta = e.dur.twins.meta(g);
-            let w = info.working.index();
-            if meta.state[w] != TwinState::Working {
-                report.violations.push(format!(
-                    "dirty group {g}: working twin {:?} is in state {:?}, expected Working",
-                    info.working, meta.state[w]
-                ));
-            }
-            let rider = e.rider_index(g, info.page);
-            if (meta.txn[w], Some(meta.rider[w])) != (info.txn.0, rider) {
-                report.violations.push(format!(
-                    "dirty group {g}: working header names txn {} rider {}, but the Dirty_Set \
-                     entry is txn {} page {} (rider {rider:?})",
-                    meta.txn[w], meta.rider[w], info.txn, info.page
-                ));
-            }
-            if meta.current() != info.working {
-                report.violations.push(format!(
-                    "dirty group {g}: Current_Parity resolves to {:?} but Dirty_Set says the \
-                     working twin is {:?}",
-                    meta.current(),
-                    info.working
-                ));
+            // The claim on the platter: restart finds the rider in the
+            // working twin's header alone. (An unreadable twin is a disk
+            // death the operation under way turns into a logged steal.)
+            if let Ok(twin) = e.dur.array.peek_parity(g, info.working) {
+                let h = twin.header();
+                let rider = e.rider_index(g, info.page);
+                if h.state != TwinState::Working || (h.txn, Some(h.rider)) != (info.txn.0, rider) {
+                    report.violations.push(format!(
+                        "dirty group {g}: working twin {:?} holds header {h:?} on the platter, \
+                         but the Dirty_Set entry is txn {} page {} (rider {rider:?})",
+                        info.working, info.txn, info.page
+                    ));
+                }
             }
         }
 
@@ -282,20 +268,23 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
         }
         for g in 0..e.dur.array.groups() {
             let g = GroupId(g);
-            let meta = e.dur.twins.meta(g);
             for slot in rda_array::ParitySlot::BOTH {
-                if meta.state[slot.index()] != TwinState::Working {
+                let Ok(twin) = e.dur.array.peek_parity(g, slot) else {
+                    continue;
+                };
+                let h = twin.header();
+                let txn = rda_wal::TxnId(h.txn);
+                if h.state != TwinState::Working || !e.active.contains_key(&txn) {
                     continue;
                 }
-                let live = e
+                let entry = e
                     .dirty
                     .get(g)
-                    .is_some_and(|info| info.working == slot && e.active.contains_key(&info.txn));
-                if !live {
+                    .is_some_and(|info| info.working == slot && info.txn == txn);
+                if !entry {
                     report.violations.push(format!(
-                        "group {g}: twin {slot:?} is Working for txn {} without a live \
-                         Dirty_Set entry — leaked claim",
-                        meta.txn[slot.index()]
+                        "group {g}: twin {slot:?}'s header claims it for live txn {txn} \
+                         without a Dirty_Set entry — leaked claim"
                     ));
                 }
             }

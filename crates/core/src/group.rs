@@ -41,8 +41,8 @@ pub struct DirtyInfo {
     pub working: ParitySlot,
 }
 
-/// The volatile Dirty_Set table. Lost in a crash and reconstructed from
-/// the log's steal notes.
+/// The volatile Dirty_Set table. Lost in a crash; restart finds the
+/// losers' entries in the working twins' headers.
 #[derive(Debug, Default)]
 pub struct DirtySet {
     map: HashMap<GroupId, DirtyInfo>,

@@ -14,7 +14,8 @@
 //!   resolved by algorithm *Current_Parity*.
 //! * **Transaction manager** with STEAL / FORCE / ¬FORCE / TOC / ACC
 //!   policies, page- and record-granularity logging, crash recovery
-//!   (analysis → undo-via-parity-or-log → redo → bitmap rebuild) and media
+//!   (analysis → intent replay → bitmap scan of the twin headers →
+//!   undo-via-parity-or-log → redo) and media
 //!   recovery (disk rebuild through the committed twins).
 //! * The **¬RDA baseline** (`EngineKind::Wal`) — classical before-image
 //!   logging on every steal — under the same API, so the two schemes can be

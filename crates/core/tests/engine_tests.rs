@@ -791,17 +791,18 @@ fn default_mode_reads_do_not_lock() {
     writer.commit().unwrap();
 }
 
-/// Restart resolves a winner's Working header. T1 dirtied group 0 and
-/// committed, but its twin flip never became durable, so P0 still reads
-/// Working for T1; a later steal by T2 then claimed P1. Both twins read
-/// Working, and P0 — the first — is the stale one. Restart must flip
-/// T1's twin to Committed and undo T2 through it, not through T2's own
-/// working parity. Group 1's P1 names T9, which the log no longer holds:
-/// an ended transaction, flipped too, and new ids start above it.
+/// Restart resolves a winner's Working header, read from the parity
+/// blocks. T1 dirtied group 0 and committed, and a commit flips its twin
+/// in memory only, so P0's header still reads Working for T1; a later
+/// steal by T2 then claimed P1. Both twins read Working, and P0 — the
+/// first — is the stale one. Restart must read T1's twin as committed and
+/// undo T2 through it, not through T2's own working parity. Group 1's P1
+/// names T9, which the log no longer holds: an ended transaction, read as
+/// committed too, and new ids start above it.
 #[test]
 fn restart_flips_a_winners_working_header_before_undoing_a_loser() {
-    use rda_array::{sim_disks_for, GroupId, Page, ParitySlot::*};
-    use rda_core::{BackendSetup, EventKind, LogRecord, RestoredState, TwinMeta, TwinState::*};
+    use rda_array::{sim_disks_for, GroupId, Header, Page, ParitySlot::*, TwinState::*};
+    use rda_core::{BackendSetup, EventKind, LogRecord, RestoredState};
     use rda_wal::TxnId;
 
     let mut cfg = cfg(EngineKind::Rda, 8);
@@ -817,37 +818,44 @@ fn restart_flips_a_winners_working_header_before_undoing_a_loser() {
     // rides P1 = P0 ⊕ old ⊕ new.
     let mut p_work = a_img.clone();
     p_work.xor_in_place(&b_img);
+    let header = |ts, state, txn, rider| Header {
+        ts,
+        txn,
+        rider,
+        state,
+    };
+    let zero = Page::zeroed(PAGE);
     let disks = sim_disks_for(&cfg.array);
     for (loc, page) in [
-        (geo.data_loc(a), &a_img),
-        (geo.data_loc(b), &b_img),
-        (geo.parity_loc(GroupId(0), P0).unwrap(), &a_img),
-        (geo.parity_loc(GroupId(0), P1).unwrap(), &p_work),
+        (geo.data_loc(a), a_img.clone()),
+        (geo.data_loc(b), b_img),
+        (
+            geo.parity_loc(GroupId(0), P0).unwrap(),
+            a_img.with_header(header(5, Working, 1, 0)),
+        ),
+        (
+            geo.parity_loc(GroupId(0), P1).unwrap(),
+            p_work.with_header(header(7, Working, 2, 1)),
+        ),
+        (
+            geo.parity_loc(GroupId(1), P0).unwrap(),
+            zero.clone().with_header(header(1, Committed, 0, 0)),
+        ),
+        (
+            geo.parity_loc(GroupId(1), P1).unwrap(),
+            zero.with_header(header(3, Working, 9, 0)),
+        ),
     ] {
         disks[usize::from(loc.disk.0)]
-            .write(loc.block, page)
+            .write(loc.block, &page)
             .unwrap();
     }
-    let mut twin_metas = vec![TwinMeta::fresh(); geo.groups() as usize];
-    twin_metas[0] = TwinMeta {
-        ts: [5, 7],
-        state: [Working, Working],
-        txn: [1, 2],
-        rider: [0, 1],
-    };
-    twin_metas[1] = TwinMeta {
-        ts: [1, 3],
-        state: [Committed, Working],
-        txn: [0, 9],
-        rider: [0, 0],
-    };
     let log_records = vec![
         LogRecord::Bot { txn: TxnId(1) },
         LogRecord::Commit { txn: TxnId(1) },
         LogRecord::Bot { txn: TxnId(2) },
     ];
     let restored = RestoredState {
-        twin_metas,
         log_records,
         ..RestoredState::default()
     };

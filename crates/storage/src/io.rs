@@ -3,53 +3,58 @@
 //! page transfer.
 //!
 //! `<n>.data` holds block *b* in the slot at `b × stride`, where `stride`
-//! is `page_size + 8` rounded up to a whole number of 512-byte sectors
-//! (2048 for the paper's 2020-byte page: two slots per 4 KiB page-cache
-//! page, and no slot ever straddles one). Inside the slot:
+//! is `page_size + 19 + 8` rounded up to a whole number of 512-byte
+//! sectors (2048 for the paper's 2020-byte page: two slots per 4 KiB
+//! page-cache page, and no slot ever straddles one). Inside the slot:
 //!
 //! ```text
-//! | image (page_size bytes) | page_sum (8 bytes, LE) | zero padding |
+//! | image (page_size bytes) | header (19 bytes) | page_sum (8 bytes, LE) | zero padding |
 //! ```
 //!
-//! The checksum travels with its block, the way the paper keeps a page's
-//! timestamp in the page header, so a read is one `pread` of
-//! `page_size + 8` bytes and a write is one `pwrite` of the same; the
-//! padding is never read or written. The checksum is what makes a torn
-//! write *detectable*, standing in for the per-sector headers real
-//! controllers stamp on each sector: a block whose image does not match
-//! its recorded checksum reads back as torn, exactly like `SimDisk`'s torn
-//! set. A never-written block has checksum 0 and must read back all
-//! zeroes.
+//! The header is the block's [`Header`] (a twin's timestamp, state and
+//! claim; zero, or a copy of its claim, on a data page). Header and
+//! checksum travel inside the block, as the paper keeps a page's
+//! timestamp: a read is one `pread` of `page_size + 27` bytes and a write
+//! one `pwrite` of the same; the padding is never read or written. The
+//! checksum, over image and header, makes a torn write *detectable*,
+//! standing in for the per-sector headers real controllers stamp: a block
+//! that does not match it reads back as torn, exactly like `SimDisk`'s
+//! torn set. A never-written block has checksum 0 and must read back all
+//! zeroes, header included.
 //!
-//! The sum *trails* the image so the image starts on the slot's sector
-//! boundary and the sum lies in the slot's last written sector. A write
-//! that dies after a proper prefix of its sectors leaves the old sum over
-//! a partly new image; one that lands its last sector but not all the
-//! others leaves the new sum over a partly old image. Either is an
-//! image/checksum mismatch, which is all a tear is now — there is no
-//! second file whose write could be the one that went missing.
+//! Header and sum *trail* the image so the image starts on the slot's
+//! sector boundary and the sum lies in the slot's last written sector. A
+//! write that dies after a proper prefix of its sectors leaves the old
+//! sum over a partly new image or header; one that lands its last sector
+//! but not all the others leaves the new sum over a partly old block.
+//! Either is a block/checksum mismatch, which is all a tear is — there
+//! is no second file whose write could be the one that went missing.
 //!
-//! The checksum is `rda_array::xor::checksum` — the word-wise four-lane
-//! multiply-mix kernel — and it is verified on every read and computed on
-//! every write. It is word-wise because it sits inside every page
-//! transfer: hashed a byte at a time, a 2020-byte page cost more than the
-//! `pread`/`pwrite` next to it. What it must tell apart is a whole image
-//! from one a dying write left partly in place, not an adversary's
-//! forgery. `manifest.txt` carries the format number that says which
-//! layout and checksum a directory's `.data` files hold (format 2 kept the
-//! sums in a `<n>.sum` file beside back-to-back images).
+//! The checksum is `rda_array::xor::checksum`, the word-wise four-lane
+//! multiply-mix kernel, verified on every read and computed on every
+//! write (hashed a byte at a time, a 2020-byte page cost more than the
+//! `pread`/`pwrite` next to it). It tells a whole block from one a dying
+//! write left partly in place, not from an adversary's forgery.
+//! `manifest.txt` carries the format number of a directory's `.data`
+//! layout (format 2 kept the sums in a `<n>.sum` file; before format 6 a
+//! slot held no header).
 //!
 //! All I/O is positioned (`read_exact_at` / `write_all_at`) on slot
 //! boundaries, so no caller depends on a file cursor.
 
-use rda_array::xor;
+use rda_array::{xor, Header};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Bytes of checksum stored behind each block's image.
+/// Bytes of checksum stored behind each block's header.
 const SUM_BYTES: usize = 8;
+
+/// Bytes of a block's image and header: what the checksum covers.
+fn covered(page_size: usize) -> usize {
+    page_size + Header::LEN
+}
 
 /// Slots start on multiples of this, the sector size every drive and
 /// page cache agrees on.
@@ -57,13 +62,14 @@ const SECTOR: usize = 512;
 
 /// Distance between the slots of consecutive blocks.
 fn stride(page_size: usize) -> u64 {
-    ((page_size + SUM_BYTES).div_ceil(SECTOR) * SECTOR) as u64
+    ((covered(page_size) + SUM_BYTES).div_ceil(SECTOR) * SECTOR) as u64
 }
 
-/// Checksum recorded behind a page image. `0` is reserved as the
-/// never-written sentinel, so a content hash that lands on 0 is remapped.
-fn page_sum(image: &[u8]) -> u64 {
-    match xor::checksum(image) {
+/// Checksum recorded behind a block's image and header. `0` is reserved
+/// as the never-written sentinel, so a content hash that lands on 0 is
+/// remapped.
+fn page_sum(block: &[u8]) -> u64 {
+    match xor::checksum(block) {
         0 => 1,
         s => s,
     }
@@ -71,10 +77,11 @@ fn page_sum(image: &[u8]) -> u64 {
 
 /// What a block read found on the platter.
 pub(crate) enum BlockImage<'a> {
-    /// The image matches its recorded checksum. Borrowed from the disk's
-    /// slot buffer: good until the next call on the same [`DiskFiles`].
-    Intact(&'a [u8]),
-    /// The image and checksum disagree — a write to this block was
+    /// Image and header match their recorded checksum. The image is
+    /// borrowed from the disk's slot buffer: good until the next call on
+    /// the same [`DiskFiles`].
+    Intact(&'a [u8], Header),
+    /// The block and its checksum disagree — a write to this block was
     /// interrupted and the tear is detectable.
     Torn,
 }
@@ -96,8 +103,8 @@ pub(crate) struct DiskFiles {
     page_size: usize,
     block_count: u64,
     stride: u64,
-    /// One block's image and sum (`page_size + 8` bytes): what a read
-    /// lands in and a write is assembled in, so neither allocates.
+    /// One block's image, header and sum (`page_size + 27` bytes): what
+    /// a read lands in and a write is assembled in, so neither allocates.
     slot: Box<[u8]>,
     #[cfg(test)]
     pub(crate) fail_on: Option<FailOn>,
@@ -114,7 +121,7 @@ impl DiskFiles {
             page_size,
             block_count,
             stride: stride(page_size),
-            slot: vec![0u8; page_size + SUM_BYTES].into_boxed_slice(),
+            slot: vec![0u8; covered(page_size) + SUM_BYTES].into_boxed_slice(),
             #[cfg(test)]
             fail_on: None,
         }
@@ -167,40 +174,48 @@ impl DiskFiles {
         Ok(())
     }
 
-    /// Read one block's slot and verify the image against the checksum
-    /// behind it.
+    /// Read one block's slot and verify image and header against the
+    /// checksum behind them.
     pub(crate) fn read_block(&mut self, block: u64) -> io::Result<BlockImage<'_>> {
         self.data
             .read_exact_at(&mut self.slot, block * self.stride)?;
-        let (image, sum) = self.slot.split_at(self.page_size);
+        let (covered, sum) = self.slot.split_at(covered(self.page_size));
         let intact = match u64::from_le_bytes(sum.try_into().expect("slot ends in the sum")) {
             // Never written: must still hold the factory zeroes.
-            0 => xor::is_zero(image),
-            stored => page_sum(image) == stored,
+            0 => xor::is_zero(covered),
+            stored => page_sum(covered) == stored,
         };
-        Ok(if intact {
-            BlockImage::Intact(image)
-        } else {
-            BlockImage::Torn
+        let (image, header) = covered.split_at(self.page_size);
+        let header = header.try_into().ok().and_then(Header::from_bytes);
+        Ok(match header {
+            Some(header) if intact => BlockImage::Intact(image, header),
+            _ => BlockImage::Torn,
         })
     }
 
-    /// Write one block: image and checksum in one positioned write. A
-    /// death inside it leaves some sectors of the slot old and some new —
-    /// an image/checksum mismatch, the failure mode the checksum exists to
-    /// expose.
-    pub(crate) fn write_block(&mut self, block: u64, image: &[u8]) -> io::Result<()> {
+    /// Write one block: image, header and checksum in one positioned
+    /// write. A death inside it leaves some sectors of the slot old and
+    /// some new — a block/checksum mismatch, the failure mode the
+    /// checksum exists to expose.
+    pub(crate) fn write_block(
+        &mut self,
+        block: u64,
+        image: &[u8],
+        header: Header,
+    ) -> io::Result<()> {
         #[cfg(test)]
         self.injected(FailOn::Write(block))?;
-        let (slot_image, slot_sum) = self.slot.split_at_mut(self.page_size);
+        let (covered, slot_sum) = self.slot.split_at_mut(covered(self.page_size));
+        let (slot_image, slot_header) = covered.split_at_mut(self.page_size);
         slot_image.copy_from_slice(image);
-        slot_sum.copy_from_slice(&page_sum(image).to_le_bytes());
+        slot_header.copy_from_slice(&header.to_bytes());
+        slot_sum.copy_from_slice(&page_sum(covered).to_le_bytes());
         self.data.write_all_at(&self.slot, block * self.stride)
     }
 
     /// Deliberately tear a block: overwrite the first half of its image
-    /// *without* touching the checksum behind it, so the block reads back
-    /// torn until rewritten.
+    /// *without* touching the header and checksum behind it, so the block
+    /// reads back torn until rewritten.
     ///
     /// `Some(new)` models a power loss halfway through writing `new` (the
     /// first half of the new image reached the platter); `None` scrambles
@@ -269,10 +284,20 @@ mod tests {
 
     /// The verified image of `block`, copied out of the slot buffer.
     fn intact(f: &mut DiskFiles, block: u64) -> Vec<u8> {
+        block_of(f, block).0
+    }
+
+    /// The verified image and header of `block`.
+    fn block_of(f: &mut DiskFiles, block: u64) -> (Vec<u8>, Header) {
         match f.read_block(block).unwrap() {
-            BlockImage::Intact(image) => image.to_vec(),
+            BlockImage::Intact(image, header) => (image.to_vec(), header),
             BlockImage::Torn => panic!("block {block} reads torn"),
         }
+    }
+
+    /// Image and header as the checksum covers them.
+    fn covering(image: &[u8], header: Header) -> Vec<u8> {
+        [image, &header.to_bytes()].concat()
     }
 
     #[test]
@@ -280,20 +305,21 @@ mod tests {
         for page_size in [32, 64, 2020, 2040, 4088, 4096] {
             let stride = stride(page_size);
             assert_eq!(stride % 512, 0, "page size {page_size}");
-            assert!(stride >= (page_size + 8) as u64, "page size {page_size}");
+            assert!(stride >= (page_size + 27) as u64, "page size {page_size}");
             assert!(
-                stride < (page_size + 8 + 512) as u64,
+                stride < (page_size + 27 + 512) as u64,
                 "page size {page_size}"
             );
         }
-        assert_eq!(stride(2020), 2048);
-        assert_eq!(stride(2040), 2048, "image + sum fill the slot exactly");
-        assert_eq!(stride(4088), 4096);
+        assert_eq!(stride(2020), 2048, "the paper's page keeps its slot");
+        assert_eq!(stride(2021), 2048, "image + header + sum fill the slot");
+        assert_eq!(stride(2022), 2560);
+        assert_eq!(stride(4069), 4096);
         // The paper's page: what a transfer touches lies inside one 4 KiB
         // page-cache page, for every block.
         for block in 0..1024u64 {
             let first = block * stride(2020);
-            let last = first + 2020 + 8 - 1;
+            let last = first + 2020 + 27 - 1;
             assert_eq!(first / 4096, last / 4096, "block {block}");
         }
     }
@@ -310,7 +336,7 @@ mod tests {
             for block in [0, 3, BLOCKS - 1] {
                 assert!(xor::is_zero(&intact(&mut f, block)), "block {block}");
                 let page = image();
-                f.write_block(block, &page).unwrap();
+                f.write_block(block, &page, Header::default()).unwrap();
                 assert_eq!(intact(&mut f, block), page, "block {block}");
                 assert_eq!(len(), BLOCKS * stride(page_size), "block {block}");
             }
@@ -330,10 +356,10 @@ mod tests {
     fn torn_half_is_detected_and_heals_on_rewrite() {
         let dir = tmpdir("torn");
         let mut f = DiskFiles::create(&dir, 1, 4, 32).unwrap();
-        f.write_block(2, &[1u8; 32]).unwrap();
+        f.write_block(2, &[1u8; 32], Header::default()).unwrap();
         f.write_torn_half(2, Some(&[9u8; 32])).unwrap();
         assert!(is_torn(&mut f, 2));
-        f.write_block(2, &[4u8; 32]).unwrap();
+        f.write_block(2, &[4u8; 32], Header::default()).unwrap();
         assert_eq!(intact(&mut f, 2), [4u8; 32]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -350,17 +376,18 @@ mod tests {
         for pair in 0..1000u64 {
             let (old, new) = (image(), image());
             let block = pair % 4;
-            f.write_block(block, &old).unwrap();
+            f.write_block(block, &old, Header::default()).unwrap();
             f.write_torn_half(block, Some(&new)).unwrap();
             assert!(is_torn(&mut f, block), "pair {pair}");
             // The tear is what the test says it is.
-            let mut on_disk = vec![0u8; PAGE + SUM_BYTES];
+            let mut on_disk = vec![0u8; covered(PAGE) + SUM_BYTES];
             f.data
                 .read_exact_at(&mut on_disk, block * stride(PAGE))
                 .unwrap();
+            let old_sum = page_sum(&covering(&old, Header::default()));
             assert_eq!(on_disk[..PAGE / 2], new[..PAGE / 2]);
             assert_eq!(on_disk[PAGE / 2..PAGE], old[PAGE / 2..]);
-            assert_eq!(on_disk[PAGE..], page_sum(&old).to_le_bytes());
+            assert_eq!(on_disk[covered(PAGE)..], old_sum.to_le_bytes());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -374,29 +401,66 @@ mod tests {
         let mut image = images(0xD15C, PAGE);
         let dir = tmpdir("tear-sector");
         let mut f = DiskFiles::create(&dir, 0, 4, PAGE).unwrap();
-        let last_sector = (PAGE + SUM_BYTES - 1) / SECTOR * SECTOR;
+        let last_sector = (covered(PAGE) + SUM_BYTES - 1) / SECTOR * SECTOR;
+        let sum_at = covered(PAGE) as u64;
         for pair in 0..100u64 {
             let (old, new) = (image(), image());
             let at = (pair % 4) * stride(PAGE);
-            let new_sum = page_sum(&new).to_le_bytes();
+            let new_sum = page_sum(&covering(&new, Header::default())).to_le_bytes();
 
             // Old image up to the last sector, new tail, new sum.
-            f.write_block(pair % 4, &old).unwrap();
+            f.write_block(pair % 4, &old, Header::default()).unwrap();
             f.data
                 .write_all_at(&new[last_sector..], at + last_sector as u64)
                 .unwrap();
-            f.data.write_all_at(&new_sum, at + PAGE as u64).unwrap();
+            f.data.write_all_at(&new_sum, at + sum_at).unwrap();
             assert!(is_torn(&mut f, pair % 4), "pair {pair}: last sector only");
 
             // Whole new image, old sum.
-            f.write_block(pair % 4, &old).unwrap();
+            f.write_block(pair % 4, &old, Header::default()).unwrap();
             f.data.write_all_at(&new, at).unwrap();
             assert!(is_torn(&mut f, pair % 4), "pair {pair}: sum only");
 
             // The sum is all that was missing.
-            f.data.write_all_at(&new_sum, at + PAGE as u64).unwrap();
+            f.data.write_all_at(&new_sum, at + sum_at).unwrap();
             assert_eq!(intact(&mut f, pair % 4), new, "pair {pair}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The header travels in its block: it round-trips, a never-written
+    /// block reads back the zero header (what a fresh twin pair reads
+    /// as), and a write that lands the image but not the header's sector
+    /// reads back torn.
+    #[test]
+    fn headers_roundtrip_default_to_zero_and_tear_with_their_sector() {
+        const PAGE: usize = 2020;
+        let mut image = images(0x4EAD, PAGE);
+        let dir = tmpdir("header");
+        let mut f = DiskFiles::create(&dir, 0, 4, PAGE).unwrap();
+        assert_eq!(block_of(&mut f, 3).1, Header::default());
+        let state = rda_array::TwinState::Working;
+        let (txn, rider) = (1 << 40, 3);
+        let claim = Header {
+            ts: 77,
+            txn,
+            rider,
+            state,
+        };
+        let page = image();
+        f.write_block(1, &page, claim).unwrap();
+        assert_eq!(block_of(&mut f, 1), (page.clone(), claim));
+        // A later write of the same image whose header sector (the
+        // slot's last, with the sum) never landed.
+        let flipped = Header {
+            ts: 78,
+            ..Header::default()
+        };
+        let at = stride(PAGE) + PAGE as u64;
+        f.data.write_all_at(&flipped.to_bytes(), at).unwrap();
+        assert!(is_torn(&mut f, 1), "header without its sum");
+        f.write_block(1, &page, flipped).unwrap();
+        assert_eq!(block_of(&mut f, 1).1, flipped);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -415,7 +479,7 @@ mod tests {
     fn reset_zero_blanks_everything() {
         let dir = tmpdir("reset");
         let mut f = DiskFiles::create(&dir, 0, 4, 32).unwrap();
-        f.write_block(0, &[5u8; 32]).unwrap();
+        f.write_block(0, &[5u8; 32], Header::default()).unwrap();
         f.write_torn_half(1, None).unwrap();
         f.reset_zero().unwrap();
         for b in 0..4 {

@@ -6,15 +6,14 @@
 //! can mean a killed process and "recovery" can mean reopening whatever
 //! the file system kept.
 //!
-//! * [`FileDisk`] — one disk = one data file + one checksum file,
-//!   written through on the caller's thread and fsynced at barriers.
-//!   Torn pages are physical (image/checksum mismatch) and survive
+//! * [`FileDisk`] — one disk = one data file of slots (image, header,
+//!   checksum), written through on the caller's thread and fsynced at
+//!   barriers. Torn pages are physical (a checksum mismatch) and survive
 //!   process death; the [`FaultHook`](rda_array::FaultHook) seam injects
 //!   the same fault schedules as on `SimDisk`.
 //! * [`FileMetaStore`] / [`FileLogSink`] — append-only journals for the
-//!   state the simulator keeps in page headers, modeled NVRAM and the
-//!   in-memory log: twin parity headers (the working twin's naming its
-//!   rider), the staged write intent, and the WAL itself.
+//!   state the simulator keeps in modeled NVRAM and the in-memory log:
+//!   the staged write intent, and the WAL itself.
 //! * [`create_database`] / [`reopen_database`] — format a directory, or
 //!   replay its journals into a [`Database`](rda_core::Database) that
 //!   recovers exactly like the simulated crash/recover cycle.

@@ -2,11 +2,10 @@
 //! crash-tolerant frame format.
 //!
 //! * `meta.journal` ([`FileMetaStore`]) persists what the simulated array
-//!   keeps in page headers and modeled NVRAM: twin parity headers (each
-//!   working twin's naming its rider) and the staged write intent. It
-//!   implements
-//!   [`MetaSink`], so every mutation in `rda-core` is mirrored here
-//!   synchronously.
+//!   keeps in modeled NVRAM: the staged write intent. It implements
+//!   [`MetaSink`], so every intent `rda-core` stages or retires is
+//!   journaled here synchronously. (The twin parity headers need no
+//!   journal: they live in their parity blocks, see `crate::io`.)
 //! * `wal.journal` ([`FileLogSink`]) mirrors the write-ahead log through
 //!   the [`LogSink`] seam, reusing `rda-wal`'s record codec.
 //!
@@ -47,8 +46,8 @@
 //!   reopen reads the slot and the bytes from where it points: at most
 //!   `HEAD_STEP` of dead log, not up to `FLOOR` of it.
 //! * `meta.journal`: the store keeps the state the journal encodes
-//!   (`Mirror`: one header pair per group, at most one intent) current
-//!   on every [`MetaSink`] call, and once the file has
+//!   (`Mirror`: at most one intent) current on every [`MetaSink`] call,
+//!   and once the file has
 //!   grown to `snapshot + FLOOR_META` it becomes the snapshot of that
 //!   state — the same bytes [`FileMetaStore::load`] writes on every
 //!   reopen, from the same routine.
@@ -58,13 +57,9 @@
 //!
 //! ## What is durable when
 //!
-//! [`MetaSink`]'s rule: every `meta.journal` frame (twin headers, intent
-//! staging and retirement) is fsynced as it is appended; `wal.journal`'s
-//! truncate markers, pure compaction hints, are not.
-//! A commit's twin flips arrive as one [`MetaSink::twin_metas`] batch: the
-//! same frames, back to back in one `write`, under one fsync — a crash
-//! inside it leaves a prefix of whole frames by the torn-tail rule, where
-//! eight separately synced appends could leave any prefix too. WAL frames
+//! [`MetaSink`]'s rule: every `meta.journal` frame (intent staging and
+//! retirement) is fsynced as it is appended; `wal.journal`'s truncate
+//! markers, pure compaction hints, are not. WAL frames
 //! are fsynced when the store forces, via [`LogSink::sync`]; that fsync
 //! also carries the last head-slot write, which only ever names a frame
 //! already synced. A rewritten
@@ -79,7 +74,8 @@
 //! again.
 
 use rda_array::xor::checksum;
-use rda_core::{IntentRecord, MetaSink, TwinMeta, TwinState};
+use rda_array::{DataPageId, GroupId, Header, Page, ParitySlot};
+use rda_core::{IntentRecord, MetaSink};
 use rda_obs::sync::Mutex;
 use rda_obs::Counter;
 use rda_wal::{codec, LogRecord, LogSink};
@@ -90,7 +86,6 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const TAG_TWIN_META: u8 = 1;
 const TAG_INTENT_SET: u8 = 5;
 const TAG_INTENT_CLEAR: u8 = 6;
 /// `wal.journal` frame tags share the numbering but live in their own file.
@@ -117,10 +112,7 @@ const HEAD_STEP: u64 = 256 << 10;
 const HEAD_TAG: &[u8; 8] = b"rdawal\x00\x04";
 
 /// `meta.journal` is rewritten once it exceeds the snapshot of its state
-/// by this much. It grows ≈ 500 B per commit, so: one rewrite per ≈ 2 000
-/// commits, and at most this much history for a reopen to replay. At a
-/// quarter of it the two journals' rewrites together reached 0.4 % of
-/// `file-commit`'s commits and its p99 moved in one run of three.
+/// by this much: at most this much history for a reopen to replay.
 const FLOOR_META: u64 = 1 << 20;
 
 /// Append one length-prefixed frame to a byte buffer.
@@ -209,10 +201,6 @@ impl<'a> Cursor<'a> {
         self.take(1).map(|b| b[0])
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -221,6 +209,12 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    }
+
+    /// A block as [`push_block`] wrote it.
+    fn block(&mut self) -> Option<Page> {
+        let header = Header::from_bytes(self.take(Header::LEN)?.try_into().ok()?)?;
+        Some(Page::from_bytes(&self.bytes()?).with_header(header))
     }
 
     fn bytes(&mut self) -> Option<Vec<u8>> {
@@ -383,125 +377,56 @@ impl JournalFile {
     }
 }
 
-fn twin_state_code(s: TwinState) -> u8 {
-    match s {
-        TwinState::Committed => 0,
-        TwinState::Obsolete => 1,
-        TwinState::Working => 2,
-        TwinState::Invalid => 3,
-    }
+/// Append one block: its header, then its image with a length prefix.
+fn push_block(out: &mut Vec<u8>, block: &Page) {
+    out.extend_from_slice(&block.header().to_bytes());
+    out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+    out.extend_from_slice(block.as_ref());
 }
-
-fn twin_state_from(code: u8) -> Option<TwinState> {
-    match code {
-        0 => Some(TwinState::Committed),
-        1 => Some(TwinState::Obsolete),
-        2 => Some(TwinState::Working),
-        3 => Some(TwinState::Invalid),
-        _ => None,
-    }
-}
-
-/// One twin's header as encoded: timestamp, transaction, rider, state.
-/// It fits the 20 spare bytes of a 2048-byte slot behind a 2020-byte
-/// image and its checksum.
-const TWIN_HEADER_LEN: u64 = 8 + 8 + 2 + 1;
-
-fn encode_twin_meta(group: u32, meta: TwinMeta) -> Vec<u8> {
-    let mut out = vec![TAG_TWIN_META];
-    out.extend_from_slice(&group.to_le_bytes());
-    for i in 0..2 {
-        out.extend_from_slice(&meta.ts[i].to_le_bytes());
-        out.extend_from_slice(&meta.txn[i].to_le_bytes());
-        out.extend_from_slice(&meta.rider[i].to_le_bytes());
-        out.push(twin_state_code(meta.state[i]));
-    }
-    out
-}
-
-/// The body of a twin-header frame, behind its tag and group.
-fn decode_twin_meta(c: &mut Cursor<'_>) -> Option<TwinMeta> {
-    let mut meta = TwinMeta::fresh();
-    for i in 0..2 {
-        meta.ts[i] = c.u64()?;
-        meta.txn[i] = c.u64()?;
-        meta.rider[i] = c.u16()?;
-        meta.state[i] = twin_state_from(c.u8()?)?;
-    }
-    Some(meta)
-}
-
-/// A twin-header frame on disk: prefix, tag, group, two headers.
-const TWIN_FRAME_LEN: u64 = 4 + 1 + 4 + 2 * TWIN_HEADER_LEN;
 
 fn encode_intent(intent: &IntentRecord) -> Vec<u8> {
     let mut out = vec![TAG_INTENT_SET];
-    out.extend_from_slice(&intent.page.to_le_bytes());
-    out.extend_from_slice(&(intent.data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&intent.data);
+    out.extend_from_slice(&intent.page.0.to_le_bytes());
+    push_block(&mut out, &intent.data);
     out.extend_from_slice(&(intent.parity.len() as u32).to_le_bytes());
-    for (group, slot, data) in &intent.parity {
-        out.extend_from_slice(&group.to_le_bytes());
-        out.push(*slot);
-        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        out.extend_from_slice(data);
+    for (group, slot, block) in &intent.parity {
+        out.extend_from_slice(&group.0.to_le_bytes());
+        out.push(slot.index() as u8);
+        push_block(&mut out, block);
     }
     out
 }
 
 /// The body of an intent frame, behind its tag.
 fn decode_intent(c: &mut Cursor<'_>) -> Option<IntentRecord> {
-    let (page, data) = (c.u32()?, c.bytes()?);
+    let page = DataPageId(c.u32()?);
+    let data = c.block()?;
     let n = c.u32()?;
     let mut parity = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        parity.push((c.u32()?, c.u8()?, c.bytes()?));
+        let (group, slot) = (GroupId(c.u32()?), c.u8()?);
+        let slot = *ParitySlot::BOTH.get(usize::from(slot))?;
+        parity.push((group, slot, c.block()?));
     }
     Some(IntentRecord { page, data, parity })
-}
-
-/// Everything `meta.journal` held when the database was reopened.
-pub(crate) struct MetaSnapshot {
-    pub twin_metas: Vec<TwinMeta>,
-    pub intent: Option<IntentRecord>,
 }
 
 /// The state `meta.journal` encodes, kept in memory: what a replay of the
 /// file would arrive at, and therefore what a rewrite may replace the
 /// file with. [`FileMetaStore::load`] builds it frame by frame; every
-/// [`MetaSink`] call then updates it through the same few methods.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`MetaSink`] call then updates it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Mirror {
-    twins: Vec<TwinMeta>,
     /// The staged intent, as the frame it was journaled as.
     intent: Option<Vec<u8>>,
 }
 
 impl Mirror {
-    /// A freshly formatted array of `groups` groups.
-    fn fresh(groups: u32) -> Mirror {
-        Mirror {
-            twins: vec![TwinMeta::fresh(); groups as usize],
-            intent: None,
-        }
-    }
-
-    fn set_twin(&mut self, group: u32, meta: TwinMeta) {
-        if let Some(slot) = self.twins.get_mut(group as usize) {
-            *slot = meta;
-        }
-    }
-
     /// Replay one journal frame; `None` when it does not decode, which
     /// ends the replay.
     fn apply(&mut self, frame: &[u8]) -> Option<()> {
         let mut c = Cursor { buf: frame };
         match c.u8()? {
-            TAG_TWIN_META => {
-                let group = c.u32()?;
-                let meta = decode_twin_meta(&mut c)?;
-                self.set_twin(group, meta);
-            }
             TAG_INTENT_SET => {
                 decode_intent(&mut c)?;
                 self.intent = Some(framed(frame));
@@ -512,22 +437,15 @@ impl Mirror {
         Some(())
     }
 
-    /// The whole state as journal frames: one header pair per group, the
-    /// staged intent if there is one.
-    fn snapshot(&self) -> Vec<u8> {
-        let mut snap = Vec::with_capacity(self.snapshot_len() as usize);
-        for (group, meta) in self.twins.iter().enumerate() {
-            push_frame(&mut snap, &encode_twin_meta(group as u32, *meta));
-        }
-        if let Some(intent) = &self.intent {
-            snap.extend_from_slice(intent);
-        }
-        snap
+    /// The whole state as journal frames: the staged intent, if any.
+    fn snapshot(&self) -> &[u8] {
+        self.intent.as_deref().unwrap_or_default()
     }
 
-    /// Length of [`Mirror::snapshot`], without building it.
-    fn snapshot_len(&self) -> u64 {
-        self.twins.len() as u64 * TWIN_FRAME_LEN + self.intent.as_ref().map_or(0, Vec::len) as u64
+    /// The staged intent, decoded.
+    fn staged(&self) -> Option<IntentRecord> {
+        let frame = self.intent.as_ref()?;
+        decode_intent(&mut Cursor { buf: &frame[5..] })
     }
 }
 
@@ -540,12 +458,12 @@ struct MetaJournal {
 impl MetaJournal {
     /// Replace the file by the snapshot of the state it encodes.
     fn rewrite(&mut self) -> io::Result<()> {
-        self.file.replace(&self.mirror.snapshot())?;
+        self.file.replace(self.mirror.snapshot())?;
         self.file.sync_dir()
     }
 }
 
-/// The durable side of twin headers and staged intents.
+/// The durable side of the staged intent.
 pub struct FileMetaStore {
     journal: Mutex<MetaJournal>,
 }
@@ -555,12 +473,11 @@ impl FileMetaStore {
         dir.join("meta.journal")
     }
 
-    /// Create an empty journal for a freshly formatted database of
-    /// `groups` parity groups.
-    pub(crate) fn create(dir: &Path, groups: u32) -> io::Result<FileMetaStore> {
+    /// Create an empty journal for a freshly formatted database.
+    pub(crate) fn create(dir: &Path) -> io::Result<FileMetaStore> {
         let journal = MetaJournal {
             file: JournalFile::open(FileMetaStore::journal_path(dir), true)?,
-            mirror: Mirror::fresh(groups),
+            mirror: Mirror::default(),
         };
         Ok(FileMetaStore {
             journal: Mutex::new(journal),
@@ -569,11 +486,11 @@ impl FileMetaStore {
 
     /// Replay the journal of a surviving database, compact it to a
     /// snapshot — by the routine that compacts it while the process runs
-    /// — and return the store plus the state it held.
-    pub(crate) fn load(dir: &Path, groups: u32) -> io::Result<(FileMetaStore, MetaSnapshot)> {
+    /// — and return the store plus the intent it held staged.
+    pub(crate) fn load(dir: &Path) -> io::Result<(FileMetaStore, Option<IntentRecord>)> {
         let path = FileMetaStore::journal_path(dir);
         let buf = std::fs::read(&path)?;
-        let mut mirror = Mirror::fresh(groups);
+        let mut mirror = Mirror::default();
         for frame in frames(&buf) {
             if mirror.apply(frame).is_none() {
                 break;
@@ -585,19 +502,11 @@ impl FileMetaStore {
             mirror,
         };
         journal.rewrite()?;
-
-        let mirror = &journal.mirror;
-        let snapshot = MetaSnapshot {
-            twin_metas: mirror.twins.clone(),
-            intent: mirror
-                .intent
-                .as_ref()
-                .and_then(|frame| decode_intent(&mut Cursor { buf: &frame[5..] })),
-        };
+        let intent = journal.mirror.staged();
         let store = FileMetaStore {
             journal: Mutex::new(journal),
         };
-        Ok((store, snapshot))
+        Ok((store, intent))
     }
 
     /// Tallies of this journal's rewrites, for the metrics registry.
@@ -624,7 +533,7 @@ impl FileMetaStore {
             panic!("meta journal append failed, durability is lost: {e}");
         }
         apply(&mut journal.mirror, frames);
-        if journal.file.len >= journal.mirror.snapshot_len() + FLOOR_META {
+        if journal.file.len >= journal.mirror.snapshot().len() as u64 + FLOOR_META {
             let rewritten = journal.rewrite();
             journal.file.note_rewrite(&rewritten);
         }
@@ -632,25 +541,6 @@ impl FileMetaStore {
 }
 
 impl MetaSink for FileMetaStore {
-    fn twin_meta(&self, group: u32, meta: TwinMeta) {
-        self.twin_metas(&[(group, meta)]);
-    }
-
-    fn twin_metas(&self, metas: &[(u32, TwinMeta)]) {
-        if metas.is_empty() {
-            return;
-        }
-        let mut batch = Vec::with_capacity(metas.len() * TWIN_FRAME_LEN as usize);
-        for &(group, meta) in metas {
-            push_frame(&mut batch, &encode_twin_meta(group, meta));
-        }
-        self.journal(batch, |mirror, _| {
-            for &(group, meta) in metas {
-                mirror.set_twin(group, meta);
-            }
-        });
-    }
-
     fn intent_set(&self, intent: &IntentRecord) {
         // The mirror keeps the frame itself: a snapshot copies it back out.
         let frame = framed(&encode_intent(intent));
@@ -1064,165 +954,78 @@ mod tests {
         dir
     }
 
-    /// A group's headers with twin P1 claimed by `txn` for the page at
-    /// member index `rider`.
-    fn claim(ts: u64, txn: u64, rider: u16) -> TwinMeta {
-        TwinMeta {
-            ts: [ts, ts + 1],
-            state: [TwinState::Committed, TwinState::Working],
-            txn: [0, txn],
-            rider: [0, rider],
+    /// A page-sized intent whose blocks carry headers with every field
+    /// in use.
+    fn intent(seed: u64) -> IntentRecord {
+        let block = |fill: u8, slot: u64| {
+            Page::from_bytes(&[fill; 2020]).with_header(Header {
+                ts: seed << 2 | slot,
+                txn: u64::MAX - seed,
+                rider: 0x0102 + slot as u16,
+                state: rda_array::TwinState::Working,
+            })
+        };
+        let group = GroupId(seed as u32);
+        IntentRecord {
+            page: DataPageId(seed as u32),
+            data: block(seed as u8, 2),
+            parity: vec![
+                (group, ParitySlot::P0, block(1, 0)),
+                (group, ParitySlot::P1, block(2, 1)),
+            ],
         }
     }
 
-    #[test]
-    fn meta_journal_roundtrip() {
-        let dir = tmpdir("meta-rt");
-        let store = FileMetaStore::create(&dir, 4).unwrap();
-        let meta = TwinMeta {
-            ts: [5, 9],
-            state: [TwinState::Obsolete, TwinState::Committed],
-            ..TwinMeta::fresh()
-        };
-        store.twin_meta(1, meta);
-        // Every field at full width, in both twins.
-        let both = TwinMeta {
-            ts: [u64::MAX - 1, u64::MAX],
-            state: [TwinState::Working, TwinState::Invalid],
-            txn: [u64::MAX, 1 << 40],
-            rider: [u16::MAX, 0x0102],
-        };
-        store.twin_meta(2, both);
-        store.twin_meta(3, claim(10, 42, 7));
-        store.twin_meta(3, claim(12, 43, 1));
-        let intent = IntentRecord {
-            page: 3,
-            data: vec![1, 2, 3],
-            parity: vec![(0, 1, vec![4, 5])],
-        };
-        store.intent_set(&intent);
-        drop(store);
-
-        let (_store, snap) = FileMetaStore::load(&dir, 4).unwrap();
-        assert_eq!(snap.twin_metas[1], meta);
-        assert_eq!(snap.twin_metas[0], TwinMeta::fresh());
-        assert_eq!(snap.twin_metas[2], both);
-        assert_eq!(snap.twin_metas[3], claim(12, 43, 1), "the last header wins");
-        assert_eq!(snap.intent, Some(intent));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// The headers of an intent's blocks, which equality does not compare.
+    fn headers(intent: &IntentRecord) -> Vec<Header> {
+        let parity = intent.parity.iter().map(|(_, _, p)| p.header());
+        std::iter::once(intent.data.header())
+            .chain(parity)
+            .collect()
     }
 
     #[test]
-    fn intent_clear_survives() {
-        let dir = tmpdir("meta-clear");
-        let store = FileMetaStore::create(&dir, 1).unwrap();
-        store.intent_set(&IntentRecord {
-            page: 1,
-            data: vec![0],
-            parity: vec![],
-        });
+    fn meta_journal_roundtrip_and_clear() {
+        let dir = tmpdir("meta-rt");
+        let store = FileMetaStore::create(&dir).unwrap();
+        store.intent_set(&intent(3));
+        store.intent_set(&intent(4));
+        drop(store);
+        let (store, staged) = FileMetaStore::load(&dir).unwrap();
+        assert_eq!(staged, Some(intent(4)), "the last intent wins");
+        assert_eq!(headers(&staged.unwrap()), headers(&intent(4)));
         store.intent_clear();
         drop(store);
-        let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
-        assert!(snap.intent.is_none());
+        assert_eq!(FileMetaStore::load(&dir).unwrap().1, None, "the clear too");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_dropped() {
         let dir = tmpdir("meta-torn");
-        let store = FileMetaStore::create(&dir, 1).unwrap();
-        store.twin_meta(0, claim(3, 1, 1));
+        let store = FileMetaStore::create(&dir).unwrap();
+        store.intent_set(&intent(1));
         drop(store);
         // Append half a frame: a length prefix promising more than exists.
         let path = FileMetaStore::journal_path(&dir);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[200, 0, 0, 0, TAG_TWIN_META, 9]).unwrap();
+        f.write_all(&[200, 0, 0, 0, TAG_INTENT_CLEAR]).unwrap();
         drop(f);
-        let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
-        assert_eq!(snap.twin_metas, vec![claim(3, 1, 1)]);
+        let (_store, staged) = FileMetaStore::load(&dir).unwrap();
+        assert_eq!(staged, Some(intent(1)));
         // And the snapshot rewrite healed the journal.
-        let (_store, snap) = FileMetaStore::load(&dir, 1).unwrap();
-        assert_eq!(snap.twin_metas, vec![claim(3, 1, 1)]);
+        let (_store, staged) = FileMetaStore::load(&dir).unwrap();
+        assert_eq!(staged, Some(intent(1)));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The headers a commit flipping groups 0..n would journal.
-    fn flips(n: u32) -> Vec<(u32, TwinMeta)> {
-        (0..n)
-            .map(|g| {
-                let meta = TwinMeta {
-                    ts: [u64::from(g) + 2, u64::from(g) + 7],
-                    state: [TwinState::Obsolete, TwinState::Committed],
-                    ..TwinMeta::fresh()
-                };
-                (g, meta)
-            })
-            .collect()
     }
 
     fn meta_bytes(dir: &Path) -> Vec<u8> {
         std::fs::read(FileMetaStore::journal_path(dir)).unwrap()
     }
 
-    #[test]
-    fn twin_metas_writes_the_bytes_of_the_same_twin_meta_calls() {
-        let (one, all) = (tmpdir("meta-batch-one"), tmpdir("meta-batch-all"));
-        let by_one = FileMetaStore::create(&one, 8).unwrap();
-        let at_once = FileMetaStore::create(&all, 8).unwrap();
-        for store in [&by_one, &at_once] {
-            store.twin_meta(0, claim(1, 9, 3));
-        }
-        for (group, meta) in flips(8) {
-            by_one.twin_meta(group, meta);
-        }
-        at_once.twin_metas(&flips(8));
-        at_once.twin_metas(&[]);
-        for store in [&by_one, &at_once] {
-            store.intent_clear();
-        }
-        assert_eq!(meta_bytes(&one), meta_bytes(&all));
-        assert_eq!(frames(&meta_bytes(&all)).count(), 1 + 8 + 1);
-        assert_eq!(
-            by_one.journal.lock().mirror,
-            at_once.journal.lock().mirror,
-            "and leave the same state behind"
-        );
-        let _ = std::fs::remove_dir_all(&one);
-        let _ = std::fs::remove_dir_all(&all);
-    }
-
-    #[test]
-    fn batch_cut_mid_frame_reloads_the_whole_frames_before_the_cut() {
-        let src = tmpdir("meta-batch-cut-src");
-        FileMetaStore::create(&src, 8)
-            .unwrap()
-            .twin_metas(&flips(8));
-        let whole = meta_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-        let frame = whole.len() / 8;
-        assert_eq!(frame * 8, whole.len(), "eight frames of one size");
-        assert_eq!(frame as u64, TWIN_FRAME_LEN);
-
-        let dir = tmpdir("meta-batch-cut");
-        for cut in 0..=whole.len() {
-            std::fs::write(FileMetaStore::journal_path(&dir), &whole[..cut]).unwrap();
-            let (_store, snap) = FileMetaStore::load(&dir, 8).unwrap();
-            let mut expect = vec![TwinMeta::fresh(); 8];
-            for (group, meta) in flips((cut / frame) as u32) {
-                expect[group as usize] = meta;
-            }
-            assert_eq!(snap.twin_metas, expect, "cut at byte {cut}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Groups of the stores the lifecycle tests below drive.
-    const GROUPS: u32 = 16;
-
-    /// A seeded stream of [`MetaSink`] calls of every kind: what a
-    /// workload of steals, commits, aborts and recoveries produces, with
-    /// page-sized intents so that a few hundred calls cross [`FLOOR_META`].
+    /// A seeded stream of [`MetaSink`] calls: the intents a workload's
+    /// read-modify-writes stage and retire, page-sized so that a few
+    /// hundred calls cross [`FLOOR_META`].
     fn drive(store: &FileMetaStore, seed: u64, calls: usize) {
         let mut state = seed;
         let mut next = move |below: u64| {
@@ -1232,46 +1035,16 @@ mod tests {
             (state >> 33) % below
         };
         for call in 0..calls as u64 {
-            let (txn, page, group) = (next(6), next(40) as u32, next(u64::from(GROUPS)) as u32);
-            match next(8) {
-                0..=2 => store.twin_meta(group, claim(call, txn, page as u16)),
-                3 => {
-                    let invalidated = TwinMeta {
-                        ts: [call, 0],
-                        state: [TwinState::Committed, TwinState::Invalid],
-                        ..TwinMeta::fresh()
-                    };
-                    store.twin_meta(group, invalidated);
-                }
-                4 => {
-                    let flipped = TwinMeta {
-                        ts: [call, call + 1],
-                        state: [TwinState::Obsolete, TwinState::Committed],
-                        ..TwinMeta::fresh()
-                    };
-                    store.twin_meta(group, flipped);
-                }
-                5 => {
-                    let n = 1 + next(4) as u32;
-                    let mut metas = flips(n);
-                    for (_, meta) in &mut metas {
-                        meta.ts[0] = call;
-                    }
-                    store.twin_metas(&metas);
-                }
-                6 => store.intent_set(&IntentRecord {
-                    page,
-                    data: vec![call as u8; 2020],
-                    parity: vec![(group, 0, vec![1; 2020]), (group, 1, vec![2; 2020])],
-                }),
+            match next(3) {
+                0 | 1 => store.intent_set(&intent(call)),
                 _ => store.intent_clear(),
             }
         }
     }
 
-    /// What replaying `bytes` from a fresh array arrives at.
+    /// What replaying `bytes` arrives at.
     fn replayed(bytes: &[u8]) -> Mirror {
-        let mut mirror = Mirror::fresh(GROUPS);
+        let mut mirror = Mirror::default();
         for frame in frames(bytes) {
             mirror.apply(frame).expect("every frame decodes");
         }
@@ -1286,7 +1059,7 @@ mod tests {
     #[test]
     fn mirror_equals_a_fresh_replay_of_the_file() {
         let dir = tmpdir("meta-mirror");
-        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
+        let store = FileMetaStore::create(&dir).unwrap();
         for round in 0..10 {
             drive(&store, 0x1992 + round, 400);
             let bytes = meta_bytes(&dir);
@@ -1303,43 +1076,38 @@ mod tests {
         // And a reopen hands the engine that same state.
         let mirror = store.journal.lock().mirror.clone();
         drop(store);
-        let (store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
+        let (store, staged) = FileMetaStore::load(&dir).unwrap();
         assert_eq!(store.journal.lock().mirror, mirror);
-        assert_eq!(snap.twin_metas, mirror.twins);
-        assert!(mirror.twins.iter().any(|m| m.working().is_some()));
-        assert_eq!(snap.intent.is_some(), mirror.intent.is_some());
+        assert_eq!(staged, mirror.staged());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn meta_journal_is_rewritten_only_past_the_floor() {
         let dir = tmpdir("meta-floor");
-        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
-        // One claim stays live; clears of an intent nobody staged only
-        // grow the file. Snapshot: sixteen header pairs, one of them the
-        // claim.
-        store.twin_meta(7, claim(3, 7, 3));
-        let snapshot = u64::from(GROUPS) * TWIN_FRAME_LEN;
-        let clear = 4 + 1;
-        let mut len = TWIN_FRAME_LEN;
-        while len + clear < snapshot + FLOOR_META {
-            store.intent_clear();
-            len += clear;
+        let store = FileMetaStore::create(&dir).unwrap();
+        // The same intent staged over and over: the file grows by one
+        // frame a call, the snapshot stays that one frame.
+        let staged = intent(7);
+        store.intent_set(&staged);
+        let snapshot = store.journal_bytes();
+        let mut len = snapshot;
+        while len + snapshot < snapshot + FLOOR_META {
+            store.intent_set(&staged);
+            len += snapshot;
         }
         assert_eq!(store.journal_bytes(), len, "one frame short of the floor");
         assert_eq!(rewrites(&store), (0, 0));
         assert_eq!(meta_bytes(&dir).len() as u64, len);
         // The frame that reaches it turns the file into the snapshot.
-        store.intent_clear();
+        store.intent_set(&staged);
         assert_eq!(rewrites(&store), (1, 0));
-        let mut expect = Mirror::fresh(GROUPS);
-        expect.set_twin(7, claim(3, 7, 3));
-        assert_eq!(meta_bytes(&dir), expect.snapshot());
+        assert_eq!(meta_bytes(&dir), store.journal.lock().mirror.snapshot());
         assert_eq!(store.journal_bytes(), snapshot);
         assert!(!tmp_path(&FileMetaStore::journal_path(&dir)).exists());
         // Appends land behind it.
-        store.twin_meta(8, claim(4, 8, 1));
-        assert_eq!(meta_bytes(&dir).len() as u64, snapshot + TWIN_FRAME_LEN);
+        store.intent_clear();
+        assert_eq!(meta_bytes(&dir).len() as u64, snapshot + 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1347,7 +1115,7 @@ mod tests {
     /// whole history of `drive(seed, 1600)`, un-rewritten.
     fn grown_history(tag: &str, seed: u64) -> (PathBuf, FileMetaStore) {
         let dir = tmpdir(tag);
-        let store = FileMetaStore::create(&dir, GROUPS).unwrap();
+        let store = FileMetaStore::create(&dir).unwrap();
         store.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
         drive(&store, seed, 1600);
         (dir, store)
@@ -1357,7 +1125,7 @@ mod tests {
     fn run_time_rewrite_writes_the_bytes_load_would() {
         // The same history twice: once rewriting as it goes...
         let live = tmpdir("meta-same-live");
-        let store = FileMetaStore::create(&live, GROUPS).unwrap();
+        let store = FileMetaStore::create(&live).unwrap();
         drive(&store, 7, 1600);
         assert!(rewrites(&store).0 >= 1);
         let mirror = store.journal.lock().mirror.clone();
@@ -1370,7 +1138,7 @@ mod tests {
         assert!(done == 0 && failed >= 1, "{done} rewrites, {failed} failed");
         assert!(meta_bytes(&grown).len() as u64 > FLOOR_META);
         drop(store);
-        let (store, _) = FileMetaStore::load(&grown, GROUPS).unwrap();
+        let (store, _) = FileMetaStore::load(&grown).unwrap();
         assert_eq!(store.journal.lock().mirror, mirror);
         assert_eq!(meta_bytes(&grown), meta_bytes(&live));
         assert_eq!(meta_bytes(&live), mirror.snapshot());
@@ -1383,18 +1151,13 @@ mod tests {
     #[test]
     fn every_kill_window_of_a_meta_rewrite_reopens_to_the_same_snapshot() {
         let (src, store) = grown_history("meta-window-src", 11);
+        store.intent_set(&intent(5));
         let mirror = store.journal.lock().mirror.clone();
         drop(store);
         let grown = meta_bytes(&src);
         let _ = std::fs::remove_dir_all(&src);
-        let snapshot = mirror.snapshot();
-        assert!(
-            mirror
-                .twins
-                .iter()
-                .any(|m| m.txn[1] != 0 && m.rider[1] != 0),
-            "the snapshot carries live riders"
-        );
+        let snapshot = mirror.snapshot().to_vec();
+        assert_eq!(mirror.staged(), Some(intent(5)), "the snapshot stages it");
 
         let (grown, snapshot) = (&grown[..], &snapshot[..]);
         let windows = [
@@ -1410,16 +1173,16 @@ mod tests {
             if let Some(tmp) = tmp {
                 std::fs::write(tmp_path(&path), tmp).unwrap();
             }
-            let (store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
+            let (store, staged) = FileMetaStore::load(&dir).unwrap();
             assert_eq!(store.journal.lock().mirror, mirror, "{window}");
-            assert_eq!(snap.twin_metas, mirror.twins, "{window}");
+            assert_eq!(staged, Some(intent(5)), "{window}");
             assert_eq!(meta_bytes(&dir), snapshot, "{window}");
             assert!(!tmp_path(&path).exists(), "{window}: stale tmp gone");
             // And the journal carries on from there.
-            store.twin_meta(1, claim(99, 99, 1));
+            store.intent_set(&intent(99));
             drop(store);
-            let (_store, snap) = FileMetaStore::load(&dir, GROUPS).unwrap();
-            assert_eq!(snap.twin_metas[1], claim(99, 99, 1), "{window}");
+            let (_store, staged) = FileMetaStore::load(&dir).unwrap();
+            assert_eq!(staged, Some(intent(99)), "{window}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1433,11 +1196,8 @@ mod tests {
         // The old file took every append, synced ones included...
         let before = meta_bytes(&dir);
         assert_eq!(store.journal.lock().mirror, replayed(&before));
-        store.twin_meta(5, claim(50, 50, 5));
-        assert_eq!(
-            meta_bytes(&dir).len() as u64,
-            before.len() as u64 + TWIN_FRAME_LEN
-        );
+        store.intent_clear();
+        assert_eq!(meta_bytes(&dir).len(), before.len() + 5);
         assert_eq!(rewrites(&store), (0, failed + 1), "and tried again");
         // ...and once the fault is gone the next call compacts it.
         store.journal.lock().file.fail_rewrite = None;
@@ -1451,7 +1211,7 @@ mod tests {
         let (dir2, store) = grown_history("meta-rewrite-fails-kill", 3);
         let mirror = store.journal.lock().mirror.clone();
         drop(store);
-        let (store, _) = FileMetaStore::load(&dir2, GROUPS).unwrap();
+        let (store, _) = FileMetaStore::load(&dir2).unwrap();
         assert_eq!(store.journal.lock().mirror, mirror);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
@@ -1470,12 +1230,12 @@ mod tests {
         assert!(!store.journal.lock().file.dir_synced);
         assert_eq!(meta_bytes(&dir), store.journal.lock().mirror.snapshot());
         // No frame may be reported durable over a rename that may not last.
-        let claimed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.twin_meta(1, claim(1, 1, 1));
+        let staged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.intent_set(&intent(1));
         }));
-        assert!(claimed.is_err());
+        assert!(staged.is_err());
         store.journal.lock().file.fail_rewrite = None;
-        store.twin_meta(1, claim(1, 1, 2));
+        store.intent_set(&intent(2));
         assert!(store.journal.lock().file.dir_synced, "sync paid the debt");
         let _ = std::fs::remove_dir_all(&dir);
     }

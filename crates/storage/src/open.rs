@@ -2,12 +2,12 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number (`rda-disk-format=5`) and
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=6`) and
 //!   the formatted geometry, both validated on reopen;
-//! * `<n>.data` — one file per disk, each block's image and checksum
-//!   together in a sector-aligned slot (see `crate::io`);
-//! * `meta.journal` — twin headers (a working twin's names its rider),
-//!   staged intent;
+//! * `<n>.data` — one file per disk, each block's image, header (a twin
+//!   parity page's timestamp, state and claim) and checksum together in a
+//!   sector-aligned slot (see `crate::io`);
+//! * `meta.journal` — the staged write intent;
 //! * `wal.journal` — the durable mirror of the write-ahead log, behind a
 //!   head slot that says where its live records start;
 //! * `obs.journal` — the flight recorder's black box, when it is on.
@@ -115,10 +115,10 @@ const MANIFEST: &str = "manifest.txt";
 /// image followed by that checksum. Read as another format, a directory's
 /// files have the wrong sizes or every written block looks torn. Format 4
 /// opens `wal.journal` with a head slot; format 3's journal began with
-/// its first frame. Format 5's `meta.journal` twin headers carry each
-/// working twin's rider (transaction and member index), and its steal
-/// chain frames are gone.
-const FORMAT_LINE: &str = "rda-disk-format=5";
+/// its first frame. Format 5 journaled the twin headers in
+/// `meta.journal`; format 6 keeps each in its parity block's slot, and
+/// `meta.journal` holds only the staged intent.
+const FORMAT_LINE: &str = "rda-disk-format=6";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -266,7 +266,7 @@ pub fn create_database_with(
             dir.display()
         )));
     }
-    let meta = Arc::new(FileMetaStore::create(dir, cfg.array.groups)?);
+    let meta = Arc::new(FileMetaStore::create(dir)?);
     let log = Arc::new(FileLogSink::create(dir)?);
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::create)?;
     // Last of the files a reopen needs: from here on `dir` is a database.
@@ -337,7 +337,7 @@ pub fn reopen_database_with(
         )));
     }
     let t = Instant::now();
-    let (meta, snap) = FileMetaStore::load(dir, cfg.array.groups)?;
+    let (meta, intent) = FileMetaStore::load(dir)?;
     let meta_ns = elapsed_ns(t);
     let t = Instant::now();
     let (log, log_base, log_records) = FileLogSink::load(dir)?;
@@ -347,8 +347,7 @@ pub fn reopen_database_with(
     let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::open)?;
     let disks_ns = elapsed_ns(t);
     let restored = RestoredState {
-        twin_metas: snap.twin_metas,
-        intent: snap.intent,
+        intent,
         log_base,
         log_records,
     };

@@ -454,11 +454,13 @@ fn metric(db: &FileDb, name: &str) -> u64 {
 
 /// The benchmark's `file-commit` transaction — eight pages on eight
 /// groups, each stolen onto its group's parity at the FORCE flush — pays
-/// `meta.journal` one synced write per steal (the working twin's claim,
-/// which names its rider) and one for the commit's eight flips: 9 writes
-/// and 9 fsyncs, and nothing else.
+/// `meta.journal` nothing: each claim rides its working twin's write, and
+/// the commit flips the twins in memory (format 5 journaled both, 9
+/// synced writes per commit). The barrier behind each claim fsyncs its
+/// twin's disk instead: 10.4 disk fsyncs per commit here, where format 5
+/// paid 6.0 beside its 9 journal fsyncs — fewer fsyncs in all.
 #[test]
-fn eight_page_commit_pays_nine_meta_journal_writes_and_fsyncs() {
+fn eight_page_commit_pays_no_meta_journal_writes_or_fsyncs() {
     const COMMITS: u64 = 10;
     let dir = tmpdir("meta-per-commit");
     let geo = rda_array::Geometry::new(&cfg().array);
@@ -468,6 +470,7 @@ fn eight_page_commit_pays_nine_meta_journal_writes_and_fsyncs() {
         (
             metric(db, "meta_journal_appends_total"),
             metric(db, "meta_journal_fsyncs_total"),
+            metric(db, "disk_fsyncs"),
         )
     };
     let before = tallies(&db);
@@ -481,10 +484,10 @@ fn eight_page_commit_pays_nine_meta_journal_writes_and_fsyncs() {
         tx.commit().unwrap();
     }
     let after = tallies(&db);
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        (9 * COMMITS, 9 * COMMITS)
-    );
+    assert_eq!((after.0 - before.0, after.1 - before.1), (0, 0));
+    let disk_fsyncs = after.2 - before.2;
+    println!("disk fsyncs per commit: {}", disk_fsyncs as f64 / 10.0);
+    assert!(disk_fsyncs < (6 + 9) * COMMITS, "{disk_fsyncs}");
     assert_eq!(metric(&db, "engine_steals_parity_total"), 8 * COMMITS);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -586,7 +589,6 @@ fn wal_journal_is_rewritten_only_past_the_floor() {
 fn journals_stay_bounded_and_reopen_is_independent_of_run_length() {
     let dir = long_run_dir("bounded");
     let cfg = big_cfg();
-    let groups = u64::from(cfg.array.groups);
     // One commit's frames in either journal, generously.
     let slack = 64 << 10;
     let check = |db: &FileDb, i: u64| {
@@ -598,9 +600,9 @@ fn journals_stay_bounded_and_reopen_is_independent_of_run_length() {
         );
         let meta = file_len(&dir, "meta.journal");
         assert_eq!(metric(db, "meta_journal_bytes"), meta);
-        // The snapshot: a header per group, a few links, one intent.
+        // The snapshot: at most one intent.
         assert!(
-            meta <= groups * 27 + slack + FLOOR_META,
+            meta <= slack + FLOOR_META,
             "commit {i}: meta.journal {meta}"
         );
     };
@@ -647,7 +649,6 @@ fn journals_stay_bounded_and_reopen_is_independent_of_run_length() {
     }
     assert_eq!(metric(&db, "wal_retained_bytes"), 0);
     assert!(metric(&db, "wal_journal_rewrites_total") >= 10);
-    assert!(metric(&db, "meta_journal_rewrites_total") >= 3);
     assert_eq!(metric(&db, "wal_journal_rewrite_failures_total"), 0);
     assert_eq!(metric(&db, "meta_journal_rewrite_failures_total"), 0);
     drop(db);
@@ -671,8 +672,9 @@ fn journals_stay_bounded_and_reopen_is_independent_of_run_length() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A directory formatted by an earlier on-disk format (twin headers
-/// without riders beside steal-chain frames in `meta.journal`: format 4;
+/// A directory formatted by an earlier on-disk format (twin headers in
+/// `meta.journal` rather than in their blocks' slots: format 5; twin
+/// headers without riders beside steal-chain frames: format 4;
 /// a `wal.journal` without a head slot: format 3; checksums in `.sum`
 /// files beside back-to-back images: format 2, and format 1 with another
 /// hash) is refused by name, not read back as a database of wrong-sized
@@ -685,13 +687,13 @@ fn directory_of_another_format_is_refused_by_name() {
     drop(db);
     let manifest = dir.join("manifest.txt");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text.starts_with("rda-disk-format=5\n"), "{text}");
-    for old in ["format=4", "format=3", "format=2", "format=1"] {
-        std::fs::write(&manifest, text.replacen("format=5", old, 1)).unwrap();
+    assert!(text.starts_with("rda-disk-format=6\n"), "{text}");
+    for old in ["format=5", "format=4", "format=3", "format=2", "format=1"] {
+        std::fs::write(&manifest, text.replacen("format=6", old, 1)).unwrap();
         match reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier) {
             Err(StorageError::Manifest(msg)) => {
                 assert!(msg.contains(&format!("\"rda-disk-{old}\"")), "{msg}");
-                assert!(msg.contains("rda-disk-format=5 only"), "{msg}");
+                assert!(msg.contains("rda-disk-format=6 only"), "{msg}");
             }
             Err(other) => panic!("{old} refused for the wrong reason: {other}"),
             Ok(_) => panic!("a {old} directory was opened"),
