@@ -1,9 +1,11 @@
-//! Findings, shrunk and pinned. Each schedule came out of
-//! `rda-check --seed 0x1992 --schedules 200 --faults 6` (or is marked
-//! hand-written); each test expects a clean run and stays ignored until
-//! the engine is fixed (ROADMAP item 1), then runs with the rest. Run the
-//! open ones with `cargo test -p rda-check --test open_findings --
-//! --ignored`.
+//! Findings, shrunk and pinned. Each schedule came out of an `rda-check`
+//! sweep with `--faults 3` or more, at the seed its name carries
+//! (`g<seed>-<index>+<fault>@<io>`: 0x1992 with `--schedules 200 --faults
+//! 6`, 7 and 0xbeef with `--schedules 300 --faults 3`; a trailing `~`
+//! marks a shrunk one), or is marked hand-written. Each test expects a
+//! clean run and stays ignored until the engine is fixed (ROADMAP item
+//! 1), then runs with the rest. Run the open ones with `cargo test -p
+//! rda-check --test open_findings -- --ignored`.
 
 use rda_check::{run_schedule, Json, ProtocolMutations, Schedule};
 
@@ -83,5 +85,59 @@ fn the_working_twins_disk_dies_then_a_crash_follows() {
 fn a_riders_committed_twin_dies_during_restart_before_the_scan_reads_it() {
     assert_clean(
         r#"{"name":"g0000000000001992-69+fail_disk@34","config":{"frames":2,"eot":"noforce","strict":false,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":0},{"op":"write","slot":0,"page":6,"val":123},{"op":"begin","slot":2},{"op":"write","slot":2,"page":1,"val":145},{"op":"read","slot":2,"page":4},{"op":"commit","slot":2},{"op":"begin","slot":1},{"op":"write","slot":1,"page":11,"val":31},{"op":"write","slot":1,"page":2,"val":233},{"op":"write","slot":0,"page":5,"val":201},{"op":"read","slot":0,"page":3},{"op":"read","slot":0,"page":11},{"op":"commit","slot":0},{"op":"crash_restart"},{"op":"read","slot":1,"page":3},{"op":"write","slot":1,"page":3,"val":95},{"op":"commit","slot":1},{"op":"begin","slot":3},{"op":"read","slot":3,"page":15},{"op":"write","slot":3,"page":6,"val":231},{"op":"commit","slot":3}],"fault":{"mode":"fail_disk","at_io":34}}"#,
+    );
+}
+
+/// "parity rider left unresolved at end of trace", and nothing else: a
+/// dirties-group steal puts its working twin on disk 4, `fail_disk 4`
+/// kills that disk, and the crash lands while the death is being settled,
+/// after the ride's before-image is logged but before its `Relogged`
+/// event. Restart undoes the page from that image (`LogUndo`). Fixed: the
+/// trace scan lets a recovery-window `LogUndo` of the rider's own page
+/// and transaction end the ride.
+#[test]
+fn a_crash_while_a_disk_death_is_settled_leaves_the_ride_to_the_log() {
+    assert_clean(
+        r#"{"name":"g0000000000000007-85+crash@8~","config":{"frames":2,"eot":"force","strict":false,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":0},{"op":"write","slot":0,"page":0,"val":61},{"op":"begin","slot":1},{"op":"read","slot":1,"page":2},{"op":"write","slot":0,"page":6,"val":223},{"op":"fail_disk","disk":4}],"fault":{"mode":"crash","at_io":8}}"#,
+    );
+}
+
+/// The same window at another seed: slot 2's page 3 rides group 0.
+#[test]
+fn a_crash_while_a_disk_death_is_settled_leaves_the_ride_to_the_log_again() {
+    assert_clean(
+        r#"{"name":"g000000000000beef-62+crash@9~","config":{"frames":2,"eot":"force","strict":false,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":1},{"op":"begin","slot":2},{"op":"write","slot":2,"page":3,"val":251},{"op":"read","slot":2,"page":11},{"op":"write","slot":1,"page":5,"val":215},{"op":"fail_disk","disk":4}],"fault":{"mode":"crash","at_io":9}}"#,
+    );
+}
+
+/// The `-69` class at seed 7 (FORCE): "restart recovery failed: group G1
+/// has lost more than one page". A disk dies during restart, before the
+/// bitmap scan reads the committed twin that alone holds a loser's
+/// before-image.
+#[test]
+#[ignore = "open finding, ROADMAP item 1"]
+fn the_minus_69_class_at_seed_7_schedule_181() {
+    assert_clean(
+        r#"{"name":"g0000000000000007-181+fail_disk@11","config":{"frames":4,"eot":"force","strict":false,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":3},{"op":"write","slot":3,"page":6,"val":253},{"op":"begin","slot":0},{"op":"write","slot":0,"page":15,"val":15},{"op":"write","slot":0,"page":5,"val":95},{"op":"write","slot":3,"page":4,"val":9},{"op":"write","slot":0,"page":1,"val":13},{"op":"write","slot":3,"page":5,"val":9},{"op":"begin","slot":2},{"op":"read","slot":2,"page":5},{"op":"abort","slot":0},{"op":"abort","slot":2},{"op":"crash_restart"},{"op":"begin","slot":1},{"op":"write","slot":1,"page":5,"val":33},{"op":"read","slot":1,"page":7},{"op":"write","slot":3,"page":1,"val":23},{"op":"write","slot":1,"page":5,"val":237},{"op":"commit","slot":3},{"op":"commit","slot":1}],"fault":{"mode":"fail_disk","at_io":11}}"#,
+    );
+}
+
+/// The `-69` class at seed 0xbeef (¬FORCE): "group G2 has lost more than
+/// one page".
+#[test]
+#[ignore = "open finding, ROADMAP item 1"]
+fn the_minus_69_class_at_seed_0xbeef_schedule_130() {
+    assert_clean(
+        r#"{"name":"g000000000000beef-130+fail_disk@22","config":{"frames":4,"eot":"noforce","strict":false,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":1},{"op":"write","slot":1,"page":1,"val":127},{"op":"begin","slot":0},{"op":"write","slot":0,"page":9,"val":117},{"op":"write","slot":1,"page":2,"val":37},{"op":"read","slot":0,"page":7},{"op":"write","slot":0,"page":6,"val":29},{"op":"read","slot":1,"page":2},{"op":"abort","slot":1},{"op":"write","slot":0,"page":11,"val":69},{"op":"crash_restart"},{"op":"commit","slot":0}],"fault":{"mode":"fail_disk","at_io":22}}"#,
+    );
+}
+
+/// The `-69` class at seed 0xbeef (¬FORCE, strict): "group G1 has lost
+/// more than one page".
+#[test]
+#[ignore = "open finding, ROADMAP item 1"]
+fn the_minus_69_class_at_seed_0xbeef_schedule_180() {
+    assert_clean(
+        r#"{"name":"g000000000000beef-180+fail_disk@18","config":{"frames":3,"eot":"noforce","strict":true,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":0},{"op":"write","slot":0,"page":7,"val":209},{"op":"begin","slot":1},{"op":"read","slot":1,"page":11},{"op":"begin","slot":2},{"op":"write","slot":2,"page":6,"val":25},{"op":"write","slot":2,"page":0,"val":165},{"op":"write","slot":2,"page":2,"val":149},{"op":"write","slot":2,"page":14,"val":107},{"op":"crash_restart"},{"op":"commit","slot":0},{"op":"commit","slot":2},{"op":"write","slot":1,"page":7,"val":57},{"op":"commit","slot":1}],"fault":{"mode":"fail_disk","at_io":18}}"#,
     );
 }

@@ -46,11 +46,13 @@ pub struct IntentRecord {
 /// that stages no intent of its own: a restart replays a journaled intent
 /// verbatim, over whatever was written since.
 ///
-/// A journal may compact itself inside either call (`rda-disk` replaces
-/// `meta.journal` by a snapshot of the state it encodes once the file has
-/// outgrown that snapshot by a fixed floor). That is invisible here: the
-/// compacted journal is durable before it takes the old one's place, and
-/// whatever an earlier call reported stable still is.
+/// A backend need keep only the last call's state, since at most one
+/// intent is ever staged: `rda-disk` overwrites one slot in place. A
+/// crash inside a call may tear that slot, and a torn slot reads as
+/// nothing staged. The engine's order makes that safe: it stages an
+/// intent only after a barrier made the previous sequence durable,
+/// issues no platter write of the sequence before the call returns, and
+/// clears only after a barrier.
 pub trait MetaSink: Send + Sync {
     /// A read-modify-write staged its write set. Durable on return; the
     /// platter writes follow it.

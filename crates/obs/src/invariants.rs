@@ -46,29 +46,36 @@ pub fn protocol_violations(events: &[TraceEvent]) -> Vec<String> {
 /// - a `ParityUndo` must consume a matching rider, except inside a
 ///   recovery window where the rider's `Steal` event may predate the
 ///   trace (crash between the claim and the event emission);
+/// - inside a recovery window, a `LogUndo` of a rider's own page and
+///   transaction ends its ride: a disk death had the ride logged, and
+///   the crash came before its `Relogged` event;
 /// - at the end of the stream, no rider may remain in flight.
 #[must_use]
 pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64)]) -> Vec<String> {
     let mut violations = Vec::new();
-    // Group -> the transaction currently riding its working parity.
-    let mut in_flight: BTreeMap<u32, u64> = BTreeMap::new();
+    // Group -> the transaction currently riding its working parity, and
+    // the page its `DirtiesGroup` steal put on it.
+    let mut in_flight: BTreeMap<u32, (u64, u32)> = BTreeMap::new();
     for ev in events {
         let in_recovery = recovery.iter().any(|&(a, b)| ev.seq >= a && ev.seq <= b);
         match ev.kind {
             EventKind::Steal {
-                group, txn, kind, ..
+                group,
+                page,
+                txn,
+                kind,
             } => match kind {
                 StealKind::DirtiesGroup => {
-                    if let Some(&rider) = in_flight.get(&group) {
+                    if let Some(&(rider, _)) = in_flight.get(&group) {
                         violations.push(format!(
                             "two in-flight parity steals in group {group}: txn {txn} \
                              joined while txn {rider} still rides ({ev})"
                         ));
                     }
-                    in_flight.insert(group, txn);
+                    in_flight.insert(group, (txn, page));
                 }
                 StealKind::RidesExisting => {
-                    if in_flight.get(&group) != Some(&txn) {
+                    if rider_of(&in_flight, group) != Some(txn) {
                         violations.push(format!(
                             "riding steal without a matching in-flight entry: {ev}"
                         ));
@@ -76,19 +83,21 @@ pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64
                 }
                 StealKind::Logged => {}
                 StealKind::Relogged => {
-                    if in_flight.remove(&group) != Some(txn) {
+                    if in_flight.remove(&group).map(|(rider, _)| rider) != Some(txn) {
                         violations.push(format!("relogged steal without a matching rider: {ev}"));
                     }
                 }
             },
-            EventKind::CommitTwinFlip { group, txn } if in_flight.remove(&group) != Some(txn) => {
+            EventKind::CommitTwinFlip { group, txn }
+                if in_flight.remove(&group).map(|(rider, _)| rider) != Some(txn) =>
+            {
                 violations.push(format!(
                     "CommitTwinFlip without a preceding matching Steal: {ev}"
                 ));
             }
             EventKind::ParityUndo { group, txn, .. } => {
-                match in_flight.get(&group) {
-                    Some(&rider) if rider == txn => {
+                match rider_of(&in_flight, group) {
+                    Some(rider) if rider == txn => {
                         in_flight.remove(&group);
                     }
                     // Restart compensation for a steal interrupted between
@@ -102,15 +111,23 @@ pub fn protocol_violations_windowed(events: &[TraceEvent], recovery: &[(u64, u64
                     }
                 }
             }
+            EventKind::LogUndo { page, txn } if in_recovery => {
+                in_flight.retain(|_, &mut ride| ride != (txn, page));
+            }
             _ => {}
         }
     }
-    for (group, txn) in in_flight {
+    for (group, (txn, _)) in in_flight {
         violations.push(format!(
             "parity rider left unresolved at end of trace: group {group} txn {txn}"
         ));
     }
     violations
+}
+
+/// The transaction riding `group`'s working parity, if any.
+fn rider_of(in_flight: &BTreeMap<u32, (u64, u32)>, group: u32) -> Option<u64> {
+    in_flight.get(&group).map(|&(rider, _)| rider)
 }
 
 #[cfg(test)]
@@ -228,5 +245,24 @@ mod tests {
             ),
         ];
         assert!(protocol_violations_windowed(&events, &[(6, 9)]).is_empty());
+    }
+
+    #[test]
+    fn recovery_log_undo_of_the_rider_ends_its_ride() {
+        // A disk death had the ride logged; the crash came before the
+        // `Relogged` event, so restart undoes the page from the log.
+        let undo = |seq, page, txn| ev(seq, EventKind::LogUndo { page, txn });
+        let ride = steal(1, 2, 5, StealKind::DirtiesGroup);
+        // `steal` puts page 8 on group 2.
+        assert!(protocol_violations_windowed(&[ride, undo(7, 8, 5)], &[(6, 9)]).is_empty());
+        // Outside a recovery window a logged undo is an abort's, and the
+        // ride is still owed its own resolution.
+        let v = protocol_violations_windowed(&[ride, undo(7, 8, 5)], &[(10, 20)]);
+        assert!(v.iter().any(|m| m.contains("unresolved")), "{v:?}");
+        // Another page, or another transaction, leaves the ride open.
+        for (page, txn) in [(9, 5), (8, 6)] {
+            let v = protocol_violations_windowed(&[ride, undo(7, page, txn)], &[(6, 9)]);
+            assert!(v.iter().any(|m| m.contains("unresolved")), "{v:?}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! A [`FlightRecorder`] periodically — and at every commit/checkpoint
 //! durability barrier, via the engine's barrier hook — appends a
 //! compact [`FlightRecord`] snapshot (trace ring + counter values) to
-//! an append-only journal framed exactly like `meta.journal`
+//! an append-only journal framed exactly like `wal.journal`
 //! (`crate::meta::append_frame` / `frames`): length-prefixed frames
 //! whose torn tail is silently dropped at load. After a crash,
 //! `reopen_database` reads the last intact snapshot back and attaches
@@ -20,7 +20,8 @@
 //!
 //! The journal is bounded: once it is half way to 256 KiB, the timer
 //! thread compacts it down to a fresh snapshot via the same tmp-write +
-//! rename dance `meta.rs` uses, off the commit path. The bound is what a
+//! rename dance `meta.rs` rewrites `wal.journal` with, off the commit
+//! path. The bound is what a
 //! reopen reads to find the last snapshot.
 
 use crate::meta::{append_frame, frames};
@@ -117,7 +118,7 @@ impl FlightRecorder {
     /// Read the newest intact snapshot out of `dir/obs.journal`, if the
     /// file exists and holds at least one complete, decodable frame.
     /// The torn tail a crash may have left is ignored, exactly like the
-    /// meta journal's.
+    /// WAL journal's.
     #[must_use]
     pub fn load(dir: &Path) -> Option<FlightRecord> {
         FlightRecorder::load_counted(dir).0
@@ -178,7 +179,7 @@ impl FlightRecorder {
 
     /// On the timer thread, once the journal is half way to its bound:
     /// replace it by one frame holding a fresh snapshot, with the same
-    /// tmp + rename pattern the meta journal compacts with, so a crash
+    /// tmp + rename pattern the WAL journal is rewritten with, so a crash
     /// mid-compaction leaves either the old or the new file. Only the
     /// rename and the swap of handles hold the lock: a barrier's flush
     /// never waits for the new file to be written or the old one's pages

@@ -11,11 +11,12 @@
 //!   barriers. Torn pages are physical (a checksum mismatch) and survive
 //!   process death; the [`FaultHook`](rda_array::FaultHook) seam injects
 //!   the same fault schedules as on `SimDisk`.
-//! * [`FileMetaStore`] / [`FileLogSink`] — append-only journals for the
-//!   state the simulator keeps in modeled NVRAM and the in-memory log:
-//!   the staged write intent, and the WAL itself.
+//! * [`FileMetaStore`] / [`FileLogSink`] — the durable homes of the
+//!   state the simulator keeps in modeled NVRAM and of the in-memory log:
+//!   one checksummed slot for the staged write intent, and an append-only
+//!   journal for the WAL itself.
 //! * [`create_database`] / [`reopen_database`] — format a directory, or
-//!   replay its journals into a [`Database`](rda_core::Database) that
+//!   read its journals into a [`Database`](rda_core::Database) that
 //!   recovers exactly like the simulated crash/recover cycle.
 //!
 //! ```no_run

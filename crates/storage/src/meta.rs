@@ -1,77 +1,63 @@
-//! The two metadata journals of a file-backed database, plus their
-//! crash-tolerant frame format.
+//! The two metadata journals of a file-backed database.
 //!
 //! * `meta.journal` ([`FileMetaStore`]) persists what the simulated array
-//!   keeps in modeled NVRAM: the staged write intent. It implements
-//!   [`MetaSink`], so every intent `rda-core` stages or retires is
-//!   journaled here synchronously. (The twin parity headers need no
-//!   journal: they live in their parity blocks, see `crate::io`.)
+//!   keeps in modeled NVRAM: the staged write intent, of which there is
+//!   never more than one. It implements [`MetaSink`]; the file is one
+//!   checksummed slot, overwritten in place and fsynced by every call
+//!   (see [`slot`]), and a reopen reads it and writes nothing. (The twin
+//!   parity headers need no journal: they live in their parity blocks,
+//!   see `crate::io`.)
 //! * `wal.journal` ([`FileLogSink`]) mirrors the write-ahead log through
-//!   the [`LogSink`] seam, reusing `rda-wal`'s record codec.
+//!   the [`LogSink`] seam, reusing `rda-wal`'s record codec: an
+//!   append-only stream of length-prefixed frames behind a fixed
+//!   `HEAD_LEN`-byte head slot that says where its live log starts (see
+//!   `Head`). A process death can leave at most a partial frame at the
+//!   tail; loading stops at the first incomplete or undecodable frame,
+//!   which is exactly the not-yet-durable suffix.
 //!
-//! Both files are append-only streams of length-prefixed frames, each
-//! written with one `write`. A process death can leave at most a partial
-//! frame at the tail; loading stops at the first incomplete or
-//! undecodable frame, which is exactly the not-yet-durable suffix.
-//! `wal.journal`'s frames follow a fixed `HEAD_LEN`-byte head slot that
-//! says where its live log starts (see `Head`).
+//! ## Lifecycle: `wal.journal` gives space back while the process runs
 //!
-//! ## Lifecycle: both journals give space back while the process runs
-//!
-//! Each journal knows its file's length and what of it is still live, and
-//! each has one routine that replaces the file by a shorter image of
-//! itself (`JournalFile::replace`: the image into `<name>.journal.tmp`,
+//! The journal knows its file's length and what of it is still live, and
+//! has one routine that replaces the file by a shorter image of itself
+//! (`JournalFile::replace`: the image into `wal.journal.tmp`,
 //! `sync_data`, rename over the journal, fsync of the directory, the open
 //! handle swapped under the journal's lock). A rewrite costs 100–200 µs,
-//! so it has to be rare: each journal rewrites itself only once the dead
-//! bytes exceed the live ones **by a floor**, a private constant chosen so
-//! that on the benchmark's `file-commit` workload a rewrite lands on
-//! fewer than one commit in 400 (at one in 64 the commit p99 rose 60 %).
+//! so it has to be rare: it happens only once the dead bytes exceed the
+//! live ones **by a floor**, a private constant chosen so that on the
+//! benchmark's `file-commit` workload a rewrite lands on fewer than one
+//! commit in 400 (at one in 64 the commit p99 rose 60 %).
 //!
-//! * `wal.journal`: log truncation — which the engine now performs at
-//!   every commit under FORCE — costs no write of its own: the O(1) marker
-//!   frame that declares the new base rides at the head of the next
-//!   batch's one `write` (or goes out when the sink is dropped; a marker
-//!   that never lands only costs the next reopen some decoding). The
-//!   records a marker killed are skipped by tag and LSN, never decoded.
-//!   The sink knows the offset of every retained record's frame, and
-//!   after each truncation — and once in [`FileLogSink::load`], which
-//!   reads the file once, copies each surviving record once and cuts a
-//!   torn or undecodable tail off in place (`set_len`) —
-//!   `Journal::reclaim` applies one rule: when `dead ≥ live + FLOOR` the
-//!   journal becomes a head slot, one marker and the live suffix copied
-//!   byte for byte. The file therefore never exceeds `2 × live + FLOOR`
-//!   plus one commit's frames. Between rewrites the head slot follows the
-//!   live log in steps of `HEAD_STEP` (`Journal::advance_head`), so a
-//!   reopen reads the slot and the bytes from where it points: at most
-//!   `HEAD_STEP` of dead log, not up to `FLOOR` of it.
-//! * `meta.journal`: the store keeps the state the journal encodes
-//!   (`Mirror`: at most one intent) current on every [`MetaSink`] call,
-//!   and once the file has
-//!   grown to `snapshot + FLOOR_META` it becomes the snapshot of that
-//!   state — the same bytes [`FileMetaStore::load`] writes on every
-//!   reopen, from the same routine.
-//!
-//! Reopen thus reads two journals whose size is bounded by the live work
-//! plus a constant, whatever the uptime.
+//! Log truncation — which the engine performs at every commit under
+//! FORCE — costs no write of its own: the O(1) marker frame that declares
+//! the new base rides at the head of the next batch's one `write` (or
+//! goes out when the sink is dropped; a marker that never lands only
+//! costs the next reopen some decoding). The records a marker killed are
+//! skipped by tag and LSN, never decoded. The sink knows the offset of
+//! every retained record's frame, and after each truncation — and once in
+//! [`FileLogSink::load`], which reads the file once, copies each
+//! surviving record once and cuts a torn or undecodable tail off in place
+//! (`set_len`) — `Journal::reclaim` applies one rule: when `dead ≥ live +
+//! FLOOR` the journal becomes a head slot, one marker and the live suffix
+//! copied byte for byte. The file therefore never exceeds `2 × live +
+//! FLOOR` plus one commit's frames. Between rewrites the head slot
+//! follows the live log in steps of `HEAD_STEP` (`Journal::advance_head`),
+//! so a reopen reads the slot and the bytes from where it points: at most
+//! `HEAD_STEP` of dead log, not up to `FLOOR` of it.
 //!
 //! ## What is durable when
 //!
-//! [`MetaSink`]'s rule: every `meta.journal` frame (intent staging and
-//! retirement) is fsynced as it is appended; `wal.journal`'s truncate
-//! markers, pure compaction hints, are not. WAL frames
-//! are fsynced when the store forces, via [`LogSink::sync`]; that fsync
-//! also carries the last head-slot write, which only ever names a frame
-//! already synced. A rewritten
-//! journal is made durable (`sync_data`) before it is renamed into place,
-//! and no later fsync reports success until the rename is (directory
-//! fsync), so a run-time rewrite never weakens what an earlier call
-//! promised. An append or fsync failure panics: a journal that cannot
-//! persist has no honest way to keep accepting mutations. A journal
-//! *rewrite* that fails is different: the file it meant to replace is
-//! whole and stays in service, the failure is counted
-//! (`*_journal_rewrite_failures_total`), and the next opportunity tries
-//! again.
+//! WAL frames are fsynced when the store forces, via [`LogSink::sync`];
+//! that fsync also carries the last head-slot write, which only ever
+//! names a frame already synced. Truncate markers, pure compaction hints,
+//! are not fsynced. A rewritten journal is made durable (`sync_data`)
+//! before it is renamed into place, and no later fsync reports success
+//! until the rename is (directory fsync), so a run-time rewrite never
+//! weakens what an earlier call promised. A write or fsync failure, in
+//! either journal, panics: a journal that cannot persist has no honest
+//! way to keep accepting mutations. A *rewrite* that fails is different:
+//! the file it meant to replace is whole and stays in service, the
+//! failure is counted (`wal_journal_rewrite_failures_total`), and the
+//! next opportunity tries again.
 
 use rda_array::xor::checksum;
 use rda_array::{DataPageId, GroupId, Header, Page, ParitySlot};
@@ -81,13 +67,13 @@ use rda_obs::Counter;
 use rda_wal::{codec, LogRecord, LogSink};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// First byte of a staged intent in `meta.journal`'s slot.
 const TAG_INTENT_SET: u8 = 5;
-const TAG_INTENT_CLEAR: u8 = 6;
 /// `wal.journal` frame tags share the numbering but live in their own file.
 const TAG_WAL_RECORD: u8 = 16;
 const TAG_WAL_TRUNCATE: u8 = 17;
@@ -111,9 +97,8 @@ const HEAD_STEP: u64 = 256 << 10;
 /// First bytes of a head slot.
 const HEAD_TAG: &[u8; 8] = b"rdawal\x00\x04";
 
-/// `meta.journal` is rewritten once it exceeds the snapshot of its state
-/// by this much: at most this much history for a reopen to replay.
-const FLOOR_META: u64 = 1 << 20;
+/// Bytes of `meta.journal`'s slot before its payload: `len` and `sum`.
+const SLOT_HEAD: usize = 4 + 8;
 
 /// Append one length-prefixed frame to a byte buffer.
 fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
@@ -121,19 +106,14 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// One payload as the frame it is journaled as.
-fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    push_frame(&mut frame, payload);
-    frame
-}
-
 /// Append one length-prefixed frame with a single `write`, optionally
 /// forcing it to stable storage before returning: the flight recorder's
 /// `obs.journal` (see `crate::flight`) reuses this torn-tail framing for
 /// its black-box snapshots.
 pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
-    file.write_all(&framed(payload))?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut frame, payload);
+    file.write_all(&frame)?;
     if sync {
         file.sync_data()?;
     }
@@ -234,9 +214,11 @@ enum FailRewrite {
     DirSync,
 }
 
-/// How often one journal was appended to and synced, how often it
+/// How often one journal was written to and synced, how often it
 /// replaced its file, and how often that failed; exported as
-/// `<wal|meta>_journal_{appends,fsyncs,rewrites,rewrite_failures}_total`.
+/// `<wal|meta>_journal_{appends,fsyncs}_total` (a `meta.journal` append
+/// is a slot write) and `wal_journal_{rewrites,rewrite_failures}_total`
+/// (`meta.journal` is never rewritten).
 #[derive(Default)]
 pub(crate) struct JournalStats {
     pub(crate) appends: Counter,
@@ -397,7 +379,7 @@ fn encode_intent(intent: &IntentRecord) -> Vec<u8> {
     out
 }
 
-/// The body of an intent frame, behind its tag.
+/// The body of an encoded intent, behind its tag.
 fn decode_intent(c: &mut Cursor<'_>) -> Option<IntentRecord> {
     let page = DataPageId(c.u32()?);
     let data = c.block()?;
@@ -411,145 +393,127 @@ fn decode_intent(c: &mut Cursor<'_>) -> Option<IntentRecord> {
     Some(IntentRecord { page, data, parity })
 }
 
-/// The state `meta.journal` encodes, kept in memory: what a replay of the
-/// file would arrive at, and therefore what a rewrite may replace the
-/// file with. [`FileMetaStore::load`] builds it frame by frame; every
-/// [`MetaSink`] call then updates it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Mirror {
-    /// The staged intent, as the frame it was journaled as.
-    intent: Option<Vec<u8>>,
+/// `meta.journal`'s slot holding `payload`: `len: u32 | sum: u64 |
+/// payload`, `sum` being [`checksum`] of the `len` payload bytes (the
+/// checksum mixes in how many bytes it sums, so it covers `len` too). The
+/// payload is an intent as [`encode_intent`] writes it, or empty for
+/// "nothing staged". Bytes of a longer earlier slot behind `len` are
+/// never read.
+///
+/// Every slot is written at offset 0, over the one before, and there is
+/// no second slot to fall back on. A write a crash tears fails its sum
+/// and [`staged_in`] reads "nothing staged", which is always correct, by
+/// the order in which `rda-core`'s engine uses the slot:
+///
+/// * it stages an intent only after a write barrier has made the previous
+///   sequence durable (`Engine::write_with_parity`), so the intent a torn
+///   staging overwrote had nothing left to replay;
+/// * it issues no platter write of a sequence until its slot is synced,
+///   so the torn intent guarded nothing yet;
+/// * it clears an intent only after a barrier (`Engine::retire_intent`),
+///   so a torn clear leaves nothing to replay either.
+///
+/// A write that never reached the file leaves the old slot whole, and its
+/// call never returned: nothing after it was issued, so a replay of the
+/// old intent writes images that are already there.
+fn slot(payload: &[u8]) -> Vec<u8> {
+    let mut slot = Vec::with_capacity(SLOT_HEAD + payload.len());
+    slot.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    slot.extend_from_slice(&checksum(payload).to_le_bytes());
+    slot.extend_from_slice(payload);
+    slot
 }
 
-impl Mirror {
-    /// Replay one journal frame; `None` when it does not decode, which
-    /// ends the replay.
-    fn apply(&mut self, frame: &[u8]) -> Option<()> {
-        let mut c = Cursor { buf: frame };
-        match c.u8()? {
-            TAG_INTENT_SET => {
-                decode_intent(&mut c)?;
-                self.intent = Some(framed(frame));
-            }
-            TAG_INTENT_CLEAR => self.intent = None,
-            _ => return None,
-        }
-        Some(())
+/// The intent the `meta.journal` image `file` holds staged: `None` for
+/// an empty slot, and for one that is torn, cut short or foreign.
+fn staged_in(file: &[u8]) -> Option<IntentRecord> {
+    let mut c = Cursor { buf: file };
+    let len = c.u32()? as usize;
+    let sum = c.u64()?;
+    let payload = c.take(len)?;
+    if checksum(payload) != sum {
+        return None;
     }
-
-    /// The whole state as journal frames: the staged intent, if any.
-    fn snapshot(&self) -> &[u8] {
-        self.intent.as_deref().unwrap_or_default()
+    let mut c = Cursor { buf: payload };
+    if c.u8()? != TAG_INTENT_SET {
+        return None;
     }
-
-    /// The staged intent, decoded.
-    fn staged(&self) -> Option<IntentRecord> {
-        let frame = self.intent.as_ref()?;
-        decode_intent(&mut Cursor { buf: &frame[5..] })
-    }
+    decode_intent(&mut c)
 }
 
-/// The open `meta.journal` and the state it encodes.
-struct MetaJournal {
-    file: JournalFile,
-    mirror: Mirror,
-}
-
-impl MetaJournal {
-    /// Replace the file by the snapshot of the state it encodes.
-    fn rewrite(&mut self) -> io::Result<()> {
-        self.file.replace(self.mirror.snapshot())?;
-        self.file.sync_dir()
-    }
-}
-
-/// The durable side of the staged intent.
+/// The durable side of the staged intent: `meta.journal`, one slot
+/// overwritten in place (see [`slot`]).
 pub struct FileMetaStore {
-    journal: Mutex<MetaJournal>,
+    file: Mutex<File>,
+    stats: Arc<JournalStats>,
 }
 
 impl FileMetaStore {
-    fn journal_path(dir: &Path) -> PathBuf {
-        dir.join("meta.journal")
+    /// `dir`'s `meta.journal`: created empty (`fresh`; a file too short
+    /// to hold a slot stages nothing), or as it survived.
+    fn open(dir: &Path, fresh: bool) -> io::Result<File> {
+        OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(fresh)
+            .truncate(fresh)
+            .open(dir.join("meta.journal"))
+    }
+
+    fn over(file: File) -> FileMetaStore {
+        FileMetaStore {
+            file: Mutex::new(file),
+            stats: Arc::default(),
+        }
     }
 
     /// Create an empty journal for a freshly formatted database.
     pub(crate) fn create(dir: &Path) -> io::Result<FileMetaStore> {
-        let journal = MetaJournal {
-            file: JournalFile::open(FileMetaStore::journal_path(dir), true)?,
-            mirror: Mirror::default(),
-        };
-        Ok(FileMetaStore {
-            journal: Mutex::new(journal),
-        })
+        Ok(FileMetaStore::over(FileMetaStore::open(dir, true)?))
     }
 
-    /// Replay the journal of a surviving database, compact it to a
-    /// snapshot — by the routine that compacts it while the process runs
-    /// — and return the store plus the intent it held staged.
+    /// Open the journal of a surviving database and return the store plus
+    /// the intent it held staged. One read, no write.
     pub(crate) fn load(dir: &Path) -> io::Result<(FileMetaStore, Option<IntentRecord>)> {
-        let path = FileMetaStore::journal_path(dir);
-        let buf = std::fs::read(&path)?;
-        let mut mirror = Mirror::default();
-        for frame in frames(&buf) {
-            if mirror.apply(frame).is_none() {
-                break;
-            }
-        }
-        drop(buf);
-        let mut journal = MetaJournal {
-            file: JournalFile::open(path, false)?,
-            mirror,
-        };
-        journal.rewrite()?;
-        let intent = journal.mirror.staged();
-        let store = FileMetaStore {
-            journal: Mutex::new(journal),
-        };
-        Ok((store, intent))
+        let mut file = FileMetaStore::open(dir, false)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        Ok((FileMetaStore::over(file), staged_in(&bytes)))
     }
 
-    /// Tallies of this journal's rewrites, for the metrics registry.
+    /// Tallies of this journal's slot writes and fsyncs, for the metrics
+    /// registry.
     pub(crate) fn stats(&self) -> Arc<JournalStats> {
-        Arc::clone(&self.journal.lock().file.stats)
+        Arc::clone(&self.stats)
     }
 
-    /// Current length of `meta.journal`.
+    /// Current length of `meta.journal`: the longest slot it has held.
     pub(crate) fn journal_bytes(&self) -> u64 {
-        self.journal.lock().file.len
+        self.file.lock().metadata().map_or(0, |m| m.len())
     }
 
-    /// Append `frames` and make them durable (a failure is fatal), bring
-    /// the mirror up to date — `apply` is handed the bytes just written,
-    /// to keep if it wants them — and give space back if the file has
-    /// grown past the floor.
-    fn journal(&self, frames: Vec<u8>, apply: impl FnOnce(&mut Mirror, Vec<u8>)) {
-        let mut journal = self.journal.lock();
-        let mut appended = journal.file.append(&frames);
-        if appended.is_ok() {
-            appended = journal.file.sync();
+    /// Overwrite the slot with `payload` and make it durable; a failure
+    /// is fatal.
+    fn write(&self, payload: &[u8]) {
+        let file = self.file.lock();
+        if let Err(e) = file
+            .write_all_at(&slot(payload), 0)
+            .and_then(|()| file.sync_data())
+        {
+            panic!("meta journal write failed, durability is lost: {e}");
         }
-        if let Err(e) = appended {
-            panic!("meta journal append failed, durability is lost: {e}");
-        }
-        apply(&mut journal.mirror, frames);
-        if journal.file.len >= journal.mirror.snapshot().len() as u64 + FLOOR_META {
-            let rewritten = journal.rewrite();
-            journal.file.note_rewrite(&rewritten);
-        }
+        self.stats.appends.inc();
+        self.stats.fsyncs.inc();
     }
 }
 
 impl MetaSink for FileMetaStore {
     fn intent_set(&self, intent: &IntentRecord) {
-        // The mirror keeps the frame itself: a snapshot copies it back out.
-        let frame = framed(&encode_intent(intent));
-        self.journal(frame, |mirror, frame| mirror.intent = Some(frame));
+        self.write(&encode_intent(intent));
     }
 
     fn intent_clear(&self) {
-        let frame = framed(&[TAG_INTENT_CLEAR]);
-        self.journal(frame, |mirror, _| mirror.intent = None);
+        self.write(&[]);
     }
 }
 
@@ -966,13 +930,16 @@ mod tests {
             })
         };
         let group = GroupId(seed as u32);
+        let mut parity = vec![
+            (group, ParitySlot::P0, block(1, 0)),
+            (group, ParitySlot::P1, block(2, 1)),
+        ];
+        // Two parity blocks for an odd seed, one for an even one.
+        parity.truncate(1 + seed as usize % 2);
         IntentRecord {
             page: DataPageId(seed as u32),
             data: block(seed as u8, 2),
-            parity: vec![
-                (group, ParitySlot::P0, block(1, 0)),
-                (group, ParitySlot::P1, block(2, 1)),
-            ],
+            parity,
         }
     }
 
@@ -1000,243 +967,82 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn torn_tail_is_dropped() {
-        let dir = tmpdir("meta-torn");
-        let store = FileMetaStore::create(&dir).unwrap();
-        store.intent_set(&intent(1));
-        drop(store);
-        // Append half a frame: a length prefix promising more than exists.
-        let path = FileMetaStore::journal_path(&dir);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[200, 0, 0, 0, TAG_INTENT_CLEAR]).unwrap();
-        drop(f);
-        let (_store, staged) = FileMetaStore::load(&dir).unwrap();
-        assert_eq!(staged, Some(intent(1)));
-        // And the snapshot rewrite healed the journal.
-        let (_store, staged) = FileMetaStore::load(&dir).unwrap();
-        assert_eq!(staged, Some(intent(1)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn meta_bytes(dir: &Path) -> Vec<u8> {
-        std::fs::read(FileMetaStore::journal_path(dir)).unwrap()
+        std::fs::read(dir.join("meta.journal")).unwrap()
     }
 
-    /// A seeded stream of [`MetaSink`] calls: the intents a workload's
-    /// read-modify-writes stage and retire, page-sized so that a few
-    /// hundred calls cross [`FLOOR_META`].
-    fn drive(store: &FileMetaStore, seed: u64, calls: usize) {
-        let mut state = seed;
-        let mut next = move |below: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % below
-        };
-        for call in 0..calls as u64 {
-            match next(3) {
-                0 | 1 => store.intent_set(&intent(call)),
-                _ => store.intent_clear(),
+    /// A slot write torn at sector granularity: every subset of the new
+    /// slot's 512-byte sectors lands over the old file (grown with zeros to
+    /// the new slot's length). It reads back as the old state, the new one
+    /// or nothing staged, never as a mixture.
+    #[test]
+    fn a_torn_slot_reads_as_the_old_state_the_new_one_or_nothing() {
+        let states = [None, Some(intent(1)), Some(intent(2)), Some(intent(3))];
+        let payload = |state: &Option<IntentRecord>| state.as_ref().map(encode_intent);
+        for old in &states {
+            for new in &states {
+                let before = slot(&payload(old).unwrap_or_default());
+                let after = slot(&payload(new).unwrap_or_default());
+                let sectors = after.len().div_ceil(512);
+                for landed in 0..1u32 << sectors {
+                    let mut file = before.clone();
+                    file.resize(file.len().max(after.len()), 0);
+                    for sector in (0..sectors).filter(|s| landed >> s & 1 == 1) {
+                        let range = sector * 512..after.len().min(sector * 512 + 512);
+                        file[range.clone()].copy_from_slice(&after[range]);
+                    }
+                    let read = staged_in(&file);
+                    if landed == (1 << sectors) - 1 {
+                        assert_eq!(read, *new, "{old:?} -> {new:?}, whole");
+                    }
+                    assert!(
+                        read.is_none() || read == *old || read == *new,
+                        "{old:?} -> {new:?}, sectors {landed:b}: read {read:?}"
+                    );
+                    if let Some(read) = &read {
+                        let whole = [old, new].into_iter().flatten().find(|s| *s == read);
+                        assert_eq!(headers(read), headers(whole.unwrap()));
+                    }
+                }
             }
         }
-    }
-
-    /// What replaying `bytes` arrives at.
-    fn replayed(bytes: &[u8]) -> Mirror {
-        let mut mirror = Mirror::default();
-        for frame in frames(bytes) {
-            mirror.apply(frame).expect("every frame decodes");
+        // A file too short for a slot head, or for the payload its head
+        // promises, stages nothing.
+        let whole = slot(&encode_intent(&intent(1)));
+        for cut in [0, 3, SLOT_HEAD - 1, SLOT_HEAD, whole.len() - 1] {
+            assert_eq!(staged_in(&whole[..cut]), None, "cut at {cut}");
         }
-        mirror
     }
 
-    fn rewrites(store: &FileMetaStore) -> (u64, u64) {
-        let stats = store.stats();
-        (stats.rewrites.get(), stats.rewrite_failures.get())
-    }
-
+    /// A reopen reads `meta.journal` and writes nothing: its bytes are the
+    /// same before and after, staged intent or not, and the store carries
+    /// on from the slot it found.
     #[test]
-    fn mirror_equals_a_fresh_replay_of_the_file() {
-        let dir = tmpdir("meta-mirror");
+    fn a_reopen_leaves_the_meta_journal_untouched() {
+        let dir = tmpdir("meta-quiet");
         let store = FileMetaStore::create(&dir).unwrap();
-        for round in 0..10 {
-            drive(&store, 0x1992 + round, 400);
-            let bytes = meta_bytes(&dir);
-            assert_eq!(bytes.len() as u64, store.journal_bytes());
-            assert_eq!(
-                store.journal.lock().mirror,
-                replayed(&bytes),
-                "round {round}"
-            );
-        }
-        let (done, failed) = rewrites(&store);
-        assert!(done >= 2, "four thousand calls cross the floor: {done}");
-        assert_eq!(failed, 0);
-        // And a reopen hands the engine that same state.
-        let mirror = store.journal.lock().mirror.clone();
         drop(store);
+        assert!(meta_bytes(&dir).is_empty());
         let (store, staged) = FileMetaStore::load(&dir).unwrap();
-        assert_eq!(store.journal.lock().mirror, mirror);
-        assert_eq!(staged, mirror.staged());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn meta_journal_is_rewritten_only_past_the_floor() {
-        let dir = tmpdir("meta-floor");
-        let store = FileMetaStore::create(&dir).unwrap();
-        // The same intent staged over and over: the file grows by one
-        // frame a call, the snapshot stays that one frame.
-        let staged = intent(7);
-        store.intent_set(&staged);
-        let snapshot = store.journal_bytes();
-        let mut len = snapshot;
-        while len + snapshot < snapshot + FLOOR_META {
-            store.intent_set(&staged);
-            len += snapshot;
-        }
-        assert_eq!(store.journal_bytes(), len, "one frame short of the floor");
-        assert_eq!(rewrites(&store), (0, 0));
-        assert_eq!(meta_bytes(&dir).len() as u64, len);
-        // The frame that reaches it turns the file into the snapshot.
-        store.intent_set(&staged);
-        assert_eq!(rewrites(&store), (1, 0));
-        assert_eq!(meta_bytes(&dir), store.journal.lock().mirror.snapshot());
-        assert_eq!(store.journal_bytes(), snapshot);
-        assert!(!tmp_path(&FileMetaStore::journal_path(&dir)).exists());
-        // Appends land behind it.
+        assert_eq!(staged, None, "a created journal stages nothing");
+        assert!(meta_bytes(&dir).is_empty(), "and the reopen wrote nothing");
+        store.intent_set(&intent(7));
         store.intent_clear();
-        assert_eq!(meta_bytes(&dir).len() as u64, snapshot + 5);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A journal grown past the floor whose every rewrite failed: the
-    /// whole history of `drive(seed, 1600)`, un-rewritten.
-    fn grown_history(tag: &str, seed: u64) -> (PathBuf, FileMetaStore) {
-        let dir = tmpdir(tag);
-        let store = FileMetaStore::create(&dir).unwrap();
-        store.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
-        drive(&store, seed, 1600);
-        (dir, store)
-    }
-
-    #[test]
-    fn run_time_rewrite_writes_the_bytes_load_would() {
-        // The same history twice: once rewriting as it goes...
-        let live = tmpdir("meta-same-live");
-        let store = FileMetaStore::create(&live).unwrap();
-        drive(&store, 7, 1600);
-        assert!(rewrites(&store).0 >= 1);
-        let mirror = store.journal.lock().mirror.clone();
-        // ...(bring the file to its snapshot now, whatever came since)...
-        store.journal.lock().rewrite().unwrap();
+        store.intent_set(&intent(8));
+        assert_eq!(store.stats().appends.get(), 3);
+        assert_eq!(store.stats().fsyncs.get(), 3);
+        let longest = slot(&encode_intent(&intent(7))).len() as u64;
+        assert_eq!(store.journal_bytes(), longest, "one slot, never more");
         drop(store);
-        // ...once with every rewrite failing, compacted by the reopen.
-        let (grown, store) = grown_history("meta-same-grown", 7);
-        let (done, failed) = rewrites(&store);
-        assert!(done == 0 && failed >= 1, "{done} rewrites, {failed} failed");
-        assert!(meta_bytes(&grown).len() as u64 > FLOOR_META);
-        drop(store);
-        let (store, _) = FileMetaStore::load(&grown).unwrap();
-        assert_eq!(store.journal.lock().mirror, mirror);
-        assert_eq!(meta_bytes(&grown), meta_bytes(&live));
-        assert_eq!(meta_bytes(&live), mirror.snapshot());
-        let _ = std::fs::remove_dir_all(&live);
-        let _ = std::fs::remove_dir_all(&grown);
-    }
-
-    /// A process killed anywhere in a run-time rewrite reopens to the same
-    /// state. The four states the directory can be left in, built by hand.
-    #[test]
-    fn every_kill_window_of_a_meta_rewrite_reopens_to_the_same_snapshot() {
-        let (src, store) = grown_history("meta-window-src", 11);
-        store.intent_set(&intent(5));
-        let mirror = store.journal.lock().mirror.clone();
-        drop(store);
-        let grown = meta_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-        let snapshot = mirror.snapshot().to_vec();
-        assert_eq!(mirror.staged(), Some(intent(5)), "the snapshot stages it");
-
-        let (grown, snapshot) = (&grown[..], &snapshot[..]);
-        let windows = [
-            ("grown journal only", grown, None),
-            ("tmp partial", grown, Some(&snapshot[..snapshot.len() / 2])),
-            ("tmp whole, not renamed", grown, Some(snapshot)),
-            ("renamed, directory not synced", snapshot, None),
-        ];
-        for (n, (window, journal, tmp)) in windows.into_iter().enumerate() {
-            let dir = tmpdir(&format!("meta-window-{n}"));
-            let path = FileMetaStore::journal_path(&dir);
-            std::fs::write(&path, journal).unwrap();
-            if let Some(tmp) = tmp {
-                std::fs::write(tmp_path(&path), tmp).unwrap();
-            }
-            let (store, staged) = FileMetaStore::load(&dir).unwrap();
-            assert_eq!(store.journal.lock().mirror, mirror, "{window}");
-            assert_eq!(staged, Some(intent(5)), "{window}");
-            assert_eq!(meta_bytes(&dir), snapshot, "{window}");
-            assert!(!tmp_path(&path).exists(), "{window}: stale tmp gone");
-            // And the journal carries on from there.
-            store.intent_set(&intent(99));
-            drop(store);
-            let (_store, staged) = FileMetaStore::load(&dir).unwrap();
-            assert_eq!(staged, Some(intent(99)), "{window}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn failed_meta_rewrite_keeps_the_old_file_appending_and_loading() {
-        let (dir, store) = grown_history("meta-rewrite-fails", 3);
-        let (done, failed) = rewrites(&store);
-        assert!(done == 0 && failed >= 1);
-        assert!(!tmp_path(&FileMetaStore::journal_path(&dir)).exists());
-        // The old file took every append, synced ones included...
         let before = meta_bytes(&dir);
-        assert_eq!(store.journal.lock().mirror, replayed(&before));
+        assert_eq!(before.len() as u64, longest);
+        let (store, staged) = FileMetaStore::load(&dir).unwrap();
+        assert_eq!(staged, Some(intent(8)));
+        assert_eq!(store.journal_bytes(), longest);
+        assert_eq!(meta_bytes(&dir), before, "the reopen wrote nothing");
         store.intent_clear();
-        assert_eq!(meta_bytes(&dir).len(), before.len() + 5);
-        assert_eq!(rewrites(&store), (0, failed + 1), "and tried again");
-        // ...and once the fault is gone the next call compacts it.
-        store.journal.lock().file.fail_rewrite = None;
-        store.intent_clear();
-        assert_eq!(rewrites(&store).0, 1);
-        let mirror = store.journal.lock().mirror.clone();
-        assert_eq!(meta_bytes(&dir), mirror.snapshot());
         drop(store);
-
-        // Killed while the rewrite was failing: the old file loads.
-        let (dir2, store) = grown_history("meta-rewrite-fails-kill", 3);
-        let mirror = store.journal.lock().mirror.clone();
-        drop(store);
-        let (store, _) = FileMetaStore::load(&dir2).unwrap();
-        assert_eq!(store.journal.lock().mirror, mirror);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
-    }
-
-    #[test]
-    fn unsynced_meta_rename_is_made_durable_before_the_next_durable_frame() {
-        let (dir, store) = grown_history("meta-dirsync", 5);
-        store.journal.lock().file.fail_rewrite = Some(FailRewrite::DirSync);
-        // The rename happens, so the snapshot is the journal; what is owed
-        // is the directory fsync.
-        store.intent_clear();
-        let (done, failed) = rewrites(&store);
-        assert_eq!(done, 1);
-        assert!(failed >= 2, "the dir sync's failure is counted too");
-        assert!(!store.journal.lock().file.dir_synced);
-        assert_eq!(meta_bytes(&dir), store.journal.lock().mirror.snapshot());
-        // No frame may be reported durable over a rename that may not last.
-        let staged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.intent_set(&intent(1));
-        }));
-        assert!(staged.is_err());
-        store.journal.lock().file.fail_rewrite = None;
-        store.intent_set(&intent(2));
-        assert!(store.journal.lock().file.dir_synced, "sync paid the debt");
+        assert_eq!(FileMetaStore::load(&dir).unwrap().1, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

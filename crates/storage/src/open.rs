@@ -2,12 +2,12 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number (`rda-disk-format=6`) and
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=7`) and
 //!   the formatted geometry, both validated on reopen;
 //! * `<n>.data` — one file per disk, each block's image, header (a twin
 //!   parity page's timestamp, state and claim) and checksum together in a
 //!   sector-aligned slot (see `crate::io`);
-//! * `meta.journal` — the staged write intent;
+//! * `meta.journal` — the staged write intent, one checksummed slot;
 //! * `wal.journal` — the durable mirror of the write-ahead log, behind a
 //!   head slot that says where its live records start;
 //! * `obs.journal` — the flight recorder's black box, when it is on.
@@ -117,8 +117,11 @@ const MANIFEST: &str = "manifest.txt";
 /// opens `wal.journal` with a head slot; format 3's journal began with
 /// its first frame. Format 5 journaled the twin headers in
 /// `meta.journal`; format 6 keeps each in its parity block's slot, and
-/// `meta.journal` holds only the staged intent.
-const FORMAT_LINE: &str = "rda-disk-format=6";
+/// `meta.journal` holds only the staged intent, as frames. Format 7's
+/// `meta.journal` is one checksummed slot at offset 0, overwritten in
+/// place; format 6's frames read as a torn slot, so a staged intent
+/// would be lost.
+const FORMAT_LINE: &str = "rda-disk-format=7";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -188,10 +191,12 @@ fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {
     }
 }
 
-/// Export the two journals' sizes, append/fsync and rewrite tallies,
-/// next to the engine's `wal_low_water_lsn` / `wal_retained_bytes`: "is
-/// the log bounded, what does keeping it bounded cost, and how many
-/// journal writes and fsyncs does a commit pay" from `/metrics`.
+/// Export the two journals' sizes, append/fsync tallies and
+/// `wal.journal`'s rewrite tallies (`meta.journal` is one slot, never
+/// rewritten), next to the engine's `wal_low_water_lsn` /
+/// `wal_retained_bytes`: "is the log bounded, what does keeping it
+/// bounded cost, and how many journal writes and fsyncs does a commit
+/// pay" from `/metrics`.
 fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<FileMetaStore>) {
     type Pick = fn(&JournalStats) -> &Counter;
     let tallies: [(&str, Pick); 4] = [
@@ -201,8 +206,11 @@ fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<File
         ("rewrite_failures", |s| &s.rewrite_failures),
     ];
     let metrics = db.metrics();
-    for (journal, stats) in [("wal", log.stats()), ("meta", meta.stats())] {
-        for (tally, pick) in tallies {
+    for (journal, stats, tallies) in [
+        ("wal", log.stats(), &tallies[..]),
+        ("meta", meta.stats(), &tallies[..2]),
+    ] {
+        for &(tally, pick) in tallies {
             let stats = Arc::clone(&stats);
             metrics.register_view(&format!("{journal}_journal_{tally}_total"), move || {
                 pick(&stats).get()
