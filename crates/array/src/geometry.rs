@@ -233,28 +233,35 @@ impl Geometry {
     /// The data pages belonging to a group, in member order.
     #[must_use]
     pub fn members(&self, g: GroupId) -> Vec<DataPageId> {
+        self.member_pages(g).collect()
+    }
+
+    /// [`Geometry::members`] one page at a time, with nothing collected:
+    /// for the per-steal paths that only scan a group.
+    pub fn member_pages(&self, g: GroupId) -> impl Iterator<Item = DataPageId> + '_ {
         debug_assert!(g.0 < self.groups, "group out of range");
-        match self.organization {
-            Organization::RotatedParity | Organization::DedicatedParity => {
-                (0..self.n).map(|i| DataPageId(g.0 * self.n + i)).collect()
+        let striped = self.organization == Organization::ParityStriping;
+        let parity = self.parity_disks(g);
+        let slots = if striped {
+            u32::from(self.disks)
+        } else {
+            self.n
+        };
+        (0..slots).filter_map(move |i| {
+            if !striped {
+                return Some(DataPageId(g.0 * self.n + i));
             }
-            Organization::ParityStriping => {
-                let row = g.0 / self.area;
-                let offset = g.0 % self.area;
-                let parity = self.parity_disks(g);
-                let mut out = Vec::with_capacity(self.n as usize);
-                for disk in 0..u32::from(self.disks) {
-                    if disk as u16 == parity[0] || (self.replicas == 2 && disk as u16 == parity[1])
-                    {
-                        continue;
-                    }
-                    let c = self.data_area_rank(disk, row);
-                    let l = disk * self.pages_per_disk() + c * self.area + offset;
-                    out.push(DataPageId(l));
-                }
-                out
+            // Slot `i` is disk `i`; the group's parity disks hold none.
+            let disk = i as u16;
+            if disk == parity[0] || (self.replicas == 2 && disk == parity[1]) {
+                return None;
             }
-        }
+            let (row, offset) = (g.0 / self.area, g.0 % self.area);
+            let c = self.data_area_rank(i, row);
+            Some(DataPageId(
+                i * self.pages_per_disk() + c * self.area + offset,
+            ))
+        })
     }
 
     /// Inverse mapping: what lives at a physical block?
@@ -562,6 +569,34 @@ mod tests {
         assert_geometry_coherent(&geo(Organization::RotatedParity, 1, 1, true));
         assert_geometry_coherent(&geo(Organization::ParityStriping, 1, 1, false));
         assert_geometry_coherent(&geo(Organization::ParityStriping, 1, 1, true));
+    }
+
+    /// The member iterator yields exactly `members(g)` for every group
+    /// of every organization: the pages `group_of` maps to `g`, in
+    /// ascending order (member order is disk order, and a disk's pages
+    /// are numbered after the disks before it).
+    #[test]
+    fn member_pages_yield_exactly_the_members() {
+        for org in [
+            Organization::RotatedParity,
+            Organization::ParityStriping,
+            Organization::DedicatedParity,
+        ] {
+            for (n, groups, twin) in [(1, 1, false), (4, 13, false), (5, 21, true), (10, 50, true)]
+            {
+                let g = geo(org, n, groups, twin);
+                for grp in (0..g.groups()).map(GroupId) {
+                    let by_group_of: Vec<DataPageId> = (0..g.data_pages())
+                        .map(DataPageId)
+                        .filter(|&p| g.group_of(p) == grp)
+                        .collect();
+                    let pages: Vec<DataPageId> = g.member_pages(grp).collect();
+                    assert_eq!(pages, by_group_of, "{org:?} n={n} {grp:?}");
+                    assert_eq!(pages, g.members(grp), "{org:?} n={n} {grp:?}");
+                    assert_eq!(pages.len(), n as usize);
+                }
+            }
+        }
     }
 
     #[test]

@@ -423,9 +423,8 @@ impl<D: BlockDevice> Engine<D> {
     fn group_fully_alive(&self, g: GroupId) -> bool {
         let geo = self.dur.array.geometry();
         let members_alive = geo
-            .members(g)
-            .iter()
-            .all(|p| !self.dur.array.disk_failed(geo.data_loc(*p).disk));
+            .member_pages(g)
+            .all(|p| !self.dur.array.disk_failed(geo.data_loc(p).disk));
         members_alive && ParitySlot::BOTH.iter().all(|s| !self.twin_dead(g, *s))
     }
 
@@ -902,9 +901,9 @@ impl<D: BlockDevice> Engine<D> {
     /// Member index of `page` within its group `g`: the rider a working
     /// twin's header names. `None` if `page` is not a member of `g`.
     pub(crate) fn rider_index(&self, g: GroupId, page: DataPageId) -> Option<u16> {
-        let members = self.dur.array.geometry().members(g);
+        let mut members = self.dur.array.geometry().member_pages(g);
         // A group has fewer members than the array has disks (a u16).
-        members.iter().position(|&p| p == page).map(|i| i as u16)
+        members.position(|p| p == page).map(|i| i as u16)
     }
 
     /// End of an engine operation: if a disk died since the last look

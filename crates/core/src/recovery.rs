@@ -342,7 +342,7 @@ impl<D: BlockDevice> Engine<D> {
         report.bitmap_groups += 1;
         // One readable header vouches for the parity coverage of every
         // data page in the group.
-        report.pages_scanned += self.dur.array.geometry().members(g).len() as u64;
+        report.pages_scanned += self.dur.array.geometry().member_pages(g).count() as u64;
         Ok(())
     }
 

@@ -21,7 +21,7 @@ use crate::pack::{pack, unpack};
 
 /// One persisted black-box snapshot: what the engine was doing at (or
 /// shortly before) the moment the journal stopped.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Monotonic flush number (1-based) — how many snapshots the
     /// recorder had written up to and including this one.
@@ -36,34 +36,88 @@ pub struct FlightRecord {
     pub counters: Vec<(String, u64)>,
 }
 
+/// Bytes of an encoded record before its first event: `flush_seq`,
+/// `io_clock`, `dropped` and the event count.
+const HEAD_LEN: usize = 8 + 8 + 8 + 4;
+/// Bytes of one encoded event.
+const EVENT_LEN: usize = 40;
+
+/// Append to `out` the encoding of a record made of `head` (`flush_seq`,
+/// `io_clock`, `dropped`), `events` and the `(name, value)` pairs that
+/// `counters` hands its callback, in that order. The one encoder: a
+/// [`FlightRecord`] lends its fields, the live path in
+/// [`crate::ObsHub::encode_flight_record`] the trace ring's snapshot and
+/// the registry's borrowed names.
+///
+/// A record longer than `max` bytes leaves its oldest events out, counted
+/// in `dropped`, until it fits; one that does not fit even without
+/// events is not written, `out` is left as it was and the result is
+/// `false`.
+pub(crate) fn encode_into(
+    out: &mut Vec<u8>,
+    head: [u64; 3],
+    events: &[TraceEvent],
+    counters: impl FnOnce(&mut dyn FnMut(&str, u64)),
+    max: usize,
+) -> bool {
+    let start = out.len();
+    for word in head {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&u32::try_from(events.len()).unwrap_or(0).to_le_bytes());
+    for ev in events {
+        let (w0, w1, w2) = pack(ev.kind);
+        for word in [ev.at, ev.seq, w0, w1, w2] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    let count_at = out.len();
+    out.extend_from_slice(&0u32.to_le_bytes());
+    let mut count = 0u32;
+    counters(&mut |name, value| {
+        let bytes = name.as_bytes();
+        out.extend_from_slice(&u32::try_from(bytes.len()).unwrap_or(0).to_le_bytes());
+        out.extend_from_slice(bytes);
+        out.extend_from_slice(&value.to_le_bytes());
+        count += 1;
+    });
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+
+    let excess = (out.len() - start).saturating_sub(max);
+    if excess == 0 {
+        return true;
+    }
+    let cut = excess.div_ceil(EVENT_LEN);
+    if cut > events.len() {
+        out.truncate(start);
+        return false;
+    }
+    let first = start + HEAD_LEN;
+    out.drain(first..first + cut * EVENT_LEN);
+    let kept = u32::try_from(events.len() - cut).unwrap_or(0);
+    out[first - 4..first].copy_from_slice(&kept.to_le_bytes());
+    let dropped = head[2] + cut as u64;
+    out[start + 16..start + 24].copy_from_slice(&dropped.to_le_bytes());
+    true
+}
+
 impl FlightRecord {
     /// Serialize into the flat journal payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.events.len() * 40);
-        out.extend_from_slice(&self.flush_seq.to_le_bytes());
-        out.extend_from_slice(&self.io_clock.to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&u32::try_from(self.events.len()).unwrap_or(0).to_le_bytes());
-        for ev in &self.events {
-            let (w0, w1, w2) = pack(ev.kind);
-            out.extend_from_slice(&ev.at.to_le_bytes());
-            out.extend_from_slice(&ev.seq.to_le_bytes());
-            out.extend_from_slice(&w0.to_le_bytes());
-            out.extend_from_slice(&w1.to_le_bytes());
-            out.extend_from_slice(&w2.to_le_bytes());
-        }
-        out.extend_from_slice(
-            &u32::try_from(self.counters.len())
-                .unwrap_or(0)
-                .to_le_bytes(),
+        let mut out = Vec::with_capacity(HEAD_LEN + 4 + self.events.len() * EVENT_LEN);
+        let head = [self.flush_seq, self.io_clock, self.dropped];
+        encode_into(
+            &mut out,
+            head,
+            &self.events,
+            |push| {
+                for (name, value) in &self.counters {
+                    push(name, *value);
+                }
+            },
+            usize::MAX,
         );
-        for (name, value) in &self.counters {
-            let bytes = name.as_bytes();
-            out.extend_from_slice(&u32::try_from(bytes.len()).unwrap_or(0).to_le_bytes());
-            out.extend_from_slice(bytes);
-            out.extend_from_slice(&value.to_le_bytes());
-        }
         out
     }
 
@@ -174,6 +228,55 @@ mod tests {
         assert_eq!(decoded.dropped, 2);
         assert_eq!(decoded.events, rec.events);
         assert_eq!(decoded.counters, rec.counters);
+    }
+
+    fn live_hub() -> crate::ObsHub {
+        let hub = crate::ObsHub::new();
+        hub.tracer.enable(64);
+        hub.tracer.set_spans(true);
+        hub.metrics.counter("txn_commits").add(41);
+        hub.metrics.register_view("a_view", || 7);
+        for txn in 0..5 {
+            hub.tracer.emit_span(|| EventKind::TxnBegin { txn });
+        }
+        hub
+    }
+
+    /// The live encoder, into a reused buffer that already holds bytes,
+    /// decodes to exactly the record the hub assembles.
+    #[test]
+    fn live_encoding_decodes_to_the_assembled_record() {
+        let hub = live_hub();
+        let mut buf = vec![0xAB; 20];
+        assert!(hub.encode_flight_record(3, usize::MAX, &mut buf));
+        assert_eq!(buf[..20], [0xAB; 20]);
+        let record = hub.flight_record(3);
+        assert_eq!(record.events.len(), 5);
+        assert_eq!(FlightRecord::decode(&buf[20..]), Some(record.clone()));
+        assert_eq!(buf[20..], record.encode()[..]);
+    }
+
+    /// A record over its limit keeps the newest events that fit and
+    /// counts the rest as dropped; one whose counters alone overflow is
+    /// not written.
+    #[test]
+    fn an_oversized_record_keeps_its_newest_events() {
+        let hub = live_hub();
+        let whole = hub.flight_record(1);
+        let len = whole.encode().len();
+        let mut buf = Vec::new();
+        assert!(hub.encode_flight_record(1, len - 1, &mut buf));
+        assert_eq!(buf.len(), len - EVENT_LEN);
+        let trimmed = FlightRecord::decode(&buf).expect("decodes");
+        assert_eq!(trimmed.events, whole.events[1..]);
+        assert_eq!(trimmed.dropped, whole.dropped + 1);
+        assert_eq!(trimmed.counters, whole.counters);
+        buf.clear();
+        assert!(hub.encode_flight_record(1, len - 5 * EVENT_LEN, &mut buf));
+        assert!(FlightRecord::decode(&buf).unwrap().events.is_empty());
+        let mut buf = vec![1, 2, 3];
+        assert!(!hub.encode_flight_record(1, len - 5 * EVENT_LEN - 1, &mut buf));
+        assert_eq!(buf, [1, 2, 3]);
     }
 
     #[test]

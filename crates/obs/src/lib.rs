@@ -82,4 +82,21 @@ impl ObsHub {
             counters: self.metrics.counter_values(),
         }
     }
+
+    /// Append the encoding of [`ObsHub::flight_record`]`(flush_seq)` to
+    /// `out`, straight from the trace ring and the registry: no record is
+    /// built and no counter name copied. At most `max` bytes: the oldest
+    /// events give way first, and `false` (nothing appended) means the
+    /// counters alone do not fit.
+    pub fn encode_flight_record(&self, flush_seq: u64, max: usize, out: &mut Vec<u8>) -> bool {
+        let snap = self.tracer.snapshot();
+        let head = [flush_seq, self.tracer.io_clock(), snap.dropped];
+        flight::encode_into(
+            out,
+            head,
+            &snap.events,
+            |push| self.metrics.for_each_counter(push),
+            max,
+        )
+    }
 }

@@ -249,14 +249,23 @@ impl MetricsRegistry {
     /// recorder persists (histograms are summarized elsewhere).
     #[must_use]
     pub fn counter_values(&self) -> Vec<(String, u64)> {
+        let mut values = Vec::new();
+        self.for_each_counter(|name, value| values.push((name.to_string(), value)));
+        values
+    }
+
+    /// Call `f` with every counter and view as `(name, value)` in sorted
+    /// name order, each name borrowed from the registry: what
+    /// [`MetricsRegistry::counter_values`] collects, with no copy made.
+    pub fn for_each_counter(&self, mut f: impl FnMut(&str, u64)) {
         let map = self.metrics.lock();
-        map.iter()
-            .filter_map(|(name, metric)| match metric {
-                Metric::Counter(c) => Some((name.clone(), c.get())),
-                Metric::View(f) => Some((name.clone(), f())),
-                Metric::Histogram(_) => None,
-            })
-            .collect()
+        for (name, metric) in map.iter() {
+            match metric {
+                Metric::Counter(c) => f(name, c.get()),
+                Metric::View(view) => f(name, view()),
+                Metric::Histogram(_) => {}
+            }
+        }
     }
 
     /// Non-deterministic JSON of every histogram, summarized as

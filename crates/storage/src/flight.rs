@@ -1,16 +1,18 @@
 //! The crash-persistent black box: `obs.journal`.
 //!
 //! A [`FlightRecorder`] periodically — and at every commit/checkpoint
-//! durability barrier, via the engine's barrier hook — appends a
-//! compact [`FlightRecord`] snapshot (trace ring + counter values) to
-//! an append-only journal framed exactly like `wal.journal`
-//! (`crate::meta::append_frame` / `frames`): length-prefixed frames
-//! whose torn tail is silently dropped at load. After a crash,
-//! `reopen_database` reads the last intact snapshot back and attaches
-//! it to the first `RecoveryReport`, so the kill-process test can
-//! assert *what* the engine was doing at death.
+//! durability barrier, via the engine's barrier hook — writes a compact
+//! [`FlightRecord`] snapshot (trace ring + counter values) into one of
+//! the journal's two fixed slots, alternately and in place: snapshot
+//! `seq` goes to slot `seq % 2`, at `(seq % 2) × SLOT`, as one frame
+//! framed like `wal.journal`'s (`crate::meta::open_frame`: length, `seq`,
+//! checksum, snapshot). A write a crash tears fails its sum, and the
+//! other slot still holds the snapshot before it. After a crash,
+//! `reopen_database` reads the newer intact snapshot back and attaches it
+//! to the first `RecoveryReport`, so the kill-process test can assert
+//! *what* the engine was doing at death.
 //!
-//! Durability stance: flushes use plain `write(2)` with **no fsync** —
+//! Durability stance: flushes use plain `pwrite(2)` with **no fsync** —
 //! a SIGKILL (the crash this box is built for) only kills the process,
 //! and the page cache survives, so the data is crash-consistent for
 //! process death at zero added latency on the commit path. A power
@@ -18,37 +20,40 @@
 //! diagnostic artifact, not part of the recovery protocol, so that
 //! trade is taken deliberately.
 //!
-//! The journal is bounded: once it is half way to 256 KiB, the timer
-//! thread compacts it down to a fresh snapshot via the same tmp-write +
-//! rename dance `meta.rs` rewrites `wal.journal` with, off the commit
-//! path. The bound is what a
-//! reopen reads to find the last snapshot.
+//! The journal is bounded by construction: two slots, `2 × SLOT` bytes at
+//! most, which is also what a reopen reads. A snapshot too long for a
+//! slot keeps the newest trace events that fit.
 
-use crate::meta::{append_frame, frames};
+use crate::meta::{open_frame, read_frame, seal_frame, FRAME_HEAD};
 use rda_obs::sync::Mutex;
 use rda_obs::{FlightRecord, ObsHub};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::Duration;
 
 const JOURNAL: &str = "obs.journal";
-/// Size the journal never exceeds, and so what a reopen reads at most.
-/// The timer thread compacts it at half this: with ≈ 1 KB snapshots, once
-/// per ≈ 125 barriers.
-const COMPACT_BYTES: u64 = 256 << 10;
+/// Bytes of each of `obs.journal`'s two slots. A snapshot is ≈ 3 KB of
+/// counters plus 40 bytes per retained trace event: a 1 024-event ring
+/// fits whole.
+const SLOT: u64 = 128 << 10;
 /// Cadence of the background flusher thread.
 const PERIOD: Duration = Duration::from_millis(200);
+/// Where a slot's snapshot differs from the one before it, if at all:
+/// behind the frame head and the snapshot's own sequence number.
+const CHANGED_FROM: usize = FRAME_HEAD + 8;
 
 struct RecorderState {
     file: File,
-    /// Bytes appended since the last create/compact, for the bound.
-    appended: u64,
-    /// `(io_clock, last event seq, counter sum)` of the last snapshot,
-    /// so an idle database does not grow the journal with duplicates.
-    last_sig: Option<(u64, u64, u64)>,
+    /// The frame of the next snapshot, built in place.
+    next: Vec<u8>,
+    /// The frame of the last snapshot written, so that an idle database
+    /// rewrites nothing: a snapshot equal to it but for its number is not
+    /// written.
+    last: Vec<u8>,
     flushes: u64,
     shutdown: bool,
 }
@@ -58,7 +63,6 @@ struct RecorderState {
 /// [`FlightRecorder::flush`].
 pub struct FlightRecorder {
     hub: ObsHub,
-    path: PathBuf,
     state: Mutex<RecorderState>,
     /// The timer thread, to wake it early on shutdown and on drop.
     timer: OnceLock<Thread>,
@@ -75,19 +79,17 @@ impl FlightRecorder {
     /// # Errors
     /// I/O errors creating the journal file.
     pub fn create(dir: &Path, hub: ObsHub) -> io::Result<Arc<FlightRecorder>> {
-        let path = dir.join(JOURNAL);
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
-            .open(&path)?;
+            .open(dir.join(JOURNAL))?;
         let rec = Arc::new(FlightRecorder {
             hub,
-            path,
             state: Mutex::new(RecorderState {
                 file,
-                appended: 0,
-                last_sig: None,
+                next: Vec::new(),
+                last: Vec::new(),
                 flushes: 0,
                 shutdown: false,
             }),
@@ -108,7 +110,6 @@ impl FlightRecorder {
                 }
                 // Timer flushes are best-effort; the sticky failure
                 // channel for real I/O trouble is the write queue.
-                let _ = rec.compact();
                 let _ = rec.flush();
             })?;
         let _ = rec.timer.set(timer.thread().clone());
@@ -116,104 +117,67 @@ impl FlightRecorder {
     }
 
     /// Read the newest intact snapshot out of `dir/obs.journal`, if the
-    /// file exists and holds at least one complete, decodable frame.
-    /// The torn tail a crash may have left is ignored, exactly like the
-    /// WAL journal's.
+    /// file exists and either slot holds a whole, decodable one. A slot a
+    /// crash tore is passed over for the other.
     #[must_use]
     pub fn load(dir: &Path) -> Option<FlightRecord> {
         FlightRecorder::load_counted(dir).0
     }
 
     /// [`FlightRecorder::load`], plus how many bytes of the journal it
-    /// read.
+    /// read: each slot's frame head, then the frame it announces.
     pub(crate) fn load_counted(dir: &Path) -> (Option<FlightRecord>, u64) {
-        let mut buf = Vec::new();
-        let read = File::open(dir.join(JOURNAL)).and_then(|mut f| f.read_to_end(&mut buf));
-        let record = read.ok().and_then(|_| {
-            frames(&buf)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .find_map(FlightRecord::decode)
-        });
-        (record, buf.len() as u64)
+        let Ok(file) = File::open(dir.join(JOURNAL)) else {
+            return (None, 0);
+        };
+        let mut read = 0;
+        let mut newest: Option<(u64, FlightRecord)> = None;
+        for at in [0, SLOT] {
+            let mut frame = vec![0; FRAME_HEAD];
+            if file.read_exact_at(&mut frame, at).is_err() {
+                continue;
+            }
+            let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+            frame.resize(FRAME_HEAD + len.min(SLOT as usize), 0);
+            let whole = file.read_exact_at(&mut frame[FRAME_HEAD..], at + FRAME_HEAD as u64);
+            read += frame.len() as u64;
+            let Some((seq, _)) = whole.ok().and_then(|()| read_frame(&mut frame)) else {
+                continue;
+            };
+            let record = FlightRecord::decode(&frame[FRAME_HEAD..]);
+            if let Some(record) = record.filter(|_| newest.as_ref().is_none_or(|n| n.0 < seq)) {
+                newest = Some((seq, record));
+            }
+        }
+        (newest.map(|(_, record)| record), read)
     }
 
-    /// Append one snapshot now (no-op if nothing changed since the last
-    /// one). Called from the engine's durability-barrier hook and from
-    /// the timer thread.
+    /// Write one snapshot now, into the slot the one before it did not
+    /// use (no-op if nothing changed since the last one). Called from the
+    /// engine's durability-barrier hook and from the timer thread.
     ///
     /// # Errors
-    /// I/O errors appending to or compacting the journal.
+    /// I/O errors writing the journal.
     pub fn flush(&self) -> io::Result<()> {
         let mut state = self.state.lock();
+        let state = &mut *state;
         if state.shutdown {
             return Ok(());
         }
-        let record = self.hub.flight_record(state.flushes + 1);
-        let sig = (
-            record.io_clock,
-            record.events.last().map_or(0, |e| e.seq + 1),
-            record.counters.iter().map(|(_, v)| *v).sum(),
-        );
-        if state.last_sig == Some(sig) {
+        let seq = state.flushes + 1;
+        state.next.clear();
+        let at = open_frame(&mut state.next, seq);
+        let room = SLOT as usize - FRAME_HEAD;
+        if !self.hub.encode_flight_record(seq, room, &mut state.next)
+            || state.next.get(CHANGED_FROM..) == state.last.get(CHANGED_FROM..)
+        {
             return Ok(());
         }
-        let payload = record.encode();
-        let framed = 4 + payload.len() as u64;
-        if state.appended + framed > COMPACT_BYTES {
-            // The timer thread is behind with the compaction: the bound
-            // holds, and a later snapshot replaces this one.
-            self.wake_timer();
-            return Ok(());
-        }
-        append_frame(&mut state.file, &payload, false)?;
-        state.appended += framed;
-        state.flushes += 1;
-        state.last_sig = Some(sig);
-        if state.appended > COMPACT_BYTES / 2 {
-            self.wake_timer();
-        }
+        seal_frame(&mut state.next, at);
+        state.file.write_all_at(&state.next, seq % 2 * SLOT)?;
+        state.flushes = seq;
+        std::mem::swap(&mut state.next, &mut state.last);
         Ok(())
-    }
-
-    /// On the timer thread, once the journal is half way to its bound:
-    /// replace it by one frame holding a fresh snapshot, with the same
-    /// tmp + rename pattern the WAL journal is rewritten with, so a crash
-    /// mid-compaction leaves either the old or the new file. Only the
-    /// rename and the swap of handles hold the lock: a barrier's flush
-    /// never waits for the new file to be written or the old one's pages
-    /// to be freed. Snapshots appended to the old file meanwhile are lost
-    /// with it; clearing the signature makes the next flush write one
-    /// newer than them.
-    fn compact(&self) -> io::Result<()> {
-        let Some(seq) = self.compaction_due() else {
-            return Ok(());
-        };
-        let payload = self.hub.flight_record(seq).encode();
-        let tmp = self.path.with_extension("tmp");
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        append_frame(&mut f, &payload, true)?;
-        let _replaced = {
-            let mut state = self.state.lock();
-            std::fs::rename(&tmp, &self.path)?;
-            let file = OpenOptions::new().append(true).open(&self.path)?;
-            state.appended = 4 + payload.len() as u64;
-            state.last_sig = None;
-            std::mem::replace(&mut state.file, file)
-        };
-        Ok(())
-    }
-
-    /// The sequence number of the last snapshot, when the journal is past
-    /// half its bound and the recorder is running.
-    fn compaction_due(&self) -> Option<u64> {
-        let state = self.state.lock();
-        (!state.shutdown && state.appended > COMPACT_BYTES / 2).then_some(state.flushes)
     }
 
     /// Snapshots written so far.
@@ -246,7 +210,7 @@ impl Drop for FlightRecorder {
 mod tests {
     use super::*;
     use rda_obs::EventKind;
-    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rda-flight-{tag}-{}", std::process::id()));
@@ -264,6 +228,10 @@ mod tests {
         hub.tracer
             .record_io(|| EventKind::DiskWrite { disk: 0, block: 9 });
         hub
+    }
+
+    fn journal_len(d: &Path) -> u64 {
+        std::fs::metadata(d.join(JOURNAL)).unwrap().len()
     }
 
     #[test]
@@ -291,25 +259,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// Snapshot 3 goes over snapshot 1 in slot 1 and a crash tears it
+    /// into any subset of its 512-byte sectors: the reopen finds snapshot
+    /// 3 when all of it landed, and snapshot 2, in the other slot,
+    /// otherwise.
     #[test]
-    fn torn_tail_is_ignored() {
+    fn a_torn_newer_slot_reopens_to_the_older_one() {
         let d = dir("torn");
         let hub = hub_with_events();
         let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
-        rec.flush().unwrap();
+        let mut images = Vec::new();
+        for txn in 0..3 {
+            for _ in 0..20 {
+                hub.tracer.emit_span(|| EventKind::TxnBegin { txn });
+            }
+            rec.flush().unwrap();
+            images.push(std::fs::read(d.join(JOURNAL)).unwrap());
+        }
         rec.shutdown();
         drop(rec);
-        // Append a frame whose declared length exceeds its bytes — the
-        // shape a crash mid-append leaves behind.
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(d.join(JOURNAL))
-            .unwrap();
-        f.write_all(&[200, 0, 0, 0, 7, 7, 7]).unwrap();
-        drop(f);
-        let loaded = FlightRecorder::load(&d).expect("intact snapshot survives the torn tail");
-        assert_eq!(loaded.flush_seq, 1);
-        assert_eq!(loaded.events.len(), 2);
+        let (second, third) = (&images[1], &images[2]);
+        let slot1 = SLOT as usize..third.len();
+        assert_eq!(third[..SLOT as usize], second[..SLOT as usize]);
+        let sectors = slot1.len().div_ceil(512);
+        assert!((3..=12).contains(&sectors), "{sectors} sectors");
+        for landed in 0..1u32 << sectors {
+            let mut torn = second.clone();
+            torn.resize(third.len().max(torn.len()), 0);
+            for sector in (0..sectors).filter(|s| landed >> s & 1 == 1) {
+                let range =
+                    slot1.start + sector * 512..third.len().min(slot1.start + sector * 512 + 512);
+                torn[range.clone()].copy_from_slice(&third[range]);
+            }
+            std::fs::write(d.join(JOURNAL), &torn).unwrap();
+            let loaded = FlightRecorder::load(&d).expect("one slot is whole");
+            let whole = landed == (1 << sectors) - 1;
+            assert_eq!(loaded.flush_seq, if whole { 3 } else { 2 }, "{landed:b}");
+        }
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -334,55 +320,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
-    /// Flush after flush, with a distinct snapshot each time: the timer
-    /// thread keeps compacting, the file never holds more than the bound,
-    /// and a reopen reads no more than that to find the newest snapshot.
+    /// Flush after flush, with a distinct snapshot each time: the slots
+    /// alternate, the file never holds more than two of them, and a
+    /// reopen reads only the two snapshots to find the newest.
     #[test]
-    fn journal_never_exceeds_its_bound() {
+    fn journal_never_exceeds_two_slots() {
         let d = dir("bound");
         let hub = hub_with_events();
         let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
         let c = hub.metrics.counter("spin");
-        let (mut peak, mut compactions) = (0, 0);
-        while compactions < 2 {
+        for _ in 0..200 {
             c.inc();
             rec.flush().unwrap();
-            let len = std::fs::metadata(d.join(JOURNAL)).unwrap().len();
-            assert!(len <= COMPACT_BYTES, "{len} bytes");
-            if len < peak {
-                compactions += 1;
-            }
-            peak = len;
+            assert!(journal_len(&d) <= 2 * SLOT);
         }
         rec.shutdown();
+        assert!(rec.flushes() >= 200);
         let (loaded, read) = FlightRecorder::load_counted(&d);
-        assert!(loaded.is_some(), "a snapshot survives the compactions");
-        assert!(read <= COMPACT_BYTES);
+        assert_eq!(loaded.map(|r| r.flush_seq), Some(rec.flushes()));
+        // The two snapshots, not the slots' slack.
+        assert!(
+            read <= 2 * SLOT && read < journal_len(&d),
+            "{read} bytes read"
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
 
-    /// A journal at its bound: the next snapshot is skipped rather than
-    /// grow it, and the timer thread that snapshot wakes replaces the
-    /// journal by a fresh one.
+    /// A trace ring whose snapshot is longer than a slot: the slot keeps
+    /// the newest events that fit and counts the rest as dropped.
     #[test]
-    fn compaction_bounds_the_journal() {
-        let d = dir("compact");
+    fn an_oversized_snapshot_keeps_its_newest_events() {
+        let d = dir("oversized");
         let hub = ObsHub::new();
-        let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
-        hub.metrics.counter("spin").inc();
-        rec.state.lock().appended = COMPACT_BYTES;
-        rec.flush().unwrap();
-        assert_eq!(rec.flushes(), 0, "skipped at the bound");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while rec.state.lock().appended == COMPACT_BYTES {
-            assert!(std::time::Instant::now() < deadline, "never compacted");
-            std::thread::sleep(Duration::from_millis(1));
+        hub.tracer.enable(8192);
+        hub.tracer.set_spans(true);
+        for txn in 0..5000 {
+            hub.tracer.emit_span(|| EventKind::TxnBegin { txn });
         }
+        let rec = FlightRecorder::create(&d, hub.clone()).unwrap();
+        rec.flush().unwrap();
         rec.shutdown();
-        let len = std::fs::metadata(d.join(JOURNAL)).unwrap().len();
-        assert!(len < 4096, "compacted journal stays small ({len} bytes)");
-        let loaded = FlightRecorder::load(&d).expect("compacted snapshot loads");
-        assert!(loaded.counters.iter().any(|(n, _)| n == "spin"));
+        assert!(journal_len(&d) <= 2 * SLOT);
+        let loaded = FlightRecorder::load(&d).expect("a trimmed snapshot loads");
+        let kept = loaded.events.len() as u64;
+        assert!(kept > 1000 && kept < 5000, "{kept} events kept");
+        assert_eq!(loaded.dropped, 5000 - kept);
+        assert!(matches!(
+            loaded.events.last().map(|e| e.kind),
+            Some(EventKind::TxnBegin { txn: 4999 })
+        ));
         let _ = std::fs::remove_dir_all(&d);
     }
 }

@@ -8,56 +8,50 @@
 //!   parity headers need no journal: they live in their parity blocks,
 //!   see `crate::io`.)
 //! * `wal.journal` ([`FileLogSink`]) mirrors the write-ahead log through
-//!   the [`LogSink`] seam, reusing `rda-wal`'s record codec: an
-//!   append-only stream of length-prefixed frames behind a fixed
-//!   `HEAD_LEN`-byte head slot that says where its live log starts (see
-//!   `Head`). A process death can leave at most a partial frame at the
-//!   tail; loading stops at the first incomplete or undecodable frame,
-//!   which is exactly the not-yet-durable suffix.
+//!   the [`LogSink`] seam, reusing `rda-wal`'s record codec: a fixed
+//!   `HEAD_LEN`-byte head slot that says where the log starts (see
+//!   `Head`), then laps of frames, each carrying its LSN and a checksum
+//!   (see [`open_frame`]).
 //!
-//! ## Lifecycle: `wal.journal` gives space back while the process runs
+//! ## Laps: `wal.journal` writes only into space it already owns
 //!
-//! The journal knows its file's length and what of it is still live, and
-//! has one routine that replaces the file by a shorter image of itself
-//! (`JournalFile::replace`: the image into `wal.journal.tmp`,
-//! `sync_data`, rename over the journal, fsync of the directory, the open
-//! handle swapped under the journal's lock). A rewrite costs 100–200 µs,
-//! so it has to be rare: it happens only once the dead bytes exceed the
-//! live ones **by a floor**, a private constant chosen so that on the
-//! benchmark's `file-commit` workload a rewrite lands on fewer than one
-//! commit in 400 (at one in 64 the commit p99 rose 60 %).
+//! A force writes its batch at the tail of the log in one `pwrite`,
+//! covered by the force's one `fdatasync`. Log truncation — which the
+//! engine performs at every commit under FORCE — writes nothing of its
+//! own: the marker frame that declares the new base rides at the head of
+//! the next batch (or goes out when the sink is dropped). Once the tail
+//! is [`LAP`] into the file, the first force whose live frames, behind a
+//! marker, fit below where they start now begins a new lap
+//! (`Journal::new_lap`): the head is pointed at the live frames, they are
+//! copied byte for byte to the front behind a marker declaring their
+//! base, the head is pointed at the front, and the batch lands behind the
+//! copies, over the previous lap's frames. Nothing is created, renamed or
+//! cut while the process runs, so the file stays within `LAP` + the live
+//! span + one batch; a live log that does not fit (¬FORCE between
+//! checkpoints) keeps the lap going until it does.
 //!
-//! Log truncation — which the engine performs at every commit under
-//! FORCE — costs no write of its own: the O(1) marker frame that declares
-//! the new base rides at the head of the next batch's one `write` (or
-//! goes out when the sink is dropped; a marker that never lands only
-//! costs the next reopen some decoding). The records a marker killed are
-//! skipped by tag and LSN, never decoded. The sink knows the offset of
-//! every retained record's frame, and after each truncation — and once in
-//! [`FileLogSink::load`], which reads the file once, copies each
-//! surviving record once and cuts a torn or undecodable tail off in place
-//! (`set_len`) — `Journal::reclaim` applies one rule: when `dead ≥ live +
-//! FLOOR` the journal becomes a head slot, one marker and the live suffix
-//! copied byte for byte. The file therefore never exceeds `2 × live +
-//! FLOOR` plus one commit's frames. Between rewrites the head slot
-//! follows the live log in steps of `HEAD_STEP` (`Journal::advance_head`),
-//! so a reopen reads the slot and the bytes from where it points: at most
-//! `HEAD_STEP` of dead log, not up to `FLOOR` of it.
+//! ## Reopen
+//!
+//! A reopen reads the head slot and the file from where it points, and
+//! walks the frames from there expecting the head's LSN: a record frame
+//! carries its own LSN, a marker the LSN the next record gets. The walk
+//! ends at the first frame that is short, fails its sum or carries
+//! another LSN — one rule that ends a torn tail and the stale frames of
+//! an earlier lap alike, since those carry older LSNs. A head that does
+//! not decode falls back to a walk from the first frame, numbered by the
+//! LSN it carries: every lap opens with a marker that declares its base.
+//! The records a marker killed are skipped by LSN, never decoded. A reopen
+//! writes nothing; the next batch overwrites whatever lies past the log.
 //!
 //! ## What is durable when
 //!
 //! WAL frames are fsynced when the store forces, via [`LogSink::sync`];
-//! that fsync also carries the last head-slot write, which only ever
-//! names a frame already synced. Truncate markers, pure compaction hints,
-//! are not fsynced. A rewritten journal is made durable (`sync_data`)
-//! before it is renamed into place, and no later fsync reports success
-//! until the rename is (directory fsync), so a run-time rewrite never
-//! weakens what an earlier call promised. A write or fsync failure, in
-//! either journal, panics: a journal that cannot persist has no honest
-//! way to keep accepting mutations. A *rewrite* that fails is different:
-//! the file it meant to replace is whole and stays in service, the
-//! failure is counted (`wal_journal_rewrite_failures_total`), and the
-//! next opportunity tries again.
+//! truncate markers, pure compaction hints, are not fsynced. A lap switch
+//! fsyncs each of its three writes before the next one starts, and keeps
+//! the invariant every write of the journal keeps: no write touches a
+//! byte on the chain from the durable head to the last synced frame. A
+//! write or fsync failure, in either journal, panics: a journal that
+//! cannot persist has no honest way to keep accepting mutations.
 
 use rda_array::xor::checksum;
 use rda_array::{DataPageId, GroupId, Header, Page, ParitySlot};
@@ -67,7 +61,7 @@ use rda_obs::Counter;
 use rda_wal::{codec, LogRecord, LogSink};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,87 +72,72 @@ const TAG_INTENT_SET: u8 = 5;
 const TAG_WAL_RECORD: u8 = 16;
 const TAG_WAL_TRUNCATE: u8 = 17;
 
-/// `wal.journal` is rewritten once its dead prefix exceeds what would
-/// remain by this much. At 16.3 KB of log per commit (the benchmark's
-/// `file-commit`) that is one rewrite per ≈ 510 commits; 4 MiB (one per
-/// ≈ 255) already showed in that workload's commit p99, 1 MiB raised it
-/// 60 %. A reopen does not pay for it: it starts at the head slot.
-const FLOOR: u64 = 8 << 20;
-
 /// Bytes of `wal.journal`'s head slot, before its first frame.
 const HEAD_LEN: u64 = 32;
 
-/// The head slot moves once the first live frame is this far past where
-/// it points: one 32-byte `pwrite` per this much dead log (one per ≈ 16
-/// commits of `file-commit`), and at most this much dead log for a
-/// reopen to read.
-const HEAD_STEP: u64 = 256 << 10;
+/// How far into `wal.journal` a lap runs before the next force starts a
+/// new one at the front: one lap per ≈ 16 commits of the benchmark's
+/// `file-commit` (16.3 KB of log each), and at most this much dead log
+/// for a reopen to read.
+const LAP: u64 = 256 << 10;
 
 /// First bytes of a head slot.
-const HEAD_TAG: &[u8; 8] = b"rdawal\x00\x04";
+const HEAD_TAG: &[u8; 8] = b"rdawal\x00\x08";
 
 /// Bytes of `meta.journal`'s slot before its payload: `len` and `sum`.
 const SLOT_HEAD: usize = 4 + 8;
 
-/// Append one length-prefixed frame to a byte buffer.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Bytes of a frame before its payload: `len`, `lsn` and `sum`.
+pub(crate) const FRAME_HEAD: usize = 4 + 8 + 8;
+
+/// Start a frame at the end of `out` and return where it starts; the
+/// caller appends the payload and [`seal_frame`]s it. A frame is `len:
+/// u32 | lsn: u64 | sum: u64 | payload`, `sum` being [`checksum`] of
+/// `lsn ‖ payload` (which mixes in how many bytes it sums, so it covers
+/// `len` too). `wal.journal` numbers its frames with LSNs; `obs.journal`
+/// (see `crate::flight`) puts one in each of its slots, numbered with its
+/// snapshot's sequence number.
+pub(crate) fn open_frame(out: &mut Vec<u8>, lsn: u64) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 12]);
+    // Where `sum` goes: until the seal, `lsn` sits here, next to the
+    // payload, so that one checksum covers both.
+    out.extend_from_slice(&lsn.to_le_bytes());
+    at
 }
 
-/// Append one length-prefixed frame with a single `write`, optionally
-/// forcing it to stable storage before returning: the flight recorder's
-/// `obs.journal` (see `crate::flight`) reuses this torn-tail framing for
-/// its black-box snapshots.
-pub(crate) fn append_frame(file: &mut File, payload: &[u8], sync: bool) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    push_frame(&mut frame, payload);
-    file.write_all(&frame)?;
-    if sync {
-        file.sync_data()?;
-    }
-    Ok(())
+/// Finish the frame [`open_frame`] started at `at`: its payload is
+/// everything behind it in `out`.
+pub(crate) fn seal_frame(out: &mut [u8], at: usize) {
+    let frame = &mut out[at..];
+    let len = u32::try_from(frame.len() - FRAME_HEAD).unwrap_or(u32::MAX);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&frame[12..]);
+    frame.copy_within(12..20, 4);
+    frame[12..20].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Fsync the directory holding `path`, which makes a rename of `path`
-/// durable: without it a power loss can bring the replaced file back
-/// while later, fsynced appends went to the new one.
-pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
-    let dir = path.parent().unwrap_or(Path::new("."));
-    File::open(dir)?.sync_all()
+/// The `lsn` and length (payload included) of the frame `buf` opens
+/// with, if `buf` holds all of it; its sum unchecked.
+fn frame_head(buf: &[u8]) -> Option<(u64, usize)> {
+    let mut c = Cursor { buf };
+    let len = FRAME_HEAD + c.u32()? as usize;
+    let lsn = c.u64()?;
+    (buf.len() >= len).then_some((lsn, len))
 }
 
-/// The complete frames of a journal byte stream, in order; iteration ends
-/// before the (possibly torn) tail.
-pub(crate) struct Frames<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-/// Walk the complete frames of `buf`.
-pub(crate) fn frames(buf: &[u8]) -> Frames<'_> {
-    Frames { buf, pos: 0 }
-}
-
-impl Frames<'_> {
-    /// Offset of the next frame's length prefix: the end of the last
-    /// frame yielded.
-    fn offset(&self) -> usize {
-        self.pos
-    }
-}
-
-impl<'a> Iterator for Frames<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let rest = &self.buf[self.pos..];
-        let prefix = rest.get(..4)?;
-        let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
-        let payload = rest.get(4..)?.get(..len)?;
-        self.pos += 4 + len;
-        Some(payload)
-    }
+/// The frame `buf` opens with, if it is whole and its sum holds: its
+/// `lsn` and its length, payload included (the payload is
+/// `buf[FRAME_HEAD..len]`). `buf` is borrowed mutably only to sum `lsn ‖
+/// payload` in place; it is left as it was.
+pub(crate) fn read_frame(buf: &mut [u8]) -> Option<(u64, usize)> {
+    let (lsn, len) = frame_head(buf)?;
+    let sum = Cursor { buf: &buf[12..] }.u64()?;
+    let frame = &mut buf[..len];
+    frame[12..20].copy_from_slice(&lsn.to_le_bytes());
+    let whole = checksum(&frame[12..]) == sum;
+    frame[12..20].copy_from_slice(&sum.to_le_bytes());
+    whole.then_some((lsn, len))
 }
 
 /// Forward-only decoder over one frame; every taker returns `None` on
@@ -203,160 +182,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Which step of a journal rewrite a unit test wants to fail; production
-/// builds have no such seam (see `io::FailOn`).
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailRewrite {
-    /// The temporary file cannot be made durable.
-    TmpSync,
-    /// The rename went through; the directory fsync after it fails.
-    DirSync,
-}
-
-/// How often one journal was written to and synced, how often it
-/// replaced its file, and how often that failed; exported as
+/// How often one journal was written to and synced, and how often
+/// `wal.journal` started a new lap; exported as
 /// `<wal|meta>_journal_{appends,fsyncs}_total` (a `meta.journal` append
-/// is a slot write) and `wal_journal_{rewrites,rewrite_failures}_total`
-/// (`meta.journal` is never rewritten).
+/// is a slot write, a `wal.journal` append a batch) and
+/// `wal_journal_laps_total`.
 #[derive(Default)]
 pub(crate) struct JournalStats {
     pub(crate) appends: Counter,
     pub(crate) fsyncs: Counter,
-    pub(crate) rewrites: Counter,
-    pub(crate) rewrite_failures: Counter,
-}
-
-/// Where a rewrite builds the next journal before renaming it.
-fn tmp_path(journal: &Path) -> PathBuf {
-    journal.with_extension("journal.tmp")
-}
-
-/// An open journal file: where its next frame lands, and the one routine
-/// that replaces the file by a shorter image of itself. All I/O is
-/// positioned at `len`.
-struct JournalFile {
-    path: PathBuf,
-    file: File,
-    /// Length of the file: where the next frame lands.
-    len: u64,
-    /// How much of the file the last successful [`JournalFile::sync`] (or
-    /// rewrite) made durable; 0 until then.
-    synced: u64,
-    /// False from a rename of `path` until the directory holding it has
-    /// been fsynced: until then a power loss could bring the replaced
-    /// file back, so [`JournalFile::sync`] may not report anything stable.
-    dir_synced: bool,
-    stats: Arc<JournalStats>,
-    #[cfg(test)]
-    fail_rewrite: Option<FailRewrite>,
-}
-
-impl JournalFile {
-    /// The journal at `path`: created empty (`fresh`), or as it survived.
-    fn open(path: PathBuf, fresh: bool) -> io::Result<JournalFile> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(fresh)
-            .truncate(fresh)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        Ok(JournalFile {
-            path,
-            file,
-            len,
-            synced: 0,
-            dir_synced: true,
-            stats: Arc::default(),
-            #[cfg(test)]
-            fail_rewrite: None,
-        })
-    }
-
-    #[cfg(test)]
-    fn injected(&self, step: FailRewrite) -> io::Result<()> {
-        if self.fail_rewrite == Some(step) {
-            return Err(io::Error::other(format!("injected {step:?} failure")));
-        }
-        Ok(())
-    }
-
-    /// Append `bytes` (whole frames) at the end of the file.
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file.write_all_at(bytes, self.len)?;
-        self.stats.appends.inc();
-        self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Make everything appended so far stable — including, if a rewrite
-    /// left it owing, the rename that put this file in place.
-    fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.stats.fsyncs.inc();
-        if !self.dir_synced {
-            self.sync_dir()?;
-        }
-        self.synced = self.len;
-        Ok(())
-    }
-
-    /// Make the rename of `path` durable.
-    fn sync_dir(&mut self) -> io::Result<()> {
-        #[cfg(test)]
-        self.injected(FailRewrite::DirSync)?;
-        sync_parent_dir(&self.path)?;
-        self.dir_synced = true;
-        Ok(())
-    }
-
-    /// The one place a journal is rewritten: `image` becomes the file,
-    /// durable before it is renamed into place; the caller follows up
-    /// with [`JournalFile::sync_dir`].
-    ///
-    /// An error leaves the old file untouched and in service. After `Ok`
-    /// the new file *is* the journal; until the directory fsync succeeds
-    /// `dir_synced` stays false and the next [`JournalFile::sync`] must
-    /// repeat it before anything counts as stable.
-    fn replace(&mut self, image: &[u8]) -> io::Result<()> {
-        let tmp = tmp_path(&self.path);
-        let renamed = (|| {
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            file.write_all_at(image, 0)?;
-            #[cfg(test)]
-            self.injected(FailRewrite::TmpSync)?;
-            file.sync_data()?;
-            std::fs::rename(&tmp, &self.path)?;
-            Ok(file)
-        })();
-        match renamed {
-            Ok(file) => self.file = file,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        }
-        self.len = image.len() as u64;
-        self.synced = self.len;
-        self.dir_synced = false;
-        self.stats.rewrites.inc();
-        Ok(())
-    }
-
-    /// A rewrite that fails costs space, not correctness: what it meant
-    /// to replace keeps taking appends and the next opportunity tries
-    /// again. It is counted, not swallowed.
-    fn note_rewrite(&self, outcome: &io::Result<()>) {
-        if outcome.is_err() {
-            self.stats.rewrite_failures.inc();
-        }
-    }
+    pub(crate) laps: Counter,
 }
 
 /// Append one block: its header, then its image with a length prefix.
@@ -444,7 +279,9 @@ fn staged_in(file: &[u8]) -> Option<IntentRecord> {
 /// The durable side of the staged intent: `meta.journal`, one slot
 /// overwritten in place (see [`slot`]).
 pub struct FileMetaStore {
-    file: Mutex<File>,
+    /// The file, and its length: the longest slot it has held (kept here
+    /// so that the metrics view, read at every barrier, makes no syscall).
+    file: Mutex<(File, u64)>,
     stats: Arc<JournalStats>,
 }
 
@@ -460,16 +297,16 @@ impl FileMetaStore {
             .open(dir.join("meta.journal"))
     }
 
-    fn over(file: File) -> FileMetaStore {
+    fn over(file: File, len: u64) -> FileMetaStore {
         FileMetaStore {
-            file: Mutex::new(file),
+            file: Mutex::new((file, len)),
             stats: Arc::default(),
         }
     }
 
     /// Create an empty journal for a freshly formatted database.
     pub(crate) fn create(dir: &Path) -> io::Result<FileMetaStore> {
-        Ok(FileMetaStore::over(FileMetaStore::open(dir, true)?))
+        Ok(FileMetaStore::over(FileMetaStore::open(dir, true)?, 0))
     }
 
     /// Open the journal of a surviving database and return the store plus
@@ -478,7 +315,8 @@ impl FileMetaStore {
         let mut file = FileMetaStore::open(dir, false)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        Ok((FileMetaStore::over(file), staged_in(&bytes)))
+        let len = bytes.len() as u64;
+        Ok((FileMetaStore::over(file, len), staged_in(&bytes)))
     }
 
     /// Tallies of this journal's slot writes and fsyncs, for the metrics
@@ -489,19 +327,22 @@ impl FileMetaStore {
 
     /// Current length of `meta.journal`: the longest slot it has held.
     pub(crate) fn journal_bytes(&self) -> u64 {
-        self.file.lock().metadata().map_or(0, |m| m.len())
+        self.file.lock().1
     }
 
     /// Overwrite the slot with `payload` and make it durable; a failure
     /// is fatal.
     fn write(&self, payload: &[u8]) {
-        let file = self.file.lock();
+        let mut file = self.file.lock();
+        let slot = slot(payload);
         if let Err(e) = file
-            .write_all_at(&slot(payload), 0)
-            .and_then(|()| file.sync_data())
+            .0
+            .write_all_at(&slot, 0)
+            .and_then(|()| file.0.sync_data())
         {
             panic!("meta journal write failed, durability is lost: {e}");
         }
+        file.1 = file.1.max(slot.len() as u64);
         self.stats.appends.inc();
         self.stats.fsyncs.inc();
     }
@@ -517,45 +358,45 @@ impl MetaSink for FileMetaStore {
     }
 }
 
-/// A truncate marker frame on disk: length prefix + tag + base.
-const MARKER_FRAME_LEN: usize = 4 + 1 + 8;
+/// A truncate marker frame on disk: frame head, tag and base.
+const MARKER_FRAME_LEN: usize = FRAME_HEAD + 1 + 8;
 
-/// Payload of a truncate marker: the store discarded every record below
-/// `base`. At the head of a rewritten journal's frames it also declares
-/// where the surviving records' numbering starts.
-fn marker(base: u64) -> [u8; 9] {
-    let mut payload = [TAG_WAL_TRUNCATE; 9];
-    payload[1..].copy_from_slice(&base.to_le_bytes());
-    payload
+/// Append a truncate marker frame: the store discarded every record below
+/// `base`. `lsn` is the LSN the next record gets. At the front of a lap it
+/// also numbers what follows for a walk that cannot trust the head.
+fn push_marker(out: &mut Vec<u8>, lsn: u64, base: u64) {
+    let at = open_frame(out, lsn);
+    out.push(TAG_WAL_TRUNCATE);
+    out.extend_from_slice(&base.to_le_bytes());
+    seal_frame(out, at);
 }
 
-/// A truncate marker as it lies in the file: length prefix and payload.
-fn marker_frame(base: u64) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(MARKER_FRAME_LEN);
-    push_frame(&mut frame, &marker(base));
-    frame
-}
-
-/// The base a truncate marker frame declares; `None` for any other frame.
-fn marker_base(frame: &[u8]) -> Option<u64> {
-    let mut c = Cursor { buf: frame };
+/// The base a truncate marker's payload declares; `None` for any other
+/// payload.
+fn marker_base(payload: &[u8]) -> Option<u64> {
+    let mut c = Cursor { buf: payload };
     if c.u8()? != TAG_WAL_TRUNCATE {
         return None;
     }
     c.u64()
 }
 
+/// What a write leaves behind a batch while a dead process's frames may
+/// lie beyond it (see `Journal::fence_until`): a frame head that promises
+/// more bytes than any file holds and an LSN no walk expects.
+const FENCE: [u8; FRAME_HEAD] = [0xFF; FRAME_HEAD];
+
 /// `wal.journal`'s head slot: where a reopen starts reading. It names the
-/// frame at offset `from` and the LSN of the first record from there on;
-/// every record before `from` is dead. On disk: [`HEAD_TAG`], `from`,
-/// `lsn`, then the checksum of those 24 bytes.
+/// frame at offset `from` and the LSN that frame carries; every frame of
+/// the file outside the chain from there is dead. On disk: [`HEAD_TAG`],
+/// `from`, `lsn`, then the checksum of those 24 bytes.
 ///
-/// The slot only ever names a frame that was already durable when the
-/// slot was written, so a power loss can cost it its write (or tear it)
-/// but never leave it pointing past the durable log. A slot that does not
-/// decode, or points past the end of the file, is [`Head::START`]: a walk
-/// of the whole file, which a rewritten journal's leading marker keeps
-/// numbered correctly.
+/// The slot is written only by a lap switch, and only ever names frames
+/// that were durable before it was written, so a power loss can cost it
+/// its write (or tear it) but never leave it pointing past the durable
+/// log. A slot that does not decode, or points past the end of the file,
+/// is not trusted: the walk starts at the first frame, whose LSN numbers
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Head {
     from: u64,
@@ -563,7 +404,7 @@ struct Head {
 }
 
 impl Head {
-    /// The first frame, numbered from LSN 0: the whole journal.
+    /// The first frame, numbered from LSN 0: a created journal.
     const START: Head = Head {
         from: HEAD_LEN,
         lsn: 0,
@@ -594,80 +435,131 @@ impl Head {
     }
 }
 
-/// What a `wal.journal` byte stream holds.
+/// What a walk of `wal.journal` found.
 struct Replayed {
     /// LSN of the first surviving record.
     base: u64,
     /// The surviving records, `base` onwards.
     records: Vec<LogRecord>,
-    /// File offset of each surviving record's frame; everything before
-    /// the first is dead.
+    /// File offset of each surviving record's frame.
     offsets: VecDeque<u64>,
-    /// File offset of the end of the last whole frame.
+    /// File offset of the end of the chain: where the next frame goes.
     end: u64,
+    /// LSN the next record gets.
+    next_lsn: u64,
 }
 
-/// Replay the frames of `wal.journal` from `head` on, `body` being the
-/// file's bytes from `head.from`: `Err(at)` when the surviving record
-/// framed at file offset `at` does not decode — the journal ends there,
-/// markers beyond it included, so the caller replays up to `at`.
-fn replay(body: &[u8], head: Head) -> Result<Replayed, u64> {
-    // Frame headers only: the markers fix the final base, and a frame
-    // that is neither record nor marker ends the journal.
-    let mut base = head.lsn;
-    let mut walk = frames(body);
-    let mut end = 0;
-    while let Some(frame) = walk.next() {
-        if let Some(declared) = marker_base(frame) {
-            base = base.max(declared);
-        } else if frame.first() != Some(&TAG_WAL_RECORD) {
+/// Walk the chain of frames from `head` on, `body` being the file's bytes
+/// from `head.from`: every frame must be whole, carry the LSN the walk
+/// expects and, if it counts, pass its sum; the first that does not ends
+/// the chain. Markers count, and so do the records they leave alive. A
+/// dead record (below the final base) was synced before the marker that
+/// killed it was written, so it cannot be torn: it is skipped by LSN,
+/// never summed or decoded. `Err(at)` when a surviving record framed at
+/// file offset `at` fails its sum or does not decode — the journal ends
+/// there, markers beyond it included, so the caller walks up to `at`.
+fn replay(body: &mut [u8], head: Head) -> Result<Replayed, u64> {
+    // Frame heads, and the markers whole: where the chain ends, and the
+    // final base its markers declare.
+    let (mut base, mut next_lsn, mut end) = (head.lsn, head.lsn, 0);
+    while let Some((lsn, len)) = frame_head(&body[end..]) {
+        if lsn != next_lsn {
             break;
         }
-        end = walk.offset();
+        match body[end + FRAME_HEAD..end + len].first().copied() {
+            Some(TAG_WAL_RECORD) => next_lsn += 1,
+            Some(TAG_WAL_TRUNCATE) if read_frame(&mut body[end..]).is_some() => {
+                let Some(declared) = marker_base(&body[end + FRAME_HEAD..end + len]) else {
+                    break;
+                };
+                base = base.max(declared);
+            }
+            _ => break,
+        }
+        end += len;
     }
 
-    // Number the records as the writer did and decode the survivors,
-    // each image copied once, out of `body` into its record.
+    // Sum and decode the survivors, each image copied once, out of
+    // `body` into its record.
     let mut records = Vec::new();
     let mut offsets = VecDeque::new();
-    let mut next_lsn = head.lsn;
-    let mut walk = frames(&body[..end]);
-    loop {
-        let at = head.from + walk.offset() as u64;
-        let Some(frame) = walk.next() else { break };
-        if let Some(declared) = marker_base(frame) {
-            // A rewritten journal's frames open with its marker: the
-            // numbering of what follows starts there.
-            next_lsn = next_lsn.max(declared);
-            continue;
-        }
-        if next_lsn >= base {
-            let Ok((record, _)) = codec::decode_slice(&frame[1..]) else {
-                return Err(at);
+    let mut at = 0;
+    while let Some((lsn, len)) = frame_head(&body[at..end]) {
+        if body[at + FRAME_HEAD] == TAG_WAL_RECORD && lsn >= base {
+            let whole = read_frame(&mut body[at..]).is_some();
+            let decoded = codec::decode_slice(&body[at + FRAME_HEAD + 1..at + len]);
+            let (true, Ok((record, _))) = (whole, decoded) else {
+                return Err(head.from + at as u64);
             };
             records.push(record);
-            offsets.push_back(at);
+            offsets.push_back(head.from + at as u64);
         }
-        next_lsn += 1;
+        at += len;
     }
     Ok(Replayed {
         base,
         records,
         offsets,
         end: head.from + end as u64,
+        next_lsn,
     })
 }
 
-/// The open `wal.journal`: where its frames are, and the buffer a batch
-/// is framed in before its one `write`.
+/// What a reopen finds in a `wal.journal` of `len` bytes that `read_at`
+/// reads: the head it walked from, the walk, and the bytes it read. Two
+/// reads: the head slot, then the file from where it points (from the
+/// first frame, if the slot is not trusted).
+fn reopen(
+    len: u64,
+    read_at: impl Fn(&mut [u8], u64) -> io::Result<()>,
+) -> io::Result<(Head, Replayed, u64)> {
+    let mut slot = [0; HEAD_LEN as usize];
+    read_at(&mut slot, 0)?;
+    let trusted = Head::decode(&slot).filter(|head| head.from <= len);
+    let from = trusted.map_or(HEAD_LEN, |head| head.from);
+    let mut body = vec![0; (len - from) as usize];
+    read_at(&mut body, from)?;
+    let head = trusted.unwrap_or_else(|| Head {
+        from,
+        lsn: read_frame(&mut body).map_or(0, |(lsn, _)| lsn),
+    });
+    let mut upto = body.len();
+    let replayed = loop {
+        match replay(&mut body[..upto], head) {
+            Ok(replayed) => break replayed,
+            Err(cut) => upto = (cut - head.from) as usize,
+        }
+    };
+    Ok((head, replayed, HEAD_LEN + body.len() as u64))
+}
+
+/// The open `wal.journal`: the chain of frames this process extends, and
+/// the buffer a batch is framed in before its one `write`.
+///
+/// Every write keeps one invariant: **no write touches a byte on the
+/// chain from the durable head to the last synced frame.** A batch goes
+/// behind the chain; a lap switch writes the head only to name frames
+/// already durable, and its copies only below the frames that head names.
+/// So wherever a crash lands, torn writes included, the durable head
+/// starts a chain that holds every record a [`LogSink::sync`] promised.
 struct Journal {
-    file: JournalFile,
+    file: File,
+    stats: Arc<JournalStats>,
     batch: Vec<u8>,
     /// What the head slot says, as far as this process wrote it or
     /// trusted it at load.
     head: Head,
+    /// Where the chain ends: where the next frame lands.
+    tail: u64,
+    /// How much of the chain the last [`Journal::sync`] made durable; 0
+    /// after a load, until the first one.
+    synced: u64,
+    /// Length of the file.
+    len: u64,
     /// LSN of the first retained record.
     base: u64,
+    /// LSN the next record gets.
+    next_lsn: u64,
     /// Offset of each retained record's frame, `base` onwards.
     offsets: VecDeque<u64>,
     /// `base` has grown since the file last said so: the marker declaring
@@ -675,76 +567,123 @@ struct Journal {
     /// when the sink is dropped). A marker that never lands only costs
     /// the next reopen some decoding.
     marker_owed: bool,
+    /// Every positioned write, in order, while a test that tears them
+    /// watches.
+    #[cfg(test)]
+    watched: Option<Vec<(u64, Vec<u8>)>>,
+    /// Below this offset, past the chain a load found, the process that
+    /// died may have left frames of a batch it never synced, numbered
+    /// with LSNs this process hands out again. Until the tail passes it,
+    /// every write ends in a [`FENCE`], and a lap switch zeroes what is
+    /// left of it before leaving it behind. 0 when nothing is owed.
+    fence_until: u64,
 }
 
 impl Journal {
-    fn over(file: JournalFile, head: Head, base: u64, offsets: VecDeque<u64>) -> Journal {
-        Journal {
-            file,
-            batch: Vec::new(),
-            head,
-            base,
-            offsets,
-            marker_owed: false,
-        }
-    }
-
     /// Offset of the first retained frame: where the next frame lands
     /// when nothing is retained.
     fn live_from(&self) -> u64 {
-        self.offsets.front().copied().unwrap_or(self.file.len)
+        self.offsets.front().copied().unwrap_or(self.tail)
     }
 
-    /// The one rule for when `wal.journal` is rewritten: only once the
-    /// dead frames exceed what would remain by [`FLOOR`] — the dead bytes
-    /// accumulated since the last rewrite pay for this one, and rewrites
-    /// stay rare however often the log is truncated. The new file is a
-    /// head slot naming its first frame, one marker declaring `base`
-    /// (which numbers the frames for a walk that cannot trust the slot),
-    /// then the live suffix as it stands, markers and all.
-    ///
-    /// Errors as [`JournalFile::replace`] and [`JournalFile::sync_dir`].
-    fn reclaim(&mut self) -> io::Result<()> {
-        let live_from = self.live_from();
-        let live = self.file.len - live_from;
-        if live_from < HEAD_LEN + live + FLOOR {
-            return Ok(());
+    /// The one place `wal.journal` is written.
+    fn write_at(&mut self, bytes: &[u8], at: u64) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(watched) = &mut self.watched {
+            watched.push((at, bytes.to_vec()));
         }
-        let head = Head {
-            from: HEAD_LEN,
-            lsn: self.base,
-        };
-        let mut image = head.encode().to_vec();
-        image.extend_from_slice(&marker_frame(self.base));
-        let kept = image.len();
-        image.resize(kept + live as usize, 0);
-        self.file
-            .file
-            .read_exact_at(&mut image[kept..], live_from)?;
-        self.file.replace(&image)?;
+        self.file.write_all_at(bytes, at)
+    }
+
+    /// Write `frames` at the tail (behind a [`FENCE`] while one is owed).
+    fn append(&mut self, frames: &mut Vec<u8>) -> io::Result<()> {
+        let end = self.tail + frames.len() as u64;
+        if end < self.fence_until {
+            frames.extend_from_slice(&FENCE);
+        } else {
+            self.fence_until = 0;
+        }
+        self.write_at(frames, self.tail)?;
+        self.stats.appends.inc();
+        self.len = self.len.max(self.tail + frames.len() as u64);
+        self.tail = end;
+        Ok(())
+    }
+
+    /// Make everything written so far stable.
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        self.stats.fsyncs.inc();
+        self.synced = self.tail;
+        Ok(())
+    }
+
+    /// Point the head slot at `head` and make it durable.
+    fn set_head(&mut self, head: Head) -> io::Result<()> {
+        self.write_at(&head.encode(), 0)?;
+        self.sync()?;
         self.head = head;
-        self.marker_owed = false;
-        let shift = live_from - kept as u64;
+        Ok(())
+    }
+
+    /// Does this force start a new lap? Only once the tail is [`LAP`]
+    /// into the file, everything written is durable, and a marker plus
+    /// the live frames fit below where those start now.
+    fn lap_due(&self) -> bool {
+        let live_from = self.live_from();
+        let front = HEAD_LEN + MARKER_FRAME_LEN as u64 + (self.tail - live_from);
+        self.tail >= LAP && self.synced == self.tail && front <= live_from
+    }
+
+    /// Start a new lap at the front of the file, in three durable steps;
+    /// a crash between any two, or tearing any one, leaves a head whose
+    /// chain holds the same records:
+    ///
+    /// 1. the head names the live frames where they are (durable: see
+    ///    [`Journal::lap_due`]);
+    /// 2. a marker declaring `base`, then the live frames byte for byte,
+    ///    are written at the front — below the frames step 1 named — and
+    ///    made durable;
+    /// 3. the head names the front.
+    ///
+    /// An untrusted head (torn in step 1 or 3) falls back to the first
+    /// frame: the previous lap's marker or this one's, each followed by a
+    /// whole chain. Behind the copies lie the previous lap's frames, whose
+    /// older LSNs end the walk until the next batch overwrites them.
+    fn new_lap(&mut self) -> io::Result<()> {
+        if self.fence_until > self.tail {
+            // What a dead process may have left past the chain: this lap
+            // leaves it behind, so it is zeroed first (durable with step
+            // 1).
+            let stale = vec![0; (self.fence_until - self.tail) as usize];
+            self.write_at(&stale, self.tail)?;
+            self.fence_until = 0;
+        }
+        let live_from = self.live_from();
+        self.set_head(Head {
+            from: live_from,
+            lsn: self.base,
+        })?;
+        let mut front = std::mem::take(&mut self.batch);
+        front.clear();
+        push_marker(&mut front, self.base, self.base);
+        let copied = front.len();
+        front.resize(copied + (self.tail - live_from) as usize, 0);
+        self.file.read_exact_at(&mut front[copied..], live_from)?;
+        self.write_at(&front, HEAD_LEN)?;
+        let shift = live_from - HEAD_LEN - copied as u64;
         for at in &mut self.offsets {
             *at -= shift;
         }
-        self.file.sync_dir()
-    }
-
-    /// Point the head slot at the first retained frame, once that has
-    /// moved [`HEAD_STEP`] past it and is durable: one positioned write,
-    /// no fsync of its own (the next [`JournalFile::sync`] carries it).
-    fn advance_head(&mut self) -> io::Result<()> {
-        let from = self.live_from();
-        if from < self.head.from + HEAD_STEP || from > self.file.synced {
-            return Ok(());
-        }
-        let head = Head {
-            from,
+        self.tail = HEAD_LEN + front.len() as u64;
+        self.batch = front;
+        self.marker_owed = false;
+        self.sync()?;
+        self.set_head(Head {
+            from: HEAD_LEN,
             lsn: self.base,
-        };
-        self.file.file.write_all_at(&head.encode(), 0)?;
-        self.head = head;
+        })?;
+        self.stats.laps.inc();
         Ok(())
     }
 }
@@ -761,87 +700,87 @@ impl FileLogSink {
         dir.join("wal.journal")
     }
 
+    /// The sink over `file`, `len` bytes long, whose chain from `head`
+    /// holds what `replayed` says.
+    fn over(
+        file: File,
+        len: u64,
+        head: Head,
+        replayed: Replayed,
+        read_at_load: u64,
+    ) -> FileLogSink {
+        let journal = Journal {
+            file,
+            stats: Arc::default(),
+            batch: Vec::new(),
+            head,
+            tail: replayed.end,
+            synced: 0,
+            len,
+            base: replayed.base,
+            next_lsn: replayed.next_lsn,
+            offsets: replayed.offsets,
+            marker_owed: false,
+            #[cfg(test)]
+            watched: None,
+            fence_until: if replayed.end < len { len } else { 0 },
+        };
+        FileLogSink {
+            journal: Mutex::new(journal),
+            read_at_load,
+        }
+    }
+
     /// Create an empty WAL journal: a head slot naming the frames that
     /// will follow it, durable before the manifest that makes the
     /// directory a database is written.
     pub(crate) fn create(dir: &Path) -> io::Result<FileLogSink> {
-        let mut file = JournalFile::open(FileLogSink::journal_path(dir), true)?;
-        file.append(&Head::START.encode())?;
-        file.sync()?;
-        Ok(FileLogSink {
-            journal: Mutex::new(Journal::over(file, Head::START, 0, VecDeque::new())),
-            read_at_load: 0,
-        })
-    }
-
-    /// Replay the WAL journal of a surviving database and return the sink,
-    /// positioned to append after the last whole frame, plus
-    /// `(base, records)` for
-    /// [`LogStore::restore`](rda_wal::LogStore::restore).
-    ///
-    /// Two reads: the head slot, then the file from where it points (from
-    /// the first frame, if it does not decode). A torn or undecodable tail
-    /// is cut off in place, a temporary file a kill left behind
-    /// mid-rewrite is removed, and the file is rewritten by the rule, and
-    /// the routine, every truncation uses (`Journal::reclaim`).
-    pub(crate) fn load(dir: &Path) -> io::Result<(FileLogSink, u64, Vec<LogRecord>)> {
-        let path = FileLogSink::journal_path(dir);
-        // Killed between creating the temporary file and renaming it: the
-        // journal proper is whole, the leftover is not.
-        match std::fs::remove_file(tmp_path(&path)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
-        }
-        let mut file = JournalFile::open(path, false)?;
-        let mut slot = [0; HEAD_LEN as usize];
-        file.file.read_exact_at(&mut slot, 0)?;
-        let head = Head::decode(&slot)
-            .filter(|head| head.from <= file.len)
-            .unwrap_or(Head::START);
-        let mut body = vec![0; (file.len - head.from) as usize];
-        file.file.read_exact_at(&mut body, head.from)?;
-        let mut upto = body.len();
-        let Replayed {
-            base,
-            records,
-            offsets,
-            end,
-        } = loop {
-            match replay(&body[..upto], head) {
-                Ok(replayed) => break replayed,
-                Err(cut) => upto = (cut - head.from) as usize,
-            }
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(FileLogSink::journal_path(dir))?;
+        file.write_all_at(&Head::START.encode(), 0)?;
+        file.sync_data()?;
+        let empty = Replayed {
+            base: 0,
+            records: Vec::new(),
+            offsets: VecDeque::new(),
+            end: HEAD_LEN,
+            next_lsn: 0,
         };
-        if end < file.len {
-            file.file.set_len(end)?;
-            file.len = end;
-        }
-        let read_at_load = HEAD_LEN + body.len() as u64;
-        drop(body);
-        let mut journal = Journal::over(file, head, base, offsets);
-        journal.reclaim()?;
-        let journal = Mutex::new(journal);
-        Ok((
-            FileLogSink {
-                journal,
-                read_at_load,
-            },
-            base,
-            records,
-        ))
+        Ok(FileLogSink::over(file, HEAD_LEN, Head::START, empty, 0))
     }
 
-    /// Tallies of this journal's rewrites, for the metrics registry.
+    /// Walk the WAL journal of a surviving database and return the sink,
+    /// positioned to write behind the chain's last frame, plus `(base,
+    /// records)` for [`LogStore::restore`](rda_wal::LogStore::restore).
+    /// Two reads (see [`reopen`]), no write.
+    pub(crate) fn load(dir: &Path) -> io::Result<(FileLogSink, u64, Vec<LogRecord>)> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(FileLogSink::journal_path(dir))?;
+        let len = file.metadata()?.len();
+        let (head, mut replayed, read) = reopen(len, |buf, at| file.read_exact_at(buf, at))?;
+        let (base, records) = (replayed.base, std::mem::take(&mut replayed.records));
+        let sink = FileLogSink::over(file, len, head, replayed, read);
+        Ok((sink, base, records))
+    }
+
+    /// Tallies of this journal's batches, fsyncs and laps, for the metrics
+    /// registry.
     pub(crate) fn stats(&self) -> Arc<JournalStats> {
-        Arc::clone(&self.journal.lock().file.stats)
+        Arc::clone(&self.journal.lock().stats)
     }
 
     /// Current length of `wal.journal`.
     pub(crate) fn journal_bytes(&self) -> u64 {
-        self.journal.lock().file.len
+        self.journal.lock().len
     }
 
-    /// Bytes of `wal.journal` the reopen read: its head slot and the log
+    /// Bytes of `wal.journal` the reopen read: its head slot and the file
     /// from where that points; 0 for a created journal.
     pub(crate) fn read_at_load(&self) -> u64 {
         self.read_at_load
@@ -851,26 +790,33 @@ impl FileLogSink {
 impl LogSink for FileLogSink {
     fn append_batch(&self, records: &[LogRecord]) {
         let mut journal = self.journal.lock();
+        let journal = &mut *journal;
+        if journal.lap_due() {
+            if let Err(e) = journal.new_lap() {
+                panic!("wal journal lap switch failed, durability is lost: {e}");
+            }
+        }
         let mut batch = std::mem::take(&mut journal.batch);
         batch.clear();
         if std::mem::take(&mut journal.marker_owed) {
-            batch.extend_from_slice(&marker_frame(journal.base));
+            push_marker(&mut batch, journal.next_lsn, journal.base);
         }
         for record in records {
-            let at = journal.file.len + batch.len() as u64;
-            journal.offsets.push_back(at);
-            batch.extend_from_slice(&(1 + codec::encoded_len(record) as u32).to_le_bytes());
+            journal.offsets.push_back(journal.tail + batch.len() as u64);
+            let at = open_frame(&mut batch, journal.next_lsn);
             batch.push(TAG_WAL_RECORD);
             codec::encode(record, &mut batch);
+            seal_frame(&mut batch, at);
+            journal.next_lsn += 1;
         }
-        if let Err(e) = journal.file.append(&batch) {
+        if let Err(e) = journal.append(&mut batch) {
             panic!("wal journal append failed, durability is lost: {e}");
         }
         journal.batch = batch;
     }
 
     fn sync(&self) {
-        if let Err(e) = self.journal.lock().file.sync() {
+        if let Err(e) = self.journal.lock().sync() {
             panic!("wal journal sync failed, durability is lost: {e}");
         }
     }
@@ -887,10 +833,6 @@ impl LogSink for FileLogSink {
         journal.base = new_base;
         // No write of its own: the marker rides with the next batch.
         journal.marker_owed = true;
-        // Failing either costs the next reopen time, never a record: the
-        // slot keeps naming a frame at or before the live log.
-        let reclaimed = journal.reclaim().and_then(|()| journal.advance_head());
-        journal.file.note_rewrite(&reclaimed);
     }
 }
 
@@ -900,7 +842,9 @@ impl Drop for FileLogSink {
     fn drop(&mut self) {
         let journal = self.journal.get_mut();
         if journal.marker_owed {
-            let _ = journal.file.append(&marker_frame(journal.base));
+            let mut marker = Vec::with_capacity(MARKER_FRAME_LEN + FRAME_HEAD);
+            push_marker(&mut marker, journal.next_lsn, journal.base);
+            let _ = journal.append(&mut marker);
         }
     }
 }
@@ -1050,22 +994,29 @@ mod tests {
         ids.map(|i| LogRecord::Bot { txn: TxnId(i) }).collect()
     }
 
-    /// Length of one framed `Bot` record: prefix + tag + 9 encoded bytes.
-    const BOT_FRAME: usize = 4 + 1 + 9;
+    /// Length of one framed `Bot` record: frame head + tag + 9 encoded
+    /// bytes.
+    const BOT_FRAME: usize = FRAME_HEAD + 1 + 9;
 
-    /// Records with a 1 MiB image each: nine dead ones clear [`FLOOR`].
-    fn fats(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
+    /// Records with a `size`-byte image each, the image telling them
+    /// apart.
+    fn images(ids: std::ops::Range<u64>, size: usize) -> Vec<LogRecord> {
         ids.map(|i| LogRecord::AfterImage {
             txn: TxnId(i),
             page: DataPageId(0),
-            image: vec![i as u8; 1 << 20],
+            image: vec![i as u8; size],
         })
         .collect()
     }
 
-    /// Length of one framed [`fats`] record: prefix + tag + 17 bytes of
-    /// record header + the image.
-    const FAT_FRAME: usize = 4 + 1 + 17 + (1 << 20);
+    /// Records with a 4 000-byte image each: a transaction's after-images.
+    fn pages(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
+        images(ids, 4000)
+    }
+
+    /// Length of one framed [`pages`] record: frame head + tag + 17 bytes
+    /// of record header + the image.
+    const PAGE_FRAME: usize = FRAME_HEAD + 1 + 17 + 4000;
 
     /// A fresh `wal.journal` holding `records`, closed.
     fn wal_with(tag: &str, records: &[LogRecord]) -> PathBuf {
@@ -1081,6 +1032,7 @@ mod tests {
     }
 
     fn append_raw(dir: &Path, bytes: &[u8]) {
+        use std::io::Write as _;
         let mut f = OpenOptions::new()
             .append(true)
             .open(FileLogSink::journal_path(dir))
@@ -1088,30 +1040,82 @@ mod tests {
         f.write_all(bytes).unwrap();
     }
 
-    fn wal_rewrites(sink: &FileLogSink) -> (u64, u64) {
-        let stats = sink.stats();
-        (stats.rewrites.get(), stats.rewrite_failures.get())
+    /// One sealed frame numbered `lsn` around `payload`.
+    fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let at = open_frame(&mut out, lsn);
+        out.extend_from_slice(payload);
+        seal_frame(&mut out, at);
+        out
+    }
+
+    /// `record` framed as the sink frames it, numbered `lsn`.
+    fn record_frame(lsn: u64, record: &LogRecord) -> Vec<u8> {
+        let mut payload = vec![TAG_WAL_RECORD];
+        codec::encode(record, &mut payload);
+        frame(lsn, &payload)
     }
 
     /// Bytes before a journal's first frame.
     const H: usize = HEAD_LEN as usize;
 
-    /// What a rewrite to `base` makes of the live bytes `suffix`: a slot
-    /// naming the first frame, the marker numbering it, the suffix.
-    fn rewritten(base: u64, suffix: &[u8]) -> Vec<u8> {
-        let head = Head {
-            from: HEAD_LEN,
-            lsn: base,
+    /// What a reopen of the `wal.journal` image `bytes` walks from, and
+    /// finds: the code path of [`FileLogSink::load`], over memory.
+    fn reopen_image(bytes: &[u8]) -> (Head, Replayed) {
+        let read_at = |buf: &mut [u8], at: u64| {
+            buf.copy_from_slice(&bytes[at as usize..][..buf.len()]);
+            Ok(())
         };
-        let mut image = head.encode().to_vec();
-        image.extend_from_slice(&marker_frame(base));
-        image.extend_from_slice(suffix);
-        image
+        let (head, replayed, _) = reopen(bytes.len() as u64, read_at).unwrap();
+        (head, replayed)
+    }
+
+    /// `(base, records)` a reopen of the image `bytes` finds.
+    fn log_of(bytes: &[u8]) -> (u64, Vec<LogRecord>) {
+        let (_, walked) = reopen_image(bytes);
+        (walked.base, walked.records)
     }
 
     /// The head slot a journal's bytes open with, if it decodes.
     fn slot_of(bytes: &[u8]) -> Option<Head> {
         Head::decode(bytes[..H].try_into().unwrap())
+    }
+
+    /// What the sink believes about its file is what a reopen of it
+    /// finds, but for the records an owed marker has yet to declare dead.
+    fn assert_matches_a_fresh_walk(sink: &FileLogSink, dir: &Path) {
+        let bytes = wal_bytes(dir);
+        let journal = sink.journal.lock();
+        let (head, mut fresh) = reopen_image(&bytes);
+        assert_eq!(slot_of(&bytes), Some(journal.head));
+        assert_eq!(head, journal.head);
+        assert_eq!(journal.len, bytes.len() as u64);
+        if journal.marker_owed {
+            let dead = (journal.base - fresh.base) as usize;
+            fresh.offsets.drain(..dead);
+            fresh.base = journal.base;
+        }
+        assert_eq!(
+            (
+                journal.tail,
+                journal.base,
+                journal.next_lsn,
+                &journal.offsets
+            ),
+            (fresh.end, fresh.base, fresh.next_lsn, &fresh.offsets)
+        );
+    }
+
+    /// Commit `c` as the engine does it under FORCE: its four records
+    /// (LSNs `4c..4c + 4`) appended and forced, then truncated away.
+    fn commit(sink: &FileLogSink, c: u64) {
+        sink.append_batch(&pages(4 * c..4 * c + 4));
+        sink.sync();
+        sink.truncated(4 * c + 4);
+    }
+
+    fn laps(sink: &FileLogSink) -> u64 {
+        sink.stats().laps.get()
     }
 
     #[test]
@@ -1127,23 +1131,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Same bytes on disk as one frame per record: length, LSN, the sum
+    /// of both with the payload, then tag and record.
     #[test]
     fn batch_is_framed_record_by_record_in_one_buffer() {
-        // Same bytes on disk as one frame per record: prefix, tag, record.
         let dir = wal_with("wal-bytes", &bots(0..2));
         let mut expect = Head::START.encode().to_vec();
-        for record in bots(0..2) {
-            let mut enc = Vec::new();
-            codec::encode(&record, &mut enc);
-            let mut payload = vec![TAG_WAL_RECORD];
-            payload.extend_from_slice(&enc);
-            push_frame(&mut expect, &payload);
+        for (lsn, record) in bots(0..2).iter().enumerate() {
+            expect.extend_from_slice(&record_frame(lsn as u64, record));
         }
-        assert_eq!(wal_bytes(&dir), expect);
+        let bytes = wal_bytes(&dir);
+        assert_eq!(bytes, expect);
         assert_eq!(expect.len(), H + 2 * BOT_FRAME);
+        // The sum covers the LSN, the length and the payload.
+        for flip in [H, H + 4, H + 12, H + FRAME_HEAD] {
+            let mut torn = bytes[H..H + BOT_FRAME].to_vec();
+            torn[flip - H] ^= 1;
+            assert_eq!(read_frame(&mut torn), None, "byte {flip}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
-        let dir = wal_with("wal-bytes-fat", &fats(3..4));
-        assert_eq!(wal_bytes(&dir).len(), H + FAT_FRAME);
+        let dir = wal_with("wal-bytes-page", &pages(3..4));
+        assert_eq!(wal_bytes(&dir).len(), H + PAGE_FRAME);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1154,7 +1162,6 @@ mod tests {
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (0, bots(0..5)));
         assert_eq!(wal_bytes(&dir), before);
-        assert!(!dir.join("wal.journal.tmp").exists(), "nothing to rewrite");
         // Appends resume at the end of the untouched file.
         sink.append_batch(&bots(5..6));
         assert_eq!(wal_bytes(&dir)[..before.len()], before[..]);
@@ -1164,20 +1171,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A kill mid-append leaves a frame promising more than was written.
+    /// The reopen leaves it where it is; the next batch overwrites it.
     #[test]
-    fn torn_tail_is_cut_and_appends_resume_there() {
+    fn torn_tail_is_left_in_place_and_the_next_batch_overwrites_it() {
         let dir = wal_with("wal-torn", &bots(0..3));
-        // A kill mid-append: a prefix promising more than was written.
-        append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
+        let torn = &record_frame(3, &pages(3..4)[0])[..300];
+        append_raw(&dir, torn);
+        let before = wal_bytes(&dir);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (0, bots(0..3)));
-        assert_eq!(
-            wal_bytes(&dir).len(),
-            H + 3 * BOT_FRAME,
-            "tail cut in place"
-        );
-        // Without the cut this record would sit behind the torn frame
-        // and vanish on the next reopen.
+        assert!(wal_bytes(&dir) == before, "the reopen wrote nothing");
+        assert_matches_a_fresh_walk(&sink, &dir);
         sink.append_batch(&bots(3..4));
         drop(sink);
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
@@ -1185,63 +1190,78 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The chain ends at the first frame that fails its sum, carries
+    /// another LSN, or is whole but no record: everything behind it is
+    /// past the journal's end, valid frames and markers included.
     #[test]
     fn corrupt_frame_ends_the_journal_with_everything_behind_it() {
-        let dir = wal_with("wal-corrupt", &bots(0..2));
-        // A whole frame that is no record, then a valid record and a
-        // marker behind it: all three are past the journal's end.
-        let mut tail = Vec::new();
-        push_frame(&mut tail, &[TAG_WAL_RECORD, 0xFF, 0xFF]);
-        tail.extend_from_slice(&wal_bytes(&dir)[H..H + BOT_FRAME]);
-        push_frame(&mut tail, &marker(2));
-        append_raw(&dir, &tail);
-        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (0, bots(0..2)), "marker not honoured");
-        assert_eq!(wal_bytes(&dir).len(), H + 2 * BOT_FRAME);
-        sink.append_batch(&bots(2..3));
-        drop(sink);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (0, bots(0..3)));
-        let _ = std::fs::remove_dir_all(&dir);
+        // A record, then a marker that would kill record 0 if honoured.
+        let behind = |lsn: u64| {
+            let mut tail = record_frame(lsn, &bots(9..10)[0]);
+            push_marker(&mut tail, lsn + 1, 1);
+            tail
+        };
+        let mut torn = record_frame(2, &bots(2..3)[0]);
+        torn[FRAME_HEAD] ^= 0x40;
+        let cases: [(&str, Vec<u8>); 4] = [
+            ("fails its sum", torn),
+            ("another LSN", record_frame(5, &bots(2..3)[0])),
+            (
+                "undecodable record",
+                frame(2, &[TAG_WAL_RECORD, 0xFF, 0xFF]),
+            ),
+            ("unknown tag", frame(2, &[99, 0])),
+        ];
+        for (n, (case, bad)) in cases.into_iter().enumerate() {
+            let dir = wal_with(&format!("wal-corrupt-{n}"), &bots(0..2));
+            let mut tail = bad.clone();
+            tail.extend_from_slice(&behind(3));
+            append_raw(&dir, &tail);
+            let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+            assert_eq!((base, survivors), (0, bots(0..2)), "{case}");
+            assert_eq!(sink.journal.lock().tail, (H + 2 * BOT_FRAME) as u64);
+            sink.append_batch(&bots(2..3));
+            drop(sink);
+            let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+            assert_eq!((base, survivors), (0, bots(0..3)), "{case}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
+    /// A dead record's frame is skipped by LSN, never summed or decoded:
+    /// one that would not decode, or whose payload was scribbled over,
+    /// costs the reopen nothing. Live, either ends the journal in front of
+    /// it.
     #[test]
     fn dead_records_are_skipped_not_decoded() {
-        let dir = wal_with("wal-dead", &bots(0..4));
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(3);
-        drop(sink);
-        // Scribble over dead record 1's payload (tag kept, framing kept):
-        // it is below the base, so nothing ever looks inside it.
-        let mut bytes = wal_bytes(&dir);
-        bytes[H + BOT_FRAME + 5..H + 2 * BOT_FRAME].fill(0xFF);
-        std::fs::write(FileLogSink::journal_path(&dir), &bytes).unwrap();
+        let dir = tmpdir("wal-dead");
+        let path = FileLogSink::journal_path(&dir);
+        let mut scribbled = record_frame(2, &bots(2..3)[0]);
+        scribbled[FRAME_HEAD + 1..].fill(0xFF);
+        let mut bytes = Head::START.encode().to_vec();
+        bytes.extend_from_slice(&record_frame(0, &bots(0..1)[0]));
+        bytes.extend_from_slice(&frame(1, &[TAG_WAL_RECORD, 0xFF, 0xFF]));
+        bytes.extend_from_slice(&scribbled);
+        bytes.extend_from_slice(&record_frame(3, &bots(3..4)[0]));
+        std::fs::write(&path, &bytes).unwrap();
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..1)));
+        let mut marker = Vec::new();
+        push_marker(&mut marker, 4, 2);
+        bytes.extend_from_slice(&marker);
+        std::fs::write(&path, &bytes).unwrap();
+        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        // Record 2 is live and torn: the journal, and the marker, end in
+        // front of it, so record 1 is live and ends it earlier still.
+        assert_eq!((base, survivors), (0, bots(0..1)));
+        bytes.truncate(bytes.len() - MARKER_FRAME_LEN);
+        let mut marker = Vec::new();
+        push_marker(&mut marker, 4, 3);
+        bytes.extend_from_slice(&marker);
+        std::fs::write(&path, &bytes).unwrap();
         let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!((base, survivors), (3, bots(3..4)));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// What the sink believes about its file is what the slot says and
-    /// a fresh walk from there finds.
-    fn assert_matches_a_fresh_walk(sink: &FileLogSink, dir: &Path) {
-        let bytes = wal_bytes(dir);
-        let journal = sink.journal.lock();
-        assert_eq!(slot_of(&bytes), Some(journal.head));
-        let fresh = replay(&bytes[journal.head.from as usize..], journal.head)
-            .expect("every surviving record decodes");
-        assert_eq!(
-            fresh.end,
-            bytes.len() as u64,
-            "no torn tail left in the file"
-        );
-        assert_eq!(
-            (journal.file.len, journal.base, &journal.offsets),
-            (fresh.end, fresh.base, &fresh.offsets)
-        );
-    }
-
-    fn tmp_exists(dir: &Path) -> bool {
-        tmp_path(&FileLogSink::journal_path(dir)).exists()
     }
 
     #[test]
@@ -1249,64 +1269,37 @@ mod tests {
         let dir = tmpdir("wal-markers");
         let sink = FileLogSink::create(&dir).unwrap();
         // Record i is LSN i in this history.
-        sink.append_batch(&fats(0..10));
+        sink.append_batch(&bots(0..10));
         sink.truncated(4);
-        // Four dead records against six live: the file stays as it is,
-        // and the marker waits for the next batch, whose one write it
-        // heads.
-        assert_eq!(wal_bytes(&dir).len(), H + 10 * FAT_FRAME);
-        sink.append_batch(&fats(10..14));
-        let before = wal_bytes(&dir);
-        assert_eq!(before.len(), H + 14 * FAT_FRAME + MARKER_FRAME_LEN);
-        assert!(before[H + 10 * FAT_FRAME..][..MARKER_FRAME_LEN] == marker_frame(4)[..]);
+        // The truncation writes nothing: its marker waits for the next
+        // batch, whose one write it heads.
+        assert_eq!(wal_bytes(&dir).len(), H + 10 * BOT_FRAME);
+        sink.append_batch(&bots(10..14));
+        let bytes = wal_bytes(&dir);
+        assert_eq!(bytes.len(), H + 14 * BOT_FRAME + MARKER_FRAME_LEN);
+        let mut marker = Vec::new();
+        push_marker(&mut marker, 10, 4);
+        assert!(bytes[H + 10 * BOT_FRAME..][..MARKER_FRAME_LEN] == marker[..]);
         assert_matches_a_fresh_walk(&sink, &dir);
         sink.truncated(13);
-        // Thirteen dead against one: rewritten under the running sink to
-        // its own slot and marker plus everything from record 13 on.
-        let expect = rewritten(13, &before[H + 13 * FAT_FRAME + MARKER_FRAME_LEN..]);
-        assert!(wal_bytes(&dir) == expect);
-        assert_eq!(wal_rewrites(&sink), (1, 0));
-        assert_matches_a_fresh_walk(&sink, &dir);
-        sink.append_batch(&bots(14..15));
         // The store's base only grows; a stale call changes nothing.
         sink.truncated(6);
-        sink.append_batch(&bots(15..16));
-        assert_eq!(wal_bytes(&dir).len(), expect.len() + 2 * BOT_FRAME);
+        sink.append_batch(&bots(14..16));
         assert_matches_a_fresh_walk(&sink, &dir);
         drop(sink);
 
-        // The numbering continues through the rewrite and a reopen...
-        let len = wal_bytes(&dir).len();
+        // The numbering continues through a reopen...
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        let mut from_13 = fats(13..14);
-        from_13.extend(bots(14..16));
-        assert_eq!(base, 13);
-        assert!(survivors == from_13);
-        assert_eq!(wal_bytes(&dir).len(), len);
+        assert_eq!((base, survivors), (13, bots(13..16)));
         sink.append_batch(&bots(16..18));
-        // ...through a truncation that leaves the file alone (1 MiB dead,
-        // far below the floor), whose marker a clean close writes out...
-        sink.truncated(14);
-        assert_eq!(wal_bytes(&dir).len(), len + 2 * BOT_FRAME);
+        // ...and through a truncation whose marker a clean close writes.
+        sink.truncated(17);
+        let len = wal_bytes(&dir).len();
         drop(sink);
-        assert_eq!(
-            wal_bytes(&dir).len(),
-            len + 2 * BOT_FRAME + MARKER_FRAME_LEN
-        );
+        assert_eq!(wal_bytes(&dir).len(), len + MARKER_FRAME_LEN);
         let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (14, bots(14..18)));
+        assert_eq!((base, survivors), (17, bots(17..18)));
         assert_matches_a_fresh_walk(&sink, &dir);
-        // ...and through a second rewrite by the reopened sink: record 27.
-        sink.append_batch(&fats(18..28));
-        let before = wal_bytes(&dir);
-        sink.truncated(27);
-        let expect = rewritten(27, &before[before.len() - FAT_FRAME..]);
-        assert!(wal_bytes(&dir) == expect);
-        assert_matches_a_fresh_walk(&sink, &dir);
-        drop(sink);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(base, 27);
-        assert!(survivors == fats(27..28));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1325,67 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_is_rewritten_only_past_the_floor() {
-        // Ten 1 MiB records, then some small ones, then a truncation to
-        // record 9: 9·F dead bytes against F + 14·k live ones, F = 1 MiB +
-        // 22. The rewrite needs dead ≥ live + 8 MiB, i.e. 176 ≥ 14·k.
-        // k = 13 falls six bytes short: the truncation writes nothing.
-        let mut records = fats(0..10);
-        records.extend(bots(10..23));
-        let dir = wal_with("wal-keep", &records);
-        let before = wal_bytes(&dir);
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(9);
-        assert!(wal_bytes(&dir) == before);
-        assert!(!tmp_exists(&dir));
-        assert_eq!(wal_rewrites(&sink), (0, 0));
-        // The close writes the marker out. Nor does the reopen rewrite,
-        // by the same rule.
-        drop(sink);
-        let mut expect = before.clone();
-        expect.extend_from_slice(&marker_frame(9));
-        assert!(wal_bytes(&dir) == expect);
-        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(base, 9);
-        assert!(survivors == records[9..]);
-        assert!(wal_bytes(&dir) == expect);
-        assert!(!tmp_exists(&dir));
-        assert_eq!(wal_rewrites(&sink), (0, 0));
-        assert_matches_a_fresh_walk(&sink, &dir);
-        drop(sink);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // k = 12 pays (176 ≥ 168): the file becomes a slot and one marker
-        // plus the live suffix exactly as it stood (record 9 and the small
-        // ones), and says the same thing.
-        records.pop();
-        let dir = wal_with("wal-rewrite", &records);
-        let before = wal_bytes(&dir);
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.truncated(9);
-        let expect = rewritten(9, &before[H + 9 * FAT_FRAME..]);
-        assert!(wal_bytes(&dir) == expect);
-        assert!(!tmp_exists(&dir), "renamed into place");
-        assert_eq!(wal_rewrites(&sink), (1, 0));
-        assert_eq!(sink.journal_bytes(), expect.len() as u64);
-        assert_matches_a_fresh_walk(&sink, &dir);
-        // Appends land behind it and a reopen leaves it alone.
-        sink.append_batch(&bots(22..23));
-        sink.sync();
-        drop(sink);
-        let grown = wal_bytes(&dir);
-        assert!(grown[..expect.len()] == expect[..]);
-        assert_eq!(grown.len(), expect.len() + BOT_FRAME, "no marker owed");
-        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        records.extend(bots(22..23));
-        assert_eq!(base, 9);
-        assert!(survivors == records[9..]);
-        assert!(wal_bytes(&dir) == grown, "a rewritten journal is stable");
-        assert_matches_a_fresh_walk(&sink, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn offsets_after_load_agree_with_a_fresh_walk() {
         // Plain: nothing dead, nothing torn.
         let dir = wal_with("wal-offsets-plain", &bots(0..5));
@@ -1394,292 +1326,276 @@ mod tests {
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Tail cut: the offsets describe the shortened file.
-        let dir = wal_with("wal-offsets-cut", &bots(0..5));
-        append_raw(&dir, &[200, 0, 0, 0, TAG_WAL_RECORD, 1, 2]);
+        // Torn tail: the chain ends in front of it.
+        let dir = wal_with("wal-offsets-torn", &bots(0..5));
+        append_raw(&dir, &[200, 0, 0, 0, 7, 1, 2]);
         let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(sink.journal.lock().file.len, (H + 5 * BOT_FRAME) as u64);
+        assert_eq!(sink.journal.lock().tail, (H + 5 * BOT_FRAME) as u64);
         assert_matches_a_fresh_walk(&sink, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Rewritten by the load itself: the offsets describe the new file,
-        // and the next batch lands where they say.
-        let dir = wal_with("wal-offsets-rewritten", &fats(0..10));
-        append_raw(&dir, &marker_frame(9));
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        assert_eq!(sink.journal.lock().offsets, [(H + MARKER_FRAME_LEN) as u64]);
-        assert_matches_a_fresh_walk(&sink, &dir);
-        sink.append_batch(&bots(10..12));
-        assert_matches_a_fresh_walk(&sink, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A process killed anywhere in a truncation's rewrite reopens to the
-    /// same log. The three states the directory can be left in are built
-    /// by hand here; `tests/kill_process.rs` finds them with SIGKILL.
-    #[test]
-    fn every_kill_window_of_a_rewrite_reopens_to_the_same_log() {
-        let src = wal_with("wal-window-src", &fats(0..10));
-        let mut marked = wal_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-        marked.extend_from_slice(&marker_frame(9));
-        let rewritten = rewritten(9, &marked[H + 9 * FAT_FRAME..]);
-
-        let (marked, rewritten) = (&marked[..], &rewritten[..]);
-        let windows = [
-            ("marker appended, no tmp", marked, None),
-            ("tmp half written", marked, Some(&rewritten[..20])),
-            ("tmp complete, not renamed", marked, Some(rewritten)),
-            ("renamed", rewritten, None),
-        ];
-        for (n, (window, journal, tmp)) in windows.into_iter().enumerate() {
-            let dir = tmpdir(&format!("wal-window-{n}"));
-            let path = FileLogSink::journal_path(&dir);
-            std::fs::write(&path, journal).unwrap();
-            if let Some(tmp) = tmp {
-                std::fs::write(tmp_path(&path), tmp).unwrap();
-            }
-            let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-            assert_eq!(base, 9, "{window}");
-            assert!(survivors == fats(9..10), "{window}");
-            assert!(!tmp_exists(&dir), "{window}: stale tmp removed");
-            assert!(wal_bytes(&dir) == rewritten, "{window}");
-            // And the log carries on from there.
-            sink.append_batch(&bots(10..11));
-            sink.sync();
-            drop(sink);
-            let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-            assert_eq!((base, survivors.len()), (9, 2), "{window}");
-            assert_eq!(survivors[1..], bots(10..11)[..], "{window}");
-            let _ = std::fs::remove_dir_all(&dir);
+        // Several laps in, with a live transaction: the offsets describe
+        // the copies at the front, and the next batch lands where they say.
+        let dir = tmpdir("wal-offsets-lapped");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let mut c = 0;
+        while laps(&sink) < 2 {
+            commit(&sink, c);
+            c += 1;
         }
+        sink.append_batch(&pages(4 * c..4 * c + 2));
+        sink.sync();
+        drop(sink);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (4 * c, pages(4 * c..4 * c + 2)));
+        assert_matches_a_fresh_walk(&sink, &dir);
+        sink.append_batch(&bots(4 * c + 2..4 * c + 4));
+        assert_matches_a_fresh_walk(&sink, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Commit after commit under FORCE: the journal runs in laps of
+    /// [`LAP`], each new lap starting at the front with the marker and
+    /// nothing else live, so the file stays within a lap and one commit,
+    /// and every reopen along the way finds the log the sink holds.
     #[test]
-    fn failed_rewrite_keeps_the_old_journal_appending_and_recovering() {
-        let dir = wal_with("wal-rewrite-fails", &fats(0..10));
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        let old = wal_bytes(&dir);
-        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
-        // Does not panic: the base moved, the rewrite did not happen —
-        // and that is counted, not swallowed.
-        sink.truncated(9);
-        assert!(wal_bytes(&dir) == old, "old file, untouched");
-        assert!(!tmp_exists(&dir), "the failed attempt is cleaned up");
-        assert_eq!(wal_rewrites(&sink), (0, 1));
-        // The old file keeps taking forced appends, the owed marker
-        // heading the batch...
-        sink.append_batch(&bots(10..11));
-        sink.sync();
-        let mut expect = old.clone();
-        expect.extend_from_slice(&marker_frame(9));
-        assert!(wal_bytes(&dir)[..expect.len()] == expect[..]);
-        assert_eq!(wal_bytes(&dir).len(), expect.len() + BOT_FRAME);
+    fn laps_reuse_the_front_of_the_file() {
+        let dir = tmpdir("wal-laps");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let one_commit = (4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64;
+        let mut c = 0;
+        while laps(&sink) < 6 {
+            let before = laps(&sink);
+            commit(&sink, c);
+            let len = wal_bytes(&dir).len() as u64;
+            assert!(len <= LAP + one_commit, "commit {c}: {len} bytes");
+            assert_eq!(sink.journal_bytes(), len);
+            if laps(&sink) > before {
+                // The lap opened with its marker, the batch behind it.
+                let journal = sink.journal.lock();
+                assert_eq!(
+                    journal.head,
+                    Head {
+                        from: HEAD_LEN,
+                        lsn: 4 * c
+                    }
+                );
+                assert_eq!(journal.tail, HEAD_LEN + one_commit);
+            }
+            c += 1;
+        }
         assert_matches_a_fresh_walk(&sink, &dir);
-        // ...the next truncation tries again, and once the fault is gone
-        // it succeeds.
-        sink.truncated(10);
-        assert_eq!(wal_bytes(&dir).len(), expect.len() + BOT_FRAME);
-        assert_eq!(wal_rewrites(&sink), (0, 2));
-        sink.journal.lock().file.fail_rewrite = None;
-        sink.append_batch(&bots(11..12));
-        sink.truncated(11);
-        // Its own slot, marker and record 11.
-        assert_eq!(wal_bytes(&dir).len(), H + MARKER_FRAME_LEN + BOT_FRAME);
-        assert_eq!(wal_rewrites(&sink), (1, 2));
-        assert_matches_a_fresh_walk(&sink, &dir);
-        drop(sink);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors), (11, bots(11..12)));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Killed while the rewrite was failing: the old file recovers.
-        let dir = wal_with("wal-rewrite-fails-kill", &fats(0..10));
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::TmpSync);
-        sink.truncated(9);
-        sink.append_batch(&bots(10..11));
+        // Three fsyncs per lap, one per commit.
+        assert_eq!(sink.stats().fsyncs.get(), c + 3 * 6);
+        assert_eq!(sink.stats().appends.get(), c);
+        // A reopen reads at most the file and finds the open transaction.
+        sink.append_batch(&pages(4 * c..4 * c + 2));
         sink.sync();
         std::mem::forget(sink);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors.len()), (9, 2));
-        assert_eq!(survivors[1..], bots(10..11)[..]);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (4 * c, pages(4 * c..4 * c + 2)));
+        assert!(sink.read_at_load() <= LAP + one_commit);
+        assert_eq!(sink.journal_bytes(), wal_bytes(&dir).len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A transaction that stays open pins the log: the live frames do not
+    /// fit below themselves, so the lap keeps going and the file grows;
+    /// once the pin goes, the next force starts a lap, and the file
+    /// grows no further.
     #[test]
-    fn unsynced_rename_is_made_durable_before_the_next_ack() {
-        let dir = wal_with("wal-dirsync", &fats(0..10));
-        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
-        sink.journal.lock().file.fail_rewrite = Some(FailRewrite::DirSync);
-        // The rename happened, so the new file is the journal; what is
-        // owed is the directory fsync.
-        sink.truncated(9);
-        assert_eq!(wal_bytes(&dir).len(), H + MARKER_FRAME_LEN + FAT_FRAME);
-        assert!(!sink.journal.lock().file.dir_synced);
-        assert_eq!(wal_rewrites(&sink), (1, 1));
+    fn a_live_log_that_does_not_fit_keeps_the_lap_going() {
+        let dir = tmpdir("wal-pinned");
+        let sink = FileLogSink::create(&dir).unwrap();
+        // `n` records forced, then the log truncated to `keep_from`, or
+        // to its end.
+        let force = |lsn: &mut u64, n: u64, keep_from: Option<u64>| {
+            sink.append_batch(&pages(*lsn..*lsn + n));
+            sink.sync();
+            *lsn += n;
+            sink.truncated(keep_from.unwrap_or(*lsn));
+        };
+        let mut lsn = 0;
+        // A pinned transaction a quarter into the first lap.
+        while wal_bytes(&dir).len() < (LAP / 4) as usize {
+            force(&mut lsn, 4, None);
+        }
+        let pin = lsn;
+        force(&mut lsn, 1, Some(pin));
+        while wal_bytes(&dir).len() < (2 * LAP) as usize {
+            force(&mut lsn, 4, Some(pin));
+            assert_eq!(laps(&sink), 0, "the live log cannot fit below itself");
+        }
+        let grown = wal_bytes(&dir).len();
+        force(&mut lsn, 4, None);
+        assert_eq!(laps(&sink), 0, "the pin was live at this force");
+        force(&mut lsn, 4, None);
+        assert_eq!(laps(&sink), 1, "the first force after the pin went");
+        assert_eq!(wal_bytes(&dir).len(), grown + 4 * PAGE_FRAME);
         assert_matches_a_fresh_walk(&sink, &dir);
-        sink.append_batch(&bots(10..11));
-        // While it stays owed, a force fails as any journal fsync does.
-        let forced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.sync()));
-        assert!(forced.is_err(), "no ack over a rename that may not last");
-        sink.journal.lock().file.fail_rewrite = None;
-        sink.sync();
-        assert!(sink.journal.lock().file.dir_synced, "sync() paid the debt");
-        drop(sink);
-        let (_sink, base, survivors) = FileLogSink::load(&dir).unwrap();
-        assert_eq!((base, survivors.len()), (9, 2));
-        assert_eq!(survivors[1..], bots(10..11)[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Records with a 4 000-byte image each: a transaction's after-images.
-    fn pages(ids: std::ops::Range<u64>) -> Vec<LogRecord> {
-        ids.map(|i| LogRecord::AfterImage {
-            txn: TxnId(i),
-            page: DataPageId(0),
-            image: vec![i as u8; 4000],
-        })
-        .collect()
-    }
-
-    /// Length of one framed [`pages`] record.
-    const PAGE_FRAME: usize = 4 + 1 + 17 + 4000;
-
-    /// Commit `c` as the engine does it under FORCE: its four records
-    /// (LSNs `4c..4c + 4`) appended and forced, then truncated away.
-    fn commit(sink: &FileLogSink, c: u64) {
-        sink.append_batch(&pages(4 * c..4 * c + 4));
-        sink.sync();
-        sink.truncated(4 * c + 4);
-    }
-
-    /// `(base, records)` of a walk of the whole journal that trusts no
-    /// slot.
-    fn full_walk(bytes: &[u8]) -> (u64, Vec<LogRecord>) {
-        let walked = replay(&bytes[H..], Head::START).expect("every surviving record decodes");
-        (walked.base, walked.records)
-    }
-
-    /// A closed journal of `commits` commits, then one transaction of two
-    /// records in flight (whose batch carries the last marker).
-    fn history(tag: &str, commits: u64) -> PathBuf {
-        let dir = tmpdir(tag);
-        let sink = FileLogSink::create(&dir).unwrap();
-        for c in 0..commits {
-            commit(&sink, c);
+    /// Apply the sectors of the positioned write `(at, bytes)` that
+    /// `landed` selects to `image`: a power loss tears a write into any
+    /// subset of its 512-byte sectors.
+    fn tear(image: &mut Vec<u8>, (at, bytes): &(u64, Vec<u8>), landed: u64) {
+        let (at, end) = (*at as usize, *at as usize + bytes.len());
+        if image.len() < end {
+            image.resize(end, 0);
         }
-        sink.append_batch(&pages(4 * commits..4 * commits + 2));
-        sink.sync();
-        dir
-    }
-
-    #[test]
-    fn head_slot_follows_the_durable_live_log_in_steps() {
-        let dir = tmpdir("wal-head-steps");
-        let sink = FileLogSink::create(&dir).unwrap();
-        assert_eq!(slot_of(&wal_bytes(&dir)), Some(Head::START));
-        // Truncated but never forced: the slot may not name those frames.
-        for c in 0..40 {
-            sink.append_batch(&pages(4 * c..4 * c + 4));
-            sink.truncated(4 * c + 4);
-        }
-        assert_eq!(slot_of(&wal_bytes(&dir)), Some(Head::START));
-        // Forced: the next truncation moves it to the first live frame,
-        // which is where the next batch lands.
-        commit(&sink, 40);
-        let mut head = slot_of(&wal_bytes(&dir)).unwrap();
-        assert_eq!(head, sink.journal.lock().head);
-        assert_eq!((head.from, head.lsn), (sink.journal_bytes(), 164));
-        // Then once per HEAD_STEP of dead log, never in between.
-        let mut moves = 0;
-        for c in 41..200 {
-            commit(&sink, c);
-            let now = slot_of(&wal_bytes(&dir)).unwrap();
-            if now != head {
-                assert!(now.from >= head.from + HEAD_STEP, "commit {c}: {now:?}");
-                assert_eq!(now.lsn, 4 * c + 4);
-                moves += 1;
+        for (n, sector) in (at / 512..end.div_ceil(512)).enumerate() {
+            if landed >> n & 1 == 1 {
+                let range = (sector * 512).max(at)..(sector * 512 + 512).min(end);
+                image[range.clone()].copy_from_slice(&bytes[range.start - at..range.end - at]);
             }
-            head = now;
         }
-        let per_commit = (4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64;
-        assert_eq!(
-            moves,
-            159 / HEAD_STEP.div_ceil(per_commit),
-            "one write per step"
-        );
-        assert_eq!(wal_rewrites(&sink), (0, 0));
-        // The next batch carries the owed marker.
-        sink.append_batch(&bots(800..801));
-        assert_matches_a_fresh_walk(&sink, &dir);
+    }
+
+    fn sectors((at, bytes): &(u64, Vec<u8>)) -> usize {
+        let at = *at as usize;
+        (at + bytes.len()).div_ceil(512) - at / 512
+    }
+
+    /// Every subset of the 512-byte sectors of every write a lap switch
+    /// makes — the head advance, the copies, the head switch — reopens to
+    /// exactly the log that was durable before it; so do the batch that
+    /// follows, written over the previous lap's stale frames, and the one
+    /// after it, except that a torn batch may keep a prefix of its own
+    /// records. No subset loses a durable record or accepts a frame of
+    /// the earlier lap.
+    #[test]
+    fn every_sector_subset_of_a_lap_switch_reopens_to_the_log_before_or_after() {
+        const SIZE: usize = 600;
+        let dir = tmpdir("wal-switch-tears");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let mut lsn = 0;
+        // Commits, each truncated away, to within a few records of LAP...
+        let frame_len = (FRAME_HEAD + 1 + 17 + SIZE) as u64;
+        while sink.journal.lock().tail + 4 * frame_len < LAP {
+            sink.append_batch(&images(lsn..lsn + 2, SIZE));
+            sink.sync();
+            lsn += 2;
+            sink.truncated(lsn);
+        }
+        // ...then a transaction that stays live across the switch.
+        let pin = lsn;
+        while sink.journal.lock().tail < LAP {
+            sink.append_batch(&images(lsn..lsn + 1, SIZE));
+            sink.sync();
+            lsn += 1;
+        }
+        assert!(sink.journal.lock().lap_due());
+        assert!(lsn - pin >= 2, "live records to copy");
+        let mut image = wal_bytes(&dir);
+        let durable = log_of(&image);
+        assert_eq!(durable, (pin, images(pin..lsn, SIZE)));
+
+        // The switching force, then one more, each watched write by write.
+        sink.journal.lock().watched = Some(Vec::new());
+        sink.append_batch(&images(lsn..lsn + 2, SIZE));
+        sink.sync();
+        sink.append_batch(&images(lsn + 2..lsn + 5, SIZE));
+        sink.sync();
+        assert_eq!(laps(&sink), 1);
+        let writes = sink.journal.lock().watched.take().unwrap();
+        assert_eq!(writes.len(), 5, "head, copies, head, two batches");
+        assert!(writes[..3].iter().all(|w| w.0 < LAP / 2));
+        let mut after = durable.clone();
+        for (n, write) in writes.iter().enumerate() {
+            let before = after.clone();
+            let batch = match n {
+                3 => images(lsn..lsn + 2, SIZE),
+                4 => images(lsn + 2..lsn + 5, SIZE),
+                _ => Vec::new(),
+            };
+            after.1.extend(batch.iter().cloned());
+            let subsets = 1u64 << sectors(write);
+            assert!(subsets <= 1 << 12, "write {n}: {} sectors", sectors(write));
+            for landed in 0..subsets {
+                let mut torn = image.clone();
+                tear(&mut torn, write, landed);
+                let (base, records) = log_of(&torn);
+                assert_eq!(base, before.0, "write {n}, sectors {landed:b}");
+                let (old, new) = records.split_at(before.1.len().min(records.len()));
+                assert!(
+                    old == &before.1[..] && batch.starts_with(new),
+                    "write {n}, sectors {landed:b}: {} records, {} before",
+                    records.len(),
+                    before.1.len()
+                );
+                if landed == subsets - 1 {
+                    assert!(records == after.1, "write {n}, whole");
+                }
+            }
+            tear(&mut image, write, u64::MAX);
+        }
+        assert!(image == wal_bytes(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every state the head slot can be found in reopens to the
-    /// `(base, records)` a walk of the whole journal finds, and carries on.
+    /// Every state the head slot can be found in reopens to the log a
+    /// walk from the first frame finds, and carries on.
     #[test]
-    fn every_head_slot_state_reopens_to_what_a_full_walk_finds() {
-        let src = history("wal-slot-src", 40);
-        let moved = wal_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-        let head = slot_of(&moved).unwrap();
-        assert!(
-            head.from > HEAD_LEN + HEAD_STEP,
-            "the slot has moved: {head:?}"
-        );
+    fn every_head_slot_state_reopens_to_what_a_walk_from_the_first_frame_finds() {
+        let dir = tmpdir("wal-slot-src");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let mut c = 0;
+        while laps(&sink) < 2 {
+            commit(&sink, c);
+            c += 1;
+        }
+        sink.append_batch(&pages(4 * c..4 * c + 2));
+        sink.sync();
+        std::mem::forget(sink);
+        let lapped = wal_bytes(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        // The second lap opened at commit c - 1.
+        let opened = Head {
+            from: HEAD_LEN,
+            lsn: 4 * (c - 1),
+        };
+        assert_eq!(slot_of(&lapped), Some(opened));
 
-        let mut torn = moved.clone();
+        let mut torn = lapped.clone();
         torn[12] ^= 0x40;
-        // Commit 1's first record: a slot written one step earlier.
-        let older = Head {
-            from: (H + 4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64,
-            lsn: 4,
+        // Killed between the switch's first and last step: the head names
+        // the live frames where they were (here: the open transaction's).
+        let (_, walked) = reopen_image(&lapped);
+        let mut mid_switch = lapped.clone();
+        let at_live = Head {
+            from: walked.offsets[0],
+            lsn: 4 * c,
         };
-        let mut stale = moved.clone();
-        stale[..H].copy_from_slice(&older.encode());
-        // The in-flight transaction's second record cut off in place,
-        // with the slot naming a frame beyond the cut.
-        let mut cut = moved[..moved.len() - PAGE_FRAME].to_vec();
-        let beyond = Head {
-            from: moved.len() as u64,
-            lsn: 162,
+        mid_switch[..H].copy_from_slice(&at_live.encode());
+        // A head naming a frame past the end of the file.
+        let mut beyond = lapped.clone();
+        let past = Head {
+            from: lapped.len() as u64 + 1,
+            lsn: 4 * c,
         };
-        cut[..H].copy_from_slice(&beyond.encode());
+        beyond[..H].copy_from_slice(&past.encode());
 
-        let src = wal_with("wal-slot-rewritten-src", &fats(0..10));
-        let (sink, _, _) = FileLogSink::load(&src).unwrap();
-        sink.truncated(9);
-        drop(sink);
-        let rewritten = wal_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-        assert_eq!(
-            slot_of(&rewritten).map(|h| (h.from, h.lsn)),
-            Some((HEAD_LEN, 9))
-        );
-        let mut rewritten_torn = rewritten.clone();
-        rewritten_torn[20] ^= 1;
+        let created = wal_with("wal-slot-created-src", &bots(0..5));
+        let created_bytes = wal_bytes(&created);
+        let _ = std::fs::remove_dir_all(&created);
 
-        let src = wal_with("wal-slot-created-src", &bots(0..5));
-        let created = wal_bytes(&src);
-        let _ = std::fs::remove_dir_all(&src);
-
-        let states: [(&str, &[u8], usize); 7] = [
-            ("moved slot", &moved, head.from as usize),
-            ("torn slot", &torn, H),
-            ("stale slot", &stale, older.from as usize),
-            ("slot beyond a tail cut in place", &cut, H),
-            ("rewritten journal", &rewritten, H),
-            ("rewritten journal, torn slot", &rewritten_torn, H),
-            ("created, never truncated", &created, H),
+        let states: [(&str, &[u8], u64); 5] = [
+            ("lapped", &lapped, HEAD_LEN),
+            ("torn slot", &torn, HEAD_LEN),
+            ("slot naming the live frames", &mid_switch, at_live.from),
+            ("slot beyond the file", &beyond, HEAD_LEN),
+            ("created, never lapped", &created_bytes, HEAD_LEN),
         ];
         for (n, (state, bytes, reads_from)) in states.into_iter().enumerate() {
             let dir = tmpdir(&format!("wal-slot-{n}"));
             std::fs::write(FileLogSink::journal_path(&dir), bytes).unwrap();
-            let walked = full_walk(bytes);
+            let mut untrusted = bytes.to_vec();
+            untrusted[..H].fill(0);
+            let walked = log_of(&untrusted);
             let (sink, base, records) = FileLogSink::load(&dir).unwrap();
             assert!((base, &records) == (walked.0, &walked.1), "{state}");
-            let read = (H + bytes.len() - reads_from) as u64;
+            let read = HEAD_LEN + bytes.len() as u64 - reads_from;
             assert_eq!(sink.read_at_load(), read, "{state}");
             assert!(wal_bytes(&dir) == bytes, "{state}: the load wrote nothing");
             // And the log carries on from there.
@@ -1699,38 +1615,107 @@ mod tests {
         }
     }
 
-    /// Four MiB of dead log below the floor and a kill with a marker
-    /// owed: the reopen reads the slot, at most one step of dead log, and
-    /// the live log behind it.
+    /// Killed with a marker owed, anywhere in a lap: the reopen reads the
+    /// head slot and the file from the front, at most a lap, the live log
+    /// and one commit, and finds what a walk from the first frame finds.
     #[test]
-    fn reopen_reads_at_most_a_head_step_of_dead_log() {
+    fn reopen_reads_at_most_a_lap_and_the_live_log() {
         let dir = tmpdir("wal-bounded-read");
         let sink = FileLogSink::create(&dir).unwrap();
         let mut c = 0;
-        while sink.journal_bytes() < HEAD_LEN + (4 << 20) {
+        while laps(&sink) < 3 {
             commit(&sink, c);
             c += 1;
         }
-        sink.append_batch(&pages(4 * c..4 * c + 2));
-        sink.sync();
-        commit(&sink, c + 1);
-        assert_eq!(wal_rewrites(&sink), (0, 0), "still below the floor");
-        let (len, live_from) = (sink.journal_bytes(), sink.journal.lock().live_from());
-        // Killed: no destructor, the last marker never lands.
+        for _ in 0..5 {
+            commit(&sink, c);
+            c += 1;
+        }
+        let (len, tail, live_from) = {
+            let journal = sink.journal.lock();
+            (journal.len, journal.tail, journal.live_from())
+        };
         std::mem::forget(sink);
 
         let (sink, base, records) = FileLogSink::load(&dir).unwrap();
-        let read = sink.read_at_load();
         let one_commit = (4 * PAGE_FRAME + MARKER_FRAME_LEN) as u64;
+        let read = sink.read_at_load();
         assert!(
-            read <= HEAD_LEN + HEAD_STEP + (len - live_from) + one_commit,
+            read <= LAP + (tail - live_from) + one_commit,
             "{read} of {len} bytes read"
         );
-        assert!(read < len / 8, "{read} of {len} bytes read");
-        // Only dead records lie between the slot and the live log.
-        let (walked_base, walked) = full_walk(&wal_bytes(&dir));
-        assert!(base >= walked_base);
-        assert!(records[..] == walked[(base - walked_base) as usize..]);
+        assert_eq!(read, len);
+        let mut untrusted = wal_bytes(&dir);
+        untrusted[..H].fill(0);
+        assert!((base, records) == log_of(&untrusted));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A process that died mid-batch can leave frames of its last,
+    /// never-synced batch past the chain, numbered with LSNs the next
+    /// process hands out again. Until the new tail passes them each write
+    /// ends in a fence, so a second crash cannot splice them onto the
+    /// log; a lap switch zeroes what is left of them.
+    #[test]
+    fn a_dead_process_s_unsynced_frames_never_rejoin_the_log() {
+        let dir = wal_with("wal-fence", &bots(0..3));
+        // The dead batch: record 3 torn, records 4 and 5 whole.
+        let mut dead = record_frame(3, &bots(3..4)[0]);
+        dead[FRAME_HEAD] ^= 1;
+        dead.extend_from_slice(&record_frame(4, &bots(4..5)[0]));
+        dead.extend_from_slice(&record_frame(5, &bots(5..6)[0]));
+        append_raw(&dir, &dead);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!((base, survivors), (0, bots(0..3)));
+        // The new process writes a record 3 the size of the dead one, and
+        // dies before the next: without the fence a walk would go on into
+        // the dead records 4 and 5.
+        sink.append_batch(&bots(103..104));
+        sink.sync();
+        std::mem::forget(sink);
+        let (sink, base, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!(base, 0);
+        assert_eq!(survivors[3..], bots(103..104)[..]);
+        assert_eq!(survivors.len(), 4, "dead records rejoined the log");
+        // Past the dead bytes the fences stop.
+        sink.append_batch(&bots(104..106));
+        sink.sync();
+        assert_eq!(sink.journal.lock().fence_until, 0);
+        assert_eq!(sink.journal_bytes(), (H + 6 * BOT_FRAME) as u64);
+        std::mem::forget(sink);
+        let (_sink, _, survivors) = FileLogSink::load(&dir).unwrap();
+        assert_eq!(survivors.len(), 6);
+
+        // A lap switch before the tail gets past them zeroes them instead.
+        let dir = tmpdir("wal-fence-lap");
+        let sink = FileLogSink::create(&dir).unwrap();
+        let mut c = 0;
+        while sink.journal.lock().tail < LAP {
+            commit(&sink, c);
+            c += 1;
+        }
+        drop(sink);
+        let dead = pages(4 * c..4 * c + 4)
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| record_frame(4 * c + i as u64 + 1, r))
+            .collect::<Vec<_>>();
+        append_raw(&dir, &dead);
+        let (sink, _, _) = FileLogSink::load(&dir).unwrap();
+        let fence_until = sink.journal.lock().fence_until;
+        assert_eq!(fence_until, wal_bytes(&dir).len() as u64);
+        sink.append_batch(&bots(4 * c..4 * c + 1));
+        sink.sync();
+        sink.truncated(4 * c + 1);
+        sink.append_batch(&bots(4 * c + 1..4 * c + 2));
+        sink.sync();
+        assert_eq!(laps(&sink), 1);
+        assert_eq!(sink.journal.lock().fence_until, 0);
+        let bytes = wal_bytes(&dir);
+        let dead_from = fence_until as usize - dead.len();
+        assert!(bytes[dead_from + BOT_FRAME..fence_until as usize]
+            .iter()
+            .all(|b| *b == 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! A database directory holds, side by side:
 //!
-//! * `manifest.txt` — the on-disk format number (`rda-disk-format=7`) and
+//! * `manifest.txt` — the on-disk format number (`rda-disk-format=8`) and
 //!   the formatted geometry, both validated on reopen;
 //! * `<n>.data` — one file per disk, each block's image, header (a twin
 //!   parity page's timestamp, state and claim) and checksum together in a
 //!   sector-aligned slot (see `crate::io`);
 //! * `meta.journal` — the staged write intent, one checksummed slot;
-//! * `wal.journal` — the durable mirror of the write-ahead log, behind a
-//!   head slot that says where its live records start;
-//! * `obs.journal` — the flight recorder's black box, when it is on.
+//! * `wal.journal` — the durable mirror of the write-ahead log: a head
+//!   slot that says where the log starts, then laps of checksummed frames
+//!   reused in place;
+//! * `obs.journal` — the flight recorder's black box, when it is on: two
+//!   snapshot slots written alternately.
 //!
 //! [`create_database`] formats a fresh directory and writes the manifest
 //! *last* (`manifest.txt.tmp`, fsync, rename, fsync of the directory), so
@@ -19,8 +21,9 @@
 //! replays the journals into a [`RestoredState`] and hands the engine a
 //! database in needs-recovery state — the caller runs
 //! [`Database::recover`] before new work, exactly like the simulated
-//! crash/recover cycle. A reopen reads only live bytes: `wal.journal`
-//! from its head slot on, and an `obs.journal` kept under 256 KiB. What
+//! crash/recover cycle. A reopen reads a bounded number of bytes:
+//! `wal.journal` from its head slot on (a lap, the live log and one
+//! batch at most) and `obs.journal`'s two slots (256 KiB at most). What
 //! it read, and how long each step took, are gauges in the database's
 //! metrics: `wal_reopen_read_bytes`, `obs_reopen_read_bytes`,
 //! `reopen_meta_ns`, `reopen_wal_ns`, `reopen_disks_ns` and
@@ -28,7 +31,7 @@
 
 use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
-use crate::meta::{sync_parent_dir, FileLogSink, FileMetaStore, JournalStats};
+use crate::meta::{FileLogSink, FileMetaStore, JournalStats};
 use rda_array::{DiskId, Geometry};
 use rda_core::{BackendSetup, Database, DbConfig, RestoredState};
 use rda_obs::{Counter, NANOS_BOUNDS};
@@ -120,8 +123,11 @@ const MANIFEST: &str = "manifest.txt";
 /// `meta.journal` holds only the staged intent, as frames. Format 7's
 /// `meta.journal` is one checksummed slot at offset 0, overwritten in
 /// place; format 6's frames read as a torn slot, so a staged intent
-/// would be lost.
-const FORMAT_LINE: &str = "rda-disk-format=7";
+/// would be lost. Format 8's `wal.journal` frames carry their LSN and a
+/// checksum and run in laps reused in place, and `obs.journal` is two
+/// snapshot slots; format 7's frames carry neither, so its log would read
+/// as empty.
+const FORMAT_LINE: &str = "rda-disk-format=8";
 
 /// The geometry fingerprint a directory was formatted with. Plain text,
 /// one `key=value` per line, compared verbatim on reopen.
@@ -152,6 +158,13 @@ fn one_shard(cfg: &DbConfig) -> Result<(), StorageError> {
         1 => Ok(()),
         n => Err(StorageError::Shards(n)),
     }
+}
+
+/// Fsync the directory holding `path`, which makes a rename of `path`
+/// durable: without it a power loss can bring the replaced file back.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
 /// Make `dir` a database: write its manifest under a temporary name, then
@@ -192,18 +205,16 @@ fn register_disk_metrics(db: &FileDb, disks: Vec<Arc<DiskCounters>>) {
 }
 
 /// Export the two journals' sizes, append/fsync tallies and
-/// `wal.journal`'s rewrite tallies (`meta.journal` is one slot, never
-/// rewritten), next to the engine's `wal_low_water_lsn` /
+/// `wal.journal`'s lap count, next to the engine's `wal_low_water_lsn` /
 /// `wal_retained_bytes`: "is the log bounded, what does keeping it
 /// bounded cost, and how many journal writes and fsyncs does a commit
 /// pay" from `/metrics`.
 fn register_journal_metrics(db: &FileDb, log: &Arc<FileLogSink>, meta: &Arc<FileMetaStore>) {
     type Pick = fn(&JournalStats) -> &Counter;
-    let tallies: [(&str, Pick); 4] = [
+    let tallies: [(&str, Pick); 3] = [
         ("appends", |s| &s.appends),
         ("fsyncs", |s| &s.fsyncs),
-        ("rewrites", |s| &s.rewrites),
-        ("rewrite_failures", |s| &s.rewrite_failures),
+        ("laps", |s| &s.laps),
     ];
     let metrics = db.metrics();
     for (journal, stats, tallies) in [

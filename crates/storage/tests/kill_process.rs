@@ -23,26 +23,26 @@ use std::time::{Duration, Instant};
 const CHILD_ENV: &str = "RDA_KILL_CHILD_DIR";
 const GC_CHILD_ENV: &str = "RDA_KILL_GC_DIR";
 const TRUNC_CHILD_ENV: &str = "RDA_KILL_TRUNC_DIR";
-const FLOORS_CHILD_ENV: &str = "RDA_KILL_FLOORS_DIR";
+const LAPS_CHILD_ENV: &str = "RDA_KILL_LAPS_DIR";
 /// The truncating child calls `truncate_log()` after every this many
 /// commits. The engine has moved the mark at every commit already, so
 /// the call finds nothing to drop; the child keeps making it, as an
 /// application written before the engine did that would.
 const TRUNCATE_EVERY: u64 = 64;
-/// Commits after which a [`big_cfg`] child has rewritten `wal.journal`
-/// at least once (8.2 KB of log per commit against the 8 MiB floor:
-/// every ≈ 1 020 commits). `meta.journal` is one slot overwritten in
-/// place, never rewritten.
-const FIRST_WAL_REWRITE: u64 = 1_200;
-/// ... and after which it has crossed the `wal.journal` floor three times.
-const SEVERAL_REWRITES: u64 = 3_300;
-/// Commits after which a [`big_cfg`] child has left ≈ 4.9 MB of dead log
-/// in `wal.journal`, about half-way to its first rewrite.
-const BELOW_FLOOR: u64 = 600;
-/// `wal.journal`'s head slot, and the dead log a reopen may read behind it
+/// Commits after which a [`big_cfg`] child starts its first new lap of
+/// `wal.journal` (8.3 KB of log per commit against a 256 KiB lap: every
+/// ≈ 31 commits). `meta.journal` is one slot overwritten in place.
+const FIRST_LAP: u64 = 31;
+/// ... and after which it has started three.
+const SEVERAL_LAPS: u64 = 100;
+/// Commits after which a [`cfg`] child (64-byte pages: ≈ 0.4 KB of log per
+/// commit) has left tens of kilobytes of dead log in its first lap, some
+/// hundreds of commits before the second starts.
+const IN_FIRST_LAP: u64 = 100;
+/// `wal.journal`'s head slot, and how far into the file a lap runs
 /// (private constants of `rda-disk`, restated).
 const HEAD_LEN: u64 = 32;
-const HEAD_STEP: u64 = 256 << 10;
+const LAP: u64 = 256 << 10;
 /// One commit's frames in `wal.journal`, generously: what a reopen may
 /// read beyond the last truncation.
 const ONE_COMMIT: u64 = 64 << 10;
@@ -68,8 +68,9 @@ fn cfg() -> DbConfig {
 /// The same engine with the paper's 2020-byte pages and ten pages to a
 /// group: a commit of [`PAGES`] logs three after-images and (pages 2 and
 /// 9 share group 0, so the second steal is logged) a before-image, and
-/// stages one write intent. The journals' floors, out of reach of the
-/// 64-byte pages of [`cfg`], are crossed within a second.
+/// stages one write intent. `wal.journal` starts a new lap every few
+/// milliseconds, where the 64-byte pages of [`cfg`] take hundreds of
+/// commits to fill one.
 fn big_cfg() -> DbConfig {
     DbConfig::paper_like(EngineKind::Rda, 200, 32)
         .trace(1024)
@@ -122,7 +123,7 @@ fn child_workload() {
     if let Ok(dir) = std::env::var(TRUNC_CHILD_ENV) {
         run_child(Path::new(&dir), big_cfg(), Some(TRUNCATE_EVERY));
     }
-    if let Ok(dir) = std::env::var(FLOORS_CHILD_ENV) {
+    if let Ok(dir) = std::env::var(LAPS_CHILD_ENV) {
         run_child(Path::new(&dir), big_cfg(), None);
     }
 }
@@ -266,28 +267,47 @@ fn sigkill_mid_commit_recovers_committed_data() {
 
 /// What the kills of [`kill_at_seeded_delays`] found.
 struct Kills {
-    /// Kills that found a `wal.journal` that had been rewritten.
-    rewritten: u32,
+    /// Kills that found a `wal.journal` that had started at least one new
+    /// lap.
+    lapped: u32,
     /// The shortest `wal.journal` a kill left.
     shortest_journal: u64,
 }
 
-/// SIGKILL a [`big_cfg`] child at 20 seeded delays after it acknowledged
-/// `acks_before_kill` commits, so kills land before, inside and after the
-/// rewrites of `wal.journal`. Every reopen must succeed on whatever
-/// `wal.journal` (and its `.tmp`) and `meta.journal` slot the kill left, read
-/// no more of `wal.journal` than its head slot, one head step of dead log
-/// and one commit, recover every acknowledged stamp, and scrub and audit
+/// Where [`kill_at_seeded_delays`] aims: which child, on which engine,
+/// killed how long after how many acknowledged commits.
+struct Aim {
+    env: &'static str,
+    tag: &'static str,
+    cfg: fn() -> DbConfig,
+    acks_before_kill: u64,
+    /// Each kill waits a seeded delay below this many microseconds.
+    delay_below: u64,
+}
+
+/// SIGKILL a child at 20 seeded delays after it acknowledged
+/// `aim.acks_before_kill` commits, so kills land before, during and after
+/// the lap switches of `wal.journal`. Every reopen must succeed on
+/// whatever `wal.journal` and `meta.journal` slot the kill left, write
+/// nothing, read no more of `wal.journal` than its head slot, a lap and
+/// one commit, recover every acknowledged stamp, and scrub and audit
 /// clean.
-fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
+fn kill_at_seeded_delays(aim: &Aim) -> Kills {
+    let Aim {
+        env,
+        tag,
+        cfg,
+        acks_before_kill,
+        delay_below,
+    } = *aim;
     // Seeded: the delays repeat from run to run of the test.
     let mut rng = rda_obs::rng::Rng::new(0x7A11_5EED);
     let mut kills = Kills {
-        rewritten: 0,
+        lapped: 0,
         shortest_journal: u64::MAX,
     };
     for run in 0..20 {
-        let delay = Duration::from_micros(rng.below(25_000));
+        let delay = Duration::from_micros(rng.below(delay_below));
 
         // Thousands of commits per run: on tmpfs where there is one (a
         // SIGKILL loses no page cache, so the medium decides nothing but
@@ -302,7 +322,7 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("test dir");
         let mut child = spawn_child("child_workload", env, &dir);
-        // Let it get past its first rewrites, then the seeded delay.
+        // Let it get to where it is aimed, then the seeded delay.
         let deadline = Instant::now() + Duration::from_mins(2);
         while last_ack(&dir).unwrap_or(0) < acks_before_kill {
             assert!(
@@ -310,7 +330,7 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
                 "run {run}: child produced too few acks in time (status: {:?})",
                 child.try_wait()
             );
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_micros(100));
         }
         std::thread::sleep(delay);
         child.kill().expect("SIGKILL child");
@@ -318,11 +338,13 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
         let acked = last_ack(&dir).expect("acks survive the kill");
 
         let journal = std::fs::read(dir.join("wal.journal")).expect("wal.journal always exists");
-        // A rewritten journal's frames open with a truncate marker: a
-        // 9-byte frame tagged 17, behind the head slot.
-        kills.rewritten += u32::from(journal[HEAD_LEN as usize..].starts_with(&[9, 0, 0, 0, 17]));
+        // Every new lap opens with a truncate marker: a frame of 9 bytes
+        // (tag 17 and the base) behind the 20-byte frame head, right
+        // behind the head slot. A created journal opens with a record.
+        let first = &journal[HEAD_LEN as usize..];
+        kills.lapped += u32::from(first.starts_with(&[9, 0, 0, 0]) && first.get(20) == Some(&17));
         kills.shortest_journal = kills.shortest_journal.min(journal.len() as u64);
-        let db = reopen_database(&dir, big_cfg(), DurabilityMode::FsyncOnBarrier)
+        let db = reopen_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier)
             .unwrap_or_else(|e| panic!("run {run} (delay {delay:?}, acked {acked}): reopen: {e}"));
         let read = db
             .metrics()
@@ -331,11 +353,12 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
             .find_map(|(name, v)| (name == "wal_reopen_read_bytes").then_some(v))
             .expect("the reopen gauge is registered");
         assert!(
-            read <= HEAD_LEN + HEAD_STEP + ONE_COMMIT,
+            read <= HEAD_LEN + LAP + ONE_COMMIT,
             "run {run}: reopen read {read} of a {}-byte wal.journal",
             journal.len()
         );
-        assert!(!dir.join("wal.journal.tmp").exists(), "run {run}");
+        let reopened = std::fs::read(dir.join("wal.journal")).expect("wal.journal");
+        assert!(reopened == journal, "run {run}: the reopen wrote nothing");
         let report = db.recover().expect("restart recovery");
         let values: Vec<Option<u64>> = PAGES.iter().map(|&p| stamped_value(&db, p)).collect();
         let recovered = values[0].expect("commits were acknowledged");
@@ -369,43 +392,58 @@ fn kill_at_seeded_delays(env: &str, tag: &str, acks_before_kill: u64) -> Kills {
 }
 
 /// A child that still calls `truncate_log()` every [`TRUNCATE_EVERY`]
-/// commits, killed shortly after its first `wal.journal` rewrite.
+/// commits, killed around its first new lap of `wal.journal`.
 #[test]
 fn sigkill_while_truncating_recovers_every_acked_commit() {
-    let rewritten_runs =
-        kill_at_seeded_delays(TRUNC_CHILD_ENV, "trunc", FIRST_WAL_REWRITE).rewritten;
+    let lapped_runs = kill_at_seeded_delays(&Aim {
+        env: TRUNC_CHILD_ENV,
+        tag: "trunc",
+        cfg: big_cfg,
+        acks_before_kill: FIRST_LAP,
+        delay_below: 5_000,
+    })
+    .lapped;
     assert!(
-        rewritten_runs >= 10,
-        "only {rewritten_runs} of 20 kills found a rewritten journal: they miss the rewrites"
+        lapped_runs >= 10,
+        "only {lapped_runs} of 20 kills found a lapped journal: they miss the lap switches"
     );
 }
 
 /// A child that never calls `truncate_log()`: the engine alone moves the
-/// mark and `wal.journal` gives space back by itself, several times over,
+/// mark and `wal.journal` starts new laps by itself, several times over,
 /// before each kill.
 #[test]
 fn sigkill_with_no_explicit_truncation_recovers_every_acked_commit() {
-    let rewritten_runs =
-        kill_at_seeded_delays(FLOORS_CHILD_ENV, "floors", SEVERAL_REWRITES).rewritten;
+    let lapped_runs = kill_at_seeded_delays(&Aim {
+        env: LAPS_CHILD_ENV,
+        tag: "laps",
+        cfg: big_cfg,
+        acks_before_kill: SEVERAL_LAPS,
+        delay_below: 25_000,
+    })
+    .lapped;
     assert_eq!(
-        rewritten_runs, 20,
-        "wal.journal is rewritten by the time of every kill without anybody asking"
+        lapped_runs, 20,
+        "wal.journal has started new laps by the time of every kill without anybody asking"
     );
 }
 
-/// Killed with megabytes of dead log in `wal.journal` and no rewrite yet:
-/// the window in which only the head slot keeps a reopen from reading
-/// the journal's whole history.
+/// Killed inside the first lap of `wal.journal`, with tens of kilobytes
+/// of dead log in it and no lap switch yet: the reopen starts at the head
+/// slot the create wrote and reads the lap, no more.
 #[test]
-fn sigkill_with_dead_log_below_the_floor_reopens_from_the_head_slot() {
-    let kills = kill_at_seeded_delays(FLOORS_CHILD_ENV, "below-floor", BELOW_FLOOR);
-    assert_eq!(
-        kills.rewritten, 0,
-        "every kill lands before the first rewrite"
-    );
+fn sigkill_in_the_first_lap_reopens_from_the_head_slot() {
+    let kills = kill_at_seeded_delays(&Aim {
+        env: CHILD_ENV,
+        tag: "first-lap",
+        cfg,
+        acks_before_kill: IN_FIRST_LAP,
+        delay_below: 2_000,
+    });
+    assert_eq!(kills.lapped, 0, "every kill lands in the first lap");
     assert!(
-        kills.shortest_journal >= HEAD_LEN + (4 << 20),
-        "every kill leaves ≥ 4 MiB of dead log: {}",
+        kills.shortest_journal >= HEAD_LEN + (32 << 10),
+        "every kill leaves ≥ 32 KiB of dead log: {}",
         kills.shortest_journal
     );
 }
