@@ -1686,6 +1686,8 @@ mod tests {
         let (_sink, _, survivors) = FileLogSink::load(&dir).unwrap();
         assert_eq!(survivors.len(), 6);
 
+        let _ = std::fs::remove_dir_all(&dir);
+
         // A lap switch before the tail gets past them zeroes them instead.
         let dir = tmpdir("wal-fence-lap");
         let sink = FileLogSink::create(&dir).unwrap();
