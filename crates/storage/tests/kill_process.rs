@@ -29,11 +29,13 @@ const LAPS_CHILD_ENV: &str = "RDA_KILL_LAPS_DIR";
 /// the call finds nothing to drop; the child keeps making it, as an
 /// application written before the engine did that would.
 const TRUNCATE_EVERY: u64 = 64;
-/// Commits after which a [`big_cfg`] child starts its first new lap of
-/// `wal.journal` (8.3 KB of log per commit against a 256 KiB lap: every
-/// ≈ 31 commits). `meta.journal` is one slot overwritten in place.
-const FIRST_LAP: u64 = 31;
-/// ... and after which it has started three.
+/// Commits after which the truncating child has called `truncate_log()`
+/// twice. A [`big_cfg`] child starts a new lap of `wal.journal` every
+/// ≈ 31 commits (8.3 KB of log per commit against a 256 KiB lap), so by
+/// then it has started four. `meta.journal` is one slot overwritten in
+/// place.
+const TRUNCATED_TWICE: u64 = 2 * TRUNCATE_EVERY + 2;
+/// Commits after which a [`big_cfg`] child has started three new laps.
 const SEVERAL_LAPS: u64 = 100;
 /// Commits after which a [`cfg`] child (64-byte pages: ≈ 0.4 KB of log per
 /// commit) has left tens of kilobytes of dead log in its first lap, some
@@ -272,6 +274,8 @@ struct Kills {
     lapped: u32,
     /// The shortest `wal.journal` a kill left.
     shortest_journal: u64,
+    /// The fewest commits a killed child had acknowledged.
+    fewest_acks: u64,
 }
 
 /// Where [`kill_at_seeded_delays`] aims: which child, on which engine,
@@ -305,6 +309,7 @@ fn kill_at_seeded_delays(aim: &Aim) -> Kills {
     let mut kills = Kills {
         lapped: 0,
         shortest_journal: u64::MAX,
+        fewest_acks: u64::MAX,
     };
     for run in 0..20 {
         let delay = Duration::from_micros(rng.below(delay_below));
@@ -336,6 +341,7 @@ fn kill_at_seeded_delays(aim: &Aim) -> Kills {
         child.kill().expect("SIGKILL child");
         let _ = child.wait();
         let acked = last_ack(&dir).expect("acks survive the kill");
+        kills.fewest_acks = kills.fewest_acks.min(acked);
 
         let journal = std::fs::read(dir.join("wal.journal")).expect("wal.journal always exists");
         // Every new lap opens with a truncate marker: a frame of 9 bytes
@@ -392,17 +398,23 @@ fn kill_at_seeded_delays(aim: &Aim) -> Kills {
 }
 
 /// A child that still calls `truncate_log()` every [`TRUNCATE_EVERY`]
-/// commits, killed around its first new lap of `wal.journal`.
+/// commits, killed after its second call, among the lap switches of
+/// `wal.journal` that follow.
 #[test]
 fn sigkill_while_truncating_recovers_every_acked_commit() {
-    let lapped_runs = kill_at_seeded_delays(&Aim {
+    let kills = kill_at_seeded_delays(&Aim {
         env: TRUNC_CHILD_ENV,
         tag: "trunc",
         cfg: big_cfg,
-        acks_before_kill: FIRST_LAP,
+        acks_before_kill: TRUNCATED_TWICE,
         delay_below: 5_000,
-    })
-    .lapped;
+    });
+    assert!(
+        kills.fewest_acks >= TRUNCATE_EVERY,
+        "a kill came at ack {}, before the child truncated",
+        kills.fewest_acks
+    );
+    let lapped_runs = kills.lapped;
     assert!(
         lapped_runs >= 10,
         "only {lapped_runs} of 20 kills found a lapped journal: they miss the lap switches"
