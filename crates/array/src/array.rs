@@ -1,12 +1,12 @@
 //! The redundant disk array: addressed page I/O with parity maintenance,
 //! degraded reads, and rebuild.
 
-use crate::device::BlockDevice;
+use crate::device::{BlockDevice, DefaultDisk};
 use crate::fault::HookState;
 use crate::geometry::BlockContent;
 use crate::{
     ArrayConfig, ArrayError, DataPageId, DiskId, Geometry, GroupId, Header, IoKind, IoStats, Page,
-    ParitySlot, PhysLoc, Result, SimDisk,
+    ParitySlot, PhysLoc, Result,
 };
 use rda_obs::{EventKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,12 +26,12 @@ use std::sync::Arc;
 /// on the same parity group.
 ///
 /// The array is generic over its [`BlockDevice`] backend. The default —
-/// the deterministic in-memory [`SimDisk`] — is what the checker and all
+/// the deterministic in-memory [`DefaultDisk`] — is what the checker and all
 /// simulation-grade tests run on; a
 /// file-backed device (the `rda-disk` crate) slots in through
 /// [`DiskArray::with_disks`] without touching the parity protocol or the
 /// transfer accounting, both of which live here.
-pub struct DiskArray<D: BlockDevice = SimDisk> {
+pub struct DiskArray<D: BlockDevice = DefaultDisk> {
     cfg: ArrayConfig,
     geo: Geometry,
     disks: Vec<D>,
@@ -218,11 +218,11 @@ impl<D: BlockDevice> DiskArray<D> {
     }
 
     /// Durability barrier: block until every write the array has issued so
-    /// far is on stable storage, on every disk. A no-op on [`SimDisk`]
-    /// (whose writes are synchronous), so simulated runs — including every
-    /// checker schedule and exploration — are untouched; the file backend
-    /// fsyncs each disk here. Not billed: the paper's cost model counts
-    /// page transfers, and a barrier moves none.
+    /// far is on stable storage, on every disk. A no-op on the in-memory
+    /// [`SimDisk`](crate::SimDisk) (its writes are stable), so simulated
+    /// runs — including every checker schedule and exploration — are
+    /// untouched; the file backend fsyncs each disk here. Not billed: the
+    /// paper's cost model counts page transfers, and a barrier moves none.
     ///
     /// # Errors
     /// [`ArrayError::Backend`] when a disk's flush fails, or failed at an
@@ -599,7 +599,9 @@ impl<D: BlockDevice> DiskArray<D> {
     }
 
     /// Tear the page at a physical location, as if the last write to it
-    /// lost power halfway (see [`crate::SimDisk::tear_block`]).
+    /// lost power halfway (see [`BlockDevice::tear_block`]; each medium
+    /// lays the tear down in
+    /// [`Medium::write_torn_half`](crate::Medium::write_torn_half)).
     pub fn tear(&self, loc: PhysLoc) {
         self.disk(loc.disk).tear_block(loc.block);
     }

@@ -1,27 +1,26 @@
-//! The block-device seam: [`BlockDevice`] is the surface [`DiskArray`]
-//! needs from one disk, extracted from [`SimDisk`] so a file-backed
-//! backend (`rda-disk`) can slot in underneath the same parity protocol.
+//! The block-device seam. [`BlockDevice`] is what
+//! [`DiskArray`](crate::DiskArray) needs from one disk, and [`Drive`] its
+//! one implementation: the fault gate over a [`Medium`] that supplies only
+//! the blocks ([`SimDisk`] in memory, `rda-disk`'s slot files on a file
+//! system). The paper's restart and media-recovery arguments rest on one
+//! failure model — whole-disk failure, latent sector errors and torn pages
+//! (§4.2–4.3) — so the gate holds it once: the hook's verdicts, the failed
+//! flag and latent blocks, the page-size check, the sticky poison and the
+//! barrier's dirty rule. A new fault arm or a volatile write cache goes
+//! here and holds on both media.
 //!
-//! The trait deliberately mirrors `SimDisk`'s inherent API one-for-one:
-//! addressed page I/O, the two injectable failure modes (whole-disk
-//! failure and latent sector errors), torn-page injection, blank
-//! replacement, and the [`FaultHook`](crate::FaultHook) seam. Billing is
-//! *not* part of the trait — the transfer ledger lives in
-//! [`DiskArray`](crate::DiskArray), which bills every physical access it
-//! makes regardless of backend, so the paper's cost model cannot drift
-//! between backends.
-//!
-//! [`BlockDevice::barrier`] is the one genuinely new operation: a
-//! durability point for backends whose returned writes are not yet on
-//! stable storage (the file backend's sit in the page cache). `SimDisk`
-//! keeps the default no-op, which is what keeps the checker's sweeps and
-//! explorations byte-identical on the simulated backend.
+//! Billing is not part of the device: the array bills every physical
+//! access it makes, whatever the backend, so the paper's cost model cannot
+//! drift between backends.
 
-use crate::fault::HookState;
-use crate::{DiskId, Page, Result, SimDisk};
+use crate::fault::{FaultAction, HookState};
+use crate::{ArrayError, DiskId, Header, Page, Result, SimDisk};
+use rda_obs::sync::Mutex;
+use std::collections::HashSet;
+use std::io;
+use std::sync::MutexGuard;
 
 /// One disk of a redundant array, as seen by [`DiskArray`](crate::DiskArray).
-///
 /// Implementations must be internally synchronized (`&self` methods,
 /// callable from many threads) and must consult an installed
 /// [`HookState`] on every read and write so fault schedules replay
@@ -39,11 +38,9 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// Read a block (zero-filled if never written).
     ///
     /// # Errors
-    /// [`ArrayError::DiskFailed`](crate::ArrayError::DiskFailed),
-    /// [`ArrayError::MediaError`](crate::ArrayError::MediaError),
-    /// [`ArrayError::TornPage`](crate::ArrayError::TornPage), or a hook
-    /// verdict ([`ArrayError::Transient`](crate::ArrayError::Transient) /
-    /// [`ArrayError::Crashed`](crate::ArrayError::Crashed)).
+    /// [`ArrayError::DiskFailed`], [`ArrayError::MediaError`],
+    /// [`ArrayError::TornPage`], [`ArrayError::Backend`], or a hook verdict
+    /// ([`ArrayError::Transient`] / [`ArrayError::Crashed`]).
     fn read(&self, block: u64) -> Result<Page>;
 
     /// Read a block without consulting the fault hook — the unbilled,
@@ -69,9 +66,8 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// Write a block, healing any latent or torn state on it.
     ///
     /// # Errors
-    /// [`ArrayError::DiskFailed`](crate::ArrayError::DiskFailed),
-    /// [`ArrayError::PageSizeMismatch`](crate::ArrayError::PageSizeMismatch),
-    /// or a hook verdict.
+    /// [`ArrayError::DiskFailed`], [`ArrayError::PageSizeMismatch`],
+    /// [`ArrayError::Backend`], or a hook verdict.
     fn write(&self, block: u64, page: &Page) -> Result<()>;
 
     /// Mark the whole disk failed until [`BlockDevice::replace`].
@@ -90,99 +86,352 @@ pub trait BlockDevice: Send + Sync + 'static {
     fn replace(&self);
 
     /// Durability barrier: block until every write accepted so far is on
-    /// stable storage. The default is a no-op, which is exact for
-    /// [`SimDisk`] (its writes are synchronous) and keeps simulated runs
-    /// byte-identical; the file backend fsyncs here.
+    /// stable storage. The default is a no-op, right for a device whose
+    /// writes are stable when they return.
     ///
     /// # Errors
-    /// A backend flush failure, now or (sticky) at an earlier barrier
-    /// ([`ArrayError::Backend`](crate::ArrayError::Backend)).
+    /// [`ArrayError::Backend`]: a flush failed, now or (sticky) earlier.
     fn barrier(&self) -> Result<()> {
         Ok(())
     }
 }
 
-/// The backend a bare `DiskArray` / `Database` resolves to: the
-/// deterministic in-memory [`SimDisk`]. Generic code above `rda-array`
-/// names this alias instead of the concrete type, keeping the raw disk
-/// type confined to this crate.
-pub type DefaultDisk = SimDisk;
-
-/// Build the simulated disk set for `cfg` — one zeroed [`SimDisk`] per
-/// configured drive, in array order. This is the constructor generic
-/// open paths use when no real backend is supplied.
-#[must_use]
-pub fn sim_disks_for(cfg: &crate::ArrayConfig) -> Vec<SimDisk> {
-    let geo = crate::Geometry::new(cfg);
-    (0..geo.disks())
-        .map(|d| SimDisk::new(DiskId(d), geo.blocks_per_disk(), cfg.page_size))
-        .collect()
+/// What a block read found on a [`Medium`].
+pub enum BlockImage<'a> {
+    /// The block's image and header, borrowed until the medium's next call.
+    Intact(&'a [u8], Header),
+    /// Never written since the medium was made or blanked: all zeroes
+    /// under the zero header.
+    Blank,
+    /// A write to the block lost power halfway, and the tear shows.
+    Torn,
 }
 
-impl BlockDevice for SimDisk {
+/// The blocks under a [`Drive`]: all a backend supplies. The drive calls
+/// these under its lock, after its gate has admitted the transfer, so a
+/// medium keeps no fault or failure state.
+pub trait Medium: Send + 'static {
+    /// Writes are on stable storage when they return, so a barrier has
+    /// nothing to do and takes no lock.
+    const STABLE: bool = false;
+
+    /// Read one block.
+    ///
+    /// # Errors
+    /// The medium could not be read: [`ArrayError::Backend`] for this read.
+    fn read_block(&mut self, block: u64) -> io::Result<BlockImage<'_>>;
+
+    /// Write one block's image and header, healing a tear on it.
+    ///
+    /// # Errors
+    /// The write failed: [`ArrayError::Backend`] for this write.
+    fn write_block(&mut self, block: u64, image: &[u8], header: Header) -> io::Result<()>;
+
+    /// Tear one block so it reads back [`BlockImage::Torn`] until
+    /// rewritten. `Some(new)`: a write of `new` lost power halfway, and
+    /// the first half of the image is `new`'s. `None`: the first half is
+    /// scrambled in place (direct tear injection).
+    ///
+    /// # Errors
+    /// The tear did not land; the drive ignores it (power is failing).
+    fn write_torn_half(&mut self, block: u64, new: Option<&[u8]>) -> io::Result<()>;
+
+    /// Blank every block: a factory-fresh replacement.
+    ///
+    /// # Errors
+    /// The medium could not be blanked: the disk stays failed and poisoned.
+    fn reset_zero(&mut self) -> io::Result<()>;
+
+    /// Put every write so far on stable storage.
+    ///
+    /// # Errors
+    /// The writes may not be stable; the drive poisons the disk.
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+/// One disk: the fault gate over a [`Medium`].
+pub struct Drive<M> {
+    id: DiskId,
+    block_count: u64,
+    page_size: usize,
+    state: Mutex<State<M>>,
+    hook: Mutex<Option<HookState>>,
+}
+
+struct State<M> {
+    medium: M,
+    failed: bool,
+    /// Latent sector errors, injected or planted by the hook: process
+    /// state on every medium (an injected rot dies with the injector).
+    bad_blocks: HashSet<u64>,
+    /// Why the medium can no longer be trusted: a sync failed (the kernel
+    /// may already have dropped the dirty pages, so a retry that succeeds
+    /// proves nothing), or a replacement could not be blanked. Sticky
+    /// until [`BlockDevice::replace`] succeeds.
+    poisoned: Option<String>,
+    /// The medium may hold writes no sync has covered: set by every change
+    /// to it, cleared only by a successful sync. A drive starts dirty (a
+    /// file just created or reopened after a kill was never synced here).
+    dirty: bool,
+}
+
+impl<M: Medium> Drive<M> {
+    /// A disk of `block_count` blocks of `page_size` bytes over `medium`.
+    #[must_use]
+    pub fn new(id: DiskId, block_count: u64, page_size: usize, medium: M) -> Drive<M> {
+        Drive {
+            id,
+            block_count,
+            page_size,
+            state: Mutex::new(State {
+                medium,
+                failed: false,
+                bad_blocks: HashSet::new(),
+                poisoned: None,
+                dirty: true,
+            }),
+            hook: Mutex::new(None),
+        }
+    }
+
+    /// Run `f` on the medium under the drive's lock: how a backend's tests
+    /// plant a failure of the medium itself.
+    pub fn with_medium<R>(&self, f: impl FnOnce(&mut M) -> R) -> R {
+        f(&mut self.state.lock().medium)
+    }
+
+    fn page_of(&self, found: Option<(&[u8], Header)>) -> Page {
+        match found {
+            Some((image, header)) => Page::from_bytes(image).with_header(header),
+            None => Page::zeroed(self.page_size),
+        }
+    }
+
+    /// Out of line: building the message is off the path of every
+    /// transfer that succeeds.
+    #[cold]
+    fn failed_io(&self, op: &str, block: u64, e: &io::Error) -> ArrayError {
+        self.backend(format!("{op} of block {block} failed: {e}"))
+    }
+
+    fn backend(&self, msg: String) -> ArrayError {
+        ArrayError::Backend { disk: self.id, msg }
+    }
+
+    /// The gate every transfer passes: offer it to the hook (unless a
+    /// peek), apply the verdict, refuse what the disk's state refuses. On
+    /// success the transfer (`write`: the page to store) runs under the guard.
+    fn admit(
+        &self,
+        block: u64,
+        hooked: bool,
+        write: Option<&Page>,
+    ) -> Result<(MutexGuard<'_, State<M>>, FaultAction)> {
+        debug_assert!(block < self.block_count, "block out of range");
+        let action = match hooked.then(|| self.hook.lock()).as_deref() {
+            Some(Some(hook)) => hook.consult(self.id, block, write.is_some()),
+            _ => FaultAction::Proceed,
+        };
+        let mut state = self.state.lock();
+        match (action, write) {
+            (FaultAction::Transient, _) => {
+                return Err(ArrayError::Transient {
+                    disk: self.id,
+                    block,
+                });
+            }
+            (FaultAction::FailDisk, _) => state.failed = true,
+            // The sector was already rotting; this read discovers it.
+            (FaultAction::Latent, None) => {
+                state.bad_blocks.insert(block);
+            }
+            (FaultAction::TornWrite, Some(page)) if !state.failed => {
+                // Power died mid-write: the first half reached the medium
+                // and the tear shows there until the block is rewritten; it
+                // replaces any rot, so the block reads back torn. Best
+                // effort — the machine is losing power.
+                state.dirty = true;
+                let _ = state.medium.write_torn_half(block, Some(page.as_ref()));
+                state.bad_blocks.remove(&block);
+                return Err(ArrayError::Crashed);
+            }
+            // Power loss: a read cannot tear anything, so both crash
+            // flavours refuse the I/O without touching the medium.
+            (FaultAction::TornWrite, None) | (FaultAction::Crash, _) => {
+                return Err(ArrayError::Crashed);
+            }
+            // A latent write lands first and rots after; a dead disk tears
+            // nothing and is refused below.
+            (FaultAction::Proceed | FaultAction::Latent | FaultAction::TornWrite, _) => {}
+        }
+        if state.failed {
+            return Err(ArrayError::DiskFailed(self.id));
+        }
+        if write.is_none() && state.bad_blocks.contains(&block) {
+            return Err(ArrayError::MediaError {
+                disk: self.id,
+                block,
+            });
+        }
+        if let Some(msg) = &state.poisoned {
+            return Err(self.backend(msg.clone()));
+        }
+        Ok((state, action))
+    }
+
+    /// The one read path: gate, one read from the medium, then `take` sees
+    /// the image where it lies (`None`: blank), unless refused or torn.
+    fn read_with<T>(
+        &self,
+        block: u64,
+        hooked: bool,
+        take: impl FnOnce(Option<(&[u8], Header)>) -> T,
+    ) -> Result<T> {
+        let (mut state, _) = self.admit(block, hooked, None)?;
+        match state.medium.read_block(block) {
+            Ok(BlockImage::Intact(image, header)) => Ok(take(Some((image, header)))),
+            Ok(BlockImage::Blank) => Ok(take(None)),
+            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
+                disk: self.id,
+                block,
+            }),
+            Err(e) => Err(self.failed_io("read", block, &e)),
+        }
+    }
+}
+
+impl<M: Medium> BlockDevice for Drive<M> {
     fn id(&self) -> DiskId {
-        SimDisk::id(self)
+        self.id
     }
 
     fn block_count(&self) -> u64 {
-        SimDisk::block_count(self)
+        self.block_count
     }
 
     fn set_fault_hook(&self, state: Option<HookState>) {
-        SimDisk::set_fault_hook(self, state);
+        *self.hook.lock() = state;
     }
 
     fn read(&self, block: u64) -> Result<Page> {
-        SimDisk::read(self, block)
+        self.read_with(block, true, |found| self.page_of(found))
     }
 
     fn peek(&self, block: u64) -> Result<Page> {
-        SimDisk::peek(self, block)
+        self.read_with(block, false, |found| self.page_of(found))
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> Result<()> {
-        SimDisk::read_xor_into(self, block, dst)
+        self.read_with(block, true, |found| {
+            if let Some((image, _)) = found {
+                crate::xor::xor_in_place(dst.as_mut(), image);
+            }
+            dst.set_header(Header::default());
+        })
     }
 
     fn write(&self, block: u64, page: &Page) -> Result<()> {
-        SimDisk::write(self, block, page)
+        if page.len() != self.page_size {
+            return Err(ArrayError::PageSizeMismatch {
+                expected: self.page_size,
+                got: page.len(),
+            });
+        }
+        let (mut state, action) = self.admit(block, true, Some(page))?;
+        state.dirty = true;
+        state
+            .medium
+            .write_block(block, page.as_ref(), page.header())
+            .map_err(|e| self.failed_io("write", block, &e))?;
+        // The landed write remapped a rotten sector, as real drives do; a
+        // planted latent error rots it after the write appears to succeed.
+        if action == FaultAction::Latent {
+            state.bad_blocks.insert(block);
+        } else {
+            state.bad_blocks.remove(&block);
+        }
+        Ok(())
     }
 
     fn fail(&self) {
-        SimDisk::fail(self);
+        self.state.lock().failed = true;
     }
 
     fn is_failed(&self) -> bool {
-        SimDisk::is_failed(self)
+        self.state.lock().failed
     }
 
     fn corrupt_block(&self, block: u64) {
-        SimDisk::corrupt_block(self, block);
+        debug_assert!(block < self.block_count);
+        self.state.lock().bad_blocks.insert(block);
     }
 
     fn tear_block(&self, block: u64) {
-        SimDisk::tear_block(self, block);
+        debug_assert!(block < self.block_count);
+        let mut state = self.state.lock();
+        state.dirty = true;
+        let _ = state.medium.write_torn_half(block, None);
     }
 
     fn replace(&self) {
-        SimDisk::replace(self);
+        let mut state = self.state.lock();
+        state.dirty = true;
+        match state.medium.reset_zero() {
+            Ok(()) => {
+                state.failed = false;
+                state.bad_blocks.clear();
+                state.poisoned = None;
+            }
+            // A replacement that could not be blanked still holds the dead
+            // drive's blocks: it must not be rebuilt over or served.
+            Err(e) => {
+                state.failed = true;
+                state.poisoned = Some(format!("replacement not blanked: {e}"));
+            }
+        }
     }
+
+    fn barrier(&self) -> Result<()> {
+        if M::STABLE {
+            return Ok(());
+        }
+        let mut state = self.state.lock();
+        if let Some(msg) = &state.poisoned {
+            return Err(self.backend(msg.clone()));
+        }
+        if state.dirty {
+            if let Err(e) = state.medium.sync() {
+                let msg = format!("fsync failed: {e}");
+                state.poisoned = Some(msg.clone());
+                return Err(self.backend(msg));
+            }
+            state.dirty = false;
+        }
+        Ok(())
+    }
+}
+
+/// The backend a bare `DiskArray` / `Database` resolves to. Generic code
+/// above `rda-array` names this alias, keeping the concrete types confined
+/// to this crate.
+pub type DefaultDisk = Drive<SimDisk>;
+
+/// The simulated disk set for `cfg`: one blank in-memory disk per drive,
+/// in array order, for open paths given no real backend.
+#[must_use]
+pub fn sim_disks_for(cfg: &crate::ArrayConfig) -> Vec<DefaultDisk> {
+    let geo = crate::Geometry::new(cfg);
+    (0..geo.disks())
+        .map(|d| {
+            let medium = SimDisk::new(cfg.page_size);
+            Drive::new(DiskId(d), geo.blocks_per_disk(), cfg.page_size, medium)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_disk_is_a_block_device() {
-        fn takes_device<D: BlockDevice>(d: &D) -> u64 {
-            d.block_count()
-        }
-        let d = SimDisk::new(DiskId(0), 8, 32);
-        assert_eq!(takes_device(&d), 8);
-        // The default barrier is a no-op success.
-        assert!(BlockDevice::barrier(&d).is_ok());
-    }
 
     #[test]
     fn sim_disks_for_matches_geometry() {
@@ -195,6 +444,8 @@ mod tests {
         for (i, d) in disks.iter().enumerate() {
             assert_eq!(d.id(), DiskId(i as u16));
             assert_eq!(d.block_count(), geo.blocks_per_disk());
+            // An in-memory disk is stable storage: its barrier is a no-op.
+            assert!(d.barrier().is_ok());
         }
     }
 }

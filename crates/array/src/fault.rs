@@ -1,8 +1,8 @@
 //! Fault-injection hook interface.
 //!
-//! Every physical I/O a [`SimDisk`](crate::SimDisk) performs is first
-//! offered to an installed [`FaultHook`], which may let it proceed or order
-//! one of the fault modes a recovery protocol must survive:
+//! Every physical I/O a [`Drive`](crate::Drive) performs, on any medium, is
+//! first offered to an installed [`FaultHook`], which may let it proceed or
+//! order one of the fault modes a recovery protocol must survive:
 //!
 //! * a **torn write** — power fails mid-write, leaving a half-old /
 //!   half-new page image on the platter (detectable afterwards through the
@@ -15,11 +15,12 @@
 //! * a **crash** — power is lost before the I/O happens; every subsequent
 //!   I/O is refused until the machine is power-cycled.
 //!
-//! The hook *decides*, the disk *applies*: all state changes (torn images,
-//! bad-sector marks, failed flags) happen inside the disk so the hook can
-//! stay a pure, deterministic plan. Concrete plans live in the
-//! `rda-faults` crate; this module only defines the contract and the
-//! [`FaultStats`] counters the array keeps for faults it actually applied.
+//! The hook *decides*, the drive *applies*: all state changes (torn images,
+//! bad-sector marks, failed flags) happen in the drive's one gate, whatever
+//! medium lies under it, so the hook can stay a pure, deterministic plan.
+//! Concrete plans live in the `rda-faults` crate; this module only defines
+//! the contract and the [`FaultStats`] counters the array keeps for faults
+//! it actually applied.
 
 use crate::DiskId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,11 +89,12 @@ pub trait FaultHook: Send + Sync {
 /// the unit [`DiskArray::install_fault_hook`](crate::DiskArray::install_fault_hook)
 /// pushes down to every [`BlockDevice`](crate::BlockDevice) of the array.
 ///
-/// Backends do not talk to the hook directly: they call
+/// Media do not talk to the hook: the [`Drive`](crate::Drive) gate calls
 /// [`HookState::consult`] once per physical I/O, which both asks the plan
 /// for a verdict and records a non-`Proceed` answer in the shared
-/// counters. Keeping that pairing in one place is what lets a fault
-/// schedule replay identically on the simulated and file-backed disks.
+/// counters. Keeping that pairing, and the gate that applies the verdict,
+/// in one place is what lets a fault schedule replay identically on the
+/// simulated and file-backed disks.
 #[derive(Clone)]
 pub struct HookState {
     /// The installed fault plan.

@@ -4,10 +4,12 @@
 //! in *Database Recovery Using Redundant Disk Arrays* (Mourad, Fuchs, Saab;
 //! ICDE 1992). It provides:
 //!
-//! * [`SimDisk`] — an in-memory block device with I/O transfer accounting and
-//!   fault injection (whole-disk failures and latent sector errors). The
-//!   paper evaluates everything in *page transfer counts*, so an accounting
-//!   simulator preserves exactly the quantity the paper measures.
+//! * [`Drive`] — one disk: the fault gate (fault hook, whole-disk failure,
+//!   latent sector errors, torn pages, sticky sync failures) over a
+//!   [`Medium`] that only stores blocks. [`SimDisk`] is the in-memory
+//!   medium; `rda-disk` supplies real files. The paper evaluates everything
+//!   in *page transfer counts*, which the array bills above the device, so
+//!   an accounting simulator preserves exactly the quantity it measures.
 //! * [`Geometry`] — the two array organizations studied by the paper:
 //!   RAID-5 style **data striping with rotated parity** (paper Figure 1) and
 //!   Gray et al.'s **parity striping** (Figure 2), each in a single-parity
@@ -59,7 +61,7 @@ pub mod xor;
 
 pub use array::DiskArray;
 pub use config::{ArrayConfig, Organization};
-pub use device::{sim_disks_for, BlockDevice, DefaultDisk};
+pub use device::{sim_disks_for, BlockDevice, BlockImage, DefaultDisk, Drive, Medium};
 pub use disk::SimDisk;
 pub use error::ArrayError;
 pub use fault::{FaultAction, FaultHook, FaultStats, HookState, IoEvent};

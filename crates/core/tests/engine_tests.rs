@@ -2,7 +2,7 @@
 //! media recovery — for both engines, both logging granularities, and both
 //! EOT policies.
 
-use rda_array::{ArrayConfig, Organization};
+use rda_array::{ArrayConfig, BlockDevice, Organization};
 use rda_buffer::{BufferConfig, ReplacePolicy};
 use rda_core::{
     CheckpointPolicy, Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity,

@@ -1,34 +1,21 @@
-//! [`FileDisk`]: a real-file [`BlockDevice`] behind the same fault seam
-//! as [`SimDisk`](rda_array::SimDisk).
+//! [`FileDisk`]: one disk of the array as a real file — `rda-array`'s
+//! [`Drive`] gate over the disk's slot file (`crate::io`), so the fault
+//! arms, failure states, sticky poison and the barrier's dirty rule are the
+//! simulated disk's by construction. What the file adds is physical: a
+//! transfer is one `pread` or `pwrite` of the block's slot on the calling
+//! thread, in the file when the call returns (stable storage is the fsync's
+//! job, see [`DurabilityMode`]), and a tear is a checksum mismatch on the
+//! platter, so it survives a process death.
 //!
-//! Every read and write consults the installed [`HookState`] first, so a
-//! fault schedule's "k-th physical I/O" lands on the same operation it
-//! would hit on the simulated backend. The fault-arm semantics mirror
-//! `SimDisk` one for one; the differences are purely physical:
-//!
-//! * a transfer is one system call on the calling thread: a read is one
-//!   `pread` of the block's slot, a write one `pwrite` of image and
-//!   checksum together (see `crate::io`). When a write returns, the image
-//!   is in the file, and a failure is returned to the call that issued
-//!   it. Stable storage is the fsync's job (see [`DurabilityMode`]);
-//! * torn pages live on the platter as a checksum mismatch rather than in
-//!   a memory set, so they survive a process death;
-//! * injected *latent* errors remain process-local test state (a real
-//!   drive's rot is physical; an injected one dies with the injector).
-//!
-//! The file and its slot buffer live inside the disk's state lock, so one
-//! disk's reads, writes, barriers and replacement are serial and a read
-//! never sees the buffer another call is filling. (Above the device, every
-//! array access already happens under the engine mutex.)
+//! The file and its slot buffer live inside the drive's lock, so one disk's
+//! reads, writes, barriers and replacement are serial and a read never sees
+//! the buffer another call is filling.
 
-use crate::io::{BlockImage, DiskFiles};
-use rda_array::{xor, ArrayError, BlockDevice, DiskId, FaultAction, Header, HookState, Page};
-use rda_obs::sync::Mutex;
-use rda_obs::{monotonic_nanos, Counter, Histogram};
-use std::collections::HashSet;
+use crate::io::DiskFiles;
+use rda_array::{BlockDevice, DiskId, Drive, HookState, Page};
+use rda_obs::{Counter, Histogram};
 use std::io;
 use std::path::Path;
-use std::sync::MutexGuard;
 use std::sync::{Arc, OnceLock};
 
 /// When a disk's writes are pushed to stable storage.
@@ -40,8 +27,8 @@ pub enum DurabilityMode {
     /// last successful fsync, so a commit pays for the disks it touched.
     #[default]
     FsyncOnBarrier,
-    /// Fsync inside every write, approximating an O_DSYNC device. A
-    /// barrier then has nothing left to sync.
+    /// Fsync inside every write, approximating an O_DSYNC device: each
+    /// write is followed by a barrier, which then leaves the disk clean.
     SyncEachWrite,
 }
 
@@ -63,33 +50,11 @@ pub(crate) struct DiskCounters {
     pub(crate) fsync_nanos: OnceLock<Arc<Histogram>>,
 }
 
-struct DiskState {
-    files: DiskFiles,
-    failed: bool,
-    bad_blocks: HashSet<u64>,
-    /// Why the file can no longer be trusted: an fsync failed (the
-    /// kernel may already have dropped the dirty pages, so a retry that
-    /// succeeds proves nothing), or a replacement could not be blanked.
-    /// Sticky until [`BlockDevice::replace`] succeeds.
-    poisoned: Option<String>,
-    /// The file may hold bytes no fsync has covered. Set by everything
-    /// that modifies it, cleared only by a successful fsync; a barrier
-    /// on a clean disk has nothing to make durable and issues none. A
-    /// disk starts dirty: a file just created, or reopened after a kill
-    /// with writes still in the page cache, has never been synced by
-    /// this process.
-    dirty: bool,
-}
-
 /// One file-backed disk of the array.
 pub struct FileDisk {
-    id: DiskId,
+    drive: Drive<DiskFiles>,
     mode: DurabilityMode,
-    block_count: u64,
-    page_size: usize,
     pub(crate) counters: Arc<DiskCounters>,
-    state: Mutex<DiskState>,
-    hook: Mutex<Option<HookState>>,
 }
 
 impl FileDisk {
@@ -105,7 +70,7 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::create(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, block_count, page_size, mode))
+        Ok(FileDisk::over(files, id, mode))
     }
 
     /// Open a disk over a surviving file (geometry is validated against
@@ -121,273 +86,76 @@ impl FileDisk {
         mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::open(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, block_count, page_size, mode))
+        Ok(FileDisk::over(files, id, mode))
     }
 
-    fn over(
-        files: DiskFiles,
-        id: DiskId,
-        block_count: u64,
-        page_size: usize,
-        mode: DurabilityMode,
-    ) -> FileDisk {
+    fn over(files: DiskFiles, id: DiskId, mode: DurabilityMode) -> FileDisk {
         FileDisk {
-            id,
+            counters: Arc::clone(&files.counters),
+            drive: Drive::new(id, files.block_count, files.page_size, files),
             mode,
-            block_count,
-            page_size,
-            counters: Arc::default(),
-            state: Mutex::new(DiskState {
-                files,
-                failed: false,
-                bad_blocks: HashSet::new(),
-                poisoned: None,
-                dirty: true,
-            }),
-            hook: Mutex::new(None),
-        }
-    }
-
-    fn consult_hook(&self, block: u64, is_write: bool) -> FaultAction {
-        let guard = self.hook.lock();
-        let Some(state) = guard.as_ref() else {
-            return FaultAction::Proceed;
-        };
-        state.consult(self.id, block, is_write)
-    }
-
-    fn backend_err(&self, msg: String) -> ArrayError {
-        ArrayError::Backend { disk: self.id, msg }
-    }
-
-    /// Record that the file can no longer be trusted and build the error
-    /// every later read, write and barrier will repeat.
-    fn poison(&self, state: &mut DiskState, msg: String) -> ArrayError {
-        self.counters.sticky_errors.inc();
-        state.poisoned = Some(msg.clone());
-        self.backend_err(msg)
-    }
-
-    /// Fsync the file, timed. A failure poisons the disk: it must not
-    /// be retried as if clean.
-    fn sync(&self, state: &mut DiskState) -> rda_array::Result<()> {
-        let start = monotonic_nanos();
-        let synced = state.files.sync();
-        self.counters.fsyncs.inc();
-        if let Some(h) = self.counters.fsync_nanos.get() {
-            h.observe(monotonic_nanos().saturating_sub(start));
-        }
-        match synced {
-            Ok(()) => {
-                state.dirty = false;
-                Ok(())
-            }
-            Err(e) => Err(self.poison(state, format!("fsync failed: {e}"))),
-        }
-    }
-
-    /// The shared read-side gate: fault hook (unless a peek), then failure
-    /// states — the same order as `SimDisk::readable`. On success the caller reads the
-    /// file under the returned guard.
-    fn read_gate(&self, block: u64, hooked: bool) -> rda_array::Result<MutexGuard<'_, DiskState>> {
-        debug_assert!(block < self.block_count, "block out of range");
-        let action = if hooked {
-            self.consult_hook(block, false)
-        } else {
-            FaultAction::Proceed
-        };
-        match action {
-            FaultAction::Proceed => {}
-            FaultAction::Transient => {
-                return Err(ArrayError::Transient {
-                    disk: self.id,
-                    block,
-                });
-            }
-            FaultAction::Latent => {
-                self.state.lock().bad_blocks.insert(block);
-            }
-            FaultAction::FailDisk => {
-                self.state.lock().failed = true;
-            }
-            FaultAction::TornWrite | FaultAction::Crash => return Err(ArrayError::Crashed),
-        }
-        let state = self.state.lock();
-        if state.failed {
-            return Err(ArrayError::DiskFailed(self.id));
-        }
-        if state.bad_blocks.contains(&block) {
-            return Err(ArrayError::MediaError {
-                disk: self.id,
-                block,
-            });
-        }
-        if let Some(msg) = &state.poisoned {
-            return Err(self.backend_err(msg.clone()));
-        }
-        Ok(state)
-    }
-
-    /// The one read path: gate, one positioned read of the block's slot,
-    /// checksum verification, then `take` sees the verified image where it
-    /// landed. `take` does not run on a torn, failed or poisoned block.
-    fn read_with<T>(
-        &self,
-        block: u64,
-        hooked: bool,
-        take: impl FnOnce(&[u8], Header) -> T,
-    ) -> rda_array::Result<T> {
-        let mut state = self.read_gate(block, hooked)?;
-        match state.files.read_block(block) {
-            Ok(BlockImage::Intact(image, header)) => Ok(take(image, header)),
-            Ok(BlockImage::Torn) => Err(ArrayError::TornPage {
-                disk: self.id,
-                block,
-            }),
-            Err(e) => Err(self.backend_err(format!("read of block {block} failed: {e}"))),
         }
     }
 }
 
+/// The drive's, except that a write under `SyncEachWrite` ends with a
+/// barrier and that barriers are counted.
 impl BlockDevice for FileDisk {
     fn id(&self) -> DiskId {
-        self.id
+        self.drive.id()
     }
 
     fn block_count(&self) -> u64 {
-        self.block_count
+        self.drive.block_count()
     }
 
     fn set_fault_hook(&self, state: Option<HookState>) {
-        *self.hook.lock() = state;
+        self.drive.set_fault_hook(state);
     }
 
     fn read(&self, block: u64) -> rda_array::Result<Page> {
-        self.read_with(block, true, |image, header| {
-            Page::from_bytes(image).with_header(header)
-        })
+        self.drive.read(block)
     }
 
     fn peek(&self, block: u64) -> rda_array::Result<Page> {
-        self.read_with(block, false, |image, header| {
-            Page::from_bytes(image).with_header(header)
-        })
+        self.drive.peek(block)
     }
 
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
-        self.read_with(block, true, |image, _| {
-            xor::xor_in_place(dst.as_mut(), image);
-            dst.set_header(Header::default());
-        })
+        self.drive.read_xor_into(block, dst)
     }
 
     fn write(&self, block: u64, page: &Page) -> rda_array::Result<()> {
-        debug_assert!(block < self.block_count, "block out of range");
-        if page.len() != self.page_size {
-            return Err(ArrayError::PageSizeMismatch {
-                expected: self.page_size,
-                got: page.len(),
-            });
-        }
-        let action = self.consult_hook(block, true);
-        let mut state = self.state.lock();
-        match action {
-            FaultAction::Proceed | FaultAction::Latent => {}
-            FaultAction::Transient => {
-                return Err(ArrayError::Transient {
-                    disk: self.id,
-                    block,
-                });
-            }
-            FaultAction::FailDisk => {
-                state.failed = true;
-            }
-            FaultAction::TornWrite => {
-                if state.failed {
-                    return Err(ArrayError::DiskFailed(self.id));
-                }
-                // Make the tear physical: the half-new image lands
-                // without its checksum. Best-effort — the machine is
-                // losing power.
-                state.dirty = true;
-                let _ = state.files.write_torn_half(block, Some(page.as_ref()));
-                return Err(ArrayError::Crashed);
-            }
-            FaultAction::Crash => return Err(ArrayError::Crashed),
-        }
-        if state.failed {
-            return Err(ArrayError::DiskFailed(self.id));
-        }
-        if let Some(msg) = &state.poisoned {
-            return Err(self.backend_err(msg.clone()));
-        }
-        self.counters.writes.inc();
-        state.dirty = true;
-        state
-            .files
-            .write_block(block, page.as_ref(), page.header())
-            .map_err(|e| self.backend_err(format!("write of block {block} failed: {e}")))?;
-        // The landed write refreshed the checksum, healing any torn
-        // image; an injected latent error rots the block *after* the
-        // write appears to succeed, like SimDisk.
-        state.bad_blocks.remove(&block);
-        if action == FaultAction::Latent {
-            state.bad_blocks.insert(block);
-        }
+        self.drive.write(block, page)?;
         if self.mode == DurabilityMode::SyncEachWrite {
-            self.sync(&mut state)?;
+            self.drive.barrier()?;
         }
         Ok(())
     }
 
     fn fail(&self) {
-        self.state.lock().failed = true;
+        self.drive.fail();
     }
 
     fn is_failed(&self) -> bool {
-        self.state.lock().failed
+        self.drive.is_failed()
     }
 
     fn corrupt_block(&self, block: u64) {
-        debug_assert!(block < self.block_count);
-        self.state.lock().bad_blocks.insert(block);
+        self.drive.corrupt_block(block);
     }
 
     fn tear_block(&self, block: u64) {
-        debug_assert!(block < self.block_count);
-        let mut state = self.state.lock();
-        state.dirty = true;
-        let _ = state.files.write_torn_half(block, None);
+        self.drive.tear_block(block);
     }
 
     fn replace(&self) {
-        let mut state = self.state.lock();
-        state.dirty = true;
-        match state.files.reset_zero() {
-            Ok(()) => {
-                state.failed = false;
-                state.bad_blocks.clear();
-                state.poisoned = None;
-            }
-            // A replacement that could not be blanked still holds the dead
-            // drive's blocks: it must not be rebuilt over or served.
-            Err(e) => {
-                state.failed = true;
-                let _ = self.poison(&mut state, format!("replacement not blanked: {e}"));
-            }
-        }
+        self.drive.replace();
     }
 
     fn barrier(&self) -> rda_array::Result<()> {
         self.counters.barriers.inc();
-        let mut state = self.state.lock();
-        if let Some(msg) = &state.poisoned {
-            return Err(self.backend_err(msg.clone()));
-        }
-        if self.mode == DurabilityMode::FsyncOnBarrier && state.dirty {
-            self.sync(&mut state)?;
-        }
-        Ok(())
+        self.drive.barrier()
     }
 }
 
@@ -395,6 +163,7 @@ impl BlockDevice for FileDisk {
 mod tests {
     use super::*;
     use crate::io::FailOn;
+    use rda_array::ArrayError;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -470,7 +239,7 @@ mod tests {
             Err(ArrayError::MediaError { .. })
         ));
         assert_eq!(acc, before, "latent");
-        d.state.lock().files.fail_on = Some(FailOn::Sync);
+        d.drive.with_medium(|f| f.fail_on = Some(FailOn::Sync));
         assert!(BlockDevice::barrier(&d).is_err());
         backend_msg(d.read_xor_into(2, &mut acc).unwrap_err());
         assert_eq!(acc, before, "poisoned");
@@ -496,26 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_modes_mirror_sim_disk() {
-        let dir = tmpdir("faults");
-        let d = disk(&dir);
-        d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
-        d.corrupt_block(1);
-        assert!(matches!(d.read(1), Err(ArrayError::MediaError { .. })));
-        d.write(1, &Page::from_bytes(&[2u8; 32])).unwrap();
-        assert_eq!(d.read(1).unwrap().as_ref()[0], 2, "rewrite heals latent");
-        d.tear_block(1);
-        assert!(matches!(d.read(1), Err(ArrayError::TornPage { .. })));
-        d.write(1, &Page::from_bytes(&[3u8; 32])).unwrap();
-        assert_eq!(d.read(1).unwrap().as_ref()[0], 3, "rewrite heals tear");
-        d.fail();
-        assert!(matches!(d.read(1), Err(ArrayError::DiskFailed(_))));
-        d.replace();
-        assert!(d.read(1).unwrap().is_zeroed(), "replacement is blank");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn torn_block_survives_reopen() {
         let dir = tmpdir("torn-durable");
         let d = disk(&dir);
@@ -527,20 +276,6 @@ mod tests {
         assert!(
             matches!(d.read(4), Err(ArrayError::TornPage { .. })),
             "the tear is physical, not process state"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_page_size_rejected() {
-        let dir = tmpdir("size");
-        let d = disk(&dir);
-        assert_eq!(
-            d.write(0, &Page::zeroed(16)).unwrap_err(),
-            ArrayError::PageSizeMismatch {
-                expected: 32,
-                got: 16
-            }
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -609,7 +344,7 @@ mod tests {
         let dir = tmpdir("pwrite-fails");
         let d = disk(&dir);
         d.write(5, &Page::from_bytes(&[1u8; 32])).unwrap();
-        d.state.lock().files.fail_on = Some(FailOn::Write(5));
+        d.drive.with_medium(|f| f.fail_on = Some(FailOn::Write(5)));
         let msg = backend_msg(d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap_err());
         assert!(msg.contains("write of block 5 failed"), "{msg}");
         // Not sticky: the disk keeps serving, the refused block included.
@@ -617,7 +352,7 @@ mod tests {
         assert_eq!(d.read(6).unwrap().as_ref()[0], 3);
         assert_eq!(d.read(5).unwrap().as_ref()[0], 1, "old image intact");
         BlockDevice::barrier(&d).unwrap();
-        d.state.lock().files.fail_on = None;
+        d.drive.with_medium(|f| f.fail_on = None);
         d.write(5, &Page::from_bytes(&[2u8; 32])).unwrap();
         assert_eq!(d.counters.sticky_errors.get(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -628,11 +363,11 @@ mod tests {
         let dir = tmpdir("fsync-fails");
         let d = disk(&dir);
         d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
-        d.state.lock().files.fail_on = Some(FailOn::Sync);
+        d.drive.with_medium(|f| f.fail_on = Some(FailOn::Sync));
         let first = backend_msg(BlockDevice::barrier(&d).unwrap_err());
         assert!(first.contains("fsync failed"), "{first}");
         // The device recovers; the disk must not retry as if clean.
-        d.state.lock().files.fail_on = None;
+        d.drive.with_medium(|f| f.fail_on = None);
         assert_eq!(backend_msg(BlockDevice::barrier(&d).unwrap_err()), first);
         let page = Page::from_bytes(&[2u8; 32]);
         assert_eq!(backend_msg(d.write(2, &page).unwrap_err()), first);
@@ -653,12 +388,12 @@ mod tests {
         let d = disk(&dir);
         d.write(1, &Page::from_bytes(&[1u8; 32])).unwrap();
         d.fail();
-        d.state.lock().files.fail_on = Some(FailOn::Reset);
+        d.drive.with_medium(|f| f.fail_on = Some(FailOn::Reset));
         d.replace();
         assert!(d.is_failed(), "stale blocks must not be served");
         assert!(matches!(d.read(1), Err(ArrayError::DiskFailed(_))));
         assert_eq!(d.counters.sticky_errors.get(), 1);
-        d.state.lock().files.fail_on = None;
+        d.drive.with_medium(|f| f.fail_on = None);
         d.replace();
         assert!(!d.is_failed());
         assert!(d.read(1).unwrap().is_zeroed());
@@ -687,7 +422,7 @@ mod tests {
                 let blocks = geo.blocks_per_disk();
                 let disk = FileDisk::create(&dir, DiskId(d), blocks, cfg.array.page_size, mode);
                 let disk = disk.unwrap();
-                disk.state.lock().files.fail_on = Some(FailOn::Sync);
+                disk.drive.with_medium(|f| f.fail_on = Some(FailOn::Sync));
                 disk
             })
             .collect();

@@ -42,11 +42,14 @@
 //! All I/O is positioned (`read_exact_at` / `write_all_at`) on slot
 //! boundaries, so no caller depends on a file cursor.
 
-use rda_array::{xor, Header};
+use crate::disk::DiskCounters;
+use rda_array::{xor, BlockImage, Header, Medium};
+use rda_obs::monotonic_nanos;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Bytes of checksum stored behind each block's header.
 const SUM_BYTES: usize = 8;
@@ -75,17 +78,6 @@ fn page_sum(block: &[u8]) -> u64 {
     }
 }
 
-/// What a block read found on the platter.
-pub(crate) enum BlockImage<'a> {
-    /// Image and header match their recorded checksum. The image is
-    /// borrowed from the disk's slot buffer: good until the next call on
-    /// the same [`DiskFiles`].
-    Intact(&'a [u8], Header),
-    /// The block and its checksum disagree — a write to this block was
-    /// interrupted and the tear is detectable.
-    Torn,
-}
-
 /// Which [`DiskFiles`] call a unit test wants to fail. Real `pwrite` and
 /// `fsync` failures need a full or dying device, so tests plant them here;
 /// production builds have no such seam.
@@ -100,12 +92,14 @@ pub(crate) enum FailOn {
 /// The file backing one disk, and the buffer every transfer goes through.
 pub(crate) struct DiskFiles {
     data: File,
-    page_size: usize,
-    block_count: u64,
+    pub(crate) page_size: usize,
+    pub(crate) block_count: u64,
     stride: u64,
     /// One block's image, header and sum (`page_size + 27` bytes): what
     /// a read lands in and a write is assembled in, so neither allocates.
     slot: Box<[u8]>,
+    /// The `disk_*` counters this file's transfers feed.
+    pub(crate) counters: Arc<DiskCounters>,
     #[cfg(test)]
     pub(crate) fail_on: Option<FailOn>,
 }
@@ -122,6 +116,7 @@ impl DiskFiles {
             block_count,
             stride: stride(page_size),
             slot: vec![0u8; covered(page_size) + SUM_BYTES].into_boxed_slice(),
+            counters: Arc::default(),
             #[cfg(test)]
             fail_on: None,
         }
@@ -174,15 +169,37 @@ impl DiskFiles {
         Ok(())
     }
 
+    /// Reset the file to factory-blank (all zeroes, checksum sentinel 0
+    /// in every slot).
+    fn blank(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailOn::Reset)?;
+        self.data.set_len(0)?;
+        self.data.set_len(self.block_count * self.stride)
+    }
+
+    fn fsync(&self) -> io::Result<()> {
+        #[cfg(test)]
+        self.injected(FailOn::Sync)?;
+        self.data.sync_data()
+    }
+}
+
+/// The file medium under `FileDisk`'s gate. A failed sync or reset is
+/// what the gate makes sticky, so each counts as a sticky error here.
+impl Medium for DiskFiles {
     /// Read one block's slot and verify image and header against the
-    /// checksum behind them.
-    pub(crate) fn read_block(&mut self, block: u64) -> io::Result<BlockImage<'_>> {
+    /// checksum behind them: a mismatch is a tear.
+    fn read_block(&mut self, block: u64) -> io::Result<BlockImage<'_>> {
         self.data
             .read_exact_at(&mut self.slot, block * self.stride)?;
-        let (covered, sum) = self.slot.split_at(covered(self.page_size));
-        let intact = match u64::from_le_bytes(sum.try_into().expect("slot ends in the sum")) {
+        let Some((covered, sum)) = self.slot.split_last_chunk::<SUM_BYTES>() else {
+            return Err(io::Error::other("slot buffer shorter than a checksum"));
+        };
+        let intact = match u64::from_le_bytes(*sum) {
             // Never written: must still hold the factory zeroes.
-            0 => xor::is_zero(covered),
+            0 if xor::is_zero(covered) => return Ok(BlockImage::Blank),
+            0 => false,
             stored => page_sum(covered) == stored,
         };
         let (image, header) = covered.split_at(self.page_size);
@@ -197,12 +214,8 @@ impl DiskFiles {
     /// write. A death inside it leaves some sectors of the slot old and
     /// some new — a block/checksum mismatch, the failure mode the
     /// checksum exists to expose.
-    pub(crate) fn write_block(
-        &mut self,
-        block: u64,
-        image: &[u8],
-        header: Header,
-    ) -> io::Result<()> {
+    fn write_block(&mut self, block: u64, image: &[u8], header: Header) -> io::Result<()> {
+        self.counters.writes.inc();
         #[cfg(test)]
         self.injected(FailOn::Write(block))?;
         let (covered, slot_sum) = self.slot.split_at_mut(covered(self.page_size));
@@ -213,15 +226,11 @@ impl DiskFiles {
         self.data.write_all_at(&self.slot, block * self.stride)
     }
 
-    /// Deliberately tear a block: overwrite the first half of its image
-    /// *without* touching the header and checksum behind it, so the block
-    /// reads back torn until rewritten.
-    ///
-    /// `Some(new)` models a power loss halfway through writing `new` (the
-    /// first half of the new image reached the platter); `None` scrambles
-    /// the current first half in place (direct tear injection), mirroring
-    /// `SimDisk::tear_block`'s `^ 0xA5` scramble.
-    pub(crate) fn write_torn_half(&mut self, block: u64, new: Option<&[u8]>) -> io::Result<()> {
+    /// Overwrite the first half of the block's image *without* touching
+    /// the header and checksum behind it, so the block reads back torn
+    /// until rewritten. `None` scrambles the current half with `^ 0xA5`,
+    /// as the in-memory medium does.
+    fn write_torn_half(&mut self, block: u64, new: Option<&[u8]>) -> io::Result<()> {
         let at = block * self.stride;
         let half = &mut self.slot[..self.page_size / 2];
         match new {
@@ -236,20 +245,26 @@ impl DiskFiles {
         self.data.write_all_at(half, at)
     }
 
-    /// Reset the file to factory-blank (all zeroes, checksum sentinel 0
-    /// in every slot) — a replacement drive.
-    pub(crate) fn reset_zero(&mut self) -> io::Result<()> {
-        #[cfg(test)]
-        self.injected(FailOn::Reset)?;
-        self.data.set_len(0)?;
-        self.data.set_len(self.block_count * self.stride)
+    fn reset_zero(&mut self) -> io::Result<()> {
+        let reset = self.blank();
+        if reset.is_err() {
+            self.counters.sticky_errors.inc();
+        }
+        reset
     }
 
-    /// Flush the file to stable storage.
-    pub(crate) fn sync(&self) -> io::Result<()> {
-        #[cfg(test)]
-        self.injected(FailOn::Sync)?;
-        self.data.sync_data()
+    /// Fsync the file, timed.
+    fn sync(&mut self) -> io::Result<()> {
+        let start = monotonic_nanos();
+        let synced = self.fsync();
+        self.counters.fsyncs.inc();
+        if let Some(h) = self.counters.fsync_nanos.get() {
+            h.observe(monotonic_nanos().saturating_sub(start));
+        }
+        if synced.is_err() {
+            self.counters.sticky_errors.inc();
+        }
+        synced
     }
 }
 
@@ -291,6 +306,7 @@ mod tests {
     fn block_of(f: &mut DiskFiles, block: u64) -> (Vec<u8>, Header) {
         match f.read_block(block).unwrap() {
             BlockImage::Intact(image, header) => (image.to_vec(), header),
+            BlockImage::Blank => (vec![0; f.page_size], Header::default()),
             BlockImage::Torn => panic!("block {block} reads torn"),
         }
     }

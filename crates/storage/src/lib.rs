@@ -8,9 +8,10 @@
 //!
 //! * [`FileDisk`] — one disk = one data file of slots (image, header,
 //!   checksum), written through on the caller's thread and fsynced at
-//!   barriers. Torn pages are physical (a checksum mismatch) and survive
-//!   process death; the [`FaultHook`](rda_array::FaultHook) seam injects
-//!   the same fault schedules as on `SimDisk`.
+//!   barriers, under the same [`Drive`](rda_array::Drive) fault gate as
+//!   the simulated disks: the [`FaultHook`](rda_array::FaultHook) seam
+//!   injects the same fault schedules, and torn pages are physical (a
+//!   checksum mismatch) so they survive process death.
 //! * [`FileMetaStore`] / [`FileLogSink`] — the durable homes of the
 //!   state the simulator keeps in modeled NVRAM and of the in-memory log:
 //!   one checksummed slot for the staged write intent, and an append-only

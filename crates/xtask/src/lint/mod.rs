@@ -10,8 +10,10 @@
 //! 2. **errors-doc** — every `pub fn` returning `Result` documents its
 //!    failure modes in a `# Errors` section.
 //! 3. **array-discipline** — the raw `SimDisk` type never appears
-//!    outside `rda-array`; all I/O goes through `DiskArray` so parity
-//!    maintenance and transfer accounting stay sound.
+//!    outside `rda-array`, `FileDisk` outside `rda-disk`, and the gate
+//!    they share (`Drive`, `Medium`) outside those two; all I/O goes
+//!    through `DiskArray` so parity maintenance and transfer accounting
+//!    stay sound.
 //! 4. **lint-config** — `unsafe` is banned workspace-wide and every
 //!    member manifest opts into the shared `[workspace.lints]` table.
 //!

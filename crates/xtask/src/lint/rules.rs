@@ -155,37 +155,52 @@ pub fn errors_doc(files: &[SourceFile], violations: &mut Vec<String>) {
 
 /// Raw `BlockDevice` implementations must not leak above the crate that
 /// owns them: `SimDisk` stays inside `rda-array` and `FileDisk` inside
-/// `rda-disk`. Everything else goes through `DiskArray` (which owns the
-/// parity protocol and the transfer accounting the paper's cost model
-/// depends on) or through the `rda-disk` open functions (which own the
-/// manifest, journals and metric wiring).
+/// `rda-disk`, and the gate they share (`Drive`, over a `Medium`) inside
+/// the two crates that build disks from it. Everything else goes through
+/// `DiskArray` (which owns the parity protocol and the transfer accounting
+/// the paper's cost model depends on) or through the `rda-disk` open
+/// functions (which own the manifest, journals and metric wiring).
 pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
-    const CONFINED: &[(&str, &str, &str)] = &[
+    const MEDIA: &[&str] = &["crates/array/", "crates/storage/"];
+    const CONFINED: &[(&str, &[&str], &str)] = &[
         (
             "SimDisk",
-            "crates/array/",
+            &["crates/array/"],
             "bypasses parity maintenance and transfer accounting — go \
              through `DiskArray`",
         ),
         (
             "FileDisk",
-            "crates/storage/",
+            &["crates/storage/"],
             "bypasses the manifest, journals and metric wiring — go \
              through `create_database`/`reopen_database`",
         ),
+        (
+            "Drive",
+            MEDIA,
+            "builds a disk outside the backends — go through `DiskArray` \
+             or the `rda-disk` open functions",
+        ),
+        (
+            "Medium",
+            MEDIA,
+            "adds a backend outside the backend crates — a new medium \
+             belongs beside `SimDisk` or `FileDisk`",
+        ),
     ];
     for f in files {
-        for (token, home, why) in CONFINED {
-            if f.rel_path.starts_with(home) {
+        for (token, homes, why) in CONFINED {
+            if homes.iter().any(|home| f.rel_path.starts_with(home)) {
                 continue;
             }
+            let homes: Vec<_> = homes.iter().map(|h| h.trim_end_matches('/')).collect();
             for pos in token_positions(&f.code, token) {
                 violations.push(format!(
                     "[array-discipline] {}:{}: direct `{token}` access outside \
                      {} {why}",
                     f.rel_path,
                     line_of(&f.code, pos),
-                    home.trim_end_matches('/'),
+                    homes.join(" and "),
                 ));
             }
         }

@@ -191,6 +191,33 @@ fn sim_disk_outside_array_is_caught() {
 }
 
 #[test]
+fn shared_gate_types_stay_in_the_backend_crates() {
+    let fx = Fixture::new("gate");
+    let medium = "pub struct Tape;\nimpl rda_array::Medium for Tape {}\n\
+                  pub type TapeDisk = rda_array::Drive<Tape>;\n";
+    fs::create_dir_all(fx.root.join("crates/storage/src")).expect("mkdir storage");
+    fx.write("crates/storage/src/lib.rs", medium);
+    let out = fx.lint();
+    assert!(
+        out.status.success(),
+        "backend crate flagged: {}",
+        stderr(&out)
+    );
+
+    fx.write("crates/core/src/lib.rs", medium);
+    let out = fx.lint();
+    let err = stderr(&out);
+    assert!(!out.status.success());
+    assert!(
+        err.contains("[array-discipline] crates/core/src/lib.rs"),
+        "{err}"
+    );
+    for token in ["`Medium`", "`Drive`"] {
+        assert!(err.contains(token), "must name {token}: {err}");
+    }
+}
+
+#[test]
 fn registry_dependency_in_any_table_is_caught() {
     const PACKAGE: &str =
         "[package]\nname = \"rda-core\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n";
