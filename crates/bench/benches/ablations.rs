@@ -9,13 +9,9 @@
 //!   commit does zero parity I/O, so an *entire* one-page transaction
 //!   (`twin_txn_commit_full`, including its steal and log force) is the
 //!   fair upper bound to hold it against.
-//! * **Buffer replacement policy** — clock vs LRU under the engine
-//!   workload (the paper is policy-agnostic; this shows the choice is
-//!   immaterial, justifying the default).
 
 use rda_array::{ArrayConfig, DataPageId, DiskArray, GroupId, Organization, ParitySlot};
 use rda_bench::bench;
-use rda_buffer::ReplacePolicy;
 use rda_core::{Database, DbConfig, EngineKind};
 use std::hint::black_box;
 
@@ -56,28 +52,6 @@ fn bench_commit_parity_strategies() {
     );
 }
 
-fn bench_replacement_policy() {
-    for policy in [ReplacePolicy::Clock, ReplacePolicy::Lru] {
-        let mut cfg = DbConfig::paper_like(EngineKind::Rda, 500, 32);
-        cfg.array.page_size = 512;
-        cfg.buffer.policy = policy;
-        let db = Database::open(cfg);
-        let mut i = 0u32;
-        bench(
-            &format!("replacement_policy/{policy:?}"),
-            || (),
-            |()| {
-                let mut tx = db.begin();
-                for k in 0..8u32 {
-                    i = (i * 17 + k + 1) % db.data_pages();
-                    tx.write(i, &[k as u8; 16]).unwrap();
-                }
-                black_box(tx.commit().unwrap());
-            },
-        );
-    }
-}
-
 /// Data-page reads through each array organization (parity striping keeps
 /// sequential pages on one disk; rotated parity spreads them).
 fn bench_read_organizations() {
@@ -97,6 +71,5 @@ fn bench_read_organizations() {
 
 fn main() {
     bench_commit_parity_strategies();
-    bench_replacement_policy();
     bench_read_organizations();
 }

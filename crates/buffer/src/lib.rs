@@ -6,23 +6,23 @@
 //! `a`; a **STEAL** policy "allows pages modified by uncommitted
 //! transactions to be propagated to the database before EOT").
 //!
-//! The pool enforces policy but delegates *mechanism* to its caller: on a
-//! miss it asks a `fetch` closure for the page, and on eviction of a dirty
-//! frame it hands the page to a `steal` closure — in `rda-core` that
-//! closure is the recovery manager, which decides whether the steal needs
-//! UNDO logging or can ride on the dirty parity group. This inversion is
-//! exactly the paper's hook: "We only specify when a modified page can be
-//! written back to disk without UNDO logging."
+//! The pool enforces policy and leaves the I/O to its caller, who drives
+//! it in steps: `lookup` (a hit or a miss), `pop_victim` when no frame is
+//! free, `insert` of the fetched page. A dirty victim comes back as an
+//! [`Evicted`] frame whose write-back the caller performs — in `rda-core`
+//! the recovery manager, which decides whether a steal needs UNDO logging
+//! or can ride on the dirty parity group, and `restore`s the frame if the
+//! write fails. This is exactly the paper's hook: "We only specify when a
+//! modified page can be written back to disk without UNDO logging."
+//! [`BufferPool::read`] composes the same steps around a `fetch` and a
+//! `steal` closure for callers without engine state.
 //!
-//! Two replacement policies are provided (clock and LRU); the paper does
-//! not depend on a particular one ("buffer management algorithms are not
-//! supposed to replace a page that will be referenced again in the near
-//! future" — footnote 3), so the policy is a config knob and an ablation
-//! bench compares them.
+//! Replacement is a second-chance clock. The paper does not depend on a
+//! particular policy ("buffer management algorithms are not supposed to
+//! replace a page that will be referenced again in the near future" —
+//! footnote 3); ¬STEAL (`BufferConfig::steal == false`) makes frames with
+//! uncommitted modifiers ineligible.
 
 mod pool;
 
-pub use pool::{
-    BufferConfig, BufferError, BufferPool, BufferStats, Evicted, PoolCounters, ReplacePolicy,
-    StealRequest,
-};
+pub use pool::{BufferConfig, BufferError, BufferPool, BufferStats, Evicted, PoolCounters};

@@ -7,15 +7,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which frame-replacement policy the pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacePolicy {
-    /// Second-chance clock.
-    Clock,
-    /// Strict least-recently-used.
-    Lru,
-}
-
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct BufferConfig {
@@ -24,28 +15,26 @@ pub struct BufferConfig {
     /// STEAL policy: may pages modified by uncommitted transactions be
     /// written back before EOT? (¬STEAL refuses to evict such frames.)
     pub steal: bool,
-    /// Replacement policy.
-    pub policy: ReplacePolicy,
 }
 
 impl BufferConfig {
-    /// A STEAL/clock pool with `frames` frames — the paper's setting.
+    /// A STEAL pool with `frames` frames and clock replacement — the
+    /// paper's setting.
     #[must_use]
     pub fn steal_clock(frames: usize) -> BufferConfig {
         BufferConfig {
             frames,
             steal: true,
-            policy: ReplacePolicy::Clock,
         }
     }
 }
 
-/// Errors from pool operations. `E` is the caller's backend error type
-/// (propagated out of the `fetch` / `steal` closures).
+/// Errors from [`BufferPool::read`]. `E` is the caller's backend error
+/// type (propagated out of the `fetch` / `steal` closures).
 #[derive(Debug, PartialEq, Eq)]
 pub enum BufferError<E> {
-    /// Every frame is pinned or ineligible (¬STEAL with uncommitted
-    /// modifiers); the pool cannot make room.
+    /// Every frame is ineligible (¬STEAL with uncommitted modifiers); the
+    /// pool cannot make room.
     NoEvictableFrame,
     /// The fetch or steal closure failed.
     Backend(E),
@@ -62,24 +51,13 @@ impl<E: fmt::Display> fmt::Display for BufferError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for BufferError<E> {}
 
-/// A dirty frame being evicted, handed to the caller's steal closure.
+/// A frame evicted via [`BufferPool::pop_victim`]; the caller owns the
+/// write-back decision.
 ///
-/// `modifiers` is non-empty exactly when this is a true *steal* in the
+/// A dirty frame with non-empty `modifiers` is a true *steal* in the
 /// paper's sense — the page carries updates of uncommitted transactions,
 /// and the recovery manager must arrange UNDO protection (before-image
 /// logging, or a dirty parity group) before the write reaches the database.
-#[derive(Debug)]
-pub struct StealRequest<'a> {
-    /// The page being written back.
-    pub page: DataPageId,
-    /// Current (possibly uncommitted) contents.
-    pub data: &'a Page,
-    /// Uncommitted transactions that have modified the frame.
-    pub modifiers: &'a BTreeSet<u64>,
-}
-
-/// A frame evicted via [`BufferPool::pop_victim`]; the caller owns the
-/// write-back decision.
 #[derive(Debug)]
 pub struct Evicted {
     /// The evicted page.
@@ -105,9 +83,8 @@ pub struct BufferStats {
     pub writebacks: u64,
     /// Clean evictions.
     pub drops: u64,
-    /// Frames examined while hunting an eviction victim. A full LRU scan
-    /// adds one per occupied frame; a hit on the cached LRU watermark
-    /// adds exactly one.
+    /// Occupied frames the clock hand passed while hunting an eviction
+    /// victim: at least one per eviction, at most two per occupied frame.
     pub eviction_scans: u64,
 }
 
@@ -185,13 +162,11 @@ struct Frame {
     page: DataPageId,
     data: Page,
     dirty: bool,
-    pins: u32,
     modifiers: BTreeSet<u64>,
     ref_bit: bool,
-    last_use: u64,
 }
 
-/// A fixed-capacity database buffer pool.
+/// A fixed-capacity database buffer pool with clock replacement.
 ///
 /// All mutation goes through `&mut self`; the owning engine provides its
 /// own locking (the paper's model is of logical concurrency over a single
@@ -202,16 +177,8 @@ pub struct BufferPool {
     map: HashMap<DataPageId, usize>,
     free: Vec<usize>,
     hand: usize,
-    tick: u64,
     counters: Arc<PoolCounters>,
     tracer: Arc<Tracer>,
-    /// Cached LRU watermark: `(slot, last_use)` of the frame that was the
-    /// *global* minimum `last_use` over all occupied frames (evictable or
-    /// not) at the end of the previous full scan. Ticks only grow, so no
-    /// later touch or install can create a smaller one; the hint stays
-    /// authoritative as long as that frame is untouched and evictable,
-    /// letting `pick_victim` skip the O(frames) scan.
-    lru_hint: Option<(usize, u64)>,
 }
 
 impl BufferPool {
@@ -239,17 +206,9 @@ impl BufferPool {
             map: HashMap::with_capacity(frames),
             free: (0..frames).rev().collect(),
             hand: 0,
-            tick: 0,
             counters: Arc::new(PoolCounters::default()),
             tracer,
-            lru_hint: None,
         }
-    }
-
-    /// Pool configuration.
-    #[must_use]
-    pub fn config(&self) -> &BufferConfig {
-        &self.cfg
     }
 
     /// Counters (point-in-time snapshot of the live atomics).
@@ -276,98 +235,22 @@ impl BufferPool {
         self.map.is_empty()
     }
 
-    /// Frame capacity (`B`).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cfg.frames
-    }
-
-    fn touch(&mut self, idx: usize) {
-        self.tick += 1;
-        let frame = self.slots[idx].as_mut().expect("touched frame occupied");
-        frame.ref_bit = true;
-        frame.last_use = self.tick;
-    }
-
-    /// Read a page through the pool. On a miss, `fetch` supplies the disk
-    /// version and `steal` handles any dirty eviction needed to make room.
-    ///
-    /// # Errors
-    /// Propagates closure errors and
-    /// [`BufferError::NoEvictableFrame`] when the pool is wedged.
-    pub fn read<E>(
-        &mut self,
-        page: DataPageId,
-        fetch: impl FnOnce(DataPageId) -> Result<Page, E>,
-        steal: impl FnMut(StealRequest<'_>) -> Result<(), E>,
-    ) -> Result<Page, BufferError<E>> {
-        if let Some(&idx) = self.map.get(&page) {
-            PoolCounters::bump(&self.counters.hits);
-            self.touch(idx);
-            return Ok(self.slots[idx].as_ref().expect("mapped frame").data.clone());
-        }
-        PoolCounters::bump(&self.counters.misses);
-        let idx = self.make_room(steal)?;
-        let data = fetch(page).map_err(BufferError::Backend)?;
-        self.install(idx, page, data.clone(), false);
-        Ok(data)
-    }
-
-    /// Install `data` as the buffered contents of `page`, marking the frame
-    /// dirty and recording `txn` as a modifier. The page need not be
-    /// resident (whole-page overwrite semantics); `steal` handles any
-    /// eviction needed to make room.
-    ///
-    /// # Errors
-    /// Propagates closure errors and `NoEvictableFrame`.
-    pub fn write<E>(
-        &mut self,
-        page: DataPageId,
-        data: Page,
-        txn: u64,
-        steal: impl FnMut(StealRequest<'_>) -> Result<(), E>,
-    ) -> Result<(), BufferError<E>> {
-        if let Some(&idx) = self.map.get(&page) {
-            PoolCounters::bump(&self.counters.hits);
-            self.touch(idx);
-            let frame = self.slots[idx].as_mut().expect("mapped frame");
-            frame.data = data;
-            frame.dirty = true;
-            frame.modifiers.insert(txn);
-            return Ok(());
-        }
-        PoolCounters::bump(&self.counters.misses);
-        let idx = self.make_room(steal)?;
-        self.install(idx, page, data, true);
-        self.slots[idx]
-            .as_mut()
-            .expect("installed frame")
-            .modifiers
-            .insert(txn);
-        Ok(())
-    }
-
     /// Contents of a resident page, if any. Does not count as a reference.
     #[must_use]
     pub fn peek(&self, page: DataPageId) -> Option<&Page> {
-        self.map
-            .get(&page)
-            .map(|&idx| &self.slots[idx].as_ref().expect("mapped").data)
+        self.frame(page).map(|f| &f.data)
     }
 
     /// Is the resident page dirty?
     #[must_use]
     pub fn is_dirty(&self, page: DataPageId) -> bool {
-        self.map
-            .get(&page)
-            .is_some_and(|&idx| self.slots[idx].as_ref().expect("mapped").dirty)
+        self.frame(page).is_some_and(|f| f.dirty)
     }
 
     /// Replace the contents of a *resident* page (used by UNDO to put a
     /// restored before-image into the buffer). No-op if not resident.
     pub fn overwrite_resident(&mut self, page: DataPageId, data: Page, dirty: bool) {
-        if let Some(&idx) = self.map.get(&page) {
-            let frame = self.slots[idx].as_mut().expect("mapped frame");
+        if let Some(frame) = self.frame_mut(page) {
             frame.data = data;
             frame.dirty = dirty;
         }
@@ -377,8 +260,8 @@ impl BufferPool {
     /// Modifier bookkeeping is untouched — use [`BufferPool::release_txn`]
     /// at EOT.
     pub fn mark_clean(&mut self, page: DataPageId) {
-        if let Some(&idx) = self.map.get(&page) {
-            self.slots[idx].as_mut().expect("mapped frame").dirty = false;
+        if let Some(frame) = self.frame_mut(page) {
+            frame.dirty = false;
         }
     }
 
@@ -386,9 +269,8 @@ impl BufferPool {
     /// resident).
     #[must_use]
     pub fn modifiers_of(&self, page: DataPageId) -> BTreeSet<u64> {
-        self.map
-            .get(&page)
-            .map(|&idx| self.slots[idx].as_ref().expect("mapped").modifiers.clone())
+        self.frame(page)
+            .map(|f| f.modifiers.clone())
             .unwrap_or_default()
     }
 
@@ -414,29 +296,6 @@ impl BufferPool {
         v
     }
 
-    /// Pin a resident page, preventing eviction. Returns false if the page
-    /// is not resident.
-    pub fn pin(&mut self, page: DataPageId) -> bool {
-        match self.map.get(&page) {
-            Some(&idx) => {
-                self.slots[idx].as_mut().expect("mapped frame").pins += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Unpin a resident page.
-    ///
-    /// # Panics
-    /// Panics if the page is not resident or not pinned (a latch bug).
-    pub fn unpin(&mut self, page: DataPageId) {
-        let idx = *self.map.get(&page).expect("unpin of non-resident page");
-        let frame = self.slots[idx].as_mut().expect("mapped frame");
-        assert!(frame.pins > 0, "unpin of unpinned page");
-        frame.pins -= 1;
-    }
-
     /// Drop every frame (simulated loss of volatile memory).
     pub fn crash(&mut self) {
         self.map.clear();
@@ -445,24 +304,24 @@ impl BufferPool {
             *slot = None;
         }
         self.hand = 0;
-        self.lru_hint = None;
     }
 
-    // ---- staged API (no closures) -------------------------------------
+    // ---- the staged steps ---------------------------------------------
     //
     // `rda-core` drives the pool in explicit steps — lookup, make room by
-    // popping a victim (handling the write-back itself), insert — because
-    // its steal handling needs full engine state. The closure API above
-    // remains for simple callers.
+    // popping a victim (handling the write-back itself, and restoring the
+    // victim if that fails), insert — because its steal handling needs
+    // full engine state. [`BufferPool::read`] composes the same steps.
 
-    /// Look up a page, counting a hit or miss and touching the frame.
-    /// Returns a copy of the contents on a hit.
+    /// Look up a page, counting a hit or miss and setting the frame's
+    /// reference bit. Returns a copy of the contents on a hit.
     pub fn lookup(&mut self, page: DataPageId) -> Option<Page> {
-        match self.map.get(&page) {
-            Some(&idx) => {
+        match self.frame_mut(page) {
+            Some(frame) => {
+                frame.ref_bit = true;
+                let data = frame.data.clone();
                 PoolCounters::bump(&self.counters.hits);
-                self.touch(idx);
-                Some(self.slots[idx].as_ref().expect("mapped frame").data.clone())
+                Some(data)
             }
             None => {
                 PoolCounters::bump(&self.counters.misses);
@@ -483,22 +342,22 @@ impl BufferPool {
     /// updated here.
     pub fn pop_victim(&mut self) -> Option<Evicted> {
         let victim = self.pick_victim()?;
-        let frame = self.slots[victim].take().expect("victim occupied");
+        let frame = self.slots[victim].take()?;
         self.map.remove(&frame.page);
         self.free.push(victim);
-        if frame.dirty {
-            if frame.modifiers.is_empty() {
-                PoolCounters::bump(&self.counters.writebacks);
-            } else {
-                PoolCounters::bump(&self.counters.steals);
-            }
+        let steal = frame.dirty && !frame.modifiers.is_empty();
+        let writeback = frame.dirty && !steal;
+        PoolCounters::bump(if steal {
+            &self.counters.steals
+        } else if writeback {
+            &self.counters.writebacks
         } else {
-            PoolCounters::bump(&self.counters.drops);
-        }
+            &self.counters.drops
+        });
         self.tracer.emit(|| EventKind::Evict {
             page: frame.page.0,
-            steal: frame.dirty && !frame.modifiers.is_empty(),
-            writeback: frame.dirty && frame.modifiers.is_empty(),
+            steal,
+            writeback,
         });
         Some(Evicted {
             page: frame.page,
@@ -510,12 +369,10 @@ impl BufferPool {
 
     /// Put back a frame [`BufferPool::pop_victim`] handed out whose
     /// write-back failed: same page, contents, dirty bit and modifiers, so
-    /// updates no disk holds yet are not lost with the error.
+    /// updates no disk holds yet are not lost with the error. It goes into
+    /// the slot the victim left, since `pop_victim` freed that slot last.
     pub fn restore(&mut self, ev: Evicted) {
-        self.insert(ev.page, ev.data, ev.dirty, None);
-        if let Some(frame) = self.map.get(&ev.page).and_then(|&i| self.slots[i].as_mut()) {
-            frame.modifiers = ev.modifiers;
-        }
+        self.install(ev.page, ev.data, ev.dirty, ev.modifiers);
     }
 
     /// Insert a page into a free frame without hit/miss accounting (the
@@ -524,195 +381,105 @@ impl BufferPool {
     /// # Panics
     /// Panics if there is no free frame or the page is already resident.
     pub fn insert(&mut self, page: DataPageId, data: Page, dirty: bool, modifier: Option<u64>) {
-        assert!(
-            !self.map.contains_key(&page),
-            "insert of already-resident page"
-        );
-        let idx = self.free.pop().expect("insert requires a free frame");
-        self.install(idx, page, data, dirty);
-        if let Some(txn) = modifier {
-            self.slots[idx]
-                .as_mut()
-                .expect("installed frame")
-                .modifiers
-                .insert(txn);
-        }
+        self.install(page, data, dirty, modifier.into_iter().collect());
     }
 
     /// Overwrite a resident page's contents, marking it dirty and adding a
     /// modifier, without hit/miss accounting. Returns false if the page is
     /// not resident.
     pub fn update_resident(&mut self, page: DataPageId, data: Page, modifier: u64) -> bool {
-        let Some(&idx) = self.map.get(&page) else {
+        let Some(frame) = self.frame_mut(page) else {
             return false;
         };
-        self.touch(idx);
-        let frame = self.slots[idx].as_mut().expect("mapped frame");
+        frame.ref_bit = true;
         frame.data = data;
         frame.dirty = true;
         frame.modifiers.insert(modifier);
         true
     }
 
-    fn install(&mut self, idx: usize, page: DataPageId, data: Page, dirty: bool) {
-        self.tick += 1;
+    /// Read a page through the staged steps: [`BufferPool::lookup`]; on a
+    /// miss with no free frame, [`BufferPool::pop_victim`], handing a
+    /// dirty victim to `steal` and [`BufferPool::restore`]-ing it if
+    /// `steal` fails; then `fetch` and [`BufferPool::insert`].
+    ///
+    /// # Errors
+    /// Propagates closure errors and
+    /// [`BufferError::NoEvictableFrame`] when the pool is wedged.
+    pub fn read<E>(
+        &mut self,
+        page: DataPageId,
+        fetch: impl FnOnce(DataPageId) -> Result<Page, E>,
+        steal: impl FnOnce(&Evicted) -> Result<(), E>,
+    ) -> Result<Page, BufferError<E>> {
+        if let Some(data) = self.lookup(page) {
+            return Ok(data);
+        }
+        if !self.has_room() {
+            let ev = self.pop_victim().ok_or(BufferError::NoEvictableFrame)?;
+            if ev.dirty {
+                if let Err(e) = steal(&ev) {
+                    self.restore(ev);
+                    return Err(BufferError::Backend(e));
+                }
+            }
+        }
+        let data = fetch(page).map_err(BufferError::Backend)?;
+        self.insert(page, data.clone(), false, None);
+        Ok(data)
+    }
+
+    fn frame(&self, page: DataPageId) -> Option<&Frame> {
+        self.slots[*self.map.get(&page)?].as_ref()
+    }
+
+    fn frame_mut(&mut self, page: DataPageId) -> Option<&mut Frame> {
+        self.slots[*self.map.get(&page)?].as_mut()
+    }
+
+    fn install(&mut self, page: DataPageId, data: Page, dirty: bool, modifiers: BTreeSet<u64>) {
+        assert!(
+            !self.map.contains_key(&page),
+            "insert of already-resident page"
+        );
+        let idx = self.free.pop().expect("insert requires a free frame");
         self.slots[idx] = Some(Frame {
             page,
             data,
             dirty,
-            pins: 0,
-            modifiers: BTreeSet::new(),
+            modifiers,
             ref_bit: true,
-            last_use: self.tick,
         });
         self.map.insert(page, idx);
     }
 
-    fn evictable(&self, frame: &Frame) -> bool {
-        frame.pins == 0 && (self.cfg.steal || frame.modifiers.is_empty())
-    }
-
-    /// Find a free slot, evicting if necessary.
-    fn make_room<E>(
-        &mut self,
-        mut steal: impl FnMut(StealRequest<'_>) -> Result<(), E>,
-    ) -> Result<usize, BufferError<E>> {
-        if let Some(idx) = self.free.pop() {
-            return Ok(idx);
-        }
-        let victim = self.pick_victim().ok_or(BufferError::NoEvictableFrame)?;
-        let frame = self.slots[victim].as_ref().expect("victim occupied");
-        if frame.dirty {
-            if frame.modifiers.is_empty() {
-                PoolCounters::bump(&self.counters.writebacks);
-            } else {
-                PoolCounters::bump(&self.counters.steals);
-            }
-            if let Err(e) = steal(StealRequest {
-                page: frame.page,
-                data: &frame.data,
-                modifiers: &frame.modifiers,
-            }) {
-                // The victim stays resident, but the hint seeded by
-                // `pick_victim` assumed it was gone — discard it.
-                self.lru_hint = None;
-                return Err(BufferError::Backend(e));
-            }
-        } else {
-            PoolCounters::bump(&self.counters.drops);
-        }
-        let frame = self.slots[victim].take().expect("victim occupied");
-        self.map.remove(&frame.page);
-        self.tracer.emit(|| EventKind::Evict {
-            page: frame.page.0,
-            steal: frame.dirty && !frame.modifiers.is_empty(),
-            writeback: frame.dirty && frame.modifiers.is_empty(),
-        });
-        Ok(victim)
-    }
-
+    /// Second-chance clock. The hand visits every slot twice: a frame's
+    /// first visit clears its reference bit, so its second is a plain
+    /// evictability check, and two sweeps find any evictable frame.
     fn pick_victim(&mut self) -> Option<usize> {
-        match self.cfg.policy {
-            ReplacePolicy::Lru => {
-                // Fast path: the watermark cached by the previous full
-                // scan was the global minimum `last_use` then, and ticks
-                // only grow, so nothing can have undercut it since. It is
-                // still the true LRU victim as long as the frame is
-                // untouched and evictable.
-                if let Some((idx, tick)) = self.lru_hint.take() {
-                    if let Some(frame) = self.slots[idx].as_ref() {
-                        if frame.last_use == tick && self.evictable(frame) {
-                            PoolCounters::bump(&self.counters.eviction_scans);
-                            return Some(idx);
-                        }
-                    }
-                }
-                // Full scan: pick the evictable minimum, and remember the
-                // two smallest *global* minima so the next call can start
-                // from whichever survives this eviction.
-                let mut scanned = 0u64;
-                let mut victim: Option<(usize, u64)> = None;
-                let mut min1: Option<(usize, u64, bool)> = None;
-                let mut min2: Option<(usize, u64, bool)> = None;
-                for (i, frame) in self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.as_ref().map(|f| (i, f)))
-                {
-                    scanned += 1;
-                    let can_evict = self.evictable(frame);
-                    if can_evict && victim.is_none_or(|(_, t)| frame.last_use < t) {
-                        victim = Some((i, frame.last_use));
-                    }
-                    if min1.is_none_or(|(_, t, _)| frame.last_use < t) {
-                        min2 = min1;
-                        min1 = Some((i, frame.last_use, can_evict));
-                    } else if min2.is_none_or(|(_, t, _)| frame.last_use < t) {
-                        min2 = Some((i, frame.last_use, can_evict));
-                    }
-                }
-                self.counters
-                    .eviction_scans
-                    // ordering: Relaxed — stats counter.
-                    .fetch_add(scanned, Ordering::Relaxed);
-                let (vi, _) = victim?;
-                // Seed the next hint with the smallest survivor — but only
-                // if it was evictable at scan time (pins and modifiers can
-                // change later; the fast path re-checks both).
-                let next = match min1 {
-                    Some((i, _, _)) if i == vi => min2,
-                    other => other,
-                };
-                self.lru_hint = match next {
-                    Some((i, t, true)) => Some((i, t)),
-                    _ => None,
-                };
-                Some(vi)
+        let n = self.slots.len();
+        let mut scanned = 0u64;
+        let mut found = None;
+        for _ in 0..2 * n {
+            let idx = self.hand;
+            self.hand = (self.hand + 1) % n;
+            let Some(frame) = self.slots[idx].as_mut() else {
+                continue;
+            };
+            scanned += 1;
+            if std::mem::take(&mut frame.ref_bit) {
+                continue;
             }
-            ReplacePolicy::Clock => {
-                let n = self.slots.len();
-                let mut scanned = 0u64;
-                let mut found = None;
-                // Two sweeps: the first clears reference bits, the second
-                // must find any evictable frame.
-                for _ in 0..2 * n {
-                    let idx = self.hand;
-                    self.hand = (self.hand + 1) % n;
-                    let Some(frame) = self.slots[idx].as_mut() else {
-                        continue;
-                    };
-                    scanned += 1;
-                    if frame.pins > 0 {
-                        continue;
-                    }
-                    if frame.ref_bit {
-                        frame.ref_bit = false;
-                        continue;
-                    }
-                    let frame = self.slots[idx].as_ref().expect("occupied");
-                    if self.evictable(frame) {
-                        found = Some(idx);
-                        break;
-                    }
-                }
-                if found.is_none() {
-                    // Final pass ignoring reference bits (all were hot).
-                    found = (0..n).map(|o| (self.hand + o) % n).find(|&i| {
-                        let occupied = self.slots[i].as_ref();
-                        if occupied.is_some() {
-                            scanned += 1;
-                        }
-                        occupied.is_some_and(|f| self.evictable(f))
-                    });
-                }
-                self.counters
-                    .eviction_scans
-                    // ordering: Relaxed — stats counter.
-                    .fetch_add(scanned, Ordering::Relaxed);
-                found
+            if self.cfg.steal || frame.modifiers.is_empty() {
+                found = Some(idx);
+                break;
             }
         }
+        self.counters
+            .eviction_scans
+            // ordering: Relaxed — stats counter.
+            .fetch_add(scanned, Ordering::Relaxed);
+        found
     }
 }
 
@@ -720,224 +487,175 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    type NoErr = std::convert::Infallible;
-
     fn page(b: u8) -> Page {
         Page::from_bytes(&[b; 8])
     }
 
-    // Infallible stand-ins still return Result to match the pool's
-    // callback signatures.
-    #[allow(clippy::unnecessary_wraps)]
-    fn no_steal(_: StealRequest<'_>) -> Result<(), NoErr> {
-        Ok(())
+    fn pool(frames: usize, steal: bool) -> BufferPool {
+        BufferPool::new(BufferConfig { frames, steal })
     }
 
-    #[allow(clippy::unnecessary_wraps)]
-    fn fetch_zero(_: DataPageId) -> Result<Page, NoErr> {
-        Ok(Page::zeroed(8))
-    }
-
-    fn pool(frames: usize, steal: bool, policy: ReplacePolicy) -> BufferPool {
-        BufferPool::new(BufferConfig {
-            frames,
-            steal,
-            policy,
-        })
+    /// A miss followed by an insert of the fetched page: the engine's read.
+    fn fill(p: &mut BufferPool, pg: u32, data: Page, modifier: Option<u64>) {
+        assert!(p.lookup(DataPageId(pg)).is_none());
+        p.insert(DataPageId(pg), data, modifier.is_some(), modifier);
     }
 
     #[test]
     fn read_miss_then_hit() {
-        let mut p = pool(2, true, ReplacePolicy::Clock);
-        let got = p.read(DataPageId(1), fetch_zero, no_steal).unwrap();
-        assert!(got.is_zeroed());
+        let mut p = pool(2, true);
+        fill(&mut p, 1, Page::zeroed(8), None);
         assert_eq!(p.stats().misses, 1);
-        let _ = p
-            .read(DataPageId(1), |_| unreachable!("must hit"), no_steal)
-            .unwrap();
+        assert!(p.lookup(DataPageId(1)).unwrap().is_zeroed());
         assert_eq!(p.stats().hits, 1);
         assert!((p.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn write_marks_dirty_and_tracks_modifier() {
-        let mut p = pool(2, true, ReplacePolicy::Clock);
-        p.write(DataPageId(3), page(9), 42, no_steal).unwrap();
+        let mut p = pool(2, true);
+        fill(&mut p, 3, page(1), None);
+        assert!(!p.is_dirty(DataPageId(3)));
+        assert!(p.update_resident(DataPageId(3), page(9), 42));
+        assert_eq!(p.peek(DataPageId(3)), Some(&page(9)));
         assert!(p.is_dirty(DataPageId(3)));
+        assert_eq!(p.modifiers_of(DataPageId(3)), BTreeSet::from([42]));
         assert_eq!(p.dirty_pages(), vec![(DataPageId(3), true)]);
         p.release_txn(42);
         assert_eq!(p.dirty_pages(), vec![(DataPageId(3), false)]);
         assert!(p.is_dirty(DataPageId(3)), "release does not clean");
         p.mark_clean(DataPageId(3));
         assert!(!p.is_dirty(DataPageId(3)));
+        assert!(!p.update_resident(DataPageId(99), page(4), 9));
     }
 
     #[test]
     fn eviction_calls_steal_for_dirty_victim() {
-        let mut p = pool(1, true, ReplacePolicy::Clock);
-        p.write(DataPageId(1), page(1), 7, no_steal).unwrap();
-        let mut stolen = Vec::new();
-        p.read(DataPageId(2), fetch_zero, |req| {
-            stolen.push((req.page, req.modifiers.clone()));
-            Ok::<(), NoErr>(())
-        })
-        .unwrap();
-        assert_eq!(stolen.len(), 1);
-        assert_eq!(stolen[0].0, DataPageId(1));
-        assert!(stolen[0].1.contains(&7));
+        let mut p = pool(1, true);
+        fill(&mut p, 1, page(1), Some(7));
+        assert!(p.lookup(DataPageId(2)).is_none());
+        assert!(!p.has_room());
+        let ev = p.pop_victim().unwrap();
+        assert_eq!(ev.page, DataPageId(1));
+        assert_eq!(ev.data, page(1));
+        assert!(ev.dirty);
+        assert_eq!(ev.modifiers, BTreeSet::from([7]));
         assert_eq!(p.stats().steals, 1);
         assert!(p.peek(DataPageId(1)).is_none());
+        p.insert(DataPageId(2), Page::zeroed(8), false, None);
         assert!(p.peek(DataPageId(2)).is_some());
     }
 
     #[test]
     fn clean_eviction_is_a_drop() {
-        let mut p = pool(1, true, ReplacePolicy::Clock);
-        p.read(DataPageId(1), fetch_zero, no_steal).unwrap();
-        p.read(DataPageId(2), fetch_zero, |_| -> Result<(), NoErr> {
-            panic!("clean eviction must not call steal")
-        })
-        .unwrap();
-        assert_eq!(p.stats().drops, 1);
+        let mut p = pool(1, true);
+        fill(&mut p, 1, page(1), None);
+        let ev = p.pop_victim().unwrap();
+        assert!(!ev.dirty && ev.modifiers.is_empty());
+        let s = p.stats();
+        assert_eq!((s.drops, s.steals, s.writebacks), (1, 0, 0));
     }
 
     #[test]
     fn writeback_vs_steal_classification() {
-        let mut p = pool(1, true, ReplacePolicy::Clock);
-        p.write(DataPageId(1), page(1), 7, no_steal).unwrap();
+        let mut p = pool(1, true);
+        fill(&mut p, 1, page(1), Some(7));
         p.release_txn(7); // committed
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
+        let ev = p.pop_victim().unwrap();
+        assert!(ev.dirty && ev.modifiers.is_empty());
         assert_eq!(p.stats().writebacks, 1);
         assert_eq!(p.stats().steals, 0);
     }
 
     #[test]
     fn nosteal_refuses_uncommitted_eviction() {
-        let mut p = pool(1, false, ReplacePolicy::Clock);
-        p.write(DataPageId(1), page(1), 7, no_steal).unwrap();
-        let err = p.read(DataPageId(2), fetch_zero, no_steal).unwrap_err();
-        assert_eq!(err, BufferError::NoEvictableFrame);
+        let mut p = pool(1, false);
+        fill(&mut p, 1, page(1), Some(7));
+        assert!(
+            p.pop_victim().is_none(),
+            "¬STEAL blocks uncommitted eviction"
+        );
+        let err = p.read(DataPageId(2), |_| Ok::<_, ()>(page(2)), |_| Ok(()));
+        assert_eq!(err.unwrap_err(), BufferError::NoEvictableFrame);
         // After commit the frame becomes evictable again.
         p.release_txn(7);
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
+        assert_eq!(p.pop_victim().unwrap().page, DataPageId(1));
+        assert_eq!(p.stats().writebacks, 1);
     }
 
     #[test]
-    fn pinned_pages_are_not_evicted() {
-        let mut p = pool(2, true, ReplacePolicy::Lru);
-        p.read(DataPageId(1), fetch_zero, no_steal).unwrap();
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
-        assert!(p.pin(DataPageId(1)));
-        assert!(p.pin(DataPageId(2)));
-        let err = p.read(DataPageId(3), fetch_zero, no_steal).unwrap_err();
-        assert_eq!(err, BufferError::NoEvictableFrame);
-        p.unpin(DataPageId(1));
-        p.read(DataPageId(3), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(1)).is_none(), "unpinned LRU page evicted");
-        assert!(p.peek(DataPageId(2)).is_some(), "pinned page survives");
+    fn restore_puts_back_a_failed_write_back() {
+        let mut p = pool(1, true);
+        fill(&mut p, 4, page(1), Some(7));
+        assert!(p.update_resident(DataPageId(4), page(2), 8));
+        let ev = p.pop_victim().unwrap();
+        assert!(p.is_empty() && p.has_room());
+        p.restore(ev);
+        assert_eq!(p.peek(DataPageId(4)), Some(&page(2)));
+        assert!(p.is_dirty(DataPageId(4)));
+        assert_eq!(p.modifiers_of(DataPageId(4)), BTreeSet::from([7, 8]));
+        assert_eq!(p.dirty_pages(), vec![(DataPageId(4), true)]);
+        assert!(!p.has_room());
+        let again = p.pop_victim().unwrap();
+        assert_eq!(again.page, DataPageId(4));
+        assert_eq!(again.data, page(2));
+        assert_eq!(again.modifiers, BTreeSet::from([7, 8]));
+        assert_eq!(p.stats().steals, 2);
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let mut p = pool(2, true, ReplacePolicy::Lru);
-        p.read(DataPageId(1), fetch_zero, no_steal).unwrap();
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
-        p.read(DataPageId(1), fetch_zero, no_steal).unwrap(); // 1 now recent
-        p.read(DataPageId(3), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(2)).is_none());
-        assert!(p.peek(DataPageId(1)).is_some());
-    }
-
-    #[test]
-    fn lru_hint_short_circuits_second_eviction() {
-        let mut p = pool(3, true, ReplacePolicy::Lru);
-        for i in 1..=3 {
-            p.read(DataPageId(i), fetch_zero, no_steal).unwrap();
-        }
-        assert_eq!(p.stats().eviction_scans, 0);
-        // First eviction: full scan over all three occupied frames; seeds
-        // the watermark with the second-oldest frame.
-        p.read(DataPageId(4), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(1)).is_none());
-        assert_eq!(p.stats().eviction_scans, 3);
-        // Second eviction: watermark hit, one frame examined.
-        p.read(DataPageId(5), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(2)).is_none());
-        assert_eq!(p.stats().eviction_scans, 4);
-    }
-
-    #[test]
-    fn lru_hint_invalidated_by_touch_stays_correct() {
-        let mut p = pool(3, true, ReplacePolicy::Lru);
-        for i in 1..=3 {
-            p.read(DataPageId(i), fetch_zero, no_steal).unwrap();
-        }
-        p.read(DataPageId(4), fetch_zero, no_steal).unwrap(); // evicts 1, hints at 2
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap(); // touch 2: hint stale
-        p.read(DataPageId(5), fetch_zero, no_steal).unwrap();
-        assert!(
-            p.peek(DataPageId(3)).is_none(),
-            "true LRU evicted, not the stale hint"
+    fn read_composes_the_staged_steps() {
+        let mut p = pool(1, true);
+        let got = p.read(DataPageId(1), |_| Ok::<_, &str>(page(1)), |_| Ok(()));
+        assert_eq!(got.unwrap(), page(1));
+        let hit = p.read(
+            DataPageId(1),
+            |_| unreachable!("must hit"),
+            |_| Ok::<_, &str>(()),
         );
-        assert!(p.peek(DataPageId(2)).is_some());
-        // 3 (first full scan) + 3 (rescan after the stale hint).
-        assert_eq!(p.stats().eviction_scans, 6);
-    }
-
-    #[test]
-    fn lru_hint_respects_late_pin() {
-        let mut p = pool(3, true, ReplacePolicy::Lru);
-        for i in 1..=3 {
-            p.read(DataPageId(i), fetch_zero, no_steal).unwrap();
-        }
-        p.read(DataPageId(4), fetch_zero, no_steal).unwrap(); // evicts 1, hints at 2
-        assert!(p.pin(DataPageId(2)));
-        p.read(DataPageId(5), fetch_zero, no_steal).unwrap();
-        assert!(
-            p.peek(DataPageId(2)).is_some(),
-            "pinned hint frame survives"
+        assert_eq!(hit.unwrap(), page(1));
+        assert!(p.update_resident(DataPageId(1), page(5), 7));
+        // A failed steal puts the victim back, a failed fetch leaves the
+        // frame free; neither installs the requested page.
+        let err = p.read(DataPageId(2), |_| unreachable!(), |_| Err("disk"));
+        assert_eq!(err.unwrap_err(), BufferError::Backend("disk"));
+        assert_eq!(p.modifiers_of(DataPageId(1)), BTreeSet::from([7]));
+        let mut stolen = None;
+        let err = p.read(
+            DataPageId(2),
+            |_| Err("fetch"),
+            |ev| {
+                stolen = Some((ev.page, ev.data.clone()));
+                Ok(())
+            },
         );
-        assert!(p.peek(DataPageId(3)).is_none());
-        p.unpin(DataPageId(2));
-    }
-
-    #[test]
-    fn lru_no_hint_when_oldest_is_pinned() {
-        let mut p = pool(3, true, ReplacePolicy::Lru);
-        for i in 1..=3 {
-            p.read(DataPageId(i), fetch_zero, no_steal).unwrap();
-        }
-        assert!(p.pin(DataPageId(1)));
-        // Victim is page 2 (oldest evictable); the global minimum (pinned
-        // page 1) is not a usable watermark, so no hint is seeded.
-        p.read(DataPageId(4), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(2)).is_none());
-        assert_eq!(p.stats().eviction_scans, 3);
-        p.read(DataPageId(5), fetch_zero, no_steal).unwrap();
-        assert!(p.peek(DataPageId(3)).is_none());
-        assert_eq!(
-            p.stats().eviction_scans,
-            6,
-            "full rescan; no stale-hint shortcut"
-        );
+        assert_eq!(err.unwrap_err(), BufferError::Backend("fetch"));
+        assert_eq!(stolen, Some((DataPageId(1), page(5))));
+        assert!(p.is_empty());
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, s.steals), (1, 3, 2));
     }
 
     #[test]
     fn clock_gives_second_chance() {
-        let mut p = pool(2, true, ReplacePolicy::Clock);
-        p.read(DataPageId(1), fetch_zero, no_steal).unwrap();
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
-        // Both ref bits set; the first sweep clears page 1's bit, second
-        // visit evicts it.
-        p.read(DataPageId(3), fetch_zero, no_steal).unwrap();
+        let mut p = pool(2, true);
+        fill(&mut p, 1, page(1), None);
+        fill(&mut p, 2, page(2), None);
+        // Both reference bits set: the hand clears page 1's, then page
+        // 2's, and evicts page 1 on its second visit.
+        assert_eq!(p.pop_victim().unwrap().page, DataPageId(1));
+        assert_eq!(p.stats().eviction_scans, 3);
+        fill(&mut p, 3, page(3), None);
         assert_eq!(p.len(), 2);
-        assert!(p.peek(DataPageId(3)).is_some());
+        // Page 2's bit is clear and the hand points at it.
+        assert_eq!(p.pop_victim().unwrap().page, DataPageId(2));
+        assert_eq!(p.stats().eviction_scans, 4);
     }
 
     #[test]
     fn overwrite_resident_restores_image() {
-        let mut p = pool(2, true, ReplacePolicy::Clock);
-        p.write(DataPageId(1), page(5), 1, no_steal).unwrap();
+        let mut p = pool(2, true);
+        fill(&mut p, 1, page(5), Some(1));
         p.overwrite_resident(DataPageId(1), page(9), false);
         assert_eq!(p.peek(DataPageId(1)).unwrap(), &page(9));
         assert!(!p.is_dirty(DataPageId(1)));
@@ -948,67 +666,30 @@ mod tests {
 
     #[test]
     fn crash_empties_pool() {
-        let mut p = pool(4, true, ReplacePolicy::Clock);
-        p.write(DataPageId(1), page(1), 1, no_steal).unwrap();
+        let mut p = pool(4, true);
+        fill(&mut p, 1, page(1), Some(1));
         p.crash();
         assert!(p.is_empty());
         assert!(p.peek(DataPageId(1)).is_none());
         // Pool is reusable after the crash.
-        p.read(DataPageId(2), fetch_zero, no_steal).unwrap();
+        fill(&mut p, 2, page(2), None);
         assert_eq!(p.len(), 1);
     }
 
     #[test]
     fn capacity_is_respected() {
-        let mut p = pool(3, true, ReplacePolicy::Clock);
+        let mut p = pool(3, true);
         for i in 0..10 {
-            p.read(DataPageId(i), fetch_zero, no_steal).unwrap();
+            p.read(DataPageId(i), |_| Ok::<_, ()>(page(0)), |_| Ok(()))
+                .unwrap();
             assert!(p.len() <= 3);
         }
     }
 
     #[test]
-    fn staged_api_roundtrip() {
-        let mut p = pool(2, true, ReplacePolicy::Lru);
-        assert!(p.lookup(DataPageId(1)).is_none());
-        assert_eq!(p.stats().misses, 1);
-        assert!(p.has_room());
-        p.insert(DataPageId(1), page(3), false, None);
-        assert_eq!(p.lookup(DataPageId(1)).unwrap(), page(3));
-        assert_eq!(p.stats().hits, 1);
-        assert!(p.update_resident(DataPageId(1), page(4), 9));
-        assert!(p.is_dirty(DataPageId(1)));
-        assert!(!p.update_resident(DataPageId(99), page(4), 9));
-        // Fill and evict.
-        p.insert(DataPageId(2), page(5), false, Some(7));
-        assert!(!p.has_room());
-        let ev = p.pop_victim().unwrap();
-        assert_eq!(ev.page, DataPageId(1), "LRU victim");
-        assert!(ev.dirty);
-        assert!(ev.modifiers.contains(&9));
-        assert!(p.has_room());
-        assert_eq!(p.stats().steals, 1);
-    }
-
-    #[test]
-    fn pop_victim_respects_pins_and_nosteal() {
-        let mut p = pool(1, false, ReplacePolicy::Clock);
-        p.insert(DataPageId(1), page(1), true, Some(4));
-        assert!(
-            p.pop_victim().is_none(),
-            "nosteal blocks uncommitted eviction"
-        );
-        p.release_txn(4);
-        p.pin(DataPageId(1));
-        assert!(p.pop_victim().is_none(), "pinned frame blocked");
-        p.unpin(DataPageId(1));
-        assert!(p.pop_victim().is_some());
-    }
-
-    #[test]
     #[should_panic(expected = "already-resident")]
     fn double_insert_panics() {
-        let mut p = pool(2, true, ReplacePolicy::Clock);
+        let mut p = pool(2, true);
         p.insert(DataPageId(1), page(1), false, None);
         p.insert(DataPageId(1), page(1), false, None);
     }

@@ -1,8 +1,8 @@
 //! Property tests for the buffer pool: capacity, residency, eviction
-//! legality (pins, ¬STEAL), and accounting against a reference model.
+//! legality (¬STEAL), and accounting against a reference model.
 
 use rda_array::{DataPageId, Page};
-use rda_buffer::{BufferConfig, BufferPool, ReplacePolicy};
+use rda_buffer::{BufferConfig, BufferPool};
 use rda_obs::prop;
 use rda_obs::rng::Rng;
 use std::collections::{HashMap, HashSet};
@@ -13,24 +13,29 @@ enum Op {
     Write(u32, u64),
     ReleaseTxn(u64),
     MarkClean(u32),
-    Pin(u32),
-    UnpinIfPinned(u32),
     PopVictim,
 }
 
-/// Weights 4 : 4 : 1 : 1 : 1 : 1 : 2.
+/// Weights 4 : 4 : 1 : 1 : 2.
 fn gen_op(rng: &mut Rng) -> Op {
     let page = rng.below(24) as u32;
     let txn = 1 + rng.below(3);
-    match rng.below(14) {
+    match rng.below(12) {
         0..=3 => Op::Read(page),
         4..=7 => Op::Write(page, txn),
         8 => Op::ReleaseTxn(txn),
         9 => Op::MarkClean(page),
-        10 => Op::Pin(page),
-        11 => Op::UnpinIfPinned(page),
         _ => Op::PopVictim,
     }
+}
+
+/// Is every resident page ineligible for eviction? Only under ¬STEAL,
+/// with each one carrying an uncommitted modifier.
+fn wedged(steal: bool, resident: &HashMap<u32, Page>, mods: &HashMap<u32, HashSet<u64>>) -> bool {
+    !steal
+        && resident
+            .keys()
+            .all(|p| mods.get(p).is_some_and(|m| !m.is_empty()))
 }
 
 #[test]
@@ -38,20 +43,10 @@ fn pool_invariants_hold() {
     prop::cases("pool_invariants_hold", 96, |rng| {
         let ops: Vec<Op> = (0..=rng.below(119)).map(|_| gen_op(rng)).collect();
         let frames = 1 + rng.below(7) as usize;
-        let (steal, lru) = (rng.chance(50), rng.chance(50));
-        let policy = if lru {
-            ReplacePolicy::Lru
-        } else {
-            ReplacePolicy::Clock
-        };
-        let mut pool = BufferPool::new(BufferConfig {
-            frames,
-            steal,
-            policy,
-        });
+        let steal = rng.chance(50);
+        let mut pool = BufferPool::new(BufferConfig { frames, steal });
         // Reference model of residency and contents.
         let mut resident: HashMap<u32, Page> = HashMap::new();
-        let mut pinned: HashSet<u32> = HashSet::new();
         let mut modifiers: HashMap<u32, HashSet<u64>> = HashMap::new();
 
         let fetch = |p: u32| Page::from_bytes(&[(p % 251) as u8; 16]);
@@ -72,7 +67,6 @@ fn pool_invariants_hold() {
                             if !pool.has_room() {
                                 match pool.pop_victim() {
                                     Some(ev) => {
-                                        assert!(!pinned.contains(&ev.page.0));
                                         if !steal {
                                             assert!(
                                                 !ev.dirty || ev.modifiers.is_empty(),
@@ -82,7 +76,10 @@ fn pool_invariants_hold() {
                                         resident.remove(&ev.page.0);
                                         modifiers.remove(&ev.page.0);
                                     }
-                                    None => continue, // wedged: drop the op
+                                    None => {
+                                        assert!(wedged(steal, &resident, &modifiers));
+                                        continue; // wedged: drop the op
+                                    }
                                 }
                             }
                             let data = fetch(p);
@@ -109,31 +106,20 @@ fn pool_invariants_hold() {
                     }
                 }
                 Op::MarkClean(p) => pool.mark_clean(DataPageId(p)),
-                Op::Pin(p) => {
-                    let did = pool.pin(DataPageId(p));
-                    assert_eq!(did, resident.contains_key(&p));
-                    if did {
-                        pinned.insert(p);
-                    }
-                }
-                Op::UnpinIfPinned(p) => {
-                    if pinned.remove(&p) {
-                        pool.unpin(DataPageId(p));
-                    }
-                }
                 Op::PopVictim => {
-                    if let Some(ev) = pool.pop_victim() {
-                        assert!(!pinned.contains(&ev.page.0), "evicted a pinned page");
-                        let removed = resident.remove(&ev.page.0);
-                        assert_eq!(
-                            removed.as_ref(),
-                            Some(&ev.data),
-                            "eviction must surrender the latest contents"
-                        );
-                        let expect_mods = modifiers.remove(&ev.page.0).unwrap_or_default();
-                        let got: HashSet<u64> = ev.modifiers.iter().copied().collect();
-                        assert_eq!(got, expect_mods);
-                    }
+                    let Some(ev) = pool.pop_victim() else {
+                        assert!(resident.is_empty() || wedged(steal, &resident, &modifiers));
+                        continue;
+                    };
+                    let removed = resident.remove(&ev.page.0);
+                    assert_eq!(
+                        removed.as_ref(),
+                        Some(&ev.data),
+                        "eviction must surrender the latest contents"
+                    );
+                    let expect_mods = modifiers.remove(&ev.page.0).unwrap_or_default();
+                    let got: HashSet<u64> = ev.modifiers.iter().copied().collect();
+                    assert_eq!(got, expect_mods);
                 }
             }
             assert!(pool.len() <= frames, "capacity exceeded");

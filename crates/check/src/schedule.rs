@@ -138,7 +138,7 @@ impl DbKnobs {
             array: ArrayConfig::new(Organization::RotatedParity, 4, 4)
                 .twin(true)
                 .page_size(64),
-            buffer: rda_buffer_config(self.frames),
+            buffer: rda_buffer::BufferConfig::steal_clock(self.frames),
             log: rda_wal::LogConfig {
                 page_size: 256,
                 copies: 2,
@@ -161,14 +161,6 @@ impl DbKnobs {
                 max_batch: 8,
             }),
         }
-    }
-}
-
-fn rda_buffer_config(frames: usize) -> rda_buffer::BufferConfig {
-    rda_buffer::BufferConfig {
-        frames,
-        steal: true,
-        policy: rda_buffer::ReplacePolicy::Clock,
     }
 }
 

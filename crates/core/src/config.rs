@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use rda_array::{ArrayConfig, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_wal::LogConfig;
 
 /// Which recovery engine to run.
@@ -177,11 +177,7 @@ impl DbConfig {
             array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
                 .twin(twin)
                 .page_size(64),
-            buffer: BufferConfig {
-                frames: 8,
-                steal: true,
-                policy: ReplacePolicy::Clock,
-            },
+            buffer: BufferConfig::steal_clock(8),
             log: LogConfig {
                 page_size: 256,
                 copies: 2,
@@ -210,11 +206,7 @@ impl DbConfig {
         DbConfig {
             engine,
             array: ArrayConfig::new(Organization::RotatedParity, n, groups).twin(twin),
-            buffer: BufferConfig {
-                frames: b_frames,
-                steal: true,
-                policy: ReplacePolicy::Clock,
-            },
+            buffer: BufferConfig::steal_clock(b_frames),
             log: LogConfig::default(),
             granularity: LogGranularity::Page,
             eot: EotPolicy::Force,

@@ -4,7 +4,7 @@
 //! the array for recovery in the first place (§1).
 
 use rda_array::{ArrayConfig, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
@@ -18,11 +18,7 @@ fn cfg(engine: EngineKind, frames: usize) -> DbConfig {
         array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
             .twin(engine == EngineKind::Rda)
             .page_size(PAGE),
-        buffer: BufferConfig {
-            frames,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(frames),
         log: LogConfig {
             page_size: 256,
             copies: 2,

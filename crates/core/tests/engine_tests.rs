@@ -3,7 +3,7 @@
 //! EOT policies.
 
 use rda_array::{ArrayConfig, BlockDevice, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_core::{
     CheckpointPolicy, Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity,
     ProtocolMutations,
@@ -18,11 +18,7 @@ fn cfg(engine: EngineKind, frames: usize) -> DbConfig {
         array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
             .twin(engine == EngineKind::Rda)
             .page_size(PAGE),
-        buffer: BufferConfig {
-            frames,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(frames),
         log: LogConfig {
             page_size: 256,
             copies: 2,

@@ -4,7 +4,7 @@
 //! crash, media recovery) across the full matrix.
 
 use rda_array::{ArrayConfig, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
@@ -16,11 +16,7 @@ fn cfg(org: Organization, engine: EngineKind, frames: usize) -> DbConfig {
         array: ArrayConfig::new(org, 4, 8)
             .twin(engine == EngineKind::Rda)
             .page_size(64),
-        buffer: BufferConfig {
-            frames,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(frames),
         log: LogConfig {
             page_size: 256,
             copies: 2,

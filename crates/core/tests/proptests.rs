@@ -4,7 +4,7 @@
 //! array's parity invariants must hold at every quiescent point.
 
 use rda_array::{ArrayConfig, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_core::{Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity, Transaction};
 use rda_obs::prop;
 use rda_obs::rng::Rng;
@@ -52,11 +52,7 @@ fn config(engine: EngineKind, eot: EotPolicy, frames: usize) -> DbConfig {
         array: ArrayConfig::new(Organization::RotatedParity, 4, 6)
             .twin(engine == EngineKind::Rda)
             .page_size(PAGE),
-        buffer: BufferConfig {
-            frames,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(frames),
         log: LogConfig {
             page_size: 128,
             copies: 1,

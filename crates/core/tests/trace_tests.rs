@@ -7,7 +7,7 @@
 //! uncommitted parity riders at once.
 
 use rda_array::{ArrayConfig, Organization};
-use rda_buffer::{BufferConfig, ReplacePolicy};
+use rda_buffer::BufferConfig;
 use rda_core::{
     protocol_violations, CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, EventKind,
     LogGranularity, ProtocolMutations,
@@ -20,11 +20,7 @@ fn cfg(frames: usize) -> DbConfig {
         array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
             .twin(true)
             .page_size(64),
-        buffer: BufferConfig {
-            frames,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(frames),
         log: LogConfig {
             page_size: 256,
             copies: 2,

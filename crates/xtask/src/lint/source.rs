@@ -46,46 +46,48 @@ pub fn blank_test_items(code: &str) -> String {
     String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
-/// The byte spans `[start, end)` of every item annotated `#[cfg(test)]`
-/// in already-stripped source. Brace matching is reliable because
-/// comments and strings are gone; [`strip`] keeps every offset, so the
-/// spans hold in the original text too.
+/// The byte spans `[start, end)` of every item, field, struct-literal
+/// field or argument annotated `#[cfg(test)]` in already-stripped source.
+/// Brace matching is reliable because comments and strings are gone;
+/// [`strip`] keeps every offset, so the spans hold in the original text
+/// too.
 pub fn test_item_spans(code: &str) -> Vec<(usize, usize)> {
     let out = code.as_bytes();
     let needle = b"#[cfg(test)]";
     let mut spans = Vec::new();
     let mut search_from = 0;
     while let Some(pos) = find(out, needle, search_from) {
-        let mut i = pos + needle.len();
-        // Walk to the end of the item: either a `;` (use/static) or the
-        // matching `}` of its first brace block.
-        let mut depth = 0usize;
-        let mut entered = false;
-        while i < out.len() {
-            match out[i] {
-                b'{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if entered && depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                b';' if !entered => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        spans.push((pos, i));
-        search_from = i;
+        let end = item_end(out, pos + needle.len());
+        spans.push((pos, end));
+        search_from = end;
     }
     spans
+}
+
+/// Where the annotated thing starting at `i` ends, at delimiter depth 0:
+/// after its `;` or `,`, after its first brace block, or just before a
+/// closing delimiter, which belongs to the enclosing list. So a field ends
+/// at its comma, not at the end of the next `impl`. A `<` glued to an
+/// identifier or a path opens a generic list, so `impl<A, B>` does not end
+/// at its comma (rustfmt spaces every comparison).
+fn item_end(code: &[u8], mut i: usize) -> usize {
+    let (mut depth, mut angle) = (0usize, 0usize);
+    while i < code.len() {
+        let prev = code[i - 1];
+        match code[i] {
+            b'{' | b'(' | b'[' => depth += 1,
+            b'}' | b')' | b']' if depth == 0 => return i,
+            b'}' if depth == 1 => return i + 1,
+            b'}' | b')' | b']' => depth -= 1,
+            b'<' if prev.is_ascii_alphanumeric() || matches!(prev, b'_' | b':') => angle += 1,
+            b'>' if angle > 0 && !matches!(prev, b'-' | b'=') => angle -= 1,
+            b';' if depth == 0 => return i + 1,
+            b',' if depth == 0 && angle == 0 => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    i
 }
 
 fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
@@ -172,6 +174,19 @@ mod tests {
         let code = blank_test_items(&strip(src));
         assert_eq!(code.matches("unwrap").count(), 1);
         assert!(!code.contains("foo::bar"));
+    }
+
+    #[test]
+    fn test_only_fields_and_arguments_end_at_their_comma() {
+        let src = "struct S {\n    #[cfg(test)]\n    hook: Option<Hook>,\n    n: u8,\n}\n\
+                   impl S {\n    fn f(&self) { a.unwrap(); }\n}\n\
+                   fn g() { S { #[cfg(test)] hook: None, n: b.unwrap() }; }\n\
+                   fn h() { call(#[cfg(test)] c.unwrap()); }\n\
+                   #[cfg(test)]\nimpl<A, B> T for S<A, B> { fn t() { d.unwrap(); } }\n";
+        let code = blank_test_items(&strip(src));
+        assert!(code.contains("a.unwrap()") && code.contains("b.unwrap()"));
+        assert!(!code.contains("c.unwrap()") && !code.contains("d.unwrap()"));
+        assert!(!code.contains("hook") && code.contains("n: u8,"));
     }
 
     #[test]

@@ -130,6 +130,27 @@ fn test_code_comments_and_strings_are_exempt() {
 }
 
 #[test]
+fn expect_after_a_test_only_field_fails_the_gate() {
+    let fx = Fixture::new("test-field");
+    fx.write(
+        "crates/core/src/lib.rs",
+        "pub struct S {\n    #[cfg(test)]\n    pub(crate) hook: Option<u8>,\n    pub n: u8,\n}\n\n\
+         impl S {\n    pub fn risky(&self, v: Option<u8>) -> u8 {\n        \
+         v.expect(\"present\")\n    }\n}\n",
+    );
+    let out = fx.lint();
+    assert!(
+        !out.status.success(),
+        "the impl after a test-only field was blanked"
+    );
+    let err = stderr(&out);
+    assert!(
+        err.contains("[unwrap-ratchet]") && err.contains("crates/core/src/lib.rs"),
+        "wrong failure: {err}"
+    );
+}
+
+#[test]
 fn unsafe_and_missing_workspace_lints_are_caught() {
     let fx = Fixture::new("unsafe");
     fx.write(

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example bank_oltp`
 
 use rda::array::{ArrayConfig, Organization};
-use rda::buffer::{BufferConfig, ReplacePolicy};
+use rda::buffer::BufferConfig;
 use rda::core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
@@ -43,11 +43,7 @@ fn main() {
             .page_size(64),
         // A deliberately small buffer so uncommitted transfers get stolen
         // to disk and the parity UNDO path is exercised for real.
-        buffer: BufferConfig {
-            frames: 12,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(12),
         log: LogConfig::default(),
         granularity: LogGranularity::Page,
         eot: EotPolicy::NoForce,

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example media_failure`
 
 use rda::array::{ArrayConfig, Organization};
-use rda::buffer::{BufferConfig, ReplacePolicy};
+use rda::buffer::BufferConfig;
 use rda::core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
@@ -21,11 +21,7 @@ fn run(org: Organization) {
     let cfg = DbConfig {
         engine: EngineKind::Rda,
         array: ArrayConfig::new(org, 6, 20).twin(true).page_size(128),
-        buffer: BufferConfig {
-            frames: 24,
-            steal: true,
-            policy: ReplacePolicy::Lru,
-        },
+        buffer: BufferConfig::steal_clock(24),
         log: LogConfig::default(),
         granularity: LogGranularity::Page,
         eot: EotPolicy::Force,

@@ -13,7 +13,7 @@
 //!   parity striping, twin-parity layouts, degraded mode, rebuild).
 //! * [`wal`] — write-ahead logging substrate (page & record logging,
 //!   BOT/EOT, duplexed logs, TOC/ACC checkpoints, log chains).
-//! * [`buffer`] — database buffer manager (STEAL/FORCE policies, clock/LRU).
+//! * [`buffer`] — database buffer manager (STEAL/¬STEAL, clock replacement).
 //! * [`core`] — the paper's contribution: parity-group dirty tracking, twin
 //!   parity management with `Current_Parity`, a transaction manager with
 //!   parity-based UNDO, crash and media recovery, plus a pure-WAL baseline.

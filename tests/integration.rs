@@ -3,7 +3,7 @@
 //! the way a downstream user would.
 
 use rda::array::{ArrayConfig, Organization};
-use rda::buffer::{BufferConfig, ReplacePolicy};
+use rda::buffer::BufferConfig;
 use rda::core::{
     CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
 };
@@ -17,11 +17,7 @@ fn engine_cfg(engine: EngineKind) -> DbConfig {
         array: ArrayConfig::new(Organization::RotatedParity, 5, 12)
             .twin(engine == EngineKind::Rda)
             .page_size(96),
-        buffer: BufferConfig {
-            frames: 10,
-            steal: true,
-            policy: ReplacePolicy::Clock,
-        },
+        buffer: BufferConfig::steal_clock(10),
         log: LogConfig {
             page_size: 512,
             copies: 2,
