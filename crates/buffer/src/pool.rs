@@ -380,8 +380,8 @@ impl BufferPool {
     ///
     /// # Panics
     /// Panics if there is no free frame or the page is already resident.
-    pub fn insert(&mut self, page: DataPageId, data: Page, dirty: bool, modifier: Option<u64>) {
-        self.install(page, data, dirty, modifier.into_iter().collect());
+    pub fn insert(&mut self, page: DataPageId, data: Page) {
+        self.install(page, data, false, BTreeSet::new());
     }
 
     /// Overwrite a resident page's contents, marking it dirty and adding a
@@ -425,7 +425,7 @@ impl BufferPool {
             }
         }
         let data = fetch(page).map_err(BufferError::Backend)?;
-        self.insert(page, data.clone(), false, None);
+        self.insert(page, data.clone());
         Ok(data)
     }
 
@@ -495,10 +495,14 @@ mod tests {
         BufferPool::new(BufferConfig { frames, steal })
     }
 
-    /// A miss followed by an insert of the fetched page: the engine's read.
+    /// A miss followed by an insert of the fetched page: the engine's read;
+    /// with a modifier, then that transaction's write of it.
     fn fill(p: &mut BufferPool, pg: u32, data: Page, modifier: Option<u64>) {
         assert!(p.lookup(DataPageId(pg)).is_none());
-        p.insert(DataPageId(pg), data, modifier.is_some(), modifier);
+        p.insert(DataPageId(pg), data.clone());
+        if let Some(m) = modifier {
+            assert!(p.update_resident(DataPageId(pg), data, m));
+        }
     }
 
     #[test]
@@ -542,7 +546,7 @@ mod tests {
         assert_eq!(ev.modifiers, BTreeSet::from([7]));
         assert_eq!(p.stats().steals, 1);
         assert!(p.peek(DataPageId(1)).is_none());
-        p.insert(DataPageId(2), Page::zeroed(8), false, None);
+        p.insert(DataPageId(2), Page::zeroed(8));
         assert!(p.peek(DataPageId(2)).is_some());
     }
 
@@ -690,8 +694,8 @@ mod tests {
     #[should_panic(expected = "already-resident")]
     fn double_insert_panics() {
         let mut p = pool(2, true);
-        p.insert(DataPageId(1), page(1), false, None);
-        p.insert(DataPageId(1), page(1), false, None);
+        p.insert(DataPageId(1), page(1));
+        p.insert(DataPageId(1), page(1));
     }
 
     #[test]

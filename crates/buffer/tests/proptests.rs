@@ -83,7 +83,7 @@ fn pool_invariants_hold() {
                                 }
                             }
                             let data = fetch(p);
-                            pool.insert(DataPageId(p), data.clone(), false, None);
+                            pool.insert(DataPageId(p), data.clone());
                             resident.insert(p, data);
                         }
                     }
@@ -144,7 +144,7 @@ fn accounting_sums() {
                     let _ = pool.pop_victim();
                 }
                 if pool.has_room() {
-                    pool.insert(DataPageId(*p), Page::zeroed(8), false, None);
+                    pool.insert(DataPageId(*p), Page::zeroed(8));
                 }
             }
         }

@@ -11,10 +11,7 @@
 //! corpus and replayed byte-for-byte later.
 
 use rda_array::{ArrayConfig, Organization};
-use rda_core::{
-    CheckpointPolicy, DbConfig, EngineKind, EotPolicy, GroupCommit, LogGranularity,
-    ProtocolMutations,
-};
+use rda_core::{DbConfig, EngineKind, EotPolicy, GroupCommit, ProtocolMutations};
 use rda_faults::FaultKind;
 use rda_obs::json::Json;
 use rda_obs::json_obj;
@@ -134,32 +131,24 @@ impl DbKnobs {
     #[must_use]
     pub fn config(&self, mutations: ProtocolMutations) -> DbConfig {
         DbConfig {
-            engine: EngineKind::Rda,
             array: ArrayConfig::new(Organization::RotatedParity, 4, 4)
                 .twin(true)
                 .page_size(64),
             buffer: rda_buffer::BufferConfig::steal_clock(self.frames),
-            log: rda_wal::LogConfig {
-                page_size: 256,
-                copies: 2,
-                amortized: false,
-            },
-            granularity: LogGranularity::Page,
             eot: if self.force {
                 EotPolicy::Force
             } else {
                 EotPolicy::NoForce
             },
-            checkpoint: CheckpointPolicy::Manual,
             strict_read_locks: self.strict,
             trace_events: 1 << 15,
-            span_events: false,
             mutations,
             shards: self.shards,
             group_commit: self.group_commit.then_some(GroupCommit {
                 window_micros: 50,
                 max_batch: 8,
             }),
+            ..DbConfig::small_test(EngineKind::Rda)
         }
     }
 }

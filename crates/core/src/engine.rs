@@ -1014,7 +1014,7 @@ impl<D: BlockDevice> Engine<D> {
         }
         self.ensure_room()?;
         let data = self.read_disk(page)?;
-        self.buffer.insert(page, data.clone(), false, None);
+        self.buffer.insert(page, data.clone());
         Ok(data)
     }
 

@@ -3,36 +3,13 @@
 //! the array whole. This is the availability story that motivates using
 //! the array for recovery in the first place (§1).
 
-use rda_array::{ArrayConfig, Organization};
 use rda_buffer::BufferConfig;
-use rda_core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
-use rda_wal::LogConfig;
-
-const PAGE: usize = 64;
+use rda_core::{Database, DbConfig, EngineKind};
 
 fn cfg(engine: EngineKind, frames: usize) -> DbConfig {
     DbConfig {
-        engine,
-        array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
-            .twin(engine == EngineKind::Rda)
-            .page_size(PAGE),
         buffer: BufferConfig::steal_clock(frames),
-        log: LogConfig {
-            page_size: 256,
-            copies: 2,
-            amortized: false,
-        },
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(engine)
     }
 }
 

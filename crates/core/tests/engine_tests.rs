@@ -2,37 +2,19 @@
 //! media recovery — for both engines, both logging granularities, and both
 //! EOT policies.
 
-use rda_array::{ArrayConfig, BlockDevice, Organization};
+use rda_array::BlockDevice;
 use rda_buffer::BufferConfig;
 use rda_core::{
     CheckpointPolicy, Database, DbConfig, DbError, EngineKind, EotPolicy, LogGranularity,
-    ProtocolMutations,
 };
-use rda_wal::LogConfig;
 
+/// The page size of `DbConfig::small_test`.
 const PAGE: usize = 64;
 
 fn cfg(engine: EngineKind, frames: usize) -> DbConfig {
     DbConfig {
-        engine,
-        array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
-            .twin(engine == EngineKind::Rda)
-            .page_size(PAGE),
         buffer: BufferConfig::steal_clock(frames),
-        log: LogConfig {
-            page_size: 256,
-            copies: 2,
-            amortized: false,
-        },
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(engine)
     }
 }
 

@@ -5,32 +5,15 @@
 
 use rda_array::{ArrayConfig, Organization};
 use rda_buffer::BufferConfig;
-use rda_core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
-use rda_wal::LogConfig;
+use rda_core::{Database, DbConfig, EngineKind, LogGranularity};
 
 fn cfg(org: Organization, engine: EngineKind, frames: usize) -> DbConfig {
     DbConfig {
-        engine,
         array: ArrayConfig::new(org, 4, 8)
             .twin(engine == EngineKind::Rda)
             .page_size(64),
         buffer: BufferConfig::steal_clock(frames),
-        log: LogConfig {
-            page_size: 256,
-            copies: 2,
-            amortized: false,
-        },
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(engine)
     }
 }
 

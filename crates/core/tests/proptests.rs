@@ -48,7 +48,6 @@ fn gen_history(rng: &mut Rng) -> (Vec<Op>, usize) {
 
 fn config(engine: EngineKind, eot: EotPolicy, frames: usize) -> DbConfig {
     DbConfig {
-        engine,
         array: ArrayConfig::new(Organization::RotatedParity, 4, 6)
             .twin(engine == EngineKind::Rda)
             .page_size(PAGE),
@@ -58,7 +57,6 @@ fn config(engine: EngineKind, eot: EotPolicy, frames: usize) -> DbConfig {
             copies: 1,
             amortized: false,
         },
-        granularity: LogGranularity::Page,
         eot,
         ..DbConfig::small_test(engine)
     }

@@ -6,35 +6,13 @@
 //! an earlier parity-riding steal, and no group ever carries two
 //! uncommitted parity riders at once.
 
-use rda_array::{ArrayConfig, Organization};
 use rda_buffer::BufferConfig;
-use rda_core::{
-    protocol_violations, CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, EventKind,
-    LogGranularity, ProtocolMutations,
-};
-use rda_wal::LogConfig;
+use rda_core::{protocol_violations, Database, DbConfig, EngineKind, EventKind};
 
 fn cfg(frames: usize) -> DbConfig {
     DbConfig {
-        engine: EngineKind::Rda,
-        array: ArrayConfig::new(Organization::RotatedParity, 4, 8)
-            .twin(true)
-            .page_size(64),
         buffer: BufferConfig::steal_clock(frames),
-        log: LogConfig {
-            page_size: 256,
-            copies: 2,
-            amortized: false,
-        },
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(EngineKind::Rda)
     }
 }
 

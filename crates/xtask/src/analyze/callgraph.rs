@@ -92,9 +92,6 @@ impl Workspace {
                     .or_insert_with(|| s.fields.clone());
             }
             for (ki, f) in file.fns.iter().enumerate() {
-                if f.cfg_test {
-                    continue;
-                }
                 fns_by_name
                     .entry(f.name.clone())
                     .or_default()
@@ -294,16 +291,25 @@ impl Workspace {
 }
 
 #[cfg(test)]
+impl Workspace {
+    /// Index `(rel_path, text)` pairs as the workspace loader does.
+    pub fn of(files: &[(&str, &str)]) -> Workspace {
+        Workspace::build(
+            files
+                .iter()
+                .map(|(p, s)| FileIndex::build(&crate::source::SourceFile::new(p, s)))
+                .collect(),
+        )
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::build(files.iter().map(|(p, s)| FileIndex::build(p, s)).collect())
-    }
-
     #[test]
     fn types_self_field_chains_through_wrappers() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/core/src/engine.rs",
             "
             struct Durable { twins: Arc<TwinDirectory> }
@@ -332,7 +338,7 @@ mod tests {
 
     #[test]
     fn types_chained_method_calls_via_return_type() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/array/src/array.rs",
             "
             struct SimDisk { x: u32 }
@@ -361,7 +367,7 @@ mod tests {
     fn std_method_names_never_fall_back() {
         // `batch.is_empty()` on an untyped Vec local must not resolve to
         // the crate's only inherent `is_empty` by name-uniqueness.
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/wal/src/store.rs",
             "
             struct LogStore { inner: Mutex<Vec<u8>> }
@@ -389,7 +395,7 @@ mod tests {
 
     #[test]
     fn ambiguous_names_resolve_to_nothing() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "struct A; impl A { fn poke(&self) {} } struct B; impl B { fn poke(&self) {} }
                  fn go(x: &Unknown) { x.poke(); }",

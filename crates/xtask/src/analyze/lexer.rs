@@ -1,5 +1,6 @@
-//! A hand-rolled Rust lexer: the single tokenizer behind both the lint
-//! gate's preprocessing and the `analyze` passes.
+//! A hand-rolled Rust lexer: the single tokenizer behind the workspace
+//! source model ([`crate::source`]) that the lint rules and the `analyze`
+//! passes both read.
 //!
 //! It is deliberately not a full grammar — no keywords table, no
 //! multi-character operators — just the token classes the downstream
@@ -22,16 +23,15 @@ pub enum TokKind {
     Comment,
 }
 
-/// One token with its (1-based) source line and byte span.
+/// One token with its (1-based) source line and byte offset.
 #[derive(Debug, Clone)]
 pub struct Tok {
     pub kind: TokKind,
     pub text: String,
     pub line: u32,
-    /// Byte range `[start, end)` in the lexed source — what the lint
-    /// gate's preprocessor blanks when the token is opaque.
     pub start: usize,
-    pub end: usize,
+    /// Test code: set by [`crate::source`], never by the lexer.
+    pub test: bool,
 }
 
 impl Tok {
@@ -69,7 +69,7 @@ pub fn lex(text: &str) -> Vec<Tok> {
             text: String::from_utf8_lossy(&b[from..to.min(n)]).into_owned(),
             line,
             start: from,
-            end: to.min(n),
+            test: false,
         });
     };
 

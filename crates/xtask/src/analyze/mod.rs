@@ -1,8 +1,9 @@
 //! `cargo xtask analyze` — rda-analyze, the pass-based concurrency
 //! static-analysis framework.
 //!
-//! The pipeline: [`lexer`] tokenizes every workspace source, [`parse`]
-//! builds token trees and a per-file item index (structs + fields,
+//! The pipeline: the workspace source model ([`crate::source`]) lexes
+//! every workspace source with [`lexer`] and marks its test code,
+//! [`parse`] builds token trees and a per-file item index (structs + fields,
 //! impl methods, call sites), [`callgraph`] assembles a workspace index
 //! with typed receiver resolution and a conservative call-graph
 //! approximation, and the [`passes`] run over that:
@@ -46,8 +47,9 @@ const PASSES: &[&str] = &["lock-order", "atomics", "confine", "io-pairing"];
 /// entries) remain, or a setup message when the workspace, config, or
 /// baseline cannot be read.
 pub fn run(json_path: Option<&str>) -> Result<(), String> {
-    let root = crate::lint::workspace_root()?;
-    let ws = index_workspace(&root)?;
+    let root = crate::source::workspace_root()?;
+    let files = crate::source::load(&root)?;
+    let ws = Workspace::build(files.iter().map(parse::FileIndex::build).collect());
     let cfg = load_config(&root)?;
     let baseline = Baseline::load(&root)?;
 
@@ -111,39 +113,6 @@ pub fn run(json_path: Option<&str>) -> Result<(), String> {
             report.len()
         ))
     }
-}
-
-/// Index every `.rs` file under `crates/*/src` and the root `src`.
-fn index_workspace(root: &Path) -> Result<Workspace, String> {
-    let mut paths = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                crate::lint::walk_rs(&src, &mut paths)?;
-            }
-        }
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        crate::lint::walk_rs(&root_src, &mut paths)?;
-    }
-    paths.sort();
-    let mut files = Vec::new();
-    for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        files.push(parse::FileIndex::build(&rel, &text));
-    }
-    Ok(Workspace::build(files))
 }
 
 fn load_config(root: &Path) -> Result<Config, String> {

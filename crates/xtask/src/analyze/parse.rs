@@ -5,12 +5,13 @@
 //! `struct` field declarations (field name → type head, for receiver
 //! resolution), `impl` blocks (method → self type), `fn` items with
 //! their bodies, and the method/path call sites inside each body.
-//! `#[cfg(test)]` items are indexed but flagged, so production-only
-//! passes can skip them.
+//! Test code (the tokens the source model marks) is left out of the
+//! trees, so no pass sees a test item, field or statement.
 
 use std::collections::BTreeMap;
 
-use super::lexer::{lex, Tok, TokKind};
+use super::lexer::{Tok, TokKind};
+use crate::source::SourceFile;
 
 /// One node of the token tree: a leaf token or a delimited group.
 #[derive(Debug, Clone)]
@@ -26,14 +27,14 @@ pub struct Group {
     pub children: Vec<Tree>,
 }
 
-/// Build trees from lexed tokens. Comments are dropped here (the file
-/// index keeps them in a side table). Unbalanced delimiters are
+/// Build trees from lexed tokens. Comments (which the file index keeps
+/// in a side table) and test code are dropped here. Unbalanced delimiters are
 /// tolerated: a stray closer ends the innermost group.
 pub fn build_trees(toks: &[Tok]) -> Vec<Tree> {
     let mut stack: Vec<Group> = Vec::new();
     let mut top: Vec<Tree> = Vec::new();
     for t in toks {
-        if t.kind == TokKind::Comment {
+        if t.kind == TokKind::Comment || t.test {
             continue;
         }
         let c = if t.kind == TokKind::Punct {
@@ -133,7 +134,6 @@ pub struct FnItem {
     /// Body tokens, flattened: group boundaries become markers.
     pub body: Vec<FlatTok>,
     pub calls: Vec<CallSite>,
-    pub cfg_test: bool,
 }
 
 /// Flattened body stream: passes walk this linearly while still seeing
@@ -160,10 +160,10 @@ pub struct FileIndex {
 
 impl FileIndex {
     /// Build the index for one file.
-    pub fn build(rel_path: &str, text: &str) -> FileIndex {
-        let toks = lex(text);
+    pub fn build(file: &SourceFile) -> FileIndex {
+        let rel_path = file.rel_path.as_str();
         let mut comments: BTreeMap<u32, String> = BTreeMap::new();
-        for t in &toks {
+        for t in &file.toks {
             if t.kind == TokKind::Comment {
                 let slot = comments.entry(t.line).or_default();
                 if !slot.is_empty() {
@@ -172,7 +172,7 @@ impl FileIndex {
                 slot.push_str(&t.text);
             }
         }
-        let trees = build_trees(&toks);
+        let trees = build_trees(&file.toks);
         let crate_dir = rel_path
             .strip_prefix("crates/")
             .and_then(|r| r.split_once('/'))
@@ -184,47 +184,19 @@ impl FileIndex {
             structs: Vec::new(),
             comments,
         };
-        index.scan_items(&trees, None, false);
+        index.scan_items(&trees, None);
         index
     }
 
     /// Walk a tree level collecting items; recurses into `mod` and
-    /// `impl` blocks. `in_test` marks `#[cfg(test)]` containment.
-    fn scan_items(&mut self, trees: &[Tree], impl_ty: Option<&str>, in_test: bool) {
+    /// `impl` blocks.
+    fn scan_items(&mut self, trees: &[Tree], impl_ty: Option<&str>) {
         let mut i = 0;
-        let mut pending_test = false;
         while i < trees.len() {
             match &trees[i] {
-                Tree::Leaf(t) if t.is_punct('#') => {
-                    // Attribute: `#` `[ ... ]` (or `#![...]`).
-                    let mut j = i + 1;
-                    if let Some(Tree::Leaf(bang)) = trees.get(j) {
-                        if bang.is_punct('!') {
-                            j += 1;
-                        }
-                    }
-                    if let Some(Tree::Group(g)) = trees.get(j) {
-                        if g.delim == '[' && attr_is_cfg_test(&g.children) {
-                            pending_test = true;
-                        }
-                        i = j + 1;
-                        continue;
-                    }
-                    i += 1;
-                }
-                Tree::Leaf(t) if t.is_ident("fn") => {
-                    let test = in_test || pending_test;
-                    pending_test = false;
-                    i = self.scan_fn(trees, i, impl_ty, test);
-                }
-                Tree::Leaf(t) if t.is_ident("struct") => {
-                    let test = in_test || pending_test;
-                    pending_test = false;
-                    i = self.scan_struct(trees, i, test);
-                }
+                Tree::Leaf(t) if t.is_ident("fn") => i = self.scan_fn(trees, i, impl_ty),
+                Tree::Leaf(t) if t.is_ident("struct") => i = self.scan_struct(trees, i),
                 Tree::Leaf(t) if t.is_ident("impl") => {
-                    let test = in_test || pending_test;
-                    pending_test = false;
                     // Find the body group; derive the self type from the
                     // header tokens.
                     let mut j = i + 1;
@@ -243,19 +215,17 @@ impl FileIndex {
                     }
                     if let Some(body) = body {
                         let ty = impl_self_type(&header);
-                        self.scan_items(&body.children, ty.as_deref(), test);
+                        self.scan_items(&body.children, ty.as_deref());
                     }
                     i = j + 1;
                 }
                 Tree::Leaf(t) if t.is_ident("mod") => {
-                    let test = in_test || pending_test;
-                    pending_test = false;
                     // `mod name { ... }` or `mod name;`
                     let mut j = i + 1;
                     while j < trees.len() {
                         match &trees[j] {
                             Tree::Group(g) if g.delim == '{' => {
-                                self.scan_items(&g.children, None, test);
+                                self.scan_items(&g.children, None);
                                 j += 1;
                                 break;
                             }
@@ -268,45 +238,16 @@ impl FileIndex {
                     }
                     i = j;
                 }
-                Tree::Leaf(t)
-                    if t.is_ident("trait") || t.is_ident("enum") || t.is_ident("union") =>
-                {
-                    pending_test = false;
-                    // Skip to the body group or `;` without indexing
-                    // (trait default methods are out of scope).
-                    let mut j = i + 1;
-                    while j < trees.len() {
-                        match &trees[j] {
-                            Tree::Group(g) if g.delim == '{' => {
-                                j += 1;
-                                break;
-                            }
-                            Tree::Leaf(t) if t.is_punct(';') => {
-                                j += 1;
-                                break;
-                            }
-                            _ => j += 1,
-                        }
-                    }
-                    i = j;
-                }
-                _ => {
-                    pending_test = false;
-                    i += 1;
-                }
+                // Everything else, trait and enum bodies included, is
+                // skipped: a group is one tree, entered only above.
+                _ => i += 1,
             }
         }
     }
 
     /// Index `fn name(...) ... { body }` starting at the `fn` token.
     /// Returns the index just past the item.
-    fn scan_fn(
-        &mut self,
-        trees: &[Tree],
-        at: usize,
-        impl_ty: Option<&str>,
-        cfg_test: bool,
-    ) -> usize {
+    fn scan_fn(&mut self, trees: &[Tree], at: usize, impl_ty: Option<&str>) -> usize {
         let Some(Tree::Leaf(name_tok)) = trees.get(at + 1) else {
             return at + 1;
         };
@@ -371,13 +312,12 @@ impl FileIndex {
             ret_path,
             body: flat,
             calls,
-            cfg_test,
         });
         j
     }
 
     /// Index `struct Name { field: Ty, ... }` starting at `struct`.
-    fn scan_struct(&mut self, trees: &[Tree], at: usize, cfg_test: bool) -> usize {
+    fn scan_struct(&mut self, trees: &[Tree], at: usize) -> usize {
         let Some(Tree::Leaf(name_tok)) = trees.get(at + 1) else {
             return at + 1;
         };
@@ -401,9 +341,7 @@ impl FileIndex {
             }
             j += 1;
         }
-        if !cfg_test {
-            self.structs.push(StructItem { name, fields });
-        }
+        self.structs.push(StructItem { name, fields });
         j
     }
 
@@ -411,29 +349,6 @@ impl FileIndex {
     pub fn comment_on(&self, line: u32) -> Option<&str> {
         self.comments.get(&line).map(String::as_str)
     }
-}
-
-/// Does an attribute body say `cfg(test)` (optionally among other
-/// predicates, e.g. `cfg(all(test, feature = "x"))`)?
-fn attr_is_cfg_test(children: &[Tree]) -> bool {
-    let mut saw_cfg = false;
-    for t in children {
-        match t {
-            Tree::Leaf(t) if t.is_ident("cfg") => saw_cfg = true,
-            Tree::Group(g) if saw_cfg => {
-                return group_mentions_ident(g, "test");
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-fn group_mentions_ident(g: &Group, name: &str) -> bool {
-    g.children.iter().any(|t| match t {
-        Tree::Leaf(t) => t.is_ident(name),
-        Tree::Group(g) => group_mentions_ident(g, name),
-    })
 }
 
 /// Self type of an `impl` header: the path after `for` if present, else
@@ -779,7 +694,7 @@ mod tests {
                 fn poke(&self) { self.fault.lock(); }
             }
         ";
-        let idx = FileIndex::build("crates/array/src/array.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/array/src/array.rs", src));
         assert_eq!(idx.structs.len(), 1);
         let s = &idx.structs[0];
         assert_eq!(s.name, "DiskArray");
@@ -807,14 +722,14 @@ mod tests {
     #[test]
     fn trait_impl_self_type_after_for() {
         let src = "impl<'a> fmt::Display for Wrapper<'a> { fn fmt(&self) { } }";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/x/src/lib.rs", src));
         assert_eq!(idx.fns[0].impl_ty.as_deref(), Some("Wrapper"));
     }
 
     #[test]
     fn chained_call_receiver() {
         let src = "impl A { fn f(&self) { self.disk(id).read(b); } }";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/x/src/lib.rs", src));
         let read = idx.fns[0]
             .calls
             .iter()
@@ -840,7 +755,7 @@ mod tests {
         // `0..self.a.f()` must not swallow the `..` and bail — the
         // chain's root is `self`, not the range.
         let src = "impl E { fn f(&self) { for p in 0..self.arr.data_pages() { g(p); } } }";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/x/src/lib.rs", src));
         let call = idx.fns[0]
             .calls
             .iter()
@@ -864,7 +779,7 @@ mod tests {
     #[test]
     fn path_calls_and_bare_calls() {
         let src = "fn f() { Tracer::new(7); helper(); }";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/x/src/lib.rs", src));
         let calls = &idx.fns[0].calls;
         assert!(calls.iter().any(|c| c.kind
             == CallKind::Path(vec!["Tracer".into(), "new".into()])
@@ -875,25 +790,9 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_items_are_flagged() {
-        let src = "
-            fn prod() {}
-            #[cfg(test)]
-            mod tests { fn helper() {} }
-            #[cfg(test)]
-            fn standalone() {}
-        ";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
-        let by_name = |n: &str| idx.fns.iter().find(|f| f.name == n).unwrap();
-        assert!(!by_name("prod").cfg_test);
-        assert!(by_name("helper").cfg_test);
-        assert!(by_name("standalone").cfg_test);
-    }
-
-    #[test]
     fn comments_recorded_by_line() {
         let src = "fn f() {\n    // ordering: pairs with the Release store in enable\n    x.load(Ordering::Acquire);\n}";
-        let idx = FileIndex::build("crates/x/src/lib.rs", src);
+        let idx = FileIndex::build(&SourceFile::new("crates/x/src/lib.rs", src));
         assert!(idx.comment_on(2).unwrap().contains("ordering:"));
         assert!(idx.comment_on(3).is_none());
     }

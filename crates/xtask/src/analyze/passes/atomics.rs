@@ -178,9 +178,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
 #[allow(clippy::many_single_char_names)]
 fn collect_sites(ws: &Workspace, r: FnRef, out: &mut Vec<Site>) {
     let f = ws.fn_item(r);
-    if f.cfg_test {
-        return;
-    }
     let file = ws.file_of(r);
     let stem = file
         .rel_path
@@ -259,15 +256,10 @@ fn field_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::parse::FileIndex;
-
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::build(files.iter().map(|(p, s)| FileIndex::build(p, s)).collect())
-    }
 
     #[test]
     fn unjustified_sites_are_flagged_and_commented_ones_pass() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/obs/src/trace.rs",
             "
             struct Tracer { next: AtomicU64 }
@@ -293,7 +285,7 @@ mod tests {
 
     #[test]
     fn multi_line_justification_blocks_count() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/obs/src/trace.rs",
             "
             struct Tracer { next: AtomicU64 }
@@ -316,7 +308,7 @@ mod tests {
 
     #[test]
     fn release_without_acquire_reader_is_flagged() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/obs/src/trace.rs",
             "
             struct T { flag: AtomicBool }
@@ -340,7 +332,7 @@ mod tests {
 
     #[test]
     fn proper_pairs_and_relaxed_counters_are_clean() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/obs/src/metrics.rs",
             "
             struct M { n: AtomicU64, seq: AtomicU64 }
@@ -365,7 +357,7 @@ mod tests {
 
     #[test]
     fn rmw_acqrel_counts_on_both_sides() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct C { v: AtomicU32 }

@@ -30,9 +30,6 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         for fi in 0..ws.files.len() {
             let file = &ws.files[fi];
             for (ki, f) in file.fns.iter().enumerate() {
-                if f.cfg_test {
-                    continue;
-                }
                 // The type's own methods are the protocol implementation.
                 if f.impl_ty.as_deref() == Some(rule.ty.as_str()) {
                     continue;
@@ -99,7 +96,6 @@ fn exclusive_to(ws: &Workspace, method: &str, ty: &str) -> bool {
 mod tests {
     use super::*;
     use crate::analyze::config::Confine;
-    use crate::analyze::parse::FileIndex;
 
     fn cfg_dirty() -> Config {
         let mut cfg = Config::default();
@@ -113,17 +109,17 @@ mod tests {
 
     #[test]
     fn mutation_outside_allowed_files_is_flagged() {
-        let w = Workspace::build(vec![
-            FileIndex::build(
+        let w = Workspace::of(&[
+            (
                 "crates/core/src/group.rs",
                 "struct DirtySet { m: Mutex<u32> } impl DirtySet { fn mark(&self) {} }",
             ),
-            FileIndex::build(
+            (
                 "crates/core/src/engine.rs",
                 "struct Engine { dirty: DirtySet }
                  impl Engine { fn ok(&self) { self.dirty.mark(); } }",
             ),
-            FileIndex::build(
+            (
                 "crates/buffer/src/pool.rs",
                 "struct Pool { dirty: DirtySet }
                  impl Pool { fn bad(&self) { self.dirty.mark(); } }",
@@ -140,13 +136,13 @@ mod tests {
 
     #[test]
     fn own_methods_and_other_types_are_exempt() {
-        let w = Workspace::build(vec![
-            FileIndex::build(
+        let w = Workspace::of(&[
+            (
                 "crates/core/src/group.rs",
                 "struct DirtySet { m: Mutex<u32> }
                  impl DirtySet { fn mark(&self) {} fn clear(&self) { self.mark(); } }",
             ),
-            FileIndex::build(
+            (
                 "crates/wal/src/store.rs",
                 "struct Log { x: u32 } impl Log { fn mark(&self) {} }
                  struct W { log: Log } impl W { fn go(&self) { self.log.mark(); } }",
@@ -158,12 +154,12 @@ mod tests {
     #[test]
     fn unresolved_receiver_flags_only_exclusive_names() {
         // `mark` exists only on DirtySet -> unresolved local still hits.
-        let w = Workspace::build(vec![
-            FileIndex::build(
+        let w = Workspace::of(&[
+            (
                 "crates/core/src/group.rs",
                 "struct DirtySet { m: Mutex<u32> } impl DirtySet { fn mark(&self) {} }",
             ),
-            FileIndex::build(
+            (
                 "crates/check/src/sweep.rs",
                 "fn sneak(d: &DirtySet) { d.mark(); }",
             ),

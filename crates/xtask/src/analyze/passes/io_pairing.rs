@@ -35,9 +35,6 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
             continue;
         };
         for f in &file.fns {
-            if f.cfg_test {
-                continue;
-            }
             let phys_line = f.calls.iter().find_map(|c| {
                 // `recv` names a receiver-chain segment of a method call,
                 // or a path segment of a path call (`fs` in
@@ -84,7 +81,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
             ));
             continue;
         };
-        let Some(f) = file.fns.iter().find(|f| f.name == pair.func && !f.cfg_test) else {
+        let Some(f) = file.fns.iter().find(|f| f.name == pair.func) else {
             findings.push(Finding::new(
                 "io-pairing",
                 "missing-fn",
@@ -141,7 +138,6 @@ fn count_event_refs(f: &FnItem, variant: &str) -> usize {
 mod tests {
     use super::*;
     use crate::analyze::config::{IoPair, TracePair};
-    use crate::analyze::parse::FileIndex;
 
     fn cfg_io() -> Config {
         let mut cfg = Config::default();
@@ -156,7 +152,7 @@ mod tests {
 
     #[test]
     fn unbilled_physical_io_is_flagged() {
-        let w = Workspace::build(vec![FileIndex::build(
+        let w = Workspace::of(&[(
             "crates/array/src/array.rs",
             "
             struct DiskArray { disks: Vec<SimDisk> }
@@ -192,7 +188,7 @@ mod tests {
                 event: "CommitTwinFlip".to_string(),
             });
         }
-        let w = Workspace::build(vec![FileIndex::build(
+        let w = Workspace::of(&[(
             "crates/core/src/engine.rs",
             "
             fn commit(t: &Tracer) { t.record(EventKind::CommitTwinFlip { txn: 1 }); }
@@ -214,7 +210,7 @@ mod tests {
 
     #[test]
     fn missing_iopair_file_is_reported_not_ignored() {
-        let w = Workspace::build(vec![]);
+        let w = Workspace::of(&[]);
         let fs = run(&w, &cfg_io());
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].code, "missing-file");

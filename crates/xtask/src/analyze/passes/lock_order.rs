@@ -42,9 +42,6 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         for ki in 0..ws.files[fi].fns.len() {
             let r = (fi, ki);
             let f = ws.fn_item(r);
-            if f.cfg_test {
-                continue;
-            }
             let mut evs = Vec::new();
             for (ci, call) in f.calls.iter().enumerate() {
                 if let Some(class) = acquire_class(ws, cfg, r, call) {
@@ -349,15 +346,10 @@ fn sccs(edges: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::parse::FileIndex;
-
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::build(files.iter().map(|(p, s)| FileIndex::build(p, s)).collect())
-    }
 
     #[test]
     fn detects_an_ab_ba_inversion() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct S { a: Mutex<u32>, b: Mutex<u32> }
@@ -375,7 +367,7 @@ mod tests {
 
     #[test]
     fn consistent_order_is_clean() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct S { a: Mutex<u32>, b: Mutex<u32> }
@@ -390,7 +382,7 @@ mod tests {
 
     #[test]
     fn inversion_through_a_call_is_found() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct S { a: Mutex<u32>, b: Mutex<u32> }
@@ -408,7 +400,7 @@ mod tests {
 
     #[test]
     fn reacquire_is_a_self_cycle() {
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct S { a: Mutex<u32> }
@@ -431,7 +423,7 @@ mod tests {
             class: "LockTable".to_string(),
             methods: vec!["lock_page".to_string()],
         });
-        let w = ws(&[(
+        let w = Workspace::of(&[(
             "crates/a/src/lib.rs",
             "
             struct LockTable { m: Mutex<u32> }

@@ -29,26 +29,17 @@
 //! enforced by the io-pairing pass, which counts emission sites on the
 //! real token tree instead of substring-matching.)
 //!
-//! Rules operate on preprocessed sources (comments, strings and
-//! `#[cfg(test)]` items blanked — see [`source`]), so doc examples and
-//! test assertions don't trip production rules. Tokenization is shared
-//! with the analyze framework ([`crate::analyze::lexer`]).
+//! Rules read the workspace's one source model ([`crate::source`]): the
+//! lexed tokens of every file, each marked as test code or not. They
+//! skip comments, string contents and test code, so doc examples and test
+//! assertions don't trip production rules.
 
 mod baseline;
 mod rules;
-mod source;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// One preprocessed source file.
-pub struct SourceFile {
-    /// Path relative to the workspace root, `/`-separated.
-    pub rel_path: String,
-    /// Original text (used for doc-comment rules).
-    pub text: String,
-    /// Stripped text: comments/strings/`#[cfg(test)]` items blanked.
-    pub code: String,
-}
+use crate::source::{self, rel_path};
 
 /// Run the gate in the enclosing workspace.
 ///
@@ -57,8 +48,8 @@ pub struct SourceFile {
 /// caller prints it and exits non-zero), or a setup message when the
 /// workspace layout / baseline file cannot be read.
 pub fn run(update_baseline: bool) -> Result<(), String> {
-    let root = workspace_root()?;
-    let files = collect_sources(&root)?;
+    let root = source::workspace_root()?;
+    let files = source::load(&root)?;
     let manifests = collect_manifests(&root)?;
     let root_manifest = std::fs::read_to_string(root.join("Cargo.toml"))
         .map_err(|e| format!("cannot read root Cargo.toml: {e}"))?;
@@ -126,75 +117,6 @@ pub fn run(update_baseline: bool) -> Result<(), String> {
     }
 }
 
-/// Walk up from the current directory to the first `Cargo.toml` that
-/// declares `[workspace]`.
-pub(crate) fn workspace_root() -> Result<PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Ok(dir);
-            }
-        }
-        if !dir.pop() {
-            return Err("no workspace Cargo.toml found above the current directory".to_string());
-        }
-    }
-}
-
-/// Every `.rs` file under `crates/*/src` and the root package's `src`.
-fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
-    let mut paths = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                walk_rs(&src, &mut paths)?;
-            }
-        }
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk_rs(&root_src, &mut paths)?;
-    }
-    paths.sort();
-    let mut files = Vec::new();
-    for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let rel_path = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let code = source::blank_test_items(&source::strip(&text));
-        files.push(SourceFile {
-            rel_path,
-            text,
-            code,
-        });
-    }
-    Ok(files)
-}
-
-pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            walk_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
 /// `(rel_path, contents)` of every member manifest under `crates/`.
 fn collect_manifests(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
@@ -207,14 +129,7 @@ fn collect_manifests(root: &Path) -> Result<Vec<(String, String)>, String> {
             if manifest.is_file() {
                 let body = std::fs::read_to_string(&manifest)
                     .map_err(|e| format!("cannot read {}: {e}", manifest.display()))?;
-                let rel = manifest
-                    .strip_prefix(root)
-                    .unwrap_or(&manifest)
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                out.push((rel, body));
+                out.push((rel_path(root, &manifest), body));
             }
         }
     }

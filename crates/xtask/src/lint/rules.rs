@@ -1,11 +1,10 @@
-//! The individual lint rules. Each takes preprocessed sources and pushes
-//! human-readable violations; `mod.rs` decides overall pass/fail.
+//! The individual lint rules. Each reads the marked token streams and
+//! pushes human-readable violations; `mod.rs` decides overall pass/fail.
 
 use std::collections::BTreeMap;
 
-use super::source::{count_token, line_of, strip, test_item_spans, token_positions};
-use super::SourceFile;
-use crate::analyze::lexer::{lex, TokKind};
+use crate::analyze::lexer::{Tok, TokKind};
+use crate::source::SourceFile;
 
 /// Crates whose library code is subject to the unwrap/expect ratchet —
 /// the recovery-critical layers where a stray panic can take down the
@@ -34,7 +33,15 @@ pub fn unwrap_counts(files: &[SourceFile]) -> BTreeMap<String, usize> {
         if !in_ratchet_scope(&f.rel_path) {
             continue;
         }
-        let n = f.code.matches(".unwrap()").count() + f.code.matches(".expect(").count();
+        let code = f.production();
+        let at = |i: usize, s: &str| code.get(i).is_some_and(|t| t.text == s);
+        let n = (0..code.len())
+            .filter(|&i| {
+                at(i, ".")
+                    && at(i + 2, "(")
+                    && (at(i + 1, "expect") || at(i + 1, "unwrap") && at(i + 3, ")"))
+            })
+            .count();
         counts.insert(f.rel_path.clone(), n);
     }
     counts
@@ -89,68 +96,67 @@ pub fn ratchet_check(
 /// for the next maintainer).
 pub fn errors_doc(files: &[SourceFile], violations: &mut Vec<String>) {
     for f in files {
-        let code_lines: Vec<&str> = f.code.lines().collect();
-        let text_lines: Vec<&str> = f.text.lines().collect();
-        for pos in token_positions(&f.code, "fn") {
-            let line_idx = line_of(&f.code, pos) - 1;
-            let Some(first) = code_lines.get(line_idx) else {
-                continue;
-            };
+        let toks = &f.toks;
+        for i in 1..toks.len() {
             // Only `pub fn`, not pub(crate)/pub(super) (not API surface).
-            let before_fn: &str = {
-                let col = pos - f.code[..pos].rfind('\n').map_or(0, |p| p + 1);
-                &first[..col.min(first.len())]
-            };
-            let trimmed = before_fn.trim();
-            if trimmed != "pub" && !trimmed.ends_with(" pub") {
+            if toks[i].test || !toks[i].is_ident("fn") || !toks[i - 1].is_ident("pub") {
                 continue;
             }
-            // Collect the signature until its body or `;`.
-            let mut sig = String::new();
-            for line in code_lines.iter().skip(line_idx).take(24) {
-                if let Some(stop) = line.find(['{', ';']) {
-                    sig.push_str(&line[..stop]);
-                    break;
-                }
-                sig.push_str(line);
-                sig.push(' ');
-            }
-            let Some(ret) = sig.split_once("->").map(|(_, r)| r) else {
+            // The signature runs to the body or `;`; a `Result` ident
+            // after its `->` (so `RunResult` doesn't count) needs the doc.
+            let sig: Vec<&Tok> = toks[i + 1..]
+                .iter()
+                .filter(|t| !t.test && t.kind != TokKind::Comment)
+                .take_while(|t| !t.is_punct('{') && !t.is_punct(';'))
+                .collect();
+            let Some(arrow) = sig
+                .windows(2)
+                .position(|w| w[0].is_punct('-') && w[1].is_punct('>'))
+            else {
                 continue;
             };
-            // Token match so `RunResult` / `ScheduleResult` don't count.
-            if count_token(ret, "Result") == 0 {
+            if !sig[arrow..].iter().any(|t| t.is_ident("Result")) {
                 continue;
             }
-            // Walk upward over attributes, then require `# Errors` in the
-            // contiguous doc block (checked on the original text, since
-            // stripping blanks comments).
-            let mut i = line_idx;
-            while i > 0 && text_lines[i - 1].trim_start().starts_with("#[") {
-                i -= 1;
-            }
-            let mut documented = false;
-            while i > 0 {
-                let doc = text_lines[i - 1].trim_start();
-                if let Some(body) = doc.strip_prefix("///") {
-                    if body.trim() == "# Errors" {
-                        documented = true;
-                    }
-                    i -= 1;
-                } else {
-                    break;
-                }
-            }
-            if !documented {
+            if !documents_errors(&toks[..i - 1]) {
                 violations.push(format!(
                     "[errors-doc] {}:{}: public fn returning Result lacks a \
                      `# Errors` doc section",
-                    f.rel_path,
-                    line_idx + 1
+                    f.rel_path, toks[i].line
                 ));
             }
         }
     }
+}
+
+/// Does the doc comment that ends `above` (skipping attributes) hold a
+/// `/// # Errors` line?
+fn documents_errors(mut above: &[Tok]) -> bool {
+    while let Some((last, rest)) = above.split_last() {
+        if last.is_punct(']') {
+            // Back over an attribute to its `#`.
+            let mut depth = 0;
+            let Some(open) = above.iter().rposition(|t| {
+                depth += i32::from(t.is_punct(']')) - i32::from(t.is_punct('['));
+                depth == 0
+            }) else {
+                return false;
+            };
+            above = &above[..open];
+            match above.split_last() {
+                Some((hash, rest)) if hash.is_punct('#') => above = rest,
+                _ => return false,
+            }
+        } else if let Some(body) = last.text.strip_prefix("///") {
+            if body.trim() == "# Errors" {
+                return true;
+            }
+            above = rest;
+        } else {
+            return false;
+        }
+    }
+    false
 }
 
 /// Raw `BlockDevice` implementations must not leak above the crate that
@@ -189,17 +195,18 @@ pub fn array_discipline(files: &[SourceFile], violations: &mut Vec<String>) {
         ),
     ];
     for f in files {
+        let code = f.production();
         for (token, homes, why) in CONFINED {
             if homes.iter().any(|home| f.rel_path.starts_with(home)) {
                 continue;
             }
             let homes: Vec<_> = homes.iter().map(|h| h.trim_end_matches('/')).collect();
-            for pos in token_positions(&f.code, token) {
+            for t in code.iter().filter(|t| t.is_ident(token)) {
                 violations.push(format!(
                     "[array-discipline] {}:{}: direct `{token}` access outside \
                      {} {why}",
                     f.rel_path,
-                    line_of(&f.code, pos),
+                    t.line,
                     homes.join(" and "),
                 ));
             }
@@ -217,12 +224,8 @@ pub fn one_json(files: &[SourceFile], violations: &mut Vec<String>) {
         if f.rel_path == "crates/obs/src/json.rs" || f.rel_path.starts_with("crates/xtask/") {
             continue;
         }
-        let tests = test_item_spans(&strip(&f.text));
-        for t in lex(&f.text) {
-            let in_test = tests
-                .iter()
-                .any(|&(start, end)| (start..end).contains(&t.start));
-            if t.kind == TokKind::Str && t.text.contains("\\\":") && !in_test {
+        for t in &f.toks {
+            if t.kind == TokKind::Str && t.text.contains("\\\":") && !t.test {
                 violations.push(format!(
                     "[one-json] {}:{}: string literal builds a JSON member by hand — \
                      build an `rda_obs::json::Json` (`json_obj!`, `ToJson`) and write it \
@@ -291,16 +294,16 @@ pub fn unsafe_and_lint_config(
     violations: &mut Vec<String>,
 ) {
     for f in files {
-        for pos in token_positions(&f.code, "unsafe") {
+        for t in f.production().iter().filter(|t| t.is_ident("unsafe")) {
             violations.push(format!(
                 "[deny-unsafe] {}:{}: `unsafe` is banned in this workspace",
-                f.rel_path,
-                line_of(&f.code, pos)
+                f.rel_path, t.line
             ));
         }
     }
-    if count_token(root_manifest, "unsafe_code") == 0
-        || !root_manifest.contains("unsafe_code = \"deny\"")
+    if !root_manifest
+        .lines()
+        .any(|l| l.trim_start().starts_with("unsafe_code = \"deny\""))
     {
         violations.push(
             "[lint-config] root Cargo.toml must set `unsafe_code = \"deny\"` \

@@ -5,11 +5,14 @@
 //! invariants `rustc`/`clippy` cannot express (see [`lint`]), and
 //! `analyze`, the rda-analyze concurrency static-analysis framework
 //! (lock ordering, atomic-ordering audit, state confinement, billed-I/O
-//! pairing — see [`analyze`]). Both have no dependencies beyond `std`,
-//! so they build and run everywhere the workspace does.
+//! pairing — see [`analyze`]). Both read one source model ([`source`]):
+//! each workspace file loaded and lexed once, every token marked as test
+//! code or not by one rule. Neither has dependencies beyond `std`, so
+//! both build and run everywhere the workspace does.
 
 mod analyze;
 mod lint;
+mod source;
 
 use std::process::ExitCode;
 

@@ -202,6 +202,29 @@ impl T {
     assert!(out.status.success(), "clean pair flagged: {}", stderr(&out));
 }
 
+#[test]
+fn test_only_visible_fn_is_not_production_code() {
+    let fx = Fixture::new("atomics-test-only");
+    fx.write(
+        "crates/obs/src/lib.rs",
+        "\
+struct T { n: AtomicU64 }
+impl T {
+    #[cfg(test)]
+    pub(crate) fn poke(&self) {
+        self.n.store(1, Ordering::Relaxed);
+    }
+}
+",
+    );
+    let out = fx.analyze();
+    assert!(
+        out.status.success(),
+        "a #[cfg(test)] pub(crate) fn was analyzed: {}",
+        stderr(&out)
+    );
+}
+
 // ---- confine ------------------------------------------------------------
 
 const CONFINE_CONF: &str = "confine DirtySet mark -> crates/eng/src/engine.rs\n";
@@ -256,6 +279,38 @@ impl Engine {
     assert!(
         out.status.success(),
         "confined call flagged: {}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn test_only_statement_in_a_production_fn_is_not_a_call() {
+    let fx = Fixture::new("confine-test-statement");
+    fx.write("crates/xtask/analyze.conf", CONFINE_CONF);
+    fx.write(
+        "crates/eng/src/engine.rs",
+        "\
+pub struct DirtySet { pages: Vec<u32> }
+impl DirtySet {
+    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
+}
+",
+    );
+    fx.write(
+        "crates/eng/src/elsewhere.rs",
+        "\
+use super::engine::DirtySet;
+fn production(d: &mut DirtySet) {
+    #[cfg(test)]
+    d.mark(7);
+    let _ = d;
+}
+",
+    );
+    let out = fx.analyze();
+    assert!(
+        out.status.success(),
+        "a #[cfg(test)] statement was analyzed: {}",
         stderr(&out)
     );
 }

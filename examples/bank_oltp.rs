@@ -12,9 +12,7 @@
 
 use rda::array::{ArrayConfig, Organization};
 use rda::buffer::BufferConfig;
-use rda::core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
+use rda::core::{CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy};
 use rda::obs::rng::Rng;
 use rda::wal::LogConfig;
 
@@ -37,7 +35,6 @@ fn total(db: &Database) -> u64 {
 
 fn main() {
     let cfg = DbConfig {
-        engine: EngineKind::Rda,
         array: ArrayConfig::new(Organization::RotatedParity, 8, 8)
             .twin(true)
             .page_size(64),
@@ -45,15 +42,9 @@ fn main() {
         // to disk and the parity UNDO path is exercised for real.
         buffer: BufferConfig::steal_clock(12),
         log: LogConfig::default(),
-        granularity: LogGranularity::Page,
         eot: EotPolicy::NoForce,
         checkpoint: CheckpointPolicy::AccEvery { ops: 64 },
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(EngineKind::Rda)
     };
     let db = Database::open(cfg);
 

@@ -11,27 +11,16 @@
 
 use rda::array::{ArrayConfig, Organization};
 use rda::buffer::BufferConfig;
-use rda::core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
+use rda::core::{Database, DbConfig, EngineKind};
 use rda::wal::LogConfig;
 
 fn run(org: Organization) {
     println!("=== {org:?} ===");
     let cfg = DbConfig {
-        engine: EngineKind::Rda,
         array: ArrayConfig::new(org, 6, 20).twin(true).page_size(128),
         buffer: BufferConfig::steal_clock(24),
         log: LogConfig::default(),
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(EngineKind::Rda)
     };
     let db = Database::open(cfg);
     let pages = db.data_pages();

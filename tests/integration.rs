@@ -4,16 +4,13 @@
 
 use rda::array::{ArrayConfig, Organization};
 use rda::buffer::BufferConfig;
-use rda::core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, ProtocolMutations,
-};
+use rda::core::{Database, DbConfig, EngineKind, LogGranularity};
 use rda::model::{families, ModelParams, Workload};
 use rda::sim::{run_spec, RunConfig, WorkloadSpec};
 use rda::wal::LogConfig;
 
 fn engine_cfg(engine: EngineKind) -> DbConfig {
     DbConfig {
-        engine,
         array: ArrayConfig::new(Organization::RotatedParity, 5, 12)
             .twin(engine == EngineKind::Rda)
             .page_size(96),
@@ -23,15 +20,7 @@ fn engine_cfg(engine: EngineKind) -> DbConfig {
             copies: 2,
             amortized: false,
         },
-        granularity: LogGranularity::Page,
-        eot: EotPolicy::Force,
-        checkpoint: CheckpointPolicy::Manual,
-        strict_read_locks: false,
-        trace_events: 0,
-        span_events: false,
-        mutations: ProtocolMutations::default(),
-        shards: 1,
-        group_commit: None,
+        ..DbConfig::small_test(engine)
     }
 }
 
