@@ -38,9 +38,9 @@ pub struct DiskArray<D: BlockDevice = DefaultDisk> {
     stats: Arc<IoStats>,
     tracer: Arc<Tracer>,
     fault: rda_obs::sync::Mutex<Option<HookState>>,
-    /// Disk deaths the installed hook does not count: calls to
-    /// [`DiskArray::fail_disk`], and those of the hooks it replaced.
-    failed: AtomicU64,
+    /// Disk deaths: calls to [`DiskArray::fail_disk`] and the `FailDisk`
+    /// verdicts of every hook installed here, each counted as it happens.
+    failed: Arc<AtomicU64>,
 }
 
 impl DiskArray {
@@ -98,7 +98,7 @@ impl<D: BlockDevice> DiskArray<D> {
             stats,
             tracer,
             fault: rda_obs::sync::Mutex::new(None),
-            failed: AtomicU64::new(0),
+            failed: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -115,14 +115,11 @@ impl<D: BlockDevice> DiskArray<D> {
     /// read and write (billed or not). Replaces any previous hook and
     /// resets the fault counters.
     pub fn install_fault_hook(&self, hook: Arc<dyn crate::FaultHook>) {
-        let state = HookState::new(hook);
+        let state = HookState::new(hook).tallying_deaths(Arc::clone(&self.failed));
         for d in &self.disks {
             d.set_fault_hook(Some(state.clone()));
         }
-        if let Some(old) = self.fault.lock().replace(state) {
-            // ordering: Relaxed — see `fail_disk`.
-            (self.failed).fetch_add(old.stats.disk_failures(), Ordering::Relaxed);
-        }
+        *self.fault.lock() = Some(state);
     }
 
     /// Stop consulting the installed fault hook, if any. The fault
@@ -267,6 +264,18 @@ impl<D: BlockDevice> DiskArray<D> {
         Ok(())
     }
 
+    /// Billed read that copies the block into `dst`, header included,
+    /// instead of returning a fresh page.
+    fn read_phys_into(&self, loc: PhysLoc, dst: &mut Page) -> Result<()> {
+        self.disk(loc.disk).read_into(loc.block, dst)?;
+        self.stats.record_on(IoKind::Read, loc.disk.0);
+        self.tracer.record_io(|| EventKind::DiskRead {
+            disk: loc.disk.0,
+            block: loc.block,
+        });
+        Ok(())
+    }
+
     // ---- data-page I/O ---------------------------------------------------
 
     /// Read a data page (one transfer). Falls back to XOR reconstruction via
@@ -315,16 +324,16 @@ impl<D: BlockDevice> DiskArray<D> {
     }
 
     /// [`DiskArray::try_read_data`] into a caller-supplied buffer: `buf` is
-    /// overwritten with the page contents and no page is allocated. One
-    /// billed transfer. Scrubbers probing every page of the array reuse a
-    /// single scratch page across the whole patrol pass.
+    /// overwritten with the page's image and header and no page is
+    /// allocated. One billed transfer. The engine reads a buffer miss
+    /// into its victim's frame this way, and scrubbers reuse one scratch
+    /// page across a whole patrol pass.
     ///
     /// # Errors
     /// Same as [`DiskArray::try_read_data`].
     pub fn try_read_data_into(&self, page: DataPageId, buf: &mut Page) -> Result<()> {
         self.check_data(page)?;
-        buf.zero_fill();
-        self.read_phys_xor_into(self.geo.data_loc(page), buf)
+        self.read_phys_into(self.geo.data_loc(page), buf)
     }
 
     /// Write a data page **without touching parity** (one transfer).
@@ -585,12 +594,12 @@ impl<D: BlockDevice> DiskArray<D> {
     }
 
     /// A tally of disk deaths, by [`DiskArray::fail_disk`] or a fault
-    /// hook. It never falls, so a change means a new death.
+    /// hook. It never falls, so a change means a new death. One atomic
+    /// load: the engine asks at the end of every operation.
     #[must_use]
     pub fn deaths(&self) -> u64 {
-        let planted = (self.fault.lock().as_ref()).map_or(0, |s| s.stats.disk_failures());
         // ordering: Relaxed — see `fail_disk`.
-        self.failed.load(Ordering::Relaxed) + planted
+        self.failed.load(Ordering::Relaxed)
     }
 
     /// Inject a latent sector error at a physical location.
@@ -876,6 +885,29 @@ mod tests {
             assert!(a.group_parity_ok(GroupId(g), ParitySlot::P0).unwrap());
             assert!(a.group_parity_ok(GroupId(g), ParitySlot::P1).unwrap());
         }
+    }
+
+    #[test]
+    fn try_read_data_into_copies_image_and_header() {
+        let a = array(Organization::RotatedParity, true);
+        let d = DataPageId(3);
+        let claim = Header {
+            ts: 5,
+            txn: 9,
+            rider: 2,
+            state: crate::TwinState::Working,
+        };
+        a.write_data_unprotected(d, &patterned(&a, 0x42).with_header(claim))
+            .unwrap();
+        let before = a.stats().snapshot();
+        let mut buf = patterned(&a, 0x99);
+        a.try_read_data_into(d, &mut buf).unwrap();
+        let read = a.try_read_data(d).unwrap();
+        assert_eq!((&buf, buf.header()), (&read, read.header()));
+        assert_eq!(buf.header(), claim);
+        assert_eq!(a.stats().snapshot().delta(&before).transfers(), 2);
+        a.try_read_data_into(DataPageId(4), &mut buf).unwrap();
+        assert!(buf.is_zeroed() && buf.header() == Header::default());
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::{ArrayError, DiskId, Header, Page, Result, SimDisk};
 use rda_obs::sync::Mutex;
 use std::collections::HashSet;
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::MutexGuard;
 
 /// One disk of a redundant array, as seen by [`DiskArray`](crate::DiskArray).
@@ -42,6 +43,18 @@ pub trait BlockDevice: Send + Sync + 'static {
     /// [`ArrayError::TornPage`], [`ArrayError::Backend`], or a hook verdict
     /// ([`ArrayError::Transient`] / [`ArrayError::Crashed`]).
     fn read(&self, block: u64) -> Result<Page>;
+
+    /// [`BlockDevice::read`] into `dst`: its image and header become the
+    /// block's, with the same hook consultation and the same errors. A
+    /// device that can copy the block into `dst` without building a page
+    /// overrides the default, which reads a fresh page and moves it in.
+    ///
+    /// # Errors
+    /// Same as [`BlockDevice::read`]; `dst` is unspecified after an error.
+    fn read_into(&self, block: u64, dst: &mut Page) -> Result<()> {
+        *dst = self.read(block)?;
+        Ok(())
+    }
 
     /// Read a block without consulting the fault hook — the unbilled,
     /// unhooked view invariant auditors read through, so that auditing
@@ -156,11 +169,15 @@ pub struct Drive<M> {
     page_size: usize,
     state: Mutex<State<M>>,
     hook: Mutex<Option<HookState>>,
+    /// Has the disk failed? Written only under the `state` lock, so the
+    /// gate sees it change in order with the medium; read without it by
+    /// [`BlockDevice::is_failed`], which the engine asks per steal for
+    /// every disk of a group.
+    failed: AtomicBool,
 }
 
 struct State<M> {
     medium: M,
-    failed: bool,
     /// Latent sector errors, injected or planted by the hook: process
     /// state on every medium (an injected rot dies with the injector).
     bad_blocks: HashSet<u64>,
@@ -185,13 +202,21 @@ impl<M: Medium> Drive<M> {
             page_size,
             state: Mutex::new(State {
                 medium,
-                failed: false,
                 bad_blocks: HashSet::new(),
                 poisoned: None,
                 dirty: true,
             }),
             hook: Mutex::new(None),
+            failed: AtomicBool::new(false),
         }
+    }
+
+    /// Set the failed flag. Takes the state guard to prove the caller
+    /// holds the lock every write of the flag is made under.
+    fn set_failed(&self, _state: &mut State<M>, failed: bool) {
+        // ordering: Release — pairs with the Acquire in `is_failed`; the
+        // flag is written under the state lock, read with or without it.
+        self.failed.store(failed, Ordering::Release);
     }
 
     /// Run `f` on the medium under the drive's lock: how a backend's tests
@@ -240,12 +265,12 @@ impl<M: Medium> Drive<M> {
                     block,
                 });
             }
-            (FaultAction::FailDisk, _) => state.failed = true,
+            (FaultAction::FailDisk, _) => self.set_failed(&mut state, true),
             // The sector was already rotting; this read discovers it.
             (FaultAction::Latent, None) => {
                 state.bad_blocks.insert(block);
             }
-            (FaultAction::TornWrite, Some(page)) if !state.failed => {
+            (FaultAction::TornWrite, Some(page)) if !self.is_failed() => {
                 // Power died mid-write: the first half reached the medium
                 // and the tear shows there until the block is rewritten; it
                 // replaces any rot, so the block reads back torn. Best
@@ -264,7 +289,7 @@ impl<M: Medium> Drive<M> {
             // nothing and is refused below.
             (FaultAction::Proceed | FaultAction::Latent | FaultAction::TornWrite, _) => {}
         }
-        if state.failed {
+        if self.is_failed() {
             return Err(ArrayError::DiskFailed(self.id));
         }
         if write.is_none() && state.bad_blocks.contains(&block) {
@@ -321,6 +346,17 @@ impl<M: Medium> BlockDevice for Drive<M> {
         self.read_with(block, false, |found| self.page_of(found))
     }
 
+    fn read_into(&self, block: u64, dst: &mut Page) -> Result<()> {
+        self.read_with(block, true, |found| match found {
+            Some((image, header)) if image.len() == dst.len() => {
+                dst.as_mut().copy_from_slice(image);
+                dst.set_header(header);
+            }
+            None if dst.len() == self.page_size => dst.zero_fill(),
+            found => *dst = self.page_of(found),
+        })
+    }
+
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> Result<()> {
         self.read_with(block, true, |found| {
             if let Some((image, _)) = found {
@@ -354,11 +390,13 @@ impl<M: Medium> BlockDevice for Drive<M> {
     }
 
     fn fail(&self) {
-        self.state.lock().failed = true;
+        let mut state = self.state.lock();
+        self.set_failed(&mut state, true);
     }
 
     fn is_failed(&self) -> bool {
-        self.state.lock().failed
+        // ordering: Acquire — pairs with the Release in `set_failed`.
+        self.failed.load(Ordering::Acquire)
     }
 
     fn corrupt_block(&self, block: u64) {
@@ -378,14 +416,14 @@ impl<M: Medium> BlockDevice for Drive<M> {
         state.dirty = true;
         match state.medium.reset_zero() {
             Ok(()) => {
-                state.failed = false;
+                self.set_failed(&mut state, false);
                 state.bad_blocks.clear();
                 state.poisoned = None;
             }
             // A replacement that could not be blanked still holds the dead
             // drive's blocks: it must not be rebuilt over or served.
             Err(e) => {
-                state.failed = true;
+                self.set_failed(&mut state, true);
                 state.poisoned = Some(format!("replacement not blanked: {e}"));
             }
         }

@@ -101,6 +101,9 @@ pub struct HookState {
     pub hook: Arc<dyn FaultHook>,
     /// Counters for faults the plan actually ordered.
     pub stats: Arc<FaultStats>,
+    /// The array's disk-death tally, which a `FailDisk` verdict also
+    /// bumps, so the array reads its deaths without taking a lock.
+    deaths: Option<Arc<AtomicU64>>,
 }
 
 impl HookState {
@@ -110,7 +113,14 @@ impl HookState {
         HookState {
             hook,
             stats: Arc::new(FaultStats::new()),
+            deaths: None,
         }
+    }
+
+    /// This state, also counting its `FailDisk` verdicts into `deaths`.
+    pub(crate) fn tallying_deaths(mut self, deaths: Arc<AtomicU64>) -> HookState {
+        self.deaths = Some(deaths);
+        self
     }
 
     /// Offer one physical I/O to the hook and record its verdict.
@@ -122,6 +132,11 @@ impl HookState {
             is_write,
         });
         self.stats.record(action);
+        if let (FaultAction::FailDisk, Some(deaths)) = (action, &self.deaths) {
+            // ordering: Relaxed — a tally read by the thread holding the
+            // engine that owns the array (see `DiskArray::deaths`).
+            deaths.fetch_add(1, Ordering::Relaxed);
+        }
         action
     }
 }

@@ -1,9 +1,20 @@
 //! The buffer pool.
+//!
+//! A page access costs one copy. The engine drives the pool in staged
+//! steps: [`BufferPool::touch`] counts the hit or miss and lends a hit's
+//! frame; on a miss with no free frame [`BufferPool::pop_victim`] hands
+//! the victim out, its page buffer included, and once the victim is
+//! written back (or at once, if clean) the engine reads the missing page
+//! into that same buffer and [`BufferPool::insert`]s it.
+//! [`BufferPool::peek`] lends a resident frame without counting an
+//! access, and [`BufferPool::update_resident`] lends it for a write in
+//! place. Nothing per access allocates a page.
 
 use rda_array::{DataPageId, Page};
 use rda_obs::{EventKind, Tracer};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,9 +84,9 @@ pub struct Evicted {
 /// Counters exposed for tests and the simulator.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
-    /// Lookups served from the pool.
+    /// Accesses served from the pool.
     pub hits: u64,
-    /// Lookups that had to fetch.
+    /// Accesses that had to fetch.
     pub misses: u64,
     /// Dirty evictions with uncommitted modifiers (paper steals).
     pub steals: u64,
@@ -117,9 +128,9 @@ impl BufferStats {
 /// plain [`BufferStats`] snapshot the rest of the stack consumes.
 #[derive(Debug, Default)]
 pub struct PoolCounters {
-    /// Lookups served from the pool.
+    /// Accesses served from the pool.
     pub hits: AtomicU64,
-    /// Lookups that had to fetch.
+    /// Accesses that had to fetch.
     pub misses: AtomicU64,
     /// Dirty evictions with uncommitted modifiers (paper steals).
     pub steals: AtomicU64,
@@ -158,6 +169,37 @@ impl PoolCounters {
     }
 }
 
+/// The page table's hasher: a page id is a small integer the engine
+/// chose, not an adversary, so one multiply by 2⁶⁴/φ (Fibonacci hashing)
+/// spreads it well enough and the default SipHash's rounds buy nothing on
+/// a path every page access takes. The product's high half is the
+/// well-mixed one, and the table indexes by the low bits, so `finish`
+/// swaps the halves: strided page ids still spread.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type PageTable = HashMap<DataPageId, usize, BuildHasherDefault<PageIdHasher>>;
+
 struct Frame {
     page: DataPageId,
     data: Page,
@@ -174,7 +216,7 @@ struct Frame {
 pub struct BufferPool {
     cfg: BufferConfig,
     slots: Vec<Option<Frame>>,
-    map: HashMap<DataPageId, usize>,
+    map: PageTable,
     free: Vec<usize>,
     hand: usize,
     counters: Arc<PoolCounters>,
@@ -203,7 +245,7 @@ impl BufferPool {
         BufferPool {
             cfg,
             slots: (0..frames).map(|_| None).collect(),
-            map: HashMap::with_capacity(frames),
+            map: PageTable::with_capacity_and_hasher(frames, BuildHasherDefault::default()),
             free: (0..frames).rev().collect(),
             hand: 0,
             counters: Arc::new(PoolCounters::default()),
@@ -235,7 +277,8 @@ impl BufferPool {
         self.map.is_empty()
     }
 
-    /// Contents of a resident page, if any. Does not count as a reference.
+    /// Lend a resident page's frame, if any. Does not count as a
+    /// reference: [`BufferPool::touch`] does that.
     #[must_use]
     pub fn peek(&self, page: DataPageId) -> Option<&Page> {
         self.frame(page).map(|f| &f.data)
@@ -274,10 +317,22 @@ impl BufferPool {
             .unwrap_or_default()
     }
 
-    /// Remove `txn` from every frame's modifier set (commit or abort).
-    pub fn release_txn(&mut self, txn: u64) {
-        for slot in self.slots.iter_mut().flatten() {
-            slot.modifiers.remove(&txn);
+    /// Every (page, uncommitted modifier) pair in the pool, for auditors.
+    pub fn modifiers(&self) -> impl Iterator<Item = (DataPageId, u64)> + '_ {
+        self.slots
+            .iter()
+            .flatten()
+            .flat_map(|f| f.modifiers.iter().map(move |&t| (f.page, t)))
+    }
+
+    /// Remove `txn` from the modifier sets of the pages it wrote (commit
+    /// or abort). `written` must name every page `txn` modified through
+    /// [`BufferPool::update_resident`]; only those frames are visited.
+    pub fn release_txn(&mut self, txn: u64, written: impl IntoIterator<Item = DataPageId>) {
+        for page in written {
+            if let Some(frame) = self.frame_mut(page) {
+                frame.modifiers.remove(&txn);
+            }
         }
     }
 
@@ -308,26 +363,26 @@ impl BufferPool {
 
     // ---- the staged steps ---------------------------------------------
     //
-    // `rda-core` drives the pool in explicit steps — lookup, make room by
+    // `rda-core` drives the pool in explicit steps — touch, make room by
     // popping a victim (handling the write-back itself, and restoring the
-    // victim if that fails), insert — because its steal handling needs
-    // full engine state. [`BufferPool::read`] composes the same steps.
+    // victim if that fails), insert into the victim's buffer — because its
+    // steal handling needs full engine state. [`BufferPool::read`]
+    // composes the same steps.
 
-    /// Look up a page, counting a hit or miss and setting the frame's
-    /// reference bit. Returns a copy of the contents on a hit.
-    pub fn lookup(&mut self, page: DataPageId) -> Option<Page> {
-        match self.frame_mut(page) {
-            Some(frame) => {
-                frame.ref_bit = true;
-                let data = frame.data.clone();
-                PoolCounters::bump(&self.counters.hits);
-                Some(data)
-            }
-            None => {
-                PoolCounters::bump(&self.counters.misses);
-                None
-            }
-        }
+    /// Access a page: count a hit or a miss and, on a hit, set the frame's
+    /// reference bit and lend the frame. `None` is a miss.
+    pub fn touch(&mut self, page: DataPageId) -> Option<&Page> {
+        let frame = match self.map.get(&page) {
+            Some(&idx) => self.slots[idx].as_mut(),
+            None => None,
+        };
+        PoolCounters::bump(match frame {
+            Some(_) => &self.counters.hits,
+            None => &self.counters.misses,
+        });
+        let frame = frame?;
+        frame.ref_bit = true;
+        Some(&frame.data)
     }
 
     /// Is there a free frame?
@@ -339,7 +394,9 @@ impl BufferPool {
     /// Evict one victim frame and return it for the caller to write back.
     /// Returns `None` when no frame is evictable (the caller should treat
     /// that as [`BufferError::NoEvictableFrame`]). Eviction statistics are
-    /// updated here.
+    /// updated here. Once the victim is written back, or at once if it is
+    /// clean, its page buffer is the caller's to reuse: the engine reads
+    /// the missing page into it.
     pub fn pop_victim(&mut self) -> Option<Evicted> {
         let victim = self.pick_victim()?;
         let frame = self.slots[victim].take()?;
@@ -376,32 +433,32 @@ impl BufferPool {
     }
 
     /// Insert a page into a free frame without hit/miss accounting (the
-    /// preceding [`BufferPool::lookup`] already counted the access).
+    /// preceding [`BufferPool::touch`] already counted the access), and
+    /// lend the frame. The frame keeps `data`'s buffer.
     ///
     /// # Panics
     /// Panics if there is no free frame or the page is already resident.
-    pub fn insert(&mut self, page: DataPageId, data: Page) {
-        self.install(page, data, false, BTreeSet::new());
+    pub fn insert(&mut self, page: DataPageId, data: Page) -> &Page {
+        self.install(page, data, false, BTreeSet::new())
     }
 
-    /// Overwrite a resident page's contents, marking it dirty and adding a
-    /// modifier, without hit/miss accounting. Returns false if the page is
-    /// not resident.
-    pub fn update_resident(&mut self, page: DataPageId, data: Page, modifier: u64) -> bool {
-        let Some(frame) = self.frame_mut(page) else {
-            return false;
-        };
+    /// Write a resident page in place: mark it dirty, add `modifier` and
+    /// set the reference bit, without hit/miss accounting, and lend the
+    /// frame for the caller to overwrite. `None` if the page is not
+    /// resident.
+    pub fn update_resident(&mut self, page: DataPageId, modifier: u64) -> Option<&mut Page> {
+        let frame = self.frame_mut(page)?;
         frame.ref_bit = true;
-        frame.data = data;
         frame.dirty = true;
         frame.modifiers.insert(modifier);
-        true
+        Some(&mut frame.data)
     }
 
-    /// Read a page through the staged steps: [`BufferPool::lookup`]; on a
-    /// miss with no free frame, [`BufferPool::pop_victim`], handing a
-    /// dirty victim to `steal` and [`BufferPool::restore`]-ing it if
-    /// `steal` fails; then `fetch` and [`BufferPool::insert`].
+    /// Read a page through the staged steps: [`BufferPool::touch`] (a hit
+    /// returns a copy of the frame); on a miss with no free frame,
+    /// [`BufferPool::pop_victim`], handing a dirty victim to `steal` and
+    /// [`BufferPool::restore`]-ing it if `steal` fails; then `fetch` and
+    /// [`BufferPool::insert`].
     ///
     /// # Errors
     /// Propagates closure errors and
@@ -412,8 +469,8 @@ impl BufferPool {
         fetch: impl FnOnce(DataPageId) -> Result<Page, E>,
         steal: impl FnOnce(&Evicted) -> Result<(), E>,
     ) -> Result<Page, BufferError<E>> {
-        if let Some(data) = self.lookup(page) {
-            return Ok(data);
+        if let Some(data) = self.touch(page) {
+            return Ok(data.clone());
         }
         if !self.has_room() {
             let ev = self.pop_victim().ok_or(BufferError::NoEvictableFrame)?;
@@ -437,20 +494,27 @@ impl BufferPool {
         self.slots[*self.map.get(&page)?].as_mut()
     }
 
-    fn install(&mut self, page: DataPageId, data: Page, dirty: bool, modifiers: BTreeSet<u64>) {
+    fn install(
+        &mut self,
+        page: DataPageId,
+        data: Page,
+        dirty: bool,
+        modifiers: BTreeSet<u64>,
+    ) -> &Page {
         assert!(
             !self.map.contains_key(&page),
             "insert of already-resident page"
         );
         let idx = self.free.pop().expect("insert requires a free frame");
-        self.slots[idx] = Some(Frame {
+        self.map.insert(page, idx);
+        let frame = self.slots[idx].insert(Frame {
             page,
             data,
             dirty,
             modifiers,
             ref_bit: true,
         });
-        self.map.insert(page, idx);
+        &frame.data
     }
 
     /// Second-chance clock. The hand visits every slot twice: a frame's
@@ -498,11 +562,19 @@ mod tests {
     /// A miss followed by an insert of the fetched page: the engine's read;
     /// with a modifier, then that transaction's write of it.
     fn fill(p: &mut BufferPool, pg: u32, data: Page, modifier: Option<u64>) {
-        assert!(p.lookup(DataPageId(pg)).is_none());
-        p.insert(DataPageId(pg), data.clone());
+        assert!(p.touch(DataPageId(pg)).is_none());
+        p.insert(DataPageId(pg), data);
         if let Some(m) = modifier {
-            assert!(p.update_resident(DataPageId(pg), data, m));
+            assert!(p.update_resident(DataPageId(pg), m).is_some());
         }
+    }
+
+    /// `modifier`'s in-place write of `data` over resident page `pg`;
+    /// false if the page is not resident.
+    fn write(p: &mut BufferPool, pg: u32, data: &Page, modifier: u64) -> bool {
+        p.update_resident(DataPageId(pg), modifier)
+            .map(|frame| frame.clone_from(data))
+            .is_some()
     }
 
     #[test]
@@ -510,7 +582,7 @@ mod tests {
         let mut p = pool(2, true);
         fill(&mut p, 1, Page::zeroed(8), None);
         assert_eq!(p.stats().misses, 1);
-        assert!(p.lookup(DataPageId(1)).unwrap().is_zeroed());
+        assert!(p.touch(DataPageId(1)).unwrap().is_zeroed());
         assert_eq!(p.stats().hits, 1);
         assert!((p.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
@@ -520,24 +592,64 @@ mod tests {
         let mut p = pool(2, true);
         fill(&mut p, 3, page(1), None);
         assert!(!p.is_dirty(DataPageId(3)));
-        assert!(p.update_resident(DataPageId(3), page(9), 42));
+        assert!(write(&mut p, 3, &page(9), 42));
         assert_eq!(p.peek(DataPageId(3)), Some(&page(9)));
         assert!(p.is_dirty(DataPageId(3)));
         assert_eq!(p.modifiers_of(DataPageId(3)), BTreeSet::from([42]));
         assert_eq!(p.dirty_pages(), vec![(DataPageId(3), true)]);
-        p.release_txn(42);
+        p.release_txn(42, [DataPageId(3)]);
         assert_eq!(p.dirty_pages(), vec![(DataPageId(3), false)]);
         assert!(p.is_dirty(DataPageId(3)), "release does not clean");
         p.mark_clean(DataPageId(3));
         assert!(!p.is_dirty(DataPageId(3)));
-        assert!(!p.update_resident(DataPageId(99), page(4), 9));
+        assert!(!write(&mut p, 99, &page(4), 9));
+    }
+
+    #[test]
+    fn writes_land_in_the_resident_frame() {
+        let mut p = pool(2, true);
+        fill(&mut p, 1, page(1), None);
+        let frame = p.peek(DataPageId(1)).unwrap().as_ref().as_ptr();
+        assert!(write(&mut p, 1, &page(2), 7));
+        assert!(write(&mut p, 1, &page(3), 8));
+        let now = p.peek(DataPageId(1)).unwrap();
+        assert_eq!((now, now.as_ref().as_ptr()), (&page(3), frame));
+        assert_eq!(p.modifiers_of(DataPageId(1)), BTreeSet::from([7, 8]));
+        // A write is no access: the hit and miss counts are the fill's.
+        assert_eq!((p.stats().hits, p.stats().misses), (0, 1));
+    }
+
+    #[test]
+    fn release_visits_only_the_pages_named() {
+        let mut p = pool(2, true);
+        fill(&mut p, 1, page(1), Some(7));
+        fill(&mut p, 2, page(2), Some(7));
+        p.release_txn(7, [DataPageId(1), DataPageId(99)]);
+        assert_eq!(p.modifiers().collect::<Vec<_>>(), vec![(DataPageId(2), 7)]);
+        p.release_txn(7, [DataPageId(2)]);
+        assert_eq!(p.modifiers().count(), 0);
+    }
+
+    #[test]
+    fn strided_page_ids_spread_over_the_table() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PageIdHasher>::default();
+        let bucket = |id: u32| build.hash_one(DataPageId(id)) & 255;
+        for stride in [1, 10, 256, 4096] {
+            let buckets: BTreeSet<u64> = (0..256).map(|k| bucket(k * stride)).collect();
+            assert!(
+                buckets.len() > 150,
+                "stride {stride}: {} buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
     fn eviction_calls_steal_for_dirty_victim() {
         let mut p = pool(1, true);
         fill(&mut p, 1, page(1), Some(7));
-        assert!(p.lookup(DataPageId(2)).is_none());
+        assert!(p.touch(DataPageId(2)).is_none());
         assert!(!p.has_room());
         let ev = p.pop_victim().unwrap();
         assert_eq!(ev.page, DataPageId(1));
@@ -564,7 +676,7 @@ mod tests {
     fn writeback_vs_steal_classification() {
         let mut p = pool(1, true);
         fill(&mut p, 1, page(1), Some(7));
-        p.release_txn(7); // committed
+        p.release_txn(7, [DataPageId(1)]); // committed
         let ev = p.pop_victim().unwrap();
         assert!(ev.dirty && ev.modifiers.is_empty());
         assert_eq!(p.stats().writebacks, 1);
@@ -582,7 +694,7 @@ mod tests {
         let err = p.read(DataPageId(2), |_| Ok::<_, ()>(page(2)), |_| Ok(()));
         assert_eq!(err.unwrap_err(), BufferError::NoEvictableFrame);
         // After commit the frame becomes evictable again.
-        p.release_txn(7);
+        p.release_txn(7, [DataPageId(1)]);
         assert_eq!(p.pop_victim().unwrap().page, DataPageId(1));
         assert_eq!(p.stats().writebacks, 1);
     }
@@ -591,7 +703,7 @@ mod tests {
     fn restore_puts_back_a_failed_write_back() {
         let mut p = pool(1, true);
         fill(&mut p, 4, page(1), Some(7));
-        assert!(p.update_resident(DataPageId(4), page(2), 8));
+        assert!(write(&mut p, 4, &page(2), 8));
         let ev = p.pop_victim().unwrap();
         assert!(p.is_empty() && p.has_room());
         p.restore(ev);
@@ -618,7 +730,7 @@ mod tests {
             |_| Ok::<_, &str>(()),
         );
         assert_eq!(hit.unwrap(), page(1));
-        assert!(p.update_resident(DataPageId(1), page(5), 7));
+        assert!(write(&mut p, 1, &page(5), 7));
         // A failed steal puts the victim back, a failed fetch leaves the
         // frame free; neither installs the requested page.
         let err = p.read(DataPageId(2), |_| unreachable!(), |_| Err("disk"));

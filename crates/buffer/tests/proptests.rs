@@ -48,59 +48,64 @@ fn pool_invariants_hold() {
         // Reference model of residency and contents.
         let mut resident: HashMap<u32, Page> = HashMap::new();
         let mut modifiers: HashMap<u32, HashSet<u64>> = HashMap::new();
+        // Pages each transaction wrote since its last release.
+        let mut written: HashMap<u64, HashSet<u32>> = HashMap::new();
 
         let fetch = |p: u32| Page::from_bytes(&[(p % 251) as u8; 16]);
 
         for op in ops {
             match op {
                 Op::Read(p) => {
-                    match pool.lookup(DataPageId(p)) {
-                        Some(data) => {
-                            assert_eq!(
-                                Some(&data),
-                                resident.get(&p),
-                                "hit must return the installed contents"
+                    if let Some(frame) = pool.touch(DataPageId(p)) {
+                        assert_eq!(
+                            Some(frame),
+                            resident.get(&p),
+                            "hit must lend the installed contents"
+                        );
+                        continue;
+                    }
+                    assert!(!resident.contains_key(&p), "model thinks resident");
+                    // A miss reads into the victim's buffer, as the engine does.
+                    let mut buf = Page::zeroed(16);
+                    if !pool.has_room() {
+                        let Some(ev) = pool.pop_victim() else {
+                            assert!(wedged(steal, &resident, &modifiers));
+                            continue; // wedged: drop the op
+                        };
+                        if !steal {
+                            assert!(
+                                !ev.dirty || ev.modifiers.is_empty(),
+                                "¬STEAL evicted an uncommitted page"
                             );
                         }
-                        None => {
-                            assert!(!resident.contains_key(&p), "model thinks resident");
-                            if !pool.has_room() {
-                                match pool.pop_victim() {
-                                    Some(ev) => {
-                                        if !steal {
-                                            assert!(
-                                                !ev.dirty || ev.modifiers.is_empty(),
-                                                "¬STEAL evicted an uncommitted page"
-                                            );
-                                        }
-                                        resident.remove(&ev.page.0);
-                                        modifiers.remove(&ev.page.0);
-                                    }
-                                    None => {
-                                        assert!(wedged(steal, &resident, &modifiers));
-                                        continue; // wedged: drop the op
-                                    }
-                                }
-                            }
-                            let data = fetch(p);
-                            pool.insert(DataPageId(p), data.clone());
-                            resident.insert(p, data);
-                        }
+                        resident.remove(&ev.page.0);
+                        modifiers.remove(&ev.page.0);
+                        buf = ev.data;
                     }
+                    buf.clone_from(&fetch(p));
+                    let reused = buf.as_ref().as_ptr();
+                    let frame = pool.insert(DataPageId(p), buf);
+                    assert_eq!(frame.as_ref().as_ptr(), reused, "insert keeps the buffer");
+                    resident.insert(p, frame.clone());
                 }
                 #[allow(clippy::map_entry)] // intentional model/pool lockstep
                 Op::Write(p, t) => {
                     if resident.contains_key(&p) {
                         let data = Page::from_bytes(&[t as u8; 16]);
-                        assert!(pool.update_resident(DataPageId(p), data.clone(), t));
+                        let frame = pool.update_resident(DataPageId(p), t).expect("resident");
+                        frame.as_mut().copy_from_slice(data.as_ref());
                         resident.insert(p, data);
                         modifiers.entry(p).or_default().insert(t);
+                        written.entry(t).or_default().insert(p);
                     } else {
-                        assert!(!pool.update_resident(DataPageId(p), fetch(p), t));
+                        assert!(pool.update_resident(DataPageId(p), t).is_none());
                     }
                 }
                 Op::ReleaseTxn(t) => {
-                    pool.release_txn(t);
+                    // Only the pages `t` wrote are named, as the engine
+                    // names its transaction's write set.
+                    let pages = written.remove(&t).unwrap_or_default();
+                    pool.release_txn(t, pages.into_iter().map(DataPageId));
                     for set in modifiers.values_mut() {
                         set.remove(&t);
                     }
@@ -128,7 +133,7 @@ fn pool_invariants_hold() {
     });
 }
 
-/// Hit/miss accounting sums to the number of lookups.
+/// Hit/miss accounting sums to the number of accesses.
 #[test]
 fn accounting_sums() {
     prop::cases("accounting_sums", 96, |rng| {
@@ -139,7 +144,7 @@ fn accounting_sums() {
         let mut lookups = 0u64;
         for (p, _) in &ops {
             lookups += 1;
-            if pool.lookup(DataPageId(*p)).is_none() {
+            if pool.touch(DataPageId(*p)).is_none() {
                 if !pool.has_room() {
                     let _ = pool.pop_victim();
                 }

@@ -13,10 +13,13 @@
 //!   working twin's header *on the platter* is a claim naming exactly
 //!   the entry's (transaction, page).
 //! * **No leaks** — every lock holder (exclusive, range, *and* shared)
-//!   belongs to a live transaction; no twin header on the platter claims
-//!   a twin for a live transaction without its Dirty_Set entry (a claim
-//!   of a transaction that ended is allowed: commits flip their twins in
-//!   memory, and the header follows with the twin's next write); once the
+//!   belongs to a live transaction; every buffer frame's uncommitted
+//!   modifier is a live transaction whose write set holds that page (EOT
+//!   releases a transaction's frames by its write set); no twin header on
+//!   the platter claims a twin for a live transaction without its
+//!   Dirty_Set entry (a claim of a transaction that ended is allowed:
+//!   commits flip their twins in memory, and the header follows with the
+//!   twin's next write); once the
 //!   system is quiescent, the lock table and dirty set are empty.
 //!
 //! The auditor reads the array through the **unbilled**
@@ -266,6 +269,22 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
                 ));
             }
         }
+        // Commit and abort release a transaction's frames by its write
+        // set, so a modifier outside it would never be released.
+        for (page, txn) in e.buffer.modifiers() {
+            let txn = rda_wal::TxnId(txn);
+            match e.active.get(&txn) {
+                None => report.violations.push(format!(
+                    "buffer: page {page}'s frame names txn {txn} as a modifier, \
+                     but it is not alive — leaked modifier"
+                )),
+                Some(st) if !st.written.contains(&page) => report.violations.push(format!(
+                    "buffer: page {page}'s frame names txn {txn} as a modifier, \
+                     but the page is not in its write set"
+                )),
+                Some(_) => {}
+            }
+        }
         for g in 0..e.dur.array.groups() {
             let g = GroupId(g);
             for slot in rda_array::ParitySlot::BOTH {
@@ -345,6 +364,30 @@ mod tests {
         let report = AuditReport::default();
         assert!(report.is_clean());
         assert!(report.violations().is_empty());
+    }
+
+    #[test]
+    fn a_modifier_outside_a_write_set_is_a_leak() {
+        use rda_array::DataPageId;
+        let mut e =
+            crate::engine::Engine::open(crate::DbConfig::small_test(crate::EngineKind::Rda));
+        let txn = e.begin(1).unwrap();
+        e.txn_write(txn, DataPageId(0), b"w").unwrap();
+        e.txn_read(txn, DataPageId(1)).unwrap();
+        assert!(e.run_audit().is_clean());
+        // A frame naming a live transaction that did not write it, and
+        // one naming a transaction that is not alive.
+        assert!(e.buffer.update_resident(DataPageId(1), txn.0).is_some());
+        assert!(e.buffer.update_resident(DataPageId(0), 99).is_some());
+        let report = e.run_audit();
+        assert_eq!(report.violations().len(), 2, "{:?}", report.violations());
+        for expect in ["D1's frame names txn T1 ", "D0's frame names txn T99 "] {
+            assert!(
+                report.violations().iter().any(|v| v.contains(expect)),
+                "{expect}: {:?}",
+                report.violations()
+            );
+        }
     }
 
     #[test]

@@ -453,18 +453,27 @@ impl<D: BlockDevice> Engine<D> {
     /// Read the current on-disk contents of a page, falling back to XOR
     /// reconstruction through the correct twin when a disk has failed.
     pub(crate) fn read_disk(&self, page: DataPageId) -> Result<Page> {
-        match self.dur.array.try_read_data(page) {
-            Ok(p) => Ok(p),
+        let mut data = self.dur.array.blank_page();
+        self.read_disk_into(page, &mut data)?;
+        Ok(data)
+    }
+
+    /// [`Engine::read_disk`] into `dst`'s buffer: a buffer miss reads
+    /// into its victim's frame this way.
+    fn read_disk_into(&self, page: DataPageId, dst: &mut Page) -> Result<()> {
+        match self.dur.array.try_read_data_into(page, dst) {
+            Ok(()) => Ok(()),
             Err(
                 rda_array::ArrayError::DiskFailed(_)
                 | rda_array::ArrayError::MediaError { .. }
                 | rda_array::ArrayError::TornPage { .. },
             ) => {
                 let g = self.dur.array.geometry().group_of(page);
-                Ok(self
+                *dst = self
                     .dur
                     .array
-                    .reconstruct_data(page, self.disk_read_slot(g))?)
+                    .reconstruct_data(page, self.disk_read_slot(g))?;
+                Ok(())
             }
             Err(e) => Err(e.into()),
         }
@@ -985,9 +994,12 @@ impl<D: BlockDevice> Engine<D> {
     }
 
     /// Make room in the buffer pool, performing at most one eviction.
-    fn ensure_room(&mut self) -> Result<()> {
+    /// Returns the victim's page buffer, once the victim is written back
+    /// or dropped, for the missing page to be read into; `None` when a
+    /// frame was free.
+    fn ensure_room(&mut self) -> Result<Option<Page>> {
         if self.buffer.has_room() {
-            return Ok(());
+            return Ok(None);
         }
         let mut ev = self.buffer.pop_victim().ok_or(DbError::BufferWedged)?;
         if ev.dirty {
@@ -997,25 +1009,29 @@ impl<D: BlockDevice> Engine<D> {
             } else {
                 self.steal_uncommitted(ev.page, &mut ev.data, &modifiers)
             };
-            if written.is_err() && !self.needs_recovery {
-                // The frame holds the only copy of its updates: commit
-                // needs it for REDO, abort for the in-buffer rollback.
-                self.buffer.restore(ev);
+            if let Err(e) = written {
+                if !self.needs_recovery {
+                    // The frame holds the only copy of its updates: commit
+                    // needs it for REDO, abort for the in-buffer rollback.
+                    self.buffer.restore(ev);
+                }
+                return Err(e);
             }
-            written?;
         }
-        Ok(())
+        Ok(Some(ev.data))
     }
 
-    /// Get a page into the buffer and return its contents.
-    fn buffered_read(&mut self, page: DataPageId) -> Result<Page> {
-        if let Some(data) = self.buffer.lookup(page) {
-            return Ok(data);
+    /// Make a page resident and hand its frame to `take`. A hit costs no
+    /// copy; a miss reads the page into the victim's buffer (or a fresh
+    /// one while frames are free).
+    fn make_resident<T>(&mut self, page: DataPageId, take: impl FnOnce(&Page) -> T) -> Result<T> {
+        if let Some(frame) = self.buffer.touch(page) {
+            return Ok(take(frame));
         }
-        self.ensure_room()?;
-        let data = self.read_disk(page)?;
-        self.buffer.insert(page, data.clone());
-        Ok(data)
+        let spare = self.ensure_room()?;
+        let mut frame = spare.unwrap_or_else(|| self.dur.array.blank_page());
+        self.read_disk_into(page, &mut frame)?;
+        Ok(take(self.buffer.insert(page, frame)))
     }
 
     // ---- transaction operations -------------------------------------------
@@ -1053,8 +1069,7 @@ impl<D: BlockDevice> Engine<D> {
             }
             self.note_lock_acquired(page, txn);
         }
-        let data = self.buffered_read(page)?;
-        Ok(data.as_ref().to_vec())
+        self.make_resident(page, |frame| frame.as_ref().to_vec())
     }
 
     /// Transactional whole-page write (page-logging granularity).
@@ -1080,15 +1095,23 @@ impl<D: BlockDevice> Engine<D> {
         }
         self.note_lock_acquired(page, txn);
         // An update access reads the page first (the paper's model: every
-        // access is a page request; updates modify the fetched page).
-        let current = self.buffered_read(page)?;
-        let mut new = Page::zeroed(page_size);
-        new.as_mut()[..bytes.len()].copy_from_slice(bytes);
+        // access is a page request; updates modify the fetched page). The
+        // before-image is copied on first touch only.
+        let first_touch = !self.txn_state(txn)?.before.contains_key(&page);
+        let before = self.make_resident(page, |frame| first_touch.then(|| frame.clone()))?;
         let st = self.txn_state(txn)?;
-        st.before.entry(page).or_insert(current);
+        if let Some(before) = before {
+            st.before.insert(page, before);
+        }
         st.written.insert(page);
-        let installed = self.buffer.update_resident(page, new, txn.0);
-        debug_assert!(installed, "page just ensured resident");
+        let frame = self.buffer.update_resident(page, txn.0);
+        debug_assert!(frame.is_some(), "page just made resident");
+        if let Some(frame) = frame {
+            let (head, tail) = frame.as_mut().split_at_mut(bytes.len());
+            head.copy_from_slice(bytes);
+            tail.fill(0);
+            frame.set_header(Header::default());
+        }
         self.after_op()
     }
 
@@ -1123,19 +1146,27 @@ impl<D: BlockDevice> Engine<D> {
             return Err(self.lock_conflict(page, txn, e));
         }
         self.note_lock_acquired(page, txn);
-        let current = self.buffered_read(page)?;
-        let mut new = current.clone();
-        new.as_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let range = offset..offset + bytes.len();
+        let first_touch = !self.txn_state(txn)?.before.contains_key(&page);
+        let (before, op) = self.make_resident(page, |frame| {
+            let op = RecOp {
+                offset: offset as u32,
+                before: frame.as_ref()[range.clone()].to_vec(),
+                after: bytes.to_vec(),
+            };
+            (first_touch.then(|| frame.clone()), op)
+        })?;
         let st = self.txn_state(txn)?;
-        st.before.entry(page).or_insert_with(|| current.clone());
+        if let Some(before) = before {
+            st.before.insert(page, before);
+        }
         st.written.insert(page);
-        st.rec_ops.entry(page).or_default().push(RecOp {
-            offset: offset as u32,
-            before: current.as_ref()[offset..offset + bytes.len()].to_vec(),
-            after: bytes.to_vec(),
-        });
-        let installed = self.buffer.update_resident(page, new, txn.0);
-        debug_assert!(installed, "page just ensured resident");
+        st.rec_ops.entry(page).or_default().push(op);
+        let frame = self.buffer.update_resident(page, txn.0);
+        debug_assert!(frame.is_some(), "page just made resident");
+        if let Some(frame) = frame {
+            frame.as_mut()[range].copy_from_slice(bytes);
+        }
         self.after_op()
     }
 
@@ -1196,12 +1227,11 @@ impl<D: BlockDevice> Engine<D> {
 
         if self.cfg.eot == EotPolicy::Force {
             for page in &written {
-                if self.buffer.is_dirty(*page) {
-                    let mut data = self
-                        .buffer
-                        .peek(*page)
-                        .expect("dirty page resident")
-                        .clone();
+                let dirty = self
+                    .buffer
+                    .peek(*page)
+                    .filter(|_| self.buffer.is_dirty(*page));
+                if let Some(mut data) = dirty.cloned() {
                     // The frame may carry other transactions' uncommitted
                     // byte ranges (record locking), or — if this page was
                     // stolen earlier and re-dirtied by someone else — none
@@ -1342,12 +1372,13 @@ impl<D: BlockDevice> Engine<D> {
         }
 
         self.locks.release_txn(txn);
-        self.buffer.release_txn(txn.0);
-        let begin_nanos = self
-            .active
-            .remove(&txn)
-            .map(|st| st.begin_nanos)
-            .unwrap_or_default();
+        let begin_nanos = match self.active.remove(&txn) {
+            Some(st) => {
+                self.buffer.release_txn(txn.0, st.written);
+                st.begin_nanos
+            }
+            None => 0,
+        };
         // Under FORCE every commit is a TOC checkpoint, and this one's twin
         // flips are durable: nothing a restart needs lies below the pins.
         if self.cfg.eot == EotPolicy::Force {
@@ -1435,7 +1466,7 @@ impl<D: BlockDevice> Engine<D> {
             "parity undo cleaned groups"
         );
         self.locks.release_txn(txn);
-        self.buffer.release_txn(txn.0);
+        self.buffer.release_txn(txn.0, written);
         self.active.remove(&txn);
         self.obs.locks.forget_txn(txn.0);
         self.metrics.aborts.inc();
@@ -1685,10 +1716,7 @@ impl<D: BlockDevice> Engine<D> {
     /// frame stays dirty unless the result provably equals the on-disk
     /// version (`disk_now`).
     fn rollback_buffer(&mut self, txn: TxnId, page: DataPageId, disk_now: Option<&Page>) {
-        let Some(current) = self.buffer.peek(page).cloned() else {
-            return;
-        };
-        let Some(st) = self.active.get(&txn) else {
+        let (Some(current), Some(st)) = (self.buffer.peek(page), self.active.get(&txn)) else {
             return;
         };
         let img = match self.cfg.granularity {
@@ -1697,7 +1725,7 @@ impl<D: BlockDevice> Engine<D> {
                 None => return,
             },
             LogGranularity::Record => {
-                let mut img = current;
+                let mut img = current.clone();
                 if let Some(ops) = st.rec_ops.get(&page) {
                     for op in ops.iter().rev() {
                         let off = op.offset as usize;
@@ -1722,7 +1750,9 @@ impl<D: BlockDevice> Engine<D> {
     pub(crate) fn checkpoint(&mut self) -> Result<()> {
         self.check_ready()?;
         for (page, _) in self.buffer.dirty_pages() {
-            let mut data = self.buffer.peek(page).expect("dirty page resident").clone();
+            let Some(mut data) = self.buffer.peek(page).cloned() else {
+                continue; // `dirty_pages` lists resident frames only
+            };
             let modifiers: BTreeSet<TxnId> = self
                 .buffer
                 .modifiers_of(page)
@@ -1805,4 +1835,106 @@ pub(crate) struct UndoInfo {
     pub images: BTreeMap<DataPageId, Vec<u8>>,
     /// Before-diffs in log order per page (record logging).
     pub diffs: BTreeMap<DataPageId, Vec<(u32, Vec<u8>)>>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DbConfig;
+    use rda_array::{FaultAction, FaultHook, IoEvent};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Fails every read with a transient error while armed.
+    #[derive(Default)]
+    struct FailReads(AtomicBool);
+
+    impl FaultHook for FailReads {
+        fn on_io(&self, ev: &IoEvent) -> FaultAction {
+            // ordering: SeqCst — a test switch flipped on the issuing thread.
+            if !ev.is_write && self.0.load(Ordering::SeqCst) {
+                FaultAction::Transient
+            } else {
+                FaultAction::Proceed
+            }
+        }
+    }
+
+    /// A small RDA engine whose pool holds `DbConfig::small_test`'s 8 frames.
+    fn engine() -> Engine {
+        Engine::open(DbConfig::small_test(EngineKind::Rda))
+    }
+
+    fn frame_ptr(e: &Engine, page: u32) -> *const u8 {
+        e.buffer.peek(DataPageId(page)).unwrap().as_ref().as_ptr()
+    }
+
+    #[test]
+    fn a_miss_on_a_full_pool_reads_into_the_victims_buffer() {
+        let mut e = engine();
+        let txn = e.begin(1).unwrap();
+        for page in 0..8 {
+            e.txn_read(txn, DataPageId(page)).unwrap();
+        }
+        assert!(!e.buffer.has_room());
+        // Every reference bit is set, so the clock clears them all and
+        // evicts page 0, the first frame filled.
+        let victim = frame_ptr(&e, 0);
+        e.txn_read(txn, DataPageId(8)).unwrap();
+        assert!(e.buffer.peek(DataPageId(0)).is_none());
+        assert_eq!(
+            frame_ptr(&e, 8),
+            victim,
+            "the miss reused the victim's buffer"
+        );
+        // A write lands in the frame it finds.
+        let written = frame_ptr(&e, 8);
+        e.txn_write(txn, DataPageId(8), b"in place").unwrap();
+        assert_eq!(frame_ptr(&e, 8), written);
+        assert_eq!(
+            &e.buffer.peek(DataPageId(8)).unwrap().as_ref()[..8],
+            b"in place"
+        );
+        e.txn_abort(txn).unwrap();
+        assert!(e.buffer.peek(DataPageId(8)).unwrap().is_zeroed());
+    }
+
+    #[test]
+    fn a_dirty_victim_whose_write_back_fails_is_restored_intact() {
+        let mut e = engine();
+        let hook = Arc::new(FailReads::default());
+        e.dur
+            .array
+            .install_fault_hook(Arc::clone(&hook) as Arc<dyn FaultHook>);
+        let txn = e.begin(1).unwrap();
+        for page in 0..8u8 {
+            e.txn_write(txn, DataPageId(page.into()), &[page + 1; 5])
+                .unwrap();
+        }
+        let victim = frame_ptr(&e, 0);
+        // The steal of page 0 reads its group's committed parity first,
+        // and that read fails: nothing reached the platters.
+        // ordering: SeqCst — see `FailReads`.
+        hook.0.store(true, Ordering::SeqCst);
+        let err = e.txn_read(txn, DataPageId(8)).unwrap_err();
+        assert!(matches!(
+            err,
+            DbError::Array(rda_array::ArrayError::Transient { .. })
+        ));
+        assert!(!e.needs_recovery);
+        assert!(e.buffer.peek(DataPageId(8)).is_none());
+        assert_eq!(e.buffer.len(), 8);
+        assert_eq!(frame_ptr(&e, 0), victim, "the victim's own buffer is back");
+        assert_eq!(&e.buffer.peek(DataPageId(0)).unwrap().as_ref()[..5], [1; 5]);
+        assert!(e.buffer.is_dirty(DataPageId(0)));
+        assert_eq!(
+            e.buffer.modifiers_of(DataPageId(0)),
+            BTreeSet::from([txn.0])
+        );
+        // ordering: SeqCst — see `FailReads`.
+        hook.0.store(false, Ordering::SeqCst);
+        e.txn_commit(txn).unwrap();
+        assert!(e.run_audit().is_clean());
+        let committed = e.read_disk(DataPageId(0)).unwrap();
+        assert_eq!(&committed.as_ref()[..5], [1; 5]);
+    }
 }

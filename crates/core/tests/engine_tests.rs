@@ -877,3 +877,80 @@ fn restart_flips_a_winners_working_header_before_undoing_a_loser() {
         "an id above T9: {flips:?}"
     );
 }
+
+/// A scripted run of reads, writes, commits and aborts under buffer
+/// pressure, with the buffer's counters pinned to the values the pool
+/// counted when a hit returned a copy of its frame and a write replaced
+/// the frame's page: touching, lending, writing in place and reading a
+/// miss into the victim's buffer move no hit, miss, eviction or scan.
+#[test]
+fn scripted_run_keeps_the_buffer_counters() {
+    use rda_obs::rng::Rng;
+    // (hits, misses, drops, steals, writebacks, eviction_scans)
+    type Counts = (u64, u64, u64, u64, u64, u64);
+    let cases: [(EngineKind, LogGranularity, EotPolicy, Counts); 4] = [
+        (
+            EngineKind::Rda,
+            LogGranularity::Page,
+            EotPolicy::Force,
+            (176, 757, 592, 6, 153, 1573),
+        ),
+        (
+            EngineKind::Wal,
+            LogGranularity::Page,
+            EotPolicy::Force,
+            (176, 757, 592, 6, 153, 1573),
+        ),
+        (
+            EngineKind::Rda,
+            LogGranularity::Record,
+            EotPolicy::Force,
+            (169, 729, 617, 3, 103, 1498),
+        ),
+        (
+            EngineKind::Rda,
+            LogGranularity::Page,
+            EotPolicy::NoForce,
+            (176, 757, 210, 6, 535, 1573),
+        ),
+    ];
+    for (engine, granularity, eot, expect) in cases {
+        let db = Database::open(DbConfig {
+            granularity,
+            eot,
+            ..cfg(engine, 6)
+        });
+        let mut rng = Rng::new(0x1992);
+        for t in 0..300u32 {
+            let mut tx = db.begin();
+            for _ in 0..=rng.below(5) {
+                let page = rng.below(u64::from(db.data_pages())) as u32;
+                let bytes = [t as u8; 9];
+                match (rng.below(3), granularity) {
+                    (0, _) => drop(tx.read(page).unwrap()),
+                    (_, LogGranularity::Page) => tx.write(page, &bytes).unwrap(),
+                    (_, LogGranularity::Record) => {
+                        let offset = rng.below((PAGE - bytes.len()) as u64) as usize;
+                        tx.update(page, offset, &bytes).unwrap();
+                    }
+                }
+            }
+            if rng.chance(25) {
+                tx.abort().unwrap();
+            } else {
+                tx.commit().unwrap();
+            }
+        }
+        let s = db.stats().buffer;
+        let got = (
+            s.hits,
+            s.misses,
+            s.drops,
+            s.steals,
+            s.writebacks,
+            s.eviction_scans,
+        );
+        assert_eq!(got, expect, "{engine:?} {granularity:?} {eot:?}");
+        assert!(db.audit().is_clean(), "{:?}", db.audit().violations());
+    }
+}

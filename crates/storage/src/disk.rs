@@ -121,6 +121,10 @@ impl BlockDevice for FileDisk {
         self.drive.peek(block)
     }
 
+    fn read_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
+        self.drive.read_into(block, dst)
+    }
+
     fn read_xor_into(&self, block: u64, dst: &mut Page) -> rda_array::Result<()> {
         self.drive.read_xor_into(block, dst)
     }

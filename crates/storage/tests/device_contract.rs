@@ -3,7 +3,7 @@
 //! `rda-array`, and this one body pins down what a disk does on either:
 //! every fault-hook arm on a read and on a write, `peek` bypassing the
 //! hook, never-written blocks, rewrites healing latent and torn blocks, and
-//! a blank replacement.
+//! a blank replacement; and that `read_into` answers as `read` does.
 
 use rda_array::{
     ArrayError, BlockDevice, DiskId, Drive, FaultAction, FaultHook, Header, HookState, IoEvent,
@@ -220,6 +220,75 @@ fn contract(d: &impl BlockDevice) {
     assert_eq!(stats.torn_writes(), 5);
     assert_eq!(stats.crashes(), 2);
     assert_eq!(stats.disk_failures(), 2);
+}
+
+/// `read_into` is `read` into a caller's buffer: from the same block state
+/// under the same hook verdict, both give the same image and header or
+/// the same error, and the hook is offered the transfer the same number
+/// of times (its I/O clock advances alike).
+fn read_into_matches_read(d: &impl BlockDevice) {
+    let script = Arc::new(Script::default());
+    d.set_fault_hook(Some(HookState::new(
+        Arc::clone(&script) as Arc<dyn FaultHook>
+    )));
+    let claim = Header {
+        ts: 4,
+        txn: 2,
+        rider: 3,
+        state: TwinState::Working,
+    };
+    let stale = Header {
+        ts: 8,
+        ..Header::default()
+    };
+    let same = |block: u64, verdict: FaultAction, case: &str| {
+        let before = script.calls();
+        script.arm(verdict);
+        let read = d.read(block).map(|p| (p.header(), p));
+        let by_read = script.calls() - before;
+        script.arm(verdict);
+        let mut dst = page(0xEE).with_header(stale);
+        let into = d.read_into(block, &mut dst).map(|()| (dst.header(), dst));
+        assert_eq!(into, read, "{case}");
+        assert_eq!(
+            script.calls() - before - by_read,
+            by_read,
+            "{case}: hook clock"
+        );
+        script.arm(FaultAction::Proceed);
+    };
+
+    d.write(1, &page(7).with_header(claim)).unwrap();
+    same(1, FaultAction::Proceed, "intact block, header included");
+    same(0, FaultAction::Proceed, "blank block");
+    same(1, FaultAction::Transient, "transient verdict");
+    same(1, FaultAction::Crash, "crash verdict");
+    same(1, FaultAction::TornWrite, "torn-write verdict on a read");
+    d.tear_block(1);
+    same(1, FaultAction::Proceed, "torn block");
+    d.write(1, &page(7)).unwrap();
+    d.corrupt_block(1);
+    same(1, FaultAction::Proceed, "latent error");
+    d.write(1, &page(7)).unwrap();
+    d.fail();
+    same(1, FaultAction::Proceed, "failed disk");
+    d.replace();
+    same(1, FaultAction::Proceed, "blank replacement");
+}
+
+#[test]
+fn sim_disk_read_into_matches_read() {
+    read_into_matches_read(&Drive::new(DISK, BLOCKS, PAGE, SimDisk::new(PAGE)));
+}
+
+#[test]
+fn file_disk_read_into_matches_read() {
+    let dir = std::env::temp_dir().join(format!("rda-disk-read-into-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mode = DurabilityMode::FsyncOnBarrier;
+    read_into_matches_read(&FileDisk::create(&dir, DISK, BLOCKS, PAGE, mode).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
