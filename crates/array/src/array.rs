@@ -365,6 +365,17 @@ impl<D: BlockDevice> DiskArray<D> {
         self.read_phys(loc)
     }
 
+    /// [`DiskArray::read_parity`] into a caller-supplied buffer: `dst` is
+    /// overwritten with the parity image and header and no page is
+    /// allocated. One billed transfer.
+    ///
+    /// # Errors
+    /// Same as [`DiskArray::read_parity`].
+    pub fn read_parity_into(&self, g: GroupId, slot: ParitySlot, dst: &mut Page) -> Result<()> {
+        let loc = self.parity_loc(g, slot)?;
+        self.read_phys_into(loc, dst)
+    }
+
     /// Write a parity page (one transfer): its image and
     /// [`Page::header`], the twin's header, together.
     ///

@@ -299,6 +299,16 @@ impl BufferPool {
         }
     }
 
+    /// Exchange a resident page's buffer with `data`, copying nothing: a
+    /// second call with the same `data` puts the frame's buffer back. A
+    /// write-back can so use the frame's own buffer while it needs the
+    /// engine. No-op if the page is not resident.
+    pub fn swap_data(&mut self, page: DataPageId, data: &mut Page) {
+        if let Some(frame) = self.frame_mut(page) {
+            std::mem::swap(&mut frame.data, data);
+        }
+    }
+
     /// Mark a resident page clean (its current contents are on disk).
     /// Modifier bookkeeping is untouched — use [`BufferPool::release_txn`]
     /// at EOT.

@@ -86,19 +86,22 @@ impl ProtocolMutations {
 /// `FsyncOnBarrier` drain) acknowledges many transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommit {
-    /// Bounded wait: how long a batch leader lingers for followers before
-    /// forcing, in microseconds. `0` forces immediately (the batch is
-    /// whoever had already prepared), keeping single-committer latency
-    /// untouched while still exercising the gated code path. The linger
-    /// is also skipped whenever the leader's transaction is the only one
-    /// in flight, so an uncontended commit never pays the window as ack
-    /// latency. Cross-shard note: a transaction that spans shards commits
-    /// its engine transactions sequentially, each through its shard's own gate,
-    /// so a gated cross-shard commit's worst-case ack latency is the sum
-    /// of the per-shard lingers (`touched_shards × window_micros`); the
-    /// uncontended-leader skip makes the common case far cheaper.
+    /// Bounded wait: how long the oldest queued committer waits for more
+    /// before a batch closes without them, in microseconds; the committer
+    /// that finds the window run out executes the batch. `0` closes a
+    /// batch at once (it is whoever had queued while the last one ran),
+    /// keeping single-committer latency untouched while still exercising
+    /// the gated code path. A batch also closes as soon as the queue holds
+    /// every transaction in flight, executed by the committer that filled
+    /// it, so an uncontended commit never pays the window as ack latency.
+    /// Cross-shard note: a transaction that spans shards commits its
+    /// engine transactions sequentially, each through its shard's own
+    /// gate, so a gated cross-shard commit's worst-case ack latency is the
+    /// sum of the per-shard windows (`touched_shards × window_micros`);
+    /// the uncontended close makes the common case far cheaper.
     pub window_micros: u64,
-    /// Cap on transactions acknowledged by one barrier.
+    /// Cap on transactions one executor prepares, forces and finalizes
+    /// under one engine lock and one barrier.
     pub max_batch: usize,
 }
 

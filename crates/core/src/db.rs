@@ -69,7 +69,7 @@ impl DbStats {
 /// global numbers.
 pub struct Shard<D: BlockDevice = DefaultDisk> {
     pub(crate) engine: Mutex<Engine<D>>,
-    gate: Option<CommitGate>,
+    pub(crate) gate: Option<CommitGate>,
 }
 
 impl<D: BlockDevice> Shard<D> {

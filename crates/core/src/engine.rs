@@ -203,6 +203,9 @@ pub struct Engine<D: BlockDevice = DefaultDisk> {
     pub(crate) intent_journaled: bool,
     /// [`DiskArray::deaths`] at [`Engine::settle_disk_deaths`]'s last look.
     pub(crate) deaths_seen: u64,
+    /// The page a group-dirtying steal reads the committed twin into,
+    /// reused from steal to steal.
+    parity_scratch: Page,
 }
 
 impl Engine {
@@ -295,6 +298,7 @@ impl<D: BlockDevice> Engine<D> {
         if needs_recovery {
             twins.forget();
         }
+        let parity_scratch = array.blank_page();
         let dur = Durable {
             array,
             log_store: Arc::clone(&log_store),
@@ -322,6 +326,7 @@ impl<D: BlockDevice> Engine<D> {
             prior_flight: None,
             intent_journaled: false,
             deaths_seen: 0,
+            parity_scratch,
         }
     }
 
@@ -638,21 +643,23 @@ impl<D: BlockDevice> Engine<D> {
     /// model's `a = 4` case). Under record locking another transaction's
     /// uncommitted bytes can sit in the first-touch image, so it is never
     /// trusted as the disk version there.
-    fn old_disk_image(&mut self, page: DataPageId, owner: Option<TxnId>) -> Result<Page> {
-        if let Some(txn) = owner {
-            if let Some(st) = self.active.get(&txn) {
-                if let Some(img) = st.last_stolen.get(&page) {
-                    return Ok(img.clone());
-                }
-                if self.cfg.eot == EotPolicy::Force && self.cfg.granularity == LogGranularity::Page
-                {
-                    if let Some(img) = st.before.get(&page) {
-                        return Ok(img.clone());
-                    }
-                }
-            }
+    fn old_disk_image(&self, page: DataPageId, owner: Option<TxnId>) -> Result<Page> {
+        match owner.and_then(|txn| self.cached_disk_image(page, txn)) {
+            Some(img) => Ok(img.clone()),
+            None => self.read_disk(page),
         }
-        self.read_disk(page)
+    }
+
+    /// The disk image of `page` that `txn` holds in memory, if any (see
+    /// [`Engine::old_disk_image`]): the version it last stole, or its
+    /// first-touch before-image under FORCE with page locking.
+    fn cached_disk_image(&self, page: DataPageId, txn: TxnId) -> Option<&Page> {
+        let st = self.active.get(&txn)?;
+        st.last_stolen.get(&page).or_else(|| {
+            let forced = self.cfg.eot == EotPolicy::Force;
+            let paged = self.cfg.granularity == LogGranularity::Page;
+            st.before.get(&page).filter(|_| forced && paged)
+        })
     }
 
     // ---- logging helpers -------------------------------------------------
@@ -816,11 +823,21 @@ impl<D: BlockDevice> Engine<D> {
                 let committed = self.committed_slot(g);
                 let work = committed.other();
 
-                let old = self.old_disk_image(page, Some(txn))?;
                 // P_work := P_committed ⊕ old ⊕ new; one parity read, one
                 // parity write, one data write (a = 3 with old in hand).
-                let mut parity = self.dur.array.read_parity(g, committed)?;
-                parity.xor_many_in_place(&[&old, data]);
+                // A cached old image is XORed where it lies; an uncached
+                // one is read first, before the parity.
+                let mut parity = std::mem::replace(&mut self.parity_scratch, Page::zeroed(0));
+                let read;
+                let old = match self.cached_disk_image(page, txn) {
+                    Some(img) => img,
+                    None => {
+                        read = self.read_disk(page)?;
+                        &read
+                    }
+                };
+                self.dur.array.read_parity_into(g, committed, &mut parity)?;
+                parity.xor_many_in_place(&[old, data]);
                 // The working twin's header is the claim: ts, Working, the
                 // transaction and the page's member index.
                 let now = self.tick();
@@ -838,6 +855,7 @@ impl<D: BlockDevice> Engine<D> {
                     return Err(e.into());
                 }
                 self.refresh_stolen_cache(page, data);
+                self.parity_scratch = parity;
 
                 self.dirty.mark(g, page, txn, work);
                 let st = self.txn_state(txn)?;
@@ -991,6 +1009,34 @@ impl<D: BlockDevice> Engine<D> {
         let old = self.read_disk(page)?;
         let slots = self.write_slots(g);
         self.write_with_parity(page, data, &old, &slots)
+    }
+
+    /// Write a resident dirty page back and mark it clean: a committed
+    /// write-back, or a steal when it carries uncommitted updates (FORCE
+    /// flush, checkpoint). The write uses the frame's own buffer, lent
+    /// out of the pool and back whatever the outcome.
+    fn flush_frame(&mut self, page: DataPageId) -> Result<()> {
+        // The frame may carry other transactions' uncommitted byte ranges
+        // (record locking), or — if this page was stolen earlier and
+        // re-dirtied by someone else — none of the committer's at all;
+        // UNDO protection must follow the frame's *current* modifiers.
+        let mods: BTreeSet<TxnId> = self
+            .buffer
+            .modifiers_of(page)
+            .iter()
+            .map(|&t| TxnId(t))
+            .collect();
+        let mut data = Page::zeroed(0);
+        self.buffer.swap_data(page, &mut data);
+        let flushed = if mods.is_empty() {
+            self.write_back_committed(page, &data)
+        } else {
+            self.steal_uncommitted(page, &mut data, &mods)
+        };
+        self.buffer.swap_data(page, &mut data);
+        flushed?;
+        self.buffer.mark_clean(page);
+        Ok(())
     }
 
     /// Make room in the buffer pool, performing at most one eviction.
@@ -1227,28 +1273,8 @@ impl<D: BlockDevice> Engine<D> {
 
         if self.cfg.eot == EotPolicy::Force {
             for page in &written {
-                let dirty = self
-                    .buffer
-                    .peek(*page)
-                    .filter(|_| self.buffer.is_dirty(*page));
-                if let Some(mut data) = dirty.cloned() {
-                    // The frame may carry other transactions' uncommitted
-                    // byte ranges (record locking), or — if this page was
-                    // stolen earlier and re-dirtied by someone else — none
-                    // of ours at all; UNDO protection must follow the
-                    // frame's *current* modifiers.
-                    let mods: BTreeSet<TxnId> = self
-                        .buffer
-                        .modifiers_of(*page)
-                        .iter()
-                        .map(|&t| TxnId(t))
-                        .collect();
-                    if mods.is_empty() {
-                        self.write_back_committed(*page, &data)?;
-                    } else {
-                        self.steal_uncommitted(*page, &mut data, &mods)?;
-                    }
-                    self.buffer.mark_clean(*page);
+                if self.buffer.is_dirty(*page) {
+                    self.flush_frame(*page)?;
                 }
             }
         }
@@ -1750,21 +1776,7 @@ impl<D: BlockDevice> Engine<D> {
     pub(crate) fn checkpoint(&mut self) -> Result<()> {
         self.check_ready()?;
         for (page, _) in self.buffer.dirty_pages() {
-            let Some(mut data) = self.buffer.peek(page).cloned() else {
-                continue; // `dirty_pages` lists resident frames only
-            };
-            let modifiers: BTreeSet<TxnId> = self
-                .buffer
-                .modifiers_of(page)
-                .iter()
-                .map(|&t| TxnId(t))
-                .collect();
-            if modifiers.is_empty() {
-                self.write_back_committed(page, &data)?;
-            } else {
-                self.steal_uncommitted(page, &mut data, &modifiers)?;
-            }
-            self.buffer.mark_clean(page);
+            self.flush_frame(page)?;
         }
         let active: Vec<TxnId> = {
             let mut v: Vec<TxnId> = self.active.keys().copied().collect();

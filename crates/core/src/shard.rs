@@ -85,9 +85,9 @@
 //! shard has its own `wal.journal` and `meta.journal`. A cross-shard
 //! commit runs its sub-commits sequentially, each through its shard's own
 //! commit gate, so the worst-case ack latency of a gated cross-shard
-//! commit is the *sum* of the per-shard linger windows (bounded by
-//! `touched_shards × window_micros`); the gate's uncontended-leader fast
-//! path skips the linger when a shard has no other committer in flight,
+//! commit is the *sum* of the per-shard windows (bounded by
+//! `touched_shards × window_micros`); a shard with no other committer in
+//! flight closes the batch at once and the committer executes it itself,
 //! which is the common cross-shard case.
 
 use std::ops::Deref;
