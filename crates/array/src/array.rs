@@ -279,25 +279,13 @@ impl<D: BlockDevice> DiskArray<D> {
     // ---- data-page I/O ---------------------------------------------------
 
     /// Read a data page (one transfer). Falls back to XOR reconstruction via
-    /// parity slot `P0` when the direct read fails; pass a different slot
-    /// through [`DiskArray::read_data_via`] if another twin holds the valid
-    /// parity.
-    ///
-    /// # Errors
-    /// Propagates [`ArrayError::Unrecoverable`] when reconstruction is also
-    /// impossible.
-    pub fn read_data(&self, page: DataPageId) -> Result<Page> {
-        self.read_data_via(page, ParitySlot::P0)
-    }
-
-    /// Read a data page, reconstructing through the given parity slot when
-    /// the direct read fails.
+    /// parity slot `P0` when the direct read fails.
     ///
     /// # Errors
     /// [`ArrayError::BadDataPage`] for an out-of-range page;
     /// [`ArrayError::Unrecoverable`] when the direct read fails and the
     /// group cannot be reconstructed either.
-    pub fn read_data_via(&self, page: DataPageId, slot: ParitySlot) -> Result<Page> {
+    pub fn read_data(&self, page: DataPageId) -> Result<Page> {
         self.check_data(page)?;
         match self.read_phys(self.geo.data_loc(page)) {
             Ok(p) => Ok(p),
@@ -305,7 +293,7 @@ impl<D: BlockDevice> DiskArray<D> {
                 ArrayError::DiskFailed(_)
                 | ArrayError::MediaError { .. }
                 | ArrayError::TornPage { .. },
-            ) => self.reconstruct_data(page, slot),
+            ) => self.reconstruct_data(page, ParitySlot::P0),
             Err(e) => Err(e),
         }
     }
@@ -509,24 +497,6 @@ impl<D: BlockDevice> DiskArray<D> {
             self.write_parity(g, slot, &parity)?;
         }
         Ok(())
-    }
-
-    /// Read an entire parity group's data pages in one full-stripe access
-    /// (§3: the striped organization "allows both large (full stripe)
-    /// concurrent accesses or small (individual disk) accesses"). `n`
-    /// transfers; results are in member order.
-    ///
-    /// # Errors
-    /// [`ArrayError::BadGroup`] for an out-of-range group;
-    /// [`ArrayError::DiskFailed`] / [`ArrayError::MediaError`] when any
-    /// member is unreadable (no reconstruction is tried).
-    pub fn read_full_group(&self, g: GroupId) -> Result<Vec<Page>> {
-        self.check_group(g)?;
-        self.geo
-            .members(g)
-            .into_iter()
-            .map(|m| self.read_phys(self.geo.data_loc(m)))
-            .collect()
     }
 
     /// Reconstruct a data page by XORing the surviving group members with
@@ -818,23 +788,6 @@ mod tests {
         for (m, p) in a.geometry().members(g).iter().zip(&pages) {
             assert_eq!(&a.read_data(*m).unwrap(), p);
         }
-    }
-
-    #[test]
-    fn full_group_read_returns_members_in_order() {
-        let a = array(Organization::RotatedParity, false);
-        let members = a.geometry().members(GroupId(2));
-        for (i, m) in members.iter().enumerate() {
-            a.small_write(*m, &patterned(&a, i as u8 + 1), None, ParitySlot::P0)
-                .unwrap();
-        }
-        let before = a.stats().snapshot();
-        let pages = a.read_full_group(GroupId(2)).unwrap();
-        assert_eq!(pages.len(), 4);
-        for (i, p) in pages.iter().enumerate() {
-            assert_eq!(p, &patterned(&a, i as u8 + 1));
-        }
-        assert_eq!(a.stats().snapshot().delta(&before).reads, 4);
     }
 
     /// Fails the disk of the first I/O it sees.

@@ -112,11 +112,13 @@ mod tests {
 
     #[test]
     fn json_roundtrip_smoke() {
-        let dir = std::env::temp_dir().join("rda-fig-test");
+        let dir = std::env::temp_dir().join(format!("rda-fig-test-{}", std::process::id()));
         std::env::set_var("RDA_FIGURE_DIR", &dir);
         write_json("smoke", &vec![1u32, 2, 3]);
-        let written = std::fs::read_to_string(dir.join("smoke.json")).unwrap();
-        assert!(written.contains('1'));
+        let written = std::fs::read_to_string(dir.join("smoke.json"));
         std::env::remove_var("RDA_FIGURE_DIR");
+        // Cleaned up before the assertion, so a failing run leaves nothing.
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(written.unwrap().contains('1'));
     }
 }

@@ -1,11 +1,13 @@
 //! Findings, shrunk and pinned. Each schedule came out of an `rda-check`
 //! sweep with `--faults 3` or more, at the seed its name carries
 //! (`g<seed>-<index>+<fault>@<io>`: 0x1992 with `--schedules 200 --faults
-//! 6`, 7 and 0xbeef with `--schedules 300 --faults 3`; a trailing `~`
-//! marks a shrunk one), or is marked hand-written. Each test expects a
-//! clean run and stays ignored until the engine is fixed (ROADMAP item
-//! 1), then runs with the rest. Run the open ones with `cargo test -p
-//! rda-check --test open_findings -- --ignored`.
+//! 6`, 7 and 0xbeef with `--schedules 300 --faults 3`; a `t` in place of
+//! the `g` names the threaded stream, 0xbeef with `--threaded --schedules
+//! 1000 --faults 3`; a trailing `~` marks a shrunk one), or is marked
+//! hand-written. Each test expects a clean run and stays ignored until
+//! the engine is fixed (ROADMAP item 1), then runs with the rest. Run the
+//! open ones with `cargo test -p rda-check --test open_findings --
+//! --ignored`.
 
 use rda_check::{run_schedule, Json, ProtocolMutations, Schedule};
 
@@ -139,5 +141,18 @@ fn the_minus_69_class_at_seed_0xbeef_schedule_130() {
 fn the_minus_69_class_at_seed_0xbeef_schedule_180() {
     assert_clean(
         r#"{"name":"g000000000000beef-180+fail_disk@18","config":{"frames":3,"eot":"noforce","strict":true,"shards":1,"group_commit":false},"ops":[{"op":"begin","slot":0},{"op":"write","slot":0,"page":7,"val":209},{"op":"begin","slot":1},{"op":"read","slot":1,"page":11},{"op":"begin","slot":2},{"op":"write","slot":2,"page":6,"val":25},{"op":"write","slot":2,"page":0,"val":165},{"op":"write","slot":2,"page":2,"val":149},{"op":"write","slot":2,"page":14,"val":107},{"op":"crash_restart"},{"op":"commit","slot":0},{"op":"commit","slot":2},{"op":"write","slot":1,"page":7,"val":57},{"op":"commit","slot":1}],"fault":{"mode":"fail_disk","at_io":18}}"#,
+    );
+}
+
+/// The first two-shard instance of the `-69` class (FORCE, no
+/// group-commit gate): "restart recovery failed: group G0 has lost more
+/// than one page", the one-shard class's message. The shrinker's output
+/// for this schedule fails differently (a durability violation), so the
+/// schedule is pinned as the sweep found it.
+#[test]
+#[ignore = "open finding, ROADMAP item 1"]
+fn the_minus_69_class_on_two_shards_at_seed_0xbeef_schedule_592() {
+    assert_clean(
+        r#"{"name":"t000000000000beef-592+fail_disk@59","config":{"frames":3,"eot":"force","strict":false,"shards":2,"group_commit":false},"ops":[{"op":"begin","slot":3},{"op":"write","slot":3,"page":15,"val":3},{"op":"begin","slot":1},{"op":"read","slot":1,"page":7},{"op":"begin","slot":2},{"op":"write","slot":2,"page":11,"val":157},{"op":"begin","slot":0},{"op":"read","slot":0,"page":9},{"op":"write","slot":2,"page":3,"val":185},{"op":"write","slot":3,"page":14,"val":117},{"op":"read","slot":1,"page":6},{"op":"read","slot":3,"page":12},{"op":"write","slot":0,"page":2,"val":103},{"op":"write","slot":0,"page":0,"val":231},{"op":"write","slot":3,"page":7,"val":55},{"op":"write","slot":0,"page":10,"val":215},{"op":"abort","slot":3},{"op":"write","slot":1,"page":4,"val":197},{"op":"read","slot":1,"page":6},{"op":"commit","slot":1},{"op":"write","slot":2,"page":14,"val":219},{"op":"write","slot":2,"page":10,"val":119},{"op":"commit","slot":0},{"op":"crash_restart"},{"op":"commit","slot":2}],"fault":{"mode":"fail_disk","at_io":59}}"#,
     );
 }

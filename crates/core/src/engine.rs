@@ -41,7 +41,7 @@ use rda_obs::{
     monotonic_nanos, Counter, EventKind, FlightRecord, Histogram, MetricsRegistry, ObsHub,
     StealKind, NANOS_BOUNDS,
 };
-use rda_wal::{CheckpointKind, LogManager, LogRecord, LogStore, Lsn, TxnId};
+use rda_wal::{Analysis, CheckpointKind, LogManager, LogRecord, LogStore, Lsn, TxnId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -101,6 +101,30 @@ impl TxnState {
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().clone_from(data),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(data.clone());
+            }
+        }
+    }
+
+    /// `current`, the page as it stands in the buffer or on disk, with
+    /// this transaction's updates rolled back: the first-touch image under
+    /// page logging (`None` for a page it never wrote), `current` with the
+    /// transaction's own diffs reverse-applied under record logging, so
+    /// that other transactions' bytes in the same page survive.
+    pub(crate) fn rollback_image(
+        &self,
+        page: DataPageId,
+        granularity: LogGranularity,
+        current: &Page,
+    ) -> Option<Page> {
+        match granularity {
+            LogGranularity::Page => self.before.get(&page).cloned(),
+            LogGranularity::Record => {
+                let mut img = current.clone();
+                for op in self.rec_ops.get(&page).into_iter().flatten().rev() {
+                    let off = op.offset as usize;
+                    img.as_mut()[off..off + op.before.len()].copy_from_slice(&op.before);
+                }
+                Some(img)
             }
         }
     }
@@ -626,7 +650,7 @@ impl<D: BlockDevice> Engine<D> {
     /// Keep every active transaction's cached last-written disk image of
     /// `page` accurate after a disk write — a stale cache would corrupt
     /// the next parity delta computed from it.
-    fn refresh_stolen_cache(&mut self, page: DataPageId, data: &Page) {
+    pub(crate) fn refresh_stolen_cache(&mut self, page: DataPageId, data: &Page) {
         for st in self.active.values_mut() {
             if let Some(img) = st.last_stolen.get_mut(&page) {
                 img.clone_from(data);
@@ -910,10 +934,9 @@ impl<D: BlockDevice> Engine<D> {
     /// failure leaves platter and memory at odds, so the engine drops its
     /// volatile state as a crash does and waits for restart.
     fn take_claim_back(&mut self, g: GroupId, work: ParitySlot, parity: &mut Page) {
-        parity.set_header(self.twins.header(g, work));
-        let rewritten = self.unstaged().and_then(|array| {
-            array.write_parity(g, work, parity)?;
-            array.barrier_parity(g, work)
+        let rewritten = self.unstaged().map(drop).and_then(|()| {
+            self.write_twin(g, work, parity)?;
+            self.dur.array.barrier_parity(g, work)
         });
         if let Err(e) = rewritten {
             if !matches!(
@@ -981,11 +1004,8 @@ impl<D: BlockDevice> Engine<D> {
             let before = self.twins.meta(g);
             let now = self.tick();
             self.twins.set_committed(g, slot, now);
-            parity.set_header(self.twins.header(g, slot));
-            if let Err(e) = self
-                .unstaged()
-                .and_then(|a| a.write_parity(g, slot, &parity))
-            {
+            let written = self.unstaged().map(drop);
+            if let Err(e) = written.and_then(|()| self.write_twin(g, slot, &mut parity)) {
                 self.twins.install(g, before);
                 return Err(e.into());
             }
@@ -1458,12 +1478,20 @@ impl<D: BlockDevice> Engine<D> {
             self.undo_via_parity(txn, *page)?;
         }
 
-        // Undo logged pages by reading the before-images back from the log
-        // (billed — the paper's c_b includes reading the log up to BOT).
+        // Undo logged pages from the log, read back as restart reads it:
+        // one billed scan from the BOT (the paper's c_b includes reading
+        // the log up to BOT) notes where the UNDO records are, and each
+        // page is installed by LSN. A logged steal appended the BOT
+        // first, so every record read back lies behind it.
         if !logged_pages.is_empty() {
-            let undo = self.read_undo_from_log(txn)?;
+            self.log.force();
+            let store = Arc::clone(&self.dur.log_store);
+            let from = self.active[&txn].bot_lsn.unwrap_or(Lsn(store.base()));
+            let mut analysis = Analysis::run(&store, from, Lsn(store.len()));
+            let undo = analysis.logged_undo.remove(&txn).unwrap_or_default();
             for page in &logged_pages {
-                self.undo_via_log(txn, *page, &undo)?;
+                let missing = DbError::UndoRecordMissing { txn, page: *page };
+                self.undo_via_log(txn, *page, undo.get(page).ok_or(missing)?)?;
             }
         }
 
@@ -1517,25 +1545,25 @@ impl<D: BlockDevice> Engine<D> {
         // Borrow the cached last-stolen image when present; the owned
         // fallback only exists when the disk had to be read.
         let d_new_read;
-        let d_new: &Page = match self
-            .active
-            .get(&txn)
-            .and_then(|st| st.last_stolen.get(&page))
-        {
+        let st = &self.active[&txn];
+        let d_new: &Page = match st.last_stolen.get(&page) {
             Some(p) => p,
             None => {
                 d_new_read = self.read_disk(page)?;
                 &d_new_read
             }
         };
-        // The parity identity yields the pre-steal *disk* version. In
-        // degraded mode there are fallbacks: with the working twin dead,
-        // the committed twin plus the sibling pages reconstruct D_old
-        // directly; with the committed twin dead, D_old is unobtainable
-        // from the array, but a *normal* abort still holds the first-touch
-        // image in memory (a crash in that exact window is the scheme's
-        // documented blind spot — the committed twin is the only durable
-        // copy of the before-image).
+        // A live engine knows D_new, the image it stole, so the parity
+        // identity D_old = P_work ⊕ P_committed ⊕ D_new yields the
+        // pre-steal *disk* version from the two twins. (Restart cannot
+        // trust a riding page a crash may have torn and takes
+        // P_committed ⊕ siblings instead.) In degraded mode there are
+        // fallbacks: with the working twin dead, the committed twin plus
+        // the sibling pages reconstruct D_old directly; with the committed
+        // twin dead, D_old is unobtainable from the array, but an abort
+        // still holds the first-touch image in memory (a crash in that
+        // exact window is the scheme's documented blind spot — the
+        // committed twin is the only durable copy of the before-image).
         let (p_comm, d_old): (Option<Page>, Option<Page>) = match (p_work_res, p_comm_res) {
             (Ok(p_work), Ok(p_comm)) => {
                 // Reuse the working-twin page as the accumulator:
@@ -1551,55 +1579,22 @@ impl<D: BlockDevice> Engine<D> {
             (Ok(_), Err(rda_array::ArrayError::DiskFailed(_))) => (None, None),
             (Err(e), _) | (_, Err(e)) => return Err(e.into()),
         };
-        // … but the correct restore target differs:
-        // * page logging — the first-touch before-image (under ¬FORCE the
-        //   committed-visible state may be newer than d_old: a committed
-        //   predecessor whose page never left the buffer); page locks
-        //   guarantee it contains no foreign bytes;
-        // * record logging — the current disk contents with *this
-        //   transaction's own* diffs reverse-applied, because the
-        //   first-touch image may embed another (since-ended) transaction's
-        //   byte ranges as they stood back then.
-        // Both reduce to d_old under FORCE with exclusive access.
-        let restore = match self.cfg.granularity {
-            LogGranularity::Page => {
-                match self
-                    .active
-                    .get(&txn)
-                    .and_then(|st| st.before.get(&page))
-                    .cloned()
-                {
-                    Some(before) => before,
-                    None => d_old
-                        .clone()
-                        .ok_or(DbError::Array(rda_array::ArrayError::Unrecoverable(g)))?,
-                }
-            }
-            LogGranularity::Record => {
-                let mut img = d_new.clone();
-                if let Some(ops) = self.active.get(&txn).and_then(|st| st.rec_ops.get(&page)) {
-                    for op in ops.iter().rev() {
-                        let off = op.offset as usize;
-                        img.as_mut()[off..off + op.before.len()].copy_from_slice(&op.before);
-                    }
-                }
-                img
-            }
+        // … but the page goes back to the transaction's rollback image,
+        // not to D_old: under ¬FORCE the committed-visible state may be
+        // newer than D_old (a committed predecessor whose page never left
+        // the buffer), and under record logging the first-touch image may
+        // embed another (since-ended) transaction's byte ranges. Both
+        // reduce to D_old under FORCE with exclusive access.
+        let restore = match st.rollback_image(page, self.cfg.granularity, d_new) {
+            Some(img) => img,
+            None => d_old
+                .clone()
+                .ok_or(DbError::Array(rda_array::ArrayError::Unrecoverable(g)))?,
         };
-        // Pin the restored image in the log so a crash mid-undo can replay
-        // this step instead of re-deriving it from (now mutated) parity.
-        self.log.append(LogRecord::Compensation {
-            txn,
-            page,
-            image: restore.as_ref().to_vec(),
-        });
-        self.log.force();
-
-        match self.unstaged()?.write_data_unprotected(page, &restore) {
+        match self.put_back(txn, page, &restore) {
             Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
             Err(e) => return Err(e.into()),
         }
-        self.refresh_stolen_cache(page, &restore);
 
         // Committed parity covering the restored group state: derived from
         // the delta when the committed twin was readable, recomputed from
@@ -1612,159 +1607,55 @@ impl<D: BlockDevice> Engine<D> {
             }
             _ => self.dur.array.compute_group_parity(g)?,
         };
-        // Rewrite the working twin with the restored parity and its claim
-        // taken back (an invalid header), and refresh the committed twin
-        // when the restore target differed from the pre-steal disk
-        // version. With the committed twin's disk dead, the working twin
-        // is promoted to committed instead, by the same write.
-        match &p_comm {
-            Some(_) => self.twins.invalidate(g, work),
-            None => {
-                let now = self.tick();
-                self.twins.set_committed(g, work, now);
-            }
-        }
-        parity_new.set_header(self.twins.header(g, work));
-        match (self.dur.array.write_parity(g, work, &parity_new), &p_comm) {
+        // The working twin takes the restored parity back, and the
+        // committed twin is refreshed when the restore target differed
+        // from the pre-steal disk version. With the committed twin's disk
+        // dead, the working twin is promoted to committed instead, by the
+        // same write.
+        let lost = p_comm.is_none();
+        let reset = self.reset_working_twin(g, work, &mut parity_new, lost);
+        match (reset, lost) {
             // A dead working twin takes its claim with it.
-            (Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)), Some(_)) | (Ok(()), None) => {}
-            (Err(rda_array::ArrayError::DiskFailed(_)), None) => {
+            (Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)), false) | (Ok(()), true) => {}
+            (Err(rda_array::ArrayError::DiskFailed(_)), true) => {
                 return Err(rda_array::ArrayError::Unrecoverable(g).into());
             }
             (Err(e), _) => return Err(e.into()),
         }
-        if let Some(p_comm) = &p_comm {
-            if parity_new != *p_comm {
-                parity_new.set_header(self.twins.header(g, committed));
-                match self.dur.array.write_parity(g, committed, &parity_new) {
-                    Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
+        if p_comm.is_some_and(|p_comm| parity_new != p_comm) {
+            match self.write_twin(g, committed, &mut parity_new) {
+                Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
+                Err(e) => return Err(e.into()),
             }
         }
 
         self.rollback_buffer(txn, page, Some(&restore));
-
-        // The group is clean again.
-        self.dirty.remove(g);
-        self.metrics.undo_parity.inc();
-        self.obs.tracer.emit(|| EventKind::ParityUndo {
-            group: g.0,
-            page: page.0,
-            txn: txn.0,
-        });
+        self.end_parity_undo(txn, page);
         Ok(())
     }
 
-    /// Read this transaction's UNDO information back from the log (billed),
-    /// returning per-page before-images (page mode) or before-diff lists in
-    /// log order (record mode).
-    // Result-returning for symmetry with the other undo sources even
-    // though log readback itself cannot fail in the simulated store.
-    #[allow(clippy::unnecessary_wraps)]
-    fn read_undo_from_log(&mut self, txn: TxnId) -> Result<UndoInfo> {
-        // Ensure everything relevant is durable before reading it back.
-        self.log.force();
-        let store = Arc::clone(&self.dur.log_store);
-        // A logged steal appended the BOT first, so every record read
-        // back here lies behind it.
-        let from = self
-            .active
-            .get(&txn)
-            .and_then(|st| st.bot_lsn)
-            .unwrap_or(Lsn(store.base()));
-        let mut undo = UndoInfo::default();
-        store.scan(from, Lsn(store.len()), |_, record| match record {
-            LogRecord::BeforeImage {
-                txn: t,
-                page,
-                image,
-            } if *t == txn => {
-                undo.images.entry(*page).or_insert_with(|| image.clone());
-            }
-            LogRecord::RecordUpdate {
-                txn: t,
-                page,
-                offset,
-                before,
-                ..
-            } if *t == txn => {
-                undo.diffs
-                    .entry(*page)
-                    .or_default()
-                    .push((*offset, before.clone()));
-            }
-            _ => {}
-        });
-        Ok(undo)
-    }
-
-    /// Undo one logged page during a normal abort.
-    fn undo_via_log(&mut self, txn: TxnId, page: DataPageId, undo: &UndoInfo) -> Result<()> {
-        let g = self.dur.array.geometry().group_of(page);
-        let restored = match self.cfg.granularity {
-            LogGranularity::Page => {
-                let image = undo
-                    .images
-                    .get(&page)
-                    .ok_or(DbError::UndoRecordMissing { txn, page })?;
-                Page::from_bytes(image)
-            }
-            LogGranularity::Record => {
-                let mut current = self.read_disk(page)?;
-                let diffs = undo
-                    .diffs
-                    .get(&page)
-                    .ok_or(DbError::UndoRecordMissing { txn, page })?;
-                for (offset, before) in diffs.iter().rev() {
-                    let off = *offset as usize;
-                    current.as_mut()[off..off + before.len()].copy_from_slice(before);
-                }
-                current
-            }
-        };
+    /// Undo one logged page during a normal abort; `undo_at` are the LSNs
+    /// of its UNDO records in log order.
+    fn undo_via_log(&mut self, txn: TxnId, page: DataPageId, undo_at: &[Lsn]) -> Result<()> {
+        let restored = self.logged_undo_image(page, undo_at)?;
         let old = self.old_disk_image(page, Some(txn))?;
-        let slots = self.write_slots(g);
-        self.write_with_parity(page, &restored, &old, &slots)?;
+        let slots = self.write_slots(self.dur.array.geometry().group_of(page));
+        self.undo_logged(txn, page, &restored, &old, &slots)?;
         self.rollback_buffer(txn, page, Some(&restored));
-        self.metrics.undo_log.inc();
-        self.obs.tracer.emit(|| EventKind::LogUndo {
-            page: page.0,
-            txn: txn.0,
-        });
         Ok(())
     }
 
-    /// Roll back the *buffer* copy of a page for an aborting transaction:
-    /// the first-touch image under page locking, or the current contents
-    /// with this transaction's own diffs reverse-applied under record
-    /// locking (other transactions' co-resident bytes must survive). The
-    /// frame stays dirty unless the result provably equals the on-disk
-    /// version (`disk_now`).
+    /// Roll back the *buffer* copy of a page for an aborting transaction
+    /// to its [`TxnState::rollback_image`]. The frame stays dirty unless
+    /// the result provably equals the on-disk version (`disk_now`).
     fn rollback_buffer(&mut self, txn: TxnId, page: DataPageId, disk_now: Option<&Page>) {
         let (Some(current), Some(st)) = (self.buffer.peek(page), self.active.get(&txn)) else {
             return;
         };
-        let img = match self.cfg.granularity {
-            LogGranularity::Page => match st.before.get(&page) {
-                Some(before) => before.clone(),
-                None => return,
-            },
-            LogGranularity::Record => {
-                let mut img = current.clone();
-                if let Some(ops) = st.rec_ops.get(&page) {
-                    for op in ops.iter().rev() {
-                        let off = op.offset as usize;
-                        img.as_mut()[off..off + op.before.len()].copy_from_slice(&op.before);
-                    }
-                }
-                img
-            }
+        let Some(img) = st.rollback_image(page, self.cfg.granularity, current) else {
+            return;
         };
-        let dirty = match disk_now {
-            Some(d) => img != *d,
-            None => true,
-        };
+        let dirty = disk_now.is_none_or(|d| img != *d);
         self.buffer.overwrite_resident(page, img, dirty);
     }
 
@@ -1838,15 +1729,6 @@ impl<D: BlockDevice> Engine<D> {
         }
         store.truncate_before(cut)
     }
-}
-
-/// UNDO information read back from the log for a rollback.
-#[derive(Debug, Default)]
-pub(crate) struct UndoInfo {
-    /// First before-image per page (page logging).
-    pub images: BTreeMap<DataPageId, Vec<u8>>,
-    /// Before-diffs in log order per page (record logging).
-    pub diffs: BTreeMap<DataPageId, Vec<(u32, Vec<u8>)>>,
 }
 
 #[cfg(test)]

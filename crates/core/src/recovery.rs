@@ -398,11 +398,9 @@ impl<D: BlockDevice> Engine<D> {
         }
         let now = self.tick();
         self.twins.set_committed(g, read, now);
-        parity.set_header(self.twins.header(g, read));
-        self.dur.array.write_parity(g, read, &parity)?;
+        self.write_twin(g, read, &mut parity)?;
         if !matches!(lost, ArrayError::DiskFailed(_)) {
-            parity.set_header(self.twins.header(g, read.other()));
-            self.dur.array.write_parity(g, read.other(), &parity)?;
+            self.write_twin(g, read.other(), &mut parity)?;
             if matches!(lost, ArrayError::TornPage { .. }) {
                 report.torn_twins_healed += 1;
                 self.obs
@@ -436,24 +434,16 @@ impl<D: BlockDevice> Engine<D> {
                 .working_twin(g)
                 .map_or_else(|| self.twins.current_slot(g), ParitySlot::other);
             match self.dur.array.compute_group_parity(g) {
-                Ok(mut parity) => {
-                    parity.set_header(self.twins.header(g, committed));
-                    self.dur.array.write_parity(g, committed, &parity)?;
-                }
+                Ok(mut parity) => self.write_twin(g, committed, &mut parity)?,
                 // A dead member: under FORCE the twin covers the image.
                 Err(ArrayError::Unrecoverable(_)) if self.cfg.eot == EotPolicy::Force => {}
                 Err(e) => return Err(e.into()),
             }
-            self.invalidate_working_twin(g)?;
+            self.reset_claim(g, None)?;
         } else {
             self.recover_undo_parity_via_twin(loser, page, g, riders.twins.get(&g))?;
         }
-        self.metrics.undo_parity.inc();
-        self.obs.tracer.emit(|| EventKind::ParityUndo {
-            group: g.0,
-            page: page.0,
-            txn: loser.0,
-        });
+        self.end_parity_undo(loser, page);
         Ok(())
     }
 
@@ -479,10 +469,11 @@ impl<D: BlockDevice> Engine<D> {
             None => self.twins.current_slot(g),
         };
 
-        // D_old = P_committed ⊕ XOR(siblings) holds at *every* crash point
-        // of the steal sequence (no riding write touches the committed
-        // twin or a sibling) and never reads the riding page, so a torn
-        // data page or working twin costs nothing. The twin-difference
+        // Unlike an abort, which knows the image it stole, restart must
+        // not read the riding page: D_old = P_committed ⊕ XOR(siblings)
+        // holds at *every* crash point of the steal sequence (no riding
+        // write touches the committed twin or a sibling), so a torn data
+        // page or working twin costs nothing. The twin-difference
         // identity `(P ⊕ P′) ⊕ D_new` is the fallback for a dead sibling
         // and for a committed twin that died after the scan read it.
         let d_old = match self.dur.array.reconstruct_data(page, committed) {
@@ -506,36 +497,21 @@ impl<D: BlockDevice> Engine<D> {
             }
             Err(e) => return Err(e.into()),
         };
-
-        self.log.append(LogRecord::Compensation {
-            txn: loser,
-            page,
-            image: d_old.as_ref().to_vec(),
-        });
-        self.log.force();
-
-        self.dur.array.write_data_unprotected(page, &d_old)?;
-        if let Some(work) = work {
-            // The working twin takes the committed parity back under an
-            // invalid header — or, if the committed twin is gone, under
-            // the committed header itself.
-            let (mut p_comm, readable) = self.twin_as_scanned(g, committed, scanned)?;
-            if readable {
-                self.twins.invalidate(g, work);
-            } else {
-                let now = self.tick();
-                self.twins.set_committed(g, work, now);
-            }
-            p_comm.set_header(self.twins.header(g, work));
-            self.write_working_twin(g, work, &p_comm)?;
-        }
-        Ok(())
+        self.put_back(loser, page, &d_old)?;
+        self.reset_claim(g, scanned)
     }
 
-    /// Rewrite a working twin during undo; a dead one takes its claim
-    /// with it (the rebuild writes the header the directory holds).
-    fn write_working_twin(&self, g: GroupId, work: ParitySlot, parity: &Page) -> Result<()> {
-        match self.dur.array.write_parity(g, work, parity) {
+    /// Reset a group's working twin to the committed parity under an
+    /// invalid header — or, if the committed twin has become unreadable
+    /// since the bitmap scan, to the scan's copy under the committed
+    /// header itself. A dead working twin takes its claim with it (the
+    /// rebuild writes the header the directory holds). Idempotent.
+    fn reset_claim(&mut self, g: GroupId, scanned: Option<&[Page; 2]>) -> Result<()> {
+        let Some(work) = self.working_twin(g) else {
+            return Ok(());
+        };
+        let (mut p_comm, readable) = self.twin_as_scanned(g, work.other(), scanned)?;
+        match self.reset_working_twin(g, work, &mut p_comm, !readable) {
             Ok(()) | Err(ArrayError::DiskFailed(_)) => Ok(()),
             Err(e) => Err(e.into()),
         }
@@ -563,17 +539,10 @@ impl<D: BlockDevice> Engine<D> {
         self.twins.meta(g).working()
     }
 
-    /// Reset a group's working twin (content := committed parity, header
-    /// invalidated). Idempotent.
-    fn invalidate_working_twin(&mut self, g: GroupId) -> Result<()> {
-        let Some(work) = self.working_twin(g) else {
-            return Ok(());
-        };
-        let mut p_comm = self.dur.array.read_parity(g, work.other())?;
-        self.twins.invalidate(g, work);
-        p_comm.set_header(self.twins.header(g, work));
-        self.write_working_twin(g, work, &p_comm)
-    }
+    // ---- log installs and undo steps, one path for abort and restart ----
+    //
+    // Each returns its outcome to the caller, which keeps its own error
+    // arms: an abort outlives a dead data disk, a restart stops on one.
 
     /// Look at the log record at `at`, which the caller's analysis scan
     /// passed (and billed) and noted. The store is locked only while
@@ -582,7 +551,7 @@ impl<D: BlockDevice> Engine<D> {
         self.dur
             .log_store
             .with_record(at, look)
-            .expect("nothing truncates the log between a recovery's scan and its installs")
+            .expect("nothing truncates the log between a scan and the installs it noted")
     }
 
     /// The page image carried by the record at `at`: copied out of the
@@ -623,6 +592,112 @@ impl<D: BlockDevice> Engine<D> {
         })
     }
 
+    /// The before-image of an UNDO-logged page, from the LSNs of its
+    /// before-image / before-diff records in log order: the earliest
+    /// before-image (the transaction's first-touch state), or the page as
+    /// it stands on disk with the diffs reverse-applied.
+    pub(crate) fn logged_undo_image(&self, page: DataPageId, undo_at: &[Lsn]) -> Result<Page> {
+        match self.cfg.granularity {
+            LogGranularity::Page => self.logged_image(undo_at[0]),
+            LogGranularity::Record => {
+                let mut img = self.read_disk(page)?;
+                for at in undo_at.iter().rev() {
+                    self.apply_logged_diff(*at, &mut img, true)?;
+                }
+                Ok(img)
+            }
+        }
+    }
+
+    /// Put an UNDO-logged page of `txn` back: `restored` over `old`,
+    /// through the twins in `slots`.
+    pub(crate) fn undo_logged(
+        &mut self,
+        txn: TxnId,
+        page: DataPageId,
+        restored: &Page,
+        old: &Page,
+        slots: &[ParitySlot],
+    ) -> Result<()> {
+        self.write_with_parity(page, restored, old, slots)?;
+        self.metrics.undo_log.inc();
+        self.obs.tracer.emit(|| EventKind::LogUndo {
+            page: page.0,
+            txn: txn.0,
+        });
+        Ok(())
+    }
+
+    /// Put a page riding its group's parity back to `image`: pinned in the
+    /// log first as `txn`'s compensation record and forced, so a crash
+    /// mid-undo replays this step instead of re-deriving it from parity
+    /// the undo has begun to change; then written over the page, and every
+    /// transaction's cached disk image of it refreshed. Returns the data
+    /// write's outcome.
+    pub(crate) fn put_back(
+        &mut self,
+        txn: TxnId,
+        page: DataPageId,
+        image: &Page,
+    ) -> rda_array::Result<()> {
+        self.log.append(LogRecord::Compensation {
+            txn,
+            page,
+            image: image.as_ref().to_vec(),
+        });
+        self.log.force();
+        let written = self.unstaged()?.write_data_unprotected(page, image);
+        // A dead disk's page is what the parity encodes once it is reset.
+        if matches!(written, Ok(()) | Err(ArrayError::DiskFailed(_))) {
+            self.refresh_stolen_cache(page, image);
+        }
+        written
+    }
+
+    /// Take a ride's claim back: the working twin `work` is written with
+    /// `parity` under an invalid header — or, with the committed twin
+    /// `lost`, promoted to committed by the same write.
+    pub(crate) fn reset_working_twin(
+        &mut self,
+        g: GroupId,
+        work: ParitySlot,
+        parity: &mut Page,
+        lost: bool,
+    ) -> rda_array::Result<()> {
+        if lost {
+            let now = self.tick();
+            self.twins.set_committed(g, work, now);
+        } else {
+            self.twins.invalidate(g, work);
+        }
+        self.write_twin(g, work, parity)
+    }
+
+    /// Write `parity` to twin `slot` of group `g` under the header the
+    /// twin directory holds for it.
+    pub(crate) fn write_twin(
+        &self,
+        g: GroupId,
+        slot: ParitySlot,
+        parity: &mut Page,
+    ) -> rda_array::Result<()> {
+        parity.set_header(self.twins.header(g, slot));
+        self.dur.array.write_parity(g, slot, parity)
+    }
+
+    /// The last step of every parity undo: the group is clean again (a
+    /// restart starts with an empty Dirty_Set), and the undo is counted.
+    pub(crate) fn end_parity_undo(&mut self, txn: TxnId, page: DataPageId) {
+        let g = self.dur.array.geometry().group_of(page);
+        self.dirty.remove(g);
+        self.metrics.undo_parity.inc();
+        self.obs.tracer.emit(|| EventKind::ParityUndo {
+            group: g.0,
+            page: page.0,
+            txn: txn.0,
+        });
+    }
+
     /// Undo one UNDO-logged page of a loser during restart; `undo_at` are
     /// the LSNs of its before-image / before-diff records in log order.
     fn recover_undo_logged(
@@ -632,31 +707,14 @@ impl<D: BlockDevice> Engine<D> {
         undo_at: &[Lsn],
         loser_dirty_groups: &BTreeSet<GroupId>,
     ) -> Result<()> {
-        let g = self.dur.array.geometry().group_of(page);
-        let restored = match self.cfg.granularity {
-            // The earliest before-image is the transaction's first-touch
-            // state.
-            LogGranularity::Page => self.logged_image(undo_at[0])?,
-            LogGranularity::Record => {
-                let mut current = self.read_disk(page)?;
-                for at in undo_at.iter().rev() {
-                    self.apply_logged_diff(*at, &mut current, true)?;
-                }
-                current
-            }
-        };
+        let restored = self.logged_undo_image(page, undo_at)?;
         let old = self.read_disk(page)?;
         if restored == old {
             return Ok(()); // already undone by an earlier recovery attempt
         }
+        let g = self.dur.array.geometry().group_of(page);
         let slots = self.recovery_write_slots(g, loser_dirty_groups);
-        self.write_with_parity(page, &restored, &old, &slots)?;
-        self.metrics.undo_log.inc();
-        self.obs.tracer.emit(|| EventKind::LogUndo {
-            page: page.0,
-            txn: loser.0,
-        });
-        Ok(())
+        self.undo_logged(loser, page, &restored, &old, &slots)
     }
 
     /// Which twins recovery writes must update: both for groups that were
@@ -810,24 +868,12 @@ impl<D: BlockDevice> Engine<D> {
                     violations.push(format!("group {g}: parity slot {slot:?} stale"));
                 }
             }
-            // For dirty RDA groups additionally check the committed twin
-            // against the group with the riding page's old contents — the
-            // undo identity itself.
+            // A dirty RDA group's working twin must cover the disk.
             if let Some(info) = self.dirty.get(g) {
                 let p_work = self.dur.array.read_parity(g, info.working)?;
-                let p_comm = self.dur.array.read_parity(g, info.working.other())?;
-                let d_new = self.read_disk(info.page)?;
-                let mut d_old = p_comm;
-                d_old.xor_many_in_place(&[&p_work, &d_new]);
-                // The before-image must differ from the new one only if
-                // the transaction actually changed the page; we can at
-                // least check sizes and that recomputing parity from
-                // members matches the working twin.
-                let computed = self.dur.array.compute_group_parity(g)?;
-                if computed != p_work {
+                if self.dur.array.compute_group_parity(g)? != p_work {
                     violations.push(format!("group {g}: working twin does not cover disk"));
                 }
-                let _ = d_old;
             }
         }
         Ok(violations)

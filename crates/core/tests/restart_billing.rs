@@ -1,4 +1,5 @@
-//! What one crash/recover cycle reads, writes and reports, pinned.
+//! What one crash/recover cycle reads, writes and reports, pinned — and
+//! what rolling the same two losers back on a running database costs.
 //!
 //! Restart recovery scans the durable log once (billed by the log pages
 //! its bytes span) and then installs images by the LSNs that scan noted,
@@ -22,11 +23,16 @@ use rda_core::{
 
 /// One scripted history on the small test geometry (8 groups of 4 pages,
 /// 8 buffer frames): winners before and after an ACC checkpoint and one
-/// right before the crash, a transaction rolled back before the crash
-/// (its parity undo leaves a compensation record), and two losers that
-/// together overflow the buffer so their pages are stolen — the first of
-/// a group riding parity, the rest UNDO-logged.
-fn crashed(eot: EotPolicy, granularity: LogGranularity) -> Database {
+/// at the end, a transaction rolled back early (its parity undo leaves a
+/// compensation record), and two losers that together overflow the
+/// buffer so their pages are stolen — the first of a group riding
+/// parity, the rest UNDO-logged. `end` gets the two losers, still
+/// running.
+fn history(
+    eot: EotPolicy,
+    granularity: LogGranularity,
+    end: impl FnOnce(&Database, Transaction, Transaction),
+) -> Database {
     let cfg = DbConfig::small_test(EngineKind::Rda)
         .eot(eot)
         .granularity(granularity)
@@ -79,20 +85,40 @@ fn crashed(eot: EotPolicy, granularity: LogGranularity) -> Database {
     put(&mut t, 26, 7);
     put(&mut t, 27, 7);
     t.commit().unwrap();
-    db.crash();
-    // The handles died with the crash.
-    drop((loser_a, loser_b));
+    end(&db, loser_a, loser_b);
     db
 }
 
-/// The exported `log_reads_total` counter (what the benchmark's
+/// The history, ended by a crash.
+fn crashed(eot: EotPolicy, granularity: LogGranularity) -> Database {
+    history(eot, granularity, |db, loser_a, loser_b| {
+        db.crash();
+        // The handles died with the crash.
+        drop((loser_a, loser_b));
+    })
+}
+
+/// An exported counter, e.g. `log_reads_total` (what the benchmark's
 /// `transfers_per_commit` sums).
-fn log_reads_total(db: &Database) -> u64 {
+fn counter(db: &Database, metric: &str) -> u64 {
     db.metrics()
         .counter_values()
         .into_iter()
-        .find_map(|(name, value)| (name == "log_reads_total").then_some(value))
-        .expect("log_reads_total is registered")
+        .find_map(|(name, value)| (name == metric).then_some(value))
+        .expect("the counter is registered")
+}
+
+/// The winners' values are there and the losers' pages are back to zero.
+fn assert_recovered(db: &Database) {
+    assert!(db.verify().unwrap().is_empty());
+    assert!(db.audit().is_clean());
+    let first = |page: u32| db.read_page(page).unwrap()[..16].to_vec();
+    assert!(first(4).contains(&3), "page 4: the later winner's value");
+    assert!(first(0).contains(&1) && !first(0).contains(&2));
+    assert!(first(26).contains(&7) && first(27).contains(&7));
+    for page in (9..14).chain(20..25) {
+        assert_eq!(first(page), [0; 16], "loser page {page}");
+    }
 }
 
 /// `[log reads, log writes, array reads, array writes, winners, losers,
@@ -101,29 +127,16 @@ fn log_reads_total(db: &Database) -> u64 {
 fn recovery_numbers(eot: EotPolicy, granularity: LogGranularity) -> [u64; 11] {
     let db = crashed(eot, granularity);
     let before = db.stats();
-    let metric_before = log_reads_total(&db);
+    let metric_before = counter(&db, "log_reads_total");
     let report = db.recover().unwrap();
     let d = db.stats().delta(&before);
     assert_eq!(
-        log_reads_total(&db) - metric_before,
+        counter(&db, "log_reads_total") - metric_before,
         d.log.reads,
         "the exported counter is the store's"
     );
     assert_eq!(report.intent_replays + report.torn_twins_healed, 0);
-
-    // And it recovered the right state: winners' values, losers' gone.
-    assert!(db.verify().unwrap().is_empty());
-    assert!(db.audit().is_clean());
-    let first = |page: u32| db.read_page(page).unwrap()[..16].to_vec();
-    assert!(first(4).contains(&3), "page 4: the later winner's value");
-    assert!(first(0).contains(&1) && !first(0).contains(&2));
-    assert!(first(26).contains(&7) && first(27).contains(&7));
-    for page in 9..14 {
-        assert_eq!(first(page), [0; 16], "loser page {page}");
-    }
-    for page in 20..25 {
-        assert_eq!(first(page), [0; 16], "loser page {page}");
-    }
+    assert_recovered(&db);
 
     [
         d.log.reads,
@@ -169,5 +182,62 @@ fn noforce_record_logging() {
     assert_eq!(
         recovery_numbers(EotPolicy::NoForce, LogGranularity::Record),
         [3, 10, 57, 22, 2, 2, 3, 4, 2, 8, 32]
+    );
+}
+
+/// `[log reads, log writes, array reads, array writes, Δ
+/// engine_undo_parity_total, Δ engine_undo_log_total]` of aborting the
+/// two losers of [`history`] on the running database, `loser_a` first.
+fn abort_numbers(eot: EotPolicy, granularity: LogGranularity) -> [u64; 6] {
+    let mut numbers = [0; 6];
+    let db = history(eot, granularity, |db, loser_a, loser_b| {
+        let before = db.stats();
+        let parity = counter(db, "engine_undo_parity_total");
+        let logged = counter(db, "engine_undo_log_total");
+        loser_a.abort().unwrap();
+        loser_b.abort().unwrap();
+        let d = db.stats().delta(&before);
+        numbers = [
+            d.log.reads,
+            d.log.writes,
+            d.array.reads,
+            d.array.writes,
+            counter(db, "engine_undo_parity_total") - parity,
+            counter(db, "engine_undo_log_total") - logged,
+        ];
+    });
+    assert_recovered(&db);
+    numbers
+}
+
+#[test]
+fn abort_force_page_logging() {
+    assert_eq!(
+        abort_numbers(EotPolicy::Force, LogGranularity::Page),
+        [9, 12, 10, 14, 3, 4]
+    );
+}
+
+#[test]
+fn abort_force_record_logging() {
+    assert_eq!(
+        abort_numbers(EotPolicy::Force, LogGranularity::Record),
+        [6, 12, 14, 14, 3, 4]
+    );
+}
+
+#[test]
+fn abort_noforce_page_logging() {
+    assert_eq!(
+        abort_numbers(EotPolicy::NoForce, LogGranularity::Page),
+        [8, 12, 10, 14, 3, 4]
+    );
+}
+
+#[test]
+fn abort_noforce_record_logging() {
+    assert_eq!(
+        abort_numbers(EotPolicy::NoForce, LogGranularity::Record),
+        [5, 12, 14, 14, 3, 4]
     );
 }
