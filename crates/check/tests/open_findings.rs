@@ -3,8 +3,8 @@
 //! (`g<seed>-<index>+<fault>@<io>`: 0x1992 with `--schedules 200 --faults
 //! 6`, 7 and 0xbeef with `--schedules 300 --faults 3`; a `t` in place of
 //! the `g` names the threaded stream, 0xbeef with `--threaded --schedules
-//! 1000 --faults 3`; a trailing `~` marks a shrunk one), or is marked
-//! hand-written. Each test expects a clean run and stays ignored until
+//! 1000 --faults 3`; a trailing `~` marks a shrunk one, the repro the
+//! sweep's `--repro-out` wrote), or is marked hand-written. Each test expects a clean run and stays ignored until
 //! the engine is fixed (ROADMAP item 1), then runs with the rest. Run the
 //! open ones with `cargo test -p rda-check --test open_findings --
 //! --ignored`.
@@ -154,5 +154,21 @@ fn the_minus_69_class_at_seed_0xbeef_schedule_180() {
 fn the_minus_69_class_on_two_shards_at_seed_0xbeef_schedule_592() {
     assert_clean(
         r#"{"name":"t000000000000beef-592+fail_disk@59","config":{"frames":3,"eot":"force","strict":false,"shards":2,"group_commit":false},"ops":[{"op":"begin","slot":3},{"op":"write","slot":3,"page":15,"val":3},{"op":"begin","slot":1},{"op":"read","slot":1,"page":7},{"op":"begin","slot":2},{"op":"write","slot":2,"page":11,"val":157},{"op":"begin","slot":0},{"op":"read","slot":0,"page":9},{"op":"write","slot":2,"page":3,"val":185},{"op":"write","slot":3,"page":14,"val":117},{"op":"read","slot":1,"page":6},{"op":"read","slot":3,"page":12},{"op":"write","slot":0,"page":2,"val":103},{"op":"write","slot":0,"page":0,"val":231},{"op":"write","slot":3,"page":7,"val":55},{"op":"write","slot":0,"page":10,"val":215},{"op":"abort","slot":3},{"op":"write","slot":1,"page":4,"val":197},{"op":"read","slot":1,"page":6},{"op":"commit","slot":1},{"op":"write","slot":2,"page":14,"val":219},{"op":"write","slot":2,"page":10,"val":119},{"op":"commit","slot":0},{"op":"crash_restart"},{"op":"commit","slot":2}],"fault":{"mode":"fail_disk","at_io":59}}"#,
+    );
+}
+
+/// The shrinker's repro of `-592` above, and a worse failure than it: a
+/// silent one. Restart reports no error, and on shard 0 undoes the
+/// loser's group-0 ride (`ParityUndo page 3 group 0 txn 1`) but not its
+/// group-1 ride (the shard's page 7, the database's page 11), so
+/// "durability: page 11 = Some(157) after quiescence" (the loser's
+/// write), shard 0's group G1 parity slot P0 is stale (verify),
+/// its committed twin P0 is not the XOR of its data pages (audit), and
+/// the trace scan finds the group-1 rider of txn 1 unresolved.
+#[test]
+#[ignore = "open finding, ROADMAP item 1"]
+fn the_shrunk_minus_592_leaves_a_riders_write_behind_on_two_shards() {
+    assert_clean(
+        r#"{"name":"t000000000000beef-592+fail_disk@59~","config":{"frames":3,"eot":"force","strict":false,"shards":2,"group_commit":false},"ops":[{"op":"begin","slot":3},{"op":"write","slot":3,"page":15,"val":3},{"op":"begin","slot":1},{"op":"read","slot":1,"page":7},{"op":"begin","slot":2},{"op":"write","slot":2,"page":11,"val":157},{"op":"begin","slot":0},{"op":"read","slot":0,"page":9},{"op":"write","slot":2,"page":3,"val":185},{"op":"write","slot":3,"page":14,"val":117},{"op":"read","slot":1,"page":6},{"op":"read","slot":3,"page":12},{"op":"write","slot":0,"page":2,"val":103},{"op":"write","slot":0,"page":0,"val":231},{"op":"write","slot":3,"page":7,"val":55},{"op":"write","slot":0,"page":10,"val":215},{"op":"abort","slot":3},{"op":"write","slot":1,"page":4,"val":197},{"op":"read","slot":1,"page":6},{"op":"write","slot":2,"page":14,"val":219},{"op":"commit","slot":0},{"op":"crash_restart"}],"fault":{"mode":"fail_disk","at_io":59}}"#,
     );
 }

@@ -49,9 +49,7 @@ impl<D: BlockDevice> Engine<D> {
         // Flush committed buffer contents first so the archive equals the
         // committed state without needing the log.
         for (page, _) in self.buffer.dirty_pages() {
-            let data = self.buffer.peek(page).expect("dirty resident").clone();
-            self.write_back_committed(page, &data)?;
-            self.buffer.mark_clean(page);
+            self.flush_frame(page)?;
         }
         let mut pages = Vec::with_capacity(self.dur.array.data_pages() as usize);
         for p in 0..self.dur.array.data_pages() {

@@ -7,20 +7,21 @@
 //!   twin equals the XOR of the group's on-disk data pages; for every
 //!   *dirty* group the **working** twin does (the committed twin encodes
 //!   the riding page's before-image via `P ⊕ P′ = old ⊕ new`, Figure 6).
-//! * **Dirty_Set** — exactly one riding page per dirty group, belonging to
-//!   that group; the owning transaction is alive and lists the page in its
-//!   `stolen_parity` set; the per-group map and per-txn index agree; the
-//!   working twin's header *on the platter* is a claim naming exactly
-//!   the entry's (transaction, page).
+//! * **Dirty_Set** — the twin directory's `Working` headers are the
+//!   Dirty_Set, and what can disagree with them is checked: each claim
+//!   names a live transaction whose `stolen_parity` set holds the claimed
+//!   rider (so a quiescent directory holds none); each `stolen_parity`
+//!   page's group holds that transaction's claim on it; and a twin
+//!   claimed in the directory, or claimed on the platter for a live
+//!   transaction, carries the same header on the platter as in the
+//!   directory (a claim of a transaction that ended is allowed on the
+//!   platter: commits flip their twins in memory, and the header follows
+//!   with the twin's next write).
 //! * **No leaks** — every lock holder (exclusive, range, *and* shared)
 //!   belongs to a live transaction; every buffer frame's uncommitted
 //!   modifier is a live transaction whose write set holds that page (EOT
-//!   releases a transaction's frames by its write set); no twin header on
-//!   the platter claims a twin for a live transaction without its
-//!   Dirty_Set entry (a claim of a transaction that ended is allowed:
-//!   commits flip their twins in memory, and the header follows with the
-//!   twin's next write); once the
-//!   system is quiescent, the lock table and dirty set are empty.
+//!   releases a transaction's frames by its write set); once the system
+//!   is quiescent, the lock table is empty.
 //!
 //! The auditor reads the array through the **unbilled**
 //! [`peek_data`](rda_array::DiskArray::peek_data) /
@@ -35,7 +36,8 @@
 
 use crate::engine::Engine;
 use crate::twin::TwinState;
-use rda_array::{ArrayError, BlockDevice, GroupId, Page};
+use rda_array::{ArrayError, BlockDevice, GroupId, Page, ParitySlot};
+use rda_wal::TxnId;
 
 /// Outcome of one full audit pass.
 #[derive(Debug, Clone, Default)]
@@ -80,79 +82,59 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
     /// Run every check and collect violations.
     pub(crate) fn run(&self) -> AuditReport {
         let mut report = AuditReport::default();
-        self.check_dirty_set(&mut report);
+        self.check_claims(&mut report);
         self.check_groups(&mut report);
         self.check_leaks(&mut report);
         report
     }
 
-    // ---- Dirty_Set bookkeeping -----------------------------------------
+    // ---- the Dirty_Set: directory, stolen_parity, platter -------------
 
-    fn check_dirty_set(&self, report: &mut AuditReport) {
+    fn check_claims(&self, report: &mut AuditReport) {
         let e = self.engine;
-        report.violations.extend(e.dirty.self_check());
-
-        for g in 0..e.dur.array.groups() {
-            let g = GroupId(g);
-            let Some(info) = e.dirty.get(g) else { continue };
-
-            if e.dur.array.geometry().group_of(info.page) != g {
-                report.violations.push(format!(
-                    "dirty group {g}: riding page {} belongs to group {}",
-                    info.page,
-                    e.dur.array.geometry().group_of(info.page)
-                ));
+        for g in (0..e.dur.array.groups()).map(GroupId) {
+            if let Some(work) = e.working_twin(g) {
+                let rides = e.claim(g).is_some_and(|c| {
+                    (e.active.get(&c.txn)).is_some_and(|st| st.stolen_parity.contains(&c.page))
+                });
+                if !rides {
+                    report.violations.push(format!(
+                        "group {g}: the directory's claim {:?} on twin {work:?} names no \
+                         live transaction's parity ride — leaked claim",
+                        e.twins.header(g, work)
+                    ));
+                }
             }
-            let Some(st) = e.active.get(&info.txn) else {
-                report.violations.push(format!(
-                    "dirty group {g}: owner txn {} is not alive — leaked Dirty_Set entry",
-                    info.txn
-                ));
-                continue;
-            };
-            if !st.stolen_parity.contains(&info.page) {
-                report.violations.push(format!(
-                    "dirty group {g}: owner txn {} does not list page {} in stolen_parity",
-                    info.txn, info.page
-                ));
-            }
-
             // The claim on the platter: restart finds the rider in the
             // working twin's header alone. (An unreadable twin is a disk
             // death the operation under way turns into a logged steal.)
-            if let Ok(twin) = e.dur.array.peek_parity(g, info.working) {
-                let h = twin.header();
-                let rider = e.rider_index(g, info.page);
-                if h.state != TwinState::Working || (h.txn, Some(h.rider)) != (info.txn.0, rider) {
+            for slot in ParitySlot::BOTH {
+                let Ok(twin) = e.dur.array.peek_parity(g, slot) else {
+                    continue;
+                };
+                let (disk, mem) = (twin.header(), e.twins.header(g, slot));
+                let live =
+                    disk.state == TwinState::Working && e.active.contains_key(&TxnId(disk.txn));
+                if (live || mem.state == TwinState::Working) && disk != mem {
                     report.violations.push(format!(
-                        "dirty group {g}: working twin {:?} holds header {h:?} on the platter, \
-                         but the Dirty_Set entry is txn {} page {} (rider {rider:?})",
-                        info.working, info.txn, info.page
+                        "group {g}: twin {slot:?} holds header {disk:?} on the platter, \
+                         but {mem:?} in the directory"
                     ));
                 }
             }
         }
-
-        // Reverse direction: every page a live transaction believes rides
-        // the parity must be registered in the Dirty_Set.
+        // Every page a live transaction believes rides the parity has its
+        // claim in the directory.
         let mut txns: Vec<_> = e.active.keys().copied().collect();
         txns.sort();
         for txn in txns {
-            let Some(st) = e.active.get(&txn) else {
-                continue;
-            };
-            for page in &st.stolen_parity {
+            for page in &e.active[&txn].stolen_parity {
                 let g = e.dur.array.geometry().group_of(*page);
-                match e.dirty.get(g) {
-                    Some(info) if info.txn == txn && info.page == *page => {}
-                    Some(info) => report.violations.push(format!(
-                        "txn {txn}: page {page} should ride group {g}, but the group is dirty \
-                         for page {} of txn {}",
-                        info.page, info.txn
-                    )),
-                    None => report.violations.push(format!(
-                        "txn {txn}: page {page} is in stolen_parity but group {g} is clean"
-                    )),
+                if e.claim(g).is_none_or(|c| (c.txn, c.page) != (txn, *page)) {
+                    report.violations.push(format!(
+                        "txn {txn}: page {page} is in stolen_parity, but group {g}'s \
+                         directory holds no claim of it"
+                    ));
                 }
             }
         }
@@ -203,7 +185,7 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
                         report.violations.push(format!(
                             "group {g}: parity twin {slot:?} ({}) does not equal the XOR of \
                              the group's data pages",
-                            if e.dirty.is_dirty(g) {
+                            if e.working_twin(g).is_some() {
                                 "working"
                             } else {
                                 "committed"
@@ -227,19 +209,19 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
             // For a dirty group the riding page's on-disk contents must be
             // exactly what its owner last stole there — a mismatch means
             // the committed twin's implied before-image is garbage.
-            if let Some(info) = e.dirty.get(g) {
+            if let Some(claim) = e.claim(g) {
                 if let Some(expect) = e
                     .active
-                    .get(&info.txn)
-                    .and_then(|st| st.last_stolen.get(&info.page))
+                    .get(&claim.txn)
+                    .and_then(|st| st.last_stolen.get(&claim.page))
                 {
-                    match e.dur.array.peek_data(info.page) {
+                    match e.dur.array.peek_data(claim.page) {
                         Ok(on_disk) => {
                             if on_disk != *expect {
                                 report.violations.push(format!(
                                     "dirty group {g}: on-disk contents of riding page {} \
                                      differ from the owner's last stolen image",
-                                    info.page
+                                    claim.page
                                 ));
                             }
                         }
@@ -250,7 +232,7 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
                         ) => {}
                         Err(err) => report.violations.push(format!(
                             "dirty group {g}: cannot read riding page {}: {err}",
-                            info.page
+                            claim.page
                         )),
                     }
                 }
@@ -272,7 +254,7 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
         // Commit and abort release a transaction's frames by its write
         // set, so a modifier outside it would never be released.
         for (page, txn) in e.buffer.modifiers() {
-            let txn = rda_wal::TxnId(txn);
+            let txn = TxnId(txn);
             match e.active.get(&txn) {
                 None => report.violations.push(format!(
                     "buffer: page {page}'s frame names txn {txn} as a modifier, \
@@ -285,40 +267,10 @@ impl<'a, D: BlockDevice> ParityAuditor<'a, D> {
                 Some(_) => {}
             }
         }
-        for g in 0..e.dur.array.groups() {
-            let g = GroupId(g);
-            for slot in rda_array::ParitySlot::BOTH {
-                let Ok(twin) = e.dur.array.peek_parity(g, slot) else {
-                    continue;
-                };
-                let h = twin.header();
-                let txn = rda_wal::TxnId(h.txn);
-                if h.state != TwinState::Working || !e.active.contains_key(&txn) {
-                    continue;
-                }
-                let entry = e
-                    .dirty
-                    .get(g)
-                    .is_some_and(|info| info.working == slot && info.txn == txn);
-                if !entry {
-                    report.violations.push(format!(
-                        "group {g}: twin {slot:?}'s header claims it for live txn {txn} \
-                         without a Dirty_Set entry — leaked claim"
-                    ));
-                }
-            }
-        }
-        if e.active.is_empty() {
-            if !e.locks.is_empty() {
-                report
-                    .violations
-                    .push("quiescent, but the lock table is not empty".to_string());
-            }
-            if !e.dirty.is_empty() {
-                report
-                    .violations
-                    .push("quiescent, but the Dirty_Set still has dirty groups".to_string());
-            }
+        if e.active.is_empty() && !e.locks.is_empty() {
+            report
+                .violations
+                .push("quiescent, but the lock table is not empty".to_string());
         }
     }
 }

@@ -30,9 +30,8 @@
 use crate::backend::{BackendSetup, IntentRecord, MetaSink};
 use crate::config::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
 use crate::error::{DbError, Result};
-use crate::group::{DirtySet, StealClass};
 use crate::locks::LockTable;
-use crate::twin::TwinDirectory;
+use crate::twin::{StealClass, TwinDirectory};
 use rda_array::{
     BlockDevice, DataPageId, DefaultDisk, DiskArray, GroupId, Header, Page, ParitySlot,
 };
@@ -130,6 +129,16 @@ impl TxnState {
     }
 }
 
+/// A dirty group's Dirty_Set entry as [`Engine::claim`] reads it off the
+/// twin directory: the one page riding the group's parity, the
+/// transaction that stole it there, and the working twin.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Claim {
+    pub page: DataPageId,
+    pub txn: TxnId,
+    pub working: ParitySlot,
+}
+
 /// The durable half of a database: everything that survives a crash.
 pub(crate) struct Durable<D: BlockDevice = DefaultDisk> {
     pub array: Arc<DiskArray<D>>,
@@ -197,9 +206,9 @@ pub struct Engine<D: BlockDevice = DefaultDisk> {
     pub(crate) dur: Durable<D>,
     pub(crate) log: LogManager,
     pub(crate) buffer: BufferPool,
-    pub(crate) dirty: DirtySet,
     /// The twin headers as the engine means them to be (see
-    /// [`TwinDirectory`]): lost in a crash, rebuilt by restart.
+    /// [`TwinDirectory`]), the Dirty_Set included: lost in a crash,
+    /// rebuilt by restart.
     pub(crate) twins: TwinDirectory,
     pub(crate) locks: LockTable,
     pub(crate) active: HashMap<TxnId, TxnState>,
@@ -332,7 +341,6 @@ impl<D: BlockDevice> Engine<D> {
         Engine {
             log: LogManager::new(log_store),
             buffer,
-            dirty: DirtySet::new(),
             twins,
             locks: LockTable::new(),
             active: HashMap::new(),
@@ -419,15 +427,35 @@ impl<D: BlockDevice> Engine<D> {
         }
     }
 
-    // ---- parity slot selection -----------------------------------------
+    // ---- the Dirty_Set and parity slot selection --------------------------
+
+    /// The twin the directory names Working in group `g`, if any: the
+    /// group is dirty while it has one.
+    pub(crate) fn working_twin(&self, g: GroupId) -> Option<ParitySlot> {
+        self.twins.meta(g).working()
+    }
+
+    /// Group `g`'s Dirty_Set entry, read off its working twin's header:
+    /// the claim's rider index mapped to its page. `None` while the group
+    /// is clean.
+    pub(crate) fn claim(&self, g: GroupId) -> Option<Claim> {
+        let working = self.working_twin(g)?;
+        let header = self.twins.header(g, working);
+        let mut members = self.dur.array.geometry().member_pages(g);
+        Some(Claim {
+            page: members.nth(usize::from(header.rider))?,
+            txn: TxnId(header.txn),
+            working,
+        })
+    }
 
     /// The twin holding the last *committed* parity of a group.
     pub(crate) fn committed_slot(&self, g: GroupId) -> ParitySlot {
         if !self.is_rda() {
             return ParitySlot::P0;
         }
-        match self.dirty.get(g) {
-            Some(info) => info.working.other(),
+        match self.working_twin(g) {
+            Some(working) => working.other(),
             None => self.twins.current_slot(g),
         }
     }
@@ -439,8 +467,8 @@ impl<D: BlockDevice> Engine<D> {
         if !self.is_rda() {
             return ParitySlot::P0;
         }
-        match self.dirty.get(g) {
-            Some(info) => info.working,
+        match self.working_twin(g) {
+            Some(working) => working,
             None => self.twins.current_slot(g),
         }
     }
@@ -471,8 +499,8 @@ impl<D: BlockDevice> Engine<D> {
         if !self.is_rda() {
             return vec![ParitySlot::P0];
         }
-        match self.dirty.get(g) {
-            Some(info) => vec![info.working, info.working.other()],
+        match self.working_twin(g) {
+            Some(working) => vec![working, working.other()],
             None => vec![self.twins.current_slot(g)],
         }
     }
@@ -557,8 +585,8 @@ impl<D: BlockDevice> Engine<D> {
         if sink.is_some() {
             self.dur.array.write_barrier()?;
         }
-        let mark = match self.dirty.get(g) {
-            Some(info) if info.page == page => self.twins.header(g, info.working),
+        let mark = match self.claim(g) {
+            Some(claim) if claim.page == page => self.twins.header(g, claim.working),
             _ => Header::default(),
         };
         let nvram = Arc::clone(&self.dur.intent);
@@ -810,7 +838,8 @@ impl<D: BlockDevice> Engine<D> {
         g: GroupId,
         txn: TxnId,
     ) -> Result<Option<StealKind>> {
-        let mut class = self.dirty.classify(g, page, txn);
+        let rider = self.rider_index(g, page).ok_or(DbError::BadPage(page))?;
+        let mut class = self.twins.meta(g).classify(txn.0, rider);
 
         // Record locking: a page may only ride the parity if this
         // transaction can escalate to an exclusive page lock, because
@@ -863,17 +892,18 @@ impl<D: BlockDevice> Engine<D> {
                 self.dur.array.read_parity_into(g, committed, &mut parity)?;
                 parity.xor_many_in_place(&[old, data]);
                 // The working twin's header is the claim: ts, Working, the
-                // transaction and the page's member index.
+                // transaction and the page's member index. Written into
+                // the directory, it is the group's Dirty_Set entry.
                 let now = self.tick();
-                let rider = self.rider_index(g, page).ok_or(DbError::BadPage(page))?;
                 let claimed = self.twins.begin_working(g, now, txn.0, rider);
                 debug_assert_eq!(claimed, work);
                 parity.set_header(self.twins.header(g, work));
                 if let Err(e) = self.ride(page, data, g, work, &parity) {
-                    // The steal did not happen: a live engine takes its
-                    // claim back (a crash leaves it for restart to undo).
+                    // The steal did not happen: the claim ends in memory,
+                    // and a live engine takes it back on the platter too
+                    // (a crash leaves it there for restart to undo).
+                    self.twins.invalidate(g, work);
                     if e != rda_array::ArrayError::Crashed {
-                        self.twins.invalidate(g, work);
                         self.take_claim_back(g, work, &mut parity);
                     }
                     return Err(e.into());
@@ -881,14 +911,13 @@ impl<D: BlockDevice> Engine<D> {
                 self.refresh_stolen_cache(page, data);
                 self.parity_scratch = parity;
 
-                self.dirty.mark(g, page, txn, work);
                 let st = self.txn_state(txn)?;
                 st.stolen_parity.insert(page);
                 st.note_stolen(page, data);
                 Ok(Some(StealKind::DirtiesGroup))
             }
             StealClass::RidesExisting => {
-                let work = self.dirty.get(g).expect("dirty group").working;
+                let work = self.working_twin(g).expect("a ridden group has a claim");
                 let old = self.old_disk_image(page, Some(txn))?;
                 self.write_with_parity(page, data, &old, &[work])?;
                 let st = self.txn_state(txn)?;
@@ -963,8 +992,8 @@ impl<D: BlockDevice> Engine<D> {
     /// twins (the before-image in one, the claim in the other); the
     /// rider's before-image is still in memory, so it is logged and
     /// forced, as the paper does for a second steal in one group. A ride
-    /// that fails to settle keeps its Dirty_Set entry, and the deaths stay
-    /// unseen so that the next operation tries again.
+    /// that fails to settle keeps its claim, and the deaths stay unseen so
+    /// that the next operation tries again.
     pub(crate) fn settle_disk_deaths(&mut self) {
         let deaths = self.dur.array.deaths();
         if deaths == self.deaths_seen {
@@ -973,9 +1002,9 @@ impl<D: BlockDevice> Engine<D> {
         let mut settled = true;
         if !self.needs_recovery && self.is_rda() {
             for g in (0..self.dur.array.groups()).map(GroupId) {
-                if let Some(info) = self.dirty.get(g) {
+                if let Some(claim) = self.claim(g) {
                     if ParitySlot::BOTH.iter().any(|s| self.twin_dead(g, *s)) {
-                        settled &= self.log_the_ride(g, info).is_ok();
+                        settled &= self.log_the_ride(g, claim).is_ok();
                     }
                 }
             }
@@ -986,13 +1015,13 @@ impl<D: BlockDevice> Engine<D> {
     }
 
     /// [`Engine::settle_disk_deaths`] for one dirty group: log and force
-    /// the rider's undo, write the surviving twin as committed (the
+    /// the rider's undo, then write the surviving twin as committed (the
     /// working twin as it stands, or the committed one recomputed from the
-    /// members), then drop the Dirty_Set entry.
-    fn log_the_ride(&mut self, g: GroupId, info: crate::group::DirtyInfo) -> Result<()> {
-        self.log_undo_for(info.txn, info.page)?;
+    /// members), which ends the claim.
+    fn log_the_ride(&mut self, g: GroupId, claim: Claim) -> Result<()> {
+        self.log_undo_for(claim.txn, claim.page)?;
         self.log.force();
-        let work = info.working;
+        let work = claim.working;
         let survivor = if !self.twin_dead(g, work) {
             Some((work, self.dur.array.read_parity(g, work)?))
         } else if !self.twin_dead(g, work.other()) {
@@ -1009,17 +1038,20 @@ impl<D: BlockDevice> Engine<D> {
                 self.twins.install(g, before);
                 return Err(e.into());
             }
+        } else {
+            // No twin survives to write: the claim ends in memory, and the
+            // rebuilds recompute the parity.
+            self.twins.commit_working_all(&[(g, work)]);
         }
-        self.dirty.remove(g);
         self.obs.tracer.emit(|| EventKind::Steal {
             group: g.0,
-            page: info.page.0,
-            txn: info.txn.0,
+            page: claim.page.0,
+            txn: claim.txn.0,
             kind: StealKind::Relogged,
         });
-        let st = self.txn_state(info.txn)?;
-        st.stolen_parity.remove(&info.page);
-        st.stolen_logged.insert(info.page);
+        let st = self.txn_state(claim.txn)?;
+        st.stolen_parity.remove(&claim.page);
+        st.stolen_logged.insert(claim.page);
         Ok(())
     }
 
@@ -1031,28 +1063,34 @@ impl<D: BlockDevice> Engine<D> {
         self.write_with_parity(page, data, &old, &slots)
     }
 
-    /// Write a resident dirty page back and mark it clean: a committed
-    /// write-back, or a steal when it carries uncommitted updates (FORCE
-    /// flush, checkpoint). The write uses the frame's own buffer, lent
-    /// out of the pool and back whatever the outcome.
-    fn flush_frame(&mut self, page: DataPageId) -> Result<()> {
+    /// Write out a dirty frame's `data`: a committed write-back, or a
+    /// steal when it carries the uncommitted updates of `modifiers`.
+    fn write_out(
+        &mut self,
+        page: DataPageId,
+        data: &mut Page,
+        modifiers: &BTreeSet<u64>,
+    ) -> Result<()> {
+        if modifiers.is_empty() {
+            return self.write_back_committed(page, data);
+        }
+        let modifiers = modifiers.iter().map(|&t| TxnId(t)).collect();
+        self.steal_uncommitted(page, data, &modifiers)
+    }
+
+    /// Write a resident dirty page back and mark it clean (FORCE flush,
+    /// checkpoint, archive dump, media recovery). The write uses the
+    /// frame's own buffer, lent out of the pool and back whatever the
+    /// outcome.
+    pub(crate) fn flush_frame(&mut self, page: DataPageId) -> Result<()> {
         // The frame may carry other transactions' uncommitted byte ranges
         // (record locking), or — if this page was stolen earlier and
         // re-dirtied by someone else — none of the committer's at all;
         // UNDO protection must follow the frame's *current* modifiers.
-        let mods: BTreeSet<TxnId> = self
-            .buffer
-            .modifiers_of(page)
-            .iter()
-            .map(|&t| TxnId(t))
-            .collect();
+        let mods = self.buffer.modifiers_of(page);
         let mut data = Page::zeroed(0);
         self.buffer.swap_data(page, &mut data);
-        let flushed = if mods.is_empty() {
-            self.write_back_committed(page, &data)
-        } else {
-            self.steal_uncommitted(page, &mut data, &mods)
-        };
+        let flushed = self.write_out(page, &mut data, &mods);
         self.buffer.swap_data(page, &mut data);
         flushed?;
         self.buffer.mark_clean(page);
@@ -1069,13 +1107,7 @@ impl<D: BlockDevice> Engine<D> {
         }
         let mut ev = self.buffer.pop_victim().ok_or(DbError::BufferWedged)?;
         if ev.dirty {
-            let modifiers: BTreeSet<TxnId> = ev.modifiers.iter().map(|&t| TxnId(t)).collect();
-            let written = if modifiers.is_empty() {
-                self.write_back_committed(ev.page, &ev.data)
-            } else {
-                self.steal_uncommitted(ev.page, &mut ev.data, &modifiers)
-            };
-            if let Err(e) = written {
+            if let Err(e) = self.write_out(ev.page, &mut ev.data, &ev.modifiers) {
                 if !self.needs_recovery {
                     // The frame holds the only copy of its updates: commit
                     // needs it for REDO, abort for the in-buffer rollback.
@@ -1395,13 +1427,16 @@ impl<D: BlockDevice> Engine<D> {
         self.check_ready()?;
         // The twin flip: the working parity of every group this
         // transaction dirtied becomes the committed parity, all of them in
-        // one step. Zero array I/O: the platter keeps the claims, which
-        // name a transaction whose commit record is now durable.
-        let mut flips: Vec<(GroupId, ParitySlot)> = self
-            .dirty
-            .take_txn(txn)
+        // one step, in group order. Zero array I/O: the platter keeps the
+        // claims, which name a transaction whose commit record is now
+        // durable.
+        let geo = self.dur.array.geometry();
+        let dirtied: BTreeSet<GroupId> = self.active.get(&txn).map_or_else(BTreeSet::new, |st| {
+            st.stolen_parity.iter().map(|p| geo.group_of(*p)).collect()
+        });
+        let mut flips: Vec<(GroupId, ParitySlot)> = dirtied
             .into_iter()
-            .map(|(g, info)| (g, info.working))
+            .filter_map(|g| Some((g, self.working_twin(g)?)))
             .collect();
         if self.cfg.mutations.skip_commit_twin_flip {
             // Mutation-sensitivity knob: leave the committed twin
@@ -1515,10 +1550,6 @@ impl<D: BlockDevice> Engine<D> {
             self.log.force();
         }
 
-        debug_assert!(
-            self.dirty.groups_of(txn).is_empty(),
-            "parity undo cleaned groups"
-        );
         self.locks.release_txn(txn);
         self.buffer.release_txn(txn.0, written);
         self.active.remove(&txn);
@@ -1531,13 +1562,9 @@ impl<D: BlockDevice> Engine<D> {
     /// Undo one parity-riding page during a normal abort.
     fn undo_via_parity(&mut self, txn: TxnId, page: DataPageId) -> Result<()> {
         let g = self.dur.array.geometry().group_of(page);
-        let info = self
-            .dirty
-            .get(g)
-            .expect("parity-stolen page has dirty group");
-        debug_assert_eq!(info.page, page);
-        debug_assert_eq!(info.txn, txn);
-        let work = info.working;
+        let claim = self.claim(g).expect("a parity-stolen page has its claim");
+        debug_assert_eq!((claim.page, claim.txn), (page, txn));
+        let work = claim.working;
         let committed = work.other();
 
         let p_work_res = self.dur.array.read_parity(g, work);
@@ -1613,20 +1640,29 @@ impl<D: BlockDevice> Engine<D> {
         // dead, the working twin is promoted to committed instead, by the
         // same write.
         let lost = p_comm.is_none();
+        let claimed = self.twins.meta(g);
         let reset = self.reset_working_twin(g, work, &mut parity_new, lost);
-        match (reset, lost) {
+        let undone = match (reset, lost) {
             // A dead working twin takes its claim with it.
-            (Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)), false) | (Ok(()), true) => {}
+            (Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)), false) | (Ok(()), true) => Ok(()),
             (Err(rda_array::ArrayError::DiskFailed(_)), true) => {
-                return Err(rda_array::ArrayError::Unrecoverable(g).into());
+                Err(rda_array::ArrayError::Unrecoverable(g))
             }
-            (Err(e), _) => return Err(e.into()),
-        }
-        if p_comm.is_some_and(|p_comm| parity_new != p_comm) {
-            match self.write_twin(g, committed, &mut parity_new) {
-                Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
-                Err(e) => return Err(e.into()),
+            (Err(e), _) => Err(e),
+        };
+        let undone = undone.and_then(|()| match p_comm {
+            Some(p_comm) if parity_new != p_comm => {
+                match self.write_twin(g, committed, &mut parity_new) {
+                    Err(rda_array::ArrayError::DiskFailed(_)) => Ok(()),
+                    written => written,
+                }
             }
+            _ => Ok(()),
+        });
+        if let Err(e) = undone {
+            // An unfinished undo keeps its claim, for the abort to retry.
+            self.twins.install(g, claimed);
+            return Err(e.into());
         }
 
         self.rollback_buffer(txn, page, Some(&restore));

@@ -5,8 +5,9 @@
 //! `rda-array`, `rda-wal`, and `rda-buffer` substrates:
 //!
 //! * **Parity-group dirty tracking** (§4.1, Figure 3): the in-memory
-//!   Dirty_Set decides when a stolen page may ride on the array's parity
-//!   instead of being UNDO-logged.
+//!   Dirty_Set — each dirty group's `Working` twin header in the twin
+//!   directory — decides when a stolen page may ride on the array's
+//!   parity instead of being UNDO-logged.
 //! * **Twin parity pages** (§4.2, Figures 6–8): each group keeps two parity
 //!   pages on distinct disks; the committed one survives any abort or crash
 //!   and yields the before-image of the riding page via
@@ -45,7 +46,6 @@ mod db;
 mod engine;
 mod error;
 mod gate;
-mod group;
 mod locks;
 mod recovery;
 mod scrub;
@@ -62,12 +62,11 @@ pub use config::{
 pub use db::{Database, DbStats, Shard, Transaction};
 pub use error::{DbError, Result};
 pub use gate::CommitGate;
-pub use group::{DirtyInfo, DirtySet, StealClass};
 pub use locks::LockTable;
 pub use recovery::RecoveryReport;
 pub use scrub::ScrubReport;
 pub use shard::{ShardMap, ShardedDb, ShardedTxn};
-pub use twin::{TwinDirectory, TwinMeta, TwinState};
+pub use twin::{StealClass, TwinDirectory, TwinMeta, TwinState};
 
 // Re-export the identifiers users see in APIs.
 pub use rda_array::{BlockDevice, DataPageId, DefaultDisk, GroupId, ParitySlot};

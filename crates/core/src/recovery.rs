@@ -1,8 +1,9 @@
 //! Restart (crash) recovery and media recovery (paper §4.3).
 //!
-//! After a system failure the buffer pool, Dirty_Set, twin directory,
-//! lock table and unforced log tail are gone; the array (each parity twin
-//! with its header), the durable log and the staged intent survive.
+//! After a system failure the buffer pool, the twin directory (the
+//! Dirty_Set with it), lock table and unforced log tail are gone; the
+//! array (each parity twin with its header), the durable log and the
+//! staged intent survive.
 //! Restart runs these phases, each a [`RecoveryPhase`] of the timeline:
 //!
 //! 0. **Log scan**: one billed scan classifies transactions into winners,
@@ -139,7 +140,6 @@ impl<D: BlockDevice> Engine<D> {
     pub(crate) fn crash(&mut self) {
         self.log.crash();
         self.buffer.crash();
-        self.dirty.clear();
         self.twins.forget();
         self.locks.clear();
         self.active.clear();
@@ -534,11 +534,6 @@ impl<D: BlockDevice> Engine<D> {
         }
     }
 
-    /// The twin the directory names Working in group `g`, if any.
-    fn working_twin(&self, g: GroupId) -> Option<ParitySlot> {
-        self.twins.meta(g).working()
-    }
-
     // ---- log installs and undo steps, one path for abort and restart ----
     //
     // Each returns its outcome to the caller, which keeps its own error
@@ -685,11 +680,10 @@ impl<D: BlockDevice> Engine<D> {
         self.dur.array.write_parity(g, slot, parity)
     }
 
-    /// The last step of every parity undo: the group is clean again (a
-    /// restart starts with an empty Dirty_Set), and the undo is counted.
+    /// The last step of every parity undo, its claim already reset: the
+    /// undo is counted.
     pub(crate) fn end_parity_undo(&mut self, txn: TxnId, page: DataPageId) {
         let g = self.dur.array.geometry().group_of(page);
-        self.dirty.remove(g);
         self.metrics.undo_parity.inc();
         self.obs.tracer.emit(|| EventKind::ParityUndo {
             group: g.0,
@@ -821,11 +815,8 @@ impl<D: BlockDevice> Engine<D> {
         // With the disk back, flush committed dirty buffer pages so the
         // rebuilt array reflects them (their redo is also in the log, but
         // a rebuild should not depend on a later restart).
-        for (page, has_uncommitted) in self.buffer.dirty_pages() {
-            debug_assert!(!has_uncommitted, "no active transactions");
-            let data = self.buffer.peek(page).expect("dirty page resident").clone();
-            self.write_back_committed(page, &data)?;
-            self.buffer.mark_clean(page);
+        for (page, _) in self.buffer.dirty_pages() {
+            self.flush_frame(page)?;
         }
         Ok(rebuilt)
     }
@@ -853,27 +844,18 @@ impl<D: BlockDevice> Engine<D> {
         Ok(self.advance_low_water())
     }
 
-    /// Check the parity invariants of every group: the committed twin (or
-    /// the working twin for dirty groups) must equal the XOR of the
-    /// group's data pages. Returns human-readable violations (empty =
+    /// Check the parity invariants of every group: the twin covering the
+    /// disk ([`Engine::disk_read_slot`]: the committed twin, or the
+    /// working twin for dirty groups) must equal the XOR of the group's
+    /// data pages. Returns human-readable violations (empty =
     /// consistent). Bills array reads like any scrubber would.
     pub(crate) fn verify_parity(&mut self) -> Result<Vec<String>> {
         let mut violations = Vec::new();
         for g in 0..self.dur.array.groups() {
             let g = GroupId(g);
             let slot = self.disk_read_slot(g);
-            if self.is_rda() || slot == ParitySlot::P0 {
-                let ok = self.dur.array.group_parity_ok(g, slot)?;
-                if !ok {
-                    violations.push(format!("group {g}: parity slot {slot:?} stale"));
-                }
-            }
-            // A dirty RDA group's working twin must cover the disk.
-            if let Some(info) = self.dirty.get(g) {
-                let p_work = self.dur.array.read_parity(g, info.working)?;
-                if self.dur.array.compute_group_parity(g)? != p_work {
-                    violations.push(format!("group {g}: working twin does not cover disk"));
-                }
+            if !self.dur.array.group_parity_ok(g, slot)? {
+                violations.push(format!("group {g}: parity slot {slot:?} stale"));
             }
         }
         Ok(violations)

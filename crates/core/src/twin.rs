@@ -1,4 +1,5 @@
-//! Twin-parity page management (paper §4.2).
+//! Twin-parity page management (paper §4.2) and the Dirty_Set (§4.1,
+//! Figure 3).
 //!
 //! Each parity group of a twin array has two parity pages, `P` and `P'`.
 //! One always holds the *valid* parity of the last committed state; the
@@ -10,17 +11,19 @@
 //! The header lives in its parity page: a [`Header`] of timestamp,
 //! Figure-8 state and, on a working twin, the claim — the transaction and
 //! the member index (the paper's log₂N bits) of the one page riding the
-//! group's parity, the paper's Dirty_Set entry — written and read in the
-//! same transfer as the image.
+//! group's parity — written and read in the same transfer as the image.
 //!
 //! [`TwinDirectory`] is what the paper keeps in memory: the
 //! Current_Parity bitmap and which twin is working, held as each group's
 //! header pair so that every parity write can stamp its twin's header.
-//! A crash drops it; restart rebuilds it from one read of each twin. The
-//! platter lags the directory in one way only: a commit flips its twins
-//! here, and a committed transaction's `Working` header stays on the
-//! platter until that twin is next written; restart reads it as the
-//! committed parity.
+//! It is also the Dirty_Set: a group is dirty exactly while one of its
+//! headers is `Working`, and that header is the group's entry (which
+//! twin, which transaction, which page). [`TwinMeta::classify`] is the
+//! Figure 3 write-back rule over it. A crash drops the directory;
+//! restart rebuilds it from one read of each twin. The platter lags the
+//! directory in one way only: a commit flips its twins here, and a
+//! committed transaction's `Working` header stays on the platter until
+//! that twin is next written; restart reads it as the committed parity.
 //!
 //! Figure 8's four states are tracked explicitly:
 //!
@@ -33,6 +36,19 @@
 
 pub use rda_array::TwinState;
 use rda_array::{GroupId, Header, ParitySlot};
+
+/// Why a steal may ride the parity (or must be logged): paper Figure 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StealClass {
+    /// Group clean → this steal dirties it; no UNDO logging.
+    DirtiesGroup,
+    /// Group already dirty by the same page and transaction → overwrite the
+    /// working parity; no UNDO logging.
+    RidesExisting,
+    /// Group dirty for a different page or transaction → before-image must
+    /// be logged.
+    NeedsLogging,
+}
 
 /// A group's pair of twin headers, as the directory keeps them: P0's,
 /// then P1's. A header in any state but `Working` names no transaction
@@ -94,6 +110,20 @@ impl TwinMeta {
         ParitySlot::BOTH
             .into_iter()
             .find(|s| self.0[s.index()].state == TwinState::Working)
+    }
+
+    /// Classify a steal by transaction `txn` of the member at index
+    /// `rider` (Figure 3): a modified page may be written back without
+    /// UNDO logging iff the group is clean, or its claim names the same
+    /// page and transaction (the page was stolen, re-referenced, modified
+    /// and stolen again before EOT).
+    #[must_use]
+    pub fn classify(&self, txn: u64, rider: u16) -> StealClass {
+        match self.working().map(|w| self.header(w)) {
+            None => StealClass::DirtiesGroup,
+            Some(h) if (h.txn, h.rider) == (txn, rider) => StealClass::RidesExisting,
+            Some(_) => StealClass::NeedsLogging,
+        }
     }
 
     /// Algorithm Current_Parity (Figure 7): the twin with the larger
@@ -177,10 +207,10 @@ impl TwinDirectory {
     }
 
     /// Commit the working twin of every group a committing transaction
-    /// dirtied: it becomes the committed parity (its timestamp is already
-    /// the larger one) and drops its rider; the old committed twin becomes
-    /// obsolete. No parity I/O happens here — that is the point of the
-    /// twin scheme.
+    /// dirtied (or of a ride whose twins both died): it becomes the
+    /// committed parity (its timestamp is already the larger one) and
+    /// drops its rider; the old committed twin becomes obsolete. No parity
+    /// I/O happens here — that is the point of the twin scheme.
     pub fn commit_working_all(&mut self, flips: &[(GroupId, ParitySlot)]) {
         for &(g, working) in flips {
             let [w, other] = [working.index(), working.other().index()];
@@ -262,6 +292,29 @@ mod tests {
             d.meta(g),
             TwinMeta([settled(0, Invalid), settled(10, Committed)])
         );
+    }
+
+    /// Figure 3 over the directory: a clean group is dirtied, its claim is
+    /// ridden by the same page and transaction only, and a flip or an
+    /// invalidation leaves the group clean for the next steal.
+    #[test]
+    fn classify_covers_all_three_figure3_classes() {
+        use StealClass::{DirtiesGroup, NeedsLogging, RidesExisting};
+        let mut d = TwinDirectory::new(2);
+        let (g, other) = (GroupId(1), GroupId(0));
+        assert_eq!(d.meta(g).classify(1, 3), DirtiesGroup);
+        let work = d.begin_working(g, 10, 1, 3);
+        assert_eq!(d.meta(g).classify(1, 3), RidesExisting);
+        assert_eq!(d.meta(g).classify(1, 4), NeedsLogging, "another page");
+        assert_eq!(d.meta(g).classify(2, 3), NeedsLogging, "another txn");
+        assert_eq!(d.meta(other).classify(2, 3), DirtiesGroup);
+
+        d.commit_working_all(&[(g, work)]);
+        assert_eq!(d.meta(g).classify(1, 3), DirtiesGroup, "clean after commit");
+        let work = d.begin_working(g, 11, 2, 4);
+        assert_eq!(d.meta(g).classify(2, 4), RidesExisting);
+        d.invalidate(g, work);
+        assert_eq!(d.meta(g).classify(2, 4), DirtiesGroup, "clean after abort");
     }
 
     #[test]

@@ -954,3 +954,75 @@ fn scripted_run_keeps_the_buffer_counters() {
         assert!(db.audit().is_clean(), "{:?}", db.audit().violations());
     }
 }
+
+/// Paper Figure 3 through the engine, seen from outside: group 0 (pages
+/// 0–3 of `small_test`) is dirtied by a steal, ridden by the same page
+/// and transaction, refused to another page (logged), flipped clean by
+/// the commit, dirtied again, and left clean by an abort, which the next
+/// steal shows by dirtying it once more.
+#[test]
+fn figure3_walks_one_group_through_the_engine() {
+    use rda_core::{EventKind, StealKind};
+    use StealKind::{DirtiesGroup, Logged, RidesExisting};
+    let db = Database::open(cfg(EngineKind::Rda, 2).trace(1 << 12));
+    // Three reads of pages outside group 0 evict both frames of the pool.
+    let mut spare = [[20, 21, 22], [24, 25, 26]].into_iter().cycle();
+    let mut steal = |tx: &mut rda_core::Transaction, page: u32, bytes: &[u8]| {
+        tx.write(page, bytes).unwrap();
+        for p in spare.next().unwrap() {
+            tx.read(p).unwrap();
+        }
+    };
+    let group0 = |db: &Database| {
+        let (mut steals, mut flips, mut undos) = (Vec::new(), 0, 0);
+        for e in db.shard(0).trace_snapshot().events {
+            match e.kind {
+                EventKind::Steal { group: 0, kind, .. } => steals.push(kind),
+                EventKind::CommitTwinFlip { group: 0, .. } => flips += 1,
+                EventKind::ParityUndo { group: 0, .. } => undos += 1,
+                _ => {}
+            }
+        }
+        let m = db.metrics();
+        let count = |name: &str| m.counter(name).get();
+        let totals = (
+            count("engine_steals_parity_total"),
+            count("engine_steals_logged_total"),
+        );
+        (steals, totals, flips, undos)
+    };
+
+    let mut t1 = db.begin();
+    steal(&mut t1, 0, b"first");
+    assert_eq!(group0(&db), (vec![DirtiesGroup], (1, 0), 0, 0));
+    steal(&mut t1, 0, b"second");
+    assert_eq!(
+        group0(&db),
+        (vec![DirtiesGroup, RidesExisting], (2, 0), 0, 0)
+    );
+    steal(&mut t1, 1, b"other page");
+    let ridden = vec![DirtiesGroup, RidesExisting, Logged];
+    assert_eq!(group0(&db), (ridden.clone(), (2, 1), 0, 0));
+    t1.commit().unwrap();
+    assert_eq!(group0(&db), (ridden.clone(), (2, 1), 1, 0));
+
+    let mut t2 = db.begin();
+    steal(&mut t2, 2, b"doomed");
+    let mut kinds = [ridden, vec![DirtiesGroup]].concat();
+    assert_eq!(group0(&db), (kinds.clone(), (3, 1), 1, 0));
+    t2.abort().unwrap();
+    assert_eq!(group0(&db), (kinds.clone(), (3, 1), 1, 1));
+
+    let mut t3 = db.begin();
+    steal(&mut t3, 3, b"after the abort");
+    kinds.push(DirtiesGroup);
+    assert_eq!(group0(&db), (kinds.clone(), (4, 1), 1, 1));
+    t3.commit().unwrap();
+    assert_eq!(group0(&db), (kinds, (4, 1), 2, 1));
+
+    assert_page(&db, 0, b"second");
+    assert_page(&db, 1, b"other page");
+    assert_page(&db, 2, b"");
+    assert_page(&db, 3, b"after the abort");
+    assert!(db.audit().is_clean(), "{:?}", db.audit().violations());
+}

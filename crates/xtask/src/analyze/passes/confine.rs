@@ -1,7 +1,7 @@
 //! State-confinement pass.
 //!
-//! `analyze.conf` declares, per recovery-critical type (`DirtySet`,
-//! `TwinDirectory`, `FlightRecorder`, …), the mutating methods and the
+//! `analyze.conf` declares, per recovery-critical type (`TwinDirectory`,
+//! `DiskArray`, `FlightRecorder`, …), the mutating methods and the
 //! files allowed to call them. The recovery algorithms are only correct
 //! when all mutation of that state flows through the engine's
 //! protocols, so a mutating call from an undeclared file is a finding.
@@ -16,8 +16,8 @@
 //!     exists exclusively on the confined type in the whole workspace —
 //!     a name shared with other types would otherwise drown the report
 //!     in false positives — and is not a ubiquitous std container name
-//!     (`remove` on a `Vec` or `HashMap` local is not `DirtySet::remove`,
-//!     however few workspace types define one).
+//!     (`remove` on a `Vec` or `HashMap` local is not a confined type's
+//!     `remove`, however few workspace types define one).
 
 use crate::analyze::callgraph::{Workspace, STD_METHODS};
 use crate::analyze::config::Config;
