@@ -303,3 +303,46 @@ fn a_steal_crashed_at_its_claim_or_its_data_write_recovers_the_page() {
         assert!(db.verify().expect("verify").is_empty(), "{kind:?}");
     }
 }
+
+/// A read-modify-write stages its intent in the NVRAM slot before its
+/// first platter write. Power lost after the data write and before the
+/// parity write leaves the slot full: restart replays it once, so the
+/// group's parity matches its data again before the loser is undone, and
+/// a second restart finds the slot empty.
+#[test]
+fn a_crash_between_a_data_write_and_its_parity_write_replays_the_intent() {
+    let cfg = DbConfig::small_test(EngineKind::Rda);
+    // Pages 0 and 1 share group 0. The loser's commit flushes page 0 by a
+    // ride (a parity read, the claim, the data), then page 1, which cannot
+    // ride the claimed group, by a logged read-modify-write: both twins
+    // read, the data written, then both twins written.
+    let setup = |db: &Database| {
+        commit_value(db, 0, 0x11);
+        commit_value(db, 1, 0x22);
+        let mut tx = db.begin();
+        tx.write(0, &[0x33]).expect("write");
+        tx.write(1, &[0x44]).expect("write");
+        tx
+    };
+    // The commit's 7th I/O is the first parity write after page 1's data.
+    let (db, injector, tx) = with_fault_after(&cfg, setup, FaultKind::Crash, 7);
+    assert!(tx.commit().is_err(), "the commit lost power");
+    let fired = injector.fired();
+    assert_eq!(fired.len(), 1);
+    assert!(fired[0].is_write);
+    db.crash();
+    let report = db.recover().expect("restart recovery");
+    assert_eq!(report.intent_replays, 1, "{report:?}");
+    assert_eq!(report.losers.len(), 1, "{report:?}");
+    let audit = db.audit();
+    assert!(audit.is_clean(), "{:?}", audit.violations());
+    assert!(db.verify().expect("verify").is_empty());
+    assert_eq!(page_value(&db, 0), 0x11);
+    assert_eq!(page_value(&db, 1), 0x22);
+
+    db.crash();
+    let again = db.recover().expect("second restart");
+    assert_eq!(again.intent_replays, 0, "{again:?}");
+    assert!(db.audit().is_clean());
+    assert_eq!(page_value(&db, 1), 0x22);
+}
