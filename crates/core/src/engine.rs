@@ -149,10 +149,35 @@ pub(crate) struct Durable<D: BlockDevice = DefaultDisk> {
     /// log-driven redo skips pages whose contents already match. Real
     /// arrays close the hole with a battery-backed staging buffer; this
     /// slot models exactly that (one RMW's pages, no extra transfers).
-    pub intent: Arc<rda_obs::sync::Mutex<Option<IntentRecord>>>,
+    pub intent: Option<IntentRecord>,
     /// Backend journal for the staged intent. `None` on the simulated
     /// array, where process memory *is* the durable medium.
     pub meta: Option<Arc<dyn MetaSink>>,
+}
+
+/// The platter half of a staged read-modify-write, run by
+/// [`Engine::write_with_parity`] and by restart's intent replay: the data
+/// page, then each parity. A write to a dead disk is skipped, because the
+/// rebuild recomputes its block; any other error stops the sequence.
+/// Returns whether any block landed: if none did, the group encodes the
+/// new contents nowhere.
+pub(crate) fn write_staged<D: BlockDevice>(
+    array: &DiskArray<D>,
+    intent: &IntentRecord,
+) -> rda_array::Result<bool> {
+    let mut landed = match array.write_data_unprotected(intent.page, &intent.data) {
+        Ok(()) => true,
+        Err(rda_array::ArrayError::DiskFailed(_)) => false,
+        Err(e) => return Err(e),
+    };
+    for (g, slot, parity) in &intent.parity {
+        match array.write_parity(*g, *slot, parity) {
+            Ok(()) => landed = true,
+            Err(rda_array::ArrayError::DiskFailed(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(landed)
 }
 
 /// Engine-owned counters and histograms, registered in the shared
@@ -335,7 +360,7 @@ impl<D: BlockDevice> Engine<D> {
         let dur = Durable {
             array,
             log_store: Arc::clone(&log_store),
-            intent: Arc::new(rda_obs::sync::Mutex::new(intent)),
+            intent,
             meta: meta_sink,
         };
         Engine {
@@ -589,29 +614,26 @@ impl<D: BlockDevice> Engine<D> {
             Some(claim) if claim.page == page => self.twins.header(g, claim.working),
             _ => Header::default(),
         };
-        let nvram = Arc::clone(&self.dur.intent);
-        let mut intent_slot = nvram.lock();
-        *intent_slot = Some(IntentRecord {
+        let intent = self.dur.intent.insert(IntentRecord {
             page,
             data: new.clone().with_header(mark),
             parity: staged,
         });
-        if let (Some(sink), Some(intent)) = (&sink, intent_slot.as_ref()) {
+        if let Some(sink) = &sink {
             // Durable before any platter write of this sequence is issued.
             sink.intent_set(intent);
             self.intent_journaled = true;
         }
-        let mut result = Ok(());
-        if let Some(intent) = intent_slot.as_ref() {
-            result = self.write_with_parity_platter(page, &intent.data, g, &intent.parity);
-        }
+        let landed = write_staged(&self.dur.array, intent);
         // The staging buffer is only needed while power can vanish
         // mid-sequence; on a crash error it must survive for replay.
-        if !matches!(result, Err(DbError::Array(rda_array::ArrayError::Crashed))) {
-            *intent_slot = None;
+        if !matches!(landed, Err(rda_array::ArrayError::Crashed)) {
+            self.dur.intent = None;
         }
-        drop(intent_slot);
-        result?;
+        if !landed? {
+            // Two losses in one group: the new contents are gone.
+            return Err(rda_array::ArrayError::Unrecoverable(g).into());
+        }
         self.refresh_stolen_cache(page, new);
         Ok(())
     }
@@ -641,36 +663,6 @@ impl<D: BlockDevice> Engine<D> {
             self.dur.array.write_barrier()?;
             sink.intent_clear();
             self.intent_journaled = false;
-        }
-        Ok(())
-    }
-
-    /// The platter half of [`write_with_parity`]: perform the staged
-    /// writes. Split out so the caller can clear (or keep) the NVRAM
-    /// intent depending on how the sequence ended.
-    fn write_with_parity_platter(
-        &mut self,
-        page: DataPageId,
-        new: &Page,
-        g: GroupId,
-        parities: &[(GroupId, ParitySlot, Page)],
-    ) -> Result<()> {
-        let data_written = match self.dur.array.write_data_unprotected(page, new) {
-            Ok(()) => true,
-            Err(rda_array::ArrayError::DiskFailed(_)) => false,
-            Err(e) => return Err(e.into()),
-        };
-        let mut parity_written = false;
-        for (pg, slot, parity) in parities {
-            match self.dur.array.write_parity(*pg, *slot, parity) {
-                Ok(()) => parity_written = true,
-                Err(rda_array::ArrayError::DiskFailed(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if !data_written && !parity_written {
-            // Two losses in one group: the new contents are gone.
-            return Err(rda_array::ArrayError::Unrecoverable(g).into());
         }
         Ok(())
     }

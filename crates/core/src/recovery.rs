@@ -33,7 +33,7 @@
 //! The losers' Abort records are forced last, behind a barrier.
 
 use crate::config::{EotPolicy, LogGranularity};
-use crate::engine::Engine;
+use crate::engine::{write_staged, Engine};
 use crate::error::{DbError, Result};
 use crate::twin::{TwinMeta, TwinState};
 use rda_array::{ArrayError, BlockDevice, DataPageId, DiskId, GroupId, Header, Page, ParitySlot};
@@ -184,28 +184,15 @@ impl<D: BlockDevice> Engine<D> {
         // ---- 1. replay the staged write intent ------------------------
         // Whole blocks, so the replay is idempotent (a second crash here
         // is harmless); the intent is cleared only after it completes.
-        let staged = self.dur.intent.lock().clone();
-        if let Some(intent) = staged {
-            match self
-                .dur
-                .array
-                .write_data_unprotected(intent.page, &intent.data)
-            {
-                Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-            for (g, slot, parity) in &intent.parity {
-                match self.dur.array.write_parity(*g, *slot, parity) {
-                    Ok(()) | Err(rda_array::ArrayError::DiskFailed(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            *self.dur.intent.lock() = None;
+        if let Some(intent) = &self.dur.intent {
+            // A dead disk is a skipped write, as on the write path; what
+            // landed is not restart's to judge.
+            write_staged(&self.dur.array, intent)?;
+            let page = intent.page.0;
+            self.dur.intent = None;
             self.intent_journaled = true;
             report.intent_replays += 1;
-            self.obs.tracer.emit(|| EventKind::IntentReplay {
-                page: intent.page.0,
-            });
+            self.obs.tracer.emit(|| EventKind::IntentReplay { page });
         }
         // The journaled intent — replayed here, or one an in-process crash
         // found already finished — is consumed: a second restart must not

@@ -3,8 +3,8 @@
 //! arms, failure states, sticky poison and the barrier's dirty rule are the
 //! simulated disk's by construction. What the file adds is physical: a
 //! transfer is one `pread` or `pwrite` of the block's slot on the calling
-//! thread, in the file when the call returns (stable storage is the fsync's
-//! job, see [`DurabilityMode`]), and a tear is a checksum mismatch on the
+//! thread, in the file when the call returns (stable storage is the job of
+//! the fsync a barrier runs), and a tear is a checksum mismatch on the
 //! platter, so it survives a process death.
 //!
 //! The file and its slot buffer live inside the drive's lock, so one disk's
@@ -18,18 +18,21 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// When a disk's writes are pushed to stable storage.
+/// When a disk's writes are pushed to stable storage: at explicit
+/// [`BlockDevice::barrier`] points (commit, checkpoint, recovery finish)
+/// and nowhere else. A barrier fsyncs a disk only if its file was modified
+/// since the last successful fsync, so a commit pays for the disks it
+/// touched.
+///
+/// It has one variant, and nothing reads it: `benchmark/` passes it to
+/// [`FileDisk::create`], [`create_database`](crate::create_database) and
+/// [`reopen_database`](crate::reopen_database), so the type and those
+/// parameters stay while the benchmark names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
-    /// Fsync only at explicit [`BlockDevice::barrier`] points (commit,
-    /// checkpoint, recovery finish) — the default, and the cheaper mode.
-    /// A barrier fsyncs a disk only if its file was modified since the
-    /// last successful fsync, so a commit pays for the disks it touched.
+    /// Fsync at barriers only.
     #[default]
     FsyncOnBarrier,
-    /// Fsync inside every write, approximating an O_DSYNC device: each
-    /// write is followed by a barrier, which then leaves the disk clean.
-    SyncEachWrite,
 }
 
 /// Per-disk traffic counters behind the `disk_*` metric views. Shared, so
@@ -40,7 +43,7 @@ pub(crate) struct DiskCounters {
     pub(crate) writes: Counter,
     /// Durability barriers issued against this disk.
     pub(crate) barriers: Counter,
-    /// Fsyncs performed, by a barrier or (`SyncEachWrite`) by a write.
+    /// Fsyncs performed by barriers.
     pub(crate) fsyncs: Counter,
     /// Times the disk was poisoned: a failed fsync, or a replacement
     /// that could not be blanked.
@@ -53,7 +56,6 @@ pub(crate) struct DiskCounters {
 /// One file-backed disk of the array.
 pub struct FileDisk {
     drive: Drive<DiskFiles>,
-    mode: DurabilityMode,
     pub(crate) counters: Arc<DiskCounters>,
 }
 
@@ -67,10 +69,10 @@ impl FileDisk {
         id: DiskId,
         block_count: u64,
         page_size: usize,
-        mode: DurabilityMode,
+        _mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::create(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, mode))
+        Ok(FileDisk::over(files, id))
     }
 
     /// Open a disk over a surviving file (geometry is validated against
@@ -83,23 +85,22 @@ impl FileDisk {
         id: DiskId,
         block_count: u64,
         page_size: usize,
-        mode: DurabilityMode,
+        _mode: DurabilityMode,
     ) -> io::Result<FileDisk> {
         let files = DiskFiles::open(dir, id.0, block_count, page_size)?;
-        Ok(FileDisk::over(files, id, mode))
+        Ok(FileDisk::over(files, id))
     }
 
-    fn over(files: DiskFiles, id: DiskId, mode: DurabilityMode) -> FileDisk {
+    /// The disk over `files`, created or opened.
+    pub(crate) fn over(files: DiskFiles, id: DiskId) -> FileDisk {
         FileDisk {
             counters: Arc::clone(&files.counters),
             drive: Drive::new(id, files.block_count, files.page_size, files),
-            mode,
         }
     }
 }
 
-/// The drive's, except that a write under `SyncEachWrite` ends with a
-/// barrier and that barriers are counted.
+/// The drive's, except that barriers are counted.
 impl BlockDevice for FileDisk {
     fn id(&self) -> DiskId {
         self.drive.id()
@@ -130,11 +131,7 @@ impl BlockDevice for FileDisk {
     }
 
     fn write(&self, block: u64, page: &Page) -> rda_array::Result<()> {
-        self.drive.write(block, page)?;
-        if self.mode == DurabilityMode::SyncEachWrite {
-            self.drive.barrier()?;
-        }
-        Ok(())
+        self.drive.write(block, page)
     }
 
     fn fail(&self) {
@@ -327,19 +324,6 @@ mod tests {
         d.replace();
         assert_eq!(fsyncs_after_barrier(), 5, "a blanked replacement dirties");
         assert_eq!(fsyncs_after_barrier(), 5);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sync_each_write_mode_syncs_in_the_write() {
-        let dir = tmpdir("dsync");
-        let d = FileDisk::create(&dir, DiskId(0), 16, 32, DurabilityMode::SyncEachWrite).unwrap();
-        d.write(0, &Page::from_bytes(&[9u8; 32])).unwrap();
-        assert_eq!(d.counters.fsyncs.get(), 1, "the write itself synced");
-        BlockDevice::barrier(&d).unwrap();
-        assert_eq!(d.counters.barriers.get(), 1);
-        assert_eq!(d.counters.fsyncs.get(), 1, "the barrier had nothing left");
-        assert_eq!(d.read(0).unwrap().as_ref()[0], 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,6 +31,7 @@
 
 use crate::disk::{DiskCounters, DurabilityMode, FileDisk};
 use crate::flight::FlightRecorder;
+use crate::io::DiskFiles;
 use crate::meta::{FileLogSink, FileMetaStore, JournalStats};
 use rda_array::{DiskId, Geometry};
 use rda_core::{BackendSetup, Database, DbConfig, RestoredState};
@@ -273,7 +274,7 @@ pub fn create_database(
 pub fn create_database_with(
     dir: &Path,
     cfg: DbConfig,
-    mode: DurabilityMode,
+    _mode: DurabilityMode,
     opts: StorageOptions,
 ) -> Result<FileDb, StorageError> {
     one_shard(&cfg)?;
@@ -287,7 +288,7 @@ pub fn create_database_with(
     }
     let meta = Arc::new(FileMetaStore::create(dir)?);
     let log = Arc::new(FileLogSink::create(dir)?);
-    let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::create)?;
+    let (disks, counters) = make_disks(dir, &cfg, DiskFiles::create)?;
     // Last of the files a reopen needs: from here on `dir` is a database.
     write_manifest(dir, &cfg)?;
     let db = Database::open_with(
@@ -331,7 +332,7 @@ pub fn reopen_database(
 pub fn reopen_database_with(
     dir: &Path,
     cfg: DbConfig,
-    mode: DurabilityMode,
+    _mode: DurabilityMode,
     opts: StorageOptions,
 ) -> Result<FileDb, StorageError> {
     one_shard(&cfg)?;
@@ -363,7 +364,7 @@ pub fn reopen_database_with(
     let wal_ns = elapsed_ns(t);
     let (meta, log) = (Arc::new(meta), Arc::new(log));
     let t = Instant::now();
-    let (disks, counters) = make_disks(dir, &cfg, mode, FileDisk::open)?;
+    let (disks, counters) = make_disks(dir, &cfg, DiskFiles::open)?;
     let disks_ns = elapsed_ns(t);
     let restored = RestoredState {
         intent,
@@ -413,25 +414,19 @@ fn elapsed_ns(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Build one [`FileDisk`] per configured spindle via `make` (create or
-/// open), capturing each disk's counters for the metric views.
+/// Build one [`FileDisk`] per configured spindle over the files `make`
+/// creates or opens, capturing each disk's counters for the metric views.
 fn make_disks(
     dir: &Path,
     cfg: &DbConfig,
-    mode: DurabilityMode,
-    make: fn(&Path, DiskId, u64, usize, DurabilityMode) -> io::Result<FileDisk>,
+    make: fn(&Path, u16, u64, usize) -> io::Result<DiskFiles>,
 ) -> Result<(Vec<FileDisk>, Vec<Arc<DiskCounters>>), StorageError> {
     let geo = Geometry::new(&cfg.array);
     let mut disks = Vec::with_capacity(usize::from(geo.disks()));
     let mut counters = Vec::with_capacity(usize::from(geo.disks()));
     for d in 0..geo.disks() {
-        let disk = make(
-            dir,
-            DiskId(d),
-            geo.blocks_per_disk(),
-            cfg.array.page_size,
-            mode,
-        )?;
+        let files = make(dir, d, geo.blocks_per_disk(), cfg.array.page_size)?;
+        let disk = FileDisk::over(files, DiskId(d));
         counters.push(Arc::clone(&disk.counters));
         disks.push(disk);
     }

@@ -99,20 +99,6 @@ fn reopen_with_uncommitted_work_recovers() {
 }
 
 #[test]
-fn sync_each_write_mode_end_to_end() {
-    let dir = tmpdir("dsync-mode");
-    let db = create_database(&dir, cfg(), DurabilityMode::SyncEachWrite).unwrap();
-    let mut tx = db.begin();
-    tx.write(3, &stamp(7)).unwrap();
-    tx.commit().unwrap();
-    drop(db);
-    let db = reopen_database(&dir, cfg(), DurabilityMode::SyncEachWrite).unwrap();
-    db.recover().unwrap();
-    assert_eq!(committed_value(&db, 3), Some(7));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn manifest_guards_geometry_and_clobbering() {
     let dir = tmpdir("manifest");
     let db = create_database(&dir, cfg(), DurabilityMode::FsyncOnBarrier).unwrap();

@@ -10,10 +10,6 @@
 //!     `<Class>` — for lock managers like `LockTable` whose acquire
 //!     API is not a literal `.lock()`.
 //!
-//! lockalias <file> <local-ident> <Class>
-//!     In `<file>`, `.lock()` on local variable `<local-ident>`
-//!     acquires `<Class>` (for guards taken through a rebound Arc).
-//!
 //! confine <Type> <method>[,<method>...] -> <path-prefix>[,<path-prefix>...]
 //!     Calls to the listed mutating methods of `<Type>` may only appear
 //!     in files whose workspace-relative path starts with one of the
@@ -30,11 +26,19 @@
 //!     `fn` in `file` must reference `EventKind::<variant>` exactly
 //!     once (the single-witness rule for protocol transitions).
 //! ```
+//!
+//! Every method a `lockentry` or `confine` names must be defined on its
+//! type somewhere in the workspace ([`Config::unresolved`]): a renamed or
+//! deleted method would leave the directive matching nothing, and the
+//! rule it states silently off.
+
+use crate::analyze::callgraph::Workspace;
+use crate::analyze::findings::Finding;
+use crate::analyze::CONFIG_FILE;
 
 #[derive(Debug, Default)]
 pub struct Config {
     pub lock_entries: Vec<LockEntry>,
-    pub lock_aliases: Vec<LockAlias>,
     pub confines: Vec<Confine>,
     pub io_pairs: Vec<IoPair>,
     pub trace_pairs: Vec<TracePair>,
@@ -44,13 +48,6 @@ pub struct Config {
 pub struct LockEntry {
     pub class: String,
     pub methods: Vec<String>,
-}
-
-#[derive(Debug)]
-pub struct LockAlias {
-    pub file: String,
-    pub local: String,
-    pub class: String,
 }
 
 #[derive(Debug)]
@@ -97,16 +94,6 @@ impl Config {
                     cfg.lock_entries.push(LockEntry {
                         class: class.to_string(),
                         methods: split_list(methods),
-                    });
-                }
-                Some("lockalias") => {
-                    let file = words.next().ok_or_else(|| err("missing file"))?;
-                    let local = words.next().ok_or_else(|| err("missing local ident"))?;
-                    let class = words.next().ok_or_else(|| err("missing class"))?;
-                    cfg.lock_aliases.push(LockAlias {
-                        file: file.to_string(),
-                        local: local.to_string(),
-                        class: class.to_string(),
                     });
                 }
                 Some("confine") => {
@@ -165,6 +152,36 @@ impl Config {
         }
         Ok(cfg)
     }
+
+    /// One finding per `lockentry` or `confine` method that its type
+    /// does not define in `ws`.
+    pub fn unresolved(&self, ws: &Workspace) -> Vec<Finding> {
+        let entries = self.lock_entries.iter().map(|e| {
+            let ty = e.class.split('.').next().unwrap_or(&e.class);
+            ("lock-order", "lockentry", ty, &e.methods)
+        });
+        let confines = self
+            .confines
+            .iter()
+            .map(|c| ("confine", "confine", c.ty.as_str(), &c.methods));
+        let mut findings = Vec::new();
+        for (pass, directive, ty, methods) in entries.chain(confines) {
+            for m in methods.iter().filter(|m| ws.method_on(ty, m).is_none()) {
+                findings.push(Finding::new(
+                    pass,
+                    "missing-method",
+                    CONFIG_FILE,
+                    0,
+                    &format!("missing-method-{ty}.{m}"),
+                    format!(
+                        "{directive} names `{ty}::{m}`, which no workspace `impl {ty}` \
+                         defines: the directive matches nothing"
+                    ),
+                ));
+            }
+        }
+        findings
+    }
 }
 
 fn split_list(s: &str) -> Vec<String> {
@@ -184,14 +201,12 @@ mod tests {
         let text = "
 # comment
 lockentry LockTable lock_page,lock_shared,lock_range
-lockalias crates/core/src/engine.rs nvram Durable.intent
 confine DirtySet mark,remove -> crates/core/src/engine.rs
 iopair crates/array/src/array.rs phys=read,write recv=disk,disks bill=record_on,record_io
 tracepair crates/core/src/engine.rs txn_commit CommitTwinFlip
 ";
         let cfg = Config::parse(text).unwrap();
         assert_eq!(cfg.lock_entries[0].methods.len(), 3);
-        assert_eq!(cfg.lock_aliases[0].class, "Durable.intent");
         assert_eq!(cfg.confines[0].allowed, vec!["crates/core/src/engine.rs"]);
         assert_eq!(cfg.io_pairs[0].bill, vec!["record_on", "record_io"]);
         assert_eq!(cfg.trace_pairs[0].event, "CommitTwinFlip");

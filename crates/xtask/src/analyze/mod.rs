@@ -58,6 +58,7 @@ pub fn run(json_path: Option<&str>) -> Result<(), String> {
     all.extend(passes::atomics::run(&ws));
     all.extend(passes::confine::run(&ws, &cfg));
     all.extend(passes::io_pairing::run(&ws, &cfg));
+    all.extend(cfg.unresolved(&ws));
     all.sort_by(|a, b| (&a.file, a.line, &a.key).cmp(&(&b.file, b.line, &b.key)));
 
     if let Some(path) = json_path {

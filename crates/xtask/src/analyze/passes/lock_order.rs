@@ -4,9 +4,7 @@
 //! A *lock class* is `Type.field` for any field whose type mentions
 //! `Mutex`/`RwLock` (`rda_obs::sync::Mutex` in this tree), plus the classes
 //! declared by `lockentry` (lock managers like `LockTable` whose
-//! acquire API is `lock_page`/`lock_shared`/`lock_range`) and
-//! `lockalias` (guards taken through a rebound `Arc` local, e.g. the
-//! NVRAM intent slot in the engine).
+//! acquire API is `lock_page`/`lock_shared`/`lock_range`).
 //!
 //! The analysis is conservative in the classic way: a lock is assumed
 //! held from its acquire site to the end of the enclosing fn (guard
@@ -220,7 +218,6 @@ fn acquire_class(
     call: &CallSite,
 ) -> Option<String> {
     let caller = ws.fn_item(caller_ref);
-    let file = &ws.file_of(caller_ref).rel_path;
 
     // Declared lock-manager entry points (`lockentry`).
     for entry in &cfg.lock_entries {
@@ -247,15 +244,6 @@ fn acquire_class(
         "read" | "write" => "RwLock",
         _ => return None,
     };
-
-    // `guard_local.lock()` through a rebound Arc (`lockalias`).
-    if call.method == "lock" && call.recv.len() == 1 && !call.recv[0].is_call {
-        for alias in &cfg.lock_aliases {
-            if alias.file == *file && alias.local == call.recv[0].name {
-                return Some(alias.class.clone());
-            }
-        }
-    }
 
     // `chain.field.lock()` where the field's declared type is a lock.
     let (field_seg, prefix) = call.recv.split_last()?;

@@ -284,6 +284,40 @@ impl Engine {
 }
 
 #[test]
+fn a_directive_naming_an_undefined_method_is_caught() {
+    let fx = Fixture::new("confine-unresolved");
+    fx.write(
+        "crates/xtask/analyze.conf",
+        "confine DirtySet mark,unmark -> crates/eng/src/engine.rs\n\
+         lockentry DirtySet lock_page\n",
+    );
+    fx.write(
+        "crates/eng/src/engine.rs",
+        "\
+pub struct DirtySet { pages: Vec<u32> }
+impl DirtySet {
+    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
+}
+pub struct LockTable;
+impl LockTable {
+    pub fn lock_page(&self) {}
+}
+",
+    );
+    let out = fx.analyze();
+    assert!(
+        !out.status.success(),
+        "a directive matching nothing must fail"
+    );
+    let err = stderr(&out);
+    assert!(err.contains("[confine/missing-method]"), "{err}");
+    assert!(err.contains("`DirtySet::unmark`"), "{err}");
+    assert!(err.contains("[lock-order/missing-method]"), "{err}");
+    assert!(err.contains("`DirtySet::lock_page`"), "{err}");
+    assert!(!err.contains("`DirtySet::mark`"), "{err}");
+}
+
+#[test]
 fn test_only_statement_in_a_production_fn_is_not_a_call() {
     let fx = Fixture::new("confine-test-statement");
     fx.write("crates/xtask/analyze.conf", CONFINE_CONF);
