@@ -795,12 +795,8 @@ mod tests {
     struct KillFirst(std::sync::atomic::AtomicBool);
 
     impl crate::FaultHook for KillFirst {
-        fn on_io(&self, _ev: &crate::IoEvent) -> crate::FaultAction {
-            if self.0.swap(true, Ordering::Relaxed) {
-                crate::FaultAction::Proceed
-            } else {
-                crate::FaultAction::FailDisk
-            }
+        fn on_io(&self, _ev: &crate::IoEvent) -> Option<crate::FaultKind> {
+            (!self.0.swap(true, Ordering::Relaxed)).then_some(crate::FaultKind::FailDisk)
         }
     }
 

@@ -13,7 +13,7 @@
 //! access it makes, whatever the backend, so the paper's cost model cannot
 //! drift between backends.
 
-use crate::fault::{FaultAction, HookState};
+use crate::fault::{FaultKind, HookState};
 use crate::{ArrayError, DiskId, Header, Page, Result, SimDisk};
 use rda_obs::sync::Mutex;
 use std::collections::HashSet;
@@ -251,26 +251,26 @@ impl<M: Medium> Drive<M> {
         block: u64,
         hooked: bool,
         write: Option<&Page>,
-    ) -> Result<(MutexGuard<'_, State<M>>, FaultAction)> {
+    ) -> Result<(MutexGuard<'_, State<M>>, Option<FaultKind>)> {
         debug_assert!(block < self.block_count, "block out of range");
-        let action = match hooked.then(|| self.hook.lock()).as_deref() {
+        let fault = match hooked.then(|| self.hook.lock()).as_deref() {
             Some(Some(hook)) => hook.consult(self.id, block, write.is_some()),
-            _ => FaultAction::Proceed,
+            _ => None,
         };
         let mut state = self.state.lock();
-        match (action, write) {
-            (FaultAction::Transient, _) => {
+        match (fault, write) {
+            (Some(FaultKind::Transient), _) => {
                 return Err(ArrayError::Transient {
                     disk: self.id,
                     block,
                 });
             }
-            (FaultAction::FailDisk, _) => self.set_failed(&mut state, true),
+            (Some(FaultKind::FailDisk), _) => self.set_failed(&mut state, true),
             // The sector was already rotting; this read discovers it.
-            (FaultAction::Latent, None) => {
+            (Some(FaultKind::Latent), None) => {
                 state.bad_blocks.insert(block);
             }
-            (FaultAction::TornWrite, Some(page)) if !self.is_failed() => {
+            (Some(FaultKind::TornWrite), Some(page)) if !self.is_failed() => {
                 // Power died mid-write: the first half reached the medium
                 // and the tear shows there until the block is rewritten; it
                 // replaces any rot, so the block reads back torn. Best
@@ -282,12 +282,12 @@ impl<M: Medium> Drive<M> {
             }
             // Power loss: a read cannot tear anything, so both crash
             // flavours refuse the I/O without touching the medium.
-            (FaultAction::TornWrite, None) | (FaultAction::Crash, _) => {
+            (Some(FaultKind::TornWrite), None) | (Some(FaultKind::Crash), _) => {
                 return Err(ArrayError::Crashed);
             }
             // A latent write lands first and rots after; a dead disk tears
             // nothing and is refused below.
-            (FaultAction::Proceed | FaultAction::Latent | FaultAction::TornWrite, _) => {}
+            (None | Some(FaultKind::Latent | FaultKind::TornWrite), _) => {}
         }
         if self.is_failed() {
             return Err(ArrayError::DiskFailed(self.id));
@@ -301,7 +301,7 @@ impl<M: Medium> Drive<M> {
         if let Some(msg) = &state.poisoned {
             return Err(self.backend(msg.clone()));
         }
-        Ok((state, action))
+        Ok((state, fault))
     }
 
     /// The one read path: gate, one read from the medium, then `take` sees
@@ -373,7 +373,7 @@ impl<M: Medium> BlockDevice for Drive<M> {
                 got: page.len(),
             });
         }
-        let (mut state, action) = self.admit(block, true, Some(page))?;
+        let (mut state, fault) = self.admit(block, true, Some(page))?;
         state.dirty = true;
         state
             .medium
@@ -381,7 +381,7 @@ impl<M: Medium> BlockDevice for Drive<M> {
             .map_err(|e| self.failed_io("write", block, &e))?;
         // The landed write remapped a rotten sector, as real drives do; a
         // planted latent error rots it after the write appears to succeed.
-        if action == FaultAction::Latent {
+        if fault == Some(FaultKind::Latent) {
             state.bad_blocks.insert(block);
         } else {
             state.bad_blocks.remove(&block);

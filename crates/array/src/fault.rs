@@ -2,7 +2,8 @@
 //!
 //! Every physical I/O a [`Drive`](crate::Drive) performs, on any medium, is
 //! first offered to an installed [`FaultHook`], which may let it proceed or
-//! order one of the fault modes a recovery protocol must survive:
+//! order one of the fault modes ([`FaultKind`]) a recovery protocol must
+//! survive:
 //!
 //! * a **torn write** — power fails mid-write, leaving a half-old /
 //!   half-new page image on the platter (detectable afterwards through the
@@ -18,9 +19,10 @@
 //! The hook *decides*, the drive *applies*: all state changes (torn images,
 //! bad-sector marks, failed flags) happen in the drive's one gate, whatever
 //! medium lies under it, so the hook can stay a pure, deterministic plan.
-//! Concrete plans live in the `rda-faults` crate; this module only defines
-//! the contract and the [`FaultStats`] counters the array keeps for faults
-//! it actually applied.
+//! This module defines the contract and the [`FaultStats`] counters the
+//! array keeps for faults it actually applied; the concrete plans are
+//! [`FaultPlan`](crate::FaultPlan), fired by
+//! [`FaultInjector`](crate::FaultInjector).
 
 use crate::DiskId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,35 +39,73 @@ pub struct IoEvent {
     pub is_write: bool,
 }
 
-/// What a hook may order the disk to do with one physical I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultAction {
-    /// Perform the I/O normally.
-    #[default]
-    Proceed,
-    /// Fail this one I/O with [`ArrayError::Transient`](crate::ArrayError);
-    /// the disk state is untouched, so a retry proceeds.
+/// The fault modes a recovery protocol must survive, in roughly
+/// increasing order of violence: what a [`FaultHook`] may order the drive
+/// gate to do with one physical I/O instead of performing it normally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Controller reports an error but a retry succeeds (cabling glitch,
+    /// command timeout): this one I/O fails with
+    /// [`ArrayError::Transient`](crate::ArrayError) and the disk state is
+    /// untouched.
     Transient,
     /// Latent sector error: the I/O appears to succeed (a write is even
-    /// applied), but the sector is marked bad and reads back as
-    /// [`ArrayError::MediaError`](crate::ArrayError) until rewritten.
+    /// applied), but the sector silently rots and reads back as
+    /// [`ArrayError::MediaError`](crate::ArrayError) until rewritten. The
+    /// classic double-failure seed the scrubber exists to weed out.
     Latent,
-    /// Fail the whole disk before the I/O; it and everything after return
-    /// [`ArrayError::DiskFailed`](crate::ArrayError) until the disk is
-    /// replaced.
+    /// The whole drive drops off the bus before the I/O; it and everything
+    /// after return [`ArrayError::DiskFailed`](crate::ArrayError) until the
+    /// disk is replaced and rebuilt.
     FailDisk,
     /// Writes only: power fails mid-write. A half-new / half-old image is
     /// left on the platter, the block is marked torn (reads return
     /// [`ArrayError::TornPage`](crate::ArrayError) until it is rewritten),
     /// and the write itself returns
     /// [`ArrayError::Crashed`](crate::ArrayError). On a read this acts
-    /// like [`FaultAction::Crash`].
+    /// like [`FaultKind::Crash`].
     TornWrite,
     /// Power fails before the I/O touches the platter: nothing is applied
     /// and [`ArrayError::Crashed`](crate::ArrayError) is returned. The
     /// hook is expected to keep answering `Crash` until
     /// [`FaultHook::power_cycled`] is called.
     Crash,
+}
+
+impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::Transient,
+        FaultKind::Latent,
+        FaultKind::FailDisk,
+        FaultKind::TornWrite,
+        FaultKind::Crash,
+    ];
+
+    /// Does this kind stop the machine (so the injector must latch and
+    /// refuse all further I/O until a power cycle)?
+    #[must_use]
+    pub fn stops_machine(self) -> bool {
+        matches!(self, FaultKind::TornWrite | FaultKind::Crash)
+    }
+
+    /// Stable lower-case name, used in JSON reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::Transient => "transient",
+            FaultKind::Latent => "latent",
+            FaultKind::FailDisk => "fail_disk",
+            FaultKind::TornWrite => "torn_write",
+            FaultKind::Crash => "crash",
+        }
+    }
+
+    /// The kind whose [`FaultKind::name`] is `name`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<FaultKind> {
+        FaultKind::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
 /// A deterministic fault plan consulted on every physical I/O.
@@ -76,9 +116,10 @@ pub enum FaultAction {
 /// the I/O sequence — crashpoint exploration replays a workload and relies
 /// on the k-th I/O being the same physical operation every time.
 pub trait FaultHook: Send + Sync {
-    /// Decide the fate of one physical I/O. Called *before* the disk does
+    /// Decide the fate of one physical I/O: `None` performs it normally,
+    /// `Some(kind)` orders that fault. Called *before* the disk does
     /// anything, including before its failed/bad-sector checks.
-    fn on_io(&self, ev: &IoEvent) -> FaultAction;
+    fn on_io(&self, ev: &IoEvent) -> Option<FaultKind>;
 
     /// The machine was power-cycled (a restart boundary): a hook holding a
     /// crashed latch must release it so I/O flows again.
@@ -91,7 +132,7 @@ pub trait FaultHook: Send + Sync {
 ///
 /// Media do not talk to the hook: the [`Drive`](crate::Drive) gate calls
 /// [`HookState::consult`] once per physical I/O, which both asks the plan
-/// for a verdict and records a non-`Proceed` answer in the shared
+/// for a verdict and records an ordered fault in the shared
 /// counters. Keeping that pairing, and the gate that applies the verdict,
 /// in one place is what lets a fault schedule replay identically on the
 /// simulated and file-backed disks.
@@ -125,32 +166,28 @@ impl HookState {
 
     /// Offer one physical I/O to the hook and record its verdict.
     #[must_use]
-    pub fn consult(&self, disk: DiskId, block: u64, is_write: bool) -> FaultAction {
-        let action = self.hook.on_io(&IoEvent {
+    pub fn consult(&self, disk: DiskId, block: u64, is_write: bool) -> Option<FaultKind> {
+        let kind = self.hook.on_io(&IoEvent {
             disk,
             block,
             is_write,
-        });
-        self.stats.record(action);
-        if let (FaultAction::FailDisk, Some(deaths)) = (action, &self.deaths) {
+        })?;
+        self.stats.record(kind);
+        if let (FaultKind::FailDisk, Some(deaths)) = (kind, &self.deaths) {
             // ordering: Relaxed — a tally read by the thread holding the
             // engine that owns the array (see `DiskArray::deaths`).
             deaths.fetch_add(1, Ordering::Relaxed);
         }
-        action
+        Some(kind)
     }
 }
 
 /// Counters for faults the array actually applied, one per
-/// [`FaultAction`] kind. Shared between the array and its disks; read them
-/// back through [`DiskArray::fault_stats`](crate::DiskArray::fault_stats).
+/// [`FaultKind`]. Shared between the array and its disks; read them back
+/// through [`DiskArray::fault_stats`](crate::DiskArray::fault_stats).
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    torn_writes: AtomicU64,
-    transient_errors: AtomicU64,
-    latent_errors: AtomicU64,
-    disk_failures: AtomicU64,
-    crashes: AtomicU64,
+    counts: [AtomicU64; FaultKind::ALL.len()],
 }
 
 impl FaultStats {
@@ -160,65 +197,17 @@ impl FaultStats {
         FaultStats::default()
     }
 
-    pub(crate) fn record(&self, action: FaultAction) {
-        match action {
-            FaultAction::Proceed => {}
-            FaultAction::Transient => {
-                // ordering: Relaxed — stats counter, read after quiesce.
-                self.transient_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            FaultAction::Latent => {
-                // ordering: Relaxed — stats counter, read after quiesce.
-                self.latent_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            FaultAction::FailDisk => {
-                // ordering: Relaxed — stats counter, read after quiesce.
-                self.disk_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            FaultAction::TornWrite => {
-                // ordering: Relaxed — stats counter, read after quiesce.
-                self.torn_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            FaultAction::Crash => {
-                // ordering: Relaxed — stats counter, read after quiesce.
-                self.crashes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    pub(crate) fn record(&self, kind: FaultKind) {
+        // ordering: Relaxed — stats counter, read after quiesce.
+        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Torn page writes applied.
+    /// Faults of `kind` applied. For [`FaultKind::Crash`] that is every I/O
+    /// attempt refused because power was lost: the initial crash signal
+    /// plus any attempts made while the hook's latch stayed down.
     #[must_use]
-    pub fn torn_writes(&self) -> u64 {
+    pub fn count(&self, kind: FaultKind) -> u64 {
         // ordering: Relaxed — counter read, no ordering needed.
-        self.torn_writes.load(Ordering::Relaxed)
-    }
-
-    /// Transient I/O errors returned.
-    #[must_use]
-    pub fn transient_errors(&self) -> u64 {
-        // ordering: Relaxed — counter read, no ordering needed.
-        self.transient_errors.load(Ordering::Relaxed)
-    }
-
-    /// Latent sector errors planted.
-    #[must_use]
-    pub fn latent_errors(&self) -> u64 {
-        // ordering: Relaxed — counter read, no ordering needed.
-        self.latent_errors.load(Ordering::Relaxed)
-    }
-
-    /// Whole-disk failures triggered.
-    #[must_use]
-    pub fn disk_failures(&self) -> u64 {
-        // ordering: Relaxed — counter read, no ordering needed.
-        self.disk_failures.load(Ordering::Relaxed)
-    }
-
-    /// I/O attempts refused because power was lost — the initial crash
-    /// signal plus any attempts made while the hook's latch stayed down.
-    #[must_use]
-    pub fn crashes(&self) -> u64 {
-        // ordering: Relaxed — counter read, no ordering needed.
-        self.crashes.load(Ordering::Relaxed)
+        self.counts[kind as usize].load(Ordering::Relaxed)
     }
 }

@@ -19,8 +19,7 @@
 //! the I/Os of the pre-crash execution only, which keeps the index stable
 //! for replay no matter how many times a dying operation is retried.
 
-use crate::plan::{FaultKind, FaultPlan};
-use rda_array::{FaultAction, FaultHook, IoEvent};
+use crate::{FaultHook, FaultKind, FaultPlan, IoEvent};
 use rda_obs::sync::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -108,11 +107,11 @@ impl FaultInjector {
 }
 
 impl FaultHook for FaultInjector {
-    fn on_io(&self, ev: &IoEvent) -> FaultAction {
+    fn on_io(&self, ev: &IoEvent) -> Option<FaultKind> {
         // ordering: Acquire — pairs with the latch Release stores; a
         // refused I/O must observe everything the crashing I/O published.
         if self.latched.load(Ordering::Acquire) {
-            return FaultAction::Crash;
+            return Some(FaultKind::Crash);
         }
         // ordering: AcqRel — the counter is the fault-firing clock:
         // Release orders this I/O's count before a latch taken on it,
@@ -136,9 +135,9 @@ impl FaultHook for FaultInjector {
                 // above to Acquire readers of the latch.
                 self.latched.store(true, Ordering::Release);
             }
-            return spec.kind.action();
+            return Some(spec.kind);
         }
-        FaultAction::Proceed
+        None
     }
 
     fn power_cycled(&self) {
@@ -151,8 +150,7 @@ impl FaultHook for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultSpec;
-    use rda_array::DiskId;
+    use crate::{DiskId, FaultSpec};
 
     fn ev(block: u64) -> IoEvent {
         IoEvent {
@@ -166,7 +164,7 @@ mod tests {
     fn observer_counts_and_never_faults() {
         let inj = FaultInjector::observer();
         for b in 0..5 {
-            assert_eq!(inj.on_io(&ev(b)), FaultAction::Proceed);
+            assert_eq!(inj.on_io(&ev(b)), None);
         }
         assert_eq!(inj.ios_seen(), 5);
         assert!(inj.fired().is_empty());
@@ -175,15 +173,15 @@ mod tests {
     #[test]
     fn crash_spec_latches_until_power_cycle() {
         let inj = FaultInjector::new(FaultPlan::crash_at(3));
-        assert_eq!(inj.on_io(&ev(0)), FaultAction::Proceed);
-        assert_eq!(inj.on_io(&ev(1)), FaultAction::Proceed);
-        assert_eq!(inj.on_io(&ev(2)), FaultAction::Crash);
+        assert_eq!(inj.on_io(&ev(0)), None);
+        assert_eq!(inj.on_io(&ev(1)), None);
+        assert_eq!(inj.on_io(&ev(2)), Some(FaultKind::Crash));
         // Latched: refused, and the counter does not advance.
-        assert_eq!(inj.on_io(&ev(3)), FaultAction::Crash);
-        assert_eq!(inj.on_io(&ev(4)), FaultAction::Crash);
+        assert_eq!(inj.on_io(&ev(3)), Some(FaultKind::Crash));
+        assert_eq!(inj.on_io(&ev(4)), Some(FaultKind::Crash));
         assert_eq!(inj.ios_seen(), 3);
         inj.power_cycled();
-        assert_eq!(inj.on_io(&ev(5)), FaultAction::Proceed);
+        assert_eq!(inj.on_io(&ev(5)), None);
         assert_eq!(inj.ios_seen(), 4);
         let fired = inj.fired();
         assert_eq!(fired.len(), 1);
@@ -195,7 +193,7 @@ mod tests {
     fn specs_fire_once_each() {
         let plan = FaultPlan::single(FaultSpec::on_block(FaultKind::Transient, 0, 7));
         let inj = FaultInjector::new(plan);
-        assert_eq!(inj.on_io(&ev(7)), FaultAction::Transient);
-        assert_eq!(inj.on_io(&ev(7)), FaultAction::Proceed);
+        assert_eq!(inj.on_io(&ev(7)), Some(FaultKind::Transient));
+        assert_eq!(inj.on_io(&ev(7)), None);
     }
 }

@@ -19,6 +19,16 @@
 //! * [`DiskArray`] — the array itself: small reads, read-modify-write small
 //!   writes, full-group writes, degraded reads (reconstruction via XOR),
 //!   disk replacement and online rebuild, and parity verification helpers.
+//! * [`FaultPlan`] / [`FaultInjector`] — the deterministic fault model. The
+//!   paper's claim (§4.3) is that twin-copy parity restores a
+//!   transaction-consistent database after an arbitrary system failure, and
+//!   such a claim is only as strong as the failure points it was tested
+//!   against, so they are enumerable: a plan names what goes wrong (a
+//!   [`FaultKind`]) and when (the k-th global I/O, or a physical block),
+//!   and the injector, a [`FaultHook`], fires it on the array's I/O stream
+//!   and latches after a crash until the restart boundary. Same workload,
+//!   same plan ⇒ same I/O sequence, same faults, same firing record; the
+//!   judge of what a fault did is `rda-check`.
 //!
 //! The array deliberately knows nothing about transactions: deciding *which*
 //! twin parity page to update, and when, is the job of `rda-core`. The array
@@ -55,7 +65,9 @@ mod disk;
 mod error;
 mod fault;
 mod geometry;
+mod injector;
 mod page;
+mod plan;
 mod stats;
 pub mod xor;
 
@@ -64,9 +76,11 @@ pub use config::{ArrayConfig, Organization};
 pub use device::{sim_disks_for, BlockDevice, BlockImage, DefaultDisk, Drive, Medium};
 pub use disk::SimDisk;
 pub use error::ArrayError;
-pub use fault::{FaultAction, FaultHook, FaultStats, HookState, IoEvent};
+pub use fault::{FaultHook, FaultKind, FaultStats, HookState, IoEvent};
 pub use geometry::{BlockContent, Geometry, PhysLoc};
+pub use injector::{FaultInjector, FiredFault};
 pub use page::{DataPageId, DiskId, GroupId, Header, Page, ParitySlot, TwinState};
+pub use plan::{FaultPlan, FaultSpec};
 pub use stats::{IoKind, IoStats, StatsSnapshot};
 
 /// Convenient result alias for array operations.

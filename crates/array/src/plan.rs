@@ -8,64 +8,7 @@
 //! stream, which keeps every run a deterministic function of
 //! (workload, plan) — the property crashpoint exploration depends on.
 
-use rda_array::{FaultAction, IoEvent};
-
-/// The fault modes a recovery protocol must survive, in roughly
-/// increasing order of violence. Each maps onto one non-trivial
-/// [`FaultAction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Controller reports an error but a retry succeeds (cabling glitch,
-    /// command timeout). The platter is untouched.
-    Transient,
-    /// Latent sector error: the I/O appears to succeed, but the sector
-    /// silently rots and is unreadable until rewritten. The classic
-    /// double-failure seed the scrubber exists to weed out.
-    Latent,
-    /// The whole drive drops off the bus; every access to it fails until
-    /// the disk is replaced and rebuilt.
-    FailDisk,
-    /// Power fails mid-write: a half-old / half-new page image is left on
-    /// the platter and the machine stops (acts as [`FaultKind::Crash`]
-    /// when the targeted I/O is a read).
-    TornWrite,
-    /// Power fails before the I/O touches the platter; nothing else
-    /// happens until the machine is power-cycled.
-    Crash,
-}
-
-impl FaultKind {
-    /// The disk-level action this kind orders.
-    #[must_use]
-    pub fn action(self) -> FaultAction {
-        match self {
-            FaultKind::Transient => FaultAction::Transient,
-            FaultKind::Latent => FaultAction::Latent,
-            FaultKind::FailDisk => FaultAction::FailDisk,
-            FaultKind::TornWrite => FaultAction::TornWrite,
-            FaultKind::Crash => FaultAction::Crash,
-        }
-    }
-
-    /// Does this kind stop the machine (so the injector must latch and
-    /// refuse all further I/O until a power cycle)?
-    #[must_use]
-    pub fn stops_machine(self) -> bool {
-        matches!(self, FaultKind::TornWrite | FaultKind::Crash)
-    }
-
-    /// Stable lower-case name, used in JSON reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Transient => "transient",
-            FaultKind::Latent => "latent",
-            FaultKind::FailDisk => "fail_disk",
-            FaultKind::TornWrite => "torn_write",
-            FaultKind::Crash => "crash",
-        }
-    }
-}
+use crate::{FaultKind, IoEvent};
 
 /// One planned fault: a kind plus the conditions under which it fires.
 /// All set conditions must match; each spec fires at most once.
@@ -194,7 +137,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_array::DiskId;
+    use crate::DiskId;
 
     fn ev(disk: u16, block: u64, is_write: bool) -> IoEvent {
         IoEvent {
@@ -222,10 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn kinds_map_to_actions_and_latch() {
-        assert_eq!(FaultKind::Crash.action(), FaultAction::Crash);
-        assert_eq!(FaultKind::TornWrite.action(), FaultAction::TornWrite);
-        assert_eq!(FaultKind::Transient.action(), FaultAction::Transient);
+    fn machine_stopping_kinds_latch() {
         assert!(FaultKind::Crash.stops_machine());
         assert!(FaultKind::TornWrite.stops_machine());
         assert!(!FaultKind::Latent.stops_machine());

@@ -12,8 +12,8 @@
 //! Run: `cargo run --release -p rda-bench --bin ablation_groupcommit`
 
 use rda_bench::{exit_on_failure, write_json};
+use rda_check::sim::{compare_engines, RunConfig, WorkloadSpec};
 use rda_core::{CheckpointPolicy, DbConfig, EotPolicy, LogGranularity};
-use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Row {
     accounting: &'static str,

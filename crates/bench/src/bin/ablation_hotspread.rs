@@ -10,8 +10,8 @@
 //! Run: `cargo run --release -p rda-bench --bin ablation_hotspread`
 
 use rda_bench::{exit_on_failure, write_json};
+use rda_check::sim::{compare_engines, RunConfig, WorkloadSpec};
 use rda_core::DbConfig;
-use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Row {
     scenario: &'static str,

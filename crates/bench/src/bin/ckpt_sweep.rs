@@ -12,8 +12,8 @@
 //! Run: `cargo run --release -p rda-bench --bin ckpt_sweep`
 
 use rda_bench::{exit_on_failure, write_json};
+use rda_check::sim::{run_spec, RunConfig, WorkloadSpec};
 use rda_core::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
-use rda_sim::{run_spec, RunConfig, WorkloadSpec};
 
 struct Row {
     ckpt_every_ops: u64,

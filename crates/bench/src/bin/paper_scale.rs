@@ -8,9 +8,9 @@
 //! Run: `cargo run --release -p rda-bench --bin paper_scale`
 
 use rda_bench::{exit_on_failure, write_json};
+use rda_check::sim::{compare_engines, RunConfig, WorkloadSpec};
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
-use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 const T: f64 = 5.0e6;
 

@@ -4,7 +4,7 @@
 //! (`BENCH_pr3.json` by default) that future PRs append comparable
 //! numbers to:
 //!
-//! 1. **Single-thread txn throughput** — `rda_sim::run` with one thread
+//! 1. **Single-thread txn throughput** — `rda_check::sim::run` with one thread
 //!    and six round-robin slots on the paper-like RDA configuration.
 //! 2. **Multi-thread txn throughput** — the same script set on 2 and 4
 //!    OS threads (one slot each) sharing one database.
@@ -26,12 +26,12 @@
 //!
 //! Run with: `cargo run --release -p rda-bench --bin perf`
 
+use rda_check::sim::{run_spec, RunConfig, RunResult, WorkloadSpec};
 use rda_check::{explore, sequential, DbKnobs, FaultKind, PAGES};
 use rda_core::{Database, DbConfig, EngineKind};
 use rda_disk::{create_database_with, DurabilityMode, StorageOptions};
 use rda_obs::json::{Json, ToJson};
 use rda_obs::json_obj;
-use rda_sim::{run_spec, RunConfig, RunResult, WorkloadSpec};
 use std::time::{Duration, Instant};
 
 /// Ring capacity used by `--trace` / the overhead check. 1Ki events

@@ -16,7 +16,7 @@
 //!   whole-transaction restarts a one-slot thread makes on conflicts,
 //!   per transaction) and `cross_shard_commit_rate`.
 //!
-//! The sections run on `rda_sim::run` with one transaction slot per
+//! The sections run on `rda_check::sim::run` with one transaction slot per
 //! thread. Every section reports exact runner-side p50/p99 commit-ack latency
 //! (gate wait included) plus the group-commit batch counters, and the
 //! report closes with the scaling ratio `threads_4_vs_1` over the
@@ -25,11 +25,11 @@
 //!
 //! Run with: `cargo run --release -p rda-bench --bin perf_sharded`
 
+use rda_check::sim::{run, Access, AccessKind, RunConfig, RunResult, TxnScript};
 use rda_core::{Database, DbConfig, EngineKind, GroupCommit, ShardMap};
 use rda_obs::json::Json;
 use rda_obs::json_obj;
 use rda_obs::rng::{mix, Rng};
-use rda_sim::{run, Access, AccessKind, RunConfig, RunResult, TxnScript};
 
 const PAGES_PER_TXN: usize = 3;
 const SEED: u64 = 0x1992_0A10;

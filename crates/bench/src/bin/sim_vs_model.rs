@@ -7,7 +7,7 @@
 //! Run: `cargo run --release -p rda-bench --bin sim_vs_model`
 
 use rda_bench::{exit_on_failure, write_json};
-use rda_sim::model_vs_sim;
+use rda_check::sim::model_vs_sim;
 
 fn main() {
     println!("A1 (page logging, FORCE/TOC), S = 500 pages, B = 50 frames, 200 txns\n");

@@ -6,10 +6,10 @@
 //! Run: `cargo run --release -p rda-bench --bin summary`
 
 use rda_bench::exit_on_failure;
+use rda_check::sim::{compare_engines, RunConfig, WorkloadSpec};
 use rda_core::{DbConfig, EotPolicy, LogGranularity};
 use rda_model::reliability::{mttf_any_disk, PAPER_DISK_MTTF_HOURS};
 use rda_model::{families, fig13, ModelParams, Workload};
-use rda_sim::{compare_engines, RunConfig, WorkloadSpec};
 
 struct Check {
     id: &'static str,

@@ -2,7 +2,7 @@
 //!
 //! [`run_schedule`] replays a [`Schedule`] on a [`Database`] with the
 //! schedule's shard count (one for the classic stream) and the planted
-//! fault (if any) armed through the `rda-faults` injector, while stepping
+//! fault (if any) armed through the array's fault injector, while stepping
 //! the [`RefModel`] in lockstep. Divergence anywhere — a read returning
 //! the wrong byte, a lock conflict neither or only one side predicts,
 //! recovery failing to converge, the final committed state differing from
@@ -47,11 +47,10 @@
 
 use crate::model::{Expected, RefModel};
 use crate::schedule::{SchedOp, Schedule, MAX_SLOTS, PAGES};
-use rda_array::{ArrayError, FaultHook};
+use rda_array::{ArrayError, FaultHook, FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use rda_core::{
     Database, DbError, ProtocolMutations, RecoveryPhase, RecoveryReport, Timeline, Transaction,
 };
-use rda_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -856,7 +855,7 @@ fn finalize(run: &mut Run, fabric: &Fabric) {
 mod tests {
     use super::*;
     use crate::schedule::DbKnobs;
-    use rda_array::{FaultAction, IoEvent};
+    use rda_array::IoEvent;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Panics on the `k`-th I/O offered to it; defers to the schedule's
@@ -868,7 +867,7 @@ mod tests {
     }
 
     impl FaultHook for PanicAt {
-        fn on_io(&self, ev: &IoEvent) -> FaultAction {
+        fn on_io(&self, ev: &IoEvent) -> Option<FaultKind> {
             // ordering: Relaxed — turn-based dispatch: one slot thread
             // issues I/O at a time, so the count needs atomicity only.
             let n = self.seen.fetch_add(1, Ordering::Relaxed) + 1;

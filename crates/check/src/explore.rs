@@ -14,8 +14,8 @@
 use crate::checker::{run_schedule, CheckOutcome};
 use crate::schedule::{FaultPoint, Schedule};
 use crate::sweep::in_index_order;
+use rda_array::FaultKind;
 use rda_core::ProtocolMutations;
-use rda_faults::FaultKind;
 use rda_obs::json::{Json, ToJson};
 use rda_obs::json_obj;
 

@@ -12,9 +12,9 @@
 //! multi-page transactions routinely cross shards.
 
 use crate::schedule::{DbKnobs, FaultPoint, SchedOp, Schedule, MAX_SLOTS, PAGES};
-use rda_faults::FaultKind;
+use crate::sim::{Access, AccessKind, TxnScript};
+use rda_array::FaultKind;
 use rda_obs::rng::{mix, Rng};
-use rda_sim::{Access, AccessKind, TxnScript};
 
 /// Generate the `index`-th schedule of the stream named by `seed`.
 #[must_use]

@@ -12,7 +12,7 @@
 //!    begin/read/write/commit/abort spiked with crash-restarts, disk
 //!    deaths and media recoveries, plus planted fault points (crash / torn
 //!    write / disk death at a chosen physical I/O) threaded through the
-//!    `rda-faults` injector seam. The classic stream pins one shard; the
+//!    array's fault-injector seam. The classic stream pins one shard; the
 //!    threaded stream also draws the shard count and the group-commit
 //!    gate and spreads its pages so transactions cross shards.
 //! 3. A **differential checker** ([`run_schedule`]) replays each schedule
@@ -51,6 +51,7 @@ mod shrink;
 mod sweep;
 
 pub mod corpus;
+pub mod sim;
 
 pub use checker::{run_schedule, CheckOutcome, RecoverySummary};
 pub use explore::{explore, Exploration};
@@ -58,7 +59,7 @@ pub use generate::{
     fault_kind_cycle, fault_variant, generate, generate_threaded, sequential, Stream,
 };
 pub use model::{Expected, RefModel};
-pub use rda_faults::FaultKind;
+pub use rda_array::FaultKind;
 pub use rda_obs::json::Json;
 pub use rda_obs::rng::{mix, Rng};
 // The mutation knob rides along so checker users need no direct

@@ -4,15 +4,14 @@
 //! an interleaving of multi-transaction begin/read/write/commit/abort
 //! steps, spiked with whole-machine events (crash + restart, disk death,
 //! media recovery) and at most one *planted* fault point threaded through
-//! the `rda-faults` I/O seam. Its [`DbKnobs`] name the engine shape too
+//! the array's fault-injection I/O seam. Its [`DbKnobs`] name the engine shape too
 //! (shard count, group-commit gate), so a one-shard schedule and a
 //! cross-shard one are the same type. Schedules serialize to a stable
 //! JSON shape so shrunk counterexamples can be stored in the regression
 //! corpus and replayed byte-for-byte later.
 
-use rda_array::{ArrayConfig, Organization};
+use rda_array::{ArrayConfig, FaultKind, Organization};
 use rda_core::{DbConfig, EngineKind, EotPolicy, GroupCommit, ProtocolMutations};
-use rda_faults::FaultKind;
 use rda_obs::json::Json;
 use rda_obs::json_obj;
 
@@ -99,7 +98,8 @@ impl SchedOp {
 /// (1-based, global across disks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPoint {
-    /// What goes wrong (crash, torn write, or whole-disk death).
+    /// What goes wrong (the generators plant a crash, a torn write or a
+    /// whole-disk death).
     pub kind: FaultKind,
     /// Which global I/O it hits.
     pub at_io: u64,
@@ -260,12 +260,10 @@ impl Schedule {
         let fault = match value.get("fault") {
             None | Some(Json::Null) => None,
             Some(f) => {
-                let kind = match f.get("mode").and_then(Json::as_str) {
-                    Some("crash") => FaultKind::Crash,
-                    Some("torn_write") => FaultKind::TornWrite,
-                    Some("fail_disk") => FaultKind::FailDisk,
-                    other => return Err(format!("bad fault mode {other:?}")),
-                };
+                let mode = f.get("mode").and_then(Json::as_str);
+                let kind = mode
+                    .and_then(FaultKind::from_name)
+                    .ok_or_else(|| format!("bad fault mode {mode:?}"))?;
                 let at_io = f
                     .get("at_io")
                     .and_then(Json::as_u64)

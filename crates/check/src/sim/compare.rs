@@ -1,7 +1,7 @@
 //! Model-versus-simulation and engine-versus-engine comparisons
 //! (experiment SIM-V in DESIGN.md).
 
-use crate::{run_spec, RunConfig, RunResult, WorkloadSpec};
+use super::{run_spec, RunConfig, RunResult, WorkloadSpec};
 use rda_core::{DbConfig, EngineKind, EotPolicy, LogGranularity};
 use rda_model::{families, ModelParams, Workload};
 

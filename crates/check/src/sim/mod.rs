@@ -1,7 +1,7 @@
-//! # rda-sim — synthetic OLTP workloads against the real engine
+//! Synthetic OLTP workloads against the real engine.
 //!
 //! The paper evaluates RDA recovery with an analytical model (§5). This
-//! crate closes the loop: it generates Reuter-style synthetic workloads —
+//! module closes the loop: it generates Reuter-style synthetic workloads —
 //! `P` logically concurrent transactions, each accessing `s` pages with
 //! update probability `p_u`, a fraction `f_u` of transactions updating,
 //! aborts with probability `p_b` — runs them through the **actual**

@@ -15,7 +15,7 @@
 //! byte 0 of each page) and every `verify()` or `audit()` violation after
 //! the run lands in [`RunResult::failures`].
 
-use crate::workload::{AccessKind, TxnScript, WorkloadSpec};
+use super::workload::{AccessKind, TxnScript, WorkloadSpec};
 use rda_core::{Database, DbConfig, DbError, DbStats, LogGranularity, Transaction};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -413,7 +413,7 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Access;
+    use crate::sim::Access;
     use rda_core::EngineKind;
 
     fn threaded(threads: usize) -> RunConfig {

@@ -12,8 +12,8 @@
 use crate::checker::{run_schedule, CheckOutcome};
 use crate::generate::{fault_kind_cycle, Stream};
 use crate::schedule::Schedule;
+use rda_array::FaultKind;
 use rda_core::ProtocolMutations;
-use rda_faults::FaultKind;
 use rda_obs::json::Json;
 use rda_obs::json_obj;
 use rda_obs::rng::Rng;

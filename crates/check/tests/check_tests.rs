@@ -6,7 +6,8 @@
 //! corpus and `--replay` depend on.
 
 use rda_check::{
-    corpus, run_schedule, shrink, sweep, Json, ProtocolMutations, Schedule, Stream, SweepConfig,
+    corpus, run_schedule, shrink, sweep, FaultKind, FaultPoint, Json, ProtocolMutations, Schedule,
+    Stream, SweepConfig,
 };
 
 const STREAMS: [Stream; 2] = [Stream::Classic, Stream::Threaded];
@@ -131,6 +132,20 @@ fn schedule_json_round_trips() {
         }
         let variant = rda_check::fault_variant(&stream.generate(0xC0DE, 3), 1, 7);
         assert_eq!(round_trip(&variant), variant);
+    }
+}
+
+/// A planted fault of every kind reads back, not only the three kinds the
+/// generators plant.
+#[test]
+fn every_fault_kind_round_trips() {
+    let base = Stream::Classic.generate(0xC0DE, 3);
+    for kind in FaultKind::ALL {
+        let sched = Schedule {
+            fault: Some(FaultPoint { kind, at_io: 7 }),
+            ..base.clone()
+        };
+        assert_eq!(round_trip(&sched), sched, "{} fault", kind.name());
     }
 }
 

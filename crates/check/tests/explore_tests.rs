@@ -2,10 +2,10 @@
 //! under) a small mixed commit/abort schedule at every physical I/O, and
 //! the checker must find every point clean — at any worker count.
 
+use rda_check::sim::WorkloadSpec;
 use rda_check::{explore, sequential, DbKnobs, Exploration, FaultKind, Json, Schedule, PAGES};
 use rda_core::RecoveryPhase;
 use rda_obs::json::ToJson;
-use rda_sim::WorkloadSpec;
 
 /// `count` all-update transactions of four pages each, one at a time,
 /// with exactly one scripted abort in the middle. Three frames force

@@ -6,10 +6,10 @@
 //! checker's own JSON parser (which preserves member order); a field
 //! rename or reorder fails here instead of silently breaking consumers.
 
+use rda_check::sim::WorkloadSpec;
 use rda_check::{explore, sequential, DbKnobs, FaultKind, Json, PAGES};
 use rda_core::{RecoveryPhase, Timeline};
 use rda_obs::json::ToJson;
-use rda_sim::WorkloadSpec;
 use std::time::Duration;
 
 fn tiny_report_json() -> String {

@@ -1763,7 +1763,7 @@ impl<D: BlockDevice> Engine<D> {
 mod tests {
     use super::*;
     use crate::config::DbConfig;
-    use rda_array::{FaultAction, FaultHook, IoEvent};
+    use rda_array::{FaultHook, FaultKind, IoEvent};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Fails every read with a transient error while armed.
@@ -1771,13 +1771,9 @@ mod tests {
     struct FailReads(AtomicBool);
 
     impl FaultHook for FailReads {
-        fn on_io(&self, ev: &IoEvent) -> FaultAction {
+        fn on_io(&self, ev: &IoEvent) -> Option<FaultKind> {
             // ordering: SeqCst — a test switch flipped on the issuing thread.
-            if !ev.is_write && self.0.load(Ordering::SeqCst) {
-                FaultAction::Transient
-            } else {
-                FaultAction::Proceed
-            }
+            (!ev.is_write && self.0.load(Ordering::SeqCst)).then_some(FaultKind::Transient)
         }
     }
 

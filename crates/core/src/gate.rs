@@ -256,7 +256,7 @@ mod tests {
     use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
 
-    use rda_array::{DataPageId, FaultAction, FaultHook, IoEvent, PhysLoc};
+    use rda_array::{DataPageId, FaultHook, FaultKind, IoEvent, PhysLoc};
     use rda_obs::sync::Mutex;
     use rda_obs::NANOS_BOUNDS;
 
@@ -426,14 +426,10 @@ mod tests {
             armed: AtomicBool,
         }
         impl FaultHook for FailOnce {
-            fn on_io(&self, ev: &IoEvent) -> FaultAction {
+            fn on_io(&self, ev: &IoEvent) -> Option<FaultKind> {
                 let here = !ev.is_write && ev.disk == self.at.disk && ev.block == self.at.block;
                 // ordering: SeqCst — a one-shot test switch.
-                if here && self.armed.swap(false, Ordering::SeqCst) {
-                    FaultAction::Transient
-                } else {
-                    FaultAction::Proceed
-                }
+                (here && self.armed.swap(false, Ordering::SeqCst)).then_some(FaultKind::Transient)
             }
         }
 

@@ -467,7 +467,7 @@ impl ShardedTxn {
 mod tests {
     use super::*;
     use crate::EngineKind;
-    use rda_faults::{FaultInjector, FaultPlan};
+    use rda_array::{FaultInjector, FaultPlan};
     use std::sync::Arc;
 
     fn cfg(shards: u32) -> DbConfig {

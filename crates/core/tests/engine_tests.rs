@@ -82,12 +82,10 @@ fn drop_without_commit_aborts() {
 fn panicking_thread_with_unabortable_transaction_spares_the_process() {
     struct RefuseAll(std::sync::atomic::AtomicBool);
     impl rda_array::FaultHook for RefuseAll {
-        fn on_io(&self, _: &rda_array::IoEvent) -> rda_array::FaultAction {
-            if self.0.load(std::sync::atomic::Ordering::SeqCst) {
-                rda_array::FaultAction::Transient
-            } else {
-                rda_array::FaultAction::Proceed
-            }
+        fn on_io(&self, _: &rda_array::IoEvent) -> Option<rda_array::FaultKind> {
+            self.0
+                .load(std::sync::atomic::Ordering::SeqCst)
+                .then_some(rda_array::FaultKind::Transient)
         }
     }
 

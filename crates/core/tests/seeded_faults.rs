@@ -3,8 +3,8 @@
 //! sweeps. The last two pin the engine against a disk that dies in the
 //! middle of a steal.
 
+use rda_array::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use rda_core::{Database, DbConfig, DbError, EngineKind, GroupCommit};
-use rda_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use std::sync::Arc;
 
 fn open_small() -> Database {
@@ -136,7 +136,7 @@ fn planned_latent_error_is_scrub_repaired() {
     assert_eq!(fired.len(), 1);
     assert_eq!(fired[0].kind, FaultKind::Latent);
     let stats = db.shard(0).fault_stats().expect("stats");
-    assert_eq!(stats.latent_errors(), 1);
+    assert_eq!(stats.count(FaultKind::Latent), 1);
 
     let scrub = db.scrub().expect("scrub");
     assert_eq!(

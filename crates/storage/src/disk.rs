@@ -315,8 +315,8 @@ mod tests {
         assert_eq!(fsyncs_after_barrier(), 2, "a read does not");
         d.tear_block(3);
         assert_eq!(fsyncs_after_barrier(), 3, "an injected tear dirties");
-        let plan = rda_faults::FaultPlan::torn_write_at(1);
-        let injector = Arc::new(rda_faults::FaultInjector::new(plan));
+        let plan = rda_array::FaultPlan::torn_write_at(1);
+        let injector = Arc::new(rda_array::FaultInjector::new(plan));
         d.set_fault_hook(Some(HookState::new(injector)));
         assert_eq!(d.write(4, &page), Err(ArrayError::Crashed));
         d.set_fault_hook(None);

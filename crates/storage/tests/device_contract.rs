@@ -6,8 +6,8 @@
 //! a blank replacement; and that `read_into` answers as `read` does.
 
 use rda_array::{
-    ArrayError, BlockDevice, DiskId, Drive, FaultAction, FaultHook, Header, HookState, IoEvent,
-    Page, SimDisk, TwinState,
+    ArrayError, BlockDevice, DiskId, Drive, FaultHook, FaultKind, Header, HookState, IoEvent, Page,
+    SimDisk, TwinState,
 };
 use rda_disk::{DurabilityMode, FileDisk};
 use rda_obs::sync::Mutex;
@@ -18,17 +18,17 @@ const BLOCKS: u64 = 16;
 const PAGE: usize = 32;
 const DISK: DiskId = DiskId(3);
 
-/// A hook that answers one armed action to the next I/O, `Proceed` to
-/// the rest, and counts the I/Os offered to it.
+/// A hook that answers one armed verdict to the next I/O, `None` to the
+/// rest, and counts the I/Os offered to it.
 #[derive(Default)]
 struct Script {
-    armed: Mutex<FaultAction>,
+    armed: Mutex<Option<FaultKind>>,
     calls: AtomicU64,
 }
 
 impl Script {
-    fn arm(&self, action: FaultAction) {
-        *self.armed.lock() = action;
+    fn arm(&self, verdict: Option<FaultKind>) {
+        *self.armed.lock() = verdict;
     }
 
     fn calls(&self) -> u64 {
@@ -38,7 +38,7 @@ impl Script {
 }
 
 impl FaultHook for Script {
-    fn on_io(&self, _: &IoEvent) -> FaultAction {
+    fn on_io(&self, _: &IoEvent) -> Option<FaultKind> {
         // ordering: SeqCst — see `calls`.
         self.calls.fetch_add(1, Ordering::SeqCst);
         std::mem::take(&mut *self.armed.lock())
@@ -99,7 +99,7 @@ fn contract(d: &impl BlockDevice) {
     // `peek` and a wrong-size write never reach the hook: an armed crash
     // stays armed through both.
     let calls = script.calls();
-    script.arm(FaultAction::Crash);
+    script.arm(Some(FaultKind::Crash));
     assert_eq!(d.peek(2).unwrap(), p);
     assert_eq!(
         d.write(2, &Page::zeroed(PAGE / 2)),
@@ -109,7 +109,7 @@ fn contract(d: &impl BlockDevice) {
         })
     );
     assert_eq!(script.calls(), calls, "not offered to the hook");
-    script.arm(FaultAction::Proceed);
+    script.arm(None);
 
     // An injected latent error refuses every read, the peek included,
     // until a rewrite remaps the sector.
@@ -130,30 +130,26 @@ fn contract(d: &impl BlockDevice) {
 
     // The hook's arms on a read. Transient and the crash flavours leave
     // the disk as it was; a latent verdict marks the block until rewritten.
-    for action in [
-        FaultAction::Transient,
-        FaultAction::TornWrite,
-        FaultAction::Crash,
-    ] {
-        script.arm(action);
-        let expect = match action {
-            FaultAction::Transient => ArrayError::Transient {
+    for kind in [FaultKind::Transient, FaultKind::TornWrite, FaultKind::Crash] {
+        script.arm(Some(kind));
+        let expect = match kind {
+            FaultKind::Transient => ArrayError::Transient {
                 disk: DISK,
                 block: 2,
             },
             _ => ArrayError::Crashed,
         };
-        assert_eq!(d.read(2), Err(expect), "{action:?}");
-        assert_eq!(d.read(2).unwrap(), page(5), "{action:?} left no mark");
+        assert_eq!(d.read(2), Err(expect), "{kind:?}");
+        assert_eq!(d.read(2).unwrap(), page(5), "{kind:?} left no mark");
     }
-    script.arm(FaultAction::Latent);
+    script.arm(Some(FaultKind::Latent));
     assert_eq!(d.read(2), Err(media(2)));
     assert_eq!(d.read(2), Err(media(2)), "the rot stays");
     d.write(2, &page(6)).unwrap();
     assert_eq!(d.read(2).unwrap(), page(6));
 
     // The hook's arms on a write.
-    script.arm(FaultAction::Transient);
+    script.arm(Some(FaultKind::Transient));
     assert_eq!(
         d.write(4, &page(1)),
         Err(ArrayError::Transient {
@@ -168,17 +164,17 @@ fn contract(d: &impl BlockDevice) {
     d.write(4, &page(1)).unwrap();
     assert_eq!(d.read(4).unwrap(), page(1), "the retry goes through");
 
-    script.arm(FaultAction::Latent);
+    script.arm(Some(FaultKind::Latent));
     d.write(5, &page(2)).unwrap();
     assert_eq!(d.read(5), Err(media(5)), "the write rots after it lands");
     d.write(5, &page(3)).unwrap();
     assert_eq!(d.read(5).unwrap(), page(3));
 
-    script.arm(FaultAction::Crash);
+    script.arm(Some(FaultKind::Crash));
     assert_eq!(d.write(4, &page(9)), Err(ArrayError::Crashed));
     assert_eq!(d.read(4).unwrap(), page(1), "a crash lands nothing");
 
-    script.arm(FaultAction::TornWrite);
+    script.arm(Some(FaultKind::TornWrite));
     assert_eq!(d.write(4, &page(9)), Err(ArrayError::Crashed));
     assert_eq!(d.read(4), Err(torn(4)));
     d.write(4, &page(8)).unwrap();
@@ -187,7 +183,7 @@ fn contract(d: &impl BlockDevice) {
     // A torn write over a rotten block leaves a tear, not the rot: restart
     // counts a healed torn twin only on `TornPage`.
     d.corrupt_block(4);
-    script.arm(FaultAction::TornWrite);
+    script.arm(Some(FaultKind::TornWrite));
     assert_eq!(d.write(4, &page(2)), Err(ArrayError::Crashed));
     assert_eq!(d.read(4), Err(torn(4)));
     d.write(4, &page(8)).unwrap();
@@ -195,7 +191,7 @@ fn contract(d: &impl BlockDevice) {
     // A disk failure on a read, then on a write; only a replacement, blank,
     // brings the disk back.
     for write in [false, true] {
-        script.arm(FaultAction::FailDisk);
+        script.arm(Some(FaultKind::FailDisk));
         let failed = Err(ArrayError::DiskFailed(DISK));
         if write {
             assert_eq!(d.write(6, &page(1)), failed);
@@ -206,7 +202,7 @@ fn contract(d: &impl BlockDevice) {
         assert_eq!(d.read(4).map(drop), failed);
         assert_eq!(d.peek(4).map(drop), failed);
         assert_eq!(d.write(4, &page(1)), failed);
-        script.arm(FaultAction::TornWrite);
+        script.arm(Some(FaultKind::TornWrite));
         assert_eq!(d.write(4, &page(1)), failed, "a dead disk tears nothing");
         d.replace();
         assert!(!d.is_failed());
@@ -215,11 +211,11 @@ fn contract(d: &impl BlockDevice) {
         }
     }
 
-    assert_eq!(stats.transient_errors(), 2);
-    assert_eq!(stats.latent_errors(), 2);
-    assert_eq!(stats.torn_writes(), 5);
-    assert_eq!(stats.crashes(), 2);
-    assert_eq!(stats.disk_failures(), 2);
+    assert_eq!(stats.count(FaultKind::Transient), 2);
+    assert_eq!(stats.count(FaultKind::Latent), 2);
+    assert_eq!(stats.count(FaultKind::TornWrite), 5);
+    assert_eq!(stats.count(FaultKind::Crash), 2);
+    assert_eq!(stats.count(FaultKind::FailDisk), 2);
 }
 
 /// `read_into` is `read` into a caller's buffer: from the same block state
@@ -241,7 +237,7 @@ fn read_into_matches_read(d: &impl BlockDevice) {
         ts: 8,
         ..Header::default()
     };
-    let same = |block: u64, verdict: FaultAction, case: &str| {
+    let same = |block: u64, verdict: Option<FaultKind>, case: &str| {
         let before = script.calls();
         script.arm(verdict);
         let read = d.read(block).map(|p| (p.header(), p));
@@ -255,25 +251,29 @@ fn read_into_matches_read(d: &impl BlockDevice) {
             by_read,
             "{case}: hook clock"
         );
-        script.arm(FaultAction::Proceed);
+        script.arm(None);
     };
 
     d.write(1, &page(7).with_header(claim)).unwrap();
-    same(1, FaultAction::Proceed, "intact block, header included");
-    same(0, FaultAction::Proceed, "blank block");
-    same(1, FaultAction::Transient, "transient verdict");
-    same(1, FaultAction::Crash, "crash verdict");
-    same(1, FaultAction::TornWrite, "torn-write verdict on a read");
+    same(1, None, "intact block, header included");
+    same(0, None, "blank block");
+    same(1, Some(FaultKind::Transient), "transient verdict");
+    same(1, Some(FaultKind::Crash), "crash verdict");
+    same(
+        1,
+        Some(FaultKind::TornWrite),
+        "torn-write verdict on a read",
+    );
     d.tear_block(1);
-    same(1, FaultAction::Proceed, "torn block");
+    same(1, None, "torn block");
     d.write(1, &page(7)).unwrap();
     d.corrupt_block(1);
-    same(1, FaultAction::Proceed, "latent error");
+    same(1, None, "latent error");
     d.write(1, &page(7)).unwrap();
     d.fail();
-    same(1, FaultAction::Proceed, "failed disk");
+    same(1, None, "failed disk");
     d.replace();
-    same(1, FaultAction::Proceed, "blank replacement");
+    same(1, None, "blank replacement");
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! torn-write fault schedule replayed through the same `FaultHook` seam
 //! the simulated backend uses.
 
-use rda_array::{ArrayError, BlockDevice, DiskId, HookState, Page};
+use rda_array::{
+    ArrayError, BlockDevice, DiskId, FaultInjector, FaultKind, FaultPlan, HookState, Page,
+};
 use rda_core::{DbConfig, EngineKind};
 use rda_disk::{create_database, reopen_database, DurabilityMode, FileDb, FileDisk, StorageError};
-use rda_faults::{FaultInjector, FaultPlan};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -211,7 +212,7 @@ fn torn_write_schedule_then_restart_recovers() {
         let torn_applied = db
             .shard(0)
             .fault_stats()
-            .map(|s| s.torn_writes())
+            .map(|s| s.count(FaultKind::TornWrite))
             .unwrap_or_default();
         drop(db);
         if !crashed {

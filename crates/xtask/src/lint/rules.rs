@@ -18,12 +18,10 @@ pub const RATCHET_CRATES: &[&str] = &[
     "crates/array",
     "crates/buffer",
     "crates/wal",
-    "crates/faults",
     "crates/bench",
     "crates/obs",
     "crates/check",
     "crates/storage",
-    "crates/sim",
 ];
 
 /// Count `.unwrap()` / `.expect(` call sites per ratcheted file.

@@ -10,9 +10,9 @@
 //!
 //! Run with: `cargo run --release --example crashpoint [-- --workers N]`
 
+use rda::check::sim::WorkloadSpec;
 use rda::check::{explore, sequential, DbKnobs, FaultKind, PAGES};
 use rda::obs::json::{Json, ToJson};
-use rda::sim::WorkloadSpec;
 use std::time::Instant;
 
 /// Parse `--workers N` (or `--workers=N`); 1 when absent, exit 2 on

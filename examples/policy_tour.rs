@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example policy_tour`
 
+use rda::check::sim::{compare_engines, RunConfig, WorkloadSpec};
 use rda::core::{CheckpointPolicy, DbConfig, EngineKind, EotPolicy, LogGranularity};
-use rda::sim::{compare_engines, RunConfig, WorkloadSpec};
 
 fn family_cfg(engine: EngineKind, granularity: LogGranularity, eot: EotPolicy) -> DbConfig {
     let mut cfg = DbConfig::paper_like(engine, 1000, 100);

@@ -10,7 +10,10 @@
 //! This facade crate re-exports the workspace's crates:
 //!
 //! * [`array`](mod@array) — simulated redundant disk arrays (RAID-5 rotated parity and
-//!   parity striping, twin-parity layouts, degraded mode, rebuild).
+//!   parity striping, twin-parity layouts, degraded mode, rebuild) and the
+//!   fault model: deterministic fault plans (torn writes, transient and
+//!   latent sector errors, disk death, power loss) and the injector that
+//!   fires them on the array's I/O stream.
 //! * [`wal`] — write-ahead logging substrate (page & record logging,
 //!   BOT/EOT, duplexed logs, TOC/ACC checkpoints, log chains).
 //! * [`buffer`] — database buffer manager (STEAL/¬STEAL, clock replacement).
@@ -18,11 +21,6 @@
 //!   parity management with `Current_Parity`, a transaction manager with
 //!   parity-based UNDO, crash and media recovery, plus a pure-WAL baseline.
 //! * [`model`] — the paper's §5 analytical performance model (Figures 9–13).
-//! * [`sim`] — synthetic OLTP workload generation and trace-driven
-//!   measurement against the real engine.
-//! * [`faults`] — the fault model: deterministic fault plans (torn writes,
-//!   transient and latent sector errors, disk death, power loss) and the
-//!   injector that fires them on the array's I/O stream.
 //! * [`obs`] — observability: the zero-overhead-when-disabled structured
 //!   event trace, the lock-free metrics registry (Prometheus/JSON
 //!   exporters), and per-phase recovery timelines.
@@ -32,7 +30,9 @@
 //!   one `Database` of one to four shards, one OS thread per
 //!   transaction slot — against a sequential reference model, with
 //!   exhaustive exploration (the fault at every I/O of one schedule),
-//!   delta-debugging shrinking and a replayable regression corpus.
+//!   delta-debugging shrinking and a replayable regression corpus; plus
+//!   synthetic OLTP workload generation and trace-driven measurement
+//!   against the real engine ([`check::sim`]).
 //! * [`disk`] — the file-backed storage backend: real files behind the
 //!   same `BlockDevice` seam, written through on the caller's thread and
 //!   fsynced at barriers, append-only side-table journals, and a literal
@@ -55,8 +55,6 @@ pub use rda_buffer as buffer;
 pub use rda_check as check;
 pub use rda_core as core;
 pub use rda_disk as disk;
-pub use rda_faults as faults;
 pub use rda_model as model;
 pub use rda_obs as obs;
-pub use rda_sim as sim;
 pub use rda_wal as wal;

@@ -4,9 +4,9 @@
 
 use rda::array::{ArrayConfig, Organization};
 use rda::buffer::BufferConfig;
+use rda::check::sim::{run_spec, RunConfig, WorkloadSpec};
 use rda::core::{Database, DbConfig, EngineKind, LogGranularity};
 use rda::model::{families, ModelParams, Workload};
-use rda::sim::{run_spec, RunConfig, WorkloadSpec};
 use rda::wal::LogConfig;
 
 fn engine_cfg(engine: EngineKind) -> DbConfig {
@@ -116,7 +116,7 @@ fn simulated_workload_with_crashes_end_to_end() {
 /// operating point (experiment SIM-V).
 #[test]
 fn model_direction_confirmed_by_engine() {
-    let check = rda::sim::model_vs_sim(500, 50, 200, 0.8).unwrap();
+    let check = rda::check::sim::model_vs_sim(500, 50, 200, 0.8).unwrap();
     assert!(check.model_gain > 0.05, "{check:?}");
     assert!(check.sim_gain > 0.0, "{check:?}");
 }
