@@ -231,23 +231,27 @@ impl<D: BlockDevice> DiskArray<D> {
         Ok(())
     }
 
+    /// Bill one page transfer at `loc`: the stats ledger and the trace's
+    /// `DiskRead`/`DiskWrite` event. Every transfer in this file goes
+    /// through one of the `*_phys` helpers below, and they through this.
+    fn bill(&self, kind: IoKind, loc: PhysLoc) {
+        self.stats.record_on(kind, loc.disk.0);
+        let (disk, block) = (loc.disk.0, loc.block);
+        self.tracer.record_io(|| match kind {
+            IoKind::Read => EventKind::DiskRead { disk, block },
+            IoKind::Write => EventKind::DiskWrite { disk, block },
+        });
+    }
+
     fn read_phys(&self, loc: PhysLoc) -> Result<Page> {
         let page = self.disk(loc.disk).read(loc.block)?;
-        self.stats.record_on(IoKind::Read, loc.disk.0);
-        self.tracer.record_io(|| EventKind::DiskRead {
-            disk: loc.disk.0,
-            block: loc.block,
-        });
+        self.bill(IoKind::Read, loc);
         Ok(page)
     }
 
     fn write_phys(&self, loc: PhysLoc, page: &Page) -> Result<()> {
         self.disk(loc.disk).write(loc.block, page)?;
-        self.stats.record_on(IoKind::Write, loc.disk.0);
-        self.tracer.record_io(|| EventKind::DiskWrite {
-            disk: loc.disk.0,
-            block: loc.block,
-        });
+        self.bill(IoKind::Write, loc);
         Ok(())
     }
 
@@ -256,11 +260,7 @@ impl<D: BlockDevice> DiskArray<D> {
     /// recomputes and degraded reconstruction.
     fn read_phys_xor_into(&self, loc: PhysLoc, acc: &mut Page) -> Result<()> {
         self.disk(loc.disk).read_xor_into(loc.block, acc)?;
-        self.stats.record_on(IoKind::Read, loc.disk.0);
-        self.tracer.record_io(|| EventKind::DiskRead {
-            disk: loc.disk.0,
-            block: loc.block,
-        });
+        self.bill(IoKind::Read, loc);
         Ok(())
     }
 
@@ -268,11 +268,7 @@ impl<D: BlockDevice> DiskArray<D> {
     /// instead of returning a fresh page.
     fn read_phys_into(&self, loc: PhysLoc, dst: &mut Page) -> Result<()> {
         self.disk(loc.disk).read_into(loc.block, dst)?;
-        self.stats.record_on(IoKind::Read, loc.disk.0);
-        self.tracer.record_io(|| EventKind::DiskRead {
-            disk: loc.disk.0,
-            block: loc.block,
-        });
+        self.bill(IoKind::Read, loc);
         Ok(())
     }
 
@@ -648,12 +644,7 @@ impl<D: BlockDevice> DiskArray<D> {
                     .compute_group_parity(g)?
                     .with_header(twin_header(g, slot)),
             };
-            self.disk(disk).write(block, &page)?;
-            self.stats.record_on(IoKind::Write, disk.0);
-            self.tracer.record_io(|| EventKind::DiskWrite {
-                disk: disk.0,
-                block,
-            });
+            self.write_phys(PhysLoc { disk, block }, &page)?;
             rebuilt += 1;
         }
         Ok(rebuilt)

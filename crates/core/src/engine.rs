@@ -1276,13 +1276,45 @@ impl<D: BlockDevice> Engine<D> {
     /// write of its twin, and until then restart reads the claim of a
     /// committed transaction as committed parity).
     ///
-    /// Internally this is `prepare → barrier → finalize`; the pieces are
-    /// separate so the group-commit gate can interleave several prepared
-    /// transactions ahead of one shared durability barrier.
+    /// This is [`Engine::commit_batch`] for a batch of one:
+    /// `prepare → barrier → finalize`.
     pub(crate) fn txn_commit(&mut self, txn: TxnId) -> Result<()> {
         let written = self.txn_commit_prepare(txn)?;
         self.commit_force_barrier(&[txn])?;
         self.txn_commit_finalize(txn, &written)
+    }
+
+    /// Commit a group-commit batch under one engine lock acquisition:
+    /// prepare every member in order, one barrier + log force over those
+    /// that prepared, then finalize each. Each member's outcome is pushed
+    /// onto `out`, in `txns` order, as soon as it is decided, so a caller
+    /// that unwinds mid-batch still holds the outcomes of the members
+    /// that finished.
+    ///
+    /// A failed prepare fails only its own member (prepare has already
+    /// aborted it, or a crash left it to restart). A failed barrier
+    /// (crash, dead disk) fails every prepared member: none was
+    /// acknowledged, all stay unforced losers for recovery.
+    pub(crate) fn commit_batch(&mut self, txns: &[TxnId], out: &mut Vec<Result<()>>) {
+        let prepared: Vec<Result<Vec<DataPageId>>> = txns
+            .iter()
+            .map(|&txn| self.txn_commit_prepare(txn))
+            .collect();
+        let ids: Vec<TxnId> = (txns.iter().zip(&prepared))
+            .filter_map(|(&txn, p)| p.is_ok().then_some(txn))
+            .collect();
+        let forced = if ids.is_empty() {
+            Ok(())
+        } else {
+            self.commit_force_barrier(&ids)
+        };
+        for (&txn, p) in txns.iter().zip(prepared) {
+            out.push(match (p, &forced) {
+                (Ok(written), Ok(())) => self.txn_commit_finalize(txn, &written),
+                (Ok(_), Err(e)) => Err(e.clone()),
+                (Err(e), _) => Err(e),
+            });
+        }
     }
 
     /// Commit phase 1: FORCE write-backs, REDO log records, and the
@@ -1296,7 +1328,7 @@ impl<D: BlockDevice> Engine<D> {
     /// exists: nothing was decided, and the transaction must not keep its
     /// locks. A crash is the exception — the machine is gone, and restart
     /// recovery rolls the transaction back as a loser.
-    pub(crate) fn txn_commit_prepare(&mut self, txn: TxnId) -> Result<Vec<DataPageId>> {
+    fn txn_commit_prepare(&mut self, txn: TxnId) -> Result<Vec<DataPageId>> {
         self.check_ready()?;
         if !self.active.contains_key(&txn) {
             return Err(DbError::UnknownTxn(txn));
@@ -1383,7 +1415,7 @@ impl<D: BlockDevice> Engine<D> {
     /// (FORCE write-backs, earlier steals) must be on stable storage
     /// before the commit records are. A no-op barrier on the simulated
     /// array; on a real backend it fsyncs every disk.
-    pub(crate) fn commit_force_barrier(&mut self, txns: &[TxnId]) -> Result<()> {
+    fn commit_force_barrier(&mut self, txns: &[TxnId]) -> Result<()> {
         self.check_ready()?;
         for txn in txns {
             self.obs
@@ -1415,7 +1447,7 @@ impl<D: BlockDevice> Engine<D> {
 
     /// Commit phase 3: the post-durability bookkeeping for one member of a
     /// forced batch — twin flips, lock/buffer release, metrics, ack.
-    pub(crate) fn txn_commit_finalize(&mut self, txn: TxnId, written: &[DataPageId]) -> Result<()> {
+    fn txn_commit_finalize(&mut self, txn: TxnId, written: &[DataPageId]) -> Result<()> {
         self.check_ready()?;
         // The twin flip: the working parity of every group this
         // transaction dirtied becomes the committed parity, all of them in

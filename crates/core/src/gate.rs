@@ -9,12 +9,13 @@
 //! own batch at once instead of paying the window as ack latency) — or
 //! its oldest member has waited `window_micros`. The executor takes up to
 //! `max_batch` members and the engine lock once, and under it runs the
-//! whole commit protocol for the batch: commit phase 1
-//! (`txn_commit_prepare`: FORCE write-backs, REDO records, the commit
-//! record) for each member in queue order, one durability barrier + log
-//! force (`commit_force_barrier`) over the members that prepared, then
-//! phase 3 (`txn_commit_finalize`: twin flips, lock release, ack) for
-//! each. One fsync-equivalent acknowledges many transactions, the thread
+//! whole commit protocol for the batch (`Engine::commit_batch`): commit
+//! phase 1 (FORCE write-backs, REDO records, the commit record) for each
+//! member in queue order, one durability barrier + log force over the
+//! members that prepared, then phase 3 (twin flips, lock release, ack)
+//! for each. The phases are private to the engine, so no other caller
+//! can finalize a transaction whose log tail was never forced. One
+//! fsync-equivalent acknowledges many transactions, the thread
 //! that closes a batch runs it (no wake-up lies between its last member's
 //! arrival and the force), and a batch takes the engine lock once.
 //!
@@ -31,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
-use rda_array::{BlockDevice, DataPageId};
+use rda_array::BlockDevice;
 use rda_obs::sync::Mutex;
 use rda_obs::{Counter, Histogram, MetricsRegistry, NANOS_BOUNDS};
 
@@ -145,7 +146,7 @@ impl CommitGate {
                         let take = st.queue.len().min(self.cfg.max_batch);
                         let batch: Vec<Member> = st.queue.drain(..take).collect();
                         drop(st);
-                        self.run_batch(engine, batch, now);
+                        self.run_batch(engine, &batch, now);
                         st = self.state.lock();
                     } else {
                         st = self
@@ -161,59 +162,35 @@ impl CommitGate {
         }
     }
 
-    /// Execute one batch under a single engine lock acquisition: prepare
-    /// every member, one barrier + log force over those that prepared,
-    /// finalize each. Publishes per-member results and steps down.
+    /// Execute one batch under a single engine lock acquisition
+    /// ([`Engine::commit_batch`]). Publishes per-member results and steps
+    /// down.
     fn run_batch<D: BlockDevice>(
         &self,
         engine: &Mutex<Engine<D>>,
-        batch: Vec<Member>,
+        batch: &[Member],
         start: Instant,
     ) {
-        for m in &batch {
-            self.wait_nanos
-                .observe(start.saturating_duration_since(m.enqueued).as_nanos() as u64);
-        }
+        let txns: Vec<TxnId> = batch
+            .iter()
+            .map(|m| {
+                self.wait_nanos
+                    .observe(start.saturating_duration_since(m.enqueued).as_nanos() as u64);
+                m.txn
+            })
+            .collect();
         let mut done = StepDown {
             gate: self,
-            batch,
+            txns,
             results: Vec::new(),
         };
         let mut eng = engine.lock();
         let run_start = Instant::now();
-        // A failed prepare fails only its own member (prepare has already
-        // aborted it, or a crash left it to restart).
-        let prepared: Vec<Result<Vec<DataPageId>>> = done
-            .batch
-            .iter()
-            .map(|m| eng.txn_commit_prepare(m.txn))
-            .collect();
-        let ids: Vec<TxnId> = done
-            .batch
-            .iter()
-            .zip(&prepared)
-            .filter(|(_, p)| p.is_ok())
-            .map(|(m, _)| m.txn)
-            .collect();
-        let forced = if ids.is_empty() {
-            Ok(())
-        } else {
-            eng.commit_force_barrier(&ids)
-        };
-        for (m, p) in done.batch.iter().zip(prepared) {
-            done.results.push(match (p, &forced) {
-                (Ok(written), Ok(())) => eng.txn_commit_finalize(m.txn, &written),
-                // A failed barrier (crash, dead disk) fails every prepared
-                // member: none was acknowledged, all stay unforced losers
-                // for recovery.
-                (Ok(_), Err(e)) => Err(e.clone()),
-                (Err(e), _) => Err(e),
-            });
-        }
+        eng.commit_batch(&done.txns, &mut done.results);
         self.run_nanos
             .observe(run_start.elapsed().as_nanos() as u64);
         drop(eng);
-        let n = done.batch.len() as u64;
+        let n = done.txns.len() as u64;
         self.batches.inc();
         self.batched_txns.add(n);
         self.batch_size.observe(n);
@@ -232,8 +209,8 @@ impl CommitGate {
 /// `NeedsRecovery` instead of waiting forever on an executor that is gone.
 struct StepDown<'a> {
     gate: &'a CommitGate,
-    batch: Vec<Member>,
-    /// Outcomes in `batch` order; shorter than `batch` only on unwind.
+    txns: Vec<TxnId>,
+    /// Outcomes in `txns` order; shorter than `txns` only on unwind.
     results: Vec<Result<()>>,
 }
 
@@ -242,9 +219,9 @@ impl Drop for StepDown<'_> {
         let mut st = self.gate.state.lock();
         st.running = false;
         let mut results = std::mem::take(&mut self.results).into_iter();
-        for m in &self.batch {
+        for txn in &self.txns {
             let r = results.next().unwrap_or(Err(DbError::NeedsRecovery));
-            st.results.insert(m.txn.0, r);
+            st.results.insert(txn.0, r);
         }
         self.gate.cv.notify_all();
     }

@@ -18,7 +18,8 @@
 //! the checkpoint had flushed it.
 
 use rda_core::{
-    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, LogGranularity, Transaction,
+    CheckpointPolicy, Database, DbConfig, EngineKind, EotPolicy, EventKind, LogGranularity,
+    Transaction,
 };
 
 /// One scripted history on the small test geometry (8 groups of 4 pages,
@@ -36,7 +37,8 @@ fn history(
     let cfg = DbConfig::small_test(EngineKind::Rda)
         .eot(eot)
         .granularity(granularity)
-        .checkpoint(CheckpointPolicy::Manual);
+        .checkpoint(CheckpointPolicy::Manual)
+        .trace(1 << 12);
     let db = Database::open(cfg);
     let put = |tx: &mut Transaction, page: u32, val: u8| match granularity {
         LogGranularity::Page => tx.write(page, &[val; 8]).unwrap(),
@@ -108,10 +110,17 @@ fn counter(db: &Database, metric: &str) -> u64 {
         .expect("the counter is registered")
 }
 
-/// The winners' values are there and the losers' pages are back to zero.
+/// The winners' values are there and the losers' pages are back to zero;
+/// each undo left one trace witness.
 fn assert_recovered(db: &Database) {
     assert!(db.verify().unwrap().is_empty());
     assert!(db.audit().is_clean());
+    let events = db.shard(0).trace_snapshot().events;
+    let witnessed = |undo: fn(&EventKind) -> bool| events.iter().filter(|e| undo(&e.kind)).count();
+    let log_undos = witnessed(|k| matches!(k, EventKind::LogUndo { .. }));
+    assert_eq!(log_undos as u64, counter(db, "engine_undo_log_total"));
+    let parity_undos = witnessed(|k| matches!(k, EventKind::ParityUndo { .. }));
+    assert_eq!(parity_undos as u64, counter(db, "engine_undo_parity_total"));
     let first = |page: u32| db.read_page(page).unwrap()[..16].to_vec();
     assert!(first(4).contains(&3), "page 4: the later winner's value");
     assert!(first(0).contains(&1) && !first(0).contains(&2));

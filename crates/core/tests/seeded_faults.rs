@@ -4,7 +4,7 @@
 //! middle of a steal.
 
 use rda_array::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
-use rda_core::{Database, DbConfig, DbError, EngineKind, GroupCommit};
+use rda_core::{Database, DbConfig, DbError, EngineKind, EventKind, GroupCommit, TraceEvent};
 use std::sync::Arc;
 
 fn open_small() -> Database {
@@ -308,10 +308,16 @@ fn a_steal_crashed_at_its_claim_or_its_data_write_recovers_the_page() {
 /// first platter write. Power lost after the data write and before the
 /// parity write leaves the slot full: restart replays it once, so the
 /// group's parity matches its data again before the loser is undone, and
-/// a second restart finds the slot empty.
+/// a second restart finds the slot empty. Each replay is witnessed by
+/// exactly one `IntentReplay` trace event.
 #[test]
 fn a_crash_between_a_data_write_and_its_parity_write_replays_the_intent() {
-    let cfg = DbConfig::small_test(EngineKind::Rda);
+    let cfg = DbConfig::small_test(EngineKind::Rda).trace(1 << 12);
+    let replays = |db: &Database| {
+        let trace = db.shard(0).trace_snapshot();
+        let replay = |e: &&TraceEvent| matches!(e.kind, EventKind::IntentReplay { .. });
+        trace.events.iter().filter(replay).count()
+    };
     // Pages 0 and 1 share group 0. The loser's commit flushes page 0 by a
     // ride (a parity read, the claim, the data), then page 1, which cannot
     // ride the claimed group, by a logged read-modify-write: both twins
@@ -333,6 +339,7 @@ fn a_crash_between_a_data_write_and_its_parity_write_replays_the_intent() {
     db.crash();
     let report = db.recover().expect("restart recovery");
     assert_eq!(report.intent_replays, 1, "{report:?}");
+    assert_eq!(replays(&db), 1);
     assert_eq!(report.losers.len(), 1, "{report:?}");
     let audit = db.audit();
     assert!(audit.is_clean(), "{:?}", audit.violations());
@@ -343,6 +350,7 @@ fn a_crash_between_a_data_write_and_its_parity_write_replays_the_intent() {
     db.crash();
     let again = db.recover().expect("second restart");
     assert_eq!(again.intent_replays, 0, "{again:?}");
+    assert_eq!(replays(&db), 1);
     assert!(db.audit().is_clean());
     assert_eq!(page_value(&db, 1), 0x22);
 }

@@ -6,6 +6,8 @@
 //! an earlier parity-riding steal, and no group ever carries two
 //! uncommitted parity riders at once.
 
+use std::collections::BTreeMap;
+
 use rda_buffer::BufferConfig;
 use rda_core::{protocol_violations, Database, DbConfig, EngineKind, EventKind};
 
@@ -39,7 +41,7 @@ fn run_seeded_workload(db: &Database, seed: u64, txns: usize) {
 
 #[test]
 fn trace_witnesses_dirty_set_discipline() {
-    let db = Database::open(cfg(2).trace(1 << 16));
+    let db = Database::open(cfg(2).trace(1 << 16).spans(true));
     run_seeded_workload(&db, 0x0B5E_55ED, 60);
 
     let snap = db.shard(0).trace_snapshot();
@@ -61,6 +63,27 @@ fn trace_witnesses_dirty_set_discipline() {
         .filter(|e| matches!(e.kind, EventKind::CommitTwinFlip { .. }))
         .count();
     assert!(flips > 0, "no commit ever flipped a twin");
+
+    // Each commit-path transition has one witness: a committed
+    // transaction's spans are exactly begin, barrier, log force and ack,
+    // in that order, and an aborted one's only its begin.
+    let mut spans: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    for e in &snap.events {
+        let (txn, span) = match e.kind {
+            EventKind::TxnBegin { txn } => (txn, "begin"),
+            EventKind::CommitBarrier { txn } => (txn, "barrier"),
+            EventKind::LogForce { txn } => (txn, "force"),
+            EventKind::CommitAck { txn, .. } => (txn, "ack"),
+            _ => continue,
+        };
+        spans.entry(txn).or_default().push(span);
+    }
+    assert_eq!(spans.len(), 60);
+    let committed = spans.values().filter(|s| s.len() > 1).count() as u64;
+    let ok = |s: &Vec<&str>| s == &["begin", "barrier", "force", "ack"] || s == &["begin"];
+    assert!(spans.values().all(ok), "{spans:?}");
+    let commits = db.metrics().counter("engine_commits_total").get();
+    assert_eq!(committed, commits);
 }
 
 #[test]

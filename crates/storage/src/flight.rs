@@ -60,7 +60,9 @@ struct RecorderState {
 
 /// The black-box writer. One per file-backed database; the engine's
 /// barrier hook and a background timer thread both call
-/// [`FlightRecorder::flush`].
+/// [`FlightRecorder::flush`]. Only this crate writes `obs.journal`:
+/// creating and flushing a recorder is crate-private, wired up by the
+/// open path, and everyone else reads it through [`FlightRecorder::load`].
 pub struct FlightRecorder {
     hub: ObsHub,
     state: Mutex<RecorderState>,
@@ -78,7 +80,7 @@ impl FlightRecorder {
     ///
     /// # Errors
     /// I/O errors creating the journal file.
-    pub fn create(dir: &Path, hub: ObsHub) -> io::Result<Arc<FlightRecorder>> {
+    pub(crate) fn create(dir: &Path, hub: ObsHub) -> io::Result<Arc<FlightRecorder>> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -158,7 +160,7 @@ impl FlightRecorder {
     ///
     /// # Errors
     /// I/O errors writing the journal.
-    pub fn flush(&self) -> io::Result<()> {
+    pub(crate) fn flush(&self) -> io::Result<()> {
         let mut state = self.state.lock();
         let state = &mut *state;
         if state.shutdown {
@@ -186,9 +188,10 @@ impl FlightRecorder {
         self.state.lock().flushes
     }
 
-    /// Stop the timer thread and refuse further flushes (used by tests;
-    /// dropping every strong handle stops the thread too).
-    pub fn shutdown(&self) {
+    /// Stop the timer thread and refuse further flushes (dropping every
+    /// strong handle stops the thread too).
+    #[cfg(test)]
+    pub(crate) fn shutdown(&self) {
         self.state.lock().shutdown = true;
         self.wake_timer();
     }

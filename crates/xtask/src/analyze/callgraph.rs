@@ -38,7 +38,7 @@ const TRANSPARENT: &[&str] = &[
 
 /// Method names so common on std containers that an untyped receiver
 /// must never fall back to a same-named inherent method by uniqueness.
-pub const STD_METHODS: &[&str] = &[
+const STD_METHODS: &[&str] = &[
     "len",
     "is_empty",
     "push",

@@ -16,8 +16,7 @@ pub const BASELINE_FILE: &str = "crates/xtask/analyze-baseline.txt";
 
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Which pass produced it: `lock-order`, `atomics`, `confine`,
-    /// `io-pairing`.
+    /// Which pass produced it: `lock-order` or `atomics`.
     pub pass: &'static str,
     /// Short machine code within the pass, e.g. `cycle`,
     /// `missing-justification`, `release-unread`.
@@ -173,7 +172,7 @@ mod tests {
         std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
         std::fs::write(
             dir.join(BASELINE_FILE),
-            "# comment\nio-pairing:crates/array/src/array.rs:fn-peek_data | diagnostic peek, deliberately unbilled\n",
+            "# comment\nlock-order:crates/core/src/engine.rs:self-LockTable | try-acquire only, never blocks\n",
         )
         .unwrap();
         let bl = Baseline::load(&dir).unwrap();

@@ -124,7 +124,6 @@ pub struct CallSite {
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
-    pub line: u32,
     /// Self type of the enclosing `impl` block, if any.
     pub impl_ty: Option<String>,
     pub has_self: bool,
@@ -255,7 +254,6 @@ impl FileIndex {
             return at + 1;
         }
         let name = name_tok.text.clone();
-        let line = name_tok.line;
         // Find the parameter group, then the body brace group (skipping
         // the return type and where clauses). A `;` first means a trait
         // signature or extern decl — no body.
@@ -306,7 +304,6 @@ impl FileIndex {
         let calls = extract_calls(&flat);
         self.fns.push(FnItem {
             name,
-            line,
             impl_ty: impl_ty.map(str::to_string),
             has_self,
             ret_path,

@@ -5,6 +5,4 @@
 //! ordering, and the exit status.
 
 pub mod atomics;
-pub mod confine;
-pub mod io_pairing;
 pub mod lock_order;

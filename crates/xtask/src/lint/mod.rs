@@ -24,11 +24,6 @@
 //!    `crates/obs/src/json.rs` and `xtask` holds `\":`: JSON is built as
 //!    an `rda_obs::json::Json` value, never spliced from strings.
 //!
-//! (The former trace-pairing rule moved to `cargo xtask analyze`: it is
-//! declared per transition as `tracepair` lines in `analyze.conf` and
-//! enforced by the io-pairing pass, which counts emission sites on the
-//! real token tree instead of substring-matching.)
-//!
 //! Rules read the workspace's one source model ([`crate::source`]): the
 //! lexed tokens of every file, each marked as test code or not. They
 //! skip comments, string contents and test code, so doc examples and test

@@ -4,11 +4,11 @@
 //! Two commands: `lint`, the source-level gate for repo-specific
 //! invariants `rustc`/`clippy` cannot express (see [`lint`]), and
 //! `analyze`, the rda-analyze concurrency static-analysis framework
-//! (lock ordering, atomic-ordering audit, state confinement, billed-I/O
-//! pairing — see [`analyze`]). Both read one source model ([`source`]):
-//! each workspace file loaded and lexed once, every token marked as test
-//! code or not by one rule. Neither has dependencies beyond `std`, so
-//! both build and run everywhere the workspace does.
+//! (lock ordering and the atomic-ordering audit — see [`analyze`]). Both
+//! read one source model ([`source`]): each workspace file loaded and
+//! lexed once, every token marked as test code or not by one rule.
+//! Neither has dependencies beyond `std`, so both build and run
+//! everywhere the workspace does.
 
 mod analyze;
 mod lint;
@@ -62,5 +62,5 @@ commands:
   lint --update-baseline   rewrite the unwrap/expect ratchet baseline
                            (only lowers counts unless a rule failed)
   analyze                  run the rda-analyze concurrency passes
-                           (lock-order, atomics, confine, io-pairing)
+                           (lock-order, atomics)
   analyze --json PATH      also write the machine-readable findings";

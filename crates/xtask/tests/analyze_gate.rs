@@ -225,79 +225,42 @@ impl T {
     );
 }
 
-// ---- confine ------------------------------------------------------------
-
-const CONFINE_CONF: &str = "confine DirtySet mark -> crates/eng/src/engine.rs\n";
-
 #[test]
-fn unconfined_state_mutation_is_caught() {
-    let fx = Fixture::new("confine-violation");
-    fx.write("crates/xtask/analyze.conf", CONFINE_CONF);
+fn test_only_statement_in_a_production_fn_is_not_a_call() {
+    let fx = Fixture::new("atomics-test-statement");
     fx.write(
-        "crates/eng/src/engine.rs",
+        "crates/obs/src/lib.rs",
         "\
-pub struct DirtySet { pages: Vec<u32> }
-impl DirtySet {
-    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
-}
-",
-    );
-    fx.write(
-        "crates/eng/src/elsewhere.rs",
-        "\
-use super::engine::DirtySet;
-fn sneaky(d: &mut DirtySet) {
-    d.mark(7);
-}
-",
-    );
-    let out = fx.analyze();
-    assert!(!out.status.success(), "unconfined mark must fail");
-    let err = stderr(&out);
-    assert!(err.contains("[confine/unconfined-call]"), "{err}");
-    assert!(err.contains("elsewhere.rs"), "{err}");
-}
-
-#[test]
-fn confined_mutation_is_clean() {
-    let fx = Fixture::new("confine-clean");
-    fx.write("crates/xtask/analyze.conf", CONFINE_CONF);
-    fx.write(
-        "crates/eng/src/engine.rs",
-        "\
-pub struct DirtySet { pages: Vec<u32> }
-impl DirtySet {
-    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
-}
-pub struct Engine { dirty: DirtySet }
-impl Engine {
-    fn touch(&mut self, p: u32) { self.dirty.mark(p); }
+struct T { n: AtomicU64 }
+impl T {
+    fn production(&self) -> u64 {
+        #[cfg(test)]
+        self.n.store(7, Ordering::Relaxed);
+        0
+    }
 }
 ",
     );
     let out = fx.analyze();
     assert!(
         out.status.success(),
-        "confined call flagged: {}",
+        "a #[cfg(test)] statement was analyzed: {}",
         stderr(&out)
     );
 }
 
+// ---- analyze.conf -------------------------------------------------------
+
 #[test]
 fn a_directive_naming_an_undefined_method_is_caught() {
-    let fx = Fixture::new("confine-unresolved");
+    let fx = Fixture::new("lockentry-unresolved");
     fx.write(
         "crates/xtask/analyze.conf",
-        "confine DirtySet mark,unmark -> crates/eng/src/engine.rs\n\
-         lockentry DirtySet lock_page\n",
+        "lockentry LockTable lock_page,lock_range\n",
     );
     fx.write(
         "crates/eng/src/engine.rs",
         "\
-pub struct DirtySet { pages: Vec<u32> }
-impl DirtySet {
-    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
-}
 pub struct LockTable;
 impl LockTable {
     pub fn lock_page(&self) {}
@@ -310,132 +273,9 @@ impl LockTable {
         "a directive matching nothing must fail"
     );
     let err = stderr(&out);
-    assert!(err.contains("[confine/missing-method]"), "{err}");
-    assert!(err.contains("`DirtySet::unmark`"), "{err}");
     assert!(err.contains("[lock-order/missing-method]"), "{err}");
-    assert!(err.contains("`DirtySet::lock_page`"), "{err}");
-    assert!(!err.contains("`DirtySet::mark`"), "{err}");
-}
-
-#[test]
-fn test_only_statement_in_a_production_fn_is_not_a_call() {
-    let fx = Fixture::new("confine-test-statement");
-    fx.write("crates/xtask/analyze.conf", CONFINE_CONF);
-    fx.write(
-        "crates/eng/src/engine.rs",
-        "\
-pub struct DirtySet { pages: Vec<u32> }
-impl DirtySet {
-    pub fn mark(&mut self, p: u32) { self.pages.push(p); }
-}
-",
-    );
-    fx.write(
-        "crates/eng/src/elsewhere.rs",
-        "\
-use super::engine::DirtySet;
-fn production(d: &mut DirtySet) {
-    #[cfg(test)]
-    d.mark(7);
-    let _ = d;
-}
-",
-    );
-    let out = fx.analyze();
-    assert!(
-        out.status.success(),
-        "a #[cfg(test)] statement was analyzed: {}",
-        stderr(&out)
-    );
-}
-
-// ---- io-pairing ---------------------------------------------------------
-
-const IOPAIR_CONF: &str =
-    "iopair crates/arr/src/array.rs phys=read,write recv=disk,disks bill=record_io\n";
-
-#[test]
-fn unbilled_physical_io_is_caught() {
-    let fx = Fixture::new("iopair-unbilled");
-    fx.write("crates/xtask/analyze.conf", IOPAIR_CONF);
-    fx.write(
-        "crates/arr/src/array.rs",
-        "\
-impl DiskArray {
-    fn read_data(&self, loc: Loc) -> Page {
-        self.disk(loc.disk).read(loc.block)
-    }
-}
-",
-    );
-    let out = fx.analyze();
-    assert!(!out.status.success(), "unbilled read must fail");
-    let err = stderr(&out);
-    assert!(err.contains("[io-pairing/unbilled-io]"), "{err}");
-    assert!(err.contains("read_data"), "{err}");
-    assert!(fx.json().contains("\"line\": 3"), "{}", fx.json());
-}
-
-#[test]
-fn billed_physical_io_is_clean() {
-    let fx = Fixture::new("iopair-billed");
-    fx.write("crates/xtask/analyze.conf", IOPAIR_CONF);
-    fx.write(
-        "crates/arr/src/array.rs",
-        "\
-impl DiskArray {
-    fn read_data(&self, loc: Loc) -> Page {
-        self.tracer.record_io(|| Event::Read);
-        self.disk(loc.disk).read(loc.block)
-    }
-}
-",
-    );
-    let out = fx.analyze();
-    assert!(
-        out.status.success(),
-        "billed read flagged: {}",
-        stderr(&out)
-    );
-}
-
-/// `recv` also names a path segment: a rename that puts a file in place
-/// must be preceded, in the same fn, by the `sync_data` of what it puts
-/// there.
-#[test]
-fn path_call_io_is_paired_by_a_path_segment() {
-    let conf = "iopair crates/st/src/meta.rs phys=rename recv=fs bill=sync_data\n";
-    let body = |sync: &str| {
-        format!(
-            "\
-fn replace(tmp: &Path, path: &Path, file: &File) -> io::Result<()> {{
-    {sync}
-    std::fs::rename(tmp, path)
-}}
-fn unrelated(names: &mut Names) {{
-    names.rename(1, 2);
-}}
-"
-        )
-    };
-    let fx = Fixture::new("iopair-path-unsynced");
-    fx.write("crates/xtask/analyze.conf", conf);
-    fx.write("crates/st/src/meta.rs", &body(""));
-    let out = fx.analyze();
-    assert!(!out.status.success(), "unsynced rename must fail");
-    let err = stderr(&out);
-    assert!(err.contains("fn `replace` performs physical I/O"), "{err}");
-    assert!(!err.contains("unrelated"), "{err}");
-
-    let fx = Fixture::new("iopair-path-synced");
-    fx.write("crates/xtask/analyze.conf", conf);
-    fx.write("crates/st/src/meta.rs", &body("file.sync_data()?;"));
-    let out = fx.analyze();
-    assert!(
-        out.status.success(),
-        "synced rename flagged: {}",
-        stderr(&out)
-    );
+    assert!(err.contains("`LockTable::lock_range`"), "{err}");
+    assert!(!err.contains("`LockTable::lock_page`"), "{err}");
 }
 
 // ---- baseline mechanics -------------------------------------------------
@@ -490,13 +330,13 @@ impl Engine {
 #[test]
 fn findings_artifact_matches_golden_snapshot() {
     let fx = Fixture::new("golden");
-    fx.write("crates/xtask/analyze.conf", IOPAIR_CONF);
     fx.write(
-        "crates/arr/src/array.rs",
+        "crates/obs/src/lib.rs",
         "\
-impl DiskArray {
-    fn read_data(&self, loc: Loc) -> Page {
-        self.disk(loc.disk).read(loc.block)
+struct T { n: AtomicU64 }
+impl T {
+    fn bump(&self) {
+        self.n.fetch_add(1, Ordering::Relaxed);
     }
 }
 ",
@@ -505,10 +345,10 @@ impl DiskArray {
     assert!(!out.status.success());
     let expected = r#"{
   "schema": "rda-analyze/v1",
-  "passes": ["lock-order", "atomics", "confine", "io-pairing"],
+  "passes": ["lock-order", "atomics"],
   "total": 1, "unbaselined": 1,
   "findings": [
-    {"pass": "io-pairing", "code": "unbilled-io", "file": "crates/arr/src/array.rs", "line": 3, "key": "io-pairing:crates/arr/src/array.rs:fn-read_data", "message": "fn `read_data` performs physical I/O but never calls record_io", "baselined": false}
+    {"pass": "atomics", "code": "missing-justification", "file": "crates/obs/src/lib.rs", "line": 4, "key": "atomics:crates/obs/src/lib.rs:T.n.fetch_add.Relaxed", "message": "`T.n.fetch_add(Ordering::Relaxed)` has no `// ordering:` justification comment", "baselined": false}
   ]
 }
 "#;
